@@ -1,56 +1,26 @@
-"""Build script: compiles the walk kernel extension when a toolchain is available.
+"""Build script: compiles the plain-C walk kernel `src/gwalk/_walk.c`.
 
-The package works without the extension (a pure-Python kernel with identical
-semantics is selected at import time), so a failed compile downgrades to a
-warning instead of killing the install.
+The result is the shared library `gwalk/_walk<EXT_SUFFIX>`. It holds no
+Python API: `gwalk.kernel` loads it through ctypes. In a source checkout,
+build it in place with `python setup.py build_ext --inplace`. A failed compile
+fails the build. Without the library the package still runs, on the
+pure-Python kernel `_pykernel`, after one warning.
+
+Keep -ffp-contract=off and add no -ffast-math or -march=native: a fused
+multiply-add rounds differently and breaks bit-parity with `_pykernel`.
 """
 
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-from setuptools.command.build_ext import build_ext
+COMPILE_ARGS = ["-O3", "-std=c99", "-ffp-contract=off"]
 
-
-class OptionalBuildExt(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # toolchain missing / compile error
-            sys.stderr.write(
-                "warning: compiled kernel build failed (%s); "
-                "falling back to the pure-Python kernel\n" % exc
-            )
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            sys.stderr.write(
-                "warning: building %s failed (%s); pure-Python kernel will be used\n"
-                % (ext.name, exc)
-            )
-
-
-def extensions():
-    try:
-        import numpy
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    from setuptools import Extension
-
-    return cythonize(
-        [
-            Extension(
-                "gwalk._ckernel",
-                ["src/gwalk/_ckernel.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-            )
-        ],
-        language_level=3,
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension(
+            "gwalk._walk",
+            ["src/gwalk/_walk.c"],
+            extra_compile_args=COMPILE_ARGS,
+            libraries=["m"],
+        )
+    ]
+)

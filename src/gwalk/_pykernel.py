@@ -1,9 +1,11 @@
 """Pure-Python walk kernel: lazy quenched environment plus the biased walk.
 
-This module is the reference implementation; ``_ckernel`` is a compiled twin
-with identical semantics, and the parity test asserts bit-identical output of
-the two on shared seeds. Keep every arithmetic operation in the hot loop in
-the same order in both files.
+This module is the reference implementation; the plain-C file ``_walk.c`` is
+its compiled twin, which ``gwalk.kernel`` binds through ctypes when it is
+built and replaces with this module, after one warning, when it is not. The
+parity test asserts bit-identical output of the two on shared seeds, and the
+same ``ValueError`` for a malformed explicit tree. Keep every arithmetic
+operation in the hot loop in the same order in both files.
 
 Environment representation
 --------------------------
@@ -41,9 +43,7 @@ import math
 
 import numpy as np
 
-MASK = (1 << 64) - 1
-GOLDEN = 0x9E3779B97F4A7C15
-ROOT_SALT = 0xD1B54A32D192ED03
+from ._rng import GOLDEN, MASK, ROOT_SALT, TWO_NEG53, mix64
 
 MODE_STEPS = 0
 MODE_CROSSINGS = 1
@@ -51,19 +51,13 @@ MODE_CROSSINGS = 1
 STATUS_OK = 0
 STATUS_BUDGET = 2
 
-TWO_NEG53 = 1.0 / 9007199254740992.0
-
 KERNEL_IMPL = "python"
 
-
-def _mix64(x: int) -> int:
-    x &= MASK
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & MASK
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & MASK
-    x ^= x >> 31
-    return x
+# messages of the ValueError both kernels raise for a malformed explicit tree
+ERR_ROOT = "explicit tree must list the root first"
+ERR_CHILDREN = "children must be consecutive"
+ERR_PARENT = "explicit tree parent index outside [0, i)"
+ERR_LENGTH = "explicit tree needs one V per node"
 
 
 def run_walk(
@@ -82,8 +76,8 @@ def run_walk(
 
     law_tables: (atom_cum, atom_off, atom_len, marks_flat) from MarkLaw.tables,
     or None when `explicit` supplies a prebuilt finite tree as a dict with
-    keys parent, V (children of every node must occupy consecutive indices,
-    root first).
+    keys parent, V (root first, children of every node at consecutive
+    indices, each parent index below its child's).
     """
     snaps = np.asarray(snaps, dtype=np.int64)
     nsnap = len(snaps)
@@ -104,7 +98,7 @@ def run_walk(
         V = [0.0]
         w = [1.0]
         totw = [0.0]
-        key = [_mix64((env_seed ^ ROOT_SALT) & MASK)]
+        key = [mix64((env_seed ^ ROOT_SALT) & MASK)]
         gen = [0]
         nchild = [-1]
         child0 = [-1]
@@ -113,17 +107,21 @@ def run_walk(
         parent = [int(v) for v in explicit["parent"]]
         V = [float(v) for v in explicit["V"]]
         n = len(parent)
+        if len(V) != n:
+            raise ValueError(ERR_LENGTH)
         if n == 0 or parent[0] != -1:
-            raise ValueError("explicit tree must list the root first")
+            raise ValueError(ERR_ROOT)
         w = [math.exp(-v) for v in V]
         nchild = [0] * n
         child0 = [-1] * n
         for i in range(1, n):
             pa = parent[i]
+            if not 0 <= pa < i:
+                raise ValueError(ERR_PARENT)
             if nchild[pa] == 0:
                 child0[pa] = i
             elif child0[pa] + nchild[pa] != i:
-                raise ValueError("children must be consecutive")
+                raise ValueError(ERR_CHILDREN)
             nchild[pa] += 1
         totw = [0.0] * n
         for i in range(n):
@@ -208,7 +206,7 @@ def run_walk(
                 V.append(vc)
                 w.append(wc)
                 totw.append(0.0)
-                key.append(_mix64((kx ^ (((j + 2) * GOLDEN) & MASK)) & MASK))
+                key.append(mix64((kx ^ (((j + 2) * GOLDEN) & MASK)) & MASK))
                 gen.append(gx)
                 nchild.append(-1)
                 child0.append(-1)
@@ -221,7 +219,7 @@ def run_walk(
             dest = parent[x]
         else:
             state = (state + GOLDEN) & MASK
-            u = (_mix64(state) >> 11) * TWO_NEG53
+            u = (mix64(state) >> 11) * TWO_NEG53
             u *= totw[x]
             if u < w[x]:
                 dest = parent[x]

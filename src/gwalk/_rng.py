@@ -1,9 +1,10 @@
 """Deterministic 64-bit RNG primitives shared by every sampling component.
 
-All environment and walk randomness flows through splitmix64. The compiled
-kernel reimplements exactly these integer operations in C, which is what makes
-the pure-Python and compiled kernels produce bit-identical output for the same
-seeds.
+All environment and walk randomness flows through splitmix64, and this module
+is the one home of its constants and of ``mix64`` (with the vectorised
+``mix64_np``). The plain-C kernel ``_walk.c`` keeps its own copy of exactly
+these integer operations, which is what makes the pure-Python and compiled
+kernels produce bit-identical output for the same seeds.
 
 Substream discipline
 --------------------
@@ -20,11 +21,13 @@ Experiment seeds use :func:`derive_seed`, chaining the same mixer over
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
 ROOT_SALT = 0xD1B54A32D192ED03
 
-_INV_2_53 = 1.0 / (1 << 53)
+TWO_NEG53 = 1.0 / (1 << 53)  # (z >> 11) * TWO_NEG53 is uniform on [0, 1)
 
 
 def mix64(x: int) -> int:
@@ -38,6 +41,18 @@ def mix64(x: int) -> int:
     return x
 
 
+def mix64_np(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` elementwise on a uint64 array (a new array)."""
+    x = x.astype(np.uint64, copy=True)
+    with np.errstate(over="ignore"):
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return x
+
+
 def sm64_next(state: int) -> tuple[int, int]:
     """Advance a splitmix64 stream: returns (new_state, output)."""
     state = (state + GOLDEN) & MASK
@@ -47,7 +62,7 @@ def sm64_next(state: int) -> tuple[int, int]:
 def sm64_double(state: int) -> tuple[int, float]:
     """Uniform double in [0, 1) with 53 random bits."""
     state, z = sm64_next(state)
-    return state, (z >> 11) * _INV_2_53
+    return state, (z >> 11) * TWO_NEG53
 
 
 def child_key(parent_key: int, j: int) -> int:

@@ -61,16 +61,17 @@ def _resolve_constants(cfg, law, kappa) -> experiments.Constants:
     given.pop("_provenance", None)
     sec = cfg.get("estimate_constants", {})
     seed = cfg["seed"]
-    if kappa > 2.0 and "c0" not in given:
+    diffusive = law_mod.regime_of(kappa) == "DIFFUSIVE"
+    if diffusive and "c0" not in given:
         given["c0"] = limits.c0_exact(law, kappa)
-    if kappa <= 2.0 and ("C_inf" not in given or "c_inf_bold" not in given):
+    if not diffusive and ("C_inf" not in given or "c_inf_bold" not in given):
         rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
         est = limits.estimate_discounted_moments(
             law, sec.get("n_samples", 10**6), sec.get("eps", 1e-12), rng, seed=seed
         )
         given.setdefault("C_inf", est.C_inf)
         given.setdefault("c_inf_bold", est.c_inf_bold)
-    if kappa <= 2.0 and "c_kappa" not in given:
+    if not diffusive and "c_kappa" not in given:
         ck = limits.estimate_c_kappa(
             law, kappa, n_samples=sec.get("c_kappa_samples", 10**6), seed=seed
         )
@@ -369,7 +370,8 @@ def cmd_estimate_constants(cfg) -> int:
     rows = []
     verdicts = []
     payload = {"kappa": kappa}
-    if kappa > 2.0:
+    diffusive = law_mod.regime_of(kappa) == "DIFFUSIVE"
+    if diffusive:
         payload["c0"] = limits.c0_exact(law, kappa)
     rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
     est = limits.estimate_discounted_moments(
@@ -379,7 +381,7 @@ def cmd_estimate_constants(cfg) -> int:
     payload["C_inf_ci"] = list(est.C_inf_ci)
     payload["c_inf_bold"] = est.c_inf_bold
     payload["c_inf_bold_ci"] = list(est.c_inf_bold_ci)
-    if 1.0 < kappa <= 2.0:
+    if kappa > 1.0 and not diffusive:
         ck = limits.estimate_c_kappa(
             law, kappa, n_samples=sec.get("c_kappa_samples", 10**6), seed=seed
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import GOLDEN, MASK, ROOT_SALT, child_key, root_key
+from ._rng import GOLDEN, MASK, ROOT_SALT, TWO_NEG53, child_key, mix64_np, root_key
 from .law import MarkLaw
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "enumerate_truncated",
     "environment_survives",
 ]
-
-_TWO_NEG53 = 1.0 / 9007199254740992.0
 
 
 class MarkedTree:
@@ -74,7 +72,7 @@ class MarkedTree:
         return len(self.parent)
 
     def atom_index(self, node_id: int) -> int:
-        u = (self.key[node_id] >> 11) * _TWO_NEG53
+        u = (self.key[node_id] >> 11) * TWO_NEG53
         a = 0
         while u >= self._cum[a]:
             a += 1
@@ -280,17 +278,6 @@ def discounted_sums_batch(
 # Vectorized level enumeration (same keyed environments as the kernels)
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
-
-
 def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
     """W_level for a batch of environments at once.
 
@@ -303,10 +290,10 @@ def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
     seeds = np.asarray(env_seeds, dtype=np.uint64)
     n = seeds.size
     env = np.arange(n, dtype=np.int64)
-    key = _mix64_np(seeds ^ np.uint64(ROOT_SALT))
+    key = mix64_np(seeds ^ np.uint64(ROOT_SALT))
     V = np.zeros(n)
     for _ in range(level):
-        u = (key >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+        u = (key >> np.uint64(11)).astype(np.float64) * TWO_NEG53
         a = np.searchsorted(cum, u, side="right")
         k = lens[a]
         env = np.repeat(env, k)
@@ -324,7 +311,7 @@ def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
         mark_idx = np.repeat(off[a], k) + j
         V = pV + flat[mark_idx]
         with np.errstate(over="ignore"):
-            key = _mix64_np(
+            key = mix64_np(
                 pkey ^ ((j + 2).astype(np.uint64) * np.uint64(GOLDEN))
             )
     W = np.bincount(env, weights=np.exp(-V), minlength=n) if env.size else np.zeros(n)

@@ -20,7 +20,7 @@ from . import limits, stats, walk
 from ._rng import derive_seed
 from .env import environment_survives, level_weights_batch
 from .kernel import STATUS_BUDGET
-from .law import MarkLaw
+from .law import MarkLaw, regime_of
 
 __all__ = [
     "Constants",
@@ -46,12 +46,16 @@ class Constants:
     c_kappa: float | None = None
     c0: float | None = None
 
+    @property
+    def regime(self) -> str:
+        return regime_of(self.kappa)
+
     def local_time_scale(self, n: float) -> float:
         """a_n with W * L^n / a_n converging to the unit reference sup law."""
         k = self.kappa
-        if k > 2.0:
+        if self.regime == "DIFFUSIVE":
             return math.sqrt(self.c0 * n)
-        if k == 2.0:
+        if self.regime == "CRITICAL":
             return math.sqrt(self.C_inf * self.c_kappa * n * math.log(n) / 2.0)
         g = abs(math.gamma(1.0 - k))
         return (self.C_inf * self.c_kappa * g / 2.0) ** (1.0 / k) * n ** (1.0 / k)
@@ -60,21 +64,18 @@ class Constants:
         """b_p with T^p / (W^{kappa and 2} b_p) converging to the unit
         first-passage law."""
         k = self.kappa
-        if k > 2.0:
+        if self.regime == "DIFFUSIVE":
             return p**2 / self.c0
-        if k == 2.0:
+        if self.regime == "CRITICAL":
             return p**2 / (math.log(p) * self.C_inf * self.c_kappa)
         g = abs(math.gamma(1.0 - k))
         return 2.0 * p**k / (self.C_inf * self.c_kappa * g)
 
     @property
     def gamma(self) -> float:
-        """Index of the reference stable process (2 means Brownian)."""
-        return self.kappa if self.kappa < 2.0 else 2.0
-
-    @property
-    def w_power(self) -> float:
-        return min(self.kappa, 2.0)
+        """Index of the reference stable process (2 means Brownian), which is
+        also the power of W in the return-time normalization."""
+        return self.kappa if self.regime == "SUBDIFFUSIVE" else 2.0
 
 
 def _map_trials(fn, n_trials: int, threads: int) -> None:
@@ -228,7 +229,7 @@ def theorem1_campaign(
     p_grid = sorted(int(p) for p in p_grid)
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem1", n_trials)
     budget = min(
-        int(z_budget * w_ref**consts.w_power * consts.return_time_scale(p_grid[-1])),
+        int(z_budget * w_ref**consts.gamma * consts.return_time_scale(p_grid[-1])),
         int(step_cap),
     )
     T = np.full((n_trials, len(p_grid)), -1, dtype=np.int64)
@@ -251,7 +252,7 @@ def theorem1_campaign(
     for j, p in enumerate(p_grid):
         z = np.where(
             T[:, j] >= 0,
-            T[:, j] / (w**consts.w_power * consts.return_time_scale(p)),
+            T[:, j] / (w**consts.gamma * consts.return_time_scale(p)),
             np.inf,
         )
         z_by_n[p] = z
@@ -275,9 +276,10 @@ def theorem1_campaign(
 
 
 def _kappa_n(kappa: float, n: int) -> float:
-    if kappa == 2.0:
+    regime = regime_of(kappa)
+    if regime == "CRITICAL":
         return n**2 / math.log(n)
-    return float(n) ** min(kappa, 2.0)
+    return float(n) ** (kappa if regime == "SUBDIFFUSIVE" else 2.0)
 
 
 def theorem3_campaign(

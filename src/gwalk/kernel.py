@@ -1,34 +1,128 @@
-"""Kernel dispatcher: picks the compiled walk kernel when available.
+"""Walk kernel dispatcher: the plain-C kernel through ctypes, or its reference.
 
-Set GWALK_PURE_PYTHON=1 to force the pure-Python reference implementation
-(used by the parity test and as a fallback when the extension failed to
-build). Both kernels produce bit-identical output for equal seeds.
+`_walk.c` is the compiled twin of `_pykernel.run_walk`: same signature and
+bit-identical output for equal seeds. setuptools builds it into the library
+`gwalk/_walk<EXT_SUFFIX>` beside this file (`pip install .`, or
+`python setup.py build_ext --inplace` in a source checkout). The library has
+no Python API; `load_kernel` binds it through ctypes, whose foreign calls
+release the GIL, so trials on several threads run in parallel.
+
+When no built library sits beside this file (running from `PYTHONPATH=src`
+without building), `run_walk` is `_pykernel.run_walk`, about 40x slower,
+after one warning that says how to build.
 """
 
 from __future__ import annotations
 
-import os
+import ctypes
+import sysconfig
 import warnings
+from pathlib import Path
+
+import numpy as np
 
 from . import _pykernel
-
-if os.environ.get("GWALK_PURE_PYTHON") == "1":
-    _impl = _pykernel
-else:
-    try:
-        from . import _ckernel as _impl  # type: ignore[no-redef]
-    except ImportError:
-        warnings.warn(
-            "compiled walk kernel unavailable, using the pure-Python fallback"
-        )
-        _impl = _pykernel
-
-run_walk = _impl.run_walk
-KERNEL_IMPL = _impl.KERNEL_IMPL
+from ._rng import MASK
 
 MODE_STEPS = _pykernel.MODE_STEPS
 MODE_CROSSINGS = _pykernel.MODE_CROSSINGS
 STATUS_OK = _pykernel.STATUS_OK
 STATUS_BUDGET = _pykernel.STATUS_BUDGET
 
-pure_run_walk = _pykernel.run_walk
+LIBRARY = Path(__file__).with_name("_walk" + sysconfig.get_config_var("EXT_SUFFIX"))
+
+# gw_walk's error codes for a malformed explicit tree (1 is out of memory)
+_ERRORS = {2: _pykernel.ERR_ROOT, 3: _pykernel.ERR_CHILDREN, 4: _pykernel.ERR_PARENT}
+# arena arrays returned under collect_tree: output key -> gw_arena field
+_TREE = {"parent": "parent", "gen": "gen", "V": "V", "ndown": "n_down",
+         "nup": "n_up", "nchild": "nchild"}
+
+_I64, _F64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+_P, _INT64 = ctypes.c_void_p, ctypes.c_int64
+
+
+class _Arena(ctypes.Structure):
+    _fields_ = (
+        [("n", _INT64), ("cap", _INT64)]
+        + [(f, _I64) for f in ("parent", "gen", "nchild", "child0", "n_down", "n_up")]
+        + [(f, _F64) for f in ("V", "w", "totw")]
+        + [("key", ctypes.POINTER(ctypes.c_uint64))]
+    )
+
+
+class _Stats(ctypes.Structure):
+    _fields_ = [(f, _INT64) for f in ("status", "m", "t_ex", "L", "R", "pos", "nsnap")]
+
+
+def _arrays(values, dtypes):
+    return [np.ascontiguousarray(v, dtype=d) for v, d in zip(values, dtypes)]
+
+
+def load_kernel(path) -> callable:
+    """Bind the library at `path`; returns a `run_walk` with the signature
+    and output of `_pykernel.run_walk`."""
+    lib = ctypes.CDLL(str(path))
+    walk, free = lib.gw_walk, lib.gw_free
+    walk.restype, free.restype = ctypes.c_int, None
+    walk.argtypes = [_P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64, ctypes.c_uint64,
+                     ctypes.c_int, _INT64, _P, _INT64, _P, _INT64, _INT64,
+                     ctypes.POINTER(_Stats), ctypes.POINTER(ctypes.POINTER(_Arena))]
+    free.argtypes = [ctypes.POINTER(_Arena)]
+
+    def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
+                 budget=10**10, depth_cap=-1, collect_tree=False, explicit=None):
+        (snaps,) = _arrays([snaps], [np.int64])
+        snap_out = np.empty((5, len(snaps)), dtype=np.int64)
+        if explicit is None:
+            tables = _arrays(law_tables, [np.float64, np.int64, np.int64, np.float64])
+            cum, off, lens, flat = tables
+            # the C loop indexes these without bounds checks
+            if not (len(cum) == len(off) == len(lens) > 0 and cum[-1] >= 1.0
+                    and (off >= 0).all() and (lens >= 0).all()
+                    and (off + lens <= len(flat)).all()):
+                raise ValueError("malformed law tables")
+            n_explicit, tree = -1, [None, None]
+        else:
+            tables = [None] * 4
+            tree = _arrays([explicit["parent"], explicit["V"]], [np.int64, np.float64])
+            if len(tree[0]) != len(tree[1]):
+                raise ValueError(_pykernel.ERR_LENGTH)
+            n_explicit = len(tree[0])
+        st, arena = _Stats(), ctypes.POINTER(_Arena)()
+        ptrs = [None if a is None else a.ctypes.data for a in tables + tree]
+        err = walk(*ptrs[:4], n_explicit, *ptrs[4:], int(env_seed) & MASK,
+                   int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
+                   len(snaps), snap_out.ctypes.data, int(budget), int(depth_cap),
+                   ctypes.byref(st), ctypes.byref(arena))
+        if err:
+            if err in _ERRORS:
+                raise ValueError(_ERRORS[err])
+            raise MemoryError("walk kernel ran out of memory for its arena")
+        try:
+            A = arena.contents
+            out = {k: getattr(st, k) for k in ("status", "m", "t_ex", "L", "R", "pos")}
+            out["nodes_grown"] = A.n
+            for row, name in enumerate(("idx", "tau", "T", "L", "R")):
+                out["snap_" + name] = snap_out[row, : st.nsnap].copy()
+            if collect_tree:
+                for key, field in _TREE.items():
+                    out["tree_" + key] = np.ctypeslib.as_array(
+                        getattr(A, field), shape=(A.n,)).copy()
+            return out
+        finally:
+            free(arena)
+
+    return run_walk
+
+
+if LIBRARY.is_file():
+    run_walk = load_kernel(LIBRARY)
+    KERNEL_IMPL = "compiled"
+else:
+    warnings.warn(
+        f"compiled walk kernel {LIBRARY.name} is not built; walks run on the "
+        "pure-Python kernel, about 40x slower. Build it with "
+        "`python setup.py build_ext --inplace` or install the package."
+    )
+    run_walk = _pykernel.run_walk
+    KERNEL_IMPL = _pykernel.KERNEL_IMPL

@@ -234,11 +234,12 @@ def validate_law(law: MarkLaw, t_grid=None) -> PotentialReport:
     if lattice:
         warnings.warn("law is lattice-supported; scaling constants may need care")
         notes.append("lattice support detected (warning only)")
-    c0 = _c0_finite_sum(law) if kappa > 2.0 else None
+    regime = regime_of(kappa)
+    c0 = _c0_finite_sum(law) if regime == "DIFFUSIVE" else None
     rep = PotentialReport(
         kappa=kappa,
         psi_prime_1=psi_prime(law, 1.0),
-        regime=regime_of(kappa),
+        regime=regime,
         c0=c0,
         psi_grid=grid,
         psi_values=values,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import GOLDEN, MASK, mix64
+from ._rng import GOLDEN, MASK, TWO_NEG53, mix64
 from .env import MarkedTree
 from . import kernel
 
@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**10
-
-_TWO_NEG53 = 1.0 / 9007199254740992.0
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -130,7 +128,7 @@ def step(tree: MarkedTree, record: WalkRecord) -> WalkRecord:
             dest = tree.parent[x]
         else:
             record._state = (record._state + GOLDEN) & MASK
-            u = (mix64(record._state) >> 11) * _TWO_NEG53
+            u = (mix64(record._state) >> 11) * TWO_NEG53
             u *= tot
             if u < wx:
                 dest = tree.parent[x]

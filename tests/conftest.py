@@ -1,0 +1,48 @@
+"""Shared fixtures: the compiled walk kernel, built once per test session.
+
+When the package already carries a built library, the fixtures use it.
+Otherwise (running from `PYTHONPATH=src` without building) the
+fixture compiles `src/gwalk/_walk.c` with the repo's own `setup.py` recipe,
+which uses sysconfig's CC and the flags in setup.py, into a temporary
+directory and binds it through `gwalk.kernel.load_kernel`, the loader the
+package itself uses. Only a missing C compiler skips the tests that need it;
+a compile error fails them.
+"""
+
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+from gwalk import kernel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def kernel_library(tmp_path_factory):
+    """Path of a built walk-kernel library, or None without a C compiler."""
+    if kernel.LIBRARY.is_file():
+        return kernel.LIBRARY
+    tmp = tmp_path_factory.mktemp("walk-kernel")
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        return None
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "obj")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        pytest.fail(f"compiling the walk kernel failed:\n{proc.stderr}")
+    return tmp / "lib" / "gwalk" / kernel.LIBRARY.name
+
+
+@pytest.fixture(scope="session")
+def compiled_run_walk(kernel_library):
+    if kernel_library is None:
+        pytest.skip("no C compiler to build the walk kernel")
+    return kernel.load_kernel(kernel_library)

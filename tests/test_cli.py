@@ -1,0 +1,51 @@
+"""End to end: `gwalk.cli.main` on tiny theorem2 and theorem3 configs.
+
+A rerun with the same config and seed must write byte-identical files, and so
+must a run at threads=2, whose trials run at the same time on the compiled
+kernel (its ctypes calls release the GIL). Without a C compiler the runs use
+the package's own kernel.
+"""
+
+import json
+
+import pytest
+
+from gwalk import cli, kernel
+
+CONSTANTS = {
+    "C_inf": 0.10078720884476033,
+    "c_inf_bold": 0.23048901549232143,
+    "c_kappa": 1.4549607799294266,
+}
+
+TINY = {
+    "theorem2": {"n_trials": 6, "m_grid": [200, 1000], "lambdas": [0.5, 1.0], "tol": 0.05},
+    "theorem3": {"n_trials": 40, "n_grid": [2, 5], "budget": 300, "shrink": 0.7},
+}
+
+
+@pytest.fixture
+def walk_kernel(kernel_library, monkeypatch):
+    if kernel_library is not None:
+        monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
+
+
+def _run(tmp_path, command, threads, tag):
+    cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
+           "constants": CONSTANTS, command.replace("-", "_"): TINY[command]}
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / tag
+    rc = cli.main([command, "--config", str(path), "--out", str(out),
+                   "--threads", str(threads)])
+    assert rc in (0, 1)  # 1 means a statistical verdict failed at this size
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert f"{command}_verdicts.json" in files and f"{command}.csv" in files
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_cli_bytes_identical_across_reruns_and_threads(walk_kernel, tmp_path, command):
+    first = _run(tmp_path, command, 1, "a")
+    assert _run(tmp_path, command, 1, "b") == first
+    assert _run(tmp_path, command, 2, "c") == first

@@ -1,12 +1,16 @@
 """Compiled and pure-Python kernels must agree bit for bit.
 
-The compiled extension reimplements the walk loop in C; any drift in RNG
-consumption, tie-breaking, or bookkeeping order shows up here as a hard
-mismatch rather than a statistical one.
+The plain-C kernel reimplements the walk loop; any drift in RNG consumption,
+tie-breaking, or bookkeeping order shows up here as a hard mismatch rather
+than a statistical one. `compiled_run_walk` (conftest.py) is the built
+library, compiled for the test session when the package carries none.
 """
 
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +20,6 @@ from gwalk.env import build_chain, enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
 
 SUB = make_two_point(0.068)
-
-pytestmark = pytest.mark.skipif(
-    kernel.KERNEL_IMPL != "compiled", reason="compiled kernel not built"
-)
 
 
 def _assert_same(a, b):
@@ -34,45 +34,45 @@ def _assert_same(a, b):
 
 @pytest.mark.parametrize("law", [SUB, make_constant_bias(2.0), make_two_point(0.02)])
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 11])
-def test_time_mode_parity(law, seed):
+def test_time_mode_parity(compiled_run_walk, law, seed):
     args = (law.tables(), seed, seed ^ 0xABCDEF, kernel.MODE_STEPS, 20000)
     snaps = [100, 5000, 20000]
-    a = kernel.run_walk(*args, snaps, collect_tree=True)
+    a = compiled_run_walk(*args, snaps, collect_tree=True)
     b = _pykernel.run_walk(*args, snaps, collect_tree=True)
     _assert_same(a, b)
     assert a["m"] == 20000
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_crossing_mode_parity(seed):
+def test_crossing_mode_parity(compiled_run_walk, seed):
     args = (SUB.tables(), seed, 1000 + seed, kernel.MODE_CROSSINGS, 200)
-    a = kernel.run_walk(*args, [10, 200], collect_tree=True)
+    a = compiled_run_walk(*args, [10, 200], collect_tree=True)
     b = _pykernel.run_walk(*args, [10, 200], collect_tree=True)
     _assert_same(a, b)
     assert a["L"] == 200
 
 
-def test_budget_status_parity():
+def test_budget_status_parity(compiled_run_walk):
     args = (SUB.tables(), 7, 8, kernel.MODE_CROSSINGS, 10**6)
-    a = kernel.run_walk(*args, [10**6], budget=1000)
+    a = compiled_run_walk(*args, [10**6], budget=1000)
     b = _pykernel.run_walk(*args, [10**6], budget=1000)
     _assert_same(a, b)
     assert a["status"] == kernel.STATUS_BUDGET
     assert a["m"] == 1000
 
 
-def test_depth_cap_parity():
+def test_depth_cap_parity(compiled_run_walk):
     args = (SUB.tables(), 9, 10, kernel.MODE_STEPS, 30000)
-    a = kernel.run_walk(*args, [], depth_cap=2, collect_tree=True)
+    a = compiled_run_walk(*args, [], depth_cap=2, collect_tree=True)
     b = _pykernel.run_walk(*args, [], depth_cap=2, collect_tree=True)
     _assert_same(a, b)
     assert a["tree_gen"].max() <= 2
 
 
-def test_explicit_mode_parity():
+def test_explicit_mode_parity(compiled_run_walk):
     env = enumerate_truncated(SUB, 42, 4)
     explicit = {"parent": env["parent"], "V": env["V"]}
-    a = kernel.run_walk(
+    a = compiled_run_walk(
         None, 0, 77, kernel.MODE_CROSSINGS, 500, [500], explicit=explicit,
         collect_tree=True,
     )
@@ -82,26 +82,38 @@ def test_explicit_mode_parity():
     )
     _assert_same(a, b)
     chain = build_chain([0.5, 0.5, -1.0])
-    a = kernel.run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
+    a = compiled_run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
     b = _pykernel.run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
     _assert_same(a, b)
 
 
-def test_env_var_forces_pure_fallback():
-    out = subprocess.run(
-        [sys.executable, "-c", "from gwalk import kernel; print(kernel.KERNEL_IMPL)"],
-        env={"GWALK_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+@pytest.mark.parametrize(
+    "parent, V, message",
+    [
+        ([0, 0, 1], None, _pykernel.ERR_ROOT),
+        ([], None, _pykernel.ERR_ROOT),
+        ([-1, 0, 1, 0], None, _pykernel.ERR_CHILDREN),
+        ([-1, 0, 3, 0], None, _pykernel.ERR_PARENT),
+        ([-1, 0, -1], None, _pykernel.ERR_PARENT),
+        ([-1, 0, -2], None, _pykernel.ERR_PARENT),
+        ([-1, 1], None, _pykernel.ERR_PARENT),
+        ([-1, 0, 0], [0.0, 1.0], _pykernel.ERR_LENGTH),
+    ],
+    ids=["root-not-first", "empty", "children-apart", "parent-ahead",
+         "second-root", "negative-parent", "self-parent", "short-V"],
+)
+def test_explicit_tree_errors_parity(compiled_run_walk, parent, V, message):
+    explicit = {"parent": parent, "V": [0.5] * len(parent) if V is None else V}
+    for run_walk in (compiled_run_walk, _pykernel.run_walk):
+        with pytest.raises(ValueError) as err:
+            run_walk(None, 0, 1, kernel.MODE_STEPS, 100, [], explicit=explicit)
+        assert str(err.value) == message
 
 
-def test_lazy_tree_matches_eager_enumeration():
+def test_lazy_tree_matches_eager_enumeration(compiled_run_walk):
     """Keys are path functions, so the lazily grown walk tree must embed in
     the eagerly enumerated one with identical potentials."""
-    res = kernel.run_walk(
+    res = compiled_run_walk(
         SUB.tables(), 2024, 1, kernel.MODE_STEPS, 3000, [], depth_cap=4,
         collect_tree=True,
     )
@@ -113,3 +125,32 @@ def test_lazy_tree_matches_eager_enumeration():
         # the walk may not have grown every node of the level
         idx = np.searchsorted(full_v, lazy_v)
         assert np.allclose(full_v[np.clip(idx, 0, full_v.size - 1)], lazy_v)
+
+
+def test_malformed_law_tables_rejected(compiled_run_walk):
+    cum, off, lens, flat = SUB.tables()
+    for bad in ((cum * 0.5, off, lens, flat), (cum, off, lens + 5, flat),
+                (cum[:1], off, lens, flat)):
+        with pytest.raises(ValueError, match="malformed law tables"):
+            compiled_run_walk(bad, 0, 1, kernel.MODE_STEPS, 100, [])
+
+
+@pytest.mark.parametrize("with_library", [False, True])
+def test_package_picks_library_or_warns_once(kernel_library, tmp_path, with_library):
+    """A package copy loads the library beside kernel.py; without one it
+    falls back to the Python kernel with a single warning naming the build."""
+    if with_library and kernel_library is None:
+        pytest.skip("no C compiler to build the walk kernel")
+    pkg = tmp_path / "gwalk"
+    shutil.copytree(Path(kernel.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    if with_library:
+        shutil.copy(kernel_library, pkg / kernel.LIBRARY.name)
+    out = subprocess.run(
+        [sys.executable, "-W", "always", "-c",
+         "import gwalk.kernel as k; print(k.KERNEL_IMPL)"],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == ("compiled" if with_library else "python")
+    assert out.stderr.count("build_ext --inplace") == (0 if with_library else 1)
