@@ -179,8 +179,9 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
     *arena_out = NULL;
     if (!A)
         return GW_ENOMEM;
+    /* at least 1024 slots, so the arrays exist even for a one-node tree */
     A->cap = 1;
-    if ((err = reserve(A, n_explicit < 0 ? 1024 : n_explicit)))
+    if ((err = reserve(A, n_explicit > 1024 ? n_explicit : 1024)))
         goto fail;
     if (n_explicit >= 0) {
         if ((err = load_tree(A, n_explicit, exp_parent, exp_V)))

@@ -75,12 +75,6 @@ def load_kernel(path) -> callable:
         snap_out = np.empty((5, len(snaps)), dtype=np.int64)
         if explicit is None:
             tables = _arrays(law_tables, [np.float64, np.int64, np.int64, np.float64])
-            cum, off, lens, flat = tables
-            # the C loop indexes these without bounds checks
-            if not (len(cum) == len(off) == len(lens) > 0 and cum[-1] >= 1.0
-                    and (off >= 0).all() and (lens >= 0).all()
-                    and (off + lens <= len(flat)).all()):
-                raise ValueError("malformed law tables")
             n_explicit, tree = -1, [None, None]
         else:
             tables = [None] * 4
