@@ -53,18 +53,6 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sm64_next(state: int) -> tuple[int, int]:
-    """Advance a splitmix64 stream: returns (new_state, output)."""
-    state = (state + GOLDEN) & MASK
-    return state, mix64(state)
-
-
-def sm64_double(state: int) -> tuple[int, float]:
-    """Uniform double in [0, 1) with 53 random bits."""
-    state, z = sm64_next(state)
-    return state, (z >> 11) * TWO_NEG53
-
-
 def child_key(parent_key: int, j: int) -> int:
     """Key of the j-th (0-based) child of a node with key ``parent_key``."""
     return mix64(parent_key ^ (((j + 2) * GOLDEN) & MASK))

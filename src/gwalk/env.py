@@ -3,9 +3,10 @@
 The inspectable ``MarkedTree`` grows the same environment as the walk kernels
 for an equal environment seed: a node's 64-bit key alone determines its
 offspring atom (key >> 11 scaled to [0,1) against the cumulative atom
-probabilities) and the keys of its children. That makes every analytic
-computed here (conductance sums H_x, level martingale W_l, regular lines)
-refer to the exact environment a walker with the same seed experiences.
+probabilities) and the keys of its children. That makes everything computed
+here (the level martingale W_l, survival, truncated trees for the exact
+oracles) refer to the exact environment a walker with the same seed
+experiences.
 
 Also houses the size-biased one-dimensional walk S: under the calibration
 psi(1) = 0 the increment law has density p_i * exp(-a) on each mark a of atom
@@ -16,7 +17,6 @@ whose inverse moments drive the limit constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +25,6 @@ from .law import MarkLaw
 
 __all__ = [
     "MarkedTree",
-    "grow_node",
-    "hx",
-    "additive_martingale",
-    "regular_line",
-    "SWalkSample",
-    "sample_s_walk",
     "size_biased_increment_law",
     "discounted_sums_batch",
     "level_weights_batch",
@@ -44,9 +38,7 @@ class MarkedTree:
     """Lazily grown quenched environment, one node at a time.
 
     Node 0 is the root e with V = 0. ``children[x]`` is None until the node
-    is grown (UNGROWN), afterwards a fixed tuple of child ids. Weights at a
-    grown node are the normalized transition probabilities
-    (up, child_1, ..., child_N).
+    is grown (UNGROWN), afterwards a fixed tuple of child ids.
     """
 
     def __init__(self, law: MarkLaw, env_seed: int, depth_cap: int | None = None):
@@ -64,9 +56,6 @@ class MarkedTree:
         self.V = [0.0]
         self.key = [root_key(self.env_seed)]
         self.gen = [0]
-        self.weights: list[tuple[float, ...] | None] = [None]
-        self._hx: dict[int, float] = {}
-        self.last_flags: dict[str, bool] = {}
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -100,81 +89,10 @@ class MarkedTree:
             self.V.append(vx + mark)
             self.key.append(child_key(kx, j))
             self.gen.append(self.gen[node_id] + 1)
-            self.weights.append(None)
             ids.append(c)
         kids = tuple(ids)
         self.children[node_id] = kids
-        w = [math.exp(-vx)] + [math.exp(-self.V[c]) for c in ids]
-        t = sum(w)
-        self.weights[node_id] = tuple(v / t for v in w)
         return kids
-
-    def level(self, gen: int) -> list[int]:
-        """Node ids at generation `gen`, growing levels on demand."""
-        frontier = [0]
-        for _ in range(gen):
-            nxt = []
-            for x in frontier:
-                nxt.extend(self.grow(x))
-            frontier = nxt
-            if not frontier:
-                break
-        return frontier
-
-
-def grow_node(tree: MarkedTree, node_id: int) -> tuple[int, ...]:
-    """Idempotent growth; see MarkedTree.grow."""
-    return tree.grow(node_id)
-
-
-def hx(tree: MarkedTree, node_id: int) -> float:
-    """Conductance-path sum H_x = sum_{root<=u<=x} e^{V(u)-V(x)}.
-
-    Satisfies H_root = 1 and H_x = 1 + e^{-A_x} H_{parent(x)}; computed by
-    the recurrence and cached.
-    """
-    got = tree._hx.get(node_id)
-    if got is not None:
-        return got
-    if node_id == 0:
-        h = 1.0
-    else:
-        h = 1.0 + math.exp(-tree.mark[node_id]) * hx(tree, tree.parent[node_id])
-    tree._hx[node_id] = h
-    return h
-
-
-def additive_martingale(tree: MarkedTree, level: int) -> float:
-    """W_l = sum over |x| = l of e^{-V(x)}; W_0 = 1.
-
-    Sets tree.last_flags["LEVEL_EMPTY"] when the tree died out before l (the
-    value returned is then 0.0).
-    """
-    ids = tree.level(level)
-    tree.last_flags["LEVEL_EMPTY"] = not ids and level > 0
-    return math.fsum(math.exp(-tree.V[x]) for x in ids) if ids else 0.0
-
-
-def regular_line(tree: MarkedTree, level: int, lam: float, h: float) -> set[int]:
-    """Nodes x with 1 <= |x| <= level whose whole ancestor path (root
-    excluded) satisfies H <= lam and V >= -h.
-
-    Both predicates are monotone along the path, so the search prunes any
-    subtree below a failing node.
-    """
-    out: set[int] = set()
-    frontier = [0]
-    for _ in range(level):
-        nxt = []
-        for x in frontier:
-            for c in tree.grow(x):
-                if hx(tree, c) <= lam and tree.V[c] >= -h:
-                    out.add(c)
-                    nxt.append(c)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -195,50 +113,8 @@ def size_biased_increment_law(law: MarkLaw):
     return v, q
 
 
-@dataclass
-class SWalkSample:
-    increments: np.ndarray
-    S: np.ndarray
-    discounted: float
-    tail_bound: float
-    n_terms: int
-
-
 _MIN_TERMS = 512
 _REESTIMATE_EVERY = 64
-
-
-def sample_s_walk(law: MarkLaw, eps: float, rng: np.random.Generator) -> SWalkSample:
-    """One path of S with the discounted sum sum_j e^{-S_j} truncated once a
-    conservative geometric tail bound drops below eps.
-
-    The bound uses an empirical drift floor delta (half the running mean
-    increment) re-estimated every 64 steps; at least 512 terms are always
-    taken. D includes the j = 0 term e^{-S_0} = 1.
-    """
-    vals, probs = size_biased_increment_law(law)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    incs: list[float] = []
-    s = 0.0
-    d = 1.0
-    delta = 1e-9
-    j = 0
-    while True:
-        block = vals[np.searchsorted(cum, rng.random(_REESTIMATE_EVERY), side="right")]
-        for a in block:
-            s += a
-            d += math.exp(-s)
-            incs.append(a)
-        j += _REESTIMATE_EVERY
-        delta = max(1e-9, 0.5 * s / j)
-        bound = math.exp(-s) / (1.0 - math.exp(-delta))
-        if j >= _MIN_TERMS and bound < eps:
-            break
-        if j > 10**7:
-            break
-    inc = np.array(incs)
-    return SWalkSample(inc, np.cumsum(inc), d, bound, j)
 
 
 def discounted_sums_batch(
@@ -246,8 +122,11 @@ def discounted_sums_batch(
 ) -> np.ndarray:
     """n independent discounted sums D = sum_{j>=0} e^{-S_j}, vectorized.
 
-    Same truncation rule as sample_s_walk, applied per path with an active
-    mask; paths whose tail bound is below eps stop accumulating.
+    Each path is truncated once a conservative geometric tail bound drops
+    below eps. The bound uses an empirical drift floor delta (half the
+    running mean increment), re-estimated every 64 steps after the first
+    512; at least 512 terms are always taken. D includes the j = 0 term
+    e^{-S_0} = 1. An active mask drops the finished paths.
     """
     vals, probs = size_biased_increment_law(law)
     cum = np.cumsum(probs)
@@ -281,7 +160,8 @@ def discounted_sums_batch(
 def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
     """W_level for a batch of environments at once.
 
-    Reproduces MarkedTree/kernels exactly for equal seeds (same key scheme).
+    Reproduces MarkedTree and the kernels exactly for equal seeds (same key
+    scheme).
     Returns (W, alive) where alive marks environments whose level is
     nonempty. Memory grows like (number of environments) * E[N]^level; chunk
     the seeds at the call site for deep levels.

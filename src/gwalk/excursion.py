@@ -34,12 +34,8 @@ __all__ = [
     "RegenSet",
     "sample_children_counts",
     "sample_excursion_tree",
-    "excursion_tree_from_walk",
     "extract_regen",
-    "regen_monotonicity_diag",
-    "regen_density_diag",
     "hypothesis_sums_batch",
-    "to_newick",
     "NB_INVERSION_MAX_K",
 ]
 
@@ -190,38 +186,16 @@ def sample_excursion_tree(
     return out
 
 
-def excursion_tree_from_walk(kernel_result) -> ExcursionTree:
-    """Compact (visited, N) tree out of a kernel run that collected its
-    arena (run must have stopped at a tau^p)."""
-    nd = kernel_result["tree_ndown"]
-    keep = nd > 0
-    keep[0] = True
-    idx = np.flatnonzero(keep)
-    remap = -np.ones(len(nd), dtype=np.int64)
-    remap[idx] = np.arange(len(idx))
-    par = kernel_result["tree_parent"][idx]
-    par = np.where(par >= 0, remap[par], -1)
-    return ExcursionTree(
-        parent=par,
-        gen=kernel_result["tree_gen"][idx],
-        N=nd[idx],
-        V=kernel_result["tree_V"][idx],
-    )
-
-
-def extract_regen(source, level: int) -> RegenSet:
+def extract_regen(tree: ExcursionTree, level: int) -> RegenSet:
     """Regeneration set: x with |x| > level, N_x = 1 and N >= 2 along the
     ancestor path strictly between level and |x|. DFS filter; the result is
     an antichain by construction (asserted)."""
-    if isinstance(source, ExcursionTree):
-        parent, gen, N = source.parent, source.gen, source.N
-    else:
-        parent, gen, N = source["parent"], source["gen"], source["N"]
+    parent, gen, N = tree.parent, tree.gen, tree.N
     n = len(parent)
     ok = np.zeros(n, dtype=bool)
     ok[0] = True
     ids = []
-    # parents precede children in every source we build
+    # the sampler emits parents before children
     for x in range(1, n):
         pa = parent[x]
         ok[x] = ok[pa] and (gen[pa] <= level or N[pa] >= 2)
@@ -234,99 +208,6 @@ def extract_regen(source, level: int) -> RegenSet:
             assert pa not in picked, "regeneration set not an antichain"
             pa = parent[pa]
     return RegenSet(ids=tuple(ids), level=level)
-
-
-# ----------------------------------------------------------------------------
-# Walk-based diagnostics
-
-
-def regen_monotonicity_diag(
-    law: MarkLaw,
-    seed_pairs,
-    p_max: int,
-    level: int,
-    budget: int = 10**8,
-) -> float:
-    """Fraction of walks whose regeneration sets are nested in p:
-    set(p) included in set(p+1) for all p < p_max.
-
-    Each p is a deterministic re-run of the same trajectory (equal seeds):
-    the run to tau^{p+1} extends the run to tau^p step for step, so kernel
-    arena node ids are stable across the reruns and identify nodes."""
-    from . import kernel
-
-    good = 0
-    total = 0
-    for env_seed, walk_seed in seed_pairs:
-        sets = []
-        okrun = True
-        for p in range(1, p_max + 1):
-            res = kernel.run_walk(
-                law.tables(), env_seed, walk_seed, kernel.MODE_CROSSINGS, p,
-                np.array([p], dtype=np.int64), budget=budget,
-                collect_tree=True,
-            )
-            if res["status"] != 0:
-                okrun = False
-                break
-            rs = extract_regen(
-                {
-                    "parent": res["tree_parent"],
-                    "gen": res["tree_gen"],
-                    "N": res["tree_ndown"],
-                },
-                level,
-            )
-            sets.append(set(rs.ids))
-        if not okrun:
-            continue
-        total += 1
-        if all(a <= b for a, b in zip(sets, sets[1:])):
-            good += 1
-    return good / total if total else float("nan")
-
-
-def regen_density_diag(
-    law: MarkLaw,
-    n_values,
-    r: float,
-    alphas,
-    seed_pairs,
-    w_depth: int = 20,
-    budget: int = 10**9,
-):
-    """Empirical sup over alpha of |B^{floor(alpha n^r)}_l / n^r - alpha W|,
-    with l = ceil((log n)^2) and W the level-w_depth martingale value of the
-    same environment. Returns rows (n, mean sup-deviation, trials used)."""
-    from . import kernel
-    from .env import additive_martingale
-
-    rows = []
-    for n in n_values:
-        ell = int(math.ceil(math.log(n) ** 2))
-        devs = []
-        for env_seed, walk_seed in seed_pairs:
-            t = MarkedTree(law, env_seed)
-            W = additive_martingale(t, w_depth)
-            sup_dev = 0.0
-            usable = True
-            for a in alphas:
-                p = max(1, int(a * n**r))
-                res = kernel.run_walk(
-                    law.tables(), env_seed, walk_seed,
-                    kernel.MODE_CROSSINGS, p, np.array([p], dtype=np.int64),
-                    budget=budget, collect_tree=True,
-                )
-                if res["status"] != 0:
-                    usable = False
-                    break
-                tr = excursion_tree_from_walk(res)
-                B = extract_regen(tr, ell).cardinal
-                sup_dev = max(sup_dev, abs(B / n**r - a * W))
-            if usable:
-                devs.append(sup_dev)
-        rows.append((n, float(np.mean(devs)) if devs else float("nan"), len(devs)))
-    return rows
 
 
 # ----------------------------------------------------------------------------
@@ -441,19 +322,3 @@ def hypothesis_sums_batch(
         else:
             break
     return {"B": B, "nu": nu, "nu_tilde": nu_t}
-
-
-def to_newick(tree: ExcursionTree) -> str:
-    """Newick-like dump with N and V annotations per node."""
-    children: list[list[int]] = [[] for _ in range(len(tree))]
-    for x in range(1, len(tree)):
-        children[tree.parent[x]].append(x)
-
-    def render(x: int) -> str:
-        v = 0.0 if tree.V is None else float(tree.V[x])
-        label = f"n{x}[N={int(tree.N[x])},V={v:.6g}]"
-        if not children[x]:
-            return label
-        return "(" + ",".join(render(c) for c in children[x]) + ")" + label
-
-    return render(0) + ";"

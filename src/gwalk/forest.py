@@ -24,10 +24,9 @@ first-passage-many type-1 vertices.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,10 +49,6 @@ __all__ = [
     "lukasiewicz",
     "check_tree_identities",
     "hypothesis_check",
-    "invariance_diag",
-    "write_path_csv",
-    "typed_to_newick",
-    "final_to_newick",
 ]
 
 
@@ -584,166 +579,3 @@ def hypothesis_check(trees: Iterable[TypedTree]) -> dict:
         "sigma1_sq": float(var_b),
         "sigma1_sq_se": float(math.sqrt(max(m4 - var_b**2, 0.0) / n)),
     }
-
-
-def _gamma_n(n: int, gamma: float, log_correction: bool) -> float:
-    if log_correction:
-        return math.sqrt(n * math.log(n))
-    return n ** (1.0 / gamma)
-
-
-def invariance_diag(
-    size_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n_grid: Sequence[int],
-    rng: np.random.Generator,
-    gamma: float,
-    nu: float,
-    sigma1_sq: float | None = None,
-    c_gamma: float | None = None,
-    alpha: float = 1.0,
-    t: float = 1.0,
-    lambdas: Sequence[float] = (0.5, 1.0, 2.0),
-    n_rep: int = 400,
-) -> list[dict]:
-    """Laplace-distance table of the scaled (F, F_bar) marginals.
-
-    size_sampler(rng, k) draws k independent per-tree weights
-    S_i = sum(beta_star) so each replicate assembles one forest prefix;
-    F_p and F_bar(m) only depend on those totals. Marginals
-    F_floor(alpha * g_n) / n and F_bar(floor(t n)) / g_n are compared, at
-    each lambda, with the first-passage and running-supremum transforms of
-    the limit process using the plug-in constants:
-
-        finite-variance case  (gamma = 2, sigma1_sq given): g_n = sqrt(n)
-        2-stable tail case    (gamma = 2, c_gamma given):   g_n = sqrt(n log n)
-        gamma in (1, 2), c_gamma given:                     g_n = n^(1/gamma)
-
-    Returns one row per (n, marginal, lambda) plus a distance row per
-    (n, marginal); distances should trend down along n_grid."""
-    from . import limits
-
-    if gamma == 2.0:
-        if (sigma1_sq is None) == (c_gamma is None):
-            raise ValueError("gamma = 2 needs exactly one of sigma1_sq, c_gamma")
-        scale2 = sigma1_sq if sigma1_sq is not None else c_gamma
-        log_corr = c_gamma is not None
-    else:
-        if not 1.0 < gamma < 2.0:
-            raise ValueError("gamma must lie in (1, 2]")
-        if c_gamma is None:
-            raise ValueError("gamma < 2 needs c_gamma")
-        log_corr = False
-
-    rows: list[dict] = []
-    for n in n_grid:
-        gn = _gamma_n(int(n), gamma, log_corr)
-        p_target = int(alpha * gn)
-        m_target = int(t * n)
-        f_scaled = np.empty(n_rep)
-        fbar_scaled = np.empty(n_rep)
-        for r in range(n_rep):
-            need = max(p_target, 16)
-            sizes = size_sampler(rng, need)
-            csum = np.cumsum(sizes)
-            while csum[-1] <= m_target:
-                extra = size_sampler(rng, max(need, 1024))
-                csum = np.concatenate([csum, csum[-1] + np.cumsum(extra)])
-            f_scaled[r] = (csum[p_target - 1] if p_target >= 1 else 0.0) / n
-            fbar_scaled[r] = (
-                np.searchsorted(csum, m_target, side="right") / gn
-            )
-
-        if gamma == 2.0:
-            # first passage of B through alpha, running sup of B at t
-            c_tau = 2.0 * nu / scale2
-            a_sup = math.sqrt(scale2 * t / (2.0 * nu))
-        else:
-            big_c = c_gamma * abs(math.gamma(1.0 - gamma))
-            c_tau = 2.0 * nu / big_c
-            a_sup = (big_c * t / (2.0 * nu)) ** (1.0 / gamma)
-
-        for name, sample in (("F", f_scaled), ("F_bar", fbar_scaled)):
-            dist = 0.0
-            for lam in lambdas:
-                emp = float(np.mean(np.exp(-lam * sample)))
-                se = float(np.std(np.exp(-lam * sample)) / math.sqrt(n_rep))
-                if name == "F":
-                    ref = limits.hit_laplace(gamma, alpha, c_tau * lam)
-                else:
-                    ref = limits.ml_laplace(gamma, a_sup * lam)
-                rows.append(
-                    {
-                        "n": int(n),
-                        "marginal": name,
-                        "lambda": lam,
-                        "empirical": emp,
-                        "reference": float(ref),
-                        "abs_err": abs(emp - ref),
-                        "se": se,
-                    }
-                )
-                dist = max(dist, abs(emp - ref))
-            rows.append(
-                {
-                    "n": int(n),
-                    "marginal": name,
-                    "lambda": None,
-                    "distance": dist,
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# dumps
-
-
-def write_path_csv(path: LukasiewiczPath, dest) -> None:
-    """Rows (k, V1_k, D_k) for the whole forest path."""
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        dest = open(dest, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(dest)
-        w.writerow(["k", "V1", "D"])
-        for k in range(len(path.v1)):
-            w.writerow([k, int(path.v1[k]), int(path.d[k])])
-    finally:
-        if close:
-            dest.close()
-
-
-def _newick(parent: np.ndarray, label) -> str:
-    n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for x in range(1, n):
-        children[parent[x]].append(x)
-
-    out = []
-
-    def render(x: int) -> str:
-        if not children[x]:
-            return label(x)
-        return "(" + ",".join(render(c) for c in children[x]) + ")" + label(x)
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n + 100))
-    try:
-        out.append(render(0))
-    finally:
-        sys.setrecursionlimit(old)
-    return out[0] + ";"
-
-
-def typed_to_newick(t: TypedTree) -> str:
-    return _newick(
-        t.parent,
-        lambda x: f"n{x}[b={int(t.beta[x])},bs={int(t.beta_star[x])},g1={int(t.g1[x])}]",
-    )
-
-
-def final_to_newick(f: FinalTree) -> str:
-    return _newick(f.parent, lambda x: f"n{x}[t={int(f.type1[x])}]")

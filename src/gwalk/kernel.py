@@ -8,8 +8,10 @@ no Python API; `load_kernel` binds it through ctypes, whose foreign calls
 release the GIL, so trials on several threads run in parallel.
 
 When no built library sits beside this file (running from `PYTHONPATH=src`
-without building), `run_walk` is `_pykernel.run_walk`, about 40x slower,
-after one warning that says how to build.
+without building), `run_walk` is `_pykernel.run_walk` after one warning that
+says how to build. It is about 90x slower: on a 2-vCPU x86-64 machine a
+traced `theorem2` run steps at 36 Msteps/s on the library and at about
+0.4 Msteps/s on `_pykernel`.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ if LIBRARY.is_file():
 else:
     warnings.warn(
         f"compiled walk kernel {LIBRARY.name} is not built; walks run on the "
-        "pure-Python kernel, about 40x slower. Build it with "
+        "pure-Python kernel, about 90x slower. Build it with "
         "`python setup.py build_ext --inplace` or install the package."
     )
     run_walk = _pykernel.run_walk

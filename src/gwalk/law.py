@@ -95,14 +95,22 @@ class MarkLaw:
 
         Returns (atom_cum, atom_off, atom_len, marks_flat): cumulative atom
         probabilities (last entry forced to 1.0), per-atom offset/length into
-        the flattened mark array.
+        the flattened mark array. Built on the first call and cached on the
+        law as read-only arrays, since every trial of a campaign reads them.
         """
-        cum = np.cumsum([p for p, _ in self.atoms])
-        cum[-1] = 1.0
-        lens = np.array([len(m) for _, m in self.atoms], dtype=np.int64)
-        off = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
-        flat = np.array([a for _, m in self.atoms for a in m], dtype=np.float64)
-        return cum.astype(np.float64), off, lens, flat
+        got = self.__dict__.get("_tables")
+        if got is None:
+            cum = np.cumsum([p for p, _ in self.atoms])
+            cum[-1] = 1.0
+            lens = np.array([len(m) for _, m in self.atoms], dtype=np.int64)
+            off = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
+            flat = np.array([a for _, m in self.atoms for a in m], dtype=np.float64)
+            got = (cum.astype(np.float64), off, lens, flat)
+            for a in got:
+                a.flags.writeable = False
+            # frozen dataclass: the cache is not a field, so eq and hash ignore it
+            object.__setattr__(self, "_tables", got)
+        return got
 
 
 def make_mark_law(atoms) -> MarkLaw:

@@ -9,14 +9,14 @@ gamma in (1, 2], where gamma = 2 means standard Brownian motion:
     hit_laplace(gamma, a, lam) Laplace transform of the first passage
                               time of Y through level a
 
-plus a direct path sampler for Y (the independent MC route), estimators
-for the discounted-sum constants C_inf and bold c_inf, the exact finite
-sum c0, and the tail-plateau estimator for c_kappa.
+plus estimators for the discounted-sum constants C_inf and bold c_inf, the
+exact finite sum c0, and the tail-plateau estimator for c_kappa. The tests
+check both transforms against a direct path sampler for Y, which lives with
+the other test oracles.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,16 +32,12 @@ from .env import discounted_sums_batch
 
 __all__ = [
     "LimitsError",
-    "LimitLaw",
     "ConstantEstimates",
     "ml_laplace",
     "hit_laplace",
-    "sample_stable_increments",
-    "sample_stable_path_functional",
     "estimate_discounted_moments",
     "c0_exact",
     "estimate_c_kappa",
-    "write_reference_csv",
     "ML_LAMBDA_MAX",
 ]
 
@@ -140,105 +136,6 @@ def hit_laplace(gamma: float, alpha: float, lam: float) -> float:
     if gamma == 2.0:
         return math.exp(-alpha * math.sqrt(2.0 * lam))
     return math.exp(-alpha * lam ** (1.0 / gamma))
-
-
-def sample_stable_increments(
-    gamma: float, size, rng: np.random.Generator
-) -> np.ndarray:
-    """Unit-time increments of Y: E[e^{lam X}] = e^{lam^gamma}, no positive jumps.
-
-    Standard one-sided-skew stable generator (uniform angle plus
-    exponential), totally positively skewed, then negated and scaled by
-    |cos(pi gamma / 2)|^(1/gamma) so the Laplace exponent is exactly
-    lam^gamma. Locked by the transform MC test."""
-    gamma = _check_gamma(gamma)
-    if gamma == 2.0:
-        # Brownian case: variance 2 per unit time (e^{lam^2} transform)
-        return rng.normal(0.0, math.sqrt(2.0), size=size)
-    tan_half = math.tan(math.pi * gamma / 2.0)
-    b = math.atan(tan_half) / gamma
-    s = (1.0 + tan_half**2) ** (1.0 / (2.0 * gamma))
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    w = rng.exponential(1.0, size=size)
-    z = (
-        s
-        * np.sin(gamma * (u + b))
-        / np.cos(u) ** (1.0 / gamma)
-        * (np.cos(u - gamma * (u + b)) / w) ** ((1.0 - gamma) / gamma)
-    )
-    sigma = abs(math.cos(math.pi * gamma / 2.0)) ** (1.0 / gamma)
-    return -sigma * z
-
-
-def sample_stable_path_functional(
-    gamma: float,
-    t: float,
-    functional: str,
-    n_steps: int,
-    n_paths: int = 1,
-    rng: np.random.Generator | None = None,
-    alpha: float = 1.0,
-    block: int = 4096,
-) -> np.ndarray:
-    """Grid functionals of Y paths: running supremum or level passage.
-
-    Simulates n_paths independent copies of (Y_s; s <= t) on an n_steps
-    grid from i.i.d. stable increments (each scaled by dt^(1/gamma)) and
-    returns, per path, either
-
-        SUP   max(0, max over the grid of Y)
-        HIT   the first grid time with Y >= alpha, +inf if not reached
-
-    The grid makes SUP biased low and HIT biased high by one mesh step;
-    both vanish as n_steps grows (documented, not corrected)."""
-    gamma = _check_gamma(gamma)
-    if functional not in ("SUP", "HIT"):
-        raise ValueError("functional must be SUP or HIT")
-    if rng is None:
-        rng = np.random.default_rng()
-    dt = float(t) / n_steps
-    scale = dt ** (1.0 / gamma)
-    out = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        nb = min(block, n_paths - done)
-        inc = scale * sample_stable_increments(gamma, (nb, n_steps), rng)
-        path = np.cumsum(inc, axis=1)
-        if functional == "SUP":
-            out[done : done + nb] = np.maximum(path.max(axis=1), 0.0)
-        else:
-            hit = path >= alpha
-            first = np.argmax(hit, axis=1)
-            val = (first + 1.0) * dt
-            val[~hit.any(axis=1)] = np.inf
-            out[done : done + nb] = val
-        done += nb
-    return out
-
-
-@dataclass
-class LimitLaw:
-    """Reference marginal: scale * (sup at 1) or scale^gamma-free passage law.
-
-    kind SUP compares against sup_{s<=1} Y_s, kind HIT against tau_alpha.
-    laplace(lam) folds the scale into the argument."""
-
-    gamma: float
-    kind: str
-    scale: float = 1.0
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-        if self.kind not in ("SUP", "HIT"):
-            raise ValueError("kind must be SUP or HIT")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    def laplace(self, lam: float) -> float:
-        if self.kind == "SUP":
-            return ml_laplace(self.gamma, self.scale * lam)
-        return hit_laplace(self.gamma, self.alpha, self.scale * lam)
 
 
 @dataclass
@@ -379,23 +276,3 @@ def estimate_c_kappa(
         "hill": hill,
         "n_samples": int(n),
     }
-
-
-def write_reference_csv(
-    dest, gamma: float, lambdas: Sequence[float], kind: str = "SUP",
-    alpha: float = 1.0,
-) -> None:
-    """Reference transform table (lambda, value) for plotting."""
-    ll = LimitLaw(gamma=gamma, kind=kind, alpha=alpha)
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        dest = open(dest, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(dest)
-        w.writerow(["lambda", "value"])
-        for lam in lambdas:
-            w.writerow([float(lam), ll.laplace(float(lam))])
-    finally:
-        if close:
-            dest.close()

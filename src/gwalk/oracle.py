@@ -2,15 +2,14 @@
 
 Everything here is dense linear algebra on an explicitly enumerated finite
 tree plus the reflecting vertex e*: Green-function solves for per-excursion
-edge counts and their second moments, absorption solves for hitting
-probabilities, and matrix-vector iteration for return probabilities. These
-are ground truth for the walk simulator and for the closed-form edge-count
-identities (which are conductance facts, hence exact on truncations too):
+edge counts and their second moments, and matrix-vector iteration for the
+return probabilities P(X_m = e*). These are ground truth for the walk kernel
+and for the closed-form edge-count identities (which are conductance facts,
+hence exact on truncations too):
 
     E[N_x per excursion] = e^{-V(x)}
     E[N_x N_y] = e^{-V(y)} (2 H_x - 1)                      x an ancestor of y
     E[N_x N_y] = 2 H_z e^{V(z)} e^{-V(x)} e^{-V(y)},  z = LCA, otherwise
-    P(hit x before e*) = e^{-V(x)} / H_x
 
 with H_x = sum_{root <= u <= x} e^{V(u) - V(x)}.
 """
@@ -27,7 +26,6 @@ __all__ = [
     "lca",
     "lemma_mean_closed_form",
     "lemma_second_closed_form",
-    "hitting_closed_form",
 ]
 
 
@@ -75,11 +73,6 @@ def lemma_second_closed_form(parent, V, x: int, y: int) -> float:
         anc, desc = (x, y) if z == x else (y, x)
         return math.exp(-V[desc]) * (2.0 * H[anc] - 1.0)
     return 2.0 * H[z] * math.exp(V[z]) * math.exp(-V[x]) * math.exp(-V[y])
-
-
-def hitting_closed_form(parent, V, x: int) -> float:
-    H = hx_array(np.asarray(parent), np.asarray(V))
-    return math.exp(-V[x]) / H[x]
 
 
 class FiniteChain:
@@ -162,21 +155,17 @@ class FiniteChain:
         diag = Z[0, ux] * qx if x == y else 0.0
         return first + second + diag
 
-    def full_transition(self) -> np.ndarray:
-        """(n+1) x (n+1) stochastic matrix with e* = index n reflecting."""
+    def return_prob_grid(self, times) -> np.ndarray:
+        """P(X_m = e*) for X_0 = root, at each requested raw time m."""
+        times = np.asarray(times, dtype=np.int64)
+        order = np.argsort(times)
+        # stochastic matrix on the tree nodes plus e* = index n (reflecting)
         n = self.n
         P = np.zeros((n + 1, n + 1))
         P[:n, :n] = self.Q
         P[0, n] = self.up_prob[0]
         P[n, 0] = 1.0
-        return P
-
-    def return_prob_grid(self, times) -> np.ndarray:
-        """P(X_m = e*) for X_0 = root, at each requested raw time m."""
-        times = np.asarray(times, dtype=np.int64)
-        order = np.argsort(times)
-        P = self.full_transition()
-        mu = np.zeros(self.n + 1)
+        mu = np.zeros(n + 1)
         mu[0] = 1.0
         out = np.empty(len(times))
         t = 0
@@ -186,30 +175,5 @@ class FiniteChain:
                 mu = mu @ P
                 t += 1
             assert abs(mu.sum() - 1.0) < 1e-12
-            out[oi] = mu[self.n]
+            out[oi] = mu[n]
         return out
-
-    def return_prob(self, n: int) -> float:
-        """P(X_{2n+1} = e*) from the root."""
-        return float(self.return_prob_grid([2 * n + 1])[0])
-
-    def hitting_prob(self, x: int) -> float:
-        """P(hit x before e*) from the root, by absorption solve."""
-        if x == 0:
-            return 1.0
-        n = self.n
-        # unknowns h(y) for y != x; h(x) = 1, h(e*) = 0
-        idx = [y for y in range(n) if y != x]
-        pos = {y: i for i, y in enumerate(idx)}
-        A = np.eye(len(idx))
-        b = np.zeros(len(idx))
-        for y in idx:
-            for c, q in zip(range(n), self.Q[y]):
-                if q == 0.0:
-                    continue
-                if c == x:
-                    b[pos[y]] += q
-                else:
-                    A[pos[y], pos[c]] -= q
-        h = np.linalg.solve(A, b)
-        return float(h[pos[0]])

@@ -1,7 +1,7 @@
 """Statistical machinery turning raw trial data into verdicts.
 
-Empirical Laplace tables with per-point standard errors, KS distance,
-Hill tail-index estimation, log-log slope regression, deterministic
+Empirical Laplace tables with per-point standard errors, Hill tail-index
+estimation, log-log slope regression, deterministic
 bootstrap confidence intervals, and JSON-compatible verdict rows.
 """
 
@@ -17,7 +17,6 @@ from ._rng import derive_seed
 
 __all__ = [
     "empirical_laplace",
-    "ks_distance",
     "hill_tail_index",
     "loglog_slope",
     "bootstrap_ci",
@@ -58,18 +57,6 @@ def empirical_laplace(samples, lambdas) -> list[dict]:
             }
         )
     return rows
-
-
-def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup_x |F_n(x) - F(x)| against a reference cdf callable."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
-    if n == 0:
-        raise ValueError("empty sample")
-    f = np.asarray(cdf(x), dtype=np.float64)
-    hi = np.abs(np.arange(1, n + 1) / n - f).max()
-    lo = np.abs(np.arange(0, n) / n - f).max()
-    return float(max(hi, lo))
 
 
 def hill_tail_index(samples, k: int, seed: int = 0) -> dict:

@@ -201,10 +201,80 @@ def regen_ids_naive(parent, gen, N, level: int):
     return sorted(out)
 
 
-def edge_counts_naive(parent, V, walk_positions):
-    """Down-crossing counts per node from a raw position sequence."""
-    counts = np.zeros(len(parent), dtype=np.int64)
-    for a, b in zip(walk_positions, walk_positions[1:]):
-        if b >= 0 and (parent[b] == a or (b == 0 and a == -1)):
-            counts[b] += 1
-    return counts
+# ---------------------------------------------------------------------------
+# spectrally negative stable process Y, E[e^{lam Y_t}] = e^{t lam^gamma}:
+# the independent Monte Carlo route for gwalk.limits.ml_laplace/hit_laplace
+
+
+def sample_stable_increments(
+    gamma: float, size, rng: np.random.Generator
+) -> np.ndarray:
+    """Unit-time increments of Y: E[e^{lam X}] = e^{lam^gamma}, no positive jumps.
+
+    Standard one-sided-skew stable generator (uniform angle plus
+    exponential), totally positively skewed, then negated and scaled by
+    |cos(pi gamma / 2)|^(1/gamma) so the Laplace exponent is exactly
+    lam^gamma. Locked by the transform MC test."""
+    gamma = float(gamma)
+    if gamma == 2.0:
+        # Brownian case: variance 2 per unit time (e^{lam^2} transform)
+        return rng.normal(0.0, math.sqrt(2.0), size=size)
+    tan_half = math.tan(math.pi * gamma / 2.0)
+    b = math.atan(tan_half) / gamma
+    s = (1.0 + tan_half**2) ** (1.0 / (2.0 * gamma))
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    w = rng.exponential(1.0, size=size)
+    z = (
+        s
+        * np.sin(gamma * (u + b))
+        / np.cos(u) ** (1.0 / gamma)
+        * (np.cos(u - gamma * (u + b)) / w) ** ((1.0 - gamma) / gamma)
+    )
+    sigma = abs(math.cos(math.pi * gamma / 2.0)) ** (1.0 / gamma)
+    return -sigma * z
+
+
+def sample_stable_path_functional(
+    gamma: float,
+    t: float,
+    functional: str,
+    n_steps: int,
+    n_paths: int = 1,
+    rng: np.random.Generator | None = None,
+    alpha: float = 1.0,
+    block: int = 4096,
+) -> np.ndarray:
+    """Grid functionals of Y paths: running supremum or level passage.
+
+    Simulates n_paths independent copies of (Y_s; s <= t) on an n_steps
+    grid from i.i.d. stable increments (each scaled by dt^(1/gamma)) and
+    returns, per path, either
+
+        SUP   max(0, max over the grid of Y)
+        HIT   the first grid time with Y >= alpha, +inf if not reached
+
+    The grid makes SUP biased low and HIT biased high by one mesh step;
+    both vanish as n_steps grows (documented, not corrected)."""
+    gamma = float(gamma)
+    if functional not in ("SUP", "HIT"):
+        raise ValueError("functional must be SUP or HIT")
+    if rng is None:
+        rng = np.random.default_rng()
+    dt = float(t) / n_steps
+    scale = dt ** (1.0 / gamma)
+    out = np.empty(n_paths)
+    done = 0
+    while done < n_paths:
+        nb = min(block, n_paths - done)
+        inc = scale * sample_stable_increments(gamma, (nb, n_steps), rng)
+        path = np.cumsum(inc, axis=1)
+        if functional == "SUP":
+            out[done : done + nb] = np.maximum(path.max(axis=1), 0.0)
+        else:
+            hit = path >= alpha
+            first = np.argmax(hit, axis=1)
+            val = (first + 1.0) * dt
+            val[~hit.any(axis=1)] = np.inf
+            out[done : done + nb] = val
+        done += nb
+    return out

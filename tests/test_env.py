@@ -10,18 +10,21 @@ import oracles
 from gwalk._rng import derive_seed
 from gwalk.env import (
     MarkedTree,
-    additive_martingale,
     build_chain,
     discounted_sums_batch,
     enumerate_truncated,
     environment_survives,
-    hx,
     level_weights_batch,
-    regular_line,
-    sample_s_walk,
     size_biased_increment_law,
 )
-from gwalk.law import make_constant_bias, make_mark_law, make_two_point, psi_prime
+from gwalk.law import (
+    make_constant_bias,
+    make_mark_law,
+    make_two_point,
+    psi_evaluate,
+    psi_prime,
+)
+from gwalk.oracle import hx_array
 
 SUB = make_two_point(0.068)
 DIFF = make_two_point(0.02)
@@ -72,44 +75,41 @@ def test_grow_idempotent_and_depth_cap():
     assert capped.grow(0) == ()
 
 
-def test_v_accumulates_marks_and_weights_normalized():
+def test_v_accumulates_marks():
     t = MarkedTree(SUB, 99)
     for x in range(40):
-        kids = t.grow(x)
-        if kids:
-            for c in kids:
-                assert t.parent[c] == x
-                assert t.V[c] == pytest.approx(t.V[x] + t.mark[c], abs=1e-15)
-            w = t.weights[x]
-            assert sum(w) == pytest.approx(1.0, abs=1e-12)
-            # up-weight over child-weight equals the conductance ratio
-            for j, c in enumerate(kids):
-                want = math.exp(-t.V[x]) / math.exp(-t.V[c])
-                assert w[0] / w[1 + j] == pytest.approx(want, rel=1e-12)
+        for c in t.grow(x):
+            assert t.parent[c] == x
+            assert t.V[c] == pytest.approx(t.V[x] + t.mark[c], abs=1e-15)
     assert t.V[0] == 0.0 and t.parent[0] == -1
 
 
 def test_hx_matches_direct_path_sum():
-    t = MarkedTree(SUB, 4242)
-    t.level(5)
-    for x in range(len(t)):
+    d = enumerate_truncated(SUB, 4242, 5)
+    parent, V = d["parent"], d["V"]
+    H = hx_array(parent, V)
+    for x in range(parent.size):
         chain = [x]
         while chain[-1] != 0:
-            chain.append(t.parent[chain[-1]])
-        v_path = [t.V[u] for u in reversed(chain)]
-        assert hx(t, x) == pytest.approx(oracles.h_direct(v_path), rel=1e-12)
+            chain.append(parent[chain[-1]])
+        v_path = [V[u] for u in reversed(chain)]
+        assert H[x] == pytest.approx(oracles.h_direct(v_path), rel=1e-12)
+
+
+def _level_weight(tree: dict, level: int) -> float:
+    """W_level of a fully enumerated tree, straight from its definition."""
+    return math.fsum(np.exp(-tree["V"][tree["gen"] == level]))
 
 
 def test_additive_martingale_level_zero_and_extinct():
-    t = MarkedTree(SUB, 1)
-    assert additive_martingale(t, 0) == 1.0
+    W, alive = level_weights_batch(SUB, np.array([1], dtype=np.uint64), 0)
+    assert W.tolist() == [1.0] and alive.tolist() == [True]
     # find an extinct seed under the extinction law
     for seed in range(200):
         if not environment_survives(EXT, seed, depth=12):
-            t = MarkedTree(EXT, seed)
-            w = additive_martingale(t, 12)
-            assert w == 0.0
-            assert t.last_flags["LEVEL_EMPTY"]
+            W, alive = level_weights_batch(EXT, np.array([seed], dtype=np.uint64), 12)
+            assert W.tolist() == [0.0] and alive.tolist() == [False]
+            assert not (enumerate_truncated(EXT, seed, 12)["gen"] == 12).any()
             return
     pytest.fail("no extinct environment found in 200 seeds")
 
@@ -121,8 +121,8 @@ def test_level_weights_batch_matches_per_tree():
     W, alive = level_weights_batch(SUB, seeds, 6)
     assert alive.all()
     for i, s in enumerate(seeds):
-        t = MarkedTree(SUB, int(s))
-        assert W[i] == pytest.approx(additive_martingale(t, 6), rel=1e-12)
+        want = _level_weight(enumerate_truncated(SUB, int(s), 6), 6)
+        assert W[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_level_weights_batch_extinction_flags():
@@ -132,11 +132,10 @@ def test_level_weights_batch_extinction_flags():
     W, alive = level_weights_batch(EXT, seeds, 8)
     n_dead = 0
     for i, s in enumerate(seeds):
-        t = MarkedTree(EXT, int(s))
-        w = additive_martingale(t, 8)
-        assert W[i] == pytest.approx(w, abs=1e-12)
-        assert alive[i] == (w > 0.0)
-        n_dead += w == 0.0
+        tree = enumerate_truncated(EXT, int(s), 8)
+        assert W[i] == pytest.approx(_level_weight(tree, 8), abs=1e-12)
+        assert alive[i] == (tree["gen"] == 8).any()
+        n_dead += not alive[i]
     assert 0 < n_dead < 200
 
 
@@ -175,54 +174,33 @@ def test_size_biased_increment_law_is_normalized():
 
 
 def test_s_walk_increment_frequencies():
-    """Increment marginals carry mass p e^{-a} per mark, pooled over paths."""
-    rng = np.random.default_rng(2024)
-    incs = np.concatenate(
-        [sample_s_walk(SUB, 1e-9, rng).increments for _ in range(40)]
-    )
+    """Increment law of S: mass p e^{-a} per mark, exactly."""
+    vals, probs = size_biased_increment_law(SUB)
     p = 0.068
-    q_neg = 2 * p * math.e  # total size-biased mass on the mark -1
-    emp = (incs < 0).mean()
-    se = math.sqrt(q_neg * (1 - q_neg) / incs.size)
-    assert abs(emp - q_neg) < 4 * se
+    # two children, each marked -1 with probability p, size-biased by e^{+1}
+    assert probs[vals == -1.0].sum() == pytest.approx(2 * p * math.e, rel=1e-12)
     # mean increment is the negated log-Laplace slope at 1
-    drift = -psi_prime(SUB, 1.0)
-    se_m = incs.std(ddof=1) / math.sqrt(incs.size)
-    assert abs(incs.mean() - drift) < 4 * se_m
-
-
-def test_s_walk_sample_consistency():
-    rng = np.random.default_rng(7)
-    s = sample_s_walk(SUB, 1e-9, rng)
-    assert np.allclose(s.S, np.cumsum(s.increments))
-    assert s.tail_bound < 1e-9
-    assert s.n_terms >= 512
-    direct = 1.0 + math.fsum(math.exp(-v) for v in s.S)
-    assert s.discounted == pytest.approx(direct, rel=1e-12)
+    assert (vals * probs).sum() == pytest.approx(-psi_prime(SUB, 1.0), rel=1e-12)
 
 
 def test_discounted_sums_constant_bias_exact():
     # S is the deterministic ramp j*log(2), so D = sum 2^{-j} = 2 exactly
     law = make_constant_bias(2.0)
     rng = np.random.default_rng(1)
-    s = sample_s_walk(law, 1e-10, rng)
-    assert s.discounted == pytest.approx(2.0, abs=1e-9)
     d = discounted_sums_batch(law, 64, 1e-10, rng)
     assert np.allclose(d, 2.0, atol=1e-9)
 
 
 def test_discounted_sums_batch_distribution():
-    """Batch route and one-path route draw from the same law."""
+    """E[D] = sum_j E[e^{-S_1}]^j = 1 / (1 - e^{psi(2)}) when psi(2) < 0;
+    this law has kappa near 4.5, so D has finite variance."""
+    law = make_two_point(0.005)
     rng = np.random.default_rng(77)
-    batch = discounted_sums_batch(SUB, 4000, 1e-9, rng)
-    singles = np.array(
-        [sample_s_walk(SUB, 1e-9, rng).discounted for _ in range(800)]
-    )
-    assert (batch >= 1.0).all()
-    se = math.sqrt(
-        batch.var(ddof=1) / batch.size + singles.var(ddof=1) / singles.size
-    )
-    assert abs(batch.mean() - singles.mean()) < 4 * se
+    d = discounted_sums_batch(law, 20000, 1e-9, rng)
+    assert (d >= 1.0).all()
+    want = 1.0 / (1.0 - math.exp(psi_evaluate(law, 2.0)))
+    se = d.std(ddof=1) / math.sqrt(d.size)
+    assert abs(d.mean() - want) < 4 * se
 
 
 def test_build_chain():
@@ -255,42 +233,3 @@ def test_enumerate_truncated_agrees_with_batch_weights():
     W, alive = level_weights_batch(SUB, np.array([2718], dtype=np.uint64), 5)
     assert alive[0]
     assert W[0] == pytest.approx(w_direct, rel=1e-12)
-
-
-def _regular_line_brute(tree, level, lam, h):
-    tree.level(level)  # full growth
-    out = set()
-    for x in range(1, len(tree)):
-        if tree.gen[x] > level:
-            continue
-        chain = [x]
-        while chain[-1] != 0:
-            chain.append(tree.parent[chain[-1]])
-        chain = chain[::-1][1:]  # root excluded, x included
-        ok = True
-        for u in chain:
-            path_v = [0.0]
-            a = u
-            ups = [u]
-            while tree.parent[a] != -1:
-                a = tree.parent[a]
-                ups.append(a)
-            path_v = [tree.V[z] for z in reversed(ups)]
-            if oracles.h_direct(path_v) > lam or tree.V[u] < -h:
-                ok = False
-                break
-        if ok:
-            out.add(x)
-    return out
-
-
-@pytest.mark.parametrize("seed,first", [(101, "pruned"), (202, "full")])
-def test_regular_line_matches_brute_force(seed, first):
-    tree = MarkedTree(SUB, seed)
-    lam, h, level = 2.2, 1.3, 4
-    if first == "full":
-        tree.level(level)
-    got = regular_line(tree, level, lam, h)
-    want = _regular_line_brute(tree, level, lam, h)
-    assert got == want
-    assert want  # parameters chosen so the line is nonempty

@@ -5,23 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from gwalk import kernel
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import (
-    ExcursionTree,
     _nb_failures,
-    excursion_tree_from_walk,
     extract_regen,
     hypothesis_sums_batch,
-    regen_density_diag,
-    regen_monotonicity_diag,
     sample_children_counts,
     sample_excursion_tree,
-    to_newick,
 )
 from gwalk.law import make_constant_bias, make_two_point
 from gwalk.oracle import FiniteChain
-from gwalk.walk import StepBudgetExceeded, WalkRecord, run_until_tau
+from gwalk.walk import StepBudgetExceeded
 
 import oracles
 
@@ -96,9 +90,7 @@ def test_direct_sampler_matches_chain_oracle():
     env = enumerate_truncated(SUB, 314, 4)
     chain = FiniteChain({"parent": env["parent"], "V": env["V"]})
     want = chain.expected_edge_counts()
-    tree = MarkedTree(SUB, 314, depth_cap=4)
-    tree.level(4)  # BFS growth first so ids line up with the enumeration
-    assert np.allclose(np.array(tree.V), env["V"])
+    tree = env["tree"]  # grown in BFS order, so ids line up with the arrays
     rng = np.random.default_rng(15)
     n = 20000
     sums = np.zeros(chain.n)
@@ -111,26 +103,6 @@ def test_direct_sampler_matches_chain_oracle():
     var = sq / n - mean**2
     z = (mean - want) / np.sqrt(np.maximum(var, 1e-12) / n)
     assert np.abs(z).max() < 4.5  # 31 simultaneous comparisons
-
-
-def test_walk_compaction_matches_slow_path():
-    """Compacted kernel arena and the per-step record describe the same
-    trajectory: the (generation, N) multisets agree exactly."""
-    env_seed, walk_seed, p = 909, 910, 4
-    res = kernel.run_walk(
-        SUB.tables(), env_seed, walk_seed, kernel.MODE_CROSSINGS, p, [p],
-        collect_tree=True,
-    )
-    t = excursion_tree_from_walk(res)
-    assert t.root_count == p
-    tree = MarkedTree(SUB, env_seed)
-    rec = WalkRecord(walk_seed)
-    run_until_tau(tree, rec, p)
-    slow = sorted(
-        (tree.gen[x], c) for x, c in rec.n_down.items() if x != 0 and c > 0
-    )
-    fast = sorted(zip(t.gen[1:].tolist(), t.N[1:].tolist()))
-    assert slow == fast
 
 
 def test_extract_regen_matches_naive():
@@ -206,33 +178,3 @@ def test_sampler_node_budget():
     tree = MarkedTree(SUB, 44)
     with pytest.raises(StepBudgetExceeded):
         sample_excursion_tree(tree, 500, rng, node_budget=10)
-
-
-def test_regen_monotonicity_diag_smoke():
-    pairs = [(i, 100 + i) for i in range(5)]
-    frac = regen_monotonicity_diag(SUB, pairs, p_max=3, level=1, budget=10**6)
-    assert 0.0 <= frac <= 1.0
-
-
-def test_regen_density_diag_smoke():
-    pairs = [(i, 7 + i) for i in range(3)]
-    rows = regen_density_diag(
-        SUB, [50], r=0.5, alphas=(0.5, 1.0), seed_pairs=pairs, budget=10**6
-    )
-    assert len(rows) == 1
-    n, dev, used = rows[0]
-    assert n == 50 and used <= 3
-    assert dev >= 0.0 or math.isnan(dev)
-
-
-def test_to_newick_smoke():
-    t = ExcursionTree(
-        parent=np.array([-1, 0, 0]),
-        gen=np.array([0, 1, 1]),
-        N=np.array([2, 1, 3]),
-        V=np.array([0.0, -1.0, 1.08]),
-    )
-    s = to_newick(t)
-    assert s.endswith("n0[N=2,V=0];")
-    assert s.count("(") == s.count(")") == 1
-    assert "n1[N=1,V=-1]" in s

@@ -10,16 +10,12 @@ from gwalk.forest import (
     FinalTree,
     check_tree_identities,
     finalize,
-    final_to_newick,
     hypothesis_check,
-    invariance_diag,
     lukasiewicz,
     sample_typed_forest,
     skeletonize,
     transform,
-    typed_to_newick,
     typed_tree,
-    write_path_csv,
 )
 from gwalk.law import make_two_point
 
@@ -168,50 +164,3 @@ def test_forest_sampling_deterministic():
     for x, y in zip(a, b):
         assert np.array_equal(x.parent, y.parent)
         assert np.array_equal(x.beta, y.beta)
-
-
-def test_invariance_diag_gaussian_case():
-    """Deterministic unit sizes: F_p = p, so the scaled marginals collapse
-    onto their degenerate limits; the table must still be well formed."""
-    rng = np.random.default_rng(17)
-    rows = invariance_diag(
-        lambda r, k: np.ones(k),
-        [256],
-        rng,
-        gamma=2.0,
-        nu=1.0,
-        sigma1_sq=1.0,
-        n_rep=50,
-    )
-    dist_rows = [r for r in rows if "distance" in r]
-    assert {r["marginal"] for r in dist_rows} == {"F", "F_bar"}
-    value_rows = [r for r in rows if "empirical" in r]
-    assert all(0.0 <= r["empirical"] <= 1.0 for r in value_rows)
-
-
-def test_invariance_diag_argument_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        invariance_diag(lambda r, k: np.ones(k), [8], rng, gamma=2.0, nu=1.0)
-    with pytest.raises(ValueError):
-        invariance_diag(lambda r, k: np.ones(k), [8], rng, gamma=1.5, nu=1.0)
-    with pytest.raises(ValueError):
-        invariance_diag(
-            lambda r, k: np.ones(k), [8], rng, gamma=3.0, nu=1.0, c_gamma=1.0
-        )
-
-
-def test_newick_and_csv_dumps(tmp_path):
-    t = typed_tree([-1, 0, 1], [1, 2, 1])
-    s = typed_to_newick(t)
-    assert s.startswith("(") and s.endswith(";")
-    assert "b=2" in s
-    f = transform(t)
-    s2 = final_to_newick(f)
-    assert s2.count("(") == s2.count(")")
-    path = lukasiewicz([f])
-    dest = tmp_path / "path.csv"
-    write_path_csv(path, dest)
-    lines = dest.read_text().strip().splitlines()
-    assert lines[0] == "k,V1,D"
-    assert len(lines) == len(path.v1) + 1

@@ -13,17 +13,14 @@ from gwalk import law as law_mod
 from gwalk.law import make_constant_bias, make_two_point
 from gwalk.limits import (
     ML_LAMBDA_MAX,
-    LimitLaw,
     LimitsError,
     c0_exact,
     estimate_c_kappa,
     estimate_discounted_moments,
     hit_laplace,
     ml_laplace,
-    sample_stable_increments,
-    sample_stable_path_functional,
-    write_reference_csv,
 )
+from oracles import sample_stable_increments, sample_stable_path_functional
 
 EXPECTED = json.loads(
     (Path(__file__).parent / "expected" / "constants.json").read_text()
@@ -140,19 +137,6 @@ def test_stable_path_hit_matches_transform():
     assert ref - vals.mean() < 0.03 + 4 * se
 
 
-def test_limit_law_wrapper():
-    ll = LimitLaw(gamma=1.5, kind="SUP", scale=2.0)
-    assert ll.laplace(0.7) == ml_laplace(1.5, 1.4)
-    lh = LimitLaw(gamma=1.5, kind="HIT", scale=3.0, alpha=0.5)
-    assert lh.laplace(0.7) == pytest.approx(hit_laplace(1.5, 0.5, 2.1), rel=1e-14)
-    with pytest.raises(ValueError):
-        LimitLaw(gamma=1.5, kind="MAX")
-    with pytest.raises(ValueError):
-        LimitLaw(gamma=1.5, kind="SUP", scale=0.0)
-    with pytest.raises(LimitsError):
-        LimitLaw(gamma=2.5, kind="SUP")
-
-
 def test_discounted_moments_constant_bias_exact():
     """D = 2 almost surely, so C_inf = 1/4 and bold c_inf = 1/2 exactly."""
     law = make_constant_bias(2.0)
@@ -190,12 +174,3 @@ def test_estimate_c_kappa_report():
     flagged = any("NO_PLATEAU" in str(w.message) for w in caught)
     assert flagged == out["no_plateau"]
     assert "hill" in out
-
-
-def test_write_reference_csv(tmp_path):
-    dest = tmp_path / "ref.csv"
-    write_reference_csv(dest, 1.5, [0.5, 1.0], kind="SUP")
-    lines = dest.read_text().strip().splitlines()
-    assert lines[0] == "lambda,value"
-    lam, val = lines[1].split(",")
-    assert float(val) == pytest.approx(ml_laplace(1.5, float(lam)), rel=1e-12)

@@ -11,7 +11,6 @@ from gwalk.stats import (
     bootstrap_ci,
     empirical_laplace,
     hill_tail_index,
-    ks_distance,
     loglog_slope,
     verdict_row,
     write_verdicts,
@@ -40,16 +39,6 @@ def test_empirical_laplace_errors():
         empirical_laplace([-0.1], [1.0])
     with pytest.raises(ValueError):
         empirical_laplace([1.0], [-1.0])
-
-
-def test_ks_distance_exact():
-    uniform = lambda t: np.clip(t, 0.0, 1.0)
-    assert ks_distance([0.5], uniform) == pytest.approx(0.5)
-    n = 10
-    grid = (np.arange(n) + 0.5) / n
-    assert ks_distance(grid, uniform) == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        ks_distance([], uniform)
 
 
 def test_hill_recovers_pareto_index():

@@ -1,0 +1,42 @@
+"""The package's public names, and the names the benchmark tracer wraps.
+
+A deleted or renamed function must fail here, not silently drop a span from
+the benchmark's per-layer metrics (`bench/tracing.py` patches its targets by
+module and attribute name, and records a missing one only at run time).
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import gwalk
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+MODULES = ["gwalk"] + [
+    f"gwalk.{m.name}" for m in pkgutil.iter_modules(gwalk.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(name)
+    for attr in getattr(mod, "__all__", ()):
+        assert hasattr(mod, attr), f"{name}.__all__ lists missing {attr}"
+
+
+def test_tracer_targets_exist():
+    for mod, attr, _span in _tracing().TARGETS:
+        assert hasattr(importlib.import_module(mod), attr), f"{mod}.{attr}"
+    assert callable(getattr(importlib.import_module("gwalk.env").MarkedTree, "grow"))

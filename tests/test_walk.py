@@ -1,93 +1,36 @@
-"""Walk layer: slow inspectable path, kernel fast paths, exact clocks."""
+"""Walk layer: kernel grid runners, exact clocks, and the kernel's law."""
 
-import csv
+import math
 
 import numpy as np
 import pytest
 
-from gwalk import kernel
-from gwalk.env import MarkedTree, build_chain
+from gwalk import _pykernel, kernel
+from gwalk.env import build_chain, enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
+from gwalk.oracle import FiniteChain
 from gwalk.walk import (
     StepBudgetExceeded,
-    WalkRecord,
-    check_conservation,
-    run_until_tau,
-    run_until_time,
     simulate_excursion_grid,
     simulate_time_grid,
-    snapshot_marginals,
-    step,
-    write_trajectories,
 )
 
 SUB = make_two_point(0.068)
 CB = make_constant_bias(2.0)
 
 
-def test_slow_path_matches_kernel_time_mode():
-    """Both execution paths consume the walker stream identically."""
-    env_seed, walk_seed = 111, 222
-    tree = MarkedTree(SUB, env_seed)
-    rec = WalkRecord(walk_seed)
-    run_until_time(tree, rec, 1000)
-    mid = (rec.L, rec.R, rec.t_ex)
-    run_until_time(tree, rec, 5000)
-
-    res = simulate_time_grid(SUB, env_seed, walk_seed, [1000, 5000])
-    assert res["m"] == rec.m == 5000
-    assert res["t_ex"] == rec.t_ex
-    assert res["L"] == rec.L
-    assert res["R"] == rec.R
-    assert res["snap_L"].tolist()[0] == mid[0]
-    assert res["snap_R"].tolist()[0] == mid[1]
-    assert res["snap_T"].tolist()[0] == mid[2]
-    assert res["snap_L"].tolist()[1] == rec.L
-
-
-def test_slow_path_matches_kernel_crossing_mode():
-    env_seed, walk_seed = 333, 444
-    tree = MarkedTree(SUB, env_seed)
-    rec = WalkRecord(walk_seed)
-    run_until_tau(tree, rec, 50)
-
-    res = simulate_excursion_grid(SUB, env_seed, walk_seed, [10, 50])
-    assert res["snap_tau"].tolist() == [rec.tau[10], rec.tau[50]]
-    assert res["snap_T"].tolist() == [rec.T[10], rec.T[50]]
-    assert res["m"] == rec.m
-    assert res["L"] == rec.L == 50
-    assert res["R"] == rec.R
-
-
-def test_slow_path_matches_kernel_with_depth_cap():
-    env_seed, walk_seed = 9, 10
-    tree = MarkedTree(SUB, env_seed, depth_cap=3)
-    rec = WalkRecord(walk_seed)
-    run_until_time(tree, rec, 4000)
-    res = kernel.run_walk(
-        SUB.tables(),
-        env_seed,
-        walk_seed,
-        kernel.MODE_STEPS,
-        4000,
-        [4000],
-        depth_cap=3,
-        collect_tree=True,
-    )
-    assert (res["L"], res["R"], res["t_ex"]) == (rec.L, rec.R, rec.t_ex)
-    assert res["tree_gen"].max() <= 3
-
-
-def test_walkrecord_conservation_and_clock_identity():
-    tree = MarkedTree(SUB, 77)
-    rec = WalkRecord(88)
-    run_until_tau(tree, rec, 200)
-    check_conservation(rec)
-    assert rec.L == rec.crossings == 200
-    for j in range(201):
-        assert rec.T[j] == rec.tau[j] - j
+def test_kernel_conservation_and_clock_identity():
+    p = 200
+    res = simulate_excursion_grid(SUB, 77, 88, range(1, p + 1), collect_tree=True)
+    nd, nu = res["tree_ndown"], res["tree_nup"]
+    # every step crosses exactly one edge, the e* -> e steps included
+    assert nd.sum() + nu.sum() == res["m"]
+    assert nd[0] == res["L"] == p
+    assert res["snap_idx"].tolist() == list(range(1, p + 1))
+    # T^j = tau^j - j at every crossing j
+    assert np.array_equal(res["snap_T"], res["snap_tau"] - res["snap_idx"])
     # the excised clock never counts forced e* -> e steps
-    assert rec.t_ex == rec.m - rec.L
+    assert res["t_ex"] == res["m"] - res["L"]
 
 
 def test_kernel_excised_clock_identity():
@@ -96,28 +39,52 @@ def test_kernel_excised_clock_identity():
     assert res["t_ex"] == res["m"] - res["L"] + pending
 
 
+def test_snapshot_marginals_rows():
+    res = simulate_time_grid(SUB, 21, 22, [100, 400])
+    assert res["snap_idx"].tolist() == res["snap_tau"].tolist() == [100, 400]
+    assert res["snap_L"][1] >= res["snap_L"][0]  # L is nondecreasing
+    assert res["snap_R"][1] >= res["snap_R"][0]  # R is nondecreasing
+    res = simulate_excursion_grid(SUB, 21, 22, [5])
+    assert res["snap_idx"].tolist() == res["snap_L"].tolist() == [5]
+    assert res["snap_T"][0] == res["snap_tau"][0] - 5  # T^p = tau^p - p
+
+
 def test_single_step_bookkeeping():
-    tree = MarkedTree(CB, 0)
-    rec = WalkRecord(123)
-    step(tree, rec)
-    assert rec.m == 1 and rec.t_ex == 1
-    assert rec.site_lt[rec.node] == 1
-    if rec.node == -1:
-        assert rec.L == 1
-        step(tree, rec)  # forced return
-        assert rec.node == 0 and rec.tau == [0, 2]
+    """A one-step run, then the two-step run it starts: both branches of the
+    first move (up to e*, or down to a child of the root) are exercised."""
+    seen = set()
+    for walk_seed in range(20):
+        one = kernel.run_walk(
+            CB.tables(), 0, walk_seed, kernel.MODE_STEPS, 1, [1], collect_tree=True
+        )
+        two = kernel.run_walk(
+            CB.tables(), 0, walk_seed, kernel.MODE_STEPS, 2, [1, 2], collect_tree=True
+        )
+        assert (one["m"], one["t_ex"]) == (1, 1)
+        assert one["tree_ndown"].sum() + one["tree_nup"].sum() == 1
+        # the longer run extends the shorter one step for step
+        assert two["snap_L"][0] == one["L"] and two["snap_R"][0] == one["R"]
+        assert two["snap_T"][0] == one["t_ex"]
+        if one["pos"] == -1:
+            assert (one["L"], one["R"], one["tree_nup"][0]) == (1, 1, 1)
+            # forced return to the root: off the excised clock, first crossing
+            assert (two["pos"], two["m"], two["t_ex"]) == (0, 2, 1)
+            assert two["tree_ndown"][0] == 1
+        else:
+            x = one["pos"]
+            assert one["tree_parent"][x] == 0
+            assert (one["L"], one["R"], one["tree_ndown"][x]) == (0, 2, 1)
+            assert two["m"] == two["t_ex"] == 2
+        seen.add(one["pos"] == -1)
+    assert seen == {True, False}
 
 
 def test_budget_raises():
-    tree = MarkedTree(SUB, 1)
-    rec = WalkRecord(2)
     with pytest.raises(StepBudgetExceeded) as err:
-        run_until_time(tree, rec, 10**6, budget=100)
+        simulate_time_grid(SUB, 1, 2, [10**6], budget=100)
     assert err.value.code == "STEP_BUDGET_EXCEEDED"
     with pytest.raises(StepBudgetExceeded):
-        simulate_time_grid(SUB, 1, 2, [10**6], budget=100)
-    with pytest.raises(StepBudgetExceeded):
-        run_until_tau(MarkedTree(SUB, 1), WalkRecord(2), 10**6, budget=100)
+        simulate_excursion_grid(SUB, 1, 2, [10**6], budget=100)
 
 
 def test_excursion_budget_censoring():
@@ -128,27 +95,6 @@ def test_excursion_budget_censoring():
     assert len(res["snap_tau"]) <= 1  # deep grid point never reached
     with pytest.raises(StepBudgetExceeded):
         simulate_excursion_grid(SUB, 1, 2, [10**7], budget=500)
-
-
-def test_snapshot_marginals_rows():
-    tree = MarkedTree(SUB, 21)
-    rec = WalkRecord(22)
-    rows = snapshot_marginals(tree, rec, time_grid=[100, 400], excursion_grid=[5])
-    kinds = [r[0] for r in rows]
-    assert kinds == ["m", "m", "p"]
-    assert rows[0][1] == 100 and rows[1][1] == 400
-    assert rows[1][2] >= rows[0][2]  # L is nondecreasing
-    assert rows[1][3] >= rows[0][3]  # R is nondecreasing
-    p_row = rows[2]
-    assert p_row[5] == p_row[4] - p_row[1]  # T^p = tau^p - p
-
-
-def test_run_until_tau_rejects_past_target():
-    tree = MarkedTree(SUB, 3)
-    rec = WalkRecord(4)
-    run_until_tau(tree, rec, 10)
-    with pytest.raises(ValueError):
-        run_until_tau(tree, rec, 5)
 
 
 def test_explicit_tree_walk():
@@ -185,10 +131,29 @@ def test_explicit_tree_rejects_bad_layout():
         )
 
 
-def test_write_trajectories_roundtrip(tmp_path):
-    path = tmp_path / "rows.csv"
-    write_trajectories(path, [(0, 5, 100, 3, 7, None, 93)])
-    with open(path) as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ["trial", "seed", "m_or_p", "L", "R", "tau", "T"]
-    assert got[1] == ["0", "5", "100", "3", "7", "", "93"]
+@pytest.mark.parametrize("impl", ["compiled", "python"])
+def test_kernel_law_matches_return_prob_grid(request, impl):
+    """Exact law of the walk: arrivals at e* at each step 1..40 of 5000
+    walkers on a 15-node truncated tree against P(X_m = e*) from the
+    transition matrix. The tree is bipartite, so even steps never reach e*."""
+    if impl == "compiled":
+        run_walk = request.getfixturevalue("compiled_run_walk")
+    else:
+        run_walk = _pykernel.run_walk
+    env = enumerate_truncated(SUB, 42, 3)
+    explicit = {"parent": env["parent"], "V": env["V"]}
+    steps = np.arange(1, 41)
+    n = 5000
+    arrivals = np.zeros(steps.size, dtype=np.int64)
+    for walk_seed in range(n):
+        res = run_walk(None, 0, walk_seed, kernel.MODE_STEPS, 40, steps,
+                       explicit=explicit)
+        arrivals += np.diff(res["snap_L"], prepend=0)
+    chain = FiniteChain(explicit)
+    want = chain.return_prob_grid(steps)
+    assert chain.n == 15
+    assert math.isclose(want[0], chain.up_prob[0], rel_tol=1e-15)
+    assert (arrivals[1::2] == 0).all()
+    odd = want[0::2]
+    z = (arrivals[0::2] - n * odd) / np.sqrt(n * odd * (1.0 - odd))
+    assert np.abs(z).max() < 4.5  # 20 simultaneous comparisons
