@@ -6,8 +6,9 @@ build it in place with `python setup.py build_ext --inplace`. A failed compile
 fails the build. Without the library the package still runs, on the
 pure-Python kernel `_pykernel`, after one warning.
 
-Keep -ffp-contract=off and add no -ffast-math or -march=native: a fused
-multiply-add rounds differently and breaks bit-parity with `_pykernel`.
+Keep -ffp-contract=off and add no -ffast-math or -march=native: the kernel
+must turn a hash into a uniform and compare it against the step tables
+exactly as `_pykernel` does, or bit-parity breaks.
 """
 
 from setuptools import Extension, setup
@@ -20,7 +21,6 @@ setup(
             "gwalk._walk",
             ["src/gwalk/_walk.c"],
             extra_compile_args=COMPILE_ARGS,
-            libraries=["m"],
         )
     ]
 )

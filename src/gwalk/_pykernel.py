@@ -17,10 +17,17 @@ is the cemetery-like vertex e* encoded as index -1.
 
 Walk dynamics
 -------------
-From a tree node x the walk moves to the parent with weight exp(-V(x)) and to
-child c with weight exp(-V(c)). From e* the move back to the root is forced
-and consumes no randomness. Nodes at the optional depth cap get no children
-and reflect upward deterministically (again consuming no randomness).
+From a tree node x the walk moves to the parent with weight e^{-V(x)} and to
+child x_i with weight e^{-V(x_i)}. V(x) cancels, so a step depends only on the
+marks A(x_i) = V(x_i) - V(x), that is on x's atom: P(up) = 1/(1 + s) with
+s = sum_i e^{-A(x_i)}. Each node stores its atom index, and a step compares
+one uniform against that atom's row of the step tables (``LawTables.p_up``
+and ``step_cum``, computed once per law). No potential is stored, so the walk
+is the same at every depth. An explicit tree is checked once by
+``explicit_tree`` and turned into the same tables, one atom per node. From e*
+the move back to the root is forced and consumes no randomness. Nodes at the
+optional depth cap get no children and reflect upward deterministically
+(again consuming no randomness).
 
 Bookkeeping (all exact integers)
 --------------------------------
@@ -39,11 +46,10 @@ taken at caller-given sorted raw times (MODE_STEPS) or crossing indices
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._rng import GOLDEN, MASK, ROOT_SALT, TWO_NEG53, mix64
+from .law import LawTables, step_law
 
 MODE_STEPS = 0
 MODE_CROSSINGS = 1
@@ -60,6 +66,44 @@ ERR_PARENT = "explicit tree parent index outside [0, i)"
 ERR_LENGTH = "explicit tree needs one V per node"
 
 
+def explicit_tree(explicit):
+    """Check an explicit finite tree and turn it into step tables.
+
+    `explicit` is a dict with keys parent, V: the root first, parent[i] in
+    [0, i), the children of every node at consecutive indices and one V per
+    node. Raises ValueError with one of the ERR_* messages otherwise.
+    Returns (tables, parent, child0, gen): LawTables with one atom per node,
+    whose marks are the differences V(child) - V(node) (cum is None, as no
+    node is grown), and per node the lists of parent, first child (-1 for a
+    leaf) and generation.
+    """
+    parent = [int(v) for v in explicit["parent"]]
+    V = np.asarray(explicit["V"], dtype=np.float64)
+    n = len(parent)
+    if len(V) != n:
+        raise ValueError(ERR_LENGTH)
+    if n == 0 or parent[0] != -1:
+        raise ValueError(ERR_ROOT)
+    lens, child0, gen = [0] * n, [-1] * n, [0] * n
+    for i in range(1, n):
+        pa = parent[i]
+        if not 0 <= pa < i:
+            raise ValueError(ERR_PARENT)
+        if lens[pa] == 0:
+            child0[pa] = i
+        elif child0[pa] + lens[pa] != i:
+            raise ValueError(ERR_CHILDREN)
+        lens[pa] += 1
+        gen[i] = gen[pa] + 1
+    lens = np.array(lens, dtype=np.int64)
+    off = np.cumsum(lens) - lens
+    # the non-root nodes grouped by parent, in node order: atom x's children
+    kids = 1 + np.argsort(parent[1:], kind="stable")
+    marks = V[kids] - V[np.array(parent)[kids]]
+    tables = LawTables(None, off, lens, marks, *step_law(off, lens, marks))
+    return tables, parent, child0, gen
+
+
 def run_walk(
     law_tables,
     env_seed: int,
@@ -74,66 +118,32 @@ def run_walk(
 ):
     """Run one walk; returns a dict of scalars and numpy arrays.
 
-    law_tables: (atom_cum, atom_off, atom_len, marks_flat) from MarkLaw.tables,
-    or None when `explicit` supplies a prebuilt finite tree as a dict with
-    keys parent, V (root first, children of every node at consecutive
-    indices, each parent index below its child's).
+    law_tables: the LawTables of MarkLaw.tables, or None when `explicit`
+    supplies a prebuilt finite tree as a dict with keys parent, V (checked
+    and converted by explicit_tree).
     """
     snaps = np.asarray(snaps, dtype=np.int64)
     nsnap = len(snaps)
-    snap_idx = np.empty(nsnap, dtype=np.int64)
-    snap_L = np.empty(nsnap, dtype=np.int64)
-    snap_R = np.empty(nsnap, dtype=np.int64)
-    snap_T = np.empty(nsnap, dtype=np.int64)
-    snap_tau = np.empty(nsnap, dtype=np.int64)
+    snap = np.empty((5, nsnap), dtype=np.int64)  # rows idx, tau, T, L, R
 
     if explicit is None:
-        atom_cum, atom_off, atom_len, marks_flat = law_tables
-        atom_cum = [float(v) for v in atom_cum]
-        atom_off = [int(v) for v in atom_off]
-        atom_len = [int(v) for v in atom_len]
-        marks_flat = [float(v) for v in marks_flat]
-        lazy = True
+        tables = law_tables
         parent = [-1]
-        V = [0.0]
-        w = [1.0]
-        totw = [0.0]
         key = [mix64((env_seed ^ ROOT_SALT) & MASK)]
         gen = [0]
         nchild = [-1]
         child0 = [-1]
+        atom = [-1]
     else:
-        lazy = False
-        parent = [int(v) for v in explicit["parent"]]
-        V = [float(v) for v in explicit["V"]]
-        n = len(parent)
-        if len(V) != n:
-            raise ValueError(ERR_LENGTH)
-        if n == 0 or parent[0] != -1:
-            raise ValueError(ERR_ROOT)
-        w = [math.exp(-v) for v in V]
-        nchild = [0] * n
-        child0 = [-1] * n
-        for i in range(1, n):
-            pa = parent[i]
-            if not 0 <= pa < i:
-                raise ValueError(ERR_PARENT)
-            if nchild[pa] == 0:
-                child0[pa] = i
-            elif child0[pa] + nchild[pa] != i:
-                raise ValueError(ERR_CHILDREN)
-            nchild[pa] += 1
-        totw = [0.0] * n
-        for i in range(n):
-            s = w[i]
-            c0 = child0[i]
-            for j in range(nchild[i]):
-                s += w[c0 + j]
-            totw[i] = s
-        gen = [0] * n
-        for i in range(1, n):
-            gen[i] = gen[parent[i]] + 1
-        key = [0] * n
+        tables, parent, child0, gen = explicit_tree(explicit)
+        nchild = tables.lens.tolist()
+        atom = list(range(len(parent)))
+        key = [0] * len(parent)
+    atom_cum = None if tables.cum is None else tables.cum.tolist()
+    atom_off = tables.off.tolist()
+    atom_len = tables.lens.tolist()
+    p_up = tables.p_up.tolist()
+    step_cum = tables.step_cum.tolist()
 
     n_down = [0] * len(parent)
     n_up = [0] * len(parent)
@@ -160,21 +170,13 @@ def run_walk(
             pos = 0
             if mode == MODE_CROSSINGS:
                 while si < nsnap and snaps[si] == L:
-                    snap_idx[si] = L
-                    snap_tau[si] = m
-                    snap_T[si] = t_ex
-                    snap_L[si] = L
-                    snap_R[si] = R
+                    snap[:, si] = (L, m, t_ex, L, R)
                     si += 1
                 if L >= limit:
                     done = True
             if mode == MODE_STEPS:
                 while si < nsnap and snaps[si] == m:
-                    snap_idx[si] = m
-                    snap_tau[si] = m
-                    snap_T[si] = t_ex
-                    snap_L[si] = L
-                    snap_R[si] = R
+                    snap[:, si] = (m, m, t_ex, L, R)
                     si += 1
                 if m >= limit:
                     done = True
@@ -192,27 +194,19 @@ def run_walk(
                 k = 0
             else:
                 k = atom_len[a]
+            atom[x] = a
             nchild[x] = k
             child0[x] = len(parent)
-            base = atom_off[a]
-            vx = V[x]
             gx = gen[x] + 1
-            s = w[x]
             for j in range(k):
-                vc = vx + marks_flat[base + j]
-                wc = math.exp(-vc)
-                s += wc
                 parent.append(x)
-                V.append(vc)
-                w.append(wc)
-                totw.append(0.0)
                 key.append(mix64((kx ^ (((j + 2) * GOLDEN) & MASK)) & MASK))
                 gen.append(gx)
                 nchild.append(-1)
                 child0.append(-1)
+                atom.append(-1)
                 n_down.append(0)
                 n_up.append(0)
-            totw[x] = s
 
         k = nchild[x]
         if k == 0:
@@ -220,16 +214,16 @@ def run_walk(
         else:
             state = (state + GOLDEN) & MASK
             u = (mix64(state) >> 11) * TWO_NEG53
-            u *= totw[x]
-            if u < w[x]:
+            a = atom[x]
+            if u < p_up[a]:
                 dest = parent[x]
             else:
-                u -= w[x]
                 c = child0[x]
                 last = c + k - 1
-                while c < last and u >= w[c]:
-                    u -= w[c]
+                j = atom_off[a]
+                while c < last and u >= step_cum[j]:
                     c += 1
+                    j += 1
                 dest = c
 
         m += 1
@@ -246,34 +240,18 @@ def run_walk(
 
         if mode == MODE_STEPS:
             while si < nsnap and snaps[si] == m:
-                snap_idx[si] = m
-                snap_tau[si] = m
-                snap_T[si] = t_ex
-                snap_L[si] = L
-                snap_R[si] = R
+                snap[:, si] = (m, m, t_ex, L, R)
                 si += 1
             if m >= limit:
                 done = True
 
-    out = {
-        "status": status,
-        "m": m,
-        "t_ex": t_ex,
-        "L": L,
-        "R": R,
-        "pos": pos,
-        "nodes_grown": len(parent),
-        "snap_idx": snap_idx[:si].copy(),
-        "snap_tau": snap_tau[:si].copy(),
-        "snap_T": snap_T[:si].copy(),
-        "snap_L": snap_L[:si].copy(),
-        "snap_R": snap_R[:si].copy(),
-    }
+    out = {"status": status, "m": m, "t_ex": t_ex, "L": L, "R": R, "pos": pos,
+           "nodes_grown": len(parent)}
+    for row, name in enumerate(("idx", "tau", "T", "L", "R")):
+        out["snap_" + name] = snap[row, :si].copy()
     if collect_tree:
-        out["tree_parent"] = np.array(parent, dtype=np.int64)
-        out["tree_gen"] = np.array(gen, dtype=np.int64)
-        out["tree_V"] = np.array(V, dtype=np.float64)
-        out["tree_ndown"] = np.array(n_down, dtype=np.int64)
-        out["tree_nup"] = np.array(n_up, dtype=np.int64)
-        out["tree_nchild"] = np.array(nchild, dtype=np.int64)
+        tree = {"parent": parent, "gen": gen, "atom": atom, "ndown": n_down,
+                "nup": n_up, "nchild": nchild}
+        for name, values in tree.items():
+            out["tree_" + name] = np.array(values, dtype=np.int64)
     return out

@@ -1,18 +1,20 @@
 /* Plain-C walk kernel, the compiled twin of _pykernel.run_walk.
  *
- * Same arena, same RNG stream and the same floating-point operations in the
- * same order as the Python reference, so equal seeds give bit-identical
- * output; tests/test_kernel_parity.py checks this. See _pykernel.py for the
- * walk's contract. The file holds no Python API and no global mutable state:
- * gwalk.kernel calls gw_walk through ctypes, which releases the GIL, so
- * trials on several threads run in parallel.
+ * Same arena, same RNG stream and the same comparisons in the same order as
+ * the Python reference, so equal seeds give bit-identical output;
+ * tests/test_kernel_parity.py checks this. See _pykernel.py for the walk's
+ * contract. A step reads only the current node's atom: the caller passes the
+ * step tables (LawTables.p_up and step_cum, computed once per law, or once
+ * per explicit tree by _pykernel.explicit_tree, which also checks the tree),
+ * so the kernel does no floating-point arithmetic beyond turning a hash into
+ * a uniform, and stores no potential. The file holds no Python API and no
+ * global mutable state: gwalk.kernel calls gw_walk through ctypes, which
+ * releases the GIL, so trials on several threads run in parallel.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
- * -ffast-math or -march=native: contracting a*b+c into an FMA changes the
- * rounding and breaks parity.
+ * -ffast-math or -march=native.
  */
 
-#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -33,14 +35,13 @@ static inline uint64_t mix64(uint64_t x)
 
 enum { MODE_STEPS = 0, MODE_CROSSINGS = 1 };
 enum { STATUS_OK = 0, STATUS_BUDGET = 2 };
-/* error codes of gw_walk; gwalk.kernel maps them to exceptions */
-enum { GW_OK = 0, GW_ENOMEM = 1, GW_EROOT = 2, GW_ECHILD = 3, GW_EPARENT = 4 };
+enum { GW_OK = 0, GW_ENOMEM = 1 };
 
-/* The grown tree, one entry per node; nchild == -1 marks an ungrown node. */
+/* The grown tree, one entry per node; nchild == -1 marks an ungrown node,
+ * whose atom is -1 until it is grown. */
 typedef struct {
     int64_t n, cap;
-    int64_t *parent, *gen, *nchild, *child0, *n_down, *n_up;
-    double *V, *w, *totw;
+    int64_t *parent, *gen, *nchild, *child0, *n_down, *n_up, *atom;
     uint64_t *key;
 } gw_arena;
 
@@ -53,8 +54,7 @@ void gw_free(gw_arena *A)
     if (!A)
         return;
     free(A->parent); free(A->gen); free(A->nchild); free(A->child0);
-    free(A->n_down); free(A->n_up); free(A->V); free(A->w); free(A->totw);
-    free(A->key);
+    free(A->n_down); free(A->n_up); free(A->atom); free(A->key);
     free(A);
 }
 
@@ -73,78 +73,43 @@ static int reserve(gw_arena *A, int64_t want)
         return GW_ENOMEM;                                         \
     A->f = p;
     GROW(parent) GROW(gen) GROW(nchild) GROW(child0) GROW(n_down)
-    GROW(n_up) GROW(V) GROW(w) GROW(totw) GROW(key)
+    GROW(n_up) GROW(atom) GROW(key)
 #undef GROW
     A->cap = cap;
     return GW_OK;
 }
 
-/* Write node i with no children grown yet (nchild -1) or none at all (0). */
-static void set_node(gw_arena *A, int64_t i, int64_t parent, int64_t gen, double V,
-                     uint64_t key, int64_t nchild)
+/* Write a node whose children are not grown yet. */
+static void set_node(gw_arena *A, int64_t i, int64_t parent, int64_t gen, uint64_t key)
 {
     A->parent[i] = parent;
     A->gen[i] = gen;
-    A->V[i] = V;
-    A->w[i] = exp(-V);
-    A->totw[i] = 0.0;
     A->key[i] = key;
-    A->nchild[i] = nchild;
+    A->nchild[i] = -1;
     A->child0[i] = -1;
+    A->atom[i] = -1;
     A->n_down[i] = 0;
     A->n_up[i] = 0;
 }
 
-/* Copy an explicit finite tree (root first, children of every node at
- * consecutive indices, parent[i] in [0, i)) into an arena of capacity n. */
-static int load_tree(gw_arena *A, int64_t n, const int64_t *parent, const double *V)
-{
-    int64_t i, j, pa;
-    if (n <= 0 || parent[0] != -1)
-        return GW_EROOT;
-    for (A->n = n, i = 0; i < n; i++)
-        set_node(A, i, parent[i], 0, V[i], 0, 0);
-    for (i = 1; i < n; i++) {
-        pa = parent[i];
-        if (pa < 0 || pa >= i)
-            return GW_EPARENT;
-        if (A->nchild[pa] == 0)
-            A->child0[pa] = i;
-        else if (A->child0[pa] + A->nchild[pa] != i)
-            return GW_ECHILD;
-        A->nchild[pa]++;
-        A->gen[i] = A->gen[pa] + 1;
-    }
-    for (i = 0; i < n; i++) {
-        A->totw[i] = A->w[i];
-        for (j = 0; j < A->nchild[i]; j++)
-            A->totw[i] += A->w[A->child0[i] + j];
-    }
-    return GW_OK;
-}
-
-/* Give ungrown node x its children: its key alone decides the offspring draw. */
-static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *atom_off,
-                const int64_t *atom_len, const double *marks_flat, int64_t depth_cap)
+/* Give ungrown node x its atom and children: its key alone decides both. */
+static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *atom_len,
+                int64_t depth_cap)
 {
     uint64_t kx = A->key[x];
-    double u = (double)(kx >> 11) * TWO_NEG53, s = A->w[x];
-    int64_t a = 0, k, j, c;
+    double u = (double)(kx >> 11) * TWO_NEG53;
+    int64_t a = 0, k, j;
     while (u >= atom_cum[a])
         a++;
     k = (depth_cap >= 0 && A->gen[x] >= depth_cap) ? 0 : atom_len[a];
     if (reserve(A, A->n + k))
         return GW_ENOMEM;
+    A->atom[x] = a;
     A->nchild[x] = k;
     A->child0[x] = A->n;
-    for (j = 0; j < k; j++) {
-        c = A->n + j;
-        set_node(A, c, x, A->gen[x] + 1, A->V[x] + marks_flat[atom_off[a] + j],
-                 mix64(kx ^ ((uint64_t)(j + 2) * GOLDEN)), -1);
-        s += A->w[c];
-    }
+    for (j = 0; j < k; j++)
+        set_node(A, A->n + j, x, A->gen[x] + 1, mix64(kx ^ ((uint64_t)(j + 2) * GOLDEN)));
     A->n += k;
-    A->totw[x] = s;
     return GW_OK;
 }
 
@@ -160,19 +125,21 @@ static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t 
 }
 
 /* Run one walk. With n_explicit < 0 the tree grows lazily from the law tables
- * and env_seed; otherwise it is the explicit tree (exp_parent, exp_V) of
- * n_explicit nodes and the law tables are unused. Snapshots go to the
- * caller's 5 x nsnap buffer snap_out. On GW_OK, *st holds the scalars and
- * *arena_out the grown tree, which the caller releases with gw_free; on an
- * error code *arena_out is NULL. */
+ * and env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
+ * _pykernel.explicit_tree returns it: node i is atom i of the tables and has
+ * exp_parent[i], exp_child0[i] and exp_gen[i]; atom_cum is then unused.
+ * Snapshots go to the caller's 5 x nsnap buffer snap_out. On GW_OK, *st
+ * holds the scalars and *arena_out the grown tree, which the caller releases
+ * with gw_free; out of memory, *arena_out is NULL. */
 int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom_len,
-            const double *marks_flat, int64_t n_explicit, const int64_t *exp_parent,
-            const double *exp_V, uint64_t env_seed, uint64_t state, int mode,
-            int64_t limit, const int64_t *snaps, int64_t nsnap, int64_t *snap_out,
-            int64_t budget, int64_t depth_cap, gw_stats *st, gw_arena **arena_out)
+            const double *p_up, const double *step_cum, int64_t n_explicit,
+            const int64_t *exp_parent, const int64_t *exp_child0, const int64_t *exp_gen,
+            uint64_t env_seed, uint64_t state, int mode, int64_t limit,
+            const int64_t *snaps, int64_t nsnap, int64_t *snap_out, int64_t budget,
+            int64_t depth_cap, gw_stats *st, gw_arena **arena_out)
 {
     gw_arena *A = calloc(1, sizeof *A);
-    int64_t pos = 0, m = 0, t_ex = 0, L = 0, R = 1, si = 0, x, k, dest, c, last;
+    int64_t pos = 0, m = 0, t_ex = 0, L = 0, R = 1, si = 0, x, k, a, j, dest, c, last;
     int status = STATUS_OK, err;
     double u;
 
@@ -184,11 +151,15 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
     if ((err = reserve(A, n_explicit > 1024 ? n_explicit : 1024)))
         goto fail;
     if (n_explicit >= 0) {
-        if ((err = load_tree(A, n_explicit, exp_parent, exp_V)))
-            goto fail;
+        for (A->n = n_explicit, x = 0; x < n_explicit; x++) {
+            set_node(A, x, exp_parent[x], exp_gen[x], 0);
+            A->nchild[x] = atom_len[x];
+            A->child0[x] = exp_child0[x];
+            A->atom[x] = x;
+        }
     } else {
         A->n = 1;
-        set_node(A, 0, -1, 0, 0.0, mix64(env_seed ^ ROOT_SALT), -1);
+        set_node(A, 0, -1, 0, mix64(env_seed ^ ROOT_SALT));
     }
 
     for (;;) {
@@ -217,8 +188,7 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
         }
 
         x = pos;
-        if (A->nchild[x] == -1
-            && (err = grow(A, x, atom_cum, atom_off, atom_len, marks_flat, depth_cap)))
+        if (A->nchild[x] == -1 && (err = grow(A, x, atom_cum, atom_len, depth_cap)))
             goto fail;
 
         k = A->nchild[x];
@@ -227,17 +197,14 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
         } else {
             state += GOLDEN;
             u = (double)(mix64(state) >> 11) * TWO_NEG53;
-            u *= A->totw[x];
-            if (u < A->w[x]) {
+            a = A->atom[x];
+            if (u < p_up[a]) {
                 dest = A->parent[x];
             } else {
-                u -= A->w[x];
                 c = A->child0[x];
                 last = c + k - 1;
-                while (c < last && u >= A->w[c]) {
-                    u -= A->w[c];
+                for (j = atom_off[a]; c < last && u >= step_cum[j]; j++)
                     c++;
-                }
                 dest = c;
             }
         }

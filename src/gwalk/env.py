@@ -45,11 +45,11 @@ class MarkedTree:
         self.law = law
         self.env_seed = env_seed & MASK
         self.depth_cap = depth_cap
-        cum, off, lens, flat = law.tables()
-        self._cum = [float(v) for v in cum]
-        self._off = [int(v) for v in off]
-        self._len = [int(v) for v in lens]
-        self._marks = [float(v) for v in flat]
+        t = law.tables()
+        self._cum = t.cum.tolist()
+        self._off = t.off.tolist()
+        self._len = t.lens.tolist()
+        self._marks = t.marks.tolist()
         self.parent = [-1]
         self.children: list[tuple[int, ...] | None] = [None]
         self.mark = [0.0]
@@ -166,7 +166,7 @@ def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
     nonempty. Memory grows like (number of environments) * E[N]^level; chunk
     the seeds at the call site for deep levels.
     """
-    cum, off, lens, flat = law.tables()
+    cum, off, lens, flat = law.tables()[:4]
     seeds = np.asarray(env_seeds, dtype=np.uint64)
     n = seeds.size
     env = np.arange(n, dtype=np.int64)

@@ -20,7 +20,6 @@ that never descends below a count-1 node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ class ExcursionTree:
     parent: np.ndarray
     gen: np.ndarray
     N: np.ndarray
-    V: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -73,31 +71,6 @@ class RegenSet:
         return len(self.ids)
 
 
-def _nb_failures(k: int, p: float, rng: np.random.Generator) -> int:
-    """Failures before the k-th success, Bernoulli(p) trials.
-
-    CDF inversion for k below NB_INVERSION_MAX_K (falling back when p^k
-    underflows), Gamma-Poisson mixture otherwise."""
-    if p >= 1.0:
-        return 0
-    q = 1.0 - p
-    if k < NB_INVERSION_MAX_K:
-        pmf = p**k
-        if pmf > 1e-290:
-            u = rng.random()
-            cdf = pmf
-            m = 0
-            while u >= cdf:
-                pmf *= q * (k + m) / (m + 1)
-                m += 1
-                cdf += pmf
-                if m > 10**9:  # pragma: no cover - defensive
-                    break
-            return m
-    g = rng.gamma(shape=k, scale=q / p)
-    return int(rng.poisson(g))
-
-
 def sample_children_counts(
     k: int, p_back: float, p_children, rng: np.random.Generator
 ) -> list[int]:
@@ -107,14 +80,15 @@ def sample_children_counts(
     M is then split multinomially with weights p_children / (1 - p_back)."""
     p_children = np.asarray(p_children, dtype=np.float64)
     total = p_back + p_children.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {total!r}")
+    # written so that NaN fails too
+    if not (0.0 <= p_back <= 1.0 and abs(total - 1.0) <= 1e-12):
+        raise ValueError(f"p_back = {p_back!r}, probabilities sum to {total!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     d = len(p_children)
     if d == 0 or p_back >= 1.0:
         return [0] * d
-    m = _nb_failures(k, p_back, rng)
+    m = _nb_failures_batch(np.array([k]), p_back, rng)[0]
     if m == 0:
         return [0] * d
     split = rng.multinomial(m, p_children / (1.0 - p_back))
@@ -140,10 +114,10 @@ def sample_excursion_tree(
     excursion tree has infinite expected size in the sub-diffusive regime."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    t = tree.law.tables()
     parent = [-1]
     gen = [0]
     N = [p]
-    V = [0.0]
     env_ids = [0]
     stack = [(0, 0)]  # (output id, environment node id)
     while stack:
@@ -157,10 +131,9 @@ def sample_excursion_tree(
         kids = tree.grow(env_id)
         if not kids:
             continue
-        wx = math.exp(-tree.V[env_id])
-        ws = np.array([math.exp(-tree.V[c]) for c in kids])
-        tot = wx + ws.sum()
-        counts = sample_children_counts(N[out_id], wx / tot, ws / tot, rng)
+        a = tree.atom_index(env_id)
+        p_kids = (1.0 - t.p_up[a]) * t.split[t.off[a] : t.off[a] + len(kids)]
+        counts = sample_children_counts(N[out_id], t.p_up[a], p_kids, rng)
         for c, kc in zip(kids, counts):
             if kc == 0:
                 continue
@@ -172,14 +145,12 @@ def sample_excursion_tree(
             parent.append(out_id)
             gen.append(gen[out_id] + 1)
             N.append(kc)
-            V.append(tree.V[c])
             env_ids.append(c)
             stack.append((cid, c))
     out = ExcursionTree(
         parent=np.array(parent, dtype=np.int64),
         gen=np.array(gen, dtype=np.int64),
         N=np.array(N, dtype=np.int64),
-        V=np.array(V),
     )
     if keep_env_ids:
         out.env_ids = np.array(env_ids, dtype=np.int64)
@@ -215,35 +186,43 @@ def extract_regen(tree: ExcursionTree, level: int) -> RegenSet:
 
 
 def _nb_failures_batch(k: np.ndarray, p: float, rng: np.random.Generator):
-    """Vectorized _nb_failures at fixed p: same inversion for k < 64, same
-    Gamma-Poisson beyond."""
+    """Failures before the k-th success in Bernoulli(p) trials, for every
+    entry of k at a fixed p < 1: CDF inversion for k below
+    NB_INVERSION_MAX_K (falling back when p^k underflows), Gamma-Poisson
+    mixture otherwise."""
     out = np.zeros(len(k), dtype=np.int64)
-    small = k < NB_INVERSION_MAX_K
-    if p <= 1e-290:
-        small[:] = False
+    kf = k.astype(np.float64)
+    pmf = p ** kf
+    small = (k < NB_INVERSION_MAX_K) & (pmf > 1e-290)
     if small.any():
-        ks = k[small]
-        pmf = p ** ks.astype(np.float64)
-        ok = pmf > 1e-290
-        if not ok.all():
-            small_idx = np.flatnonzero(small)
-            small[small_idx[~ok]] = False
-            ks = k[small]
-            pmf = p ** ks.astype(np.float64)
-        if small.any():
-            q = 1.0 - p
-            u = rng.random(len(ks))
-            cdf = pmf.copy()
-            m = np.zeros(len(ks), dtype=np.int64)
-            act = u >= cdf
-            step = 0
-            while act.any():
-                pmf[act] *= q * (ks[act] + step) / (step + 1)
-                cdf[act] += pmf[act]
-                m[act] += 1
-                step += 1
-                act &= u >= cdf
-            out[small] = m
+        kf, pmf = kf[small], pmf[small]
+        u = rng.random(len(kf))
+        cdf = pmf.copy()
+        m = np.zeros(len(kf), dtype=np.int64)
+        rows = np.flatnonzero(u >= cdf)
+        step, width, q = 0, 64, 1.0 - p
+        # the inversion runs in rounds of `width` terms per row, doubling
+        # each round (fewer when many rows are still searching, to bound the
+        # temporary arrays); cumprod and cumsum accumulate in term order, so
+        # each row rounds as pmf *= q (k + j) / (j + 1); cdf += pmf would,
+        # whatever the round sizes
+        while rows.size:
+            j = np.arange(step, step + max(1, min(width, 2**16 // rows.size)),
+                          dtype=np.float64)
+            terms = q * (kf[rows, None] + j) / (j + 1.0)
+            terms[:, 0] *= pmf[rows]
+            terms = np.cumprod(terms, axis=1)
+            cum = terms.copy()
+            cum[:, 0] += cdf[rows]
+            cum = np.cumsum(cum, axis=1)
+            hit = u[rows, None] < cum
+            found = hit.any(axis=1)
+            m[rows[found]] = step + 1 + hit[found].argmax(axis=1)
+            pmf[rows], cdf[rows] = terms[:, -1], cum[:, -1]
+            rows = rows[~found]
+            step += len(j)
+            width *= 2
+        out[small] = m
     big = ~small
     if big.any():
         g = rng.gamma(shape=k[big].astype(np.float64), scale=(1.0 - p) / p)
@@ -263,19 +242,13 @@ def hypothesis_sums_batch(
         nu     sum of N over the pruned support,
         nu_t   number of pruned-support nodes.
 
-    Environments are annealed: each node draws a fresh atom; potential
-    levels cancel from the transition probabilities, so no V is tracked.
+    Environments are annealed: each node draws a fresh atom and steps by
+    its row of the law's step tables (LawTables.p_up and split), so no V is
+    tracked.
     Returns dict of arrays, each of length n_samples."""
-    cum, off, lens, flat = law.tables()
+    t = law.tables()
+    cum, off, lens = t.cum, t.off, t.lens
     n_atoms = len(lens)
-    # per-atom back-step probability and child split weights
-    p_back = np.empty(n_atoms)
-    splits = []
-    for a in range(n_atoms):
-        wa = np.exp(-flat[off[a] : off[a] + lens[a]])
-        s = wa.sum()
-        p_back[a] = 1.0 / (1.0 + s)
-        splits.append(wa / s if s > 0 else wa)
 
     B = np.zeros(n_samples, dtype=np.int64)
     nu = np.zeros(n_samples, dtype=np.int64)
@@ -295,11 +268,11 @@ def hypothesis_sums_batch(
             sel = np.flatnonzero(atoms == a)
             if sel.size == 0 or lens[a] == 0:
                 continue
-            m = _nb_failures_batch(counts[sel], p_back[a], rng)
+            m = _nb_failures_batch(counts[sel], t.p_up[a], rng)
             pos = np.flatnonzero(m > 0)
             if pos.size == 0:
                 continue
-            kid_counts = rng.multinomial(m[pos], splits[a])
+            kid_counts = rng.multinomial(m[pos], t.split[off[a] : off[a] + lens[a]])
             sid = sample_id[sel[pos]]
             for j in range(lens[a]):
                 kc = kid_counts[:, j]

@@ -222,9 +222,9 @@ def theorem1_campaign(
     for typical environments, so censoring it as +inf (contributing 0 to
     every e^{-lambda Z}) biases the transform by at most e^{-lambda
     z_budget} plus the small-W remainder. step_cap additionally bounds any
-    single trial: the kernel arena costs about 18 bytes per step on a
-    recurrent walk (0.23 nodes grown per step, ten 8-byte slots each), so
-    3e7 steps ~ 0.6 GB; censored-at-cap trials have Z far in the
+    single trial: the kernel arena costs about 15 bytes per step on a
+    recurrent walk (0.23 nodes grown per step, eight 8-byte slots each), so
+    3e7 steps ~ 0.45 GB; censored-at-cap trials have Z far in the
     transform's exponentially damped tail."""
     p_grid = sorted(int(p) for p in p_grid)
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem1", n_trials)

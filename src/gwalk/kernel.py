@@ -1,7 +1,9 @@
 """Walk kernel dispatcher: the plain-C kernel through ctypes, or its reference.
 
 `_walk.c` is the compiled twin of `_pykernel.run_walk`: same signature and
-bit-identical output for equal seeds. setuptools builds it into the library
+bit-identical output for equal seeds. Both step from `MarkLaw.tables`, and
+both check an explicit tree with `_pykernel.explicit_tree`, so the library
+itself fails only when out of memory. setuptools builds it into the library
 `gwalk/_walk<EXT_SUFFIX>` beside this file (`pip install .`, or
 `python setup.py build_ext --inplace` in a source checkout). The library has
 no Python API; `load_kernel` binds it through ctypes, whose foreign calls
@@ -33,21 +35,19 @@ STATUS_BUDGET = _pykernel.STATUS_BUDGET
 
 LIBRARY = Path(__file__).with_name("_walk" + sysconfig.get_config_var("EXT_SUFFIX"))
 
-# gw_walk's error codes for a malformed explicit tree (1 is out of memory)
-_ERRORS = {2: _pykernel.ERR_ROOT, 3: _pykernel.ERR_CHILDREN, 4: _pykernel.ERR_PARENT}
 # arena arrays returned under collect_tree: output key -> gw_arena field
-_TREE = {"parent": "parent", "gen": "gen", "V": "V", "ndown": "n_down",
+_TREE = {"parent": "parent", "gen": "gen", "atom": "atom", "ndown": "n_down",
          "nup": "n_up", "nchild": "nchild"}
 
-_I64, _F64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+_I64 = ctypes.POINTER(ctypes.c_int64)
 _P, _INT64 = ctypes.c_void_p, ctypes.c_int64
 
 
 class _Arena(ctypes.Structure):
     _fields_ = (
         [("n", _INT64), ("cap", _INT64)]
-        + [(f, _I64) for f in ("parent", "gen", "nchild", "child0", "n_down", "n_up")]
-        + [(f, _F64) for f in ("V", "w", "totw")]
+        + [(f, _I64)
+           for f in ("parent", "gen", "nchild", "child0", "n_down", "n_up", "atom")]
         + [("key", ctypes.POINTER(ctypes.c_uint64))]
     )
 
@@ -57,7 +57,12 @@ class _Stats(ctypes.Structure):
 
 
 def _arrays(values, dtypes):
-    return [np.ascontiguousarray(v, dtype=d) for v, d in zip(values, dtypes)]
+    return [None if v is None else np.ascontiguousarray(v, dtype=d)
+            for v, d in zip(values, dtypes)]
+
+
+# dtypes of gw_walk's array arguments: the step tables, then the explicit tree
+_DTYPES = [np.float64, np.int64, np.int64, np.float64, np.float64] + [np.int64] * 3
 
 
 def load_kernel(path) -> callable:
@@ -66,9 +71,9 @@ def load_kernel(path) -> callable:
     lib = ctypes.CDLL(str(path))
     walk, free = lib.gw_walk, lib.gw_free
     walk.restype, free.restype = ctypes.c_int, None
-    walk.argtypes = [_P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64, ctypes.c_uint64,
-                     ctypes.c_int, _INT64, _P, _INT64, _P, _INT64, _INT64,
-                     ctypes.POINTER(_Stats), ctypes.POINTER(ctypes.POINTER(_Arena))]
+    walk.argtypes = [_P, _P, _P, _P, _P, _INT64, _P, _P, _P, ctypes.c_uint64,
+                     ctypes.c_uint64, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64,
+                     _INT64, ctypes.POINTER(_Stats), ctypes.POINTER(ctypes.POINTER(_Arena))]
     free.argtypes = [ctypes.POINTER(_Arena)]
 
     def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
@@ -76,23 +81,18 @@ def load_kernel(path) -> callable:
         (snaps,) = _arrays([snaps], [np.int64])
         snap_out = np.empty((5, len(snaps)), dtype=np.int64)
         if explicit is None:
-            tables = _arrays(law_tables, [np.float64, np.int64, np.int64, np.float64])
-            n_explicit, tree = -1, [None, None]
+            t, tree = law_tables, [None] * 3
         else:
-            tables = [None] * 4
-            tree = _arrays([explicit["parent"], explicit["V"]], [np.int64, np.float64])
-            if len(tree[0]) != len(tree[1]):
-                raise ValueError(_pykernel.ERR_LENGTH)
-            n_explicit = len(tree[0])
+            t, *tree = _pykernel.explicit_tree(explicit)
+        n_explicit = -1 if explicit is None else len(tree[0])
+        arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
+        ptrs = [None if a is None else a.ctypes.data for a in arrays]
         st, arena = _Stats(), ctypes.POINTER(_Arena)()
-        ptrs = [None if a is None else a.ctypes.data for a in tables + tree]
-        err = walk(*ptrs[:4], n_explicit, *ptrs[4:], int(env_seed) & MASK,
+        err = walk(*ptrs[:5], n_explicit, *ptrs[5:], int(env_seed) & MASK,
                    int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
                    len(snaps), snap_out.ctypes.data, int(budget), int(depth_cap),
                    ctypes.byref(st), ctypes.byref(arena))
         if err:
-            if err in _ERRORS:
-                raise ValueError(_ERRORS[err])
             raise MemoryError("walk kernel ran out of memory for its arena")
         try:
             A = arena.contents

@@ -17,11 +17,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "LawError",
+    "LawTables",
     "MarkLaw",
     "make_mark_law",
     "psi_evaluate",
@@ -53,6 +55,46 @@ class LawError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+
+
+class LawTables(NamedTuple):
+    """Per-atom tables of a law (or of an explicit tree, one atom per node).
+
+    cum       cumulative atom probabilities, last entry forced to 1.0
+    off, lens each atom's offset and length in the per-mark arrays
+    marks     the child marks a_i, flattened
+    p_up      per atom: P(step to the parent) = 1 / (1 + s), s = sum_i e^{-a_i}
+    split     per mark: e^{-a_i} / s, the child law given a step down
+    step_cum  per mark: P(up) + P(child <= i), the thresholds the walk kernels
+              compare their uniform against
+    """
+
+    cum: np.ndarray | None
+    off: np.ndarray
+    lens: np.ndarray
+    marks: np.ndarray
+    p_up: np.ndarray
+    split: np.ndarray
+    step_cum: np.ndarray
+
+
+def step_law(off, lens, marks):
+    """The walk's step law per atom: (p_up, split, step_cum) of LawTables.
+
+    From x the walk steps to the parent with weight e^{-V(x)} and to child
+    x_i with weight e^{-V(x_i)}; V(x) cancels, so the law depends only on
+    the marks a_i = V(x_i) - V(x) and no potential level is ever needed.
+    """
+    p_up = np.empty(len(lens))
+    split = np.empty(len(marks))
+    step_cum = np.empty(len(marks))
+    for a, (o, k) in enumerate(zip(off, lens)):
+        wa = np.exp(-marks[o : o + k])
+        s = wa.sum()
+        p_up[a] = 1.0 / (1.0 + s)
+        split[o : o + k] = wa / s
+        step_cum[o : o + k] = p_up[a] + np.cumsum(wa / (1.0 + s))
+    return p_up, split, step_cum
 
 
 @dataclass(frozen=True)
@@ -90,13 +132,11 @@ class MarkLaw:
         d = min(diffs)
         return all(abs(x / d - round(x / d)) < tol for x in diffs)
 
-    def tables(self):
-        """Flat numpy tables consumed by the environment kernel.
+    def tables(self) -> LawTables:
+        """The law's flat tables, read by the kernels and the samplers.
 
-        Returns (atom_cum, atom_off, atom_len, marks_flat): cumulative atom
-        probabilities (last entry forced to 1.0), per-atom offset/length into
-        the flattened mark array. Built on the first call and cached on the
-        law as read-only arrays, since every trial of a campaign reads them.
+        Built on the first call and cached on the law as read-only arrays,
+        since every trial of a campaign reads them.
         """
         got = self.__dict__.get("_tables")
         if got is None:
@@ -105,7 +145,8 @@ class MarkLaw:
             lens = np.array([len(m) for _, m in self.atoms], dtype=np.int64)
             off = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
             flat = np.array([a for _, m in self.atoms for a in m], dtype=np.float64)
-            got = (cum.astype(np.float64), off, lens, flat)
+            got = LawTables(cum.astype(np.float64), off, lens, flat,
+                            *step_law(off, lens, flat))
             for a in got:
                 a.flags.writeable = False
             # frozen dataclass: the cache is not a field, so eq and hash ignore it

@@ -7,7 +7,7 @@ import pytest
 
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import (
-    _nb_failures,
+    _nb_failures_batch,
     extract_regen,
     hypothesis_sums_batch,
     sample_children_counts,
@@ -26,7 +26,7 @@ CB = make_constant_bias(2.0)
 def test_nb_failures_small_k_mean():
     rng = np.random.default_rng(5)
     k, p = 2, 0.5
-    draws = np.array([_nb_failures(k, p, rng) for _ in range(20000)])
+    draws = _nb_failures_batch(np.full(20000, k), p, rng)
     want = k * (1 - p) / p
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - want) < 4 * se
@@ -36,7 +36,7 @@ def test_nb_failures_large_k_mean():
     # k >= 64 exercises the Gamma-Poisson mixture route
     rng = np.random.default_rng(6)
     k, p = 100, 0.6
-    draws = np.array([_nb_failures(k, p, rng) for _ in range(20000)])
+    draws = _nb_failures_batch(np.full(20000, k), p, rng)
     want = k * (1 - p) / p
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - want) < 4 * se
@@ -68,6 +68,10 @@ def test_children_counts_validation():
         sample_children_counts(1, 0.5, (0.3,), rng)  # sums to 0.8
     with pytest.raises(ValueError):
         sample_children_counts(0, 0.5, (0.5,), rng)
+    for p_back, pc in [(math.nan, (0.5,)), (0.5, (math.nan,)), (0.5, (math.inf, -math.inf)),
+                       (1.5, (-0.5,)), (-0.5, (1.5,))]:
+        with pytest.raises(ValueError):
+            sample_children_counts(1, p_back, pc, rng)
     assert sample_children_counts(4, 1.0, (), rng) == []
 
 
@@ -80,8 +84,24 @@ def test_excursion_tree_invariants():
         assert t.parent[x] < x
         assert t.gen[x] == t.gen[t.parent[x]] + 1
         assert t.N[x] >= 1
-        assert t.V[x] == tree.V[t.env_ids[x]]
+        assert tree.parent[t.env_ids[x]] == t.env_ids[t.parent[x]]
+        assert tree.gen[t.env_ids[x]] == t.gen[x]
     assert t.gen.max() <= 6
+
+
+def test_excursion_tree_ignores_root_potential():
+    """The sampler steps by the law's tables, not by e^{-V}: a root at
+    V = 1000, where e^{-V} underflows, gives the same tree and the same
+    generator state as a root at V = 0."""
+    out = []
+    for v0 in (0.0, 1000.0):
+        tree = MarkedTree(SUB, 17)
+        tree.V[0] = v0
+        rng = np.random.default_rng(19)
+        t = sample_excursion_tree(tree, 4, rng)
+        out.append((t.parent.tolist(), t.gen.tolist(), t.N.tolist(), rng.random()))
+    assert len(out[0][0]) > 1
+    assert out[0] == out[1]
 
 
 def test_direct_sampler_matches_chain_oracle():

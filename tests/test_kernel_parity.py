@@ -87,6 +87,31 @@ def test_explicit_mode_parity(compiled_run_walk):
         _assert_same(a, b)
 
 
+@pytest.mark.parametrize("impl", ["compiled", "python"])
+def test_explicit_walk_ignores_potential_level(request, impl):
+    """A step reads only differences of V, so shifting every potential by
+    +-1000, where e^{-V} underflows or overflows, changes no output bit. The
+    potentials are dyadic, so their differences are exact."""
+    if impl == "compiled":
+        run_walk = request.getfixturevalue("compiled_run_walk")
+    else:
+        run_walk = _pykernel.run_walk
+    parent = [-1] + [(i - 1) // 2 for i in range(1, 31)]  # binary, depth 4
+    marks = np.random.default_rng(4).choice([-0.5, 0.25, 0.75], size=30)
+    V = np.zeros(31)
+    for i in range(1, 31):
+        V[i] = V[parent[i]] + marks[i - 1]
+
+    def walk(shift):
+        return run_walk(None, 0, 5, kernel.MODE_STEPS, 20000, [100, 20000],
+                        collect_tree=True, explicit={"parent": parent, "V": V + shift})
+
+    base = walk(0.0)
+    assert base["L"] > 0 and (base["tree_ndown"] > 0).all()
+    for shift in (1000.0, -1000.0):
+        _assert_same(walk(shift), base)
+
+
 @pytest.mark.parametrize(
     "parent, V, message",
     [
@@ -111,20 +136,30 @@ def test_explicit_tree_errors_parity(compiled_run_walk, parent, V, message):
 
 
 def test_lazy_tree_matches_eager_enumeration(compiled_run_walk):
-    """Keys are path functions, so the lazily grown walk tree must embed in
-    the eagerly enumerated one with identical potentials."""
+    """Keys are path functions, so every node the walk grows is the node at
+    the same child-index path of the eagerly enumerated tree: the same atom,
+    generation and, rebuilt from the marks, the same V to the last bit."""
     res = compiled_run_walk(
-        SUB.tables(), 2024, 1, kernel.MODE_STEPS, 3000, [], depth_cap=4,
+        SUB.tables(), 2024, 1, kernel.MODE_STEPS, 1000, [], depth_cap=6,
         collect_tree=True,
     )
-    eager = enumerate_truncated(SUB, 2024, 4)
-    # match nodes by (generation, V) multiset per level
-    for g in range(5):
-        lazy_v = np.sort(res["tree_V"][res["tree_gen"] == g])
-        full_v = np.sort(eager["V"][eager["gen"] == g])
-        # the walk may not have grown every node of the level
-        idx = np.searchsorted(full_v, lazy_v)
-        assert np.allclose(full_v[np.clip(idx, 0, full_v.size - 1)], lazy_v)
+    eager = enumerate_truncated(SUB, 2024, 6)
+    tree, t = eager["tree"], SUB.tables()
+    parent, atom = res["tree_parent"], res["tree_atom"]
+    n = len(parent)
+    eager_id = np.zeros(n, dtype=np.int64)
+    V = np.zeros(n)
+    child0 = {}
+    for x in range(1, n):
+        pa = parent[x]
+        j = x - child0.setdefault(pa, x)  # siblings sit at consecutive ids
+        eager_id[x] = tree.children[eager_id[pa]][j]
+        V[x] = V[pa] + t.marks[t.off[atom[pa]] + j]
+    grown = np.flatnonzero(res["tree_nchild"] >= 0)
+    assert n > 50 and (atom[res["tree_nchild"] < 0] == -1).all()
+    assert [atom[x] for x in grown] == [tree.atom_index(eager_id[x]) for x in grown]
+    assert np.array_equal(res["tree_gen"], eager["gen"][eager_id])
+    assert np.array_equal(V, eager["V"][eager_id])
 
 
 @pytest.mark.parametrize("with_library", [False, True])

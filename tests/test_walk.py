@@ -79,6 +79,15 @@ def test_single_step_bookkeeping():
     assert seen == {True, False}
 
 
+def test_constant_bias_range_grows_at_quarter_rate(compiled_run_walk):
+    """On the lambda = 2 binary tree R/m tends to 1/4 (c_inf / 2). The walk
+    goes deep, past V = 745 where e^{-V} underflows; a step that used e^{-V}
+    then never stepped up again and R/m overshot."""
+    for i in range(5):
+        res = compiled_run_walk(CB.tables(), i, 100 + i, kernel.MODE_STEPS, 10**6, [])
+        assert abs(res["R"] / res["m"] - 0.25) < 0.02
+
+
 def test_budget_raises():
     with pytest.raises(StepBudgetExceeded) as err:
         simulate_time_grid(SUB, 1, 2, [10**6], budget=100)
