@@ -1,10 +1,11 @@
 """Deterministic 64-bit RNG primitives shared by every sampling component.
 
 All environment and walk randomness flows through splitmix64, and this module
-is the one home of its constants and of ``mix64`` (with the vectorised
-``mix64_np``). The plain-C kernel ``_walk.c`` keeps its own copy of exactly
-these integer operations, which is what makes the pure-Python and compiled
-kernels produce bit-identical output for the same seeds.
+is the one home of its constants, of ``mix64`` and of the key scheme (each
+with a vectorised twin: ``mix64_np``, ``root_key_np``, ``child_key_np``).
+The plain-C kernel ``_walk.c`` keeps its own copy of exactly these integer
+operations, which is what makes the pure-Python and compiled kernels produce
+bit-identical output for the same seeds.
 
 Substream discipline
 --------------------
@@ -58,8 +59,24 @@ def child_key(parent_key: int, j: int) -> int:
     return mix64(parent_key ^ (((j + 2) * GOLDEN) & MASK))
 
 
+def child_key_np(parent_keys: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """:func:`child_key` elementwise: keys of the j[i]-th children of the
+    nodes with keys parent_keys[i]."""
+    with np.errstate(over="ignore"):
+        return mix64_np(
+            np.asarray(parent_keys, dtype=np.uint64)
+            ^ (np.asarray(j) + 2).astype(np.uint64) * np.uint64(GOLDEN)
+        )
+
+
 def root_key(env_seed: int) -> int:
     return mix64((env_seed & MASK) ^ ROOT_SALT)
+
+
+def root_key_np(env_seeds) -> np.ndarray:
+    """:func:`root_key` elementwise on a sequence of environment seeds."""
+    seeds = np.asarray(env_seeds, dtype=np.uint64).ravel()
+    return mix64_np(seeds ^ np.uint64(ROOT_SALT))
 
 
 def _label_hash(label: str) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import excursion, experiments, forest, kernel, law as law_mod, limits, stats
 from ._rng import derive_seed
-from .env import MarkedTree, enumerate_truncated
+from .env import enumerate_truncated
 from .oracle import FiniteChain, lemma_mean_closed_form, lemma_second_closed_form
 
 __all__ = ["main"]
@@ -138,8 +138,11 @@ def cmd_lemma_moments(cfg) -> int:
     Exact route: Green-matrix solves on truncated environments against the
     path-only closed forms (tolerance 1e-10). MC route: kernel excursions
     on frozen truncated environments against the solve, within 4 SE.
-    Regeneration route: mean count of once-visited vertices with
-    twice-visited ancestor paths after m excursions equals m, within 4 SE.
+    Regeneration route: after m excursions, the mean number of once-visited
+    vertices whose ancestors strictly below the root were visited at least
+    twice equals m, within 4 SE. These are the count-1 non-root nodes of
+    the pruned excursion tree at tau^m, so the route reads the B column of
+    `excursion.hypothesis_sums_batch` at p = m, on fresh environments.
     """
     law = _law_from(cfg)
     seed = cfg["seed"]
@@ -151,6 +154,14 @@ def cmd_lemma_moments(cfg) -> int:
     n_exc = sec.get("n_excursions", 10**5)
     regen_levels = sec.get("regen_levels", (1, 5, 20))
     n_regen = sec.get("n_regen_samples", 10**4)
+    if not all(isinstance(m, int) and m >= 1 for m in regen_levels):
+        raise SystemExit(
+            f"lemma_moments.regen_levels must hold integers >= 1, got {regen_levels!r}"
+        )
+    if not (isinstance(n_regen, int) and n_regen >= 2):
+        raise SystemExit(
+            f"lemma_moments.n_regen_samples must be an integer >= 2, got {n_regen!r}"
+        )
     rows = []
     verdicts = []
 
@@ -225,12 +236,8 @@ def cmd_lemma_moments(cfg) -> int:
     )
 
     for m in regen_levels:
-        counts = np.empty(n_regen, dtype=np.int64)
-        for j in range(n_regen):
-            tree = MarkedTree(law, derive_seed(seed, f"regen-m{m}", j, "env"))
-            rng = np.random.default_rng(derive_seed(seed, f"regen-m{m}", j, "walk"))
-            t = excursion.sample_excursion_tree(tree, m, rng, regen_prune_level=0)
-            counts[j] = len(excursion.extract_regen(t, 0).ids)
+        rng = np.random.default_rng(derive_seed(seed, f"regen-m{m}", 0, "walk"))
+        counts = excursion.hypothesis_sums_batch(law, n_regen, rng, p=m)["B"]
         mean = counts.mean()
         se = counts.std(ddof=1) / n_regen**0.5
         z = abs(mean - m) / se

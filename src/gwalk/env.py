@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._rng import GOLDEN, MASK, ROOT_SALT, TWO_NEG53, child_key, mix64_np, root_key
+from ._rng import MASK, TWO_NEG53, child_key, child_key_np, root_key, root_key_np
 from .law import MarkLaw
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "size_biased_increment_law",
     "discounted_sums_batch",
     "level_weights_batch",
-    "build_chain",
     "enumerate_truncated",
     "environment_survives",
 ]
@@ -167,10 +166,9 @@ def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
     the seeds at the call site for deep levels.
     """
     cum, off, lens, flat = law.tables()[:4]
-    seeds = np.asarray(env_seeds, dtype=np.uint64)
-    n = seeds.size
+    key = root_key_np(env_seeds)
+    n = key.size
     env = np.arange(n, dtype=np.int64)
-    key = mix64_np(seeds ^ np.uint64(ROOT_SALT))
     V = np.zeros(n)
     for _ in range(level):
         u = (key >> np.uint64(11)).astype(np.float64) * TWO_NEG53
@@ -190,10 +188,7 @@ def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
         j = np.arange(tot, dtype=np.int64) - np.repeat(stops - k, k)
         mark_idx = np.repeat(off[a], k) + j
         V = pV + flat[mark_idx]
-        with np.errstate(over="ignore"):
-            key = mix64_np(
-                pkey ^ ((j + 2).astype(np.uint64) * np.uint64(GOLDEN))
-            )
+        key = child_key_np(pkey, j)
     W = np.bincount(env, weights=np.exp(-V), minlength=n) if env.size else np.zeros(n)
     alive = (
         np.bincount(env, minlength=n) > 0 if env.size else np.zeros(n, dtype=bool)
@@ -205,16 +200,6 @@ def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
 
 # ----------------------------------------------------------------------------
 # Explicit finite trees for oracle cross-checks
-
-
-def build_chain(marks) -> dict:
-    """Path graph root - x1 - ... - xk with V accumulating the given marks."""
-    parent = [-1]
-    V = [0.0]
-    for i, a in enumerate(marks):
-        parent.append(i)
-        V.append(V[-1] + float(a))
-    return {"parent": np.array(parent, dtype=np.int64), "V": np.array(V)}
 
 
 def enumerate_truncated(law: MarkLaw, env_seed: int, depth: int) -> dict:

@@ -1,39 +1,50 @@
-"""Excursion trees sampled directly from their branching law, regeneration
-sets, and the moment sums behind the forest hypotheses.
+"""Excursion trees sampled directly from their branching law, one generation
+of a whole batch at a time, and the moment sums behind the forest hypotheses.
 
-One excursion of the walk (from the root until e* is hit) visits a random
-subtree; attaching to every visited node x its edge local time N_x turns the
-pair (visited set, counts) into a multi-type branching tree: conditionally on
+The walk up to tau^p (the p-th return to e*) visits a random subtree;
+attaching to every visited node x its edge local time N_x turns the pair
+(visited set, counts) into a multi-type branching tree: conditionally on
 N_x = k and on the environment at x, the children counts are negative
 multinomial: the total is the number of failures before the k-th success in
 Bernoulli(p_back) trials, split multinomially among the children, where
 p_back = 1/(1 + sum_i e^{-a_i}) and the split weights are proportional to
-e^{-a_i} for the child marks a_i (the potential level at x cancels).
+e^{-a_i} for the child marks a_i (the potential level at x cancels). These
+are the per-atom rows p_up and split of `MarkLaw.tables`.
 
-The regeneration set at level l collects the x with |x| > l, N_x = 1 and
-N >= 2 along the whole ancestor path strictly between level l and x. For
-l = 0 the condition "all proper non-root ancestors have N >= 2" coincides
-with the first-passage indicator G1(x) = 1 used by the forest transform, so
-the hypothesis sums below can all be evaluated by the same pruned traversal
-that never descends below a count-1 node.
+`excursion_levels` is the one sampler. It carries (row, parent, key, N) per
+node for a batch of (environment seed, root count) rows, one generation at a
+time. A node's atom comes from its key, and the keys of the roots and of
+the children from `root_key_np` and `child_key_np`, exactly as `MarkedTree`
+and the walk kernels grow the keyed environment, so a row is quenched on its
+seed's environment. Every
+environment node occurs at most once in a tree, so fresh seeds per row give
+the annealed law. Counts at depth <= d depend only on their ancestors:
+stopping after generation d samples the tree truncated at depth d exactly.
+
+With prune=True a count-1 node below the root is not expanded. The
+level-0 regeneration set (the x with |x| > 0, N_x = 1 and N >= 2 at every
+ancestor strictly between the root and x) is then exactly the set of
+count-1 non-root nodes, and these are also the first-generation type-1
+vertices of the forest transform, so the pruned tree carries every
+hypothesis sum while staying small even where the full excursion tree has
+infinite expected size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .env import MarkedTree
+from ._rng import TWO_NEG53, child_key_np, root_key_np
 from .law import MarkLaw
-from .walk import StepBudgetExceeded
 
 __all__ = [
-    "ExcursionTree",
-    "RegenSet",
-    "sample_children_counts",
+    "Level",
+    "ExcursionBatch",
+    "excursion_levels",
     "sample_excursion_tree",
-    "extract_regen",
     "hypothesis_sums_batch",
     "NB_INVERSION_MAX_K",
 ]
@@ -42,147 +53,14 @@ NB_INVERSION_MAX_K = 64
 DEFAULT_NODE_BUDGET = 10**8
 
 
-@dataclass
-class ExcursionTree:
-    """Visited subtree of one run to tau^p with edge counts N_x > 0.
+class Level(NamedTuple):
+    """One generation of a batch. Nodes are sorted by row and, within a row,
+    by parent; siblings follow their child index."""
 
-    Arrays indexed by a compact node id, root first, parents before
-    children (DFS emission order of the sampler)."""
-
-    parent: np.ndarray
-    gen: np.ndarray
-    N: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.parent)
-
-    @property
-    def root_count(self) -> int:
-        return int(self.N[0])
-
-
-@dataclass
-class RegenSet:
-    ids: tuple[int, ...]
-    level: int
-
-    @property
-    def cardinal(self) -> int:
-        return len(self.ids)
-
-
-def sample_children_counts(
-    k: int, p_back: float, p_children, rng: np.random.Generator
-) -> list[int]:
-    """Negative-multinomial children counts for a node crossed k times.
-
-    Total M = failures before the k-th success in Bernoulli(p_back) trials;
-    M is then split multinomially with weights p_children / (1 - p_back)."""
-    p_children = np.asarray(p_children, dtype=np.float64)
-    total = p_back + p_children.sum()
-    # written so that NaN fails too
-    if not (0.0 <= p_back <= 1.0 and abs(total - 1.0) <= 1e-12):
-        raise ValueError(f"p_back = {p_back!r}, probabilities sum to {total!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d = len(p_children)
-    if d == 0 or p_back >= 1.0:
-        return [0] * d
-    m = _nb_failures_batch(np.array([k]), p_back, rng)[0]
-    if m == 0:
-        return [0] * d
-    split = rng.multinomial(m, p_children / (1.0 - p_back))
-    return [int(v) for v in split]
-
-
-def sample_excursion_tree(
-    tree: MarkedTree,
-    p: int,
-    rng: np.random.Generator,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    keep_env_ids: bool = False,
-    regen_prune_level: int | None = None,
-) -> ExcursionTree:
-    """Sample (visited set, counts) at tau^p directly on a quenched
-    environment, no walk involved: explicit-stack DFS applying
-    sample_children_counts at every node with count >= 1.
-
-    With regen_prune_level = l the recursion stops below any node deeper
-    than l whose count is 1. Such a node blocks the level-l regeneration
-    predicate for all its descendants, so extract_regen at any level >= l is
-    unaffected, while the sampled tree stays small even though the full
-    excursion tree has infinite expected size in the sub-diffusive regime."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    t = tree.law.tables()
-    parent = [-1]
-    gen = [0]
-    N = [p]
-    env_ids = [0]
-    stack = [(0, 0)]  # (output id, environment node id)
-    while stack:
-        out_id, env_id = stack.pop()
-        if (
-            regen_prune_level is not None
-            and gen[out_id] > regen_prune_level
-            and N[out_id] == 1
-        ):
-            continue
-        kids = tree.grow(env_id)
-        if not kids:
-            continue
-        a = tree.atom_index(env_id)
-        p_kids = (1.0 - t.p_up[a]) * t.split[t.off[a] : t.off[a] + len(kids)]
-        counts = sample_children_counts(N[out_id], t.p_up[a], p_kids, rng)
-        for c, kc in zip(kids, counts):
-            if kc == 0:
-                continue
-            cid = len(parent)
-            if cid > node_budget:
-                raise StepBudgetExceeded(
-                    f"excursion tree exceeded {node_budget} nodes"
-                )
-            parent.append(out_id)
-            gen.append(gen[out_id] + 1)
-            N.append(kc)
-            env_ids.append(c)
-            stack.append((cid, c))
-    out = ExcursionTree(
-        parent=np.array(parent, dtype=np.int64),
-        gen=np.array(gen, dtype=np.int64),
-        N=np.array(N, dtype=np.int64),
-    )
-    if keep_env_ids:
-        out.env_ids = np.array(env_ids, dtype=np.int64)
-    return out
-
-
-def extract_regen(tree: ExcursionTree, level: int) -> RegenSet:
-    """Regeneration set: x with |x| > level, N_x = 1 and N >= 2 along the
-    ancestor path strictly between level and |x|. DFS filter; the result is
-    an antichain by construction (asserted)."""
-    parent, gen, N = tree.parent, tree.gen, tree.N
-    n = len(parent)
-    ok = np.zeros(n, dtype=bool)
-    ok[0] = True
-    ids = []
-    # the sampler emits parents before children
-    for x in range(1, n):
-        pa = parent[x]
-        ok[x] = ok[pa] and (gen[pa] <= level or N[pa] >= 2)
-        if ok[x] and gen[x] > level and N[x] == 1:
-            ids.append(x)
-    picked = set(ids)
-    for x in ids:
-        pa = parent[x]
-        while pa > 0:
-            assert pa not in picked, "regeneration set not an antichain"
-            pa = parent[pa]
-    return RegenSet(ids=tuple(ids), level=level)
-
-
-# ----------------------------------------------------------------------------
-# Batched annealed sampler of the pruned excursion top (criterion inputs)
+    row: np.ndarray  # batch row of each node
+    parent: np.ndarray  # index into the previous generation, -1 at the roots
+    key: np.ndarray  # environment key (uint64)
+    N: np.ndarray  # edge count, >= 1
 
 
 def _nb_failures_batch(k: np.ndarray, p: float, rng: np.random.Generator):
@@ -230,68 +108,132 @@ def _nb_failures_batch(k: np.ndarray, p: float, rng: np.random.Generator):
     return out
 
 
-def hypothesis_sums_batch(
-    law: MarkLaw, n_samples: int, rng: np.random.Generator, max_depth: int = 10**6
-):
-    """Per-sample sums over fresh single-excursion trees, pruned below
-    count-1 nodes (all summands live on nodes whose proper non-root
-    ancestors have N >= 2, so nothing is lost):
+def excursion_levels(
+    law: MarkLaw,
+    env_seeds,
+    root_counts,
+    rng: np.random.Generator,
+    prune: bool = False,
+    node_budget: int | None = None,
+) -> Iterator[Level]:
+    """Yield the generations of one excursion tree per row, roots first.
 
-        B      number of nodes with N = 1 on the pruned support
-               (the level-0 regeneration count),
-        nu     sum of N over the pruned support,
-        nu_t   number of pruned-support nodes.
-
-    Environments are annealed: each node draws a fresh atom and steps by
-    its row of the law's step tables (LawTables.p_up and split), so no V is
-    tracked.
-    Returns dict of arrays, each of length n_samples."""
+    Row r grows on the keyed environment of env_seeds[r] with root count
+    root_counts[r] (a scalar applies to every row; the root count p samples
+    the counts at tau^p). The generations are drawn lazily: a consumer that
+    stops after generation d has drawn nothing deeper. Per atom, one
+    negative-binomial draw gives each node's child total and one
+    multinomial draw its split. With prune=True, count-1 nodes below the
+    root are not expanded. With node_budget, a row stops growing once its
+    tree holds more than node_budget nodes, so a consumer finds the rows
+    over the budget by counting their nodes."""
     t = law.tables()
-    cum, off, lens = t.cum, t.off, t.lens
-    n_atoms = len(lens)
+    key = root_key_np(env_seeds)
+    n = key.size
+    N = np.broadcast_to(np.asarray(root_counts, dtype=np.int64), n).copy()
+    if (N < 1).any():
+        raise ValueError("root counts must be >= 1")
+    row = np.arange(n, dtype=np.int64)
+    parent = np.broadcast_to(np.int64(-1), n)
+    size = None if node_budget is None else np.zeros(n, dtype=np.int64)
+    dmax = int(t.lens.max())
+    root = True
+    while row.size:
+        yield Level(row, parent, key, N)
+        ex = np.flatnonzero(N >= 2) if prune and not root else np.arange(row.size)
+        root = False
+        if size is not None:
+            np.add.at(size, row, 1)
+            ex = ex[size[row[ex]] <= node_budget]
+        atom = np.searchsorted(
+            t.cum, (key[ex] >> np.uint64(11)) * TWO_NEG53, side="right"
+        )
+        kids = np.zeros((ex.size, dmax), dtype=np.int64)
+        for a in np.flatnonzero(t.lens):
+            sel = np.flatnonzero(atom == a)
+            if not sel.size:
+                continue
+            m = _nb_failures_batch(N[ex[sel]], t.p_up[a], rng)
+            pos = m > 0
+            if pos.any():
+                split = t.split[t.off[a] : t.off[a] + t.lens[a]]
+                kids[sel[pos], : split.size] = rng.multinomial(m[pos], split)
+        par, j = np.nonzero(kids)
+        N = kids[par, j]
+        parent = ex[par]
+        row = row[parent]
+        key = child_key_np(key[parent], j)
 
+
+@dataclass
+class ExcursionBatch:
+    """The complete trees of one `sample_excursion_tree` call.
+
+    Node arrays in generation order (roots first), sorted by row within a
+    generation; parent indexes the same arrays (-1 at a root). Rows whose
+    tree passed the node budget are flagged in `over` and hold no nodes."""
+
+    row: np.ndarray
+    parent: np.ndarray
+    key: np.ndarray
+    N: np.ndarray
+    over: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+
+def sample_excursion_tree(
+    law: MarkLaw,
+    env_seeds,
+    p,
+    rng: np.random.Generator,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> ExcursionBatch:
+    """(Visited set, counts) at tau^p on every environment of env_seeds,
+    no walk involved: the whole trees of `excursion_levels`. A tree that
+    passes node_budget nodes is cut and dropped; its row is flagged in
+    `over`, so the batch holds complete trees only."""
+    seeds = np.asarray(env_seeds, dtype=np.uint64).ravel()
+    levels = list(excursion_levels(law, seeds, p, rng, node_budget=node_budget))
+    sizes = np.array([lv.row.size for lv in levels], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    row = np.concatenate([lv.row for lv in levels])
+    parent = np.concatenate(
+        [levels[0].parent] + [lv.parent + start[g] for g, lv in enumerate(levels[1:])]
+    )
+    key = np.concatenate([lv.key for lv in levels])
+    N = np.concatenate([lv.N for lv in levels])
+    over = np.bincount(row, minlength=seeds.size) > node_budget
+    keep = ~over[row]
+    if not keep.all():
+        new = np.cumsum(keep) - 1
+        parent = np.where(parent >= 0, new[parent], -1)
+        row, parent, key, N = (x[keep] for x in (row, parent, key, N))
+    return ExcursionBatch(row, parent, key, N, over)
+
+
+def hypothesis_sums_batch(
+    law: MarkLaw, n_samples: int, rng: np.random.Generator, p: int = 1
+):
+    """Per-sample sums over the pruned excursion tree at tau^p, on a fresh
+    environment per sample (the annealed law):
+
+        B      number of count-1 non-root nodes: the level-0 regeneration
+               count, and at p = 1 the first-generation type-1 count,
+        nu     sum of N over the non-root nodes,
+        nu_t   number of non-root nodes.
+
+    The environment seeds come from rng. One generation is held in memory
+    at a time. Returns dict of arrays, each of length n_samples."""
     B = np.zeros(n_samples, dtype=np.int64)
     nu = np.zeros(n_samples, dtype=np.int64)
     nu_t = np.zeros(n_samples, dtype=np.int64)
-
-    sample_id = np.arange(n_samples, dtype=np.int64)
-    counts = np.ones(n_samples, dtype=np.int64)  # root counts: p = 1
-    depth = 0
-    while sample_id.size:
-        depth += 1
-        if depth > max_depth:
-            raise StepBudgetExceeded("pruned excursion sampler ran too deep")
-        atoms = np.searchsorted(cum, rng.random(sample_id.size), side="right")
-        next_sid = []
-        next_cnt = []
-        for a in range(n_atoms):
-            sel = np.flatnonzero(atoms == a)
-            if sel.size == 0 or lens[a] == 0:
-                continue
-            m = _nb_failures_batch(counts[sel], t.p_up[a], rng)
-            pos = np.flatnonzero(m > 0)
-            if pos.size == 0:
-                continue
-            kid_counts = rng.multinomial(m[pos], t.split[off[a] : off[a] + lens[a]])
-            sid = sample_id[sel[pos]]
-            for j in range(lens[a]):
-                kc = kid_counts[:, j]
-                nz = kc > 0
-                if not nz.any():
-                    continue
-                csid = sid[nz]
-                ck = kc[nz]
-                ones = ck == 1
-                np.add.at(B, csid[ones], 1)
-                np.add.at(nu, csid, ck)
-                np.add.at(nu_t, csid, 1)
-                deeper = ~ones
-                if deeper.any():
-                    next_sid.append(csid[deeper])
-                    next_cnt.append(ck[deeper])
-        if next_sid:
-            sample_id = np.concatenate(next_sid)
-            counts = np.concatenate(next_cnt)
-        else:
-            break
+    seeds = rng.integers(0, 2**64, size=n_samples, dtype=np.uint64)
+    levels = excursion_levels(law, seeds, p, rng, prune=True)
+    next(levels, None)  # the roots carry no summand
+    for lv in levels:
+        np.add.at(B, lv.row[lv.N == 1], 1)
+        np.add.at(nu, lv.row, lv.N)
+        np.add.at(nu_t, lv.row, 1)
     return {"B": B, "nu": nu, "nu_tilde": nu_t}

@@ -217,15 +217,19 @@ def theorem1_campaign(
 ) -> dict:
     """Return-time marginal test: T^p / (W^k b_p) against the passage law.
 
-    The step budget is z_budget * w_ref^k * b_p(max p): a trial still
-    short of its last crossing then sits at normalized depth >= z_budget
-    for typical environments, so censoring it as +inf (contributing 0 to
-    every e^{-lambda Z}) biases the transform by at most e^{-lambda
-    z_budget} plus the small-W remainder. step_cap additionally bounds any
-    single trial: the kernel arena costs about 15 bytes per step on a
-    recurrent walk (0.23 nodes grown per step, eight 8-byte slots each), so
-    3e7 steps ~ 0.45 GB; censored-at-cap trials have Z far in the
-    transform's exponentially damped tail."""
+    A trial short of its last crossing when the step budget runs out is
+    censored as +inf, contributing 0 to every e^{-lambda Z}. Its true T^p
+    exceeds the excised clock at the cut, so its Z exceeds the cut depth
+    z_cut = (excised clock at the cut) / (W^k b_p), and censoring biases the
+    empirical transform at every lambda in the grid downward by at most
+    sum over censored trials of e^{-lambda_min z_cut} / n_trials. The
+    verdict records this bound (censor_bias_bound) and the smallest z_cut
+    (min_cut_depth). The budget z_budget * w_ref^k * b_p(max p) cuts a
+    trial with W <= w_ref near z_cut = z_budget or deeper, but step_cap
+    bounds any single trial (the arena costs about 15 bytes per step: 0.23
+    nodes grown per step, eight 8-byte slots each, so 3e7 steps ~ 0.45 GB),
+    and where it binds z_cut can be of order 1: only the recorded bound
+    holds."""
     p_grid = sorted(int(p) for p in p_grid)
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem1", n_trials)
     budget = min(
@@ -234,6 +238,7 @@ def theorem1_campaign(
     )
     T = np.full((n_trials, len(p_grid)), -1, dtype=np.int64)
     censored = np.zeros(n_trials, dtype=bool)
+    t_cut = np.zeros(n_trials, dtype=np.int64)
 
     def one(t: int) -> None:
         res = walk.simulate_excursion_grid(
@@ -243,10 +248,16 @@ def theorem1_campaign(
         got = res["snap_T"].size
         T[t, :got] = res["snap_T"]
         censored[t] = res["status"] == STATUS_BUDGET
+        t_cut[t] = res["t_ex"]
 
     _map_trials(one, n_trials, threads)
     n_censored = int(censored.sum())
     w = w_hat_batch(law, env_seeds, w_depth)
+    with np.errstate(divide="ignore"):
+        z_cut = t_cut[censored] / (
+            w[censored] ** consts.gamma * consts.return_time_scale(p_grid[-1])
+        )
+    bias_bound = float(np.exp(-min(lambdas) * z_cut).sum() / n_trials)
 
     z_by_n = {}
     for j, p in enumerate(p_grid):
@@ -264,6 +275,8 @@ def theorem1_campaign(
         stats.verdict_row(
             "theorem1", f"laplace_dist_p{p_grid[-1]}", dist_seq[-1], tol,
             dist_seq[-1] < tol, n_trials=n_trials, n_censored=n_censored,
+            min_cut_depth=float(z_cut.min()) if n_censored else None,
+            censor_bias_bound=bias_bound,
         ),
         stats.verdict_row(
             "theorem1", "laplace_dist_trend",

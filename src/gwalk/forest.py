@@ -30,8 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .env import MarkedTree
-from .excursion import ExcursionTree, sample_excursion_tree
+from .excursion import ExcursionBatch, sample_excursion_tree
 from .law import MarkLaw
 from .walk import StepBudgetExceeded
 
@@ -171,13 +170,22 @@ def typed_tree(parent, beta) -> TypedTree:
     return TypedTree(new_parent, new_beta, gen, beta_star, g1)
 
 
-def typed_from_excursion(exc: ExcursionTree) -> TypedTree:
-    """Excursion tree (root count 1) as a typed source tree."""
-    if exc.root_count != 1:
+def typed_from_excursion(batch: ExcursionBatch) -> list[TypedTree]:
+    """The trees of an excursion batch sampled at root count 1, as typed
+    source trees in row order (rows over the node budget hold no tree)."""
+    roots = batch.parent < 0
+    if (batch.N[roots] != 1).any():
         raise ValueError(
             "forest source trees need root count 1; sample at p = 1"
         )
-    return typed_tree(exc.parent, exc.N)
+    # per row, its nodes in generation order; local ids by position in the row
+    order = np.argsort(batch.row, kind="stable")
+    bounds = np.r_[np.flatnonzero(roots[order]), order.size]
+    local = np.empty(order.size, dtype=np.int64)
+    local[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
+    parent = np.where(roots, -1, local[batch.parent])[order]
+    N = batch.N[order]
+    return [typed_tree(parent[s:e], N[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def sample_typed_forest(
@@ -187,23 +195,26 @@ def sample_typed_forest(
     node_budget: int = 200_000,
     max_resample: int = 200,
 ) -> list[TypedTree]:
-    """n_trees independent single-excursion trees, fresh environment each.
+    """n_trees independent single-excursion trees, fresh environment each,
+    sampled as one batch.
 
     A tree blowing through node_budget is redrawn with a fresh seed, so the
     returned sample is size-truncated; fine for exact-identity checks,
     which hold tree by tree, but do not feed it to tail estimators."""
-    out: list[TypedTree] = []
-    retries = 0
-    while len(out) < n_trees:
-        env = MarkedTree(law, int(rng.integers(0, 2**63)))
-        try:
-            exc = sample_excursion_tree(env, 1, rng, node_budget=node_budget)
-        except StepBudgetExceeded:
-            retries += 1
-            if retries > max_resample:
-                raise
-            continue
-        out.append(typed_from_excursion(exc))
+    out: list[TypedTree | None] = [None] * n_trees
+    todo = np.arange(n_trees)
+    redrawn = 0
+    while todo.size:
+        seeds = rng.integers(0, 2**64, size=todo.size, dtype=np.uint64)
+        batch = sample_excursion_tree(law, seeds, 1, rng, node_budget=node_budget)
+        for i, t in zip(todo[~batch.over], typed_from_excursion(batch)):
+            out[i] = t
+        todo = todo[batch.over]
+        redrawn += todo.size
+        if redrawn > max_resample:
+            raise StepBudgetExceeded(
+                f"more than {max_resample} excursion trees passed {node_budget} nodes"
+            )
     return out
 
 

@@ -84,17 +84,34 @@ def step_law(off, lens, marks):
     From x the walk steps to the parent with weight e^{-V(x)} and to child
     x_i with weight e^{-V(x_i)}; V(x) cancels, so the law depends only on
     the marks a_i = V(x_i) - V(x) and no potential level is ever needed.
+    Vectorised over atoms, with every sum and running sum in the order of
+    numpy's per-atom `sum` and `cumsum`, so the tables are bit-identical to a
+    per-atom loop.
     """
-    p_up = np.empty(len(lens))
-    split = np.empty(len(marks))
-    step_cum = np.empty(len(marks))
-    for a, (o, k) in enumerate(zip(off, lens)):
-        wa = np.exp(-marks[o : o + k])
-        s = wa.sum()
-        p_up[a] = 1.0 / (1.0 + s)
-        split[o : o + k] = wa / s
-        step_cum[o : o + k] = p_up[a] + np.cumsum(wa / (1.0 + s))
-    return p_up, split, step_cum
+    off = np.asarray(off, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    w = np.exp(-np.asarray(marks, dtype=np.float64))
+    atom = np.repeat(np.arange(len(lens)), lens)
+    j = np.arange(len(w)) - off[atom]  # position of each mark in its atom
+    by_pos = np.split(np.argsort(j, kind="stable"),
+                      np.cumsum(np.bincount(j, minlength=1))[:-1])
+
+    def running(x):
+        """Per mark, the sum of x over its atom's marks up to it, in order;
+        and per atom the total."""
+        acc = np.zeros(len(lens))
+        out = np.empty(len(x))
+        for i in by_pos:  # one mark per atom at each position
+            acc[atom[i]] += x[i]
+            out[i] = acc[atom[i]]
+        return acc, out
+
+    s, _ = running(w)  # numpy sums fewer than 8 terms in order,
+    for a in np.flatnonzero(lens >= 8):  # and 8 or more pairwise
+        s[a] = w[off[a] : off[a] + lens[a]].sum()
+    p_up = 1.0 / (1.0 + s)
+    _, cum = running(w / (1.0 + s[atom]))
+    return p_up, w / s[atom], p_up[atom] + cum
 
 
 @dataclass(frozen=True)

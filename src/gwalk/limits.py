@@ -140,15 +140,12 @@ def hit_laplace(gamma: float, alpha: float, lam: float) -> float:
 
 @dataclass
 class ConstantEstimates:
-    """Limit constants of one law, estimated or exact where available."""
+    """Discounted-sum constants of one law with their bootstrap CIs."""
 
     C_inf: float | None = None
     C_inf_ci: tuple[float, float] | None = None
     c_inf_bold: float | None = None
     c_inf_bold_ci: tuple[float, float] | None = None
-    c0: float | None = None
-    c_kappa_hat: float | None = None
-    c_kappa_ci: tuple[float, float] | None = None
     n_samples: int | None = None
     eps: float | None = None
 

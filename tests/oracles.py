@@ -99,6 +99,30 @@ def nb_failures_pmf(m: int, k: int, p_back: float) -> float:
     return float(sps.nbinom.pmf(m, k, p_back))
 
 
+def build_chain(marks) -> dict:
+    """Path graph root - x1 - ... - xk with V accumulating the given marks."""
+    parent = [-1]
+    V = [0.0]
+    for i, a in enumerate(marks):
+        parent.append(i)
+        V.append(V[-1] + float(a))
+    return {"parent": np.array(parent, dtype=np.int64), "V": np.array(V)}
+
+
+def step_law_loop(off, lens, marks):
+    """(p_up, split, step_cum) of the walk's step law, one atom at a time."""
+    p_up = np.empty(len(lens))
+    split = np.empty(len(marks))
+    step_cum = np.empty(len(marks))
+    for a, (o, k) in enumerate(zip(off, lens)):
+        wa = np.exp(-marks[o : o + k])
+        s = wa.sum()
+        p_up[a] = 1.0 / (1.0 + s)
+        split[o : o + k] = wa / s
+        step_cum[o : o + k] = p_up[a] + np.cumsum(wa / (1.0 + s))
+    return p_up, split, step_cum
+
+
 # ---------------------------------------------------------------------------
 # naive tree transform
 

@@ -1,9 +1,10 @@
-"""End to end: `gwalk.cli.main` on tiny theorem2 and theorem3 configs.
+"""End to end: `gwalk.cli.main` on tiny configs of five commands.
 
 A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
 kernel (its ctypes calls release the GIL). Without a C compiler the runs use
-the package's own kernel.
+the package's own kernel. Bad `lemma-moments` settings stop the command with
+a message before it samples anything.
 """
 
 import json
@@ -21,6 +22,11 @@ CONSTANTS = {
 TINY = {
     "theorem2": {"n_trials": 6, "m_grid": [200, 1000], "lambdas": [0.5, 1.0], "tol": 0.05},
     "theorem3": {"n_trials": 40, "n_grid": [2, 5], "budget": 300, "shrink": 0.7},
+    "lemma-moments": {"n_envs": 2, "depth": 3, "n_pairs": 5, "n_frozen": 1,
+                      "n_excursions": 300, "regen_levels": [1, 3],
+                      "n_regen_samples": 400},
+    "forest-identities": {"n_trees": 30, "n_sums": 3000},
+    "estimate-constants": {"n_samples": 2000, "eps": 1e-12, "c_kappa_samples": 20000},
 }
 
 
@@ -30,9 +36,10 @@ def walk_kernel(kernel_library, monkeypatch):
         monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
 
 
-def _run(tmp_path, command, threads, tag):
+def _run(tmp_path, command, threads, tag, section=None):
     cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
-           "constants": CONSTANTS, command.replace("-", "_"): TINY[command]}
+           "constants": CONSTANTS,
+           command.replace("-", "_"): TINY[command] if section is None else section}
     path = tmp_path / f"{command}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / tag
@@ -40,7 +47,8 @@ def _run(tmp_path, command, threads, tag):
                    "--threads", str(threads)])
     assert rc in (0, 1)  # 1 means a statistical verdict failed at this size
     files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    assert f"{command}_verdicts.json" in files and f"{command}.csv" in files
+    name = command.replace("-", "_")
+    assert f"{name}_verdicts.json" in files and f"{name}.csv" in files
     return files
 
 
@@ -49,3 +57,14 @@ def test_cli_bytes_identical_across_reruns_and_threads(walk_kernel, tmp_path, co
     first = _run(tmp_path, command, 1, "a")
     assert _run(tmp_path, command, 1, "b") == first
     assert _run(tmp_path, command, 2, "c") == first
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"regen_levels": [1, 0]}, "regen_levels"),
+    ({"regen_levels": [2.5]}, "regen_levels"),
+    ({"n_regen_samples": 1}, "n_regen_samples"),
+])
+def test_lemma_moments_rejects_bad_regen_settings(tmp_path, bad, message):
+    with pytest.raises(SystemExit, match=message):
+        _run(tmp_path, "lemma-moments", 1, "bad", {**TINY["lemma-moments"], **bad})
+    assert not (tmp_path / "bad").exists()

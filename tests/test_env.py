@@ -7,10 +7,9 @@ import pytest
 from scipy.optimize import brentq
 
 import oracles
-from gwalk._rng import derive_seed
+from gwalk._rng import child_key, child_key_np, derive_seed, root_key, root_key_np
 from gwalk.env import (
     MarkedTree,
-    build_chain,
     discounted_sums_batch,
     enumerate_truncated,
     environment_survives,
@@ -203,8 +202,17 @@ def test_discounted_sums_batch_distribution():
     assert abs(d.mean() - want) < 4 * se
 
 
+def test_vectorised_keys_match_scalar_keys():
+    keys = np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    j = np.array([0, 3, 1, 7])
+    got = child_key_np(keys, j)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [child_key(int(k), int(i)) for k, i in zip(keys, j)]
+    assert root_key_np(keys).tolist() == [root_key(int(k)) for k in keys]
+
+
 def test_build_chain():
-    c = build_chain([0.5, -0.25, 1.0])
+    c = oracles.build_chain([0.5, -0.25, 1.0])
     assert c["parent"].tolist() == [-1, 0, 1, 2]
     assert np.allclose(c["V"], [0.0, 0.5, 0.25, 1.25])
 

@@ -1,19 +1,21 @@
-"""Excursion trees: branching sampler, regeneration sets, hypothesis sums."""
+"""Excursion trees: the level-batched sampler, its pruning and the
+hypothesis sums."""
 
 import math
 
 import numpy as np
 import pytest
 
+from gwalk._rng import child_key
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import (
     _nb_failures_batch,
-    extract_regen,
+    excursion_levels,
     hypothesis_sums_batch,
-    sample_children_counts,
     sample_excursion_tree,
 )
-from gwalk.law import make_constant_bias, make_two_point
+from gwalk.forest import hypothesis_check, sample_typed_forest
+from gwalk.law import make_constant_bias, make_mark_law, make_two_point
 from gwalk.oracle import FiniteChain
 from gwalk.walk import StepBudgetExceeded
 
@@ -21,6 +23,21 @@ import oracles
 
 SUB = make_two_point(0.068)
 CB = make_constant_bias(2.0)
+
+
+def _levels(levels, depth):
+    """The first depth + 1 generations as one forest: (row, parent, gen, N),
+    parent indexing the concatenation."""
+    parts = [lv for _, lv in zip(range(depth + 1), levels)]
+    sizes = [lv.row.size for lv in parts]
+    start = np.cumsum(sizes) - sizes
+    parent = [parts[0].parent] + [lv.parent + start[g] for g, lv in enumerate(parts[1:])]
+    return (
+        np.concatenate([lv.row for lv in parts]),
+        np.concatenate(parent),
+        np.repeat(np.arange(len(parts)), sizes),
+        np.concatenate([lv.N for lv in parts]),
+    )
 
 
 def test_nb_failures_small_k_mean():
@@ -43,127 +60,120 @@ def test_nb_failures_large_k_mean():
 
 
 def test_children_counts_total_pmf():
-    """Total offspring count is negative binomial; split is multinomial."""
-    rng = np.random.default_rng(7)
-    k, p_back = 3, 0.4
-    pc = (0.36, 0.24)
-    n = 20000
-    draws = np.array(
-        [sample_children_counts(k, p_back, pc, rng) for _ in range(n)]
-    )
-    totals = draws.sum(axis=1)
+    """Total offspring count is negative binomial; split is multinomial.
+
+    One atom with child weights 0.9 and 0.6: p_back = 1 / (1 + 1.5) = 0.4
+    and the split is (0.6, 0.4)."""
+    law = make_mark_law([(1.0, (-math.log(0.9), -math.log(0.6)))])
+    k, p_back, n = 3, 0.4, 20000
+    seeds = np.arange(n, dtype=np.uint64)
+    levels = excursion_levels(law, seeds, k, np.random.default_rng(7))
+    roots = next(levels)
+    assert (roots.N == k).all()
+    kids = next(levels)
+    totals = np.bincount(kids.row, weights=kids.N, minlength=n)
     for m in range(8):
         want = oracles.nb_failures_pmf(m, k, p_back)
         emp = (totals == m).mean()
         se = math.sqrt(want * (1 - want) / n)
         assert abs(emp - want) < 4 * se + 1e-12
-    # conditional split proportions
-    share = draws[:, 0].sum() / totals.sum()
+    first = kids.key == np.array(
+        [child_key(int(x), 0) for x in roots.key[kids.parent]], dtype=np.uint64
+    )
+    share = kids.N[first].sum() / totals.sum()
     assert abs(share - 0.6) < 0.02
 
 
 def test_children_counts_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_children_counts(1, 0.5, (0.3,), rng)  # sums to 0.8
-    with pytest.raises(ValueError):
-        sample_children_counts(0, 0.5, (0.5,), rng)
-    for p_back, pc in [(math.nan, (0.5,)), (0.5, (math.nan,)), (0.5, (math.inf, -math.inf)),
-                       (1.5, (-0.5,)), (-0.5, (1.5,))]:
+    for counts in (0, -1, [1, 0]):
         with pytest.raises(ValueError):
-            sample_children_counts(1, p_back, pc, rng)
-    assert sample_children_counts(4, 1.0, (), rng) == []
+            next(excursion_levels(SUB, [1, 2], counts, rng))
+    with pytest.raises(ValueError):
+        hypothesis_sums_batch(SUB, 10, rng, p=0)
 
 
 def test_excursion_tree_invariants():
+    """Each sampled node is a distinct node of its row's keyed environment,
+    reached from its parent's node, as MarkedTree grows it."""
     rng = np.random.default_rng(11)
-    tree = MarkedTree(SUB, 13, depth_cap=6)
-    t = sample_excursion_tree(tree, 5, rng, keep_env_ids=True)
-    assert t.root_count == 5 and t.parent[0] == -1 and t.gen[0] == 0
-    for x in range(1, len(t)):
-        assert t.parent[x] < x
-        assert t.gen[x] == t.gen[t.parent[x]] + 1
-        assert t.N[x] >= 1
-        assert tree.parent[t.env_ids[x]] == t.env_ids[t.parent[x]]
-        assert tree.gen[t.env_ids[x]] == t.gen[x]
-    assert t.gen.max() <= 6
-
-
-def test_excursion_tree_ignores_root_potential():
-    """The sampler steps by the law's tables, not by e^{-V}: a root at
-    V = 1000, where e^{-V} underflows, gives the same tree and the same
-    generator state as a root at V = 0."""
-    out = []
-    for v0 in (0.0, 1000.0):
-        tree = MarkedTree(SUB, 17)
-        tree.V[0] = v0
-        rng = np.random.default_rng(19)
-        t = sample_excursion_tree(tree, 4, rng)
-        out.append((t.parent.tolist(), t.gen.tolist(), t.N.tolist(), rng.random()))
-    assert len(out[0][0]) > 1
-    assert out[0] == out[1]
+    seeds = np.array([13, 14, 15, 16], dtype=np.uint64)
+    t = sample_excursion_tree(SUB, seeds, 5, rng, node_budget=20)
+    n = len(t)
+    assert n == t.row.size == t.parent.size == t.key.size == t.N.size
+    roots = np.flatnonzero(t.parent < 0)
+    assert t.row[roots].tolist() == np.flatnonzero(~t.over).tolist()
+    assert (t.N[roots] == 5).all()
+    envs = [MarkedTree(SUB, int(s)) for s in seeds]
+    env_id = np.zeros(n, dtype=np.int64)
+    for x in range(n):
+        env, pa = envs[t.row[x]], t.parent[x]
+        if pa < 0:
+            assert int(t.key[x]) == env.key[0]
+            continue
+        assert pa < x and t.row[x] == t.row[pa] and t.N[x] >= 1
+        kids = [c for c in env.grow(env_id[pa]) if env.key[c] == int(t.key[x])]
+        assert len(kids) == 1
+        env_id[x] = kids[0]
+    for r in range(seeds.size):
+        ids = env_id[t.row == r]
+        assert np.unique(ids).size == ids.size
+    sizes = np.bincount(t.row, minlength=seeds.size)
+    assert t.over.any() and (sizes[t.over] == 0).all() and (sizes[~t.over] <= 20).all()
 
 
 def test_direct_sampler_matches_chain_oracle():
     """The branching construction reproduces the walk's edge local times:
-    per-excursion means match the Green-matrix oracle at every node."""
+    per-excursion means match the Green-matrix oracle at every node.
+
+    Every row grows on environment 314; counts at depth <= 4 depend only on
+    their ancestors, so the sampler stops after generation 4 and its nodes
+    are matched to the truncated environment by key."""
     env = enumerate_truncated(SUB, 314, 4)
     chain = FiniteChain({"parent": env["parent"], "V": env["V"]})
     want = chain.expected_edge_counts()
-    tree = env["tree"]  # grown in BFS order, so ids line up with the arrays
-    rng = np.random.default_rng(15)
+    ids = {k: i for i, k in enumerate(env["tree"].key)}
     n = 20000
+    rng = np.random.default_rng(15)
+    levels = excursion_levels(SUB, np.full(n, 314, dtype=np.uint64), 1, rng)
     sums = np.zeros(chain.n)
     sq = np.zeros(chain.n)
-    for _ in range(n):
-        t = sample_excursion_tree(tree, 1, rng, keep_env_ids=True)
-        np.add.at(sums, t.env_ids, t.N)
-        np.add.at(sq, t.env_ids, t.N.astype(np.float64) ** 2)
+    for _, lv in zip(range(5), levels):
+        at = np.array([ids[int(k)] for k in lv.key], dtype=np.int64)
+        np.add.at(sums, at, lv.N)
+        np.add.at(sq, at, lv.N.astype(np.float64) ** 2)
     mean = sums / n
     var = sq / n - mean**2
     z = (mean - want) / np.sqrt(np.maximum(var, 1e-12) / n)
     assert np.abs(z).max() < 4.5  # 31 simultaneous comparisons
 
 
-def test_extract_regen_matches_naive():
-    rng = np.random.default_rng(21)
-    tree = MarkedTree(SUB, 22, depth_cap=8)
-    for _ in range(200):
-        t = sample_excursion_tree(tree, 3, rng)
-        for level in (0, 1, 2):
-            got = extract_regen(t, level)
-            want = oracles.regen_ids_naive(t.parent, t.gen, t.N, level)
-            assert list(got.ids) == want
-            assert got.cardinal == len(want)
-            assert got.level == level
-
-
 def test_prune_level_preserves_regen_law():
-    """Pruning below count-1 nodes above the cut level leaves the law of
-    the extracted set untouched (the test is distributional: the pruned
-    sampler consumes its generator differently)."""
-    tree = MarkedTree(SUB, 33, depth_cap=8)
-    for level in (0, 2):
-        n = 4000
-        full_rng = np.random.default_rng(1000 + level)
-        pruned_rng = np.random.default_rng(2000 + level)
-        a = np.empty(n)
-        b = np.empty(n)
-        for i in range(n):
-            a[i] = extract_regen(
-                sample_excursion_tree(tree, 2, full_rng), level
-            ).cardinal
-            b[i] = extract_regen(
-                sample_excursion_tree(tree, 2, pruned_rng, regen_prune_level=level),
-                level,
-            ).cardinal
-        se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
-        assert abs(a.mean() - b.mean()) < 4 * se
+    """Not expanding count-1 nodes below the root leaves the law of the
+    level-0 regeneration set untouched: up to generation 8, the count-1
+    nodes of the pruned tree match the brute-force regeneration filter on
+    the full tree, in law (the two consume their generators differently)."""
+    n, depth = 4000, 8
+    seeds = np.full(n, 33, dtype=np.uint64)
+    full = _levels(excursion_levels(SUB, seeds, 2, np.random.default_rng(1000)), depth)
+    row, parent, gen, N = full
+    a = np.bincount(row[oracles.regen_ids_naive(parent, gen, N, 0)], minlength=n)
+    pruned = _levels(
+        excursion_levels(SUB, seeds, 2, np.random.default_rng(2000), prune=True), depth
+    )
+    row, _, gen, N = pruned
+    b = np.bincount(row[(gen > 0) & (N == 1)], minlength=n)
+    se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
+    assert abs(a.mean() - b.mean()) < 4 * se
+    for k in (0, 1, 2):
+        pa, pb = (a == k).mean(), (b == k).mean()
+        assert abs(pa - pb) < 4 * math.sqrt((pa * (1 - pa) + pb * (1 - pb)) / n)
 
 
 def test_hypothesis_sums_exact_moments_constant_bias():
-    """E[B] = 1 for any admissible law; on the lambda = 2 tree the variance
-    has the closed form 2 c0^2 / C_inf = 8."""
+    """E[B] = 1 for any admissible law, and E[B] = p after p excursions; on
+    the lambda = 2 tree the variance has the closed form
+    2 c0^2 / C_inf = 8."""
     rng = np.random.default_rng(8)
     out = hypothesis_sums_batch(CB, 10**6, rng)
     B = out["B"].astype(np.float64)
@@ -176,25 +186,27 @@ def test_hypothesis_sums_exact_moments_constant_bias():
     # pointwise structure: B counts a subset of the support, nu dominates
     assert (out["B"] <= out["nu_tilde"]).all()
     assert (out["nu_tilde"] <= out["nu"]).all()
+    B5 = hypothesis_sums_batch(CB, 10**5, rng, p=5)["B"].astype(np.float64)
+    assert abs(B5.mean() - 5.0) < 4 * B5.std(ddof=1) / math.sqrt(B5.size)
 
 
 def test_hypothesis_sums_match_per_tree_sampler():
-    """Two routes to E[B]: the batched annealed sampler and per-environment
-    trees fed through the regeneration extractor."""
+    """Two routes to the first-generation sums: the pruned batch, and
+    forest.hypothesis_check's g1 = 1 reduction over whole typed trees. The
+    typed trees are size-truncated at the node budget, a small bias on the
+    lambda = 2 tree."""
     rng = np.random.default_rng(9)
+    rep = hypothesis_check(sample_typed_forest(CB, 1000, rng, node_budget=10**4))
     out = hypothesis_sums_batch(CB, 20000, rng)
-    Bb = out["B"].astype(np.float64)
-    per = np.empty(4000)
-    for i in range(per.size):
-        t = MarkedTree(CB, i)
-        et = sample_excursion_tree(t, 1, rng, regen_prune_level=0)
-        per[i] = extract_regen(et, 0).cardinal
-    se = math.sqrt(Bb.var(ddof=1) / Bb.size + per.var(ddof=1) / per.size)
-    assert abs(Bb.mean() - per.mean()) < 4 * se
+    for name, key in (("b", "B"), ("nu_tilde", "nu_tilde")):
+        x = out[key].astype(np.float64)
+        se = math.sqrt(rep[f"{name}_se"] ** 2 + x.var(ddof=1) / x.size)
+        assert abs(rep[f"{name}_mean"] - x.mean()) < 4 * se
 
 
 def test_sampler_node_budget():
     rng = np.random.default_rng(3)
-    tree = MarkedTree(SUB, 44)
+    t = sample_excursion_tree(SUB, [44], 500, rng, node_budget=10)
+    assert t.over.tolist() == [True] and len(t) == 0
     with pytest.raises(StepBudgetExceeded):
-        sample_excursion_tree(tree, 500, rng, node_budget=10)
+        sample_typed_forest(SUB, 50, rng, node_budget=1, max_resample=3)

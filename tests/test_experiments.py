@@ -1,11 +1,21 @@
-"""Campaign normalizations: the regime decides the scales, through one function."""
+"""Campaign normalizations (the regime decides the scales, through one
+function) and theorem1's record of its censoring."""
 
 import math
 
+import numpy as np
 import pytest
 
-from gwalk.experiments import Constants, _kappa_n
-from gwalk.law import regime_of
+from gwalk import kernel
+from gwalk.experiments import (
+    Constants,
+    _kappa_n,
+    theorem1_campaign,
+    trial_seeds,
+    w_hat_batch,
+)
+from gwalk.law import make_two_point, regime_of
+from gwalk.walk import simulate_excursion_grid
 
 PLUG_IN = {"C_inf": 0.1, "c_inf_bold": 0.2, "c_kappa": 1.5}
 
@@ -34,3 +44,38 @@ def test_scales_off_critical():
     assert diff.local_time_scale(100) == math.sqrt(0.4 * 100)
     assert diff.return_time_scale(100) == 100**2 / 0.4
     assert _kappa_n(3.0, 100) == 100.0**2
+
+
+def test_theorem1_records_cut_depth_and_bias_bound(kernel_library, monkeypatch):
+    """A step cap far below the z_budget budget censors trials at small
+    normalized depth; the verdict records the smallest cut depth and the
+    bias bound it implies, and each censored trial, rerun to its end, lands
+    deeper than its cut depth."""
+    if kernel_library is not None:
+        monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
+    law = make_two_point(0.068)
+    consts = Constants(kappa=1.5920671652485041, C_inf=0.10078720884476033,
+                       c_inf_bold=0.23048901549232143, c_kappa=1.4549607799294266)
+    lambdas, p_grid, cap, n = (0.5, 1.0), (20, 50), 4000, 40
+    out = theorem1_campaign(law, consts, 3, n_trials=n, p_grid=p_grid,
+                            lambdas=lambdas, step_cap=cap)
+    v = out["verdicts"][0]
+    z = out["z"][p_grid[-1]]
+    censored = np.flatnonzero(np.isinf(z))
+    assert v["n_censored"] == censored.size > 0
+    env_seeds, walk_seeds = trial_seeds(3, "theorem1", n)
+    w = w_hat_batch(law, env_seeds)
+    b_p = consts.return_time_scale(p_grid[-1])
+    z_cut = []
+    for t in censored:
+        again = simulate_excursion_grid(law, int(env_seeds[t]), int(walk_seeds[t]),
+                                        p_grid, budget=10**9)
+        z_true = again["snap_T"][-1] / (w[t] ** consts.gamma * b_p)
+        cut = (cap - p_grid[-1]) / (w[t] ** consts.gamma * b_p)
+        assert z_true > cut
+        z_cut.append(cut)
+    assert v["min_cut_depth"] >= min(z_cut) and v["min_cut_depth"] < 14.0
+    bound = v["censor_bias_bound"]
+    assert bound == pytest.approx(
+        sum(math.exp(-lambdas[0] * c) for c in z_cut) / n, rel=0.01)
+    assert 0.0 < bound <= censored.size / n

@@ -15,8 +15,10 @@ from gwalk.forest import (
     sample_typed_forest,
     skeletonize,
     transform,
+    typed_from_excursion,
     typed_tree,
 )
+from gwalk.excursion import sample_excursion_tree
 from gwalk.law import make_two_point
 
 SUB = make_two_point(0.068)
@@ -164,3 +166,25 @@ def test_forest_sampling_deterministic():
     for x, y in zip(a, b):
         assert np.array_equal(x.parent, y.parent)
         assert np.array_equal(x.beta, y.beta)
+
+
+def test_forest_redraws_trees_past_the_budget():
+    """Trees past the node budget are redrawn on fresh environments; each
+    kept tree is the typed image of its excursion tree."""
+    rng = np.random.default_rng(17)
+    trees = sample_typed_forest(SUB, 200, rng, node_budget=12, max_resample=10**4)
+    assert len(trees) == 200
+    assert max(len(t) for t in trees) <= 12 < sum(len(t) for t in trees)
+    for t in trees:
+        t.validate()
+    seeds = np.arange(50, dtype=np.uint64)
+    batch = sample_excursion_tree(SUB, seeds, 1, rng, node_budget=12)
+    assert batch.over.any()
+    typed = typed_from_excursion(batch)
+    assert len(typed) == int((~batch.over).sum())
+    sizes = np.bincount(batch.row, minlength=50)[~batch.over]
+    assert [len(t) for t in typed] == sizes.tolist()
+    assert [int(t.beta.sum()) for t in typed] == np.bincount(
+        batch.row, weights=batch.N, minlength=50)[~batch.over].astype(int).tolist()
+    with pytest.raises(ValueError):
+        typed_from_excursion(sample_excursion_tree(SUB, [1], 2, rng))

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from gwalk import _pykernel, kernel
-from gwalk.env import build_chain, enumerate_truncated
+from gwalk.env import enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
 
 SUB = make_two_point(0.068)
@@ -81,7 +82,8 @@ def test_explicit_mode_parity(compiled_run_walk):
         collect_tree=True,
     )
     _assert_same(a, b)
-    for chain in (build_chain([0.5, 0.5, -1.0]), {"parent": [-1], "V": [0.0]}):
+    one_node = {"parent": [-1], "V": [0.0]}
+    for chain in (oracles.build_chain([0.5, 0.5, -1.0]), one_node):
         a = compiled_run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
         b = _pykernel.run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
         _assert_same(a, b)

@@ -166,3 +166,43 @@ def test_c0_matches_mpmath_route_diffusive():
     psi_2 = mp.mpf(EXPECTED["laws"]["two_point_diff"]["psi_2"])
     ref = num / (1 - mp.e ** psi_2)
     assert abs(law_mod._c0_finite_sum(law) - float(ref)) < 1e-9
+
+
+def _config_law(name):
+    with open(f"configs/{name}.json") as fh:
+        return load_law(json.load(fh)["law"])
+
+
+def _explicit_tables(explicit):
+    from gwalk._pykernel import explicit_tree
+
+    return explicit_tree(explicit)[0]
+
+
+def test_step_law_matches_per_atom_loop():
+    """The vectorised step law is bit-identical to the per-atom loop on the
+    shipped laws, the laws the tests build, explicit trees (leaves are
+    atoms without marks) and ragged atoms of up to 40 marks."""
+    from gwalk.env import enumerate_truncated
+
+    laws = [_config_law(name) for name in (
+        "constant_bias_2", "two_point_diff", "two_point_near_crit", "two_point_sub")]
+    laws += [make_two_point(p) for p in (0.005, 0.02, 0.05, 0.068, 0.1)]
+    laws += [make_constant_bias(2.0), make_constant_bias(2.0, 3),
+             make_mark_law([(0.5, ()), (0.5, (math.log(2.0),) * 4)]),
+             make_mark_law([(1.0, (-math.log(0.9), -math.log(0.6)))])]
+    tables = [law.tables() for law in laws]
+    tables += [_explicit_tables(enumerate_truncated(make_two_point(0.068), s, 4))
+               for s in (314, 2718)]
+    tables += [_explicit_tables(oracles.build_chain([0.5, -0.25, 1.0]))]
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lens = rng.integers(0, 40, size=rng.integers(1, 12))
+        off = np.cumsum(lens) - lens
+        marks = rng.normal(scale=3.0, size=lens.sum())
+        tables.append(law_mod.LawTables(None, off, lens, marks,
+                                        *law_mod.step_law(off, lens, marks)))
+    for t in tables:
+        want = oracles.step_law_loop(t.off, t.lens, t.marks)
+        for got, ref in zip((t.p_up, t.split, t.step_cum), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

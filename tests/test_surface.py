@@ -7,7 +7,6 @@ module and attribute name, and records a missing one only at run time).
 
 import importlib
 import importlib.util
-import pkgutil
 from pathlib import Path
 
 import pytest
@@ -24,8 +23,12 @@ def _tracing():
     return mod
 
 
+# the Python modules only: a built walk-kernel library sits beside them as
+# `_walk<EXT_SUFFIX>` and has no Python API to import
 MODULES = ["gwalk"] + [
-    f"gwalk.{m.name}" for m in pkgutil.iter_modules(gwalk.__path__)
+    f"gwalk.{p.stem}"
+    for p in sorted(Path(gwalk.__file__).parent.glob("*.py"))
+    if p.stem != "__init__"
 ]
 
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gwalk import _pykernel, kernel
-from gwalk.env import build_chain, enumerate_truncated
+from gwalk.env import enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
 from gwalk.oracle import FiniteChain
 from gwalk.walk import (
@@ -108,7 +109,7 @@ def test_excursion_budget_censoring():
 
 def test_explicit_tree_walk():
     """Kernel accepts a prebuilt finite chain and conserves steps on it."""
-    chain = build_chain([0.3, -0.2])
+    chain = oracles.build_chain([0.3, -0.2])
     res = kernel.run_walk(
         None,
         0,
