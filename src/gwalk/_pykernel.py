@@ -13,7 +13,10 @@ The tree is grown lazily into flat arrays. Each node carries a 64-bit key;
 the key alone determines its offspring draw and the keys of its children, so
 the environment is a pure function of the environment seed no matter in what
 order the walk discovers it. Node 0 is the root e (potential 0); its parent
-is the cemetery-like vertex e* encoded as index -1.
+is the cemetery-like vertex e* encoded as index -1. Per node the arena keeps
+seven integers: parent, key, atom, number of children, first child and the
+two edge counts below. It keeps no generation; a node's depth is the length
+of its parent chain.
 
 Walk dynamics
 -------------
@@ -24,10 +27,9 @@ s = sum_i e^{-A(x_i)}. Each node stores its atom index, and a step compares
 one uniform against that atom's row of the step tables (``LawTables.p_up``
 and ``step_cum``, computed once per law). No potential is stored, so the walk
 is the same at every depth. An explicit tree is checked once by
-``explicit_tree`` and turned into the same tables, one atom per node. From e*
-the move back to the root is forced and consumes no randomness. Nodes at the
-optional depth cap get no children and reflect upward deterministically
-(again consuming no randomness).
+``explicit_tree`` and turned into the same tables, one atom per node. The
+move from e* back to the root and the move up from a leaf are forced and
+consume no randomness.
 
 Bookkeeping (all exact integers)
 --------------------------------
@@ -72,10 +74,10 @@ def explicit_tree(explicit):
     `explicit` is a dict with keys parent, V: the root first, parent[i] in
     [0, i), the children of every node at consecutive indices and one V per
     node. Raises ValueError with one of the ERR_* messages otherwise.
-    Returns (tables, parent, child0, gen): LawTables with one atom per node,
+    Returns (tables, parent, child0): LawTables with one atom per node,
     whose marks are the differences V(child) - V(node) (cum is None, as no
-    node is grown), and per node the lists of parent, first child (-1 for a
-    leaf) and generation.
+    node is grown), and per node the lists of parent and first child (-1
+    for a leaf).
     """
     parent = [int(v) for v in explicit["parent"]]
     V = np.asarray(explicit["V"], dtype=np.float64)
@@ -84,7 +86,7 @@ def explicit_tree(explicit):
         raise ValueError(ERR_LENGTH)
     if n == 0 or parent[0] != -1:
         raise ValueError(ERR_ROOT)
-    lens, child0, gen = [0] * n, [-1] * n, [0] * n
+    lens, child0 = [0] * n, [-1] * n
     for i in range(1, n):
         pa = parent[i]
         if not 0 <= pa < i:
@@ -94,14 +96,13 @@ def explicit_tree(explicit):
         elif child0[pa] + lens[pa] != i:
             raise ValueError(ERR_CHILDREN)
         lens[pa] += 1
-        gen[i] = gen[pa] + 1
     lens = np.array(lens, dtype=np.int64)
     off = np.cumsum(lens) - lens
     # the non-root nodes grouped by parent, in node order: atom x's children
     kids = 1 + np.argsort(parent[1:], kind="stable")
     marks = V[kids] - V[np.array(parent)[kids]]
     tables = LawTables(None, off, lens, marks, *step_law(off, lens, marks))
-    return tables, parent, child0, gen
+    return tables, parent, child0
 
 
 def run_walk(
@@ -112,7 +113,6 @@ def run_walk(
     limit: int,
     snaps,
     budget: int = 10**10,
-    depth_cap: int = -1,
     collect_tree: bool = False,
     explicit=None,
 ):
@@ -120,7 +120,10 @@ def run_walk(
 
     law_tables: the LawTables of MarkLaw.tables, or None when `explicit`
     supplies a prebuilt finite tree as a dict with keys parent, V (checked
-    and converted by explicit_tree).
+    and converted by explicit_tree). The walk stops early, with status
+    STATUS_BUDGET, once it has taken `budget` steps. With collect_tree the
+    result also holds the arena's tree_parent, tree_atom, tree_ndown,
+    tree_nup and tree_nchild arrays.
     """
     snaps = np.asarray(snaps, dtype=np.int64)
     nsnap = len(snaps)
@@ -130,12 +133,11 @@ def run_walk(
         tables = law_tables
         parent = [-1]
         key = [mix64((env_seed ^ ROOT_SALT) & MASK)]
-        gen = [0]
         nchild = [-1]
         child0 = [-1]
         atom = [-1]
     else:
-        tables, parent, child0, gen = explicit_tree(explicit)
+        tables, parent, child0 = explicit_tree(explicit)
         nchild = tables.lens.tolist()
         atom = list(range(len(parent)))
         key = [0] * len(parent)
@@ -190,18 +192,13 @@ def run_walk(
             a = 0
             while u >= atom_cum[a]:
                 a += 1
-            if depth_cap >= 0 and gen[x] >= depth_cap:
-                k = 0
-            else:
-                k = atom_len[a]
+            k = atom_len[a]
             atom[x] = a
             nchild[x] = k
             child0[x] = len(parent)
-            gx = gen[x] + 1
             for j in range(k):
                 parent.append(x)
                 key.append(mix64((kx ^ (((j + 2) * GOLDEN) & MASK)) & MASK))
-                gen.append(gx)
                 nchild.append(-1)
                 child0.append(-1)
                 atom.append(-1)
@@ -250,7 +247,7 @@ def run_walk(
     for row, name in enumerate(("idx", "tau", "T", "L", "R")):
         out["snap_" + name] = snap[row, :si].copy()
     if collect_tree:
-        tree = {"parent": parent, "gen": gen, "atom": atom, "ndown": n_down,
+        tree = {"parent": parent, "atom": atom, "ndown": n_down,
                 "nup": n_up, "nchild": nchild}
         for name, values in tree.items():
             out["tree_" + name] = np.array(values, dtype=np.int64)

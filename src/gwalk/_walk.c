@@ -7,9 +7,12 @@
  * step tables (LawTables.p_up and step_cum, computed once per law, or once
  * per explicit tree by _pykernel.explicit_tree, which also checks the tree),
  * so the kernel does no floating-point arithmetic beyond turning a hash into
- * a uniform, and stores no potential. The file holds no Python API and no
- * global mutable state: gwalk.kernel calls gw_walk through ctypes, which
- * releases the GIL, so trials on several threads run in parallel.
+ * a uniform, and stores no potential, so it walks the same at every depth.
+ * The file holds no Python API and no global mutable state: gwalk.kernel
+ * calls gw_walk through ctypes, which releases the GIL, so trials on several
+ * threads run in parallel. gwalk.kernel restates gw_arena, gw_stats and the
+ * parameters of gw_walk by hand; tests/test_kernel_layout.py checks that both
+ * sides name the same fields in the same order.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
  * -ffast-math or -march=native.
@@ -37,11 +40,11 @@ enum { MODE_STEPS = 0, MODE_CROSSINGS = 1 };
 enum { STATUS_OK = 0, STATUS_BUDGET = 2 };
 enum { GW_OK = 0, GW_ENOMEM = 1 };
 
-/* The grown tree, one entry per node; nchild == -1 marks an ungrown node,
- * whose atom is -1 until it is grown. */
+/* The grown tree: seven 8-byte arrays, one entry per node (56 B per node);
+ * nchild == -1 marks an ungrown node, whose atom is -1 until it is grown. */
 typedef struct {
     int64_t n, cap;
-    int64_t *parent, *gen, *nchild, *child0, *n_down, *n_up, *atom;
+    int64_t *parent, *nchild, *child0, *n_down, *n_up, *atom;
     uint64_t *key;
 } gw_arena;
 
@@ -53,7 +56,7 @@ void gw_free(gw_arena *A)
 {
     if (!A)
         return;
-    free(A->parent); free(A->gen); free(A->nchild); free(A->child0);
+    free(A->parent); free(A->nchild); free(A->child0);
     free(A->n_down); free(A->n_up); free(A->atom); free(A->key);
     free(A);
 }
@@ -72,7 +75,7 @@ static int reserve(gw_arena *A, int64_t want)
     if (!(p = realloc(A->f, (size_t)cap * sizeof *A->f)))         \
         return GW_ENOMEM;                                         \
     A->f = p;
-    GROW(parent) GROW(gen) GROW(nchild) GROW(child0) GROW(n_down)
+    GROW(parent) GROW(nchild) GROW(child0) GROW(n_down)
     GROW(n_up) GROW(atom) GROW(key)
 #undef GROW
     A->cap = cap;
@@ -80,10 +83,9 @@ static int reserve(gw_arena *A, int64_t want)
 }
 
 /* Write a node whose children are not grown yet. */
-static void set_node(gw_arena *A, int64_t i, int64_t parent, int64_t gen, uint64_t key)
+static void set_node(gw_arena *A, int64_t i, int64_t parent, uint64_t key)
 {
     A->parent[i] = parent;
-    A->gen[i] = gen;
     A->key[i] = key;
     A->nchild[i] = -1;
     A->child0[i] = -1;
@@ -93,22 +95,21 @@ static void set_node(gw_arena *A, int64_t i, int64_t parent, int64_t gen, uint64
 }
 
 /* Give ungrown node x its atom and children: its key alone decides both. */
-static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *atom_len,
-                int64_t depth_cap)
+static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *atom_len)
 {
     uint64_t kx = A->key[x];
     double u = (double)(kx >> 11) * TWO_NEG53;
     int64_t a = 0, k, j;
     while (u >= atom_cum[a])
         a++;
-    k = (depth_cap >= 0 && A->gen[x] >= depth_cap) ? 0 : atom_len[a];
+    k = atom_len[a];
     if (reserve(A, A->n + k))
         return GW_ENOMEM;
     A->atom[x] = a;
     A->nchild[x] = k;
     A->child0[x] = A->n;
     for (j = 0; j < k; j++)
-        set_node(A, A->n + j, x, A->gen[x] + 1, mix64(kx ^ ((uint64_t)(j + 2) * GOLDEN)));
+        set_node(A, A->n + j, x, mix64(kx ^ ((uint64_t)(j + 2) * GOLDEN)));
     A->n += k;
     return GW_OK;
 }
@@ -127,16 +128,16 @@ static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t 
 /* Run one walk. With n_explicit < 0 the tree grows lazily from the law tables
  * and env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
  * _pykernel.explicit_tree returns it: node i is atom i of the tables and has
- * exp_parent[i], exp_child0[i] and exp_gen[i]; atom_cum is then unused.
+ * exp_parent[i] and exp_child0[i]; atom_cum is then unused.
  * Snapshots go to the caller's 5 x nsnap buffer snap_out. On GW_OK, *st
  * holds the scalars and *arena_out the grown tree, which the caller releases
  * with gw_free; out of memory, *arena_out is NULL. */
 int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom_len,
             const double *p_up, const double *step_cum, int64_t n_explicit,
-            const int64_t *exp_parent, const int64_t *exp_child0, const int64_t *exp_gen,
+            const int64_t *exp_parent, const int64_t *exp_child0,
             uint64_t env_seed, uint64_t state, int mode, int64_t limit,
             const int64_t *snaps, int64_t nsnap, int64_t *snap_out, int64_t budget,
-            int64_t depth_cap, gw_stats *st, gw_arena **arena_out)
+            gw_stats *st, gw_arena **arena_out)
 {
     gw_arena *A = calloc(1, sizeof *A);
     int64_t pos = 0, m = 0, t_ex = 0, L = 0, R = 1, si = 0, x, k, a, j, dest, c, last;
@@ -152,14 +153,14 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
         goto fail;
     if (n_explicit >= 0) {
         for (A->n = n_explicit, x = 0; x < n_explicit; x++) {
-            set_node(A, x, exp_parent[x], exp_gen[x], 0);
+            set_node(A, x, exp_parent[x], 0);
             A->nchild[x] = atom_len[x];
             A->child0[x] = exp_child0[x];
             A->atom[x] = x;
         }
     } else {
         A->n = 1;
-        set_node(A, 0, -1, 0, mix64(env_seed ^ ROOT_SALT));
+        set_node(A, 0, -1, mix64(env_seed ^ ROOT_SALT));
     }
 
     for (;;) {
@@ -188,7 +189,7 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
         }
 
         x = pos;
-        if (A->nchild[x] == -1 && (err = grow(A, x, atom_cum, atom_len, depth_cap)))
+        if (A->nchild[x] == -1 && (err = grow(A, x, atom_cum, atom_len)))
             goto fail;
 
         k = A->nchild[x];

@@ -2,15 +2,17 @@
 
 One config document drives everything: law, master seed, grids, trial
 counts, parallelism width, output directory. Command-line flags override
-the matching config keys. Rerunning a command with the same config and
-seed writes byte-identical files (no timestamps, deterministic substream
-seeding, deterministic reduction order).
+the matching config keys; a key that no command reads stops the command.
+Rerunning a command with the same config and seed writes byte-identical
+files (no timestamps, deterministic substream seeding, deterministic
+reduction order).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -26,12 +28,50 @@ from .oracle import FiniteChain, lemma_mean_closed_form, lemma_second_closed_for
 
 __all__ = ["main"]
 
+# the config sections of the commands that run no campaign, with every key
+# they read and its default; a campaign's section holds the keyword
+# parameters of its function, whose defaults are the command's
+_DEFAULTS = {
+    "lemma_moments": {"n_envs": 20, "depth": 4, "n_pairs": 60, "n_frozen": 5,
+                      "n_excursions": 10**5, "regen_levels": (1, 5, 20),
+                      "n_regen_samples": 10**4},
+    "forest_identities": {"n_trees": 10**4, "n_sums": 10**5},
+    "estimate_constants": {"n_samples": 10**6, "eps": 1e-12, "c_kappa_samples": 10**6},
+}
+_CAMPAIGNS = (experiments.theorem1_campaign, experiments.theorem2_campaign,
+              experiments.theorem3_campaign, experiments.corollary_campaign)
+# every key of every config section
+_SECTIONS = {
+    "constants": {"C_inf", "c_inf_bold", "c_kappa", "c0", "_provenance"},
+    **{name: set(keys) for name, keys in _DEFAULTS.items()},
+    **{fn.__name__.removesuffix("_campaign"): {
+        p.name for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty and p.name != "threads"} for fn in _CAMPAIGNS},
+}
+
+
+def _check_keys(cfg) -> None:
+    """Stop on a config key that no command reads, instead of ignoring it."""
+    for key, value in cfg.items():
+        if key in ("law", "seed", "threads", "out"):
+            continue
+        if key not in _SECTIONS:
+            raise SystemExit(f"unknown config key {key!r}")
+        unknown = sorted(set(value) - _SECTIONS[key])
+        if unknown:
+            raise SystemExit(f"unknown config key {key}.{unknown[0]}")
+
+
+def _section(cfg, name) -> dict:
+    return {**_DEFAULTS[name], **cfg.get(name, {})}
+
 
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        _check_keys(cfg)
         cfg["_dir"] = str(Path(args.config).resolve().parent)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -59,7 +99,7 @@ def _resolve_constants(cfg, law, kappa) -> experiments.Constants:
     """Constants from the config when frozen there, estimated otherwise."""
     given = dict(cfg.get("constants", {}))
     given.pop("_provenance", None)
-    sec = cfg.get("estimate_constants", {})
+    sec = _section(cfg, "estimate_constants")
     seed = cfg["seed"]
     diffusive = law_mod.regime_of(kappa) == "DIFFUSIVE"
     if diffusive and "c0" not in given:
@@ -67,17 +107,15 @@ def _resolve_constants(cfg, law, kappa) -> experiments.Constants:
     if not diffusive and ("C_inf" not in given or "c_inf_bold" not in given):
         rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
         est = limits.estimate_discounted_moments(
-            law, sec.get("n_samples", 10**6), sec.get("eps", 1e-12), rng, seed=seed
+            law, sec["n_samples"], sec["eps"], rng, seed=seed
         )
         given.setdefault("C_inf", est.C_inf)
         given.setdefault("c_inf_bold", est.c_inf_bold)
     if not diffusive and "c_kappa" not in given:
         ck = limits.estimate_c_kappa(
-            law, kappa, n_samples=sec.get("c_kappa_samples", 10**6), seed=seed
+            law, kappa, n_samples=sec["c_kappa_samples"], seed=seed
         )
         given["c_kappa"] = ck["c_kappa"]
-    allowed = {"C_inf", "c_inf_bold", "c_kappa", "c0"}
-    given = {k: v for k, v in given.items() if k in allowed}
     return experiments.Constants(kappa=kappa, **given)
 
 
@@ -146,14 +184,10 @@ def cmd_lemma_moments(cfg) -> int:
     """
     law = _law_from(cfg)
     seed = cfg["seed"]
-    sec = cfg.get("lemma_moments", {})
-    n_envs = sec.get("n_envs", 20)
-    depth = sec.get("depth", 4)
-    n_pairs = sec.get("n_pairs", 60)
-    n_frozen = sec.get("n_frozen", 5)
-    n_exc = sec.get("n_excursions", 10**5)
-    regen_levels = sec.get("regen_levels", (1, 5, 20))
-    n_regen = sec.get("n_regen_samples", 10**4)
+    sec = _section(cfg, "lemma_moments")
+    n_envs, depth, n_pairs = sec["n_envs"], sec["depth"], sec["n_pairs"]
+    n_frozen, n_exc = sec["n_frozen"], sec["n_excursions"]
+    regen_levels, n_regen = sec["regen_levels"], sec["n_regen_samples"]
     if not all(isinstance(m, int) and m >= 1 for m in regen_levels):
         raise SystemExit(
             f"lemma_moments.regen_levels must hold integers >= 1, got {regen_levels!r}"
@@ -259,50 +293,24 @@ def _theorem_common(cfg):
 
 def cmd_theorem2(cfg) -> int:
     law, consts = _theorem_common(cfg)
-    sec = cfg.get("theorem2", {})
     out = experiments.theorem2_campaign(
-        law,
-        consts,
-        cfg["seed"],
-        n_trials=sec.get("n_trials", 2000),
-        m_grid=sec.get("m_grid", (10**5, 10**6)),
-        lambdas=sec.get("lambdas", (0.5, 1.0, 2.0)),
-        tol=sec.get("tol", 0.05),
-        threads=cfg["threads"],
+        law, consts, cfg["seed"], threads=cfg["threads"], **cfg.get("theorem2", {})
     )
     return _emit(cfg, "theorem2", out["rows"], out["verdicts"])
 
 
 def cmd_theorem1(cfg) -> int:
     law, consts = _theorem_common(cfg)
-    sec = cfg.get("theorem1", {})
     out = experiments.theorem1_campaign(
-        law,
-        consts,
-        cfg["seed"],
-        n_trials=sec.get("n_trials", 2000),
-        p_grid=sec.get("p_grid", (10**3, 10**4)),
-        lambdas=sec.get("lambdas", (0.5, 1.0, 2.0)),
-        tol=sec.get("tol", 0.05),
-        z_budget=sec.get("z_budget", 14.0),
-        step_cap=sec.get("step_cap", 3 * 10**7),
-        threads=cfg["threads"],
+        law, consts, cfg["seed"], threads=cfg["threads"], **cfg.get("theorem1", {})
     )
     return _emit(cfg, "theorem1", out["rows"], out["verdicts"])
 
 
 def cmd_theorem3(cfg) -> int:
     law, consts = _theorem_common(cfg)
-    sec = cfg.get("theorem3", {})
     out = experiments.theorem3_campaign(
-        law,
-        consts,
-        cfg["seed"],
-        n_trials=sec.get("n_trials", 160),
-        n_grid=sec.get("n_grid", (10**3, 10**4)),
-        budget=sec.get("budget", 3 * 10**7),
-        shrink=sec.get("shrink", 0.7),
-        threads=cfg["threads"],
+        law, consts, cfg["seed"], threads=cfg["threads"], **cfg.get("theorem3", {})
     )
     return _emit(cfg, "theorem3", out["rows"], out["verdicts"])
 
@@ -310,15 +318,8 @@ def cmd_theorem3(cfg) -> int:
 def cmd_corollary(cfg) -> int:
     law = _law_from(cfg)
     kappa = law_mod.solve_kappa(law)
-    sec = cfg.get("corollary", {})
     out = experiments.corollary_campaign(
-        law,
-        kappa,
-        cfg["seed"],
-        n_walkers=sec.get("n_walkers", 10**4),
-        n_grid=sec.get("n_grid", (100, 215, 464, 1000, 2154, 4641, 10000)),
-        tol=sec.get("tol", 0.1),
-        threads=cfg["threads"],
+        law, kappa, cfg["seed"], threads=cfg["threads"], **cfg.get("corollary", {})
     )
     return _emit(cfg, "corollary", out["rows"], out["verdicts"])
 
@@ -327,8 +328,8 @@ def cmd_forest_identities(cfg) -> int:
     """Per-tree exact identities of the excursion-forest transform."""
     law = _law_from(cfg)
     seed = cfg["seed"]
-    sec = cfg.get("forest_identities", {})
-    n_trees = sec.get("n_trees", 10**4)
+    sec = _section(cfg, "forest_identities")
+    n_trees, n_sums = sec["n_trees"], sec["n_sums"]
     rng = np.random.default_rng(derive_seed(seed, "forest-identities", 0, "env"))
     trees = forest.sample_typed_forest(law, n_trees, rng)
     fails: dict[str, int] = {}
@@ -343,28 +344,31 @@ def cmd_forest_identities(cfg) -> int:
         )
         for name in ("skeleton_count", "final_count", "offspring", "type1_depth1")
     ]
-    # moment sums ride the batched sampler: the typed-forest sample above is
-    # size-truncated (redraws past the node budget), which biases the mean of
-    # the heavy-tailed count downward, while the batch route is exact in law
-    n_sums = sec.get("n_sums", 10**5)
+    # the moment sums ride the batched sampler, which is exact in law: the
+    # typed-forest sample above is size-truncated (redraws past the node
+    # budget), which biases the means of the heavy-tailed sums downward
     rng2 = np.random.default_rng(derive_seed(seed, "forest-identities", 0, "sums"))
     sums = excursion.hypothesis_sums_batch(law, n_sums, rng2)
+    moments = {}
+    for name, key in (("b", "B"), ("nu", "nu"), ("nu_tilde", "nu_tilde")):
+        x = sums[key].astype(np.float64)
+        moments[f"{name}_mean"] = float(x.mean())
+        moments[f"{name}_se"] = float(x.std(ddof=1) / math.sqrt(n_sums))
     b = sums["B"].astype(np.float64)
-    b_mean = float(b.mean())
-    b_se = float(b.std(ddof=1) / math.sqrt(b.size))
+    var_b = b.var(ddof=1)
+    m4 = ((b - b.mean()) ** 4).mean()
+    moments["sigma1_sq"] = float(var_b)
+    moments["sigma1_sq_se"] = float(math.sqrt(max(m4 - var_b**2, 0.0) / n_sums))
+    b_mean, b_se = moments["b_mean"], moments["b_se"]
     verdicts.append(
         stats.verdict_row(
             "forest_identities", "mean_type1_once", b_mean, "1 +- 4 SE",
             abs(b_mean - 1.0) < 4 * b_se, se=b_se, n_trees=n_sums,
         )
     )
-    hyp = forest.hypothesis_check(trees)
     rows = [
-        {"experiment": "forest_identities", "statistic": k, "value": hyp[k]}
-        for k in (
-            "b_mean", "b_se", "nu_mean", "nu_se", "nu_tilde_mean",
-            "nu_tilde_se", "sigma1_sq", "sigma1_sq_se",
-        )
+        {"experiment": "forest_identities", "statistic": k, "value": v}
+        for k, v in moments.items()
     ]
     return _emit(cfg, "forest_identities", rows, verdicts)
 
@@ -373,7 +377,7 @@ def cmd_estimate_constants(cfg) -> int:
     law = _law_from(cfg)
     seed = cfg["seed"]
     kappa = law_mod.solve_kappa(law)
-    sec = cfg.get("estimate_constants", {})
+    sec = _section(cfg, "estimate_constants")
     rows = []
     verdicts = []
     payload = {"kappa": kappa}
@@ -382,7 +386,7 @@ def cmd_estimate_constants(cfg) -> int:
         payload["c0"] = limits.c0_exact(law, kappa)
     rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
     est = limits.estimate_discounted_moments(
-        law, sec.get("n_samples", 10**6), sec.get("eps", 1e-12), rng, seed=seed
+        law, sec["n_samples"], sec["eps"], rng, seed=seed
     )
     payload["C_inf"] = est.C_inf
     payload["C_inf_ci"] = list(est.C_inf_ci)
@@ -390,7 +394,7 @@ def cmd_estimate_constants(cfg) -> int:
     payload["c_inf_bold_ci"] = list(est.c_inf_bold_ci)
     if kappa > 1.0 and not diffusive:
         ck = limits.estimate_c_kappa(
-            law, kappa, n_samples=sec.get("c_kappa_samples", 10**6), seed=seed
+            law, kappa, n_samples=sec["c_kappa_samples"], seed=seed
         )
         payload["c_kappa"] = ck["c_kappa"]
         payload["c_kappa_ci"] = list(ck["ci"])

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 W_DEPTH = 15  # additive-martingale depth used as the W_inf proxy
+# theorem1's step budget reaches normalized depth Z_BUDGET in an environment
+# with W = W_REF (see theorem1_campaign)
+Z_BUDGET = 14.0
+W_REF = 2.0
 
 
 @dataclass
@@ -103,16 +107,14 @@ def trial_seeds(master: int, experiment: str, n_trials: int):
     return env, wlk
 
 
-def w_hat_batch(
-    law: MarkLaw, env_seeds, depth: int = W_DEPTH, chunk: int = 128
-) -> np.ndarray:
-    """Additive martingale at `depth` per environment, chunked to bound the
-    (environments x mean_offspring^depth) intermediate arrays."""
+def w_hat_batch(law: MarkLaw, env_seeds) -> np.ndarray:
+    """Additive martingale at depth W_DEPTH per environment, 128 environments
+    at a time to bound the (environments x mean_offspring^depth) arrays."""
     seeds = np.asarray(env_seeds, dtype=np.uint64)
     out = np.empty(seeds.size)
-    for i in range(0, seeds.size, chunk):
-        w, alive = level_weights_batch(law, seeds[i : i + chunk], depth)
-        out[i : i + chunk] = np.where(alive, w, 0.0)
+    for i in range(0, seeds.size, 128):
+        w, alive = level_weights_batch(law, seeds[i : i + 128], W_DEPTH)
+        out[i : i + 128] = np.where(alive, w, 0.0)
     return out
 
 
@@ -147,6 +149,25 @@ def _laplace_rows(experiment, z_by_n, gamma, kind, lambdas, n_trials):
     return rows, dists
 
 
+def _laplace_verdicts(experiment, var, dists, tol, **extra):
+    """The distance at the largest grid point below tol (statistic
+    laplace_dist_<var><point>), and no increase of the distance along the
+    grid."""
+    grid = sorted(dists)
+    seq = [dists[n] for n in grid]
+    return [
+        stats.verdict_row(
+            experiment, f"laplace_dist_{var}{grid[-1]}", seq[-1], tol, seq[-1] < tol,
+            **extra,
+        ),
+        stats.verdict_row(
+            experiment, "laplace_dist_trend", seq[-1] - seq[0], 0.0,
+            all(b <= a for a, b in zip(seq, seq[1:])),
+            distances={str(n): dists[n] for n in grid},
+        ),
+    ]
+
+
 def theorem2_campaign(
     law: MarkLaw,
     consts: Constants,
@@ -154,7 +175,6 @@ def theorem2_campaign(
     n_trials: int = 2000,
     m_grid=(10**5, 10**6),
     lambdas=(0.5, 1.0, 2.0),
-    w_depth: int = W_DEPTH,
     tol: float = 0.05,
     threads: int = 1,
 ) -> dict:
@@ -169,14 +189,11 @@ def theorem2_campaign(
     L = np.empty((n_trials, len(m_grid)), dtype=np.int64)
 
     def one(t: int) -> None:
-        res = walk.simulate_time_grid(
-            law, int(env_seeds[t]), int(walk_seeds[t]), m_grid,
-            budget=m_grid[-1] + 1,
-        )
+        res = walk.simulate_time_grid(law, int(env_seeds[t]), int(walk_seeds[t]), m_grid)
         L[t] = res["snap_L"]
 
     _map_trials(one, n_trials, threads)
-    w = w_hat_batch(law, env_seeds, w_depth)
+    w = w_hat_batch(law, env_seeds)
 
     z_by_n = {
         n: w * L[:, j] / consts.local_time_scale(n)
@@ -185,19 +202,7 @@ def theorem2_campaign(
     rows, dists = _laplace_rows(
         "theorem2", z_by_n, consts.gamma, "SUP", lambdas, n_trials
     )
-    dist_seq = [dists[n] for n in m_grid]
-    verdicts = [
-        stats.verdict_row(
-            "theorem2", f"laplace_dist_n{m_grid[-1]}", dist_seq[-1], tol,
-            dist_seq[-1] < tol, n_trials=n_trials,
-        ),
-        stats.verdict_row(
-            "theorem2", "laplace_dist_trend",
-            dist_seq[-1] - dist_seq[0], 0.0,
-            all(b <= a for a, b in zip(dist_seq, dist_seq[1:])),
-            distances={str(n): dists[n] for n in m_grid},
-        ),
-    ]
+    verdicts = _laplace_verdicts("theorem2", "n", dists, tol, n_trials=n_trials)
     return {"rows": rows, "verdicts": verdicts, "distances": dists, "z": z_by_n}
 
 
@@ -206,12 +211,9 @@ def theorem1_campaign(
     consts: Constants,
     master_seed: int,
     n_trials: int = 2000,
-    p_grid=(100, 1000),
+    p_grid=(10**3, 10**4),
     lambdas=(0.5, 1.0, 2.0),
-    w_depth: int = W_DEPTH,
     tol: float = 0.05,
-    z_budget: float = 14.0,
-    w_ref: float = 2.0,
     step_cap: int = 3 * 10**7,
     threads: int = 1,
 ) -> dict:
@@ -224,16 +226,16 @@ def theorem1_campaign(
     empirical transform at every lambda in the grid downward by at most
     sum over censored trials of e^{-lambda_min z_cut} / n_trials. The
     verdict records this bound (censor_bias_bound) and the smallest z_cut
-    (min_cut_depth). The budget z_budget * w_ref^k * b_p(max p) cuts a
-    trial with W <= w_ref near z_cut = z_budget or deeper, but step_cap
-    bounds any single trial (the arena costs about 15 bytes per step: 0.23
-    nodes grown per step, eight 8-byte slots each, so 3e7 steps ~ 0.45 GB),
+    (min_cut_depth). The budget Z_BUDGET * W_REF^k * b_p(max p) cuts a
+    trial with W <= W_REF near z_cut = Z_BUDGET or deeper, but step_cap
+    bounds any single trial (the arena costs about 13 bytes per step: 0.23
+    nodes grown per step, seven 8-byte slots each, so 3e7 steps ~ 0.39 GB),
     and where it binds z_cut can be of order 1: only the recorded bound
     holds."""
     p_grid = sorted(int(p) for p in p_grid)
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem1", n_trials)
     budget = min(
-        int(z_budget * w_ref**consts.gamma * consts.return_time_scale(p_grid[-1])),
+        int(Z_BUDGET * W_REF**consts.gamma * consts.return_time_scale(p_grid[-1])),
         int(step_cap),
     )
     T = np.full((n_trials, len(p_grid)), -1, dtype=np.int64)
@@ -242,8 +244,7 @@ def theorem1_campaign(
 
     def one(t: int) -> None:
         res = walk.simulate_excursion_grid(
-            law, int(env_seeds[t]), int(walk_seeds[t]), p_grid,
-            budget=budget, raise_on_budget=False,
+            law, int(env_seeds[t]), int(walk_seeds[t]), p_grid, budget
         )
         got = res["snap_T"].size
         T[t, :got] = res["snap_T"]
@@ -252,7 +253,7 @@ def theorem1_campaign(
 
     _map_trials(one, n_trials, threads)
     n_censored = int(censored.sum())
-    w = w_hat_batch(law, env_seeds, w_depth)
+    w = w_hat_batch(law, env_seeds)
     with np.errstate(divide="ignore"):
         z_cut = t_cut[censored] / (
             w[censored] ** consts.gamma * consts.return_time_scale(p_grid[-1])
@@ -270,21 +271,12 @@ def theorem1_campaign(
     rows, dists = _laplace_rows(
         "theorem1", z_by_n, consts.gamma, "HIT", lambdas, n_trials
     )
-    dist_seq = [dists[p] for p in p_grid]
-    verdicts = [
-        stats.verdict_row(
-            "theorem1", f"laplace_dist_p{p_grid[-1]}", dist_seq[-1], tol,
-            dist_seq[-1] < tol, n_trials=n_trials, n_censored=n_censored,
-            min_cut_depth=float(z_cut.min()) if n_censored else None,
-            censor_bias_bound=bias_bound,
-        ),
-        stats.verdict_row(
-            "theorem1", "laplace_dist_trend",
-            dist_seq[-1] - dist_seq[0], 0.0,
-            all(b <= a for a, b in zip(dist_seq, dist_seq[1:])),
-            distances={str(p): dists[p] for p in p_grid},
-        ),
-    ]
+    verdicts = _laplace_verdicts(
+        "theorem1", "p", dists, tol,
+        n_trials=n_trials, n_censored=n_censored,
+        min_cut_depth=float(z_cut.min()) if n_censored else None,
+        censor_bias_bound=bias_bound,
+    )
     return {"rows": rows, "verdicts": verdicts, "distances": dists, "z": z_by_n}
 
 
@@ -324,8 +316,7 @@ def theorem3_campaign(
 
     def one(t: int) -> None:
         res = walk.simulate_excursion_grid(
-            law, int(env_seeds[t]), int(walk_seeds[t]), p_all,
-            budget=budget, raise_on_budget=False,
+            law, int(env_seeds[t]), int(walk_seeds[t]), p_all, budget
         )
         censored[t] = res["status"] == STATUS_BUDGET
         got = res["snap_T"].size
@@ -391,9 +382,7 @@ def corollary_campaign(
         while not environment_survives(law, env):
             rejected[t] += 1
             env = derive_seed(env, "corollary-resample", int(rejected[t]), "env")
-        res = walk.simulate_time_grid(
-            law, env, int(walk_seeds[t]), m_grid, budget=m_grid[-1] + 1
-        )
+        res = walk.simulate_time_grid(law, env, int(walk_seeds[t]), m_grid)
         L = res["snap_L"]
         hits[t] = L[1::2] - L[0::2]
 

@@ -24,15 +24,13 @@ first-passage-many type-1 vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .excursion import ExcursionBatch, sample_excursion_tree
 from .law import MarkLaw
-from .walk import StepBudgetExceeded
 
 __all__ = [
     "TypedTree",
@@ -47,7 +45,7 @@ __all__ = [
     "transform",
     "lukasiewicz",
     "check_tree_identities",
-    "hypothesis_check",
+    "StepBudgetExceeded",
 ]
 
 
@@ -188,6 +186,12 @@ def typed_from_excursion(batch: ExcursionBatch) -> list[TypedTree]:
     return [typed_tree(parent[s:e], N[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
 
 
+class StepBudgetExceeded(RuntimeError):
+    """Too many excursion trees passed the node budget."""
+
+    code = "STEP_BUDGET_EXCEEDED"
+
+
 def sample_typed_forest(
     law: MarkLaw,
     n_trees: int,
@@ -288,12 +292,10 @@ class FinalTree:
     """Binary-typed tree after leaf padding, in preorder.
 
     Each skeleton node x brings b2(x) - 1 extra type-0 leaves: attached to
-    x itself when x is type 1, and to the parent of x when x is type 0.
-    skel_pos maps skeleton ids to their position here."""
+    x itself when x is type 1, and to the parent of x when x is type 0."""
 
     parent: np.ndarray
     type1: np.ndarray
-    skel_pos: np.ndarray
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -383,7 +385,7 @@ def finalize(s: SkeletonTree) -> FinalTree:
     assert t1_ids.size == 0 or t1_ids[0] == 0
     deeper = t1_ids[t1_ids > 0]
     assert (ftype[fparent[deeper]] == 1).all()
-    return FinalTree(parent=fparent, type1=ftype, skel_pos=pos)
+    return FinalTree(parent=fparent, type1=ftype)
 
 
 def transform(t: TypedTree) -> FinalTree:
@@ -550,43 +552,3 @@ def lukasiewicz(forest: Sequence[FinalTree]) -> LukasiewiczPath:
     k1_p = np.zeros(len(forest) + 1, dtype=np.int64)
     np.cumsum(k1, out=k1_p[1:])
     return LukasiewiczPath(v1=v1, d=d, f_p=f_p, k1_p=k1_p)
-
-
-# ---------------------------------------------------------------------------
-# statistics on the forest law
-
-
-def hypothesis_check(trees: Iterable[TypedTree]) -> dict:
-    """MC report of the three first-generation sums with their SEs.
-
-    Per tree: b = #{g1 = 1, beta = 1} (also the type-1 root offspring of
-    the rebuilt tree), nu_hat = sum of beta over {g1 = 1},
-    nu_tilde_hat = #{g1 = 1}. sigma1_sq is the sample variance of b with a
-    fourth-moment standard error."""
-    b = []
-    nu = []
-    nut = []
-    for t in trees:
-        lvl1 = t.g1 == 1
-        b.append(int(np.count_nonzero(lvl1 & (t.beta == 1))))
-        nu.append(int(t.beta[lvl1].sum()))
-        nut.append(int(np.count_nonzero(lvl1)))
-    b = np.asarray(b, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    nut = np.asarray(nut, dtype=np.float64)
-    n = len(b)
-    if n < 2:
-        raise ValueError("need at least two trees")
-    var_b = b.var(ddof=1)
-    m4 = ((b - b.mean()) ** 4).mean()
-    return {
-        "n": n,
-        "b_mean": float(b.mean()),
-        "b_se": float(b.std(ddof=1) / math.sqrt(n)),
-        "nu_mean": float(nu.mean()),
-        "nu_se": float(nu.std(ddof=1) / math.sqrt(n)),
-        "nu_tilde_mean": float(nut.mean()),
-        "nu_tilde_se": float(nut.std(ddof=1) / math.sqrt(n)),
-        "sigma1_sq": float(var_b),
-        "sigma1_sq_se": float(math.sqrt(max(m4 - var_b**2, 0.0) / n)),
-    }

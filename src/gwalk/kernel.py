@@ -7,7 +7,10 @@ itself fails only when out of memory. setuptools builds it into the library
 `gwalk/_walk<EXT_SUFFIX>` beside this file (`pip install .`, or
 `python setup.py build_ext --inplace` in a source checkout). The library has
 no Python API; `load_kernel` binds it through ctypes, whose foreign calls
-release the GIL, so trials on several threads run in parallel.
+release the GIL, so trials on several threads run in parallel. `_Arena`,
+`_Stats` and `_WALK_ARGTYPES` restate the C declarations by hand (a mismatch
+crashes the interpreter rather than raising); tests/test_kernel_layout.py
+checks them against `_walk.c`.
 
 When no built library sits beside this file (running from `PYTHONPATH=src`
 without building), `run_walk` is `_pykernel.run_walk` after one warning that
@@ -36,8 +39,8 @@ STATUS_BUDGET = _pykernel.STATUS_BUDGET
 LIBRARY = Path(__file__).with_name("_walk" + sysconfig.get_config_var("EXT_SUFFIX"))
 
 # arena arrays returned under collect_tree: output key -> gw_arena field
-_TREE = {"parent": "parent", "gen": "gen", "atom": "atom", "ndown": "n_down",
-         "nup": "n_up", "nchild": "nchild"}
+_TREE = {"parent": "parent", "atom": "atom", "ndown": "n_down", "nup": "n_up",
+         "nchild": "nchild"}
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _P, _INT64 = ctypes.c_void_p, ctypes.c_int64
@@ -47,7 +50,7 @@ class _Arena(ctypes.Structure):
     _fields_ = (
         [("n", _INT64), ("cap", _INT64)]
         + [(f, _I64)
-           for f in ("parent", "gen", "nchild", "child0", "n_down", "n_up", "atom")]
+           for f in ("parent", "nchild", "child0", "n_down", "n_up", "atom")]
         + [("key", ctypes.POINTER(ctypes.c_uint64))]
     )
 
@@ -62,7 +65,12 @@ def _arrays(values, dtypes):
 
 
 # dtypes of gw_walk's array arguments: the step tables, then the explicit tree
-_DTYPES = [np.float64, np.int64, np.int64, np.float64, np.float64] + [np.int64] * 3
+_DTYPES = [np.float64, np.int64, np.int64, np.float64, np.float64] + [np.int64] * 2
+
+# gw_walk's parameters, in the order of its C declaration
+_WALK_ARGTYPES = [_P, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64, ctypes.c_uint64,
+                  ctypes.c_int, _INT64, _P, _INT64, _P, _INT64, ctypes.POINTER(_Stats),
+                  ctypes.POINTER(ctypes.POINTER(_Arena))]
 
 
 def load_kernel(path) -> callable:
@@ -71,17 +79,15 @@ def load_kernel(path) -> callable:
     lib = ctypes.CDLL(str(path))
     walk, free = lib.gw_walk, lib.gw_free
     walk.restype, free.restype = ctypes.c_int, None
-    walk.argtypes = [_P, _P, _P, _P, _P, _INT64, _P, _P, _P, ctypes.c_uint64,
-                     ctypes.c_uint64, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64,
-                     _INT64, ctypes.POINTER(_Stats), ctypes.POINTER(ctypes.POINTER(_Arena))]
+    walk.argtypes = _WALK_ARGTYPES
     free.argtypes = [ctypes.POINTER(_Arena)]
 
     def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
-                 budget=10**10, depth_cap=-1, collect_tree=False, explicit=None):
+                 budget=10**10, collect_tree=False, explicit=None):
         (snaps,) = _arrays([snaps], [np.int64])
         snap_out = np.empty((5, len(snaps)), dtype=np.int64)
         if explicit is None:
-            t, tree = law_tables, [None] * 3
+            t, tree = law_tables, [None] * 2
         else:
             t, *tree = _pykernel.explicit_tree(explicit)
         n_explicit = -1 if explicit is None else len(tree[0])
@@ -90,8 +96,8 @@ def load_kernel(path) -> callable:
         st, arena = _Stats(), ctypes.POINTER(_Arena)()
         err = walk(*ptrs[:5], n_explicit, *ptrs[5:], int(env_seed) & MASK,
                    int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
-                   len(snaps), snap_out.ctypes.data, int(budget), int(depth_cap),
-                   ctypes.byref(st), ctypes.byref(arena))
+                   len(snaps), snap_out.ctypes.data, int(budget), ctypes.byref(st),
+                   ctypes.byref(arena))
         if err:
             raise MemoryError("walk kernel ran out of memory for its arena")
         try:

@@ -20,80 +20,29 @@ import numpy as np
 
 from . import kernel
 
-__all__ = [
-    "StepBudgetExceeded",
-    "simulate_time_grid",
-    "simulate_excursion_grid",
-    "DEFAULT_BUDGET",
-]
-
-DEFAULT_BUDGET = 10**10
+__all__ = ["simulate_time_grid", "simulate_excursion_grid"]
 
 
-class StepBudgetExceeded(RuntimeError):
-    """The walk hit the hard step cap before reaching its target."""
-
-    code = "STEP_BUDGET_EXCEEDED"
-
-
-def simulate_time_grid(
-    law,
-    env_seed: int,
-    walk_seed: int,
-    m_grid,
-    budget: int = DEFAULT_BUDGET,
-    collect_tree: bool = False,
-    depth_cap: int = -1,
-):
+def simulate_time_grid(law, env_seed: int, walk_seed: int, m_grid):
     """Run to max(m_grid) steps, snapshotting (m, L, R, T) at each grid point.
 
-    Returns the kernel result dict; raises StepBudgetExceeded on the budget
-    status (only possible when budget < max(m_grid))."""
+    Returns the kernel result dict."""
     grid = np.asarray(sorted(int(m) for m in m_grid), dtype=np.int64)
-    res = kernel.run_walk(
-        law.tables(),
-        env_seed,
-        walk_seed,
-        kernel.MODE_STEPS,
-        int(grid[-1]),
-        grid,
-        budget=budget,
-        depth_cap=depth_cap,
-        collect_tree=collect_tree,
+    return kernel.run_walk(
+        law.tables(), env_seed, walk_seed, kernel.MODE_STEPS, int(grid[-1]), grid
     )
-    if res["status"] == kernel.STATUS_BUDGET:
-        raise StepBudgetExceeded(f"budget {budget} hit before step {grid[-1]}")
-    return res
 
 
-def simulate_excursion_grid(
-    law,
-    env_seed: int,
-    walk_seed: int,
-    p_grid,
-    budget: int = DEFAULT_BUDGET,
-    collect_tree: bool = False,
-    depth_cap: int = -1,
-    raise_on_budget: bool = True,
-):
+def simulate_excursion_grid(law, env_seed: int, walk_seed: int, p_grid, budget: int):
     """Run to the max(p_grid)-th crossing of (e*, e), snapshotting
     (p, tau^p, T^p, R at tau^p) at each grid point.
 
-    Null recurrence makes tau^p heavy-tailed, so with raise_on_budget=False
-    a budget hit returns the partial result (status, completed snapshots)
-    instead of raising; callers treat the missing tail as censored."""
+    Null recurrence makes tau^p heavy-tailed, so the walk stops after
+    `budget` steps: the result then has status STATUS_BUDGET and only the
+    snapshots completed by then, and callers treat the missing tail as
+    censored."""
     grid = np.asarray(sorted(int(p) for p in p_grid), dtype=np.int64)
-    res = kernel.run_walk(
-        law.tables(),
-        env_seed,
-        walk_seed,
-        kernel.MODE_CROSSINGS,
-        int(grid[-1]),
-        grid,
+    return kernel.run_walk(
+        law.tables(), env_seed, walk_seed, kernel.MODE_CROSSINGS, int(grid[-1]), grid,
         budget=budget,
-        depth_cap=depth_cap,
-        collect_tree=collect_tree,
     )
-    if res["status"] == kernel.STATUS_BUDGET and raise_on_budget:
-        raise StepBudgetExceeded(f"budget {budget} hit before crossing {grid[-1]}")
-    return res

@@ -225,6 +225,44 @@ def regen_ids_naive(parent, gen, N, level: int):
     return sorted(out)
 
 
+def hypothesis_check(trees) -> dict:
+    """The three first-generation sums reduced tree by tree over whole typed
+    trees, with their SEs: the route that the pruned batch of
+    `gwalk.excursion.hypothesis_sums_batch` is checked against.
+
+    Per tree: b = #{g1 = 1, beta = 1} (also the type-1 root offspring of
+    the rebuilt tree), nu_hat = sum of beta over {g1 = 1},
+    nu_tilde_hat = #{g1 = 1}. sigma1_sq is the sample variance of b with a
+    fourth-moment standard error."""
+    b = []
+    nu = []
+    nut = []
+    for t in trees:
+        lvl1 = t.g1 == 1
+        b.append(int(np.count_nonzero(lvl1 & (t.beta == 1))))
+        nu.append(int(t.beta[lvl1].sum()))
+        nut.append(int(np.count_nonzero(lvl1)))
+    b = np.asarray(b, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    nut = np.asarray(nut, dtype=np.float64)
+    n = len(b)
+    if n < 2:
+        raise ValueError("need at least two trees")
+    var_b = b.var(ddof=1)
+    m4 = ((b - b.mean()) ** 4).mean()
+    return {
+        "n": n,
+        "b_mean": float(b.mean()),
+        "b_se": float(b.std(ddof=1) / math.sqrt(n)),
+        "nu_mean": float(nu.mean()),
+        "nu_se": float(nu.std(ddof=1) / math.sqrt(n)),
+        "nu_tilde_mean": float(nut.mean()),
+        "nu_tilde_se": float(nut.std(ddof=1) / math.sqrt(n)),
+        "sigma1_sq": float(var_b),
+        "sigma1_sq_se": float(math.sqrt(max(m4 - var_b**2, 0.0) / n)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # spectrally negative stable process Y, E[e^{lam Y_t}] = e^{t lam^gamma}:
 # the independent Monte Carlo route for gwalk.limits.ml_laplace/hit_laplace

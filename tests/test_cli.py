@@ -3,10 +3,12 @@
 A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
 kernel (its ctypes calls release the GIL). Without a C compiler the runs use
-the package's own kernel. Bad `lemma-moments` settings stop the command with
-a message before it samples anything.
+the package's own kernel. Bad `lemma-moments` settings and config keys that
+no command reads stop the command with a message before it samples anything.
 """
 
+import csv
+import io
 import json
 
 import pytest
@@ -68,3 +70,34 @@ def test_lemma_moments_rejects_bad_regen_settings(tmp_path, bad, message):
     with pytest.raises(SystemExit, match=message):
         _run(tmp_path, "lemma-moments", 1, "bad", {**TINY["lemma-moments"], **bad})
     assert not (tmp_path / "bad").exists()
+
+
+def test_forest_rows_come_from_the_batch_sums(walk_kernel, tmp_path):
+    """The moment rows and the mean_type1_once verdict read the same
+    hypothesis_sums_batch draws, not the size-truncated typed forest."""
+    files = _run(tmp_path, "forest-identities", 1, "a")
+    rows = {r["statistic"]: float(r["value"]) for r in
+            csv.DictReader(io.StringIO(files["forest_identities.csv"].decode()))}
+    assert list(rows) == ["b_mean", "b_se", "nu_mean", "nu_se", "nu_tilde_mean",
+                          "nu_tilde_se", "sigma1_sq", "sigma1_sq_se"]
+    (verdict,) = [v for v in json.loads(files["forest_identities_verdicts.json"])
+                  if v["statistic"] == "mean_type1_once"]
+    assert (rows["b_mean"], rows["b_se"]) == (verdict["value"], verdict["se"])
+    assert rows["b_mean"] <= rows["nu_tilde_mean"] <= rows["nu_mean"]
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("theorem1", {"theorem1": {"n_trials": 4, "z_budget": 14.0}}, "theorem1.z_budget"),
+    ("validate-law", {"theorem1": {"z_budget": 14.0}}, "theorem1.z_budget"),
+    ("validate-law", {"theorem_2": {}}, "'theorem_2'"),
+    ("validate-law", {"constants": {**CONSTANTS, "c_kapa": 1.0}}, "constants.c_kapa"),
+    ("forest-identities", {"forest_identities": {"n_tree": 3}}, "forest_identities.n_tree"),
+])
+def test_unknown_config_key_stops_the_command(tmp_path, command, extra, key):
+    cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
+           "constants": CONSTANTS, **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=f"unknown config key {key}"):
+        cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

@@ -14,10 +14,9 @@ from gwalk.excursion import (
     hypothesis_sums_batch,
     sample_excursion_tree,
 )
-from gwalk.forest import hypothesis_check, sample_typed_forest
+from gwalk.forest import StepBudgetExceeded, sample_typed_forest
 from gwalk.law import make_constant_bias, make_mark_law, make_two_point
 from gwalk.oracle import FiniteChain
-from gwalk.walk import StepBudgetExceeded
 
 import oracles
 
@@ -192,11 +191,11 @@ def test_hypothesis_sums_exact_moments_constant_bias():
 
 def test_hypothesis_sums_match_per_tree_sampler():
     """Two routes to the first-generation sums: the pruned batch, and
-    forest.hypothesis_check's g1 = 1 reduction over whole typed trees. The
+    oracles.hypothesis_check's g1 = 1 reduction over whole typed trees. The
     typed trees are size-truncated at the node budget, a small bias on the
     lambda = 2 tree."""
     rng = np.random.default_rng(9)
-    rep = hypothesis_check(sample_typed_forest(CB, 1000, rng, node_budget=10**4))
+    rep = oracles.hypothesis_check(sample_typed_forest(CB, 1000, rng, node_budget=10**4))
     out = hypothesis_sums_batch(CB, 20000, rng)
     for name, key in (("b", "B"), ("nu_tilde", "nu_tilde")):
         x = out[key].astype(np.float64)

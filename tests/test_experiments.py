@@ -47,7 +47,7 @@ def test_scales_off_critical():
 
 
 def test_theorem1_records_cut_depth_and_bias_bound(kernel_library, monkeypatch):
-    """A step cap far below the z_budget budget censors trials at small
+    """A step cap far below the Z_BUDGET budget censors trials at small
     normalized depth; the verdict records the smallest cut depth and the
     bias bound it implies, and each censored trial, rerun to its end, lands
     deeper than its cut depth."""
@@ -69,7 +69,8 @@ def test_theorem1_records_cut_depth_and_bias_bound(kernel_library, monkeypatch):
     z_cut = []
     for t in censored:
         again = simulate_excursion_grid(law, int(env_seeds[t]), int(walk_seeds[t]),
-                                        p_grid, budget=10**9)
+                                        p_grid, 10**9)
+        assert again["status"] == kernel.STATUS_OK
         z_true = again["snap_T"][-1] / (w[t] ** consts.gamma * b_p)
         cut = (cap - p_grid[-1]) / (w[t] ** consts.gamma * b_p)
         assert z_true > cut

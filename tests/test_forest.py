@@ -10,7 +10,6 @@ from gwalk.forest import (
     FinalTree,
     check_tree_identities,
     finalize,
-    hypothesis_check,
     lukasiewicz,
     sample_typed_forest,
     skeletonize,
@@ -149,7 +148,7 @@ def test_hypothesis_check_report():
     design, which biases the heavy-tailed mean low; the unbiased moment
     gate runs on the batched sampler (see the excursion tests)."""
     trees = _forest(800, seed=15)
-    rep = hypothesis_check(trees)
+    rep = oracles.hypothesis_check(trees)
     assert rep["n"] == 800
     # per tree b <= nu_tilde <= nu, so the means inherit the order
     assert rep["b_mean"] <= rep["nu_tilde_mean"] <= rep["nu_mean"]
@@ -157,7 +156,7 @@ def test_hypothesis_check_report():
     for key in ("b_se", "nu_se", "nu_tilde_se", "sigma1_sq", "sigma1_sq_se"):
         assert rep[key] > 0
     with pytest.raises(ValueError):
-        hypothesis_check(trees[:1])
+        oracles.hypothesis_check(trees[:1])
 
 
 def test_forest_sampling_deterministic():

@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from gwalk import _pykernel, kernel
-from gwalk.env import enumerate_truncated
+from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
 
 SUB = make_two_point(0.068)
@@ -60,14 +60,6 @@ def test_budget_status_parity(compiled_run_walk):
     _assert_same(a, b)
     assert a["status"] == kernel.STATUS_BUDGET
     assert a["m"] == 1000
-
-
-def test_depth_cap_parity(compiled_run_walk):
-    args = (SUB.tables(), 9, 10, kernel.MODE_STEPS, 30000)
-    a = compiled_run_walk(*args, [], depth_cap=2, collect_tree=True)
-    b = _pykernel.run_walk(*args, [], depth_cap=2, collect_tree=True)
-    _assert_same(a, b)
-    assert a["tree_gen"].max() <= 2
 
 
 def test_explicit_mode_parity(compiled_run_walk):
@@ -139,29 +131,30 @@ def test_explicit_tree_errors_parity(compiled_run_walk, parent, V, message):
 
 def test_lazy_tree_matches_eager_enumeration(compiled_run_walk):
     """Keys are path functions, so every node the walk grows is the node at
-    the same child-index path of the eagerly enumerated tree: the same atom,
-    generation and, rebuilt from the marks, the same V to the last bit."""
+    the same child-index path of a MarkedTree grown on the same seed: the
+    same atom, the same generation (the length of its parent chain) and,
+    rebuilt from the marks, the same V to the last bit."""
     res = compiled_run_walk(
-        SUB.tables(), 2024, 1, kernel.MODE_STEPS, 1000, [], depth_cap=6,
-        collect_tree=True,
+        SUB.tables(), 2024, 1, kernel.MODE_STEPS, 5000, [], collect_tree=True
     )
-    eager = enumerate_truncated(SUB, 2024, 6)
-    tree, t = eager["tree"], SUB.tables()
+    tree, t = MarkedTree(SUB, 2024), SUB.tables()
     parent, atom = res["tree_parent"], res["tree_atom"]
     n = len(parent)
-    eager_id = np.zeros(n, dtype=np.int64)
+    lazy_id = np.zeros(n, dtype=np.int64)
+    gen = np.zeros(n, dtype=np.int64)
     V = np.zeros(n)
     child0 = {}
     for x in range(1, n):
         pa = parent[x]
         j = x - child0.setdefault(pa, x)  # siblings sit at consecutive ids
-        eager_id[x] = tree.children[eager_id[pa]][j]
+        lazy_id[x] = tree.grow(lazy_id[pa])[j]
+        gen[x] = gen[pa] + 1
         V[x] = V[pa] + t.marks[t.off[atom[pa]] + j]
     grown = np.flatnonzero(res["tree_nchild"] >= 0)
-    assert n > 50 and (atom[res["tree_nchild"] < 0] == -1).all()
-    assert [atom[x] for x in grown] == [tree.atom_index(eager_id[x]) for x in grown]
-    assert np.array_equal(res["tree_gen"], eager["gen"][eager_id])
-    assert np.array_equal(V, eager["V"][eager_id])
+    assert n > 50 and gen.max() > 6 and (atom[res["tree_nchild"] < 0] == -1).all()
+    assert [atom[x] for x in grown] == [tree.atom_index(lazy_id[x]) for x in grown]
+    assert np.array_equal(gen, np.array(tree.gen)[lazy_id])
+    assert np.array_equal(V, np.array(tree.V)[lazy_id])
 
 
 @pytest.mark.parametrize("with_library", [False, True])

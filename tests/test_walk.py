@@ -10,11 +10,7 @@ from gwalk import _pykernel, kernel
 from gwalk.env import enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
 from gwalk.oracle import FiniteChain
-from gwalk.walk import (
-    StepBudgetExceeded,
-    simulate_excursion_grid,
-    simulate_time_grid,
-)
+from gwalk.walk import simulate_excursion_grid, simulate_time_grid
 
 SUB = make_two_point(0.068)
 CB = make_constant_bias(2.0)
@@ -22,7 +18,8 @@ CB = make_constant_bias(2.0)
 
 def test_kernel_conservation_and_clock_identity():
     p = 200
-    res = simulate_excursion_grid(SUB, 77, 88, range(1, p + 1), collect_tree=True)
+    res = kernel.run_walk(SUB.tables(), 77, 88, kernel.MODE_CROSSINGS, p,
+                          np.arange(1, p + 1), collect_tree=True)
     nd, nu = res["tree_ndown"], res["tree_nup"]
     # every step crosses exactly one edge, the e* -> e steps included
     assert nd.sum() + nu.sum() == res["m"]
@@ -45,7 +42,7 @@ def test_snapshot_marginals_rows():
     assert res["snap_idx"].tolist() == res["snap_tau"].tolist() == [100, 400]
     assert res["snap_L"][1] >= res["snap_L"][0]  # L is nondecreasing
     assert res["snap_R"][1] >= res["snap_R"][0]  # R is nondecreasing
-    res = simulate_excursion_grid(SUB, 21, 22, [5])
+    res = simulate_excursion_grid(SUB, 21, 22, [5], 10**9)
     assert res["snap_idx"].tolist() == res["snap_L"].tolist() == [5]
     assert res["snap_T"][0] == res["snap_tau"][0] - 5  # T^p = tau^p - p
 
@@ -89,22 +86,11 @@ def test_constant_bias_range_grows_at_quarter_rate(compiled_run_walk):
         assert abs(res["R"] / res["m"] - 0.25) < 0.02
 
 
-def test_budget_raises():
-    with pytest.raises(StepBudgetExceeded) as err:
-        simulate_time_grid(SUB, 1, 2, [10**6], budget=100)
-    assert err.value.code == "STEP_BUDGET_EXCEEDED"
-    with pytest.raises(StepBudgetExceeded):
-        simulate_excursion_grid(SUB, 1, 2, [10**6], budget=100)
-
-
 def test_excursion_budget_censoring():
-    res = simulate_excursion_grid(
-        SUB, 1, 2, [1, 10**7], budget=500, raise_on_budget=False
-    )
+    res = simulate_excursion_grid(SUB, 1, 2, [1, 10**7], 500)
     assert res["status"] == kernel.STATUS_BUDGET
+    assert res["m"] == 500
     assert len(res["snap_tau"]) <= 1  # deep grid point never reached
-    with pytest.raises(StepBudgetExceeded):
-        simulate_excursion_grid(SUB, 1, 2, [10**7], budget=500)
 
 
 def test_explicit_tree_walk():
