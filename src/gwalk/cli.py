@@ -356,7 +356,7 @@ def cmd_forest_identities(cfg) -> int:
         moments[f"{name}_se"] = float(x.std(ddof=1) / math.sqrt(n_sums))
     b = sums["B"].astype(np.float64)
     var_b = b.var(ddof=1)
-    m4 = ((b - b.mean()) ** 4).mean()
+    m4 = np.square(np.square(b - b.mean())).mean()  # ** 4 is 5x slower
     moments["sigma1_sq"] = float(var_b)
     moments["sigma1_sq_se"] = float(math.sqrt(max(m4 - var_b**2, 0.0) / n_sums))
     b_mean, b_se = moments["b_mean"], moments["b_se"]
