@@ -1,11 +1,21 @@
-"""Seeded Monte Carlo campaigns behind the CLI commands.
+"""The CLI commands, one function each, named `<command>_campaign` with `_`
+for `-`.
 
-Each campaign runs independent (environment, walk) trials with substream
-seeds derived from one master seed, reduces in trial order, and returns
-CSV-ready rows plus verdict dicts. The normalizations are regime-aware:
-kappa in (1,2) targets the spectrally negative stable reference laws,
-kappa = 2 the Brownian laws with the sqrt(n log n) correction, kappa > 2
-the Brownian laws with the two-child correlation constant.
+A campaign's positional parameters are what the command needs besides its
+settings (the law, then some of kappa, the plug-in constants, the master
+seed and the thread count); its keyword-only parameters are its config
+section, and their defaults are the command's defaults. Only
+`estimate_constants_campaign` passes its section on, to
+`limits.estimate_constants`, whose keyword-only parameters it is.
+
+Every campaign returns CSV-ready rows and verdict dicts (plus the
+constants.json payload for estimate-constants). The Monte Carlo campaigns
+run independent (environment, walk) trials with substream seeds derived
+from one master seed and reduce in trial order. The normalizations are
+regime-aware: kappa in (1,2) targets the spectrally negative stable
+reference laws, kappa = 2 the Brownian laws with the sqrt(n log n)
+correction, kappa > 2 the Brownian laws with the two-child correlation
+constant.
 """
 
 from __future__ import annotations
@@ -16,20 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import limits, stats, walk
+from . import excursion, forest, kernel, limits, stats, walk
+from . import law as law_mod
 from ._rng import derive_seed
-from .env import environment_survives, level_weights_batch
-from .kernel import STATUS_BUDGET
+from .env import enumerate_truncated, environment_survives, level_weights_batch
 from .law import MarkLaw, regime_of
+from .oracle import FiniteChain, lemma_mean_closed_form, lemma_second_closed_form
 
 __all__ = [
     "Constants",
     "trial_seeds",
     "w_hat_batch",
+    "validate_law_campaign",
+    "lemma_moments_campaign",
     "theorem2_campaign",
     "theorem1_campaign",
     "theorem3_campaign",
     "corollary_campaign",
+    "forest_identities_campaign",
+    "estimate_constants_campaign",
     "W_DEPTH",
 ]
 
@@ -172,11 +187,12 @@ def theorem2_campaign(
     law: MarkLaw,
     consts: Constants,
     master_seed: int,
+    threads: int = 1,
+    *,
     n_trials: int = 2000,
     m_grid=(10**5, 10**6),
     lambdas=(0.5, 1.0, 2.0),
     tol: float = 0.05,
-    threads: int = 1,
 ) -> dict:
     """Local-time marginal test: W_hat * L^n / a_n against the sup law.
 
@@ -210,12 +226,13 @@ def theorem1_campaign(
     law: MarkLaw,
     consts: Constants,
     master_seed: int,
+    threads: int = 1,
+    *,
     n_trials: int = 2000,
     p_grid=(10**3, 10**4),
     lambdas=(0.5, 1.0, 2.0),
     tol: float = 0.05,
     step_cap: int = 3 * 10**7,
-    threads: int = 1,
 ) -> dict:
     """Return-time marginal test: T^p / (W^k b_p) against the passage law.
 
@@ -248,7 +265,7 @@ def theorem1_campaign(
         )
         got = res["snap_T"].size
         T[t, :got] = res["snap_T"]
-        censored[t] = res["status"] == STATUS_BUDGET
+        censored[t] = res["status"] == kernel.STATUS_BUDGET
         t_cut[t] = res["t_ex"]
 
     _map_trials(one, n_trials, threads)
@@ -291,11 +308,12 @@ def theorem3_campaign(
     law: MarkLaw,
     consts: Constants,
     master_seed: int,
+    threads: int = 1,
+    *,
     n_trials: int = 160,
     n_grid=(10**3, 10**4),
     budget: int = 3 * 10**7,
     shrink: float = 0.7,
-    threads: int = 1,
 ) -> dict:
     """Range-vs-time test: per trial the uniform error
     sup_{p<=n} |R at T^p - (c_inf/2) T^p| / kappa_n, medianed over trials.
@@ -318,7 +336,7 @@ def theorem3_campaign(
         res = walk.simulate_excursion_grid(
             law, int(env_seeds[t]), int(walk_seeds[t]), p_all, budget
         )
-        censored[t] = res["status"] == STATUS_BUDGET
+        censored[t] = res["status"] == kernel.STATUS_BUDGET
         got = res["snap_T"].size
         if got == 0:
             return
@@ -356,13 +374,15 @@ def corollary_campaign(
     law: MarkLaw,
     kappa: float,
     master_seed: int,
+    threads: int = 1,
+    *,
     n_walkers: int = 10**4,
     n_grid=(100, 215, 464, 1000, 2154, 4641, 10000),
     tol: float = 0.1,
-    threads: int = 1,
 ) -> dict:
     """Parent-return-probability decay: slope of log P(X_{2n+1} = e*)
-    against log n, compared with -(1 - 1/(kappa and 2)).
+    against log n, compared with -(1 - 1/gamma), gamma the index of the
+    regime's reference process (`Constants.gamma`).
 
     One cohort serves every grid point: each walker runs once to the
     largest 2n+1 and the arrival indicator at time 2n+1 is read off as
@@ -394,7 +414,7 @@ def corollary_campaign(
     fit = stats.loglog_slope(
         np.asarray(n_grid, dtype=float)[keep], p_hat[keep], weights=counts[keep]
     )
-    target = -(1.0 - 1.0 / min(kappa, 2.0))
+    target = -(1.0 - 1.0 / Constants(kappa).gamma)
     err = abs(fit["slope"] - target)
     rows = [
         {
@@ -414,3 +434,217 @@ def corollary_campaign(
         )
     ]
     return {"rows": rows, "verdicts": verdicts, "fit": fit, "p_hat": p_hat}
+
+
+def validate_law_campaign(law: MarkLaw) -> dict:
+    """The law's assumption audit: psi on a grid, psi(1) = 0, psi'(1) < 0,
+    and kappa with its regime (`law.validate_law`)."""
+    rep = law_mod.validate_law(law)
+    rows = [{"t": float(t), "psi": float(v)} for t, v in zip(rep.psi_grid, rep.psi_values)]
+    psi1 = rep.psi_at(1.0)
+    verdicts = [
+        stats.verdict_row("validate_law", "psi_at_1", psi1, 1e-9, abs(psi1) < 1e-9),
+        stats.verdict_row(
+            "validate_law", "negative_drift", rep.psi_prime_1, 0.0, rep.psi_prime_1 < 0.0,
+        ),
+        stats.verdict_row(
+            "validate_law", "kappa", rep.kappa, None, True,
+            regime=rep.regime, lattice=rep.lattice, c0=rep.c0, notes=list(rep.notes),
+        ),
+    ]
+    return {"rows": rows, "verdicts": verdicts}
+
+
+def lemma_moments_campaign(
+    law: MarkLaw,
+    master_seed: int,
+    *,
+    n_envs: int = 20,
+    depth: int = 4,
+    n_pairs: int = 60,
+    n_frozen: int = 5,
+    n_excursions: int = 10**5,
+    regen_levels=(1, 5, 20),
+    n_regen_samples: int = 10**4,
+) -> dict:
+    """Edge-count moment identities, three routes deep.
+
+    Exact route: Green-matrix solves on truncated environments against the
+    path-only closed forms (tolerance 1e-10). MC route: kernel excursions
+    on frozen truncated environments against the solve, within 4 SE.
+    Regeneration route: after m excursions, the mean number of once-visited
+    vertices whose ancestors strictly below the root were visited at least
+    twice equals m, within 4 SE. These are the count-1 non-root nodes of
+    the pruned excursion tree at tau^m, so the route reads the B column of
+    `excursion.hypothesis_sums_batch` at p = m, on fresh environments.
+    Bad regen settings stop the command (SystemExit) before it samples."""
+    if not all(isinstance(m, int) and m >= 1 for m in regen_levels):
+        raise SystemExit(
+            f"lemma_moments.regen_levels must hold integers >= 1, got {regen_levels!r}"
+        )
+    if not (isinstance(n_regen_samples, int) and n_regen_samples >= 2):
+        raise SystemExit(
+            "lemma_moments.n_regen_samples must be an integer >= 2, "
+            f"got {n_regen_samples!r}"
+        )
+    rows = []
+    verdicts = []
+
+    worst_mean = worst_second = 0.0
+    for i in range(n_envs):
+        ex = enumerate_truncated(law, derive_seed(master_seed, "lemma-oracle", i, "env"), depth)
+        chain = FiniteChain(ex)
+        means = chain.expected_edge_counts()
+        for x in range(1, chain.n):
+            worst_mean = max(
+                worst_mean, abs(means[x] - lemma_mean_closed_form(ex["V"], x))
+            )
+        rng = np.random.default_rng(derive_seed(master_seed, "lemma-oracle", i, "pairs"))
+        for x, y in rng.integers(1, chain.n, size=(n_pairs, 2)):
+            worst_second = max(
+                worst_second,
+                abs(
+                    chain.edge_second_moment(int(x), int(y))
+                    - lemma_second_closed_form(ex["parent"], ex["V"], int(x), int(y))
+                ),
+            )
+    verdicts.append(
+        stats.verdict_row(
+            "lemma_moments", "oracle_mean_abs_err", worst_mean, 1e-10,
+            worst_mean < 1e-10, n_envs=n_envs, depth=depth,
+        )
+    )
+    verdicts.append(
+        stats.verdict_row(
+            "lemma_moments", "oracle_second_abs_err", worst_second, 1e-10,
+            worst_second < 1e-10, n_envs=n_envs, n_pairs=n_pairs,
+        )
+    )
+
+    worst_z = 0.0
+    for i in range(n_frozen):
+        ex = enumerate_truncated(law, derive_seed(master_seed, "lemma-mc", i, "env"), depth)
+        chain = FiniteChain(ex)
+        means = chain.expected_edge_counts()
+        res = kernel.run_walk(
+            law.tables(),
+            0,
+            derive_seed(master_seed, "lemma-mc", i, "walk"),
+            kernel.MODE_CROSSINGS,
+            n_excursions,
+            np.array([n_excursions], dtype=np.int64),
+            collect_tree=True,
+            explicit={"parent": ex["parent"], "V": ex["V"]},
+        )
+        nd = res["tree_ndown"][: chain.n]
+        for x in range(1, chain.n):
+            var = chain.edge_second_moment(x, x) - means[x] ** 2
+            se = (var / n_excursions) ** 0.5
+            z = abs(nd[x] / n_excursions - means[x]) / se
+            if z > worst_z:
+                worst_z = z
+            rows.append(
+                {
+                    "env": i,
+                    "node": x,
+                    "mc_mean": nd[x] / n_excursions,
+                    "oracle_mean": means[x],
+                    "se": se,
+                    "z": z,
+                }
+            )
+    verdicts.append(
+        stats.verdict_row(
+            "lemma_moments", "mc_worst_z", worst_z, 4.0, worst_z < 4.0,
+            n_frozen=n_frozen, n_excursions=n_excursions,
+        )
+    )
+
+    for m in regen_levels:
+        rng = np.random.default_rng(derive_seed(master_seed, f"regen-m{m}", 0, "walk"))
+        counts = excursion.hypothesis_sums_batch(law, n_regen_samples, rng, p=m)["B"]
+        mean = counts.mean()
+        se = counts.std(ddof=1) / n_regen_samples**0.5
+        z = abs(mean - m) / se
+        verdicts.append(
+            stats.verdict_row(
+                "lemma_moments", f"regen_mean_m{m}", float(mean), f"{m} +- 4 SE",
+                z < 4.0, se=float(se), z=float(z), n_samples=n_regen_samples,
+            )
+        )
+    return {"rows": rows, "verdicts": verdicts}
+
+
+def forest_identities_campaign(
+    law: MarkLaw, master_seed: int, *, n_trees: int = 10**4, n_sums: int = 10**5
+) -> dict:
+    """Per-tree exact identities of the excursion-forest transform on
+    `n_trees` typed trees, and the moment rows of B, nu and nu_tilde with
+    the mean_type1_once verdict (E[B] = 1) on `n_sums` batch draws."""
+    rng = np.random.default_rng(derive_seed(master_seed, "forest-identities", 0, "env"))
+    trees = forest.sample_typed_forest(law, n_trees, rng)
+    fails: dict[str, int] = {}
+    for t in trees:
+        for name, ok in forest.check_tree_identities(t).items():
+            if not ok:
+                fails[name] = fails.get(name, 0) + 1
+    verdicts = [
+        stats.verdict_row(
+            "forest_identities", name, fails.get(name, 0), 0,
+            fails.get(name, 0) == 0, n_trees=n_trees,
+        )
+        for name in ("skeleton_count", "final_count", "offspring", "type1_depth1")
+    ]
+    # the moment sums ride the batched sampler, which is exact in law: the
+    # typed-forest sample above is size-truncated (redraws past the node
+    # budget), which biases the means of the heavy-tailed sums downward
+    rng2 = np.random.default_rng(derive_seed(master_seed, "forest-identities", 0, "sums"))
+    sums = excursion.hypothesis_sums_batch(law, n_sums, rng2)
+    moments = {}
+    for name, key in (("b", "B"), ("nu", "nu"), ("nu_tilde", "nu_tilde")):
+        x = sums[key].astype(np.float64)
+        moments[f"{name}_mean"] = float(x.mean())
+        moments[f"{name}_se"] = float(x.std(ddof=1) / math.sqrt(n_sums))
+    b = sums["B"].astype(np.float64)
+    var_b = b.var(ddof=1)
+    m4 = np.square(np.square(b - b.mean())).mean()  # ** 4 is 5x slower
+    moments["sigma1_sq"] = float(var_b)
+    moments["sigma1_sq_se"] = float(math.sqrt(max(m4 - var_b**2, 0.0) / n_sums))
+    b_mean, b_se = moments["b_mean"], moments["b_se"]
+    verdicts.append(
+        stats.verdict_row(
+            "forest_identities", "mean_type1_once", b_mean, "1 +- 4 SE",
+            abs(b_mean - 1.0) < 4 * b_se, se=b_se, n_trees=n_sums,
+        )
+    )
+    rows = [
+        {"experiment": "forest_identities", "statistic": k, "value": v}
+        for k, v in moments.items()
+    ]
+    return {"rows": rows, "verdicts": verdicts}
+
+
+def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **settings) -> dict:
+    """Every plug-in constant of the law, estimated afresh (none frozen), as
+    the constants.json payload, with the c_kappa tail grid as rows and the
+    plateau verdict. `settings` is the estimate_constants section, the
+    keyword-only parameters of `limits.estimate_constants`."""
+    est = limits.estimate_constants(law, kappa, master_seed, {}, **settings)
+    fit = est.pop("c_kappa_fit", None)
+    payload = {"kappa": kappa, **est}
+    rows = []
+    verdicts = []
+    if fit is not None:
+        rows = [{"m": int(m), "m_kappa_tail": float(v)} for m, v in fit["grid"]]
+        verdicts.append(
+            stats.verdict_row(
+                "estimate_constants", "c_kappa_plateau", fit["c_kappa"], None,
+                not fit["no_plateau"], ci=fit["ci"], hill=fit["hill"]["alpha"],
+            )
+        )
+    verdicts.append(
+        stats.verdict_row(
+            "estimate_constants", "written", None, None, True, keys=sorted(payload),
+        )
+    )
+    return {"rows": rows, "verdicts": verdicts, "constants": payload}

@@ -77,40 +77,6 @@ class TypedTree:
     def __len__(self) -> int:
         return len(self.parent)
 
-    def validate(self) -> None:
-        """Recompute every derived field from scratch and compare.
-
-        Naive per-node loops on purpose: this is the independent route
-        against the vectorized construction."""
-        n = len(self)
-        assert self.parent[0] == -1 and self.beta[0] == 1
-        for j in range(1, n):
-            assert 0 <= self.parent[j] < j
-            assert self.beta[j] >= 1
-        # preorder: an explicit recursive traversal must emit 0..n-1
-        children: list[list[int]] = [[] for _ in range(n)]
-        for j in range(1, n):
-            children[self.parent[j]].append(j)
-        order = []
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(reversed(children[x]))
-        assert order == list(range(n)), "node order is not a preorder"
-        for j in range(n):
-            bs = self.beta[j] + sum(self.beta[c] for c in children[j])
-            assert bs == self.beta_star[j]
-            g = 0
-            z = self.parent[j]
-            d = 0
-            while z != -1:
-                g += 1 if self.beta[z] == 1 else 0
-                z = self.parent[z]
-                d += 1
-            assert g == self.g1[j]
-            assert d == self.gen[j]
-
 
 def typed_tree(parent, beta) -> TypedTree:
     """Canonicalize (parent, beta) arrays into a TypedTree.

@@ -136,7 +136,7 @@ class MarkLaw:
     def has_negative_mark(self) -> bool:
         return any(a < 0 for _, m in self.atoms for a in m)
 
-    def is_lattice(self, tol: float = 1e-12) -> bool:
+    def is_lattice(self) -> bool:
         """True when all marks lie on an arithmetic progression.
 
         Finite-support laws with <= 2 distinct marks are always lattice; this
@@ -147,7 +147,7 @@ class MarkLaw:
             return True
         diffs = [a - marks[0] for a in marks[1:]]
         d = min(diffs)
-        return all(abs(x / d - round(x / d)) < tol for x in diffs)
+        return all(abs(x / d - round(x / d)) < 1e-12 for x in diffs)
 
     def tables(self) -> LawTables:
         """The law's flat tables, read by the kernels and the samplers.
@@ -223,8 +223,8 @@ def _require_assumption1(law: MarkLaw) -> None:
         raise LawError("ASSUMPTION_VIOLATION", f"psi'(1) = {d1!r}, expected < 0")
 
 
-def solve_kappa(law: MarkLaw, t_max: float = KAPPA_T_MAX) -> float:
-    """Second zero of psi on (1, t_max]; math.inf when there is none.
+def solve_kappa(law: MarkLaw) -> float:
+    """Second zero of psi on (1, KAPPA_T_MAX]; math.inf when there is none.
 
     psi is convex with psi(1) = 0 and psi'(1) < 0, so it is negative just
     right of 1 and has at most one further zero. A geometric-ish scan brackets
@@ -235,23 +235,23 @@ def solve_kappa(law: MarkLaw, t_max: float = KAPPA_T_MAX) -> float:
     _require_assumption1(law)
     t = 1.0 + 1e-9
     step = 0.05
-    while t < t_max:
-        t_next = min(t + step, t_max)
+    while t < KAPPA_T_MAX:
+        t_next = min(t + step, KAPPA_T_MAX)
         if psi_evaluate(law, t_next) > 0.0:
             root = brentq(lambda u: psi_evaluate(law, u), t, t_next, xtol=5e-16)
             return float(root)
         t = t_next
         step *= 1.25
-    if law.has_negative_mark and psi_prime(law, t_max) > 0:
+    if law.has_negative_mark and psi_prime(law, KAPPA_T_MAX) > 0:
         warnings.warn(
             "kappa exceeds the search bracket t_max=%g; reporting INF "
-            "(documented limitation)" % t_max
+            "(documented limitation)" % KAPPA_T_MAX
         )
     return math.inf
 
 
-def regime_of(kappa: float, tol: float = 1e-9) -> str:
-    if abs(kappa - 2.0) <= tol:
+def regime_of(kappa: float) -> str:
+    if abs(kappa - 2.0) <= 1e-9:
         return "CRITICAL"
     return "SUBDIFFUSIVE" if kappa < 2.0 else "DIFFUSIVE"
 
@@ -283,7 +283,7 @@ class PotentialReport:
         return psi_evaluate(self._law, t)
 
 
-def validate_law(law: MarkLaw, t_grid=None) -> PotentialReport:
+def validate_law(law: MarkLaw) -> PotentialReport:
     """Full assumption audit: calibration, drift, kappa, regime, c0.
 
     Moment conditions beyond these are automatic for finite-support laws with
@@ -291,9 +291,8 @@ def validate_law(law: MarkLaw, t_grid=None) -> PotentialReport:
     """
     _require_assumption1(law)
     kappa = solve_kappa(law)
-    if t_grid is None:
-        t_grid = np.linspace(0.25, min(KAPPA_T_MAX, max(4.0, (kappa if math.isfinite(kappa) else 4.0) + 2)), 33)
-    grid = np.asarray(t_grid, dtype=np.float64)
+    top = max(4.0, (kappa if math.isfinite(kappa) else 4.0) + 2)
+    grid = np.linspace(0.25, min(KAPPA_T_MAX, top), 33)
     values = psi_evaluate(law, grid)
     notes = ["moment conditions: trivially satisfied (finite support, bounded offspring)"]
     lattice = law.is_lattice()

@@ -10,21 +10,21 @@ gamma in (1, 2], where gamma = 2 means standard Brownian motion:
                               time of Y through level a
 
 plus estimators for the discounted-sum constants C_inf and bold c_inf, the
-exact finite sum c0, and the tail-plateau estimator for c_kappa. The tests
-check both transforms against a direct path sampler for Y, which lives with
-the other test oracles.
+exact finite sum c0, and the tail-plateau estimator for c_kappa, and
+`estimate_constants`, the one route from a law to the constants that a
+config does not freeze. The tests check both transforms against a direct
+path sampler for Y, which lives with the other test oracles.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import special
 
+from . import excursion as _excursion
 from . import law as _law
 from . import stats as _stats
 from ._rng import derive_seed
@@ -32,12 +32,12 @@ from .env import discounted_sums_batch
 
 __all__ = [
     "LimitsError",
-    "ConstantEstimates",
     "ml_laplace",
     "hit_laplace",
     "estimate_discounted_moments",
     "c0_exact",
     "estimate_c_kappa",
+    "estimate_constants",
     "ML_LAMBDA_MAX",
 ]
 
@@ -138,26 +138,15 @@ def hit_laplace(gamma: float, alpha: float, lam: float) -> float:
     return math.exp(-alpha * lam ** (1.0 / gamma))
 
 
-@dataclass
-class ConstantEstimates:
-    """Discounted-sum constants of one law with their bootstrap CIs."""
-
-    C_inf: float | None = None
-    C_inf_ci: tuple[float, float] | None = None
-    c_inf_bold: float | None = None
-    c_inf_bold_ci: tuple[float, float] | None = None
-    n_samples: int | None = None
-    eps: float | None = None
-
-
 def estimate_discounted_moments(
     law: _law.MarkLaw,
     n_samples: int,
     eps: float,
     rng: np.random.Generator,
     seed: int = 0,
-) -> ConstantEstimates:
-    """MC estimates of C_inf = E[D^-2] and bold c_inf = E[D^-1].
+) -> dict:
+    """MC estimates of C_inf = E[D^-2] and bold c_inf = E[D^-1], with their
+    bootstrap CIs under the keys C_inf_ci and c_inf_bold_ci.
 
     D is the discounted sum of the size-biased spine walk; bootstrap CIs
     use the deterministic resample scheme. Draws are chunked because the
@@ -177,14 +166,7 @@ def estimate_discounted_moments(
     ci2 = _stats.bootstrap_ci(
         inv, lambda s: (s**2).mean(), seed=derive_seed(seed, "disc-moments", 0, "c2")
     )
-    return ConstantEstimates(
-        C_inf=c2,
-        C_inf_ci=ci2,
-        c_inf_bold=c1,
-        c_inf_bold_ci=ci1,
-        n_samples=n_samples,
-        eps=eps,
-    )
+    return {"C_inf": c2, "C_inf_ci": ci2, "c_inf_bold": c1, "c_inf_bold_ci": ci1}
 
 
 def c0_exact(law: _law.MarkLaw, kappa: float | None = None) -> float:
@@ -201,39 +183,29 @@ def c0_exact(law: _law.MarkLaw, kappa: float | None = None) -> float:
 
 
 def estimate_c_kappa(
-    law: _law.MarkLaw,
-    kappa: float,
-    m_grid: Sequence[int] | None = None,
-    n_samples: int = 10**6,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
-    hill_k: int = 2000,
+    law: _law.MarkLaw, kappa: float, n_samples: int = 10**6, seed: int = 0
 ) -> dict:
     """Tail-plateau estimate of c_kappa from m^kappa P(B > m).
 
     B is the count of first-generation type-1 vertices of a fresh
-    excursion tree. The estimator convention: evaluate m^kappa times the
-    empirical tail on a geometric m-grid and report the median of the top
-    half of the grid. Grid variation above 50% on that half raises a
-    NO_PLATEAU warning. The CI bootstraps the bin histogram; a Hill
-    cross-check of the tail index rides along."""
-    from .excursion import hypothesis_sums_batch
-
-    if rng is None:
-        rng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "env"))
-    b = hypothesis_sums_batch(law, n_samples, rng)["B"]
-    if m_grid is None:
-        # default grid spans the deep tail: from the 99.5th percentile of
-        # positive values out to the ~30-exceedance point, which is the
-        # scale range the finite-n normalizations actually sample
-        pos = b[b > 0]
-        if pos.size > 10_000:
-            lo = max(int(np.quantile(pos, 0.995)), 2)
-            hi = max(int(np.partition(b, -30)[-30]), 2 * lo)
-        else:
-            lo, hi = 2, max(int(b.max()), 8)
-        m_grid = np.unique(np.geomspace(lo, hi, num=12).astype(np.int64))
-    m_grid = np.asarray(sorted(m_grid), dtype=np.int64)
+    excursion tree, drawn from derive_seed(seed, "c-kappa", 0, "env"). The
+    estimator convention: evaluate m^kappa times the empirical tail on a
+    geometric m-grid and report the median of the top half of the grid.
+    The grid spans the deep tail, from the 99.5th percentile of the positive
+    values out to the ~30-exceedance point, which is the scale range the
+    finite-n normalizations actually sample. Grid variation above 50% on
+    that half raises a NO_PLATEAU warning. The CI bootstraps the bin
+    histogram; a Hill cross-check of the tail index on the top 2000 positive
+    values rides along."""
+    rng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "env"))
+    b = _excursion.hypothesis_sums_batch(law, n_samples, rng)["B"]
+    pos = b[b > 0]
+    if pos.size > 10_000:
+        lo = max(int(np.quantile(pos, 0.995)), 2)
+        hi = max(int(np.partition(b, -30)[-30]), 2 * lo)
+    else:
+        lo, hi = 2, max(int(b.max()), 8)
+    m_grid = np.unique(np.geomspace(lo, hi, num=12).astype(np.int64))
 
     n = b.size
     tail = np.array([(b > m).sum() for m in m_grid], dtype=np.float64)
@@ -262,9 +234,7 @@ def estimate_c_kappa(
         boots[r] = np.median(bvals[len(bvals) // 2 :])
     ci = tuple(np.quantile(boots, [0.025, 0.975]))
 
-    hill = _stats.hill_tail_index(
-        b[b > 0].astype(float), k=min(hill_k, int((b > 0).sum()) - 1), seed=seed
-    )
+    hill = _stats.hill_tail_index(pos.astype(float), k=min(2000, pos.size - 1), seed=seed)
     return {
         "c_kappa": est,
         "ci": (float(ci[0]), float(ci[1])),
@@ -273,3 +243,39 @@ def estimate_c_kappa(
         "hill": hill,
         "n_samples": int(n),
     }
+
+
+def estimate_constants(
+    law: _law.MarkLaw,
+    kappa: float,
+    seed: int,
+    frozen: dict,
+    *,
+    n_samples: int = 10**6,
+    eps: float = 1e-12,
+    c_kappa_samples: int = 10**6,
+) -> dict:
+    """The plug-in constants of `law`: those in `frozen` as given, every
+    other one estimated.
+
+    The regime decides which constants exist: c0 (exact) for kappa > 2,
+    c_kappa (tail plateau, `c_kappa_samples` draws of B) otherwise. C_inf
+    and bold c_inf (discounted moments, `n_samples` sums cut at `eps`) are
+    estimated together, in every regime, unless both are frozen. Returns
+    the frozen and estimated constants, the CI of each estimated one but c0
+    under `<name>_ci`, and the whole `estimate_c_kappa` report under
+    `c_kappa_fit` when c_kappa was estimated."""
+    out = dict(frozen)
+    diffusive = _law.regime_of(kappa) == "DIFFUSIVE"
+    if diffusive and "c0" not in out:
+        out["c0"] = c0_exact(law, kappa)
+    if "C_inf" not in out or "c_inf_bold" not in out:
+        rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
+        est = estimate_discounted_moments(law, n_samples, eps, rng, seed=seed)
+        for name in ("C_inf", "c_inf_bold"):
+            if name not in out:
+                out[name], out[f"{name}_ci"] = est[name], est[f"{name}_ci"]
+    if not diffusive and "c_kappa" not in out:
+        fit = estimate_c_kappa(law, kappa, n_samples=c_kappa_samples, seed=seed)
+        out.update(c_kappa=fit["c_kappa"], c_kappa_ci=fit["ci"], c_kappa_fit=fit)
+    return out

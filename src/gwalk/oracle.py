@@ -2,10 +2,9 @@
 
 Everything here is dense linear algebra on an explicitly enumerated finite
 tree plus the reflecting vertex e*: Green-function solves for per-excursion
-edge counts and their second moments, and matrix-vector iteration for the
-return probabilities P(X_m = e*). These are ground truth for the walk kernel
-and for the closed-form edge-count identities (which are conductance facts,
-hence exact on truncations too):
+edge counts and their second moments. These are ground truth for the walk
+kernel and for the closed-form edge-count identities (which are conductance
+facts, hence exact on truncations too):
 
     E[N_x per excursion] = e^{-V(x)}
     E[N_x N_y] = e^{-V(y)} (2 H_x - 1)                      x an ancestor of y
@@ -154,26 +153,3 @@ class FiniteChain:
         second = Z[0, uy] * qy * Z[y, ux] * qx
         diag = Z[0, ux] * qx if x == y else 0.0
         return first + second + diag
-
-    def return_prob_grid(self, times) -> np.ndarray:
-        """P(X_m = e*) for X_0 = root, at each requested raw time m."""
-        times = np.asarray(times, dtype=np.int64)
-        order = np.argsort(times)
-        # stochastic matrix on the tree nodes plus e* = index n (reflecting)
-        n = self.n
-        P = np.zeros((n + 1, n + 1))
-        P[:n, :n] = self.Q
-        P[0, n] = self.up_prob[0]
-        P[n, 0] = 1.0
-        mu = np.zeros(n + 1)
-        mu[0] = 1.0
-        out = np.empty(len(times))
-        t = 0
-        for oi in order:
-            target = int(times[oi])
-            while t < target:
-                mu = mu @ P
-                t += 1
-            assert abs(mu.sum() - 1.0) < 1e-12
-            out[oi] = mu[n]
-        return out

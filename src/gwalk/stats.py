@@ -114,12 +114,13 @@ def bootstrap_ci(
     stat: Callable[[np.ndarray], float],
     n_boot: int = N_BOOT,
     seed: int = 0,
-    level: float = 0.95,
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI with fixed derived resample seeds.
+    """Percentile 95% bootstrap CI with fixed derived resample seeds.
 
     Resample r draws from derive_seed(seed, "bootstrap", r, "resample"),
-    so verdicts are reproducible regardless of call order."""
+    so verdicts are reproducible regardless of call order. No caller sets
+    n_boot, but the benchmark tracer reads it by name as the resample count
+    of a call."""
     x = np.asarray(samples)
     n = x.size
     if n == 0:
@@ -128,7 +129,7 @@ def bootstrap_ci(
     for r in range(n_boot):
         rng = np.random.default_rng(derive_seed(seed, "bootstrap", r, "resample"))
         vals[r] = stat(x[rng.integers(0, n, size=n)])
-    a = (1.0 - level) / 2.0
+    a = (1.0 - 0.95) / 2.0  # a few ulps above 0.025: the CIs' bits depend on it
     lo, hi = np.quantile(vals, [a, 1.0 - a])
     return float(lo), float(hi)
 

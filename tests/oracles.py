@@ -123,8 +123,67 @@ def step_law_loop(off, lens, marks):
     return p_up, split, step_cum
 
 
+def return_prob_grid(chain, times) -> np.ndarray:
+    """P(X_m = e*) for X_0 = root at each requested raw time m, by
+    matrix-vector iteration of the full chain of a `gwalk.oracle.FiniteChain`
+    (its tree nodes plus e* = index n, which is reflecting)."""
+    times = np.asarray(times, dtype=np.int64)
+    order = np.argsort(times)
+    n = chain.n
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = chain.Q
+    P[0, n] = chain.up_prob[0]
+    P[n, 0] = 1.0
+    mu = np.zeros(n + 1)
+    mu[0] = 1.0
+    out = np.empty(len(times))
+    t = 0
+    for oi in order:
+        target = int(times[oi])
+        while t < target:
+            mu = mu @ P
+            t += 1
+        assert abs(mu.sum() - 1.0) < 1e-12
+        out[oi] = mu[n]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # naive tree transform
+
+
+def validate_typed_tree(t) -> None:
+    """Recompute every derived field of a `gwalk.forest.TypedTree` from
+    scratch and compare: the independent route against its vectorized
+    construction."""
+    n = len(t)
+    assert t.parent[0] == -1 and t.beta[0] == 1
+    for j in range(1, n):
+        assert 0 <= t.parent[j] < j
+        assert t.beta[j] >= 1
+    # preorder: an explicit recursive traversal must emit 0..n-1
+    children: list[list[int]] = [[] for _ in range(n)]
+    for j in range(1, n):
+        children[t.parent[j]].append(j)
+    order = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(reversed(children[x]))
+    assert order == list(range(n)), "node order is not a preorder"
+    for j in range(n):
+        bs = t.beta[j] + sum(t.beta[c] for c in children[j])
+        assert bs == t.beta_star[j]
+        g = 0
+        z = t.parent[j]
+        d = 0
+        while z != -1:
+            g += 1 if t.beta[z] == 1 else 0
+            z = t.parent[z]
+            d += 1
+        assert g == t.g1[j]
+        assert d == t.gen[j]
 
 
 def skeleton_naive(t):

@@ -1,10 +1,12 @@
-"""End to end: `gwalk.cli.main` on tiny configs of five commands.
+"""End to end: `gwalk.cli.main` on tiny configs of all eight commands.
 
 A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
 kernel (its ctypes calls release the GIL). Without a C compiler the runs use
-the package's own kernel. Bad `lemma-moments` settings and config keys that
-no command reads stop the command with a message before it samples anything.
+the package's own kernel. A theorem with no `constants` section estimates
+them on the route that estimate-constants takes. Bad `lemma-moments`
+settings and config keys that no command reads stop the command with a
+message before it samples anything, and the accepted keys are pinned.
 """
 
 import csv
@@ -21,14 +23,21 @@ CONSTANTS = {
     "c_kappa": 1.4549607799294266,
 }
 
+ESTIMATE = {"n_samples": 2000, "eps": 1e-12, "c_kappa_samples": 20000}
+
+# None: the command reads no config section
 TINY = {
+    "validate-law": None,
+    "theorem1": {"n_trials": 6, "p_grid": [5, 20], "lambdas": [0.5, 1.0], "tol": 0.05,
+                 "step_cap": 20000},
     "theorem2": {"n_trials": 6, "m_grid": [200, 1000], "lambdas": [0.5, 1.0], "tol": 0.05},
     "theorem3": {"n_trials": 40, "n_grid": [2, 5], "budget": 300, "shrink": 0.7},
     "lemma-moments": {"n_envs": 2, "depth": 3, "n_pairs": 5, "n_frozen": 1,
                       "n_excursions": 300, "regen_levels": [1, 3],
                       "n_regen_samples": 400},
+    "corollary": {"n_walkers": 60, "n_grid": [3, 10, 30], "tol": 0.1},
     "forest-identities": {"n_trees": 30, "n_sums": 3000},
-    "estimate-constants": {"n_samples": 2000, "eps": 1e-12, "c_kappa_samples": 20000},
+    "estimate-constants": ESTIMATE,
 }
 
 
@@ -38,10 +47,11 @@ def walk_kernel(kernel_library, monkeypatch):
         monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
 
 
-def _run(tmp_path, command, threads, tag, section=None):
+def _run(tmp_path, command, threads, tag, section=None, constants=CONSTANTS, extra=None):
+    sec = TINY[command] if section is None else section
     cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
-           "constants": CONSTANTS,
-           command.replace("-", "_"): TINY[command] if section is None else section}
+           **({} if constants is None else {"constants": constants}),
+           **({} if sec is None else {command.replace("-", "_"): sec}), **(extra or {})}
     path = tmp_path / f"{command}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / tag
@@ -59,6 +69,22 @@ def test_cli_bytes_identical_across_reruns_and_threads(walk_kernel, tmp_path, co
     first = _run(tmp_path, command, 1, "a")
     assert _run(tmp_path, command, 1, "b") == first
     assert _run(tmp_path, command, 2, "c") == first
+
+
+def test_theorem_estimates_the_constants_it_is_not_given(walk_kernel, tmp_path):
+    """With no constants section, theorem2 estimates the constants on the
+    route of estimate-constants (same seed, same estimate_constants section):
+    its files equal those of a run given the constants that command writes,
+    and they are byte-identical across reruns and threads."""
+    extra = {"estimate_constants": ESTIMATE}
+    first = _run(tmp_path, "theorem2", 1, "a", constants=None, extra=extra)
+    assert _run(tmp_path, "theorem2", 1, "b", constants=None, extra=extra) == first
+    assert _run(tmp_path, "theorem2", 2, "c", constants=None, extra=extra) == first
+    est = json.loads(_run(tmp_path, "estimate-constants", 1, "est")["constants.json"])
+    frozen = {k: est[k] for k in ("C_inf", "c_inf_bold", "c_kappa")}
+    assert _run(tmp_path, "theorem2", 1, "d", constants=frozen) == first
+    assert frozen != {k: CONSTANTS[k] for k in frozen}
+    assert _run(tmp_path, "theorem2", 1, "e") != first
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -101,3 +127,21 @@ def test_unknown_config_key_stops_the_command(tmp_path, command, extra, key):
     with pytest.raises(SystemExit, match=f"unknown config key {key}"):
         cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def test_config_surface_is_pinned():
+    """The accepted config keys, as a literal: adding or dropping one must
+    change this test too."""
+    assert cli._TOP_KEYS == ("law", "seed", "threads", "out")
+    assert cli._SECTIONS == {
+        "constants": {"C_inf", "c_inf_bold", "c_kappa", "c0", "_provenance"},
+        "lemma_moments": {"n_envs", "depth", "n_pairs", "n_frozen", "n_excursions",
+                          "regen_levels", "n_regen_samples"},
+        "theorem1": {"n_trials", "p_grid", "lambdas", "tol", "step_cap"},
+        "theorem2": {"n_trials", "m_grid", "lambdas", "tol"},
+        "theorem3": {"n_trials", "n_grid", "budget", "shrink"},
+        "corollary": {"n_walkers", "n_grid", "tol"},
+        "forest_identities": {"n_trees", "n_sums"},
+        "estimate_constants": {"n_samples", "eps", "c_kappa_samples"},
+    }
+    assert sum(len(keys) for keys in cli._SECTIONS.values()) == 33

@@ -36,7 +36,7 @@ def test_typed_tree_canonicalizes_bfs_input():
     assert t.gen.tolist() == [0, 1, 2, 1, 2]
     assert t.g1.tolist() == [0, 1, 1, 1, 2]
     assert t.beta_star.tolist() == [4, 3, 1, 4, 3]
-    t.validate()
+    oracles.validate_typed_tree(t)
 
 
 def test_typed_tree_idempotent_on_preorder_input():
@@ -64,7 +64,7 @@ def test_validate_catches_corruption():
     t = typed_tree([-1, 0, 1], [1, 2, 1])
     t.g1[2] += 1
     with pytest.raises(AssertionError):
-        t.validate()
+        oracles.validate_typed_tree(t)
 
 
 def test_skeletonize_matches_naive():
@@ -131,9 +131,15 @@ def test_padding_block_structure():
     # root(b=1) with children: a(b=3, leaf) and b(b=1) with child c(b=2)
     t = typed_tree([-1, 0, 0, 2], [1, 3, 1, 2])
     f = transform(t)
-    # skeleton: root keeps a (type 0, b2=3), b (type 1, b2=3: wait b2 is
-    # beta_star) computed by construction; sizes must match sum(beta_star)
-    assert len(f) == int(t.beta_star.sum())
+    # skeleton: a is type 0 with b2 = beta_star(a) = 3, so its two pads
+    # hang on the root; b is type 1 with b2 = beta_star(b) = 1 + 2 = 3, so its
+    # two pads close b's own block; c is type 0 with b2 = 2, so its one pad
+    # hangs on b; the root (type 1, b2 = 5) closes the tree with four pads.
+    # The final tree has sum(beta_star) = 5 + 3 + 3 + 2 = 13 vertices, in
+    # preorder: root, a, a's pads, b, c, c's pad, b's pads, the root's pads.
+    assert len(f) == int(t.beta_star.sum()) == 13
+    assert f.parent.tolist() == [-1, 0, 0, 0, 0, 4, 4, 4, 4, 0, 0, 0, 0]
+    assert f.type1.tolist() == [1, 0, 0, 0, 1] + [0] * 8
     counts = f.child_counts()
     assert counts[0] == f.root_offspring
     # every type-0 vertex is a leaf
@@ -175,7 +181,7 @@ def test_forest_redraws_trees_past_the_budget():
     assert len(trees) == 200
     assert max(len(t) for t in trees) <= 12 < sum(len(t) for t in trees)
     for t in trees:
-        t.validate()
+        oracles.validate_typed_tree(t)
     seeds = np.arange(50, dtype=np.uint64)
     batch = sample_excursion_tree(SUB, seeds, 1, rng, node_budget=12)
     assert batch.over.any()

@@ -142,12 +142,12 @@ def test_discounted_moments_constant_bias_exact():
     law = make_constant_bias(2.0)
     rng = np.random.default_rng(35)
     est = estimate_discounted_moments(law, 150_000, 1e-10, rng)
-    assert est.c_inf_bold == pytest.approx(0.5, abs=1e-9)
-    assert est.C_inf == pytest.approx(0.25, abs=1e-9)
-    lo, hi = est.C_inf_ci
+    assert est["c_inf_bold"] == pytest.approx(0.5, abs=1e-9)
+    assert est["C_inf"] == pytest.approx(0.25, abs=1e-9)
+    lo, hi = est["C_inf_ci"]
     assert lo == pytest.approx(0.25, abs=1e-8)
     assert hi == pytest.approx(0.25, abs=1e-8)
-    assert est.n_samples == 150_000
+    assert sorted(est) == ["C_inf", "C_inf_ci", "c_inf_bold", "c_inf_bold_ci"]
 
 
 def test_c0_exact_domain():
