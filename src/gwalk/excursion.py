@@ -21,6 +21,11 @@ environment node occurs at most once in a tree, so fresh seeds per row give
 the annealed law. Counts at depth <= d depend only on their ancestors:
 stopping after generation d samples the tree truncated at depth d exactly.
 
+By tau^p every edge has been crossed as often up as down, so
+tau^p = 2 sum_x N_x over the tree, root included (N_root = p), and the
+excised return time is T^p = tau^p - p = 2 sum_x N_x - p. A budget is
+therefore on sum_x N_x, the walk's own unit: half its steps.
+
 With prune=True a count-1 node below the root is not expanded. The
 level-0 regeneration set (the x with |x| > 0, N_x = 1 and N >= 2 at every
 ancestor strictly between the root and x) is then exactly the set of
@@ -47,10 +52,13 @@ __all__ = [
     "sample_excursion_tree",
     "hypothesis_sums_batch",
     "NB_INVERSION_MAX_K",
+    "SAMPLE_CHUNK",
 ]
 
 NB_INVERSION_MAX_K = 64
-DEFAULT_NODE_BUDGET = 10**8
+# samples per batch of the annealed samplers (here and in
+# limits.estimate_discounted_moments): memory holds one batch's scratch
+SAMPLE_CHUNK = 2**17
 
 
 class Level(NamedTuple):
@@ -78,7 +86,7 @@ def _nb_failures_batch(k: np.ndarray, p: float, rng: np.random.Generator):
         cdf = pmf.copy()
         m = np.zeros(len(kf), dtype=np.int64)
         rows = np.flatnonzero(u >= cdf)
-        step, width, q = 0, 64, 1.0 - p
+        step, width, q = 0, 8, 1.0 - p
         # the inversion runs in rounds of `width` terms per row, doubling
         # each round (fewer when many rows are still searching, to bound the
         # temporary arrays); cumprod and cumsum accumulate in term order, so
@@ -87,16 +95,16 @@ def _nb_failures_batch(k: np.ndarray, p: float, rng: np.random.Generator):
         while rows.size:
             j = np.arange(step, step + max(1, min(width, 2**16 // rows.size)),
                           dtype=np.float64)
-            terms = q * (kf[rows, None] + j) / (j + 1.0)
-            terms[:, 0] *= pmf[rows]
-            terms = np.cumprod(terms, axis=1)
-            cum = terms.copy()
+            cum = q * (kf[rows, None] + j) / (j + 1.0)
+            cum[:, 0] *= pmf[rows]
+            np.cumprod(cum, axis=1, out=cum)
+            pmf[rows] = cum[:, -1]
             cum[:, 0] += cdf[rows]
-            cum = np.cumsum(cum, axis=1)
-            hit = u[rows, None] < cum
-            found = hit.any(axis=1)
-            m[rows[found]] = step + 1 + hit[found].argmax(axis=1)
-            pmf[rows], cdf[rows] = terms[:, -1], cum[:, -1]
+            np.cumsum(cum, axis=1, out=cum)
+            first = (u[rows, None] < cum).argmax(axis=1)
+            found = u[rows] < cum[np.arange(rows.size), first]
+            m[rows[found]] = step + 1 + first[found]
+            cdf[rows] = cum[:, -1]
             rows = rows[~found]
             step += len(j)
             width *= 2
@@ -114,7 +122,7 @@ def excursion_levels(
     root_counts,
     rng: np.random.Generator,
     prune: bool = False,
-    node_budget: int | None = None,
+    budget=None,
 ) -> Iterator[Level]:
     """Yield the generations of one excursion tree per row, roots first.
 
@@ -124,9 +132,13 @@ def excursion_levels(
     stops after generation d has drawn nothing deeper. Per atom, one
     negative-binomial draw gives each node's child total and one
     multinomial draw its split. With prune=True, count-1 nodes below the
-    root are not expanded. With node_budget, a row stops growing once its
-    tree holds more than node_budget nodes, so a consumer finds the rows
-    over the budget by counting their nodes."""
+    root are not expanded.
+
+    With a budget (a scalar, or one value per row like root_counts), a row
+    stops growing once the sum of N over its nodes passes its budget. That
+    sum, root included, is tau^p / 2 for the whole tree, so the budget is
+    half a walk's step budget; a consumer finds the rows over it by summing
+    their N."""
     t = law.tables()
     key = root_key_np(env_seeds)
     n = key.size
@@ -135,16 +147,18 @@ def excursion_levels(
         raise ValueError("root counts must be >= 1")
     row = np.arange(n, dtype=np.int64)
     parent = np.broadcast_to(np.int64(-1), n)
-    size = None if node_budget is None else np.zeros(n, dtype=np.int64)
+    if budget is not None:
+        budget = np.broadcast_to(np.asarray(budget, dtype=np.int64), n)
+        total = np.zeros(n, dtype=np.int64)
     dmax = int(t.lens.max())
     root = True
     while row.size:
         yield Level(row, parent, key, N)
         ex = np.flatnonzero(N >= 2) if prune and not root else np.arange(row.size)
         root = False
-        if size is not None:
-            np.add.at(size, row, 1)
-            ex = ex[size[row[ex]] <= node_budget]
+        if budget is not None:
+            np.add.at(total, row, N)
+            ex = ex[total[row[ex]] <= budget[row[ex]]]
         atom = np.searchsorted(
             t.cum, (key[ex] >> np.uint64(11)) * TWO_NEG53, side="right"
         )
@@ -171,7 +185,7 @@ class ExcursionBatch:
 
     Node arrays in generation order (roots first), sorted by row within a
     generation; parent indexes the same arrays (-1 at a root). Rows whose
-    tree passed the node budget are flagged in `over` and hold no nodes."""
+    tree passed the budget are flagged in `over` and hold no nodes."""
 
     row: np.ndarray
     parent: np.ndarray
@@ -188,14 +202,14 @@ def sample_excursion_tree(
     env_seeds,
     p,
     rng: np.random.Generator,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget=None,
 ) -> ExcursionBatch:
     """(Visited set, counts) at tau^p on every environment of env_seeds,
-    no walk involved: the whole trees of `excursion_levels`. A tree that
-    passes node_budget nodes is cut and dropped; its row is flagged in
+    no walk involved: the whole trees of `excursion_levels`. A tree whose
+    sum of N passes the budget is cut and dropped; its row is flagged in
     `over`, so the batch holds complete trees only."""
     seeds = np.asarray(env_seeds, dtype=np.uint64).ravel()
-    levels = list(excursion_levels(law, seeds, p, rng, node_budget=node_budget))
+    levels = list(excursion_levels(law, seeds, p, rng, budget=budget))
     sizes = np.array([lv.row.size for lv in levels], dtype=np.int64)
     start = np.cumsum(sizes) - sizes
     row = np.concatenate([lv.row for lv in levels])
@@ -204,7 +218,9 @@ def sample_excursion_tree(
     )
     key = np.concatenate([lv.key for lv in levels])
     N = np.concatenate([lv.N for lv in levels])
-    over = np.bincount(row, minlength=seeds.size) > node_budget
+    total = np.zeros(seeds.size, dtype=np.int64)
+    np.add.at(total, row, N)
+    over = np.zeros(seeds.size, dtype=bool) if budget is None else total > budget
     keep = ~over[row]
     if not keep.all():
         new = np.cumsum(keep) - 1
@@ -224,16 +240,21 @@ def hypothesis_sums_batch(
         nu     sum of N over the non-root nodes,
         nu_t   number of non-root nodes.
 
-    The environment seeds come from rng. One generation is held in memory
-    at a time. Returns dict of arrays, each of length n_samples."""
+    The samples run SAMPLE_CHUNK at a time, each chunk drawing its
+    environment seeds from rng and then its trees, so memory holds one
+    generation of one chunk. Returns dict of arrays, each of length
+    n_samples."""
     B = np.zeros(n_samples, dtype=np.int64)
     nu = np.zeros(n_samples, dtype=np.int64)
     nu_t = np.zeros(n_samples, dtype=np.int64)
-    seeds = rng.integers(0, 2**64, size=n_samples, dtype=np.uint64)
-    levels = excursion_levels(law, seeds, p, rng, prune=True)
-    next(levels, None)  # the roots carry no summand
-    for lv in levels:
-        np.add.at(B, lv.row[lv.N == 1], 1)
-        np.add.at(nu, lv.row, lv.N)
-        np.add.at(nu_t, lv.row, 1)
+    for i in range(0, n_samples, SAMPLE_CHUNK):
+        n = min(SAMPLE_CHUNK, n_samples - i)
+        seeds = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        levels = excursion_levels(law, seeds, p, rng, prune=True)
+        next(levels, None)  # the roots carry no summand
+        for lv in levels:
+            row = lv.row + i
+            np.add.at(B, row[lv.N == 1], 1)
+            np.add.at(nu, row, lv.N)
+            np.add.at(nu_t, row, 1)
     return {"B": B, "nu": nu, "nu_tilde": nu_t}

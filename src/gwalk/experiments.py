@@ -49,10 +49,10 @@ __all__ = [
 ]
 
 W_DEPTH = 15  # additive-martingale depth used as the W_inf proxy
-# theorem1's step budget reaches normalized depth Z_BUDGET in an environment
-# with W = W_REF (see theorem1_campaign)
+# theorem1 cuts a trial only past normalized depth Z_BUDGET (see
+# theorem1_campaign), and samples its trials THEOREM1_CHUNK at a time
 Z_BUDGET = 14.0
-W_REF = 2.0
+THEOREM1_CHUNK = 32
 
 
 @dataclass
@@ -232,69 +232,69 @@ def theorem1_campaign(
     p_grid=(10**3, 10**4),
     lambdas=(0.5, 1.0, 2.0),
     tol: float = 0.05,
-    step_cap: int = 3 * 10**7,
 ) -> dict:
     """Return-time marginal test: T^p / (W^k b_p) against the passage law.
 
-    A trial short of its last crossing when the step budget runs out is
-    censored as +inf, contributing 0 to every e^{-lambda Z}. Its true T^p
-    exceeds the excised clock at the cut, so its Z exceeds the cut depth
-    z_cut = (excised clock at the cut) / (W^k b_p), and censoring biases the
-    empirical transform at every lambda in the grid downward by at most
-    sum over censored trials of e^{-lambda_min z_cut} / n_trials. The
-    verdict records this bound (censor_bias_bound) and the smallest z_cut
-    (min_cut_depth). The budget Z_BUDGET * W_REF^k * b_p(max p) cuts a
-    trial with W <= W_REF near z_cut = Z_BUDGET or deeper, but step_cap
-    bounds any single trial (the arena costs about 13 bytes per step: 0.23
-    nodes grown per step, seven 8-byte slots each, so 3e7 steps ~ 0.39 GB),
-    and where it binds z_cut can be of order 1: only the recorded bound
-    holds."""
+    No walk is run: at tau^p the walk is its edge-count tree N, T^p =
+    2 sum_x N_x - p (root included), and counts add over excursions on a
+    fixed environment. Each trial draws one `excursion.excursion_levels` row
+    per increment of p_grid on its environment (root counts p_1, p_2 - p_1,
+    ...), and T^{p_j} is the running sum of 2 sum N - (p_j - p_{j-1}). Trials
+    run THEOREM1_CHUNK at a time, each chunk with its own rng, so memory is
+    the widest generation of a chunk.
+
+    Each row of a trial with W proxy w has the budget
+    (Z_BUDGET w^k b_{p_max} + p_max) / 2 on its sum of N. A row past it has
+    T^{p_max} > Z_BUDGET w^k b_{p_max}, so (b_p growing with p) the trial is
+    past normalized depth Z_BUDGET at every grid point from that row on.
+    There it is censored as +inf, which lowers each e^{-lambda Z} by less
+    than e^{-lambda Z_BUDGET}: the transform's bias is at most
+    n_censored e^{-lambda_min Z_BUDGET} / n_trials (censor_bias_bound).
+    Returns the rows, verdicts, distances, Z per grid point ("z") and the
+    running sums ("T", partial where censored)."""
     p_grid = sorted(int(p) for p in p_grid)
-    env_seeds, walk_seeds = trial_seeds(master_seed, "theorem1", n_trials)
-    budget = min(
-        int(Z_BUDGET * W_REF**consts.gamma * consts.return_time_scale(p_grid[-1])),
-        int(step_cap),
-    )
-    T = np.full((n_trials, len(p_grid)), -1, dtype=np.int64)
-    censored = np.zeros(n_trials, dtype=bool)
-    t_cut = np.zeros(n_trials, dtype=np.int64)
-
-    def one(t: int) -> None:
-        res = walk.simulate_excursion_grid(
-            law, int(env_seeds[t]), int(walk_seeds[t]), p_grid, budget
-        )
-        got = res["snap_T"].size
-        T[t, :got] = res["snap_T"]
-        censored[t] = res["status"] == kernel.STATUS_BUDGET
-        t_cut[t] = res["t_ex"]
-
-    _map_trials(one, n_trials, threads)
-    n_censored = int(censored.sum())
+    dp = np.diff(p_grid, prepend=0)
+    k = len(p_grid)
+    env_seeds, _ = trial_seeds(master_seed, "theorem1", n_trials)
     w = w_hat_batch(law, env_seeds)
-    with np.errstate(divide="ignore"):
-        z_cut = t_cut[censored] / (
-            w[censored] ** consts.gamma * consts.return_time_scale(p_grid[-1])
-        )
-    bias_bound = float(np.exp(-min(lambdas) * z_cut).sum() / n_trials)
+    cap_z = Z_BUDGET * w**consts.gamma * consts.return_time_scale(p_grid[-1])
+    cap = np.floor(np.minimum((cap_z + p_grid[-1]) / 2.0, 2.0**62)).astype(np.int64)
+    T = np.empty((n_trials, k), dtype=np.int64)
+    over = np.empty((n_trials, k), dtype=bool)
 
-    z_by_n = {}
-    for j, p in enumerate(p_grid):
-        z = np.where(
-            T[:, j] >= 0,
+    def one(c: int) -> None:
+        t = slice(c * THEOREM1_CHUNK, min((c + 1) * THEOREM1_CHUNK, n_trials))
+        m = t.stop - t.start
+        rng = np.random.default_rng(derive_seed(master_seed, "theorem1", c, "walk"))
+        budget = np.repeat(cap[t], k)
+        total = np.zeros(m * k, dtype=np.int64)
+        for lv in excursion.excursion_levels(
+            law, np.repeat(env_seeds[t], k), np.tile(dp, m), rng, budget=budget
+        ):
+            np.add.at(total, lv.row, lv.N)
+        T[t] = np.cumsum((2 * total).reshape(m, k) - dp, axis=1)
+        over[t] = (total > budget).reshape(m, k)
+
+    _map_trials(one, -(-n_trials // THEOREM1_CHUNK), threads)
+    censored = np.logical_or.accumulate(over, axis=1)
+    n_censored = int(censored[:, -1].sum())
+    bias_bound = n_censored * math.exp(-min(lambdas) * Z_BUDGET) / n_trials
+
+    z_by_n = {
+        p: np.where(
+            censored[:, j], np.inf,
             T[:, j] / (w**consts.gamma * consts.return_time_scale(p)),
-            np.inf,
         )
-        z_by_n[p] = z
+        for j, p in enumerate(p_grid)
+    }
     rows, dists = _laplace_rows(
         "theorem1", z_by_n, consts.gamma, "HIT", lambdas, n_trials
     )
     verdicts = _laplace_verdicts(
         "theorem1", "p", dists, tol,
-        n_trials=n_trials, n_censored=n_censored,
-        min_cut_depth=float(z_cut.min()) if n_censored else None,
-        censor_bias_bound=bias_bound,
+        n_trials=n_trials, n_censored=n_censored, censor_bias_bound=bias_bound,
     )
-    return {"rows": rows, "verdicts": verdicts, "distances": dists, "z": z_by_n}
+    return {"rows": rows, "verdicts": verdicts, "distances": dists, "z": z_by_n, "T": T}
 
 
 def _kappa_n(kappa: float, n: int) -> float:
@@ -321,9 +321,13 @@ def theorem3_campaign(
     Snapshots every crossing up to max(n_grid). A trial that exhausts the
     step budget before crossing n contributes +inf for that n (the median
     absorbs the censored fraction, which stays well under half at the
-    default budget; the budget itself is memory-bound, see the arena cost
-    note on theorem1_campaign). Verdict: the median shrinks by at least
-    the factor `shrink` going from the first to the last n."""
+    default budget). The budget is memory-bound: the walk's arena costs
+    about 13 bytes per step (0.23 nodes grown per step, seven 8-byte slots
+    each), so the default 3e7 steps hold about 0.39 GB per running trial.
+    Verdict: the median shrinks by at least the factor `shrink` going from
+    the first to the last n. A censored median is written as null; if the
+    first or last one is, the ratio is null and the verdict fails with a
+    reason."""
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem3", n_trials)
@@ -349,22 +353,27 @@ def theorem3_campaign(
     _map_trials(one, n_trials, threads)
     n_censored = int(censored.sum())
     med = np.median(sup_err, axis=0)
+    # a column at least half censored has median inf, which JSON cannot carry
+    known = [float(m) if np.isfinite(m) else None for m in med]
     rows = [
         {
             "experiment": "theorem3",
             "n": n,
-            "median_sup_err": med[j],
+            "median_sup_err": known[j],
             "n_trials": n_trials,
             "n_censored_at_n": int(np.isinf(sup_err[:, j]).sum()),
         }
         for j, n in enumerate(n_grid)
     ]
-    ratio = med[-1] / med[0] if med[0] > 0 else np.inf
+    ratio = None if None in (known[0], known[-1]) else known[-1] / known[0]
+    missing = [n for n, m in zip(n_grid, known) if m is None]
     verdicts = [
         stats.verdict_row(
-            "theorem3", "median_sup_ratio", float(ratio), shrink,
-            bool(ratio <= shrink), n_trials=n_trials, n_censored=n_censored,
-            medians={str(n): float(m) for n, m in zip(n_grid, med)},
+            "theorem3", "median_sup_ratio", ratio, shrink,
+            ratio is not None and ratio <= shrink, n_trials=n_trials,
+            n_censored=n_censored,
+            medians={str(n): m for n, m in zip(n_grid, known)},
+            **({} if ratio is not None else {"reason": f"median censored at n in {missing}"}),
         )
     ]
     return {"rows": rows, "verdicts": verdicts, "medians": med, "sup_err": sup_err}

@@ -11,21 +11,19 @@ type-1 Lukasiewicz path turns the cumulative weights
 into first-passage functionals of an integer path. Pipeline:
 
     TypedTree  --skeletonize-->  SkeletonTree  --finalize-->  FinalTree
-                                                      |
-                                         lukasiewicz(forest) -> path
 
 Every identity checked here is an exact integer equality per sample, never
 an asymptotic statement: node counts are preserved by skeletonize, the
-final tree has exactly sum(beta_star) vertices, its root offspring count
-equals twice the count-weighted size of the first type-1 generation, and
-the cumulative weight F_p is p plus the child total of the first
-first-passage-many type-1 vertices.
+final tree has exactly sum(beta_star) vertices, and its root offspring
+count equals twice the count-weighted size of the first type-1 generation.
+The path identities (F_p is p plus the child total of the first
+first-passage-many type-1 vertices) are checked by the tests, which build
+the path from final trees (`tests/lukasiewicz.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +34,12 @@ __all__ = [
     "TypedTree",
     "SkeletonTree",
     "FinalTree",
-    "LukasiewiczPath",
     "typed_tree",
     "typed_from_excursion",
     "sample_typed_forest",
     "skeletonize",
     "finalize",
     "transform",
-    "lukasiewicz",
     "check_tree_identities",
     "StepBudgetExceeded",
 ]
@@ -136,7 +132,7 @@ def typed_tree(parent, beta) -> TypedTree:
 
 def typed_from_excursion(batch: ExcursionBatch) -> list[TypedTree]:
     """The trees of an excursion batch sampled at root count 1, as typed
-    source trees in row order (rows over the node budget hold no tree)."""
+    source trees in row order (rows over the budget hold no tree)."""
     roots = batch.parent < 0
     if (batch.N[roots] != 1).any():
         raise ValueError(
@@ -153,7 +149,7 @@ def typed_from_excursion(batch: ExcursionBatch) -> list[TypedTree]:
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Too many excursion trees passed the node budget."""
+    """Too many excursion trees passed the budget."""
 
     code = "STEP_BUDGET_EXCEEDED"
 
@@ -162,28 +158,30 @@ def sample_typed_forest(
     law: MarkLaw,
     n_trees: int,
     rng: np.random.Generator,
-    node_budget: int = 200_000,
+    budget: int = 10**6,
     max_resample: int = 200,
 ) -> list[TypedTree]:
     """n_trees independent single-excursion trees, fresh environment each,
     sampled as one batch.
 
-    A tree blowing through node_budget is redrawn with a fresh seed, so the
-    returned sample is size-truncated; fine for exact-identity checks,
-    which hold tree by tree, but do not feed it to tail estimators."""
+    A tree whose sum of N (beta) passes the budget is redrawn with a fresh
+    seed, so the returned sample is size-truncated; fine for exact-identity
+    checks, which hold tree by tree, but do not feed it to tail estimators.
+    At the default budget none of 20,000 trees drawn on two_point_sub was
+    redrawn (a large tree there holds one node per about 4 units of N)."""
     out: list[TypedTree | None] = [None] * n_trees
     todo = np.arange(n_trees)
     redrawn = 0
     while todo.size:
         seeds = rng.integers(0, 2**64, size=todo.size, dtype=np.uint64)
-        batch = sample_excursion_tree(law, seeds, 1, rng, node_budget=node_budget)
+        batch = sample_excursion_tree(law, seeds, 1, rng, budget=budget)
         for i, t in zip(todo[~batch.over], typed_from_excursion(batch)):
             out[i] = t
         todo = todo[batch.over]
         redrawn += todo.size
         if redrawn > max_resample:
             raise StepBudgetExceeded(
-                f"more than {max_resample} excursion trees passed {node_budget} nodes"
+                f"more than {max_resample} excursion trees passed the budget {budget}"
             )
     return out
 
@@ -377,144 +375,3 @@ def check_tree_identities(t: TypedTree) -> dict:
         "type1_depth1": f.depth1_type1
         == int(np.count_nonzero(lvl1 & (t.beta == 1))),
     }
-
-
-# ---------------------------------------------------------------------------
-# Lukasiewicz path over a forest
-
-
-@dataclass
-class LukasiewiczPath:
-    """Path data of a forest of final trees, concatenated in tree order.
-
-    v1[k]  = sum over the first k type-1 vertices of (type-1 children - 1)
-    d[k]   = total children (both types) of the first k type-1 vertices
-    f_p[p] = cumulative vertex count of the first p trees
-    k1_p[p] = cumulative type-1 vertex count of the first p trees
-
-    Type-0 vertices are always leaves, so d over type-1 vertices already
-    accounts for every non-root vertex of the forest.
-    """
-
-    v1: np.ndarray
-    d: np.ndarray
-    f_p: np.ndarray
-    k1_p: np.ndarray
-    _neg_max: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._neg_max is None:
-            self._neg_max = np.maximum.accumulate(-self.v1)
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.f_p) - 1
-
-    def first_passage(self, p: int) -> int:
-        """inf{k >= 1 : -v1[k] = p}, the size of the first p type-1 trees."""
-        if not 1 <= p <= self.n_trees:
-            raise ValueError("p out of range")
-        k = int(np.searchsorted(self._neg_max, p, side="left"))
-        assert self.v1[k] == -p
-        return k
-
-    def f(self, p: int) -> int:
-        return int(self.f_p[p])
-
-    def f_bar(self, m: int) -> int:
-        """sup{p >= 0 : F_p <= m} on the sampled prefix."""
-        return int(np.searchsorted(self.f_p, m, side="right")) - 1
-
-    def d_bar(self, m: int) -> int:
-        """sup{k >= 0 : d[k] <= m} on the sampled prefix."""
-        return int(np.searchsorted(self.d, m, side="right")) - 1
-
-    def max_drop(self, k: int) -> int:
-        """max of -v1 over 0..k, i.e. the prefix maximum clamped at 0.
-
-        The clamp is the tight convention for the sandwich bounds: a
-        negative prefix maximum means no tree has closed yet, which
-        forces f_bar = 0 on that prefix."""
-        if k < 1:
-            return 0
-        return int(self._neg_max[min(k, len(self.v1) - 1)])
-
-    def check_identities(self, m_grid=None, g_choices=(1, "half")) -> dict:
-        """Exact per-sample path identities over the whole forest.
-
-        first_passage : cumulative type-1 sizes are the first-passage
-                        times of -v1 through every level p
-        forest_type   : F_p = p + d(first_passage(p)) for every p
-        sandwich      : min(g, max_drop(d_bar(m - g))) <= f_bar(m)
-                        <= max_drop(d_bar(m)) on the valid m range
-        """
-        ps = np.arange(1, self.n_trees + 1)
-        ks = np.searchsorted(self._neg_max, ps, side="left")
-        fp_ok = bool(
-            (self.v1[ks] == -ps).all() and (ks == self.k1_p[1:]).all()
-        )
-        ft_ok = bool((self.f_p[1:] == ps + self.d[ks]).all())
-
-        if m_grid is None:
-            top = int(self.d[-1]) - 1
-            m_grid = np.unique(np.linspace(2, max(top, 2), 64, dtype=np.int64))
-        sw_ok = True
-        checked = 0
-        for m in np.asarray(m_grid, dtype=np.int64):
-            m = int(m)
-            if m < 2 or m > int(self.d[-1]) - 1:
-                continue
-            fb = self.f_bar(m)
-            hi = self.max_drop(self.d_bar(m))
-            if fb > hi:
-                sw_ok = False
-            for g in g_choices:
-                g = m // 2 if g == "half" else int(g)
-                if not 1 <= g < m:
-                    continue
-                lo = min(g, self.max_drop(self.d_bar(m - g)))
-                if lo > fb:
-                    sw_ok = False
-            checked += 1
-        return {
-            "first_passage": fp_ok,
-            "forest_type": ft_ok,
-            "sandwich": sw_ok,
-            "sandwich_points": checked,
-        }
-
-
-def lukasiewicz(forest: Sequence[FinalTree]) -> LukasiewiczPath:
-    """Path encoding of a forest of final trees, tree order preserved.
-
-    The DFS of the type-1 subforest is the preorder of each tree
-    restricted to its type-1 vertices (type-0 vertices are leaves, so the
-    restriction is a connected rooted subtree)."""
-    n1_parts = []
-    nfull_parts = []
-    sizes = np.empty(len(forest), dtype=np.int64)
-    k1 = np.empty(len(forest), dtype=np.int64)
-    for i, f in enumerate(forest):
-        cnt = f.child_counts()
-        mask = f.type1 == 1
-        t1_children = np.zeros(len(f), dtype=np.int64)
-        deeper = np.flatnonzero(mask)
-        deeper = deeper[deeper > 0]
-        if deeper.size:
-            np.add.at(t1_children, f.parent[deeper], 1)
-        n1_parts.append(t1_children[mask])
-        nfull_parts.append(cnt[mask])
-        sizes[i] = len(f)
-        k1[i] = int(mask.sum())
-
-    n1 = np.concatenate(n1_parts) if n1_parts else np.empty(0, np.int64)
-    nf = np.concatenate(nfull_parts) if nfull_parts else np.empty(0, np.int64)
-    v1 = np.zeros(len(n1) + 1, dtype=np.int64)
-    np.cumsum(n1 - 1, out=v1[1:])
-    d = np.zeros(len(nf) + 1, dtype=np.int64)
-    np.cumsum(nf, out=d[1:])
-    f_p = np.zeros(len(forest) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=f_p[1:])
-    k1_p = np.zeros(len(forest) + 1, dtype=np.int64)
-    np.cumsum(k1, out=k1_p[1:])
-    return LukasiewiczPath(v1=v1, d=d, f_p=f_p, k1_p=k1_p)

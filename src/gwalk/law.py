@@ -43,6 +43,9 @@ KAPPA_T_MAX = 64.0
 
 PROB_TOL = 1e-12
 CALIBRATION_TOL = 1e-9
+# MarkLaw.is_lattice: relative tolerance and largest multiplier of the span
+LATTICE_RTOL = 1e-9
+LATTICE_MAX_MULT = 10**4
 
 
 class LawError(ValueError):
@@ -137,17 +140,24 @@ class MarkLaw:
         return any(a < 0 for _, m in self.atoms for a in m)
 
     def is_lattice(self) -> bool:
-        """True when all marks lie on an arithmetic progression.
-
-        Finite-support laws with <= 2 distinct marks are always lattice; this
-        is reported as a warning by validate_law, never an error.
-        """
-        marks = sorted({a for _, m in self.atoms for a in m})
-        if len(marks) <= 2:
+        """True when every mark lies in dZ for one d > 0 (arithmetic in the
+        renewal sense, for the spine walk behind D and c_kappa). d is the
+        float gcd of the nonzero |marks| by Euclid with symmetric remainders,
+        to within LATTICE_RTOL * max|mark|; since any finite set of floats is
+        near a fine enough lattice, max|mark| / d may be at most
+        LATTICE_MAX_MULT. validate_law reports it as a warning only."""
+        marks = {abs(a) for _, m in self.atoms for a in m} - {0.0}
+        if not marks:
             return True
-        diffs = [a - marks[0] for a in marks[1:]]
-        d = min(diffs)
-        return all(abs(x / d - round(x / d)) < 1e-12 for x in diffs)
+        tol = LATTICE_RTOL * max(marks)
+        d = 0.0
+        for x in marks:
+            while d > tol:
+                x, d = d, abs(x - d * round(x / d))
+            d = x
+        return max(marks) / d <= LATTICE_MAX_MULT and all(
+            abs(a - d * round(a / d)) <= tol for a in marks
+        )
 
     def tables(self) -> LawTables:
         """The law's flat tables, read by the kernels and the samplers.

@@ -151,7 +151,7 @@ def estimate_discounted_moments(
     D is the discounted sum of the size-biased spine walk; bootstrap CIs
     use the deterministic resample scheme. Draws are chunked because the
     batched sampler holds (chunk x block) scratch arrays."""
-    chunk = 131072
+    chunk = _excursion.SAMPLE_CHUNK
     parts = [
         discounted_sums_batch(law, min(chunk, n_samples - i), eps, rng)
         for i in range(0, n_samples, chunk)

@@ -4,9 +4,11 @@ A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
 kernel (its ctypes calls release the GIL). Without a C compiler the runs use
 the package's own kernel. A theorem with no `constants` section estimates
-them on the route that estimate-constants takes. Bad `lemma-moments`
-settings and config keys that no command reads stop the command with a
-message before it samples anything, and the accepted keys are pinned.
+them on the route that estimate-constants takes. Every verdict file is
+strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
+Bad `lemma-moments` settings and config keys that no command reads stop the
+command with a message before it samples anything, and the accepted keys
+are pinned.
 """
 
 import csv
@@ -28,8 +30,7 @@ ESTIMATE = {"n_samples": 2000, "eps": 1e-12, "c_kappa_samples": 20000}
 # None: the command reads no config section
 TINY = {
     "validate-law": None,
-    "theorem1": {"n_trials": 6, "p_grid": [5, 20], "lambdas": [0.5, 1.0], "tol": 0.05,
-                 "step_cap": 20000},
+    "theorem1": {"n_trials": 40, "p_grid": [5, 20], "lambdas": [0.5, 1.0], "tol": 0.05},
     "theorem2": {"n_trials": 6, "m_grid": [200, 1000], "lambdas": [0.5, 1.0], "tol": 0.05},
     "theorem3": {"n_trials": 40, "n_grid": [2, 5], "budget": 300, "shrink": 0.7},
     "lemma-moments": {"n_envs": 2, "depth": 3, "n_pairs": 5, "n_frozen": 1,
@@ -64,9 +65,16 @@ def _run(tmp_path, command, threads, tag, section=None, constants=CONSTANTS, ext
     return files
 
 
+def _strict_json(data: bytes):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in verdict JSON")
+    return json.loads(data, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("command", sorted(TINY))
 def test_cli_bytes_identical_across_reruns_and_threads(walk_kernel, tmp_path, command):
     first = _run(tmp_path, command, 1, "a")
+    _strict_json(first[f"{command.replace('-', '_')}_verdicts.json"])
     assert _run(tmp_path, command, 1, "b") == first
     assert _run(tmp_path, command, 2, "c") == first
 
@@ -112,12 +120,27 @@ def test_forest_rows_come_from_the_batch_sums(walk_kernel, tmp_path):
     assert rows["b_mean"] <= rows["nu_tilde_mean"] <= rows["nu_mean"]
 
 
+def test_theorem3_writes_censored_medians_as_null(walk_kernel, tmp_path):
+    """At a budget that censors every trial, the medians and the ratio are
+    null, not Infinity and NaN, and the verdict fails with a reason."""
+    sec = {"n_trials": 20, "n_grid": [50, 200], "budget": 100}
+    files = _run(tmp_path, "theorem3", 1, "a", sec)
+    (v,) = _strict_json(files["theorem3_verdicts.json"])
+    assert v["n_censored"] == 20
+    assert v["value"] is None and v["pass"] is False
+    assert v["medians"] == {"50": None, "200": None}
+    assert "censored" in v["reason"]
+    rows = list(csv.DictReader(io.StringIO(files["theorem3.csv"].decode())))
+    assert [r["median_sup_err"] for r in rows] == ["", ""]
+
+
 @pytest.mark.parametrize("command, extra, key", [
     ("theorem1", {"theorem1": {"n_trials": 4, "z_budget": 14.0}}, "theorem1.z_budget"),
     ("validate-law", {"theorem1": {"z_budget": 14.0}}, "theorem1.z_budget"),
     ("validate-law", {"theorem_2": {}}, "'theorem_2'"),
     ("validate-law", {"constants": {**CONSTANTS, "c_kapa": 1.0}}, "constants.c_kapa"),
     ("forest-identities", {"forest_identities": {"n_tree": 3}}, "forest_identities.n_tree"),
+    ("theorem1", {"theorem1": {"n_trials": 4, "step_cap": 20000}}, "theorem1.step_cap"),
 ])
 def test_unknown_config_key_stops_the_command(tmp_path, command, extra, key):
     cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
@@ -137,11 +160,11 @@ def test_config_surface_is_pinned():
         "constants": {"C_inf", "c_inf_bold", "c_kappa", "c0", "_provenance"},
         "lemma_moments": {"n_envs", "depth", "n_pairs", "n_frozen", "n_excursions",
                           "regen_levels", "n_regen_samples"},
-        "theorem1": {"n_trials", "p_grid", "lambdas", "tol", "step_cap"},
+        "theorem1": {"n_trials", "p_grid", "lambdas", "tol"},
         "theorem2": {"n_trials", "m_grid", "lambdas", "tol"},
         "theorem3": {"n_trials", "n_grid", "budget", "shrink"},
         "corollary": {"n_walkers", "n_grid", "tol"},
         "forest_identities": {"n_trees", "n_sums"},
         "estimate_constants": {"n_samples", "eps", "c_kappa_samples"},
     }
-    assert sum(len(keys) for keys in cli._SECTIONS.values()) == 33
+    assert sum(len(keys) for keys in cli._SECTIONS.values()) == 32

@@ -1,11 +1,13 @@
-"""Excursion trees: the level-batched sampler, its pruning and the
-hypothesis sums."""
+"""Excursion trees: the level-batched sampler, its pruning, its budget, the
+hypothesis sums, and the return times it encodes against kernel walks."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
+from gwalk import kernel
 from gwalk._rng import child_key
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import (
@@ -22,6 +24,12 @@ import oracles
 
 SUB = make_two_point(0.068)
 CB = make_constant_bias(2.0)
+
+
+@pytest.fixture
+def walk_kernel(kernel_library, monkeypatch):
+    if kernel_library is not None:
+        monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
 
 
 def _levels(levels, depth):
@@ -97,7 +105,7 @@ def test_excursion_tree_invariants():
     reached from its parent's node, as MarkedTree grows it."""
     rng = np.random.default_rng(11)
     seeds = np.array([13, 14, 15, 16], dtype=np.uint64)
-    t = sample_excursion_tree(SUB, seeds, 5, rng, node_budget=20)
+    t = sample_excursion_tree(SUB, seeds, 5, rng, budget=60)
     n = len(t)
     assert n == t.row.size == t.parent.size == t.key.size == t.N.size
     roots = np.flatnonzero(t.parent < 0)
@@ -118,7 +126,9 @@ def test_excursion_tree_invariants():
         ids = env_id[t.row == r]
         assert np.unique(ids).size == ids.size
     sizes = np.bincount(t.row, minlength=seeds.size)
-    assert t.over.any() and (sizes[t.over] == 0).all() and (sizes[~t.over] <= 20).all()
+    sums = np.bincount(t.row, weights=t.N, minlength=seeds.size)
+    assert t.over.any() and (~t.over).sum() >= 2
+    assert (sizes[t.over] == 0).all() and (sums[~t.over] <= 60).all()
 
 
 def test_direct_sampler_matches_chain_oracle():
@@ -195,7 +205,7 @@ def test_hypothesis_sums_match_per_tree_sampler():
     typed trees are size-truncated at the node budget, a small bias on the
     lambda = 2 tree."""
     rng = np.random.default_rng(9)
-    rep = oracles.hypothesis_check(sample_typed_forest(CB, 1000, rng, node_budget=10**4))
+    rep = oracles.hypothesis_check(sample_typed_forest(CB, 1000, rng, budget=4 * 10**4))
     out = hypothesis_sums_batch(CB, 20000, rng)
     for name, key in (("b", "B"), ("nu_tilde", "nu_tilde")):
         x = out[key].astype(np.float64)
@@ -204,8 +214,81 @@ def test_hypothesis_sums_match_per_tree_sampler():
 
 
 def test_sampler_node_budget():
-    rng = np.random.default_rng(3)
-    t = sample_excursion_tree(SUB, [44], 500, rng, node_budget=10)
-    assert t.over.tolist() == [True] and len(t) == 0
+    """The budget bounds a row's sum of N, root included (tau^p / 2): the row
+    stops growing after the generation that passes it, so what it yields is
+    a prefix of its uncut tree. Budgets broadcast per row like root counts."""
+    full = list(excursion_levels(SUB, [44], 500, np.random.default_rng(3)))
+    sums = np.cumsum([lv.N.sum() for lv in full])
+    assert len(full) > 10
+    for b in (499, 500, int(sums[3]), int(sums[-1]) - 1, int(sums[-1])):
+        cut = list(excursion_levels(SUB, [44], 500, np.random.default_rng(3), budget=b))
+        assert len(cut) == min(np.searchsorted(sums, b, side="right") + 1, len(full))
+        for x, y in zip(cut, full):
+            assert np.array_equal(x.key, y.key) and np.array_equal(x.N, y.N)
+        t = sample_excursion_tree(SUB, [44], 500, np.random.default_rng(3), budget=b)
+        assert t.over.tolist() == [bool(sums[-1] > b)]
+        assert len(t) == (0 if sums[-1] > b else sum(lv.N.size for lv in full))
+    both = list(excursion_levels(SUB, [44, 44], 500, np.random.default_rng(3),
+                                 budget=[499, int(sums[-1])]))
+    assert [lv.row.tolist() for lv in both[1:]] == [[1] * lv.N.size for lv in full[1:]]
+    assert all(np.array_equal(x.N[x.row == 1], y.N) for x, y in zip(both, full))
     with pytest.raises(StepBudgetExceeded):
-        sample_typed_forest(SUB, 50, rng, node_budget=1, max_resample=3)
+        sample_typed_forest(SUB, 50, np.random.default_rng(3), budget=1, max_resample=3)
+
+
+def _sampler_T(env, p, n, cap, seed):
+    """min(T^p, cap) of n sampler rows at root count p on one environment;
+    the budget (cap + p + 1) // 2 makes a cut row's T^p exceed cap."""
+    total = np.zeros(n, dtype=np.int64)
+    for lv in excursion_levels(SUB, np.full(n, env, dtype=np.uint64), p,
+                               np.random.default_rng(seed), budget=(cap + p + 1) // 2):
+        np.add.at(total, lv.row, lv.N)
+    return np.minimum(2 * total - p, cap)
+
+
+def _kernel_T(env, p_grid, n):
+    """Kernel walks on one environment, walk seeds 10^6 + i: per walk the
+    excised clocks at p_grid (0 where the walk stopped short), and the
+    excised clock at the cut (-1 when the walk reached max(p_grid)) for
+    walks stopped by the step budget."""
+    T = np.zeros((n, len(p_grid)), dtype=np.int64)
+    cut = np.full(n, -1, dtype=np.int64)
+    for i in range(n):
+        r = kernel.run_walk(SUB.tables(), env, 10**6 + i, kernel.MODE_CROSSINGS,
+                            p_grid[-1], np.asarray(p_grid, dtype=np.int64),
+                            budget=10**6)
+        T[i, : r["snap_T"].size] = r["snap_T"]
+        if r["status"] == kernel.STATUS_BUDGET:
+            cut[i] = r["t_ex"]
+    return T, cut
+
+
+def test_sampler_return_time_matches_kernel(walk_kernel):
+    """On one fixed environment, T^p = 2 sum N - p of sampler rows at root
+    count p against kernel walks to the p-th crossing: two-sample KS on T^p
+    censored at a common cap (the ROADMAP Baseline check, at seed 12345 and
+    p = 20)."""
+    env, p, n, cap = 12345, 20, 2000, 5000
+    T, cut = _kernel_T(env, [p], n)
+    Tk = np.minimum(T[:, 0], cap)
+    # a walk cut before the p-th crossing has T^p > its clock at the cut
+    assert (cut[cut >= 0] >= cap).all()
+    Tk[cut >= 0] = cap
+    Ts = _sampler_T(env, p, n, cap, seed=1)
+    assert 0.01 < (Ts == cap).mean() < 0.2
+    assert sps.ks_2samp(Tk, Ts).pvalue > 0.01
+
+
+def test_return_time_increments_are_fresh_rows(walk_kernel):
+    """Additivity in law, the step theorem1 rests on: on a fixed environment
+    the kernel's T^{p2} - T^{p1} is distributed as a fresh sampler row at
+    root count p2 - p1."""
+    env, p1, p2, n, cap = 12345, 10, 30, 2000, 5000
+    T, cut = _kernel_T(env, [p1, p2], n)
+    # the increment is independent of T^{p1}, so the few walks cut before
+    # p1 can be dropped; one cut later has T^{p2} > its clock at the cut
+    T, cut = T[T[:, 0] > 0], cut[T[:, 0] > 0]
+    assert (cut[cut >= 0] - T[cut >= 0, 0] >= cap).all()
+    D = np.minimum(T[:, 1] - T[:, 0], cap)
+    D[cut >= 0] = cap
+    assert sps.ks_2samp(D, _sampler_T(env, p2 - p1, n, cap, seed=2)).pvalue > 0.01

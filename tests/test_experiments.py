@@ -1,13 +1,14 @@
 """Campaign normalizations (the regime decides the scales, through one
-function) and theorem1's record of its censoring."""
+function), and theorem1: no walk, and its censoring and bias bound."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gwalk import kernel
+from gwalk import experiments, kernel
 from gwalk.experiments import (
+    Z_BUDGET,
     Constants,
     _kappa_n,
     theorem1_campaign,
@@ -15,7 +16,6 @@ from gwalk.experiments import (
     w_hat_batch,
 )
 from gwalk.law import make_two_point, regime_of
-from gwalk.walk import simulate_excursion_grid
 
 PLUG_IN = {"C_inf": 0.1, "c_inf_bold": 0.2, "c_kappa": 1.5}
 
@@ -46,37 +46,39 @@ def test_scales_off_critical():
     assert _kappa_n(3.0, 100) == 100.0**2
 
 
-def test_theorem1_records_cut_depth_and_bias_bound(kernel_library, monkeypatch):
-    """A step cap far below the Z_BUDGET budget censors trials at small
-    normalized depth; the verdict records the smallest cut depth and the
-    bias bound it implies, and each censored trial, rerun to its end, lands
-    deeper than its cut depth."""
-    if kernel_library is not None:
-        monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
-    law = make_two_point(0.068)
-    consts = Constants(kappa=1.5920671652485041, C_inf=0.10078720884476033,
+SUB_CONSTS = Constants(kappa=1.5920671652485041, C_inf=0.10078720884476033,
                        c_inf_bold=0.23048901549232143, c_kappa=1.4549607799294266)
-    lambdas, p_grid, cap, n = (0.5, 1.0), (20, 50), 4000, 40
-    out = theorem1_campaign(law, consts, 3, n_trials=n, p_grid=p_grid,
-                            lambdas=lambdas, step_cap=cap)
+
+
+def test_theorem1_cuts_past_z_budget_and_records_bias_bound(monkeypatch):
+    """With Z_BUDGET lowered until trials are cut, each censored trial's
+    partial T already exceeds Z_BUDGET w^gamma b_p at every grid point it
+    misses, it is +inf there, and the verdict's bias bound is
+    n_censored e^{-lambda_min Z_BUDGET} / n_trials."""
+    monkeypatch.setattr(experiments, "Z_BUDGET", 0.5)
+    law = make_two_point(0.068)
+    lambdas, p_grid, n = (0.5, 1.0), (20, 50), 40
+    out = theorem1_campaign(law, SUB_CONSTS, 3, n_trials=n, p_grid=p_grid, lambdas=lambdas)
     v = out["verdicts"][0]
-    z = out["z"][p_grid[-1]]
-    censored = np.flatnonzero(np.isinf(z))
-    assert v["n_censored"] == censored.size > 0
-    env_seeds, walk_seeds = trial_seeds(3, "theorem1", n)
-    w = w_hat_batch(law, env_seeds)
-    b_p = consts.return_time_scale(p_grid[-1])
-    z_cut = []
-    for t in censored:
-        again = simulate_excursion_grid(law, int(env_seeds[t]), int(walk_seeds[t]),
-                                        p_grid, 10**9)
-        assert again["status"] == kernel.STATUS_OK
-        z_true = again["snap_T"][-1] / (w[t] ** consts.gamma * b_p)
-        cut = (cap - p_grid[-1]) / (w[t] ** consts.gamma * b_p)
-        assert z_true > cut
-        z_cut.append(cut)
-    assert v["min_cut_depth"] >= min(z_cut) and v["min_cut_depth"] < 14.0
-    bound = v["censor_bias_bound"]
-    assert bound == pytest.approx(
-        sum(math.exp(-lambdas[0] * c) for c in z_cut) / n, rel=0.01)
-    assert 0.0 < bound <= censored.size / n
+    w = w_hat_batch(law, trial_seeds(3, "theorem1", n)[0])
+    for j, p in enumerate(p_grid):
+        censored = np.isinf(out["z"][p])
+        depth = out["T"][:, j] / (w**SUB_CONSTS.gamma * SUB_CONSTS.return_time_scale(p))
+        assert (depth[censored] > 0.5).all()
+        assert np.allclose(out["z"][p][~censored], depth[~censored])
+    assert 0 < v["n_censored"] == np.isinf(out["z"][p_grid[-1]]).sum() < n
+    assert v["censor_bias_bound"] == v["n_censored"] * math.exp(-lambdas[0] * 0.5) / n
+    assert "min_cut_depth" not in v
+
+
+def test_theorem1_runs_no_walk(monkeypatch):
+    """theorem1 reads T^p off sampled count trees: the walk kernel is never
+    called. Its trials are cut only past Z_BUDGET."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem1 called the walk kernel")
+
+    monkeypatch.setattr(kernel, "run_walk", refuse)
+    out = theorem1_campaign(make_two_point(0.068), SUB_CONSTS, 3, 2, n_trials=40,
+                            p_grid=(20, 50))
+    v = out["verdicts"][0]
+    assert v["censor_bias_bound"] == v["n_censored"] * math.exp(-0.5 * Z_BUDGET) / 40

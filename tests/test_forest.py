@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from lukasiewicz import lukasiewicz
 from gwalk.forest import (
     FinalTree,
     check_tree_identities,
     finalize,
-    lukasiewicz,
     sample_typed_forest,
     skeletonize,
     transform,
@@ -25,7 +25,7 @@ SUB = make_two_point(0.068)
 
 def _forest(n_trees, seed=0, law=SUB):
     rng = np.random.default_rng(seed)
-    return sample_typed_forest(law, n_trees, rng, node_budget=100_000)
+    return sample_typed_forest(law, n_trees, rng, budget=400_000)
 
 
 def test_typed_tree_canonicalizes_bfs_input():
@@ -174,16 +174,16 @@ def test_forest_sampling_deterministic():
 
 
 def test_forest_redraws_trees_past_the_budget():
-    """Trees past the node budget are redrawn on fresh environments; each
-    kept tree is the typed image of its excursion tree."""
+    """Trees whose sum of N passes the budget are redrawn on fresh
+    environments; each kept tree is the typed image of its excursion tree."""
     rng = np.random.default_rng(17)
-    trees = sample_typed_forest(SUB, 200, rng, node_budget=12, max_resample=10**4)
+    trees = sample_typed_forest(SUB, 200, rng, budget=12, max_resample=10**4)
     assert len(trees) == 200
-    assert max(len(t) for t in trees) <= 12 < sum(len(t) for t in trees)
+    assert max(int(t.beta.sum()) for t in trees) <= 12 < sum(len(t) for t in trees)
     for t in trees:
         oracles.validate_typed_tree(t)
     seeds = np.arange(50, dtype=np.uint64)
-    batch = sample_excursion_tree(SUB, seeds, 1, rng, node_budget=12)
+    batch = sample_excursion_tree(SUB, seeds, 1, rng, budget=12)
     assert batch.over.any()
     typed = typed_from_excursion(batch)
     assert len(typed) == int((~batch.over).sum())

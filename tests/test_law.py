@@ -84,6 +84,7 @@ def test_validate_law_report():
     assert rep.regime == "SUBDIFFUSIVE"
     assert rep.psi_prime_1 < 0
     assert rep.c0 is None
+    assert not rep.lattice and not any("lattice" in n for n in rep.notes)
     rep2 = validate_law(make_two_point(0.02))
     assert rep2.c0 is not None and rep2.c0 > 0
 
@@ -146,6 +147,22 @@ def test_mark_law_properties():
     assert law.has_negative_mark
     cb = make_constant_bias(2.0)
     assert not cb.has_negative_mark
+
+
+def test_is_lattice_means_marks_in_one_d_z():
+    """Arithmetic: every mark in dZ for one d > 0. Two distinct marks with
+    an irrational ratio are not; three marks with gcd 1 are."""
+    assert make_constant_bias(2.0).is_lattice()
+    assert make_mark_law([(0.5, (0.0, 2.0)), (0.5, (3.0,))]).is_lattice()
+    assert make_mark_law([(0.5, (0.1, 0.3)), (0.5, (0.7, -0.2))]).is_lattice()
+    assert not make_two_point(0.068).is_lattice()
+    critical = make_mark_law(  # binary, i.i.d. marks -ln 2 (0.1) and ln 3 (0.9)
+        [(0.01, (-math.log(2),) * 2), (0.09, (-math.log(2), math.log(3))),
+         (0.09, (math.log(3), -math.log(2))), (0.81, (math.log(3),) * 2)]
+    )
+    assert abs(psi_evaluate(critical, 1.0)) < 1e-12
+    assert not critical.is_lattice()
+    assert not make_mark_law([(0.5, (1.0, 1.0 + 1e-3 * math.pi)), (0.5, (2.0,))]).is_lattice()
 
 
 def test_c0_exact_on_constant_bias():
