@@ -71,43 +71,55 @@ class Level(NamedTuple):
     N: np.ndarray  # edge count, >= 1
 
 
+def _nb_cdf_table(k, p: float, pmf, u_max) -> np.ndarray:
+    """Per row i: the CDF at 0, 1, 2, ... of the failures before the
+    k[i]-th success in Bernoulli(p) trials, from pmf[i] = p^k[i] at 0 until
+    it passes u_max[i], then +inf. The terms are added in rounds of doubling
+    width; cumprod and cumsum accumulate in order, so each entry rounds as
+    pmf *= q (k + j) / (j + 1); cdf += pmf would, whatever the round sizes."""
+    pmf, cdf = pmf.copy(), pmf.copy()
+    cols = [cdf[:, None].copy()]
+    rows = np.flatnonzero(cdf <= u_max)
+    step, width, q = 0, 8, 1.0 - p
+    while rows.size:
+        j = np.arange(step, step + width, dtype=np.float64)
+        t = q * (k[rows, None] + j) / (j + 1.0)
+        t[:, 0] *= pmf[rows]
+        np.cumprod(t, axis=1, out=t)
+        pmf[rows] = t[:, -1]
+        t[:, 0] += cdf[rows]
+        np.cumsum(t, axis=1, out=t)
+        cdf[rows] = t[:, -1]
+        cols.append(np.full((k.size, width), np.inf))
+        cols[-1][rows] = t
+        rows = rows[cdf[rows] <= u_max[rows]]
+        step += width
+        width *= 2
+    return np.hstack(cols)
+
+
 def _nb_failures_batch(k: np.ndarray, p: float, rng: np.random.Generator):
     """Failures before the k-th success in Bernoulli(p) trials, for every
     entry of k at a fixed p < 1: CDF inversion for k below
-    NB_INVERSION_MAX_K (falling back when p^k underflows), Gamma-Poisson
-    mixture otherwise."""
+    NB_INVERSION_MAX_K (falling back when p^k underflows), one CDF per
+    distinct k; Gamma-Poisson mixture otherwise."""
     out = np.zeros(len(k), dtype=np.int64)
-    kf = k.astype(np.float64)
-    pmf = p ** kf
+    pmf = p ** k.astype(np.float64)
     small = (k < NB_INVERSION_MAX_K) & (pmf > 1e-290)
     if small.any():
-        kf, pmf = kf[small], pmf[small]
-        u = rng.random(len(kf))
-        cdf = pmf.copy()
-        m = np.zeros(len(kf), dtype=np.int64)
-        rows = np.flatnonzero(u >= cdf)
-        step, width, q = 0, 8, 1.0 - p
-        # the inversion runs in rounds of `width` terms per row, doubling
-        # each round (fewer when many rows are still searching, to bound the
-        # temporary arrays); cumprod and cumsum accumulate in term order, so
-        # each row rounds as pmf *= q (k + j) / (j + 1); cdf += pmf would,
-        # whatever the round sizes
-        while rows.size:
-            j = np.arange(step, step + max(1, min(width, 2**16 // rows.size)),
-                          dtype=np.float64)
-            cum = q * (kf[rows, None] + j) / (j + 1.0)
-            cum[:, 0] *= pmf[rows]
-            np.cumprod(cum, axis=1, out=cum)
-            pmf[rows] = cum[:, -1]
-            cum[:, 0] += cdf[rows]
-            np.cumsum(cum, axis=1, out=cum)
-            first = (u[rows, None] < cum).argmax(axis=1)
-            found = u[rows] < cum[np.arange(rows.size), first]
-            m[rows[found]] = step + 1 + first[found]
-            cdf[rows] = cum[:, -1]
-            rows = rows[~found]
-            step += len(j)
-            width *= 2
+        u = rng.random(int(small.sum()))
+        ks = k[small]
+        order = np.argsort(ks.astype(np.int8), kind="stable")  # k < 64: radix
+        bounds = np.r_[0, np.cumsum(np.bincount(ks, minlength=NB_INVERSION_MAX_K))]
+        kv = np.flatnonzero(np.diff(bounds))  # the distinct k
+        cdf = _nb_cdf_table(
+            kv.astype(np.float64), p, pmf[small][order[bounds[kv]]],
+            np.maximum.reduceat(u[order], bounds[kv]),
+        )
+        m = np.empty(u.size, dtype=np.int64)
+        for i, a in enumerate(kv):
+            rows = order[bounds[a] : bounds[a + 1]]
+            m[rows] = np.searchsorted(cdf[i], u[rows], side="right")
         out[small] = m
     big = ~small
     if big.any():
