@@ -256,9 +256,9 @@ def theorem1_campaign(
     dp = np.diff(p_grid, prepend=0)
     k = len(p_grid)
     env_seeds, _ = trial_seeds(master_seed, "theorem1", n_trials)
-    w = w_hat_batch(law, env_seeds)
-    cap_z = Z_BUDGET * w**consts.gamma * consts.return_time_scale(p_grid[-1])
-    cap = np.floor(np.minimum((cap_z + p_grid[-1]) / 2.0, 2.0**62)).astype(np.int64)
+    w_k = w_hat_batch(law, env_seeds) ** consts.gamma
+    b_max = consts.return_time_scale(p_grid[-1])
+    cap = ((Z_BUDGET * w_k * b_max + p_grid[-1]) // 2).astype(np.int64)
     T = np.empty((n_trials, k), dtype=np.int64)
     over = np.empty((n_trials, k), dtype=bool)
 
@@ -283,7 +283,7 @@ def theorem1_campaign(
     z_by_n = {
         p: np.where(
             censored[:, j], np.inf,
-            T[:, j] / (w**consts.gamma * consts.return_time_scale(p)),
+            T[:, j] / (w_k * consts.return_time_scale(p)),
         )
         for j, p in enumerate(p_grid)
     }

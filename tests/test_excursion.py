@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from gwalk import kernel
+from gwalk import excursion, kernel
 from gwalk._rng import child_key
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import (
@@ -197,6 +197,18 @@ def test_hypothesis_sums_exact_moments_constant_bias():
     assert (out["nu_tilde"] <= out["nu"]).all()
     B5 = hypothesis_sums_batch(CB, 10**5, rng, p=5)["B"].astype(np.float64)
     assert abs(B5.mean() - 5.0) < 4 * B5.std(ddof=1) / math.sqrt(B5.size)
+
+
+def test_hypothesis_sums_run_in_chunks(monkeypatch):
+    """Samples run SAMPLE_CHUNK at a time, each chunk drawing its seeds and
+    trees from the one rng in turn: a call equals the concatenation of
+    one-chunk calls on the same generator."""
+    monkeypatch.setattr(excursion, "SAMPLE_CHUNK", 100)
+    whole = hypothesis_sums_batch(SUB, 250, np.random.default_rng(4), p=2)
+    rng = np.random.default_rng(4)
+    parts = [hypothesis_sums_batch(SUB, n, rng, p=2) for n in (100, 100, 50)]
+    for key, x in whole.items():
+        assert np.array_equal(x, np.concatenate([part[key] for part in parts]))
 
 
 def test_hypothesis_sums_match_per_tree_sampler():

@@ -1,10 +1,11 @@
 """Campaign normalizations (the regime decides the scales, through one
-function), and theorem1: no walk, and its censoring and bias bound."""
+function), and theorem1: no walk, its censoring and bias bound."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from gwalk import experiments, kernel
 from gwalk.experiments import (
@@ -53,11 +54,11 @@ SUB_CONSTS = Constants(kappa=1.5920671652485041, C_inf=0.10078720884476033,
 def test_theorem1_cuts_past_z_budget_and_records_bias_bound(monkeypatch):
     """With Z_BUDGET lowered until trials are cut, each censored trial's
     partial T already exceeds Z_BUDGET w^gamma b_p at every grid point it
-    misses, it is +inf there, and the verdict's bias bound is
-    n_censored e^{-lambda_min Z_BUDGET} / n_trials."""
+    misses, it is +inf there and at every later grid point, and the
+    verdict's bias bound is n_censored e^{-lambda_min Z_BUDGET} / n_trials."""
     monkeypatch.setattr(experiments, "Z_BUDGET", 0.5)
     law = make_two_point(0.068)
-    lambdas, p_grid, n = (0.5, 1.0), (20, 50), 40
+    lambdas, p_grid, n = (0.5, 1.0), (40, 50), 40
     out = theorem1_campaign(law, SUB_CONSTS, 3, n_trials=n, p_grid=p_grid, lambdas=lambdas)
     v = out["verdicts"][0]
     w = w_hat_batch(law, trial_seeds(3, "theorem1", n)[0])
@@ -66,19 +67,29 @@ def test_theorem1_cuts_past_z_budget_and_records_bias_bound(monkeypatch):
         depth = out["T"][:, j] / (w**SUB_CONSTS.gamma * SUB_CONSTS.return_time_scale(p))
         assert (depth[censored] > 0.5).all()
         assert np.allclose(out["z"][p][~censored], depth[~censored])
-    assert 0 < v["n_censored"] == np.isinf(out["z"][p_grid[-1]]).sum() < n
+    cut = [np.isinf(out["z"][p]) for p in p_grid]
+    assert (cut[1] >= cut[0]).all() and cut[0].any()
+    assert 0 < v["n_censored"] == cut[-1].sum() < n
     assert v["censor_bias_bound"] == v["n_censored"] * math.exp(-lambdas[0] * 0.5) / n
     assert "min_cut_depth" not in v
 
 
 def test_theorem1_runs_no_walk(monkeypatch):
     """theorem1 reads T^p off sampled count trees: the walk kernel is never
-    called. Its trials are cut only past Z_BUDGET."""
+    called. Its trials are cut only past Z_BUDGET, T^p = 2 sum N - p has the
+    parity of p, and every increment of T is drawn on its trial's own
+    environment: it grows with that environment's W (rank correlation; about
+    0 if rows and environments were mismatched)."""
     def refuse(*args, **kwargs):
         raise AssertionError("theorem1 called the walk kernel")
 
     monkeypatch.setattr(kernel, "run_walk", refuse)
-    out = theorem1_campaign(make_two_point(0.068), SUB_CONSTS, 3, 2, n_trials=40,
-                            p_grid=(20, 50))
+    law, p_grid, n = make_two_point(0.068), (21, 50), 128
+    out = theorem1_campaign(law, SUB_CONSTS, 3, 2, n_trials=n, p_grid=p_grid)
     v = out["verdicts"][0]
-    assert v["censor_bias_bound"] == v["n_censored"] * math.exp(-0.5 * Z_BUDGET) / 40
+    assert v["censor_bias_bound"] == v["n_censored"] * math.exp(-0.5 * Z_BUDGET) / n
+    T = out["T"]
+    assert (T % 2 == np.array(p_grid) % 2).all() and (T >= p_grid).all()
+    w = w_hat_batch(law, trial_seeds(3, "theorem1", n)[0])
+    for increment in (T[:, 0], T[:, 1] - T[:, 0]):
+        assert sps.spearmanr(increment, w).statistic > 0.25
