@@ -3,13 +3,14 @@ of a whole batch at a time, and the moment sums behind the forest hypotheses.
 
 The walk up to tau^p (the p-th return to e*) visits a random subtree;
 attaching to every visited node x its edge local time N_x turns the pair
-(visited set, counts) into a multi-type branching tree: conditionally on
-N_x = k and on the environment at x, the children counts are negative
-multinomial: the total is the number of failures before the k-th success in
-Bernoulli(p_back) trials, split multinomially among the children, where
-p_back = 1/(1 + sum_i e^{-a_i}) and the split weights are proportional to
-e^{-a_i} for the child marks a_i (the potential level at x cancels). These
-are the per-atom rows p_up and split of `MarkLaw.tables`.
+(visited set, counts) into a multi-type branching tree. Conditionally on
+N_x = k and on the environment at x, draw G ~ Gamma(k, 1) and give child i
+a Poisson(G e^{-a_i}) count, independently given G, for the child marks a_i
+(the potential level at x cancels). Integrating G out gives the negative
+multinomial NM(k; 1/(1+s), e^{-a_i}/(1+s)), s = sum_i e^{-a_i}: the total
+is the number of failures before the k-th success in Bernoulli(1/(1+s))
+trials (1/(1+s) is the walk's P(up), `LawTables.p_up`), split among the
+children in proportion to e^{-a_i}.
 
 `excursion_levels` is the one sampler. It carries (row, parent, key, N) per
 node for a batch of (environment seed, root count) rows, one generation at a
@@ -51,11 +52,9 @@ __all__ = [
     "excursion_levels",
     "sample_excursion_tree",
     "hypothesis_sums_batch",
-    "NB_INVERSION_MAX_K",
     "SAMPLE_CHUNK",
 ]
 
-NB_INVERSION_MAX_K = 64
 # samples per batch of the annealed samplers (here and in
 # limits.estimate_discounted_moments): memory holds one batch's scratch
 SAMPLE_CHUNK = 2**17
@@ -71,63 +70,6 @@ class Level(NamedTuple):
     N: np.ndarray  # edge count, >= 1
 
 
-def _nb_cdf_table(k, p: float, pmf, u_max) -> np.ndarray:
-    """Per row i: the CDF at 0, 1, 2, ... of the failures before the
-    k[i]-th success in Bernoulli(p) trials, from pmf[i] = p^k[i] at 0 until
-    it passes u_max[i], then +inf. The terms are added in rounds of doubling
-    width; cumprod and cumsum accumulate in order, so each entry rounds as
-    pmf *= q (k + j) / (j + 1); cdf += pmf would, whatever the round sizes."""
-    pmf, cdf = pmf.copy(), pmf.copy()
-    cols = [cdf[:, None].copy()]
-    rows = np.flatnonzero(cdf <= u_max)
-    step, width, q = 0, 8, 1.0 - p
-    while rows.size:
-        j = np.arange(step, step + width, dtype=np.float64)
-        t = q * (k[rows, None] + j) / (j + 1.0)
-        t[:, 0] *= pmf[rows]
-        np.cumprod(t, axis=1, out=t)
-        pmf[rows] = t[:, -1]
-        t[:, 0] += cdf[rows]
-        np.cumsum(t, axis=1, out=t)
-        cdf[rows] = t[:, -1]
-        cols.append(np.full((k.size, width), np.inf))
-        cols[-1][rows] = t
-        rows = rows[cdf[rows] <= u_max[rows]]
-        step += width
-        width *= 2
-    return np.hstack(cols)
-
-
-def _nb_failures_batch(k: np.ndarray, p: float, rng: np.random.Generator):
-    """Failures before the k-th success in Bernoulli(p) trials, for every
-    entry of k at a fixed p < 1: CDF inversion for k below
-    NB_INVERSION_MAX_K (falling back when p^k underflows), one CDF per
-    distinct k; Gamma-Poisson mixture otherwise."""
-    out = np.zeros(len(k), dtype=np.int64)
-    pmf = p ** k.astype(np.float64)
-    small = (k < NB_INVERSION_MAX_K) & (pmf > 1e-290)
-    if small.any():
-        u = rng.random(int(small.sum()))
-        ks = k[small]
-        order = np.argsort(ks.astype(np.int8), kind="stable")  # k < 64: radix
-        bounds = np.r_[0, np.cumsum(np.bincount(ks, minlength=NB_INVERSION_MAX_K))]
-        kv = np.flatnonzero(np.diff(bounds))  # the distinct k
-        cdf = _nb_cdf_table(
-            kv.astype(np.float64), p, pmf[small][order[bounds[kv]]],
-            np.maximum.reduceat(u[order], bounds[kv]),
-        )
-        m = np.empty(u.size, dtype=np.int64)
-        for i, a in enumerate(kv):
-            rows = order[bounds[a] : bounds[a + 1]]
-            m[rows] = np.searchsorted(cdf[i], u[rows], side="right")
-        out[small] = m
-    big = ~small
-    if big.any():
-        g = rng.gamma(shape=k[big].astype(np.float64), scale=(1.0 - p) / p)
-        out[big] = rng.poisson(g)
-    return out
-
-
 def excursion_levels(
     law: MarkLaw,
     env_seeds,
@@ -141,10 +83,11 @@ def excursion_levels(
     Row r grows on the keyed environment of env_seeds[r] with root count
     root_counts[r] (a scalar applies to every row; the root count p samples
     the counts at tau^p). The generations are drawn lazily: a consumer that
-    stops after generation d has drawn nothing deeper. Per atom, one
-    negative-binomial draw gives each node's child total and one
-    multinomial draw its split. With prune=True, count-1 nodes below the
-    root are not expanded.
+    stops after generation d has drawn nothing deeper. Per generation, one
+    gamma draw per expanded node and one Poisson draw per (node, child
+    slot) give the children counts; a slot past the node's atom has rate 0
+    and draws 0. With prune=True, count-1 nodes below the root are not
+    expanded.
 
     With a budget (a scalar, or one value per row like root_counts), a row
     stops growing once the sum of N over its nodes passes its budget. That
@@ -162,7 +105,9 @@ def excursion_levels(
     if budget is not None:
         budget = np.broadcast_to(np.asarray(budget, dtype=np.int64), n)
         total = np.zeros(n, dtype=np.int64)
-    dmax = int(t.lens.max())
+    atom_of = np.repeat(np.arange(t.lens.size), t.lens)
+    rate = np.zeros((t.lens.size, int(t.lens.max())))
+    rate[atom_of, np.arange(t.marks.size) - t.off[atom_of]] = np.exp(-t.marks)
     root = True
     while row.size:
         yield Level(row, parent, key, N)
@@ -174,16 +119,8 @@ def excursion_levels(
         atom = np.searchsorted(
             t.cum, (key[ex] >> np.uint64(11)) * TWO_NEG53, side="right"
         )
-        kids = np.zeros((ex.size, dmax), dtype=np.int64)
-        for a in np.flatnonzero(t.lens):
-            sel = np.flatnonzero(atom == a)
-            if not sel.size:
-                continue
-            m = _nb_failures_batch(N[ex[sel]], t.p_up[a], rng)
-            pos = m > 0
-            if pos.any():
-                split = t.split[t.off[a] : t.off[a] + t.lens[a]]
-                kids[sel[pos], : split.size] = rng.multinomial(m[pos], split)
+        g = rng.standard_gamma(N[ex])
+        kids = rng.poisson(g[:, None] * rate[atom])
         par, j = np.nonzero(kids)
         N = kids[par, j]
         parent = ex[par]

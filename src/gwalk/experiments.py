@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 W_DEPTH = 15  # additive-martingale depth used as the W_inf proxy
+W_CHUNK = 16  # environments per level_weights_batch call: bounds its memory
 # theorem1 cuts a trial only past normalized depth Z_BUDGET (see
 # theorem1_campaign), and samples its trials THEOREM1_CHUNK at a time
 Z_BUDGET = 14.0
@@ -96,6 +97,13 @@ class Constants:
         also the power of W in the return-time normalization."""
         return self.kappa if self.regime == "SUBDIFFUSIVE" else 2.0
 
+    def range_error_scale(self, n: int) -> float:
+        """The scale theorem3 divides sup_{p<=n} |R - (c_inf/2) T^p| by:
+        n^gamma, and n^2 / log n at kappa = 2."""
+        if self.regime == "CRITICAL":
+            return n**2 / math.log(n)
+        return float(n) ** self.gamma
+
 
 def _map_trials(fn, n_trials: int, threads: int) -> None:
     """Run fn(t) for t in range(n_trials): independent tasks writing to
@@ -123,13 +131,13 @@ def trial_seeds(master: int, experiment: str, n_trials: int):
 
 
 def w_hat_batch(law: MarkLaw, env_seeds) -> np.ndarray:
-    """Additive martingale at depth W_DEPTH per environment, 128 environments
-    at a time to bound the (environments x mean_offspring^depth) arrays."""
+    """Additive martingale at depth W_DEPTH per environment, W_CHUNK at a
+    time to bound the (environments x mean_offspring^depth) arrays."""
     seeds = np.asarray(env_seeds, dtype=np.uint64)
     out = np.empty(seeds.size)
-    for i in range(0, seeds.size, 128):
-        w, alive = level_weights_batch(law, seeds[i : i + 128], W_DEPTH)
-        out[i : i + 128] = np.where(alive, w, 0.0)
+    for i in range(0, seeds.size, W_CHUNK):
+        w, alive = level_weights_batch(law, seeds[i : i + W_CHUNK], W_DEPTH)
+        out[i : i + W_CHUNK] = np.where(alive, w, 0.0)
     return out
 
 
@@ -297,13 +305,6 @@ def theorem1_campaign(
     return {"rows": rows, "verdicts": verdicts, "distances": dists, "z": z_by_n, "T": T}
 
 
-def _kappa_n(kappa: float, n: int) -> float:
-    regime = regime_of(kappa)
-    if regime == "CRITICAL":
-        return n**2 / math.log(n)
-    return float(n) ** (kappa if regime == "SUBDIFFUSIVE" else 2.0)
-
-
 def theorem3_campaign(
     law: MarkLaw,
     consts: Constants,
@@ -348,7 +349,7 @@ def theorem3_campaign(
         run_max = np.maximum.accumulate(err)
         for j, n in enumerate(n_grid):
             if got >= n:
-                sup_err[t, j] = run_max[n - 1] / _kappa_n(consts.kappa, n)
+                sup_err[t, j] = run_max[n - 1] / consts.range_error_scale(n)
 
     _map_trials(one, n_trials, threads)
     n_censored = int(censored.sum())

@@ -67,7 +67,6 @@ class LawTables(NamedTuple):
     off, lens each atom's offset and length in the per-mark arrays
     marks     the child marks a_i, flattened
     p_up      per atom: P(step to the parent) = 1 / (1 + s), s = sum_i e^{-a_i}
-    split     per mark: e^{-a_i} / s, the child law given a step down
     step_cum  per mark: P(up) + P(child <= i), the thresholds the walk kernels
               compare their uniform against
     """
@@ -77,12 +76,11 @@ class LawTables(NamedTuple):
     lens: np.ndarray
     marks: np.ndarray
     p_up: np.ndarray
-    split: np.ndarray
     step_cum: np.ndarray
 
 
 def step_law(off, lens, marks):
-    """The walk's step law per atom: (p_up, split, step_cum) of LawTables.
+    """The walk's step law per atom: (p_up, step_cum) of LawTables.
 
     From x the walk steps to the parent with weight e^{-V(x)} and to child
     x_i with weight e^{-V(x_i)}; V(x) cancels, so the law depends only on
@@ -114,7 +112,7 @@ def step_law(off, lens, marks):
         s[a] = w[off[a] : off[a] + lens[a]].sum()
     p_up = 1.0 / (1.0 + s)
     _, cum = running(w / (1.0 + s[atom]))
-    return p_up, w / s[atom], p_up[atom] + cum
+    return p_up, p_up[atom] + cum
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,16 @@ def nb_failures_pmf(m: int, k: int, p_back: float) -> float:
     return float(sps.nbinom.pmf(m, k, p_back))
 
 
+def negative_multinomial_pmf(x, k: int, p_back: float, cells) -> float:
+    """P(X = x) for X negative multinomial: the failures before the k-th
+    success, success prob p_back, falling into cell i with prob cells[i]:
+    Gamma(k + sum x) / (Gamma(k) prod x_i!) p_back^k prod cells_i^x_i."""
+    log = math.lgamma(k + sum(x)) - math.lgamma(k) + k * math.log(p_back)
+    for xi, c in zip(x, cells):
+        log += xi * math.log(c) - math.lgamma(xi + 1)
+    return math.exp(log)
+
+
 def build_chain(marks) -> dict:
     """Path graph root - x1 - ... - xk with V accumulating the given marks."""
     parent = [-1]
@@ -110,17 +120,15 @@ def build_chain(marks) -> dict:
 
 
 def step_law_loop(off, lens, marks):
-    """(p_up, split, step_cum) of the walk's step law, one atom at a time."""
+    """(p_up, step_cum) of the walk's step law, one atom at a time."""
     p_up = np.empty(len(lens))
-    split = np.empty(len(marks))
     step_cum = np.empty(len(marks))
     for a, (o, k) in enumerate(zip(off, lens)):
         wa = np.exp(-marks[o : o + k])
         s = wa.sum()
         p_up[a] = 1.0 / (1.0 + s)
-        split[o : o + k] = wa / s
         step_cum[o : o + k] = p_up[a] + np.cumsum(wa / (1.0 + s))
-    return p_up, split, step_cum
+    return p_up, step_cum
 
 
 def return_prob_grid(chain, times) -> np.ndarray:

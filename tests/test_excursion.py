@@ -11,7 +11,6 @@ from gwalk import excursion, kernel
 from gwalk._rng import child_key
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import (
-    _nb_failures_batch,
     excursion_levels,
     hypothesis_sums_batch,
     sample_excursion_tree,
@@ -47,48 +46,40 @@ def _levels(levels, depth):
     )
 
 
-def test_nb_failures_small_k_mean():
-    rng = np.random.default_rng(5)
-    k, p = 2, 0.5
-    draws = _nb_failures_batch(np.full(20000, k), p, rng)
-    want = k * (1 - p) / p
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - want) < 4 * se
-
-
-def test_nb_failures_large_k_mean():
-    # k >= 64 exercises the Gamma-Poisson mixture route
-    rng = np.random.default_rng(6)
-    k, p = 100, 0.6
-    draws = _nb_failures_batch(np.full(20000, k), p, rng)
-    want = k * (1 - p) / p
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - want) < 4 * se
-
-
 def test_children_counts_total_pmf():
-    """Total offspring count is negative binomial; split is multinomial.
+    """The children counts are negative multinomial: the total is negative
+    binomial, and (X_0, X_1) has the joint pmf
+    Gamma(k+i+j) / (Gamma(k) i! j!) 0.4^k 0.36^i 0.24^j.
 
-    One atom with child weights 0.9 and 0.6: p_back = 1 / (1 + 1.5) = 0.4
-    and the split is (0.6, 0.4)."""
+    One atom with child weights 0.9 and 0.6: p_back = 1 / (1 + 1.5) = 0.4,
+    the cells are 0.9 / 2.5 and 0.6 / 2.5, and the split is (0.6, 0.4).
+    k = 100 puts the total's mass far from 0."""
     law = make_mark_law([(1.0, (-math.log(0.9), -math.log(0.6)))])
-    k, p_back, n = 3, 0.4, 20000
+    p_back, cells, n = 0.4, (0.36, 0.24), 20000
     seeds = np.arange(n, dtype=np.uint64)
-    levels = excursion_levels(law, seeds, k, np.random.default_rng(7))
-    roots = next(levels)
-    assert (roots.N == k).all()
-    kids = next(levels)
-    totals = np.bincount(kids.row, weights=kids.N, minlength=n)
-    for m in range(8):
-        want = oracles.nb_failures_pmf(m, k, p_back)
-        emp = (totals == m).mean()
-        se = math.sqrt(want * (1 - want) / n)
-        assert abs(emp - want) < 4 * se + 1e-12
-    first = kids.key == np.array(
-        [child_key(int(x), 0) for x in roots.key[kids.parent]], dtype=np.uint64
-    )
-    share = kids.N[first].sum() / totals.sum()
-    assert abs(share - 0.6) < 0.02
+
+    def close(emp, want):
+        return abs(emp - want) < 4 * math.sqrt(want * (1 - want) / n) + 1e-12
+
+    for k, totals_at in ((3, range(8)), (100, range(110, 200, 10))):
+        levels = excursion_levels(law, seeds, k, np.random.default_rng(7))
+        roots = next(levels)
+        assert (roots.N == k).all()
+        kids = next(levels)
+        first = kids.key == np.array(
+            [child_key(int(x), 0) for x in roots.key[kids.parent]], dtype=np.uint64
+        )
+        x0 = np.bincount(kids.row[first], weights=kids.N[first], minlength=n)
+        x1 = np.bincount(kids.row[~first], weights=kids.N[~first], minlength=n)
+        totals = x0 + x1
+        for m in totals_at:
+            assert close((totals == m).mean(), oracles.nb_failures_pmf(m, k, p_back))
+        if k == 3:
+            for i in range(4):
+                for j in range(4):
+                    want = oracles.negative_multinomial_pmf((i, j), k, p_back, cells)
+                    assert close(((x0 == i) & (x1 == j)).mean(), want)
+        assert abs(x0.sum() / totals.sum() - 0.6) < 0.02
 
 
 def test_children_counts_validation():

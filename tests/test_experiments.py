@@ -11,7 +11,6 @@ from gwalk import experiments, kernel
 from gwalk.experiments import (
     Z_BUDGET,
     Constants,
-    _kappa_n,
     theorem1_campaign,
     trial_seeds,
     w_hat_batch,
@@ -31,20 +30,33 @@ def test_near_critical_kappa_takes_the_critical_scales(kappa):
     assert regime_of(kappa) == near.regime == "CRITICAL"
     assert near.gamma == 2.0
     for n in (10, 1000, 10**6):
-        scales = (near.local_time_scale(n), near.return_time_scale(n), _kappa_n(kappa, n))
+        scales = (near.local_time_scale(n), near.return_time_scale(n),
+                  near.range_error_scale(n))
         assert all(math.isfinite(s) and s > 0 for s in scales)
-        assert scales == (crit.local_time_scale(n), crit.return_time_scale(n), _kappa_n(2.0, n))
+        assert scales == (crit.local_time_scale(n), crit.return_time_scale(n),
+                          crit.range_error_scale(n))
+        assert near.range_error_scale(n) == n**2 / math.log(n)
 
 
 def test_scales_off_critical():
     sub = Constants(kappa=1.5, **PLUG_IN)
     assert sub.regime == "SUBDIFFUSIVE" and sub.gamma == 1.5
-    assert _kappa_n(1.5, 100) == 100**1.5
+    assert sub.range_error_scale(100) == 100**1.5
     diff = Constants(kappa=3.0, c0=0.4)
     assert diff.regime == "DIFFUSIVE" and diff.gamma == 2.0
     assert diff.local_time_scale(100) == math.sqrt(0.4 * 100)
     assert diff.return_time_scale(100) == 100**2 / 0.4
-    assert _kappa_n(3.0, 100) == 100.0**2
+    assert diff.range_error_scale(100) == 100.0**2
+
+
+def test_w_hat_batch_bytes_do_not_depend_on_the_chunking():
+    """W for 40 environments in one call (three chunks) equals 40 one-seed
+    calls byte for byte."""
+    seeds = trial_seeds(20260814, "theorem1", 40)[0]
+    law = make_two_point(0.068)
+    one_call = w_hat_batch(law, seeds)
+    per_seed = np.concatenate([w_hat_batch(law, seeds[i : i + 1]) for i in range(40)])
+    assert one_call.tobytes() == per_seed.tobytes()
 
 
 SUB_CONSTS = Constants(kappa=1.5920671652485041, C_inf=0.10078720884476033,
