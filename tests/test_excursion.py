@@ -82,6 +82,36 @@ def test_children_counts_total_pmf():
         assert abs(x0.sum() / totals.sum() - 0.6) < 0.02
 
 
+def test_children_counts_follow_ragged_atoms():
+    """Atoms with 0, 1 and 3 children: every child drawn is a child of its
+    parent's atom, as MarkedTree grows it, and child i's mean count at
+    N = k is k e^{-a_i}, its variance k e^{-a_i} (1 + e^{-a_i})."""
+    law = make_mark_law([(0.3, ()), (0.3, (0.5,)), (0.4, (-0.2, 0.3, 1.0))])
+    k, n = 3, 6000
+    seeds = np.arange(n, dtype=np.uint64)
+    levels = excursion_levels(law, seeds, k, np.random.default_rng(8))
+    next(levels)
+    kids = next(levels)
+    slot, counts = {}, {}
+    for r in range(n):
+        env = MarkedTree(law, r)
+        children = env.grow(0)
+        marks = tuple(env.mark[c] for c in children)
+        counts.setdefault(marks, []).append(np.zeros(len(marks)))
+        for j, c in enumerate(children):
+            slot[(r, env.key[c])] = (counts[marks][-1], j)
+    for r, key, N in zip(kids.row, kids.key, kids.N):
+        x, j = slot[(int(r), int(key))]  # a KeyError is a child past the atom
+        x[j] += N
+    assert sorted(map(len, counts)) == [0, 1, 3]
+    for marks, rows in counts.items():
+        x = np.array(rows).reshape(len(rows), len(marks))
+        for j, a in enumerate(marks):
+            w = math.exp(-a)
+            se = math.sqrt(k * w * (1 + w) / len(rows))
+            assert abs(x[:, j].mean() - k * w) < 4 * se
+
+
 def test_children_counts_validation():
     rng = np.random.default_rng(0)
     for counts in (0, -1, [1, 0]):
