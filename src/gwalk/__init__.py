@@ -13,7 +13,6 @@ from .law import (
     LawError,
     MarkLaw,
     PotentialReport,
-    dump_law,
     load_law,
     make_constant_bias,
     make_mark_law,
@@ -29,7 +28,6 @@ __all__ = [
     "LawError",
     "MarkLaw",
     "PotentialReport",
-    "dump_law",
     "load_law",
     "make_constant_bias",
     "make_mark_law",

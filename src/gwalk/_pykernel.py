@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._rng import GOLDEN, MASK, ROOT_SALT, TWO_NEG53, mix64
+from ._rng import GOLDEN, MASK, TWO_NEG53, child_key, mix64, root_key
+from .env import atom_of
 from .law import LawTables, step_law
 
 MODE_STEPS = 0
@@ -132,7 +133,7 @@ def run_walk(
     if explicit is None:
         tables = law_tables
         parent = [-1]
-        key = [mix64((env_seed ^ ROOT_SALT) & MASK)]
+        key = [root_key(env_seed)]
         nchild = [-1]
         child0 = [-1]
         atom = [-1]
@@ -141,7 +142,6 @@ def run_walk(
         nchild = tables.lens.tolist()
         atom = list(range(len(parent)))
         key = [0] * len(parent)
-    atom_cum = None if tables.cum is None else tables.cum.tolist()
     atom_off = tables.off.tolist()
     atom_len = tables.lens.tolist()
     p_up = tables.p_up.tolist()
@@ -188,17 +188,14 @@ def run_walk(
         if nchild[x] == -1:
             # grow node x: its key alone decides the offspring draw
             kx = key[x]
-            u = (kx >> 11) * TWO_NEG53
-            a = 0
-            while u >= atom_cum[a]:
-                a += 1
+            a = int(atom_of(tables, kx))
             k = atom_len[a]
             atom[x] = a
             nchild[x] = k
             child0[x] = len(parent)
             for j in range(k):
                 parent.append(x)
-                key.append(mix64((kx ^ (((j + 2) * GOLDEN) & MASK)) & MASK))
+                key.append(child_key(kx, j))
                 nchild.append(-1)
                 child0.append(-1)
                 atom.append(-1)

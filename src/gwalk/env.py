@@ -1,12 +1,11 @@
 """Quenched marked-tree environments and potential-level analytics.
 
-The inspectable ``MarkedTree`` grows the same environment as the walk kernels
-for an equal environment seed: a node's 64-bit key alone determines its
-offspring atom (key >> 11 scaled to [0,1) against the cumulative atom
-probabilities) and the keys of its children. That makes everything computed
-here (the level martingale W_l, survival, truncated trees for the exact
-oracles) refer to the exact environment a walker with the same seed
-experiences.
+A node's 64-bit key alone determines its offspring atom (`atom_of`) and the
+keys of its children, so the environment is a pure function of its seed, the
+one the walk kernels grow. `next_level` grows one generation of a batch of
+environments; the level martingale W_l, survival and the truncated trees of
+the exact oracles all run on it. `MarkedTree` grows the same environment one
+node at a time, as a reference for the tests.
 
 Also houses the size-biased one-dimensional walk S: under the calibration
 psi(1) = 0 the increment law has density p_i * exp(-a) on each mark a of atom
@@ -21,10 +20,12 @@ import math
 import numpy as np
 
 from ._rng import MASK, TWO_NEG53, child_key, child_key_np, root_key, root_key_np
-from .law import MarkLaw
+from .law import LawTables, MarkLaw
 
 __all__ = [
     "MarkedTree",
+    "atom_of",
+    "next_level",
     "size_biased_increment_law",
     "discounted_sums_batch",
     "level_weights_batch",
@@ -33,19 +34,42 @@ __all__ = [
 ]
 
 
+def atom_of(t: LawTables, key):
+    """Offspring atom of a node key (an int, or each key of a uint64 array):
+    the key's top 53 bits as a uniform on [0, 1), against the cumulative
+    atom probabilities t.cum."""
+    return t.cum.searchsorted((key >> 11) * TWO_NEG53, side="right")
+
+
+def next_level(t: LawTables, row, key, V):
+    """The children of one generation of a batch of keyed environments.
+
+    The generation holds per node its batch row, key and potential V, sorted
+    by row. Returns (row, parent, key, V) of the next generation, parent
+    indexing the given one: rows in order, then parents in order, then
+    siblings by child index. Taken from the roots, the generations in turn
+    list every environment in BFS order with children consecutive."""
+    a = atom_of(t, key)
+    k = t.lens[a]
+    parent = np.repeat(np.arange(k.size), k)
+    # per-child sibling index j: 0,1,... within each parent
+    j = np.arange(parent.size) - (np.cumsum(k) - k)[parent]
+    V = V[parent] + t.marks[t.off[a][parent] + j]
+    return row[parent], parent, child_key_np(key[parent], j), V
+
+
 class MarkedTree:
-    """Lazily grown quenched environment, one node at a time.
+    """The keyed environment grown one node at a time: the per-node reference
+    for the tests and for the benchmark's count of `grow` calls.
 
     Node 0 is the root e with V = 0. ``children[x]`` is None until the node
-    is grown (UNGROWN), afterwards a fixed tuple of child ids.
+    is grown, afterwards a fixed tuple of child ids.
     """
 
-    def __init__(self, law: MarkLaw, env_seed: int, depth_cap: int | None = None):
+    def __init__(self, law: MarkLaw, env_seed: int):
         self.law = law
         self.env_seed = env_seed & MASK
-        self.depth_cap = depth_cap
         t = law.tables()
-        self._cum = t.cum.tolist()
         self._off = t.off.tolist()
         self._len = t.lens.tolist()
         self._marks = t.marks.tolist()
@@ -60,21 +84,14 @@ class MarkedTree:
         return len(self.parent)
 
     def atom_index(self, node_id: int) -> int:
-        u = (self.key[node_id] >> 11) * TWO_NEG53
-        a = 0
-        while u >= self._cum[a]:
-            a += 1
-        return a
+        return int(atom_of(self.law.tables(), self.key[node_id]))
 
     def grow(self, node_id: int) -> tuple[int, ...]:
         kids = self.children[node_id]
         if kids is not None:
             return kids
         a = self.atom_index(node_id)
-        if self.depth_cap is not None and self.gen[node_id] >= self.depth_cap:
-            k = 0
-        else:
-            k = self._len[a]
+        k = self._len[a]
         base = self._off[a]
         vx = self.V[node_id]
         kx = self.key[node_id]
@@ -153,90 +170,75 @@ def discounted_sums_batch(
 
 
 # ----------------------------------------------------------------------------
-# Vectorized level enumeration (same keyed environments as the kernels)
+# Callers of next_level: W_l, truncated trees, survival
 
 
 def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
     """W_level for a batch of environments at once.
 
-    Reproduces MarkedTree and the kernels exactly for equal seeds (same key
-    scheme).
     Returns (W, alive) where alive marks environments whose level is
-    nonempty. Memory grows like (number of environments) * E[N]^level; chunk
-    the seeds at the call site for deep levels.
+    nonempty. Only the live generation is kept, but it grows like (number of
+    environments) * E[N]^level; chunk the seeds at the call site for deep
+    levels.
     """
-    cum, off, lens, flat = law.tables()[:4]
+    t = law.tables()
     key = root_key_np(env_seeds)
     n = key.size
-    env = np.arange(n, dtype=np.int64)
+    row = np.arange(n)
     V = np.zeros(n)
     for _ in range(level):
-        u = (key >> np.uint64(11)).astype(np.float64) * TWO_NEG53
-        a = np.searchsorted(cum, u, side="right")
-        k = lens[a]
-        env = np.repeat(env, k)
-        pV = np.repeat(V, k)
-        pkey = np.repeat(key, k)
-        tot = int(k.sum())
-        if tot == 0:
-            env = env[:0]
-            V = V[:0]
-            key = key[:0]
-            break
-        # per-child sibling index j: 0,1,... within each parent
-        stops = np.cumsum(k)
-        j = np.arange(tot, dtype=np.int64) - np.repeat(stops - k, k)
-        mark_idx = np.repeat(off[a], k) + j
-        V = pV + flat[mark_idx]
-        key = child_key_np(pkey, j)
-    W = np.bincount(env, weights=np.exp(-V), minlength=n) if env.size else np.zeros(n)
-    alive = (
-        np.bincount(env, minlength=n) > 0 if env.size else np.zeros(n, dtype=bool)
-    )
-    if level == 0:
-        return np.ones(n), np.ones(n, dtype=bool)
-    return W, alive
-
-
-# ----------------------------------------------------------------------------
-# Explicit finite trees for oracle cross-checks
+        row, _, key, V = next_level(t, row, key, V)
+    W = np.bincount(row, weights=np.exp(-V), minlength=n)
+    return W, np.bincount(row, minlength=n) > 0
 
 
 def enumerate_truncated(law: MarkLaw, env_seed: int, depth: int) -> dict:
-    """Fully grow the keyed environment to `depth` (BFS order, children
-    consecutive) and return explicit arrays accepted by the kernels."""
-    tree = MarkedTree(law, env_seed, depth_cap=depth)
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        order.extend(tree.grow(x))
-    # BFS discovery order already lists children consecutively
-    parent = np.array(tree.parent, dtype=np.int64)
-    V = np.array(tree.V)
-    gen = np.array(tree.gen, dtype=np.int64)
-    return {"parent": parent, "V": V, "gen": gen, "tree": tree}
-
-
-def environment_survives(law: MarkLaw, env_seed: int, depth: int = 50) -> bool:
-    """Whether the keyed environment's root line reaches `depth`.
-
-    Laws with minimum offspring >= 1 cannot die and return True immediately.
-    Enumeration aborts early once a level holds 4096 nodes (survival is then
-    certain for practical purposes).
-    """
-    if min(len(m) for _, m in law.atoms) >= 1:
-        return True
-    tree = MarkedTree(law, env_seed)
-    frontier = [0]
+    """Fully grow the keyed environment to `depth` and return explicit
+    arrays accepted by the kernels: parent, V, gen and key per node, in BFS
+    order with children consecutive (the generations of `next_level`)."""
+    t = law.tables()
+    row = np.zeros(1, dtype=np.int64)
+    levels = [(np.full(1, -1), root_key_np(env_seed), np.zeros(1))]
+    start = 0
     for _ in range(depth):
-        nxt = []
-        for x in frontier:
-            nxt.extend(tree.grow(x))
-            if len(nxt) >= 4096:
-                return True
-        if not nxt:
-            return False
-        frontier = nxt
-    return True
+        prev_key, prev_V = levels[-1][1:]
+        row, parent, key, V = next_level(t, row, prev_key, prev_V)
+        levels.append((parent + start, key, V))
+        start += prev_key.size
+    parent, key, V = (np.concatenate(x) for x in zip(*levels))
+    gen = np.repeat(np.arange(depth + 1), [lv[1].size for lv in levels])
+    return {"parent": parent, "V": V, "gen": gen, "key": key}
+
+
+# a chunk of environment_survives holds under SURVIVE_CHUNK * SURVIVE_CAP *
+# (most children of an atom) nodes per generation
+SURVIVE_CHUNK = 64
+SURVIVE_CAP = 4096
+
+
+def environment_survives(law: MarkLaw, env_seeds, depth: int = 50) -> np.ndarray:
+    """Per environment seed, whether the keyed environment's root line
+    reaches `depth`.
+
+    Laws with minimum offspring >= 1 cannot die and give True at once. An
+    environment stops growing, as surviving, once a generation holds
+    SURVIVE_CAP nodes (survival is then certain for practical purposes).
+    The seeds run SURVIVE_CHUNK at a time, so memory stays bounded."""
+    seeds = np.asarray(env_seeds, dtype=np.uint64).ravel()
+    out = np.ones(seeds.size, dtype=bool)
+    t = law.tables()
+    if t.lens.min() >= 1:
+        return out
+    for i in range(0, seeds.size, SURVIVE_CHUNK):
+        key = root_key_np(seeds[i : i + SURVIVE_CHUNK])
+        m = key.size
+        row = np.arange(m)
+        V = np.zeros(m)
+        capped = np.zeros(m, dtype=bool)
+        for _ in range(depth):
+            row, _, key, V = next_level(t, row, key, V)
+            capped |= np.bincount(row, minlength=m) >= SURVIVE_CAP
+            keep = ~capped[row]
+            row, key, V = row[keep], key[keep], V[keep]
+        out[i : i + m] = capped | (np.bincount(row, minlength=m) > 0)
+    return out

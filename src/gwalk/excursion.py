@@ -14,13 +14,13 @@ children in proportion to e^{-a_i}.
 
 `excursion_levels` is the one sampler. It carries (row, parent, key, N) per
 node for a batch of (environment seed, root count) rows, one generation at a
-time. A node's atom comes from its key, and the keys of the roots and of
-the children from `root_key_np` and `child_key_np`, exactly as `MarkedTree`
-and the walk kernels grow the keyed environment, so a row is quenched on its
-seed's environment. Every
-environment node occurs at most once in a tree, so fresh seeds per row give
-the annealed law. Counts at depth <= d depend only on their ancestors:
-stopping after generation d samples the tree truncated at depth d exactly.
+time. A node's atom comes from its key by `env.atom_of`, and the keys of the
+roots and of the children from `root_key_np` and `child_key_np`, exactly as
+`env.next_level` and the walk kernels grow the keyed environment, so a row
+is quenched on its seed's environment. Every environment node occurs at
+most once in a tree, so fresh seeds per row give the annealed law. Counts
+at depth <= d depend only on their ancestors: stopping after generation d
+samples the tree truncated at depth d exactly.
 
 By tau^p every edge has been crossed as often up as down, so
 tau^p = 2 sum_x N_x over the tree, root included (N_root = p), and the
@@ -43,7 +43,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._rng import TWO_NEG53, child_key_np, root_key_np
+from ._rng import child_key_np, root_key_np
+from .env import atom_of
 from .law import MarkLaw
 
 __all__ = [
@@ -105,9 +106,9 @@ def excursion_levels(
     if budget is not None:
         budget = np.broadcast_to(np.asarray(budget, dtype=np.int64), n)
         total = np.zeros(n, dtype=np.int64)
-    atom_of = np.repeat(np.arange(t.lens.size), t.lens)
+    owner = np.repeat(np.arange(t.lens.size), t.lens)  # the atom of each mark
     rate = np.zeros((t.lens.size, int(t.lens.max())))
-    rate[atom_of, np.arange(t.marks.size) - t.off[atom_of]] = np.exp(-t.marks)
+    rate[owner, np.arange(t.marks.size) - t.off[owner]] = np.exp(-t.marks)
     root = True
     while row.size:
         yield Level(row, parent, key, N)
@@ -116,11 +117,8 @@ def excursion_levels(
         if budget is not None:
             np.add.at(total, row, N)
             ex = ex[total[row[ex]] <= budget[row[ex]]]
-        atom = np.searchsorted(
-            t.cum, (key[ex] >> np.uint64(11)) * TWO_NEG53, side="right"
-        )
         g = rng.standard_gamma(N[ex])
-        kids = rng.poisson(g[:, None] * rate[atom])
+        kids = rng.poisson(g[:, None] * rate[atom_of(t, key[ex])])
         par, j = np.nonzero(kids)
         N = kids[par, j]
         parent = ex[par]

@@ -398,7 +398,8 @@ def corollary_campaign(
     largest 2n+1 and the arrival indicator at time 2n+1 is read off as
     the local-time increment L^{2n+1} - L^{2n}. Environments are drawn
     fresh per walker under the survival conditioning (vacuous for laws
-    with minimum offspring 1)."""
+    with minimum offspring 1), all walkers' redraws in one batched pass
+    before any walk runs."""
     n_grid = sorted(int(n) for n in n_grid)
     env_seeds, walk_seeds = trial_seeds(master_seed, "corollary", n_walkers)
     m_grid = []
@@ -406,13 +407,17 @@ def corollary_campaign(
         m_grid.extend((2 * n, 2 * n + 1))
     hits = np.zeros((n_walkers, len(n_grid)), dtype=np.int8)
     rejected = np.zeros(n_walkers, dtype=np.int64)
+    # redraw each dead environment from the one before it until it survives
+    dead = np.arange(n_walkers)
+    while dead.size:
+        dead = dead[~environment_survives(law, env_seeds[dead])]
+        rejected[dead] += 1
+        for t in dead:
+            e, k = int(env_seeds[t]), int(rejected[t])
+            env_seeds[t] = derive_seed(e, "corollary-resample", k, "env")
 
     def one(t: int) -> None:
-        env = int(env_seeds[t])
-        while not environment_survives(law, env):
-            rejected[t] += 1
-            env = derive_seed(env, "corollary-resample", int(rejected[t]), "env")
-        res = walk.simulate_time_grid(law, env, int(walk_seeds[t]), m_grid)
+        res = walk.simulate_time_grid(law, int(env_seeds[t]), int(walk_seeds[t]), m_grid)
         L = res["snap_L"]
         hits[t] = L[1::2] - L[0::2]
 

@@ -35,7 +35,6 @@ __all__ = [
     "make_two_point",
     "make_constant_bias",
     "load_law",
-    "dump_law",
     "KAPPA_T_MAX",
 ]
 
@@ -386,9 +385,3 @@ def load_law(source) -> MarkLaw:
         atoms = _shift_calibrate(atoms)
     return make_mark_law(atoms)
 
-
-def dump_law(law: MarkLaw, path) -> None:
-    doc = {"atoms": [{"p": p, "marks": list(m)} for p, m in law.atoms]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")

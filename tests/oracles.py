@@ -6,6 +6,7 @@ this module may import algorithmic code paths from gwalk beyond plain
 dataclass containers.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -117,6 +118,32 @@ def build_chain(marks) -> dict:
         parent.append(i)
         V.append(V[-1] + float(a))
     return {"parent": np.array(parent, dtype=np.int64), "V": np.array(V)}
+
+
+def dump_law(law, path) -> None:
+    """Write a law's atoms as an `atoms`-format JSON file (the inverse of
+    `load_law` on a path)."""
+    doc = {"atoms": [{"p": p, "marks": list(m)} for p, m in law.atoms]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def survives_naive(tree, depth: int, cap: int) -> bool:
+    """Whether an environment grown node by node (`tree.grow(x)` gives the
+    child ids of node x, node 0 the root) reaches generation `depth`,
+    breadth first; a generation of `cap` nodes counts as surviving."""
+    frontier = [0]
+    for _ in range(depth):
+        nxt = []
+        for x in frontier:
+            nxt.extend(tree.grow(x))
+            if len(nxt) >= cap:
+                return True
+        if not nxt:
+            return False
+        frontier = nxt
+    return True
 
 
 def step_law_loop(off, lens, marks):

@@ -6,18 +6,24 @@ kernel (its ctypes calls release the GIL). Without a C compiler the runs use
 the package's own kernel. A theorem with no `constants` section estimates
 them on the route that estimate-constants takes. Every verdict file is
 strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
-Bad `lemma-moments` settings and config keys that no command reads stop the
-command with a message before it samples anything, and the accepted keys
-are pinned.
+`corollary` also runs on a law whose environments can die, so that its
+survival resampling runs end to end. Bad `lemma-moments` settings and config
+keys that no command reads stop the command with a message before it samples
+anything, and the accepted keys are pinned.
 """
 
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from gwalk import cli, kernel
+from gwalk._rng import derive_seed
+from gwalk.env import environment_survives
+from gwalk.experiments import trial_seeds
+from gwalk.law import load_law
 
 CONSTANTS = {
     "C_inf": 0.10078720884476033,
@@ -77,6 +83,28 @@ def test_cli_bytes_identical_across_reruns_and_threads(walk_kernel, tmp_path, co
     _strict_json(first[f"{command.replace('-', '_')}_verdicts.json"])
     assert _run(tmp_path, command, 1, "b") == first
     assert _run(tmp_path, command, 2, "c") == first
+
+
+def test_corollary_redraws_dead_environments(walk_kernel, tmp_path):
+    """On a law with extinction (half the nodes childless, half with four
+    children marked ln 2), corollary redraws the environments that die,
+    the k-th time from derive_seed(previous, "corollary-resample", k, "env"):
+    n_rejected > 0 and equal to a walker-by-walker count, with the same
+    bytes on a rerun and at threads=2."""
+    ext = {"atoms": [{"p": 0.5, "marks": []},
+                     {"p": 0.5, "marks": [math.log(2.0)] * 4}]}
+    first = _run(tmp_path, "corollary", 1, "a", extra={"law": ext})
+    assert _run(tmp_path, "corollary", 1, "b", extra={"law": ext}) == first
+    assert _run(tmp_path, "corollary", 2, "c", extra={"law": ext}) == first
+    (v,) = _strict_json(first["corollary_verdicts.json"])
+    law, want = load_law(ext), 0
+    for env in trial_seeds(5, "corollary", TINY["corollary"]["n_walkers"])[0].tolist():
+        k = 0
+        while not environment_survives(law, [env])[0]:
+            k += 1
+            env = derive_seed(env, "corollary-resample", k, "env")
+        want += k
+    assert v["n_rejected"] == want > 0
 
 
 def test_theorem_estimates_the_constants_it_is_not_given(walk_kernel, tmp_path):

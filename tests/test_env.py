@@ -9,11 +9,13 @@ from scipy.optimize import brentq
 import oracles
 from gwalk._rng import child_key, child_key_np, derive_seed, root_key, root_key_np
 from gwalk.env import (
+    SURVIVE_CAP,
     MarkedTree,
     discounted_sums_batch,
     enumerate_truncated,
     environment_survives,
     level_weights_batch,
+    next_level,
     size_biased_increment_law,
 )
 from gwalk.law import (
@@ -30,6 +32,8 @@ DIFF = make_two_point(0.02)
 
 # half the nodes have no children at all, so extinction is possible
 EXT = make_mark_law([(0.5, ()), (0.5, (math.log(2.0),) * 4)])
+# atoms of 0, 1 and 3 children (the law of test_children_counts_follow_ragged_atoms)
+RAGGED = make_mark_law([(0.3, ()), (0.3, (0.5,)), (0.4, (-0.2, 0.3, 1.0))])
 
 
 def _paths(tree, depth):
@@ -66,12 +70,71 @@ def test_keyed_tree_growth_order_independent():
     assert _paths(t3, 4) != p1
 
 
-def test_grow_idempotent_and_depth_cap():
+def test_grow_idempotent():
     t = MarkedTree(SUB, 7)
     kids = t.grow(0)
     assert t.grow(0) is kids
-    capped = MarkedTree(SUB, 7, depth_cap=0)
-    assert capped.grow(0) == ()
+
+
+def _bfs(tree, depth):
+    """The node ids of a MarkedTree grown breadth first, one list per
+    generation 0..depth."""
+    levels = [[0]]
+    for _ in range(depth):
+        levels.append([c for x in levels[-1] for c in tree.grow(x)])
+    return levels
+
+
+@pytest.mark.parametrize("law", [RAGGED, EXT], ids=["ragged", "ext"])
+def test_next_level_matches_marked_tree(law):
+    """Generation by generation, next_level lists every row's environment
+    as MarkedTree grows it node by node in BFS order: the same keys, V to
+    the last bit, the same parents; a row that dies drops out. The
+    concatenated generations of enumerate_truncated are the BFS tree."""
+    depth, seeds = 6, np.arange(40, dtype=np.uint64)
+    t = law.tables()
+    trees = [MarkedTree(law, int(s)) for s in seeds]
+    bfs = [_bfs(tree, depth) for tree in trees]
+    row, key, V = np.arange(seeds.size), root_key_np(seeds), np.zeros(seeds.size)
+    ids = np.zeros(seeds.size, dtype=np.int64)  # MarkedTree id of each node
+    for g in range(1, depth + 1):
+        row, parent, key, V = next_level(t, row, key, V)
+        assert (np.diff(row) >= 0).all() and (np.diff(parent) >= 0).all()
+        prev, ids = ids, np.empty(row.size, dtype=np.int64)
+        for r, tree in enumerate(trees):
+            at = np.flatnonzero(row == r)
+            ids[at] = want = bfs[r][g]
+            assert len(at) == len(want)
+            assert key[at].tolist() == [tree.key[x] for x in want]
+            assert V[at].tobytes() == np.array([tree.V[x] for x in want]).tobytes()
+            assert prev[parent[at]].tolist() == [tree.parent[x] for x in want]
+            assert all(tree.gen[x] == g for x in want)
+    dead = np.bincount(row, minlength=seeds.size) == 0
+    assert 0 < dead.sum() < seeds.size
+    for s, levels, tree in zip(seeds, bfs, trees):
+        d = enumerate_truncated(law, int(s), depth)
+        order = [x for lv in levels for x in lv]
+        assert d["key"].tolist() == [tree.key[x] for x in order]
+        assert d["V"].tobytes() == np.array([tree.V[x] for x in order]).tobytes()
+        pos = {x: i for i, x in enumerate(order)}
+        assert d["parent"].tolist() == [-1] + [pos[tree.parent[x]] for x in order[1:]]
+        assert d["gen"].tolist() == [tree.gen[x] for x in order]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 12])
+def test_environment_survives_matches_per_seed_oracle(depth):
+    """The batched survival test against a per-seed, per-node breadth-first
+    growth, on rows that die, rows that reach the depth and, at depth 12,
+    rows that stop at SURVIVE_CAP nodes before it."""
+    seeds = [derive_seed(17, "surv-oracle", i, "env") for i in range(200)]
+    got = environment_survives(EXT, np.array(seeds, dtype=np.uint64), depth=depth)
+    capped = []
+    for s, alive in zip(seeds, got):
+        tree = MarkedTree(EXT, s)
+        assert alive == oracles.survives_naive(tree, depth=depth, cap=SURVIVE_CAP)
+        capped.append(np.bincount(tree.gen).max() >= SURVIVE_CAP)
+    assert 0 < got.sum() < got.size
+    assert (0 < sum(capped) < got.sum()) if depth == 12 else not any(capped)
 
 
 def test_v_accumulates_marks():
@@ -103,14 +166,13 @@ def _level_weight(tree: dict, level: int) -> float:
 def test_additive_martingale_level_zero_and_extinct():
     W, alive = level_weights_batch(SUB, np.array([1], dtype=np.uint64), 0)
     assert W.tolist() == [1.0] and alive.tolist() == [True]
-    # find an extinct seed under the extinction law
-    for seed in range(200):
-        if not environment_survives(EXT, seed, depth=12):
-            W, alive = level_weights_batch(EXT, np.array([seed], dtype=np.uint64), 12)
-            assert W.tolist() == [0.0] and alive.tolist() == [False]
-            assert not (enumerate_truncated(EXT, seed, 12)["gen"] == 12).any()
-            return
-    pytest.fail("no extinct environment found in 200 seeds")
+    # an extinct seed under the extinction law
+    dead = np.flatnonzero(~environment_survives(EXT, np.arange(200), depth=12))
+    assert dead.size, "no extinct environment found in 200 seeds"
+    seed = int(dead[0])
+    W, alive = level_weights_batch(EXT, np.array([seed], dtype=np.uint64), 12)
+    assert W.tolist() == [0.0] and alive.tolist() == [False]
+    assert not (enumerate_truncated(EXT, seed, 12)["gen"] == 12).any()
 
 
 def test_level_weights_batch_matches_per_tree():
@@ -152,15 +214,13 @@ def test_environment_survival_probability():
     # extinction probability solves q = (1 + q^4) / 2; survival matches
     q = brentq(lambda t: 0.5 + 0.5 * t**4 - t, 0.0, 0.9)
     n = 400
-    hits = sum(
-        environment_survives(EXT, derive_seed(13, "surv", i, "env")) for i in range(n)
-    )
-    p_emp = hits / n
+    seeds = np.array([derive_seed(13, "surv", i, "env") for i in range(n)], dtype=np.uint64)
+    p_emp = environment_survives(EXT, seeds).mean()
     p_true = 1.0 - q
     se = math.sqrt(p_true * (1.0 - p_true) / n)
     assert abs(p_emp - p_true) < 4 * se
     # laws with minimum offspring >= 1 never die
-    assert environment_survives(SUB, 0)
+    assert environment_survives(SUB, [0, 1]).tolist() == [True, True]
 
 
 def test_size_biased_increment_law_is_normalized():

@@ -162,7 +162,7 @@ def test_direct_sampler_matches_chain_oracle():
     env = enumerate_truncated(SUB, 314, 4)
     chain = FiniteChain({"parent": env["parent"], "V": env["V"]})
     want = chain.expected_edge_counts()
-    ids = {k: i for i, k in enumerate(env["tree"].key)}
+    ids = {k: i for i, k in enumerate(env["key"].tolist())}
     n = 20000
     rng = np.random.default_rng(15)
     levels = excursion_levels(SUB, np.full(n, 314, dtype=np.uint64), 1, rng)

@@ -9,7 +9,6 @@ import oracles
 from gwalk import law as law_mod
 from gwalk.law import (
     LawError,
-    dump_law,
     load_law,
     make_constant_bias,
     make_mark_law,
@@ -119,7 +118,7 @@ def test_two_point_requires_small_p():
 def test_load_dump_roundtrip(tmp_path):
     law = make_two_point(0.068)
     path = tmp_path / "law.json"
-    dump_law(law, path)
+    oracles.dump_law(law, path)
     other = load_law(str(path))
     assert other.atoms == law.atoms
 
