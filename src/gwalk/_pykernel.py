@@ -14,9 +14,10 @@ the key alone determines its offspring draw and the keys of its children, so
 the environment is a pure function of the environment seed no matter in what
 order the walk discovers it. Node 0 is the root e (potential 0); its parent
 is the cemetery-like vertex e* encoded as index -1. Per node the arena keeps
-seven integers: parent, key, atom, number of children, first child and the
-two edge counts below. It keeps no generation; a node's depth is the length
-of its parent chain.
+six integers, as the 48-byte node record of ``_walk.c``: parent, first
+child, the two edge counts below, atom and key. A node is ungrown while its
+atom is -1; a grown node has the atom's number of children. The arena keeps
+no generation; a node's depth is the length of its parent chain.
 
 Walk dynamics
 -------------
@@ -123,8 +124,8 @@ def run_walk(
     supplies a prebuilt finite tree as a dict with keys parent, V (checked
     and converted by explicit_tree). The walk stops early, with status
     STATUS_BUDGET, once it has taken `budget` steps. With collect_tree the
-    result also holds the arena's tree_parent, tree_atom, tree_ndown,
-    tree_nup and tree_nchild arrays.
+    result also holds the arena's tree_parent, tree_atom, tree_ndown and
+    tree_nup arrays (tree_atom is -1 at an ungrown node).
     """
     snaps = np.asarray(snaps, dtype=np.int64)
     nsnap = len(snaps)
@@ -134,12 +135,10 @@ def run_walk(
         tables = law_tables
         parent = [-1]
         key = [root_key(env_seed)]
-        nchild = [-1]
         child0 = [-1]
         atom = [-1]
     else:
         tables, parent, child0 = explicit_tree(explicit)
-        nchild = tables.lens.tolist()
         atom = list(range(len(parent)))
         key = [0] * len(parent)
     atom_off = tables.off.tolist()
@@ -159,9 +158,8 @@ def run_walk(
     R = 1
     status = STATUS_OK
     si = 0
-    done = False
 
-    while not done:
+    while True:
         if m >= budget:
             status = STATUS_BUDGET
             break
@@ -175,77 +173,65 @@ def run_walk(
                     snap[:, si] = (L, m, t_ex, L, R)
                     si += 1
                 if L >= limit:
-                    done = True
-            if mode == MODE_STEPS:
-                while si < nsnap and snaps[si] == m:
-                    snap[:, si] = (m, m, t_ex, L, R)
-                    si += 1
-                if m >= limit:
-                    done = True
-            continue
-
-        x = pos
-        if nchild[x] == -1:
-            # grow node x: its key alone decides the offspring draw
-            kx = key[x]
-            a = int(atom_of(tables, kx))
-            k = atom_len[a]
-            atom[x] = a
-            nchild[x] = k
-            child0[x] = len(parent)
-            for j in range(k):
-                parent.append(x)
-                key.append(child_key(kx, j))
-                nchild.append(-1)
-                child0.append(-1)
-                atom.append(-1)
-                n_down.append(0)
-                n_up.append(0)
-
-        k = nchild[x]
-        if k == 0:
-            dest = parent[x]
+                    break
         else:
-            state = (state + GOLDEN) & MASK
-            u = (mix64(state) >> 11) * TWO_NEG53
+            x = pos
+            if atom[x] == -1:
+                # grow node x: its key alone decides the offspring draw
+                kx = key[x]
+                a = atom[x] = int(atom_of(tables, kx))
+                child0[x] = len(parent)
+                for j in range(atom_len[a]):
+                    parent.append(x)
+                    key.append(child_key(kx, j))
+                    child0.append(-1)
+                    atom.append(-1)
+                    n_down.append(0)
+                    n_up.append(0)
+
             a = atom[x]
-            if u < p_up[a]:
+            k = atom_len[a]
+            if k == 0:
                 dest = parent[x]
             else:
-                c = child0[x]
-                last = c + k - 1
-                j = atom_off[a]
-                while c < last and u >= step_cum[j]:
-                    c += 1
-                    j += 1
-                dest = c
+                state = (state + GOLDEN) & MASK
+                u = (mix64(state) >> 11) * TWO_NEG53
+                if u < p_up[a]:
+                    dest = parent[x]
+                else:
+                    c = child0[x]
+                    last = c + k - 1
+                    j = atom_off[a]
+                    while c < last and u >= step_cum[j]:
+                        c += 1
+                        j += 1
+                    dest = c
 
-        m += 1
-        t_ex += 1
-        if dest == parent[x]:
-            n_up[x] += 1
-            if dest == -1:
-                L += 1
-        else:
-            if n_down[dest] == 0:
-                R += 1
-            n_down[dest] += 1
-        pos = dest
+            m += 1
+            t_ex += 1
+            if dest == parent[x]:
+                n_up[x] += 1
+                if dest == -1:
+                    L += 1
+            else:
+                if n_down[dest] == 0:
+                    R += 1
+                n_down[dest] += 1
+            pos = dest
 
         if mode == MODE_STEPS:
             while si < nsnap and snaps[si] == m:
                 snap[:, si] = (m, m, t_ex, L, R)
                 si += 1
             if m >= limit:
-                done = True
+                break
 
     out = {"status": status, "m": m, "t_ex": t_ex, "L": L, "R": R, "pos": pos,
            "nodes_grown": len(parent)}
     for row, name in enumerate(("idx", "tau", "T", "L", "R")):
         out["snap_" + name] = snap[row, :si].copy()
     if collect_tree:
-        tree = {"parent": parent, "atom": atom, "ndown": n_down,
-                "nup": n_up, "nchild": nchild}
+        tree = {"parent": parent, "atom": atom, "ndown": n_down, "nup": n_up}
         for name, values in tree.items():
             out["tree_" + name] = np.array(values, dtype=np.int64)
     return out

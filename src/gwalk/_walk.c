@@ -10,9 +10,10 @@
  * a uniform, and stores no potential, so it walks the same at every depth.
  * The file holds no Python API and no global mutable state: gwalk.kernel
  * calls gw_walk through ctypes, which releases the GIL, so trials on several
- * threads run in parallel. gwalk.kernel restates gw_arena, gw_stats and the
- * parameters of gw_walk by hand; tests/test_kernel_layout.py checks that both
- * sides name the same fields in the same order.
+ * threads run in parallel. The arena is one array of 48-byte node records
+ * (six 8-byte fields). gwalk.kernel restates gw_node, gw_arena, gw_stats and
+ * the parameters of gw_walk by hand; tests/test_kernel_layout.py checks that
+ * both sides name the same fields in the same order.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
  * -ffast-math or -march=native.
@@ -40,12 +41,16 @@ enum { MODE_STEPS = 0, MODE_CROSSINGS = 1 };
 enum { STATUS_OK = 0, STATUS_BUDGET = 2 };
 enum { GW_OK = 0, GW_ENOMEM = 1 };
 
-/* The grown tree: seven 8-byte arrays, one entry per node (56 B per node);
- * nchild == -1 marks an ungrown node, whose atom is -1 until it is grown. */
+/* One node of the grown tree: six 8-byte fields (48 B). atom == -1 marks an
+ * ungrown node; a grown node has atom_len[atom] children from child0 on. */
+typedef struct {
+    int64_t parent, child0, n_down, n_up, atom;
+    uint64_t key;
+} gw_node;
+
 typedef struct {
     int64_t n, cap;
-    int64_t *parent, *nchild, *child0, *n_down, *n_up, *atom;
-    uint64_t *key;
+    gw_node *node;
 } gw_arena;
 
 typedef struct {
@@ -56,28 +61,23 @@ void gw_free(gw_arena *A)
 {
     if (!A)
         return;
-    free(A->parent); free(A->nchild); free(A->child0);
-    free(A->n_down); free(A->n_up); free(A->atom); free(A->key);
+    free(A->node);
     free(A);
 }
 
-/* Grow every array to hold `want` nodes, doubling the capacity. A failed
+/* Grow the node array to hold `want` nodes, doubling the capacity. A failed
  * realloc leaves the old block in place, so gw_free still frees it. */
 static int reserve(gw_arena *A, int64_t want)
 {
     int64_t cap = A->cap;
-    void *p;
+    gw_node *p;
     if (want <= cap)
         return GW_OK;
     while (cap < want)
         cap *= 2;
-#define GROW(f)                                                   \
-    if (!(p = realloc(A->f, (size_t)cap * sizeof *A->f)))         \
-        return GW_ENOMEM;                                         \
-    A->f = p;
-    GROW(parent) GROW(nchild) GROW(child0) GROW(n_down)
-    GROW(n_up) GROW(atom) GROW(key)
-#undef GROW
+    if (!(p = realloc(A->node, (size_t)cap * sizeof *p)))
+        return GW_ENOMEM;
+    A->node = p;
     A->cap = cap;
     return GW_OK;
 }
@@ -85,19 +85,13 @@ static int reserve(gw_arena *A, int64_t want)
 /* Write a node whose children are not grown yet. */
 static void set_node(gw_arena *A, int64_t i, int64_t parent, uint64_t key)
 {
-    A->parent[i] = parent;
-    A->key[i] = key;
-    A->nchild[i] = -1;
-    A->child0[i] = -1;
-    A->atom[i] = -1;
-    A->n_down[i] = 0;
-    A->n_up[i] = 0;
+    A->node[i] = (gw_node){parent, -1, 0, 0, -1, key};
 }
 
 /* Give ungrown node x its atom and children: its key alone decides both. */
 static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *atom_len)
 {
-    uint64_t kx = A->key[x];
+    uint64_t kx = A->node[x].key;
     double u = (double)(kx >> 11) * TWO_NEG53;
     int64_t a = 0, k, j;
     while (u >= atom_cum[a])
@@ -105,9 +99,8 @@ static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *a
     k = atom_len[a];
     if (reserve(A, A->n + k))
         return GW_ENOMEM;
-    A->atom[x] = a;
-    A->nchild[x] = k;
-    A->child0[x] = A->n;
+    A->node[x].atom = a;
+    A->node[x].child0 = A->n;
     for (j = 0; j < k; j++)
         set_node(A, A->n + j, x, mix64(kx ^ ((uint64_t)(j + 2) * GOLDEN)));
     A->n += k;
@@ -140,6 +133,7 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
             gw_stats *st, gw_arena **arena_out)
 {
     gw_arena *A = calloc(1, sizeof *A);
+    gw_node *nx;
     int64_t pos = 0, m = 0, t_ex = 0, L = 0, R = 1, si = 0, x, k, a, j, dest, c, last;
     int status = STATUS_OK, err;
     double u;
@@ -147,17 +141,13 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
     *arena_out = NULL;
     if (!A)
         return GW_ENOMEM;
-    /* at least 1024 slots, so the arrays exist even for a one-node tree */
+    /* at least 1024 slots, so the array exists even for a one-node tree */
     A->cap = 1;
     if ((err = reserve(A, n_explicit > 1024 ? n_explicit : 1024)))
         goto fail;
     if (n_explicit >= 0) {
-        for (A->n = n_explicit, x = 0; x < n_explicit; x++) {
-            set_node(A, x, exp_parent[x], 0);
-            A->nchild[x] = atom_len[x];
-            A->child0[x] = exp_child0[x];
-            A->atom[x] = x;
-        }
+        for (A->n = n_explicit, x = 0; x < n_explicit; x++)
+            A->node[x] = (gw_node){exp_parent[x], exp_child0[x], 0, 0, x, 0};
     } else {
         A->n = 1;
         set_node(A, 0, -1, mix64(env_seed ^ ROOT_SALT));
@@ -171,7 +161,7 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
         if (pos == -1) {
             /* forced crossing back to the root; origin e* is off the clock */
             m++;
-            A->n_down[0]++;
+            A->node[0].n_down++;
             pos = 0;
             if (mode == MODE_CROSSINGS) {
                 for (; si < nsnap && snaps[si] == L; si++)
@@ -179,49 +169,43 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
                 if (L >= limit)
                     break;
             }
-            if (mode == MODE_STEPS) {
-                for (; si < nsnap && snaps[si] == m; si++)
-                    record(snap_out, nsnap, si, m, m, t_ex, L, R);
-                if (m >= limit)
-                    break;
-            }
-            continue;
-        }
-
-        x = pos;
-        if (A->nchild[x] == -1 && (err = grow(A, x, atom_cum, atom_len)))
-            goto fail;
-
-        k = A->nchild[x];
-        if (k == 0) {
-            dest = A->parent[x];
         } else {
-            state += GOLDEN;
-            u = (double)(mix64(state) >> 11) * TWO_NEG53;
-            a = A->atom[x];
-            if (u < p_up[a]) {
-                dest = A->parent[x];
+            x = pos;
+            if (A->node[x].atom == -1 && (err = grow(A, x, atom_cum, atom_len)))
+                goto fail;
+
+            nx = &A->node[x];
+            a = nx->atom;
+            k = atom_len[a];
+            if (k == 0) {
+                dest = nx->parent;
             } else {
-                c = A->child0[x];
-                last = c + k - 1;
-                for (j = atom_off[a]; c < last && u >= step_cum[j]; j++)
-                    c++;
-                dest = c;
+                state += GOLDEN;
+                u = (double)(mix64(state) >> 11) * TWO_NEG53;
+                if (u < p_up[a]) {
+                    dest = nx->parent;
+                } else {
+                    c = nx->child0;
+                    last = c + k - 1;
+                    for (j = atom_off[a]; c < last && u >= step_cum[j]; j++)
+                        c++;
+                    dest = c;
+                }
             }
-        }
 
-        m++;
-        t_ex++;
-        if (dest == A->parent[x]) {
-            A->n_up[x]++;
-            if (dest == -1)
-                L++;
-        } else {
-            if (A->n_down[dest] == 0)
-                R++;
-            A->n_down[dest]++;
+            m++;
+            t_ex++;
+            if (dest == nx->parent) {
+                nx->n_up++;
+                if (dest == -1)
+                    L++;
+            } else {
+                if (A->node[dest].n_down == 0)
+                    R++;
+                A->node[dest].n_down++;
+            }
+            pos = dest;
         }
-        pos = dest;
 
         if (mode == MODE_STEPS) {
             for (; si < nsnap && snaps[si] == m; si++)

@@ -131,6 +131,8 @@ def size_biased_increment_law(law: MarkLaw):
 
 _MIN_TERMS = 512
 _REESTIMATE_EVERY = 64
+# rows of one block drawn and reduced at a time; bounds the scratch arrays
+_SLICE_ROWS = 2**12
 
 
 def discounted_sums_batch(
@@ -142,7 +144,10 @@ def discounted_sums_batch(
     below eps. The bound uses an empirical drift floor delta (half the
     running mean increment), re-estimated every 64 steps after the first
     512; at least 512 terms are always taken. D includes the j = 0 term
-    e^{-S_0} = 1. An active mask drops the finished paths.
+    e^{-S_0} = 1. An active mask drops the finished paths. Each block is
+    drawn and reduced _SLICE_ROWS paths at a time: the generator fills rows
+    in order, so D does not depend on the slice, and the scratch arrays stay
+    at (_SLICE_ROWS x block) whatever n is.
     """
     vals, probs = size_biased_increment_law(law)
     cum = np.cumsum(probs)
@@ -153,12 +158,13 @@ def discounted_sums_batch(
     j = 0
     block = _MIN_TERMS
     while active.size:
-        na = active.size
-        u = rng.random((na, block))
-        inc = vals[np.searchsorted(cum, u, side="right")]
-        Sa = S[active, None] + np.cumsum(inc, axis=1)
-        D[active] += np.exp(-Sa).sum(axis=1)
-        S[active] = Sa[:, -1]
+        for lo in range(0, active.size, _SLICE_ROWS):
+            rows = active[lo:lo + _SLICE_ROWS]
+            u = rng.random((rows.size, block))
+            inc = vals[np.searchsorted(cum, u, side="right")]
+            Sa = S[rows, None] + np.cumsum(inc, axis=1)
+            D[rows] += np.exp(-Sa).sum(axis=1)
+            S[rows] = Sa[:, -1]
         j += block
         delta = np.maximum(1e-9, 0.5 * S[active] / j)
         bound = np.exp(-S[active]) / (1.0 - np.exp(-delta))

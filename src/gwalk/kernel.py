@@ -7,10 +7,10 @@ itself fails only when out of memory. setuptools builds it into the library
 `gwalk/_walk<EXT_SUFFIX>` beside this file (`pip install .`, or
 `python setup.py build_ext --inplace` in a source checkout). The library has
 no Python API; `load_kernel` binds it through ctypes, whose foreign calls
-release the GIL, so trials on several threads run in parallel. `_Arena`,
-`_Stats` and `_WALK_ARGTYPES` restate the C declarations by hand (a mismatch
-crashes the interpreter rather than raising); tests/test_kernel_layout.py
-checks them against `_walk.c`.
+release the GIL, so trials on several threads run in parallel. `_Node`,
+`_Arena`, `_Stats` and `_WALK_ARGTYPES` restate the C declarations by hand (a
+mismatch crashes the interpreter rather than raising);
+tests/test_kernel_layout.py checks them against `_walk.c`.
 
 When no built library sits beside this file (running from `PYTHONPATH=src`
 without building), `run_walk` is `_pykernel.run_walk` after one warning that
@@ -38,21 +38,19 @@ STATUS_BUDGET = _pykernel.STATUS_BUDGET
 
 LIBRARY = Path(__file__).with_name("_walk" + sysconfig.get_config_var("EXT_SUFFIX"))
 
-# arena arrays returned under collect_tree: output key -> gw_arena field
-_TREE = {"parent": "parent", "atom": "atom", "ndown": "n_down", "nup": "n_up",
-         "nchild": "nchild"}
+# node fields returned under collect_tree: output key -> gw_node field
+_TREE = {"parent": "parent", "atom": "atom", "ndown": "n_down", "nup": "n_up"}
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
 _P, _INT64 = ctypes.c_void_p, ctypes.c_int64
 
 
+class _Node(ctypes.Structure):
+    _fields_ = ([(f, _INT64) for f in ("parent", "child0", "n_down", "n_up", "atom")]
+                + [("key", ctypes.c_uint64)])
+
+
 class _Arena(ctypes.Structure):
-    _fields_ = (
-        [("n", _INT64), ("cap", _INT64)]
-        + [(f, _I64)
-           for f in ("parent", "nchild", "child0", "n_down", "n_up", "atom")]
-        + [("key", ctypes.POINTER(ctypes.c_uint64))]
-    )
+    _fields_ = [("n", _INT64), ("cap", _INT64), ("node", ctypes.POINTER(_Node))]
 
 
 class _Stats(ctypes.Structure):
@@ -107,9 +105,9 @@ def load_kernel(path) -> callable:
             for row, name in enumerate(("idx", "tau", "T", "L", "R")):
                 out["snap_" + name] = snap_out[row, : st.nsnap].copy()
             if collect_tree:
+                nodes = np.ctypeslib.as_array(A.node, shape=(A.n,))
                 for key, field in _TREE.items():
-                    out["tree_" + key] = np.ctypeslib.as_array(
-                        getattr(A, field), shape=(A.n,)).copy()
+                    out["tree_" + key] = np.array(nodes[field], dtype=np.int64)
             return out
         finally:
             free(arena)

@@ -286,9 +286,6 @@ class PotentialReport:
     lattice: bool = False
     notes: tuple[str, ...] = ()
 
-    def psi_at(self, t):
-        return psi_evaluate(self._law, t)
-
 
 def validate_law(law: MarkLaw) -> PotentialReport:
     """Full assumption audit: calibration, drift, kappa, regime, c0.
@@ -308,7 +305,7 @@ def validate_law(law: MarkLaw) -> PotentialReport:
         notes.append("lattice support detected (warning only)")
     regime = regime_of(kappa)
     c0 = _c0_finite_sum(law) if regime == "DIFFUSIVE" else None
-    rep = PotentialReport(
+    return PotentialReport(
         kappa=kappa,
         psi_prime_1=psi_prime(law, 1.0),
         regime=regime,
@@ -318,8 +315,6 @@ def validate_law(law: MarkLaw) -> PotentialReport:
         lattice=lattice,
         notes=tuple(notes),
     )
-    rep._law = law
-    return rep
 
 
 # ----------------------------------------------------------------------------

@@ -149,8 +149,9 @@ def estimate_discounted_moments(
     bootstrap CIs under the keys C_inf_ci and c_inf_bold_ci.
 
     D is the discounted sum of the size-biased spine walk; bootstrap CIs
-    use the deterministic resample scheme. Draws are chunked because the
-    batched sampler holds (chunk x block) scratch arrays."""
+    use the deterministic resample scheme. The sums are drawn SAMPLE_CHUNK
+    paths per call of discounted_sums_batch; that split fixes the order of
+    the random draws, and so the estimates' bytes."""
     chunk = _excursion.SAMPLE_CHUNK
     parts = [
         discounted_sums_batch(law, min(chunk, n_samples - i), eps, rng)

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import oracles
+from gwalk import env as env_mod
 from gwalk._rng import child_key, child_key_np, derive_seed, root_key, root_key_np
 from gwalk.env import (
     SURVIVE_CAP,
@@ -248,6 +249,19 @@ def test_discounted_sums_constant_bias_exact():
     rng = np.random.default_rng(1)
     d = discounted_sums_batch(law, 64, 1e-10, rng)
     assert np.allclose(d, 2.0, atol=1e-9)
+
+
+def test_discounted_sums_do_not_depend_on_the_row_slice(monkeypatch):
+    """Blocks are drawn and reduced a slice of rows at a time; the generator
+    fills rows in order, so D and the generator's next draw are the same
+    bytes for a slice of 7 rows, the default slice and one slice for all."""
+    out = []
+    for rows in (7, env_mod._SLICE_ROWS, 2**30):
+        monkeypatch.setattr(env_mod, "_SLICE_ROWS", rows)
+        rng = np.random.default_rng(3)
+        d = discounted_sums_batch(SUB, 5000, 1e-6, rng)
+        out.append((d.tobytes(), rng.random()))
+    assert out[0] == out[1] == out[2]
 
 
 def test_discounted_sums_batch_distribution():

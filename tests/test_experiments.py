@@ -1,6 +1,8 @@
 """Campaign normalizations (the regime decides the scales, through one
-function), and theorem1: no walk, its censoring and bias bound."""
+function), theorem1: no walk, its censoring and bias bound, and corollary
+with too few grid points hit."""
 
+import json
 import math
 
 import numpy as np
@@ -11,11 +13,12 @@ from gwalk import experiments, kernel
 from gwalk.experiments import (
     Z_BUDGET,
     Constants,
+    corollary_campaign,
     theorem1_campaign,
     trial_seeds,
     w_hat_batch,
 )
-from gwalk.law import make_two_point, regime_of
+from gwalk.law import make_two_point, regime_of, solve_kappa
 
 PLUG_IN = {"C_inf": 0.1, "c_inf_bold": 0.2, "c_kappa": 1.5}
 
@@ -105,3 +108,18 @@ def test_theorem1_runs_no_walk(monkeypatch):
     w = w_hat_batch(law, trial_seeds(3, "theorem1", n)[0])
     for increment in (T[:, 0], T[:, 1] - T[:, 0]):
         assert sps.spearmanr(increment, w).statistic > 0.25
+
+
+def test_corollary_without_two_hit_grid_points_fails_with_reason():
+    """Two walkers return at 2n+1 only at n = 100, so no slope can be
+    fitted: the verdict has a null value and CI, fails, names the grid
+    points without a hit and stays strict JSON."""
+    law = make_two_point(0.068)
+    out = corollary_campaign(law, solve_kappa(law), 0, n_walkers=2,
+                             n_grid=(100, 1000, 10000))
+    assert [r["count"] for r in out["rows"]] == [1, 0, 0]
+    (v,) = out["verdicts"]
+    assert (v["value"], v["ci"], v["pass"]) == (None, None, False)
+    assert v["reason"] == "no hit at n in [1000, 10000]"
+    assert out["fit"] is None
+    json.dumps(v, allow_nan=False)

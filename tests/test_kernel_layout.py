@@ -1,16 +1,21 @@
 """The ctypes binding in `gwalk.kernel` against the C declarations in
 `_walk.c`, read as text: no library is loaded, so a mismatch fails here
-instead of crashing the interpreter inside a kernel call."""
+instead of crashing the interpreter inside a kernel call. `_walk.c` also
+compiles without a warning under -Wall -Wextra."""
 
 import ctypes
 import re
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import pytest
 
 from gwalk import kernel
 
-SOURCE = (Path(kernel.__file__).with_name("_walk.c")).read_text()
+SOURCE_PATH = Path(kernel.__file__).with_name("_walk.c")
+SOURCE = SOURCE_PATH.read_text()
 
 
 def _declared(decls: str):
@@ -29,10 +34,15 @@ def _struct(name: str):
     return _declared(body.group(1))
 
 
-@pytest.mark.parametrize("struct, mirror", [("gw_arena", kernel._Arena),
+@pytest.mark.parametrize("struct, mirror", [("gw_node", kernel._Node),
+                                            ("gw_arena", kernel._Arena),
                                             ("gw_stats", kernel._Stats)])
 def test_struct_fields_match(struct, mirror):
     assert [f for f, _ in mirror._fields_] == [name for _, name in _struct(struct)]
+
+
+def test_node_record_is_48_bytes():
+    assert ctypes.sizeof(kernel._Node) == 48
 
 
 def test_walk_parameters_match_argtypes():
@@ -45,3 +55,14 @@ def test_walk_parameters_match_argtypes():
             assert argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer), p
         else:
             assert argtype is scalar[p.split()[0]], p
+
+
+def test_walk_source_compiles_without_warnings():
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(SOURCE_PATH)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
