@@ -2,7 +2,8 @@
 
 All environment and walk randomness flows through splitmix64, and this module
 is the one home of its constants, of ``mix64`` and of the key scheme (each
-with a vectorised twin: ``mix64_np``, ``root_key_np``, ``child_key_np``).
+with a vectorised twin: ``mix64_np``, ``root_key_np``, ``child_key_np``,
+``derive_seed_np``).
 The plain-C kernel ``_walk.c`` keeps its own copy of exactly these integer
 operations, which is what makes the pure-Python and compiled kernels produce
 bit-identical output for the same seeds.
@@ -98,3 +99,12 @@ def derive_seed(master: int, experiment: str, trial: int, role: str) -> int:
     x = mix64(x ^ ((trial & MASK) * GOLDEN) & MASK)
     x = mix64(x ^ _label_hash(role))
     return x
+
+
+def derive_seed_np(master: int, experiment: str, trials, role: str) -> np.ndarray:
+    """:func:`derive_seed` elementwise over an array of trial indices."""
+    x = mix64(mix64(master & MASK) ^ _label_hash(experiment))
+    t = np.asarray(trials, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = mix64_np(np.uint64(x) ^ t * np.uint64(GOLDEN))
+    return mix64_np(x ^ np.uint64(_label_hash(role)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import excursion, forest, kernel, limits, stats, walk
 from . import law as law_mod
-from ._rng import derive_seed
+from ._rng import derive_seed, derive_seed_np
 from .env import enumerate_truncated, environment_survives, level_weights_batch
 from .law import MarkLaw, regime_of
 from .oracle import FiniteChain, lemma_mean_closed_form, lemma_second_closed_form
@@ -119,15 +119,10 @@ def _map_trials(fn, n_trials: int, threads: int) -> None:
 
 
 def trial_seeds(master: int, experiment: str, n_trials: int):
-    env = np.array(
-        [derive_seed(master, experiment, t, "env") for t in range(n_trials)],
-        dtype=np.uint64,
-    )
-    wlk = np.array(
-        [derive_seed(master, experiment, t, "walk") for t in range(n_trials)],
-        dtype=np.uint64,
-    )
-    return env, wlk
+    """(environment seeds, walk seeds) of trials 0..n_trials-1, as uint64."""
+    trials = np.arange(n_trials, dtype=np.uint64)
+    return (derive_seed_np(master, experiment, trials, "env"),
+            derive_seed_np(master, experiment, trials, "walk"))
 
 
 def w_hat_batch(law: MarkLaw, env_seeds) -> np.ndarray:

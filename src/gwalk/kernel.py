@@ -79,18 +79,32 @@ def load_kernel(path) -> callable:
     walk.restype, free.restype = ctypes.c_int, None
     walk.argtypes = _WALK_ARGTYPES
     free.argtypes = [ctypes.POINTER(_Arena)]
+    # (law tables, their C arrays, pointers): the tables of the last lazy
+    # walk, bound once, since every trial of a campaign passes the same
+    # object. The slot holds the tables and the arrays, so the pointers stay
+    # valid, and is replaced as one tuple, so a pool thread never reads a
+    # torn entry.
+    bound = (None, None, None)
+
+    def pointers(t, tree):
+        arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
+        return arrays, [None if a is None else a.ctypes.data for a in arrays]
 
     def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
                  budget=10**10, collect_tree=False, explicit=None):
+        nonlocal bound
         (snaps,) = _arrays([snaps], [np.int64])
         snap_out = np.empty((5, len(snaps)), dtype=np.int64)
         if explicit is None:
-            t, tree = law_tables, [None] * 2
+            n_explicit = -1
+            tables, arrays, ptrs = bound
+            if tables is not law_tables:
+                arrays, ptrs = pointers(law_tables, [None] * 2)
+                bound = (law_tables, arrays, ptrs)
         else:
             t, *tree = _pykernel.explicit_tree(explicit)
-        n_explicit = -1 if explicit is None else len(tree[0])
-        arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
-        ptrs = [None if a is None else a.ctypes.data for a in arrays]
+            n_explicit = len(tree[0])
+            arrays, ptrs = pointers(t, tree)
         st, arena = _Stats(), ctypes.POINTER(_Arena)()
         err = walk(*ptrs[:5], n_explicit, *ptrs[5:], int(env_seed) & MASK,
                    int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,

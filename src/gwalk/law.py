@@ -51,7 +51,7 @@ class LawError(ValueError):
     """Raised when a law violates a structural precondition.
 
     The ``code`` attribute carries a stable machine-readable tag:
-    NOT_NORMALIZED, SUBCRITICAL or ASSUMPTION_VIOLATION.
+    NOT_NORMALIZED, SUBCRITICAL, ASSUMPTION_VIOLATION or NO_CONVERGENCE.
     """
 
     def __init__(self, code: str, message: str):
@@ -230,23 +230,90 @@ def _require_assumption1(law: MarkLaw) -> None:
         raise LawError("ASSUMPTION_VIOLATION", f"psi'(1) = {d1!r}, expected < 0")
 
 
+# Brent's root finder: scipy.optimize.brentq's defaults
+_BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
+            maxiter: int = _BRENT_MAXITER) -> float:
+    """Zero of f on [xa, xb], where f(xa) and f(xb) differ in sign or one is 0.
+
+    A line-for-line port of scipy's brentq.c (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4): the same float operations
+    in the same order, so it returns scipy.optimize.brentq's bits. The caller
+    checks the bracket. A division by zero, which C carries as inf or nan, can
+    only yield a step that fails the short-step test, so it bisects here too.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise LawError("NO_CONVERGENCE",
+                   f"Brent's method did not converge in {maxiter} iterations; "
+                   f"last iterate {xcur!r}")
+
+
 def solve_kappa(law: MarkLaw) -> float:
     """Second zero of psi on (1, KAPPA_T_MAX]; math.inf when there is none.
 
     psi is convex with psi(1) = 0 and psi'(1) < 0, so it is negative just
     right of 1 and has at most one further zero. A geometric-ish scan brackets
-    the sign change, then Brent refinement brings |psi(kappa)| below 1e-12.
-    """
-    from scipy.optimize import brentq
+    the sign change from t = 1 + 1e-9, then Brent's method refines it with
+    xtol = 5e-16, rtol = 4 eps and at most 100 iterations. `_brentq` is a port
+    of scipy.optimize.brentq and returns its bits, so scipy is not imported.
 
+    A law calibrated only to within CALIBRATION_TOL can have psi > 0 at the
+    scan's left end too; when the first bracket then holds no sign change,
+    the law fails with ASSUMPTION_VIOLATION.
+    """
     _require_assumption1(law)
     t = 1.0 + 1e-9
     step = 0.05
     while t < KAPPA_T_MAX:
         t_next = min(t + step, KAPPA_T_MAX)
         if psi_evaluate(law, t_next) > 0.0:
-            root = brentq(lambda u: psi_evaluate(law, u), t, t_next, xtol=5e-16)
-            return float(root)
+            psi_t = psi_evaluate(law, t)
+            if psi_t > 0.0:
+                raise LawError(
+                    "ASSUMPTION_VIOLATION",
+                    f"psi(1) = {psi_evaluate(law, 1.0)!r} and psi({t!r}) = {psi_t!r} "
+                    f"are both positive: kappa is not bracketed right of 1",
+                )
+            return _brentq(lambda u: psi_evaluate(law, u), t, t_next, xtol=5e-16)
         t = t_next
         step *= 1.25
     if law.has_negative_mark and psi_prime(law, KAPPA_T_MAX) > 0:

@@ -14,6 +14,10 @@ exact finite sum c0, and the tail-plateau estimator for c_kappa, and
 `estimate_constants`, the one route from a law to the constants that a
 config does not freeze. The tests check both transforms against a direct
 path sampler for Y, which lives with the other test oracles.
+
+`scipy.special` (for erfcx) and `mpmath` load only inside the branches of
+`ml_laplace` that need them: the gamma = 2 closed form and the mpmath rerun.
+No other command path imports scipy, so a subdiffusive run never pays for it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import special
 
 from . import excursion as _excursion
 from . import law as _law
@@ -84,6 +87,8 @@ def ml_laplace(gamma: float, lam: float) -> float:
     if lam == 0.0:
         return 1.0
     if gamma == 2.0:
+        from scipy import special
+
         return float(special.erfcx(lam / math.sqrt(2.0)))
 
     loglam = math.log(lam)

@@ -54,6 +54,22 @@ def kappa_mp(atoms, hi: float = 64.0, dps: int = 50):
         return float((a + b) / 2)
 
 
+def solve_kappa_scipy(psi, t_max: float = 64.0) -> float:
+    """solve_kappa's bracket scan on a callable psi, refined by
+    scipy.optimize.brentq with the same xtol (math.inf without a sign change
+    up to t_max). scipy raises ValueError when the first bracket has psi > 0
+    at both ends."""
+    from scipy.optimize import brentq
+
+    t, step = 1.0 + 1e-9, 0.05
+    while t < t_max:
+        t_next = min(t + step, t_max)
+        if psi(t_next) > 0.0:
+            return float(brentq(psi, t, t_next, xtol=5e-16))
+        t, step = t_next, step * 1.25
+    return math.inf
+
+
 def h_direct(V_path) -> float:
     """H of the last node of a root-to-node potential path: the direct
     double-exponential sum."""

@@ -7,7 +7,7 @@ the package's own kernel. A theorem with no `constants` section estimates
 them on the route that estimate-constants takes. Every verdict file is
 strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
 `corollary` also runs on a law whose environments can die, so that its
-survival resampling runs end to end. Bad `lemma-moments` settings and config
+survival resampling runs end to end. A subdiffusive command loads no scipy. Bad `lemma-moments` settings and config
 keys that no command reads stop the command with a message before it samples
 anything, and the accepted keys are pinned.
 """
@@ -16,9 +16,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gwalk
 from gwalk import cli, kernel
 from gwalk._rng import derive_seed
 from gwalk.env import environment_survives
@@ -196,3 +201,40 @@ def test_config_surface_is_pinned():
         "estimate_constants": {"n_samples", "eps", "c_kappa_samples"},
     }
     assert sum(len(keys) for keys in cli._SECTIONS.values()) == 32
+
+
+COLD_PATH = """
+import json, math, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import gwalk.cli
+from gwalk import kernel, limits
+seen = {"import": loaded()}
+if sys.argv[1]:
+    kernel.run_walk = kernel.load_kernel(sys.argv[1])
+seen["rc"] = gwalk.cli.main(["theorem2", "--config", sys.argv[2], "--out", sys.argv[3]])
+seen["theorem2"] = loaded()
+got = limits.ml_laplace(2.0, 1.0)
+from scipy import special
+seen["erfcx"] = [got.hex(), float(special.erfcx(1 / math.sqrt(2.0))).hex()]
+print(json.dumps(seen))
+"""
+
+
+def test_subdiffusive_command_loads_no_scipy(kernel_library, tmp_path):
+    """In a fresh interpreter, neither `import gwalk.cli` nor a theorem2 run
+    on two_point p = 0.068 imports scipy: kappa comes from the package's own
+    Brent port, and erfcx loads only at gamma = 2, where it keeps scipy's
+    bits."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"law": {"family": "two_point", "p": 0.068}, "seed": 5,
+                               "constants": CONSTANTS, "theorem2": TINY["theorem2"]}))
+    src = str(Path(gwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH, str(kernel_library or ""), str(cfg),
+         str(tmp_path / "out")], capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == [] and seen["theorem2"] == []
+    assert seen["rc"] in (0, 1)
+    assert seen["erfcx"][0] == seen["erfcx"][1]

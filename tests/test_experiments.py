@@ -1,6 +1,6 @@
 """Campaign normalizations (the regime decides the scales, through one
-function), theorem1: no walk, its censoring and bias bound, and corollary
-with too few grid points hit."""
+function), theorem1: no walk, its censoring and bias bound, corollary
+with too few grid points hit, and the vectorised trial seeds."""
 
 import json
 import math
@@ -10,6 +10,7 @@ import pytest
 from scipy import stats as sps
 
 from gwalk import experiments, kernel
+from gwalk._rng import derive_seed
 from gwalk.experiments import (
     Z_BUDGET,
     Constants,
@@ -123,3 +124,12 @@ def test_corollary_without_two_hit_grid_points_fails_with_reason():
     assert v["reason"] == "no hit at n in [1000, 10000]"
     assert out["fit"] is None
     json.dumps(v, allow_nan=False)
+
+
+@pytest.mark.parametrize("master,experiment", [(7, "theorem2"), (2**64 + 3, "corollary")])
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_trial_seeds_equal_per_trial_derive_seed(master, experiment, n):
+    env, wlk = trial_seeds(master, experiment, n)
+    assert env.dtype == wlk.dtype == np.uint64
+    assert env.tolist() == [derive_seed(master, experiment, t, "env") for t in range(n)]
+    assert wlk.tolist() == [derive_seed(master, experiment, t, "walk") for t in range(n)]

@@ -53,6 +53,18 @@ def test_crossing_mode_parity(compiled_run_walk, seed):
     assert a["L"] == 200
 
 
+def test_bound_tables_follow_the_law(compiled_run_walk):
+    """The binding keeps the pointers of the last lazy walk's tables: walks
+    that alternate between laws, or pass equal tables in a new object, read
+    each call's own tables."""
+    other = make_two_point(0.02)
+    copy = type(SUB.tables())(*(np.array(a) for a in SUB.tables()))
+    for law_tables in (SUB.tables(), other.tables(), SUB.tables(), copy, other.tables()):
+        args = (law_tables, 9, 10, kernel.MODE_STEPS, 3000)
+        _assert_same(compiled_run_walk(*args, [3000], collect_tree=True),
+                     _pykernel.run_walk(*args, [3000], collect_tree=True))
+
+
 def test_budget_status_parity(compiled_run_walk):
     args = (SUB.tables(), 7, 8, kernel.MODE_CROSSINGS, 10**6)
     a = compiled_run_walk(*args, [10**6], budget=1000)

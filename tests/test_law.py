@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +223,97 @@ def test_step_law_matches_per_atom_loop():
         want = oracles.step_law_loop(t.off, t.lens, t.marks)
         for got, ref in zip((t.p_up, t.step_cum), want):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _binary_iid(marks, probs, shift=0.0):
+    """Binary tree whose two child marks are i.i.d. on `marks` with `probs`,
+    each lowered by `shift`."""
+    return make_mark_law([(p * q, (a - shift, b - shift))
+                          for a, p in zip(marks, probs) for b, q in zip(marks, probs)])
+
+
+# marks -ln 2 (probability 0.1) and ln 3 (0.9): psi(1) = psi(2) = 0, the
+# exactly critical law
+CRITICAL_BINARY = _binary_iid((-math.log(2.0), math.log(3.0)), (0.1, 0.9))
+
+
+def _random_calibrated_laws(n, seed):
+    """n random calibrated laws with psi'(1) < 0 and a negative mark, so
+    that psi grows without bound and kappa is finite unless above 64."""
+    rng = np.random.default_rng(seed)
+    laws = []
+    while len(laws) < n:
+        k = int(rng.integers(1, 5))
+        probs = rng.dirichlet(np.ones(k))
+        atoms = [{"p": float(p), "marks": rng.uniform(-1.5, 3.0, int(rng.integers(1, 5))).tolist()}
+                 for p in probs]
+        try:
+            law = load_law({"atoms": atoms, "calibrate": True})
+        except LawError:  # subcritical or probabilities off by rounding
+            continue
+        if psi_prime(law, 1.0) < 0 and law.has_negative_mark:
+            laws.append(law)
+    return laws
+
+
+def _kappa_cases():
+    for path in sorted(Path("configs").glob("*.json")):
+        with open(path) as fh:
+            yield path.stem, load_law(json.load(fh)["law"])
+    for p in np.linspace(0.001, 0.18, 40):
+        yield f"two_point_{p:.5f}", make_two_point(float(p))
+    for n in (2, 3, 5):
+        yield f"constant_bias_{n}", make_constant_bias(float(n), n)
+    yield "critical_binary", CRITICAL_BINARY
+    for i, law in enumerate(_random_calibrated_laws(240, 20261018)):
+        yield f"random_{i}", law
+
+
+def test_kappa_bits_equal_scipy_brentq():
+    """solve_kappa's Brent port returns scipy.optimize.brentq's bits on the
+    same bracket, or fails with a code where brentq finds no sign change."""
+    finite = 0
+    for name, law in _kappa_cases():
+        try:
+            want = oracles.solve_kappa_scipy(lambda t: psi_evaluate(law, t))
+        except ValueError:
+            with pytest.raises(LawError) as err:
+                solve_kappa(law)
+            assert err.value.code == "ASSUMPTION_VIOLATION", name
+            continue
+        got = solve_kappa(law)
+        assert type(got) is float, name
+        assert got == want, (name, got, want)
+        finite += math.isfinite(got)
+    assert finite >= 250  # 240 random laws among them
+
+
+def test_kappa_of_the_critical_binary_law():
+    assert solve_kappa(CRITICAL_BINARY) == 1.9999999999999996
+    assert regime_of(solve_kappa(CRITICAL_BINARY)) == "CRITICAL"
+
+
+def test_kappa_unbracketed_by_a_calibration_within_tolerance():
+    """kappa = 1.0127 unshifted; lowering every mark by 2e-10 keeps psi(1) =
+    2e-10 within CALIBRATION_TOL but makes psi > 0 at both ends of the
+    first bracket, which is a coded error, not scipy's uncoded ValueError."""
+    marks, probs = (-0.8, 1.6322318448690654), (0.15, 0.85)
+    assert abs(solve_kappa(_binary_iid(marks, probs)) - 1.0127) < 1e-4
+    law = _binary_iid(marks, probs, shift=2e-10)
+    assert 0 < psi_evaluate(law, 1.0) <= law_mod.CALIBRATION_TOL
+    with pytest.raises(LawError) as err:
+        solve_kappa(law)
+    assert err.value.code == "ASSUMPTION_VIOLATION"
+    assert "psi(1) = 2.0" in str(err.value) and "psi(1.000000001) = " in str(err.value)
+
+
+def test_brent_port_raises_a_code_when_it_does_not_converge():
+    from scipy.optimize import brentq
+
+    f = lambda x: x**3 - 2.0  # noqa: E731
+    assert law_mod._brentq(f, 0.0, 4.0, xtol=5e-16) == brentq(f, 0.0, 4.0, xtol=5e-16)
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(f, 0.0, 4.0, xtol=5e-16, maxiter=3)
+    with pytest.raises(LawError) as err:
+        law_mod._brentq(f, 0.0, 4.0, xtol=5e-16, maxiter=3)
+    assert err.value.code == "NO_CONVERGENCE"
