@@ -79,11 +79,11 @@ def load_kernel(path) -> callable:
     walk.restype, free.restype = ctypes.c_int, None
     walk.argtypes = _WALK_ARGTYPES
     free.argtypes = [ctypes.POINTER(_Arena)]
-    # (law tables, their C arrays, pointers): the tables of the last lazy
-    # walk, bound once, since every trial of a campaign passes the same
-    # object. The slot holds the tables and the arrays, so the pointers stay
-    # valid, and is replaced as one tuple, so a pool thread never reads a
-    # torn entry.
+    # (law tables, their C arrays, pointers) of the last lazy walk: every
+    # trial of a campaign passes the same tables object, so its pointers are
+    # bound once. The slot holds the tables and the arrays, so the pointers
+    # stay valid, and is replaced as one tuple, so a pool thread never reads
+    # a torn entry; two threads that miss at once both bind, harmlessly.
     bound = (None, None, None)
 
     def pointers(t, tree):

@@ -230,13 +230,13 @@ def _require_assumption1(law: MarkLaw) -> None:
         raise LawError("ASSUMPTION_VIOLATION", f"psi'(1) = {d1!r}, expected < 0")
 
 
-# Brent's root finder: scipy.optimize.brentq's defaults
+# solve_kappa's Brent tolerances; rtol and maxiter are scipy.optimize.brentq's
+_BRENT_XTOL = 5e-16
 _BRENT_RTOL = 4 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
-            maxiter: int = _BRENT_MAXITER) -> float:
+def _brentq(f, xa: float, xb: float) -> float:
     """Zero of f on [xa, xb], where f(xa) and f(xb) differ in sign or one is 0.
 
     A line-for-line port of scipy's brentq.c (Brent, *Algorithms for
@@ -252,14 +252,14 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
         return xpre
     if fcur == 0:
         return xcur
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -283,7 +283,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
     raise LawError("NO_CONVERGENCE",
-                   f"Brent's method did not converge in {maxiter} iterations; "
+                   f"Brent's method did not converge in {_BRENT_MAXITER} iterations; "
                    f"last iterate {xcur!r}")
 
 
@@ -313,7 +313,7 @@ def solve_kappa(law: MarkLaw) -> float:
                     f"psi(1) = {psi_evaluate(law, 1.0)!r} and psi({t!r}) = {psi_t!r} "
                     f"are both positive: kappa is not bracketed right of 1",
                 )
-            return _brentq(lambda u: psi_evaluate(law, u), t, t_next, xtol=5e-16)
+            return _brentq(lambda u: psi_evaluate(law, u), t, t_next)
         t = t_next
         step *= 1.25
     if law.has_negative_mark and psi_prime(law, KAPPA_T_MAX) > 0:

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,38 @@ def test_bound_tables_follow_the_law(compiled_run_walk):
         args = (law_tables, 9, 10, kernel.MODE_STEPS, 3000)
         _assert_same(compiled_run_walk(*args, [3000], collect_tree=True),
                      _pykernel.run_walk(*args, [3000], collect_tree=True))
+
+
+def test_bound_tables_under_forced_thread_switches(compiled_run_walk):
+    """Threads that alternate two laws through one binding each read their
+    own call's tables while the interpreter switches threads every
+    microsecond: a torn binding would pair one law with the other's
+    pointers."""
+    tables = [SUB.tables(), make_two_point(0.02).tables()]
+    want = [_pykernel.run_walk(t, 9, 10, kernel.MODE_STEPS, 300, [300]) for t in tables]
+    failures = []
+
+    def work(k):
+        for i in range(400):
+            j = (i + k) % 2
+            try:
+                _assert_same(compiled_run_walk(tables[j], 9, 10, kernel.MODE_STEPS,
+                                               300, [300]), want[j])
+            except AssertionError as exc:
+                failures.append((k, i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not failures, failures[:3]
 
 
 def test_budget_status_parity(compiled_run_walk):
