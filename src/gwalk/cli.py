@@ -5,10 +5,10 @@ Every command is one function of `gwalk.experiments`, named in `_COMMANDS`.
 Its positional parameters name what it needs (`_call` fills them), and its
 keyword-only parameters, with their defaults, are its config section, which
 carries the command's name with `_` for `-`. The theorems' plug-in constants
-come from `limits.estimate_constants`, the route that estimate-constants
-also takes: the `constants` section freezes some, and the
-`estimate_constants` section (that function's keyword-only parameters)
-sets how the rest are estimated.
+are one `experiments.Constants`: the `constants` section gives some, and
+each other one is computed on its first read through
+`limits.estimate_constant`, whose keyword-only parameters are the
+`estimate_constants` section.
 
 One config document drives everything: law, master seed, the sections,
 parallelism width, output directory. Command-line flags override the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import inspect
 import json
 import os
@@ -45,7 +44,6 @@ _COMMANDS = {
     "forest-identities": "forest_identities_campaign",
     "estimate-constants": "estimate_constants_campaign",
 }
-_CONSTANTS = [f.name for f in dataclasses.fields(experiments.Constants) if f.name != "kappa"]
 _TOP_KEYS = ("law", "seed", "threads", "out")
 
 
@@ -55,8 +53,8 @@ def _params(fn, kind) -> list[str]:
 
 # every key of every config section
 _SECTIONS = {
-    "constants": {*_CONSTANTS, "_provenance"},
-    "estimate_constants": set(_params(limits.estimate_constants, inspect.Parameter.KEYWORD_ONLY)),
+    "constants": {*experiments.CONSTANT_NAMES, "_provenance"},
+    "estimate_constants": set(_params(limits.estimate_constant, inspect.Parameter.KEYWORD_ONLY)),
     **{
         command.replace("-", "_"): keys
         for command, name in _COMMANDS.items()
@@ -66,12 +64,15 @@ _SECTIONS = {
 
 
 def _check_keys(cfg) -> None:
-    """Stop on a config key that no command reads, instead of ignoring it."""
+    """Stop on a config key that no command reads, instead of ignoring it,
+    and on a section that is not a JSON object."""
     for key, value in cfg.items():
         if key in _TOP_KEYS:
             continue
         if key not in _SECTIONS:
             raise SystemExit(f"unknown config key {key!r}")
+        if not isinstance(value, dict):
+            raise SystemExit(f"config key {key!r} must be a JSON object, got {value!r}")
         unknown = sorted(set(value) - _SECTIONS[key])
         if unknown:
             raise SystemExit(f"unknown config key {key}.{unknown[0]}")
@@ -103,6 +104,8 @@ def _law_from(cfg) -> law_mod.MarkLaw:
     if isinstance(spec, str):
         base = Path(cfg.get("_dir", "."))
         return law_mod.load_law(str(base / spec) if not os.path.isabs(spec) else spec)
+    if not isinstance(spec, dict):
+        raise SystemExit(f"config key 'law' must be a JSON object or a file path, got {spec!r}")
     return law_mod.load_law(spec)
 
 
@@ -116,12 +119,9 @@ def _call(command, cfg) -> dict:
     if "kappa" in names or "consts" in names:
         ctx["kappa"] = law_mod.solve_kappa(ctx["law"])
     if "consts" in names:
-        frozen = {k: v for k, v in cfg.get("constants", {}).items() if k != "_provenance"}
-        est = limits.estimate_constants(
-            ctx["law"], ctx["kappa"], cfg["seed"], frozen, **cfg.get("estimate_constants", {})
-        )
         ctx["consts"] = experiments.Constants(
-            kappa=ctx["kappa"], **{k: est[k] for k in _CONSTANTS if k in est}
+            ctx["kappa"], ctx["law"], cfg["seed"], cfg.get("estimate_constants"),
+            **cfg.get("constants", {}),
         )
     return fn(*(ctx[n] for n in names), **cfg.get(command.replace("-", "_"), {}))
 

@@ -4,9 +4,9 @@ for `-`.
 A campaign's positional parameters are what the command needs besides its
 settings (the law, then some of kappa, the plug-in constants, the master
 seed and the thread count); its keyword-only parameters are its config
-section, and their defaults are the command's defaults. Only
-`estimate_constants_campaign` passes its section on, to
-`limits.estimate_constants`, whose keyword-only parameters it is.
+section, and their defaults are the command's defaults. `Constants` holds
+the plug-in constants and computes each one not given on its first read,
+with the `estimate_constants` section as its settings.
 
 Every campaign returns CSV-ready rows and verdict dicts (plus the
 constants.json payload for estimate-constants). The Monte Carlo campaigns
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .law import MarkLaw, regime_of
 from .oracle import FiniteChain, lemma_mean_closed_form, lemma_second_closed_form
 
 __all__ = [
+    "CONSTANT_NAMES",
     "Constants",
     "trial_seeds",
     "w_hat_batch",
@@ -56,19 +56,59 @@ Z_BUDGET = 14.0
 THEOREM1_CHUNK = 32
 
 
-@dataclass
+CONSTANT_NAMES = ("C_inf", "c_inf_bold", "c_kappa", "c0")
+# what computes each constant not given, named when it is not a finite number > 0
+_SUMS = "the discounted sums (estimate_constants.n_samples, eps)"
+_ESTIMATOR = {"c0": "the exact pair sum", "C_inf": _SUMS, "c_inf_bold": _SUMS,
+              "c_kappa": "the tail plateau (estimate_constants.c_kappa_samples)"}
+
+
+def _positive(value, what: str):
+    """value if it is a finite number > 0; else stop the command, naming what it is."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        raise SystemExit(f"{what} is {value!r}: a plug-in constant must be a finite number > 0")
+    return value
+
+
 class Constants:
-    """Plug-in limit constants for one law (estimated or exact)."""
+    """Plug-in limit constants of one law, each computed on its first read.
 
-    kappa: float
-    C_inf: float | None = None
-    c_inf_bold: float | None = None
-    c_kappa: float | None = None
-    c0: float | None = None
+    Holds kappa and its regime, the constants given (a config's `constants`
+    section, other keys ignored), and the law, master seed and `settings`
+    (the `estimate_constants` section) for `limits.estimate_constant`, which
+    computes any other constant when a scale first reads it: c0 exactly,
+    c_kappa from the tail plateau, C_inf and bold c_inf together from one
+    discounted-sum draw. `names` are the regime's constants, as
+    estimate-constants writes them; `estimates` gathers the reports, CIs
+    included. A constant, given or computed, that is not a finite number > 0
+    stops the command (a given one before any trial). Reads that compute are
+    not locked: campaigns read the scales on the calling thread only."""
 
-    @property
-    def regime(self) -> str:
-        return regime_of(self.kappa)
+    def __init__(self, kappa: float, law: MarkLaw | None = None, seed: int = 0,
+                 settings: dict | None = None, **given):
+        self.kappa = kappa
+        self.regime = regime_of(kappa)
+        # index of the reference stable process (2 means Brownian), which is
+        # also the power of W in the return-time normalization
+        self.gamma = kappa if self.regime == "SUBDIFFUSIVE" else 2.0
+        self.names = ("C_inf", "c_inf_bold", "c0" if self.regime == "DIFFUSIVE" else "c_kappa")
+        self.estimates: dict = {}
+        self._law, self._seed, self._settings = law, seed, settings or {}
+        for name in CONSTANT_NAMES:
+            if name in given:
+                setattr(self, name, _positive(given[name], f"constants.{name}"))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: a constant neither given nor read
+        if name not in CONSTANT_NAMES:
+            raise AttributeError(name)
+        report = limits.estimate_constant(self._law, self.kappa, self._seed, name,
+                                          **self._settings)
+        self.estimates.update(report)
+        for key in CONSTANT_NAMES:
+            if key in report and key not in vars(self):
+                setattr(self, key, _positive(report[key], f"{key} estimated by {_ESTIMATOR[key]}"))
+        return vars(self)[name]
 
     def local_time_scale(self, n: float) -> float:
         """a_n with W * L^n / a_n converging to the unit reference sup law."""
@@ -90,12 +130,6 @@ class Constants:
             return p**2 / (math.log(p) * self.C_inf * self.c_kappa)
         g = abs(math.gamma(1.0 - k))
         return 2.0 * p**k / (self.C_inf * self.c_kappa * g)
-
-    @property
-    def gamma(self) -> float:
-        """Index of the reference stable process (2 means Brownian), which is
-        also the power of W in the return-time normalization."""
-        return self.kappa if self.regime == "SUBDIFFUSIVE" else 2.0
 
     def range_error_scale(self, n: int) -> float:
         """The scale theorem3 divides sup_{p<=n} |R - (c_inf/2) T^p| by:
@@ -204,6 +238,7 @@ def theorem2_campaign(
     transform error over the lambda grid. Verdicts: distance at the
     largest n below tol, and no increase across the n grid."""
     m_grid = sorted(int(m) for m in m_grid)
+    scales = [consts.local_time_scale(n) for n in m_grid]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem2", n_trials)
     L = np.empty((n_trials, len(m_grid)), dtype=np.int64)
 
@@ -214,10 +249,7 @@ def theorem2_campaign(
     _map_trials(one, n_trials, threads)
     w = w_hat_batch(law, env_seeds)
 
-    z_by_n = {
-        n: w * L[:, j] / consts.local_time_scale(n)
-        for j, n in enumerate(m_grid)
-    }
+    z_by_n = {n: w * L[:, j] / scales[j] for j, n in enumerate(m_grid)}
     rows, dists = _laplace_rows(
         "theorem2", z_by_n, consts.gamma, "SUP", lambdas, n_trials
     )
@@ -644,11 +676,15 @@ def forest_identities_campaign(
 
 
 def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **settings) -> dict:
-    """Every plug-in constant of the law, estimated afresh (none frozen), as
-    the constants.json payload, with the c_kappa tail grid as rows and the
-    plateau verdict. `settings` is the estimate_constants section, the
-    keyword-only parameters of `limits.estimate_constants`."""
-    est = limits.estimate_constants(law, kappa, master_seed, {}, **settings)
+    """Every plug-in constant of the law's regime (`Constants.names`),
+    estimated afresh (none given), as the constants.json payload with the
+    CIs, the c_kappa tail grid as rows and the plateau verdict. `settings`
+    is the estimate_constants section, the keyword-only parameters of
+    `limits.estimate_constant`."""
+    consts = Constants(kappa, law, master_seed, settings)
+    for name in consts.names:
+        getattr(consts, name)
+    est = dict(consts.estimates)
     fit = est.pop("c_kappa_fit", None)
     payload = {"kappa": kappa, **est}
     rows = []

@@ -9,11 +9,12 @@ gamma in (1, 2], where gamma = 2 means standard Brownian motion:
     hit_laplace(gamma, a, lam) Laplace transform of the first passage
                               time of Y through level a
 
-plus estimators for the discounted-sum constants C_inf and bold c_inf, the
-exact finite sum c0, and the tail-plateau estimator for c_kappa, and
-`estimate_constants`, the one route from a law to the constants that a
-config does not freeze. The tests check both transforms against a direct
-path sampler for Y, which lives with the other test oracles.
+plus estimators for the discounted-sum constants C_inf and bold c_inf and
+the tail-plateau estimator for c_kappa, and `estimate_constant`, the one
+route from a law to a plug-in constant by name, which
+`experiments.Constants` takes for each constant it is not given. The tests
+check both transforms against a direct path sampler for Y, which lives with
+the other test oracles.
 
 `scipy.special` (for erfcx) and `mpmath` load only inside the branches of
 `ml_laplace` that need them: the gamma = 2 closed form and the mpmath rerun.
@@ -38,9 +39,8 @@ __all__ = [
     "ml_laplace",
     "hit_laplace",
     "estimate_discounted_moments",
-    "c0_exact",
     "estimate_c_kappa",
-    "estimate_constants",
+    "estimate_constant",
     "ML_LAMBDA_MAX",
 ]
 
@@ -175,19 +175,6 @@ def estimate_discounted_moments(
     return {"C_inf": c2, "C_inf_ci": ci2, "c_inf_bold": c1, "c_inf_bold_ci": ci1}
 
 
-def c0_exact(law: _law.MarkLaw, kappa: float | None = None) -> float:
-    """Exact two-child correlation constant, defined for kappa > 2 only.
-
-    E[sum over ordered pairs of distinct children e^{-V(x)-V(y)}]
-    divided by 1 - e^{psi(2)}; UNDEFINED when kappa <= 2 because
-    psi(2) >= 0 voids the geometric-series identity behind it."""
-    if kappa is None:
-        kappa = _law.solve_kappa(law)
-    if kappa <= 2.0:
-        raise LimitsError("UNDEFINED", f"c0 needs kappa > 2, got {kappa}")
-    return _law._c0_finite_sum(law)
-
-
 def estimate_c_kappa(
     law: _law.MarkLaw, kappa: float, n_samples: int = 10**6, seed: int = 0
 ) -> dict:
@@ -251,37 +238,25 @@ def estimate_c_kappa(
     }
 
 
-def estimate_constants(
+def estimate_constant(
     law: _law.MarkLaw,
     kappa: float,
     seed: int,
-    frozen: dict,
+    name: str,
     *,
     n_samples: int = 10**6,
     eps: float = 1e-12,
     c_kappa_samples: int = 10**6,
 ) -> dict:
-    """The plug-in constants of `law`: those in `frozen` as given, every
-    other one estimated.
-
-    The regime decides which constants exist: c0 (exact) for kappa > 2,
-    c_kappa (tail plateau, `c_kappa_samples` draws of B) otherwise. C_inf
-    and bold c_inf (discounted moments, `n_samples` sums cut at `eps`) are
-    estimated together, in every regime, unless both are frozen. Returns
-    the frozen and estimated constants, the CI of each estimated one but c0
-    under `<name>_ci`, and the whole `estimate_c_kappa` report under
-    `c_kappa_fit` when c_kappa was estimated."""
-    out = dict(frozen)
-    diffusive = _law.regime_of(kappa) == "DIFFUSIVE"
-    if diffusive and "c0" not in out:
-        out["c0"] = c0_exact(law, kappa)
-    if "C_inf" not in out or "c_inf_bold" not in out:
-        rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
-        est = estimate_discounted_moments(law, n_samples, eps, rng, seed=seed)
-        for name in ("C_inf", "c_inf_bold"):
-            if name not in out:
-                out[name], out[f"{name}_ci"] = est[name], est[f"{name}_ci"]
-    if not diffusive and "c_kappa" not in out:
+    """The plug-in constant `name` of `law` and what its estimator reports
+    beside it: c0 from the exact pair sum; c_kappa from the tail plateau of
+    `c_kappa_samples` draws of B, with c_kappa_ci and the whole report as
+    c_kappa_fit; C_inf and bold c_inf together, with `<name>_ci`, from one
+    draw of `n_samples` discounted sums cut at `eps`."""
+    if name == "c0":
+        return {"c0": _law._c0_finite_sum(law)}
+    if name == "c_kappa":
         fit = estimate_c_kappa(law, kappa, n_samples=c_kappa_samples, seed=seed)
-        out.update(c_kappa=fit["c_kappa"], c_kappa_ci=fit["ci"], c_kappa_fit=fit)
-    return out
+        return {"c_kappa": fit["c_kappa"], "c_kappa_ci": fit["ci"], "c_kappa_fit": fit}
+    rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
+    return estimate_discounted_moments(law, n_samples, eps, rng, seed=seed)

@@ -4,8 +4,10 @@ A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
 kernel (its ctypes calls release the GIL). Without a C compiler the runs use
 the package's own kernel. A theorem with no `constants` section estimates
-them on the route that estimate-constants takes. Every verdict file is
-strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
+them on the route that estimate-constants takes, and only those its scales
+read; a constant that is not a finite number > 0 stops the command. Every
+verdict file is strict JSON (no NaN or Infinity), also when `theorem3`
+censors every trial.
 `corollary` also runs on a law whose environments can die, so that its
 survival resampling runs end to end. A subdiffusive command loads no scipy. Bad `lemma-moments` settings and config
 keys that no command reads stop the command with a message before it samples
@@ -17,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import gwalk
-from gwalk import cli, kernel
+from gwalk import cli, kernel, limits
 from gwalk._rng import derive_seed
 from gwalk.env import environment_survives
 from gwalk.experiments import trial_seeds
@@ -112,11 +115,15 @@ def test_corollary_redraws_dead_environments(walk_kernel, tmp_path):
     assert v["n_rejected"] == want > 0
 
 
-def test_theorem_estimates_the_constants_it_is_not_given(walk_kernel, tmp_path):
+def test_theorem_estimates_the_constants_it_is_not_given(walk_kernel, tmp_path, monkeypatch):
     """With no constants section, theorem2 estimates the constants on the
     route of estimate-constants (same seed, same estimate_constants section):
     its files equal those of a run given the constants that command writes,
-    and they are byte-identical across reruns and threads."""
+    and they are byte-identical across reruns and threads. A half-given
+    section (bold c_inf only) estimates C_inf on that route too. Each
+    constant is computed only when a scale reads it: no discounted sums for
+    a diffusive theorem1 or theorem2, which read c0 alone, and no tail
+    plateau for a subdiffusive theorem3, which reads bold c_inf alone."""
     extra = {"estimate_constants": ESTIMATE}
     first = _run(tmp_path, "theorem2", 1, "a", constants=None, extra=extra)
     assert _run(tmp_path, "theorem2", 1, "b", constants=None, extra=extra) == first
@@ -126,6 +133,46 @@ def test_theorem_estimates_the_constants_it_is_not_given(walk_kernel, tmp_path):
     assert _run(tmp_path, "theorem2", 1, "d", constants=frozen) == first
     assert frozen != {k: CONSTANTS[k] for k in frozen}
     assert _run(tmp_path, "theorem2", 1, "e") != first
+    bold = {"c_inf_bold": CONSTANTS["c_inf_bold"]}
+    assert (_run(tmp_path, "theorem2", 1, "f", constants=bold, extra=extra)
+            == _run(tmp_path, "theorem2", 1, "g", constants={**bold, "C_inf": est["C_inf"]},
+                    extra=extra))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimated a constant that no scale reads")
+
+    diffusive = {**extra, "law": {"family": "two_point", "p": 0.02}}
+    monkeypatch.setattr(limits, "estimate_discounted_moments", refuse)
+    for command in ("theorem1", "theorem2"):
+        _run(tmp_path, command, 1, f"diff-{command}", constants=None, extra=diffusive)
+    with pytest.raises(AssertionError, match="no scale reads"):
+        _run(tmp_path, "theorem3", 1, "diff-theorem3", constants=None, extra=diffusive)
+    monkeypatch.undo()
+    monkeypatch.setattr(limits, "estimate_c_kappa", refuse)
+    _run(tmp_path, "theorem3", 1, "sub-theorem3", constants=None, extra=extra)
+    with pytest.raises(AssertionError, match="no scale reads"):
+        _run(tmp_path, "theorem2", 1, "sub-theorem2", constants=None, extra=extra)
+
+
+@pytest.mark.parametrize("command, constants, settings, message", [
+    ("theorem2", {**CONSTANTS, "C_inf": 0}, ESTIMATE, "constants.C_inf is 0:"),
+    ("theorem2", {**CONSTANTS, "C_inf": -0.1}, ESTIMATE, "constants.C_inf is -0.1:"),
+    ("theorem2", {**CONSTANTS, "C_inf": "x"}, ESTIMATE, "constants.C_inf is 'x':"),
+    ("theorem2", None, {**ESTIMATE, "c_kappa_samples": 10},
+     "c_kappa estimated by the tail plateau (estimate_constants.c_kappa_samples) is 0.0:"),
+    ("estimate-constants", None, {**ESTIMATE, "c_kappa_samples": 10},
+     "c_kappa estimated by the tail plateau (estimate_constants.c_kappa_samples) is 0.0:"),
+])
+def test_constant_that_is_not_positive_stops_the_command(tmp_path, command, constants,
+                                                         settings, message):
+    """A given constant that is zero, negative or not a number, or an
+    estimated one that comes out zero (c_kappa from 10 draws of B), stops the
+    command with a message naming the key or the estimator and its setting,
+    before any file is written."""
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        _run(tmp_path, command, 1, "bad", constants=constants,
+             extra={"estimate_constants": settings})
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -174,13 +221,17 @@ def test_theorem3_writes_censored_medians_as_null(walk_kernel, tmp_path):
     ("validate-law", {"constants": {**CONSTANTS, "c_kapa": 1.0}}, "constants.c_kapa"),
     ("forest-identities", {"forest_identities": {"n_tree": 3}}, "forest_identities.n_tree"),
     ("theorem1", {"theorem1": {"n_trials": 4, "step_cap": 20000}}, "theorem1.step_cap"),
+    ("validate-law", {"theorem1": 5}, "'theorem1' must be a JSON object"),
+    ("validate-law", {"law": 5}, "'law' must be a JSON object"),
 ])
 def test_unknown_config_key_stops_the_command(tmp_path, command, extra, key):
+    """A key that no command reads, and a section or law that is not a JSON
+    object, stop the command with a message that names the key."""
     cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
            "constants": CONSTANTS, **extra}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(SystemExit, match=f"unknown config key {key}"):
+    with pytest.raises(SystemExit, match=f"config key {key}"):
         cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 

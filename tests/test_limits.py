@@ -14,8 +14,8 @@ from gwalk.law import make_constant_bias, make_two_point
 from gwalk.limits import (
     ML_LAMBDA_MAX,
     LimitsError,
-    c0_exact,
     estimate_c_kappa,
+    estimate_constant,
     estimate_discounted_moments,
     hit_laplace,
     ml_laplace,
@@ -150,13 +150,15 @@ def test_discounted_moments_constant_bias_exact():
     assert sorted(est) == ["C_inf", "C_inf_ci", "c_inf_bold", "c_inf_bold_ci"]
 
 
-def test_c0_exact_domain():
-    with pytest.raises(LimitsError) as err:
-        c0_exact(SUB)
-    assert err.value.code == "UNDEFINED"
-    assert c0_exact(make_constant_bias(2.0)) == pytest.approx(1.0, abs=1e-12)
+def test_estimate_constant_c0_is_the_exact_sum():
+    """c0 comes from the exact pair sum alone: 1 on the constant-bias binary
+    tree, and `law._c0_finite_sum` (checked against mpmath in test_law) on
+    the diffusive two-point law."""
+    bias = make_constant_bias(2.0)
+    assert estimate_constant(bias, math.inf, 0, "c0") == {"c0": pytest.approx(1.0, abs=1e-12)}
     diff = make_two_point(0.02)
-    assert c0_exact(diff) == pytest.approx(law_mod._c0_finite_sum(diff), rel=1e-15)
+    kappa = law_mod.solve_kappa(diff)
+    assert estimate_constant(diff, kappa, 0, "c0") == {"c0": law_mod._c0_finite_sum(diff)}
 
 
 def test_estimate_c_kappa_report():
