@@ -121,7 +121,7 @@ def _call(command, cfg) -> dict:
     if "consts" in names:
         ctx["consts"] = experiments.Constants(
             ctx["kappa"], ctx["law"], cfg["seed"], cfg.get("estimate_constants"),
-            **cfg.get("constants", {}),
+            **{k: v for k, v in cfg.get("constants", {}).items() if k != "_provenance"},
         )
     return fn(*(ctx[n] for n in names), **cfg.get(command.replace("-", "_"), {}))
 

@@ -73,16 +73,18 @@ def _positive(value, what: str):
 class Constants:
     """Plug-in limit constants of one law, each computed on its first read.
 
-    Holds kappa and its regime, the constants given (a config's `constants`
-    section, other keys ignored), and the law, master seed and `settings`
-    (the `estimate_constants` section) for `limits.estimate_constant`, which
-    computes any other constant when a scale first reads it: c0 exactly,
-    c_kappa from the tail plateau, C_inf and bold c_inf together from one
-    discounted-sum draw. `names` are the regime's constants, as
-    estimate-constants writes them; `estimates` gathers the reports, CIs
-    included. A constant, given or computed, that is not a finite number > 0
-    stops the command (a given one before any trial). Reads that compute are
-    not locked: campaigns read the scales on the calling thread only."""
+    Holds kappa and its regime, the constants given (keywords named in
+    CONSTANT_NAMES; any other keyword is a TypeError), and the law, master
+    seed and `settings` (the `estimate_constants` section) for
+    `limits.estimate_constant`, which computes any other constant when a
+    scale first reads it: c0 exactly, c_kappa from the tail plateau, C_inf
+    and bold c_inf together from one discounted-sum draw. Without a law,
+    reading a constant not given is a LookupError. `names` are the regime's
+    constants, as estimate-constants writes them; `estimates` gathers the
+    reports, CIs included. A constant, given or computed, that is not a
+    finite number > 0 stops the command (a given one before any trial).
+    Reads that compute are not locked: campaigns read the scales on the
+    calling thread only."""
 
     def __init__(self, kappa: float, law: MarkLaw | None = None, seed: int = 0,
                  settings: dict | None = None, **given):
@@ -94,14 +96,17 @@ class Constants:
         self.names = ("C_inf", "c_inf_bold", "c0" if self.regime == "DIFFUSIVE" else "c_kappa")
         self.estimates: dict = {}
         self._law, self._seed, self._settings = law, seed, settings or {}
-        for name in CONSTANT_NAMES:
-            if name in given:
-                setattr(self, name, _positive(given[name], f"constants.{name}"))
+        for name, value in given.items():
+            if name not in CONSTANT_NAMES:
+                raise TypeError(f"Constants() got an unexpected keyword argument {name!r}")
+            setattr(self, name, _positive(value, f"constants.{name}"))
 
     def __getattr__(self, name: str):
         # reached only for an attribute not set: a constant neither given nor read
         if name not in CONSTANT_NAMES:
             raise AttributeError(name)
+        if self._law is None:
+            raise LookupError(f"constant {name} was not given, and no law was given to compute it")
         report = limits.estimate_constant(self._law, self.kappa, self._seed, name,
                                           **self._settings)
         self.estimates.update(report)

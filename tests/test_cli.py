@@ -214,24 +214,32 @@ def test_theorem3_writes_censored_medians_as_null(walk_kernel, tmp_path):
     assert [r["median_sup_err"] for r in rows] == ["", ""]
 
 
-@pytest.mark.parametrize("command, extra, key", [
-    ("theorem1", {"theorem1": {"n_trials": 4, "z_budget": 14.0}}, "theorem1.z_budget"),
-    ("validate-law", {"theorem1": {"z_budget": 14.0}}, "theorem1.z_budget"),
-    ("validate-law", {"theorem_2": {}}, "'theorem_2'"),
-    ("validate-law", {"constants": {**CONSTANTS, "c_kapa": 1.0}}, "constants.c_kapa"),
-    ("forest-identities", {"forest_identities": {"n_tree": 3}}, "forest_identities.n_tree"),
-    ("theorem1", {"theorem1": {"n_trials": 4, "step_cap": 20000}}, "theorem1.step_cap"),
-    ("validate-law", {"theorem1": 5}, "'theorem1' must be a JSON object"),
-    ("validate-law", {"law": 5}, "'law' must be a JSON object"),
-])
-def test_unknown_config_key_stops_the_command(tmp_path, command, extra, key):
+@pytest.mark.parametrize("command, extra, message", [
+    ("theorem1", {"theorem1": {"n_trials": 4, "z_budget": 14.0}},
+     "unknown config key theorem1.z_budget"),
+    ("validate-law", {"theorem1": {"z_budget": 14.0}}, "unknown config key theorem1.z_budget"),
+    ("validate-law", {"theorem_2": {}}, "unknown config key 'theorem_2'"),
+    ("validate-law", {"constants": {**CONSTANTS, "c_kapa": 1.0}},
+     "unknown config key constants.c_kapa"),
+    ("forest-identities", {"forest_identities": {"n_tree": 3}},
+     "unknown config key forest_identities.n_tree"),
+    ("theorem1", {"theorem1": {"n_trials": 4, "step_cap": 20000}},
+     "unknown config key theorem1.step_cap"),
+    ("validate-law", {"theorem1": 5}, "config key 'theorem1' must be a JSON object"),
+    ("validate-law", {"law": 5}, "config key 'law' must be a JSON object"),
+], ids=["theorem1-extra0-theorem1.z_budget", "validate-law-extra1-theorem1.z_budget",
+        "validate-law-extra2-'theorem_2'", "validate-law-extra3-constants.c_kapa",
+        "forest-identities-extra4-forest_identities.n_tree",
+        "theorem1-extra5-theorem1.step_cap", "validate-law-extra6-'theorem1'",
+        "validate-law-extra7-'law'"])
+def test_unknown_config_key_stops_the_command(tmp_path, command, extra, message):
     """A key that no command reads, and a section or law that is not a JSON
     object, stop the command with a message that names the key."""
     cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
            "constants": CONSTANTS, **extra}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(SystemExit, match=f"config key {key}"):
+    with pytest.raises(SystemExit, match=message):
         cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 

@@ -51,6 +51,11 @@ def test_scales_off_critical():
     assert diff.local_time_scale(100) == math.sqrt(0.4 * 100)
     assert diff.return_time_scale(100) == 100**2 / 0.4
     assert diff.range_error_scale(100) == 100.0**2
+    # a misspelt constant is refused, and one not given needs a law to compute it
+    with pytest.raises(TypeError, match="C_Inf"):
+        Constants(kappa=3.0, C_Inf=0.4)
+    with pytest.raises(LookupError, match="c0"):
+        Constants(kappa=3.0).local_time_scale(100)
 
 
 def test_w_hat_batch_bytes_do_not_depend_on_the_chunking():
