@@ -139,9 +139,8 @@ def _emit(cfg, name, out) -> int:
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     if "constants" in out:
-        with open(outdir / "constants.json", "w") as fh:
-            json.dump(out["constants"], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(out["constants"], indent=2, sort_keys=True, allow_nan=False)
+        (outdir / "constants.json").write_text(text + "\n")
     if out["rows"]:
         _write_csv(outdir / f"{name}.csv", out["rows"])
     stats.write_verdicts(out["verdicts"], outdir / f"{name}_verdicts.json")

@@ -21,6 +21,7 @@ constant.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -63,6 +64,22 @@ _ESTIMATOR = {"c0": "the exact pair sum", "C_inf": _SUMS, "c_inf_bold": _SUMS,
               "c_kappa": "the tail plateau (estimate_constants.c_kappa_samples)"}
 
 
+def _check(key: str, value, least: int = 1, grid: bool = False) -> None:
+    """Stop the command, naming the config key (<section>.<name>), unless
+    value is an integer >= least or, with grid, a list of distinct integers
+    >= 1. A size that feeds a standard error or a median takes least=2."""
+    items = [value]
+    if grid:
+        items = list(value) if isinstance(value, (list, tuple, np.ndarray)) else [None]
+    if not (
+        all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+            for v in items)
+        and len(set(items)) == len(items) > 0
+    ):
+        what = "a list of distinct integers" if grid else "an integer"
+        raise SystemExit(f"{key} must be {what} >= {least}, got {value!r}")
+
+
 def _positive(value, what: str):
     """value if it is a finite number > 0; else stop the command, naming what it is."""
     if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
@@ -82,9 +99,11 @@ class Constants:
     reading a constant not given is a LookupError. `names` are the regime's
     constants, as estimate-constants writes them; `estimates` gathers the
     reports, CIs included. A constant, given or computed, that is not a
-    finite number > 0 stops the command (a given one before any trial).
-    Reads that compute are not locked: campaigns read the scales on the
-    calling thread only."""
+    finite number > 0 stops the command (a given one before any trial), as
+    do an n_samples or c_kappa_samples in `settings` below 2 (at once) and
+    an estimator's LimitsError, such as a B draw with too few positive
+    values. Reads that compute are not locked: campaigns read the scales
+    on the calling thread only."""
 
     def __init__(self, kappa: float, law: MarkLaw | None = None, seed: int = 0,
                  settings: dict | None = None, **given):
@@ -96,6 +115,9 @@ class Constants:
         self.names = ("C_inf", "c_inf_bold", "c0" if self.regime == "DIFFUSIVE" else "c_kappa")
         self.estimates: dict = {}
         self._law, self._seed, self._settings = law, seed, settings or {}
+        for key in ("n_samples", "c_kappa_samples"):
+            if key in self._settings:
+                _check(f"estimate_constants.{key}", self._settings[key], least=2)
         for name, value in given.items():
             if name not in CONSTANT_NAMES:
                 raise TypeError(f"Constants() got an unexpected keyword argument {name!r}")
@@ -107,8 +129,11 @@ class Constants:
             raise AttributeError(name)
         if self._law is None:
             raise LookupError(f"constant {name} was not given, and no law was given to compute it")
-        report = limits.estimate_constant(self._law, self.kappa, self._seed, name,
-                                          **self._settings)
+        try:
+            report = limits.estimate_constant(self._law, self.kappa, self._seed, name,
+                                              **self._settings)
+        except limits.LimitsError as err:
+            raise SystemExit(f"{name} estimated by {_ESTIMATOR[name]}: {err}") from err
         self.estimates.update(report)
         for key in CONSTANT_NAMES:
             if key in report and key not in vars(self):
@@ -242,6 +267,8 @@ def theorem2_campaign(
     time L^m at every grid point; one distance per n is the worst absolute
     transform error over the lambda grid. Verdicts: distance at the
     largest n below tol, and no increase across the n grid."""
+    _check("theorem2.n_trials", n_trials, least=2)
+    _check("theorem2.m_grid", m_grid, grid=True)
     m_grid = sorted(int(m) for m in m_grid)
     scales = [consts.local_time_scale(n) for n in m_grid]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem2", n_trials)
@@ -292,6 +319,8 @@ def theorem1_campaign(
     n_censored e^{-lambda_min Z_BUDGET} / n_trials (censor_bias_bound).
     Returns the rows, verdicts, distances, Z per grid point ("z") and the
     running sums ("T", partial where censored)."""
+    _check("theorem1.n_trials", n_trials, least=2)
+    _check("theorem1.p_grid", p_grid, grid=True)
     p_grid = sorted(int(p) for p in p_grid)
     dp = np.diff(p_grid, prepend=0)
     k = len(p_grid)
@@ -361,6 +390,9 @@ def theorem3_campaign(
     the first to the last n. A censored median is written as null; if the
     first or last one is, the ratio is null and the verdict fails with a
     reason."""
+    _check("theorem3.n_trials", n_trials, least=2)
+    _check("theorem3.n_grid", n_grid, grid=True)
+    _check("theorem3.budget", budget)
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem3", n_trials)
@@ -434,6 +466,8 @@ def corollary_campaign(
     before any walk runs. With fewer than two grid points hit, the
     slope and its CI are null and the verdict fails with a reason naming
     the grid points without a hit."""
+    _check("corollary.n_walkers", n_walkers, least=2)
+    _check("corollary.n_grid", n_grid, grid=True)
     n_grid = sorted(int(n) for n in n_grid)
     env_seeds, walk_seeds = trial_seeds(master_seed, "corollary", n_walkers)
     m_grid = []
@@ -494,18 +528,21 @@ def corollary_campaign(
 
 def validate_law_campaign(law: MarkLaw) -> dict:
     """The law's assumption audit: psi on a grid, psi(1) = 0, psi'(1) < 0,
-    and kappa with its regime (`law.validate_law`)."""
+    and kappa with its regime (`law.validate_law`). JSON has no infinity,
+    so an infinite kappa is written as null with a reason."""
     rep = law_mod.validate_law(law)
     rows = [{"t": float(t), "psi": float(v)} for t, v in zip(rep.psi_grid, rep.psi_values)]
     psi1 = law_mod.psi_evaluate(law, 1.0)
+    infinite = rep.kappa == math.inf
     verdicts = [
         stats.verdict_row("validate_law", "psi_at_1", psi1, 1e-9, abs(psi1) < 1e-9),
         stats.verdict_row(
             "validate_law", "negative_drift", rep.psi_prime_1, 0.0, rep.psi_prime_1 < 0.0,
         ),
         stats.verdict_row(
-            "validate_law", "kappa", rep.kappa, None, True,
+            "validate_law", "kappa", None if infinite else rep.kappa, None, True,
             regime=rep.regime, lattice=rep.lattice, c0=rep.c0, notes=list(rep.notes),
+            **({"reason": "kappa is infinite"} if infinite else {}),
         ),
     ]
     return {"rows": rows, "verdicts": verdicts}
@@ -533,16 +570,13 @@ def lemma_moments_campaign(
     twice equals m, within 4 SE. These are the count-1 non-root nodes of
     the pruned excursion tree at tau^m, so the route reads the B column of
     `excursion.hypothesis_sums_batch` at p = m, on fresh environments.
-    Bad regen settings stop the command (SystemExit) before it samples."""
-    if not all(isinstance(m, int) and m >= 1 for m in regen_levels):
-        raise SystemExit(
-            f"lemma_moments.regen_levels must hold integers >= 1, got {regen_levels!r}"
-        )
-    if not (isinstance(n_regen_samples, int) and n_regen_samples >= 2):
-        raise SystemExit(
-            "lemma_moments.n_regen_samples must be an integer >= 2, "
-            f"got {n_regen_samples!r}"
-        )
+    Bad sizes or regen levels stop the command (SystemExit) before it
+    samples."""
+    for key, value in (("n_envs", n_envs), ("depth", depth), ("n_pairs", n_pairs),
+                       ("n_frozen", n_frozen), ("n_excursions", n_excursions)):
+        _check(f"lemma_moments.{key}", value)
+    _check("lemma_moments.regen_levels", regen_levels, grid=True)
+    _check("lemma_moments.n_regen_samples", n_regen_samples, least=2)
     rows = []
     verdicts = []
 
@@ -637,6 +671,8 @@ def forest_identities_campaign(
     """Per-tree exact identities of the excursion-forest transform on
     `n_trees` typed trees, and the moment rows of B, nu and nu_tilde with
     the mean_type1_once verdict (E[B] = 1) on `n_sums` batch draws."""
+    _check("forest_identities.n_trees", n_trees)
+    _check("forest_identities.n_sums", n_sums, least=2)
     rng = np.random.default_rng(derive_seed(master_seed, "forest-identities", 0, "env"))
     trees = forest.sample_typed_forest(law, n_trees, rng)
     fails: dict[str, int] = {}
@@ -658,9 +694,7 @@ def forest_identities_campaign(
     sums = excursion.hypothesis_sums_batch(law, n_sums, rng2)
     moments = {}
     for name, key in (("b", "B"), ("nu", "nu"), ("nu_tilde", "nu_tilde")):
-        x = sums[key].astype(np.float64)
-        moments[f"{name}_mean"] = float(x.mean())
-        moments[f"{name}_se"] = float(x.std(ddof=1) / math.sqrt(n_sums))
+        moments[f"{name}_mean"], moments[f"{name}_se"] = stats.mean_se(sums[key])
     b = sums["B"].astype(np.float64)
     var_b = b.var(ddof=1)
     m4 = np.square(np.square(b - b.mean())).mean()  # ** 4 is 5x slower
@@ -682,16 +716,16 @@ def forest_identities_campaign(
 
 def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **settings) -> dict:
     """Every plug-in constant of the law's regime (`Constants.names`),
-    estimated afresh (none given), as the constants.json payload with the
-    CIs, the c_kappa tail grid as rows and the plateau verdict. `settings`
-    is the estimate_constants section, the keyword-only parameters of
-    `limits.estimate_constant`."""
+    estimated afresh (none given), as the constants.json payload (an
+    infinite kappa as null) with the CIs, the c_kappa tail grid as rows and
+    the plateau verdict. `settings` is the estimate_constants section, the
+    keyword-only parameters of `limits.estimate_constant`."""
     consts = Constants(kappa, law, master_seed, settings)
     for name in consts.names:
         getattr(consts, name)
     est = dict(consts.estimates)
     fit = est.pop("c_kappa_fit", None)
-    payload = {"kappa": kappa, **est}
+    payload = {"kappa": None if kappa == math.inf else kappa, **est}
     rows = []
     verdicts = []
     if fit is not None:
@@ -700,6 +734,9 @@ def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **
             stats.verdict_row(
                 "estimate_constants", "c_kappa_plateau", fit["c_kappa"], None,
                 not fit["no_plateau"], ci=fit["ci"], hill=fit["hill"]["alpha"],
+                # null marks an unbounded end: on few tail values, a resample
+                # of tied top values has an infinite Hill index
+                hill_ci=[v if math.isfinite(v) else None for v in fit["hill"]["ci"]],
             )
         )
     verdicts.append(

@@ -144,35 +144,28 @@ def hit_laplace(gamma: float, alpha: float, lam: float) -> float:
 
 
 def estimate_discounted_moments(
-    law: _law.MarkLaw,
-    n_samples: int,
-    eps: float,
-    rng: np.random.Generator,
-    seed: int = 0,
+    law: _law.MarkLaw, n_samples: int, eps: float, rng: np.random.Generator
 ) -> dict:
     """MC estimates of C_inf = E[D^-2] and bold c_inf = E[D^-1], with their
-    bootstrap CIs under the keys C_inf_ci and c_inf_bold_ci.
+    normal 95% CIs, mean +- Z95 SE, under the keys C_inf_ci and
+    c_inf_bold_ci.
 
-    D is the discounted sum of the size-biased spine walk; bootstrap CIs
-    use the deterministic resample scheme. The sums are drawn SAMPLE_CHUNK
-    paths per call of discounted_sums_batch; that split fixes the order of
-    the random draws, and so the estimates' bytes."""
+    D is the discounted sum of the size-biased spine walk. D >= 1, so 1/D
+    and 1/D^2 are bounded and their sample means are asymptotically normal.
+    The sums are drawn SAMPLE_CHUNK paths per call of discounted_sums_batch;
+    that split fixes the order of the random draws, and so the estimates'
+    bytes."""
     chunk = _excursion.SAMPLE_CHUNK
     parts = [
         discounted_sums_batch(law, min(chunk, n_samples - i), eps, rng)
         for i in range(0, n_samples, chunk)
     ]
-    d = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    inv = 1.0 / d
-    c1 = float(inv.mean())
-    c2 = float((inv**2).mean())
-    ci1 = _stats.bootstrap_ci(
-        inv, lambda s: s.mean(), seed=derive_seed(seed, "disc-moments", 0, "c1")
-    )
-    ci2 = _stats.bootstrap_ci(
-        inv, lambda s: (s**2).mean(), seed=derive_seed(seed, "disc-moments", 0, "c2")
-    )
-    return {"C_inf": c2, "C_inf_ci": ci2, "c_inf_bold": c1, "c_inf_bold_ci": ci1}
+    inv = 1.0 / np.concatenate(parts)
+    out = {}
+    for name, x in (("C_inf", inv**2), ("c_inf_bold", inv)):
+        mean, se = _stats.mean_se(x)
+        out[name], out[f"{name}_ci"] = mean, (mean - _stats.Z95 * se, mean + _stats.Z95 * se)
+    return out
 
 
 def estimate_c_kappa(
@@ -188,11 +181,18 @@ def estimate_c_kappa(
     values out to the ~30-exceedance point, which is the scale range the
     finite-n normalizations actually sample. Grid variation above 50% on
     that half raises a NO_PLATEAU warning. The CI bootstraps the bin
-    histogram; a Hill cross-check of the tail index on the top 2000 positive
-    values rides along."""
+    histogram: N_BOOT multinomial redraws of the bin counts, all from one
+    generator seeded derive_seed(seed, "c-kappa", 0, "boot"). A Hill
+    cross-check of the tail index, with its bootstrap CI, on the top 2000
+    positive values rides along. Fewer than two positive B values leave no
+    tail to read: LimitsError TOO_FEW."""
     rng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "env"))
     b = _excursion.hypothesis_sums_batch(law, n_samples, rng)["B"]
     pos = b[b > 0]
+    if pos.size < 2:
+        raise LimitsError(
+            "TOO_FEW", f"{pos.size} of {b.size} draws of B are positive; the tail needs two"
+        )
     if pos.size > 10_000:
         lo = max(int(np.quantile(pos, 0.995)), 2)
         hi = max(int(np.partition(b, -30)[-30]), 2 * lo)
@@ -217,15 +217,10 @@ def estimate_c_kappa(
     edges = np.r_[m_grid, np.iinfo(np.int64).max]
     above = np.array([(b > m).sum() for m in edges], dtype=np.int64)
     bins = np.r_[n - above[0], -np.diff(above)]
-    probs = bins / n
-    boots = np.empty(_stats.N_BOOT)
-    for r in range(_stats.N_BOOT):
-        brng = np.random.default_rng(derive_seed(seed, "c-kappa", r, "boot"))
-        counts = brng.multinomial(n, probs)
-        btail = n - np.cumsum(counts)[:-1]
-        bvals = m_grid.astype(float) ** kappa * btail / n
-        boots[r] = np.median(bvals[len(bvals) // 2 :])
-    ci = tuple(np.quantile(boots, [0.025, 0.975]))
+    brng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "boot"))
+    counts = brng.multinomial(n, bins / n, size=_stats.N_BOOT)
+    bvals = m_grid.astype(float) ** kappa * (n - np.cumsum(counts, axis=1)[:, :-1]) / n
+    ci = np.quantile(np.median(bvals[:, len(m_grid) // 2 :], axis=1), [0.025, 0.975])
 
     hill = _stats.hill_tail_index(pos.astype(float), k=min(2000, pos.size - 1), seed=seed)
     return {
@@ -259,4 +254,4 @@ def estimate_constant(
         fit = estimate_c_kappa(law, kappa, n_samples=c_kappa_samples, seed=seed)
         return {"c_kappa": fit["c_kappa"], "c_kappa_ci": fit["ci"], "c_kappa_fit": fit}
     rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
-    return estimate_discounted_moments(law, n_samples, eps, rng, seed=seed)
+    return estimate_discounted_moments(law, n_samples, eps, rng)

@@ -1,8 +1,10 @@
 """Statistical machinery turning raw trial data into verdicts.
 
-Empirical Laplace tables with per-point standard errors, Hill tail-index
-estimation, log-log slope regression, deterministic
-bootstrap confidence intervals, and JSON-compatible verdict rows.
+Empirical Laplace tables with per-point standard errors, the sample mean
+with its standard error (`mean_se`; a normal 95% CI is mean +- Z95 se),
+Hill tail-index estimation, log-log slope regression, percentile bootstrap
+confidence intervals drawn from one seeded generator per call, and
+JSON-compatible verdict rows, written as strict JSON.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from ._rng import derive_seed
 
 __all__ = [
     "empirical_laplace",
+    "mean_se",
     "hill_tail_index",
     "loglog_slope",
     "bootstrap_ci",
@@ -25,6 +28,15 @@ __all__ = [
 ]
 
 N_BOOT = 400
+Z95 = 1.959963984540054  # the standard normal's 0.975 quantile
+
+
+def mean_se(samples) -> tuple[float, float]:
+    """Sample mean and its standard error, std(ddof=1) / sqrt(n)."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("a standard error needs at least two samples")
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 def empirical_laplace(samples, lambdas) -> list[dict]:
@@ -47,15 +59,8 @@ def empirical_laplace(samples, lambdas) -> list[dict]:
             continue
         e = np.exp(-lam * x)
         e[~np.isfinite(x)] = 0.0
-        rows.append(
-            {
-                "lambda": lam,
-                "value": float(e.mean()),
-                "se": float(e.std(ddof=1) / math.sqrt(e.size))
-                if e.size > 1
-                else 0.0,
-            }
-        )
+        value, se = mean_se(e) if e.size > 1 else (float(e.mean()), 0.0)
+        rows.append({"lambda": lam, "value": value, "se": se})
     return rows
 
 
@@ -101,7 +106,7 @@ def loglog_slope(x, y, weights=None) -> dict:
     resid = ly - intercept - slope * lx
     dof = max(lx.size - 2, 1)
     var = (w * resid**2).sum() / dof / sxx
-    half = 1.959963984540054 * math.sqrt(max(var, 0.0))
+    half = Z95 * math.sqrt(max(var, 0.0))
     return {
         "slope": float(slope),
         "intercept": float(intercept),
@@ -115,22 +120,18 @@ def bootstrap_ci(
     n_boot: int = N_BOOT,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile 95% bootstrap CI with fixed derived resample seeds.
+    """Percentile 95% bootstrap CI of stat over n_boot resamples.
 
-    Resample r draws from derive_seed(seed, "bootstrap", r, "resample"),
-    so verdicts are reproducible regardless of call order. No caller sets
-    n_boot, but the benchmark tracer reads it by name as the resample count
-    of a call."""
+    One generator, seeded with `seed`, draws the resamples in turn, so a
+    call's CI depends on its arguments alone. No caller sets n_boot, but
+    the benchmark tracer reads it by name as the resample count of a call."""
     x = np.asarray(samples)
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
-    vals = np.empty(n_boot)
-    for r in range(n_boot):
-        rng = np.random.default_rng(derive_seed(seed, "bootstrap", r, "resample"))
-        vals[r] = stat(x[rng.integers(0, n, size=n)])
-    a = (1.0 - 0.95) / 2.0  # a few ulps above 0.025: the CIs' bits depend on it
-    lo, hi = np.quantile(vals, [a, 1.0 - a])
+    rng = np.random.default_rng(seed)
+    vals = np.array([stat(x[rng.integers(0, n, size=n)]) for _ in range(n_boot)])
+    lo, hi = np.quantile(vals, [0.025, 0.975])
     return float(lo), float(hi)
 
 
@@ -157,13 +158,8 @@ def verdict_row(
 
 
 def write_verdicts(rows: Sequence[dict], dest) -> None:
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        dest = open(dest, "w")
-        close = True
-    try:
-        json.dump(list(rows), dest, indent=2)
-        dest.write("\n")
-    finally:
-        if close:
-            dest.close()
+    """Write the rows to the path `dest` as strict JSON: a NaN or an
+    infinity raises ValueError before the file is opened."""
+    text = json.dumps(list(rows), indent=2, allow_nan=False)
+    with open(dest, "w") as fh:
+        fh.write(text + "\n")

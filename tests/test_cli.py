@@ -9,9 +9,11 @@ read; a constant that is not a finite number > 0 stops the command. Every
 verdict file is strict JSON (no NaN or Infinity), also when `theorem3`
 censors every trial.
 `corollary` also runs on a law whose environments can die, so that its
-survival resampling runs end to end. A subdiffusive command loads no scipy. Bad `lemma-moments` settings and config
-keys that no command reads stop the command with a message before it samples
-anything, and the accepted keys are pinned.
+survival resampling runs end to end. A subdiffusive command loads no scipy. Bad sizes and grids,
+bad `lemma-moments` settings, a tail with too few positive draws of B and
+config keys that no command reads stop the command with a message before it
+writes anything, and the accepted keys are pinned. estimate-constants writes
+the CIs of every constant and the Hill index's CI.
 """
 
 import csv
@@ -184,6 +186,83 @@ def test_lemma_moments_rejects_bad_regen_settings(tmp_path, bad, message):
     with pytest.raises(SystemExit, match=message):
         _run(tmp_path, "lemma-moments", 1, "bad", {**TINY["lemma-moments"], **bad})
     assert not (tmp_path / "bad").exists()
+
+
+INT1, INT2 = " must be an integer >= 1", " must be an integer >= 2"
+GRID = " must be a list of distinct integers >= 1"
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("estimate-constants", "estimate_constants.n_samples", 0, INT2),
+    ("estimate-constants", "estimate_constants.n_samples", 1, INT2),
+    ("estimate-constants", "estimate_constants.c_kappa_samples", 1, INT2),
+    ("estimate-constants", "estimate_constants.c_kappa_samples", 2,
+     "): 1 of 2 draws of B are positive"),
+    ("theorem2", "estimate_constants.n_samples", 1.5, INT2),
+    ("forest-identities", "forest_identities.n_sums", 1, INT2),
+    ("forest-identities", "forest_identities.n_trees", 0, INT1),
+    ("theorem1", "theorem1.p_grid", [5, 5], GRID),
+    ("theorem1", "theorem1.n_trials", 0, INT2),
+    ("theorem2", "theorem2.m_grid", [0, 100], GRID),
+    ("theorem2", "theorem2.m_grid", [], GRID),
+    ("corollary", "corollary.n_grid", [0, 3], GRID),
+    ("corollary", "corollary.n_walkers", 1, INT2),
+    ("theorem3", "theorem3.n_grid", [0, 5], GRID),
+    ("theorem3", "theorem3.budget", True, INT1),
+    ("lemma-moments", "lemma_moments.depth", 0, INT1),
+])
+def test_bad_size_or_grid_stops_the_command(tmp_path, command, key, value, message):
+    """A size below 1, or below 2 where it feeds a standard error or a
+    median, a grid that is not distinct integers >= 1, and a c_kappa draw
+    with fewer than two positive B values (seed 4 draws B = (2, 0)) stop the
+    command with a message naming <section>.<key>, before any file is
+    written."""
+    section, name = key.split(".")
+    sections = {command.replace("-", "_"): TINY[command], "estimate_constants": ESTIMATE}
+    sections[section] = {**sections[section], name: value}
+    with pytest.raises(SystemExit, match=re.escape(key + message)):
+        _run(tmp_path, command, 1, "bad", sections[command.replace("-", "_")],
+             extra={"seed": 4, "estimate_constants": sections["estimate_constants"]})
+    assert not (tmp_path / "bad").exists()
+
+
+def test_estimate_constants_writes_its_intervals(tmp_path):
+    """constants.json holds the normal CIs of C_inf and bold c_inf, centred
+    on the estimates, and the c_kappa CI; the plateau verdict carries the
+    same c_kappa CI and the Hill index with its bootstrap CI (hill_ci),
+    whose unbounded end is null."""
+    files = _run(tmp_path, "estimate-constants", 1, "a")
+    est = _strict_json(files["constants.json"])
+    for name in ("C_inf", "c_inf_bold"):
+        lo, hi = est[f"{name}_ci"]
+        assert lo < est[name] < hi
+        assert est[name] - lo == pytest.approx(hi - est[name], rel=1e-9)
+    (plateau, _) = _strict_json(files["estimate_constants_verdicts.json"])
+    assert plateau["statistic"] == "c_kappa_plateau"
+    assert plateau["ci"] == est["c_kappa_ci"]
+    h_lo, h_hi = plateau["hill_ci"]
+    assert h_lo < plateau["hill"] < h_hi
+    # 20 draws of B at seed 3 leave a few tail values, some of them tied:
+    # the Hill CI's upper end is unbounded and is written as null
+    files = _run(tmp_path, "estimate-constants", 1, "b", {**ESTIMATE, "c_kappa_samples": 20},
+                 extra={"seed": 3})
+    (plateau, _) = _strict_json(files["estimate_constants_verdicts.json"])
+    assert plateau["value"] > 0 and plateau["hill_ci"][0] < plateau["hill"]
+    assert plateau["hill_ci"][1] is None
+
+
+def test_infinite_kappa_is_written_as_null(tmp_path):
+    """On the constant-bias binary tree kappa is infinite: the verdicts and
+    constants.json stay strict JSON, with kappa null."""
+    law = {"family": "constant_bias", "lam": 2.0, "n": 2}
+    files = _run(tmp_path, "validate-law", 1, "a", extra={"law": law})
+    (v,) = [v for v in _strict_json(files["validate_law_verdicts.json"])
+            if v["statistic"] == "kappa"]
+    assert (v["value"], v["regime"], v["reason"]) == (None, "DIFFUSIVE", "kappa is infinite")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"law": law, "estimate_constants": ESTIMATE}))
+    cli.main(["estimate-constants", "--config", str(path), "--out", str(tmp_path / "b")])
+    assert _strict_json((tmp_path / "b" / "constants.json").read_bytes())["kappa"] is None
 
 
 def test_forest_rows_come_from_the_batch_sums(walk_kernel, tmp_path):

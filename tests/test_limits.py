@@ -10,6 +10,8 @@ import pytest
 
 import oracles
 from gwalk import law as law_mod
+from gwalk import limits
+from gwalk.env import discounted_sums_batch
 from gwalk.law import make_constant_bias, make_two_point
 from gwalk.limits import (
     ML_LAMBDA_MAX,
@@ -20,6 +22,7 @@ from gwalk.limits import (
     hit_laplace,
     ml_laplace,
 )
+from gwalk.stats import bootstrap_ci
 from oracles import sample_stable_increments, sample_stable_path_functional
 
 EXPECTED = json.loads(
@@ -150,6 +153,27 @@ def test_discounted_moments_constant_bias_exact():
     assert sorted(est) == ["C_inf", "C_inf_ci", "c_inf_bold", "c_inf_bold_ci"]
 
 
+def test_discounted_moment_cis_agree_with_the_bootstrap(monkeypatch):
+    """The normal CIs of C_inf and bold c_inf (mean +- Z95 SE) are centred on
+    the estimates, and on 20,000 sums of the subdiffusive law their widths
+    are within 15% of the percentile bootstrap's on the same sums."""
+    drawn = []
+
+    def record(*args):
+        drawn.append(discounted_sums_batch(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(limits, "discounted_sums_batch", record)
+    est = estimate_discounted_moments(SUB, 20_000, 1e-12, np.random.default_rng(36))
+    inv = 1.0 / np.concatenate(drawn)
+    assert inv.size == 20_000
+    for name, stat in (("C_inf", lambda s: (s**2).mean()), ("c_inf_bold", lambda s: s.mean())):
+        lo, hi = est[f"{name}_ci"]
+        assert est[name] - lo == pytest.approx(hi - est[name], rel=1e-9)
+        b_lo, b_hi = bootstrap_ci(inv, stat, seed=37)
+        assert hi - lo == pytest.approx(b_hi - b_lo, rel=0.15)
+
+
 def test_estimate_constant_c0_is_the_exact_sum():
     """c0 comes from the exact pair sum alone: 1 on the constant-bias binary
     tree, and `law._c0_finite_sum` (checked against mpmath in test_law) on
@@ -175,4 +199,22 @@ def test_estimate_c_kappa_report():
     assert ms == sorted(ms)
     flagged = any("NO_PLATEAU" in str(w.message) for w in caught)
     assert flagged == out["no_plateau"]
-    assert "hill" in out
+    h_lo, h_hi = out["hill"]["ci"]
+    assert h_lo < out["hill"]["alpha"] < h_hi
+
+
+def test_c_kappa_ci_deterministic_per_seed():
+    """The histogram bootstrap's CI is a function of the seed: the same seed
+    gives the same bits, another seed another CI, and at this size it holds
+    the estimate. Fewer than two positive B values raise TOO_FEW."""
+    kappa = law_mod.solve_kappa(SUB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a, b, c = (estimate_c_kappa(SUB, kappa, n_samples=50_000, seed=s) for s in (4, 4, 5))
+    assert a["ci"] == b["ci"] and a["ci"] != c["ci"]
+    for out in (a, c):
+        lo, hi = out["ci"]
+        assert lo < out["c_kappa"] < hi
+    with pytest.raises(LimitsError) as err:  # seed 4 draws B = (2, 0)
+        estimate_c_kappa(SUB, kappa, n_samples=2, seed=4)
+    assert err.value.code == "TOO_FEW"

@@ -1,4 +1,5 @@
-"""Statistics layer: transforms, tail index, regression, bootstrap."""
+"""Statistics layer: transforms, mean and SE, tail index, regression,
+bootstrap, strict verdict JSON."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from gwalk.stats import (
     empirical_laplace,
     hill_tail_index,
     loglog_slope,
+    mean_se,
     verdict_row,
     write_verdicts,
 )
@@ -39,6 +41,17 @@ def test_empirical_laplace_errors():
         empirical_laplace([-0.1], [1.0])
     with pytest.raises(ValueError):
         empirical_laplace([1.0], [-1.0])
+
+
+def test_mean_se_exact_values_and_errors():
+    # mean 2.5, sample variance 5/3, se sqrt(5/3) / 2
+    mean, se = mean_se(np.array([1, 2, 3, 4]))
+    assert mean == 2.5
+    assert se == pytest.approx(math.sqrt(5.0 / 3.0) / 2.0, rel=1e-15)
+    assert mean_se([7.0, 7.0]) == (7.0, 0.0)
+    for few in ([], [1.0]):
+        with pytest.raises(ValueError):
+            mean_se(few)
 
 
 def test_hill_recovers_pareto_index():
@@ -111,3 +124,13 @@ def test_verdict_row_and_json_roundtrip(tmp_path):
     write_verdicts([row, row2], dest)
     back = json.loads(dest.read_text())
     assert back[0] == row and back[1] == row2
+
+
+def test_write_verdicts_refuses_nan(tmp_path):
+    """A NaN (or infinite) value raises instead of writing invalid JSON, and
+    leaves no file behind."""
+    dest = tmp_path / "verdicts.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            write_verdicts([verdict_row("exp", "stat", bad, 0.05, False)], dest)
+        assert not dest.exists()
