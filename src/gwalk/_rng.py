@@ -5,8 +5,8 @@ is the one home of its constants, of ``mix64`` and of the key scheme (each
 with a vectorised twin: ``mix64_np``, ``root_key_np``, ``child_key_np``,
 ``derive_seed_np``).
 The plain-C kernel ``_walk.c`` keeps its own copy of exactly these integer
-operations, which is what makes the pure-Python and compiled kernels produce
-bit-identical output for the same seeds.
+operations, which is what makes it and the tests' Python reference
+(tests/pykernel.py) produce bit-identical output for the same seeds.
 
 Substream discipline
 --------------------

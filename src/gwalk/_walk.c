@@ -1,13 +1,15 @@
-/* Plain-C walk kernel, the compiled twin of _pykernel.run_walk.
+/* Plain-C walk kernel: the walk gwalk runs, bound by gwalk.kernel.
  *
- * Same arena, same RNG stream and the same comparisons in the same order as
- * the Python reference, so equal seeds give bit-identical output;
- * tests/test_kernel_parity.py checks this. See _pykernel.py for the walk's
- * contract. A step reads only the current node's atom: the caller passes the
- * step tables (LawTables.p_up and step_cum, computed once per law, or once
- * per explicit tree by _pykernel.explicit_tree, which also checks the tree),
- * so the kernel does no floating-point arithmetic beyond turning a hash into
- * a uniform, and stores no potential, so it walks the same at every depth.
+ * The walk's contract (arena, dynamics, bookkeeping) is the docstring of
+ * gwalk/kernel.py. A step reads only the current node's atom: the caller
+ * passes the step tables (LawTables.p_up and step_cum, computed once per law,
+ * or once per explicit tree by kernel.explicit_tree, which also checks the
+ * tree), so the kernel does no floating-point arithmetic beyond turning a
+ * hash into a uniform, and stores no potential, so it walks the same at every
+ * depth. tests/pykernel.py is a Python reference with the same arena, the
+ * same RNG stream and the same comparisons in the same order, and
+ * tests/test_kernel_parity.py checks that equal seeds give bit-identical
+ * output.
  * The file holds no Python API and no global mutable state: gwalk.kernel
  * calls gw_walk through ctypes, which releases the GIL, so trials on several
  * threads run in parallel. The arena is one array of 48-byte node records
@@ -120,7 +122,7 @@ static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t 
 
 /* Run one walk. With n_explicit < 0 the tree grows lazily from the law tables
  * and env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
- * _pykernel.explicit_tree returns it: node i is atom i of the tables and has
+ * kernel.explicit_tree returns it: node i is atom i of the tables and has
  * exp_parent[i] and exp_child0[i]; atom_cum is then unused.
  * Snapshots go to the caller's 5 x nsnap buffer snap_out. On GW_OK, *st
  * holds the scalars and *arena_out the grown tree, which the caller releases

@@ -12,7 +12,9 @@ each other one is computed on its first read through
 
 One config document drives everything: law, master seed, the sections,
 parallelism width, output directory. Command-line flags override the
-matching config keys; a key that no command reads stops the command.
+matching config keys; a key that no command reads stops the command, and so
+do a seed that is not an integer >= 0 and a thread count that is not an
+integer >= 1.
 Rerunning a command with the same config and seed writes byte-identical
 files (no timestamps, deterministic substream seeding, deterministic
 reduction order).
@@ -94,6 +96,8 @@ def _load_config(args) -> dict:
     cfg.setdefault("seed", 0)
     cfg.setdefault("threads", 1)
     cfg.setdefault("out", "gwalk-out")
+    experiments._check("seed", cfg["seed"], least=0)
+    experiments._check("threads", cfg["threads"])
     return cfg
 
 

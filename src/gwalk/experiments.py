@@ -11,11 +11,11 @@ with the `estimate_constants` section as its settings.
 Every campaign returns CSV-ready rows and verdict dicts (plus the
 constants.json payload for estimate-constants). The Monte Carlo campaigns
 run independent (environment, walk) trials with substream seeds derived
-from one master seed and reduce in trial order. The normalizations are
-regime-aware: kappa in (1,2) targets the spectrally negative stable
-reference laws, kappa = 2 the Brownian laws with the sqrt(n log n)
-correction, kappa > 2 the Brownian laws with the two-child correlation
-constant.
+from one master seed, on environments conditioned on survival, and reduce
+in trial order. The normalizations are regime-aware: kappa in (1,2) targets
+the spectrally negative stable reference laws, kappa = 2 the Brownian laws
+with the sqrt(n log n) correction, kappa > 2 the Brownian laws with the
+two-child correlation constant.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ _ESTIMATOR = {"c0": "the exact pair sum", "C_inf": _SUMS, "c_inf_bold": _SUMS,
 def _check(key: str, value, least: int = 1, grid: bool = False) -> None:
     """Stop the command, naming the config key (<section>.<name>), unless
     value is an integer >= least or, with grid, a list of distinct integers
-    >= 1. A size that feeds a standard error or a median takes least=2."""
+    >= least. A size that feeds a standard error or a median takes least=2,
+    and so does a theorem's grid at kappa = 2, whose scales hold log n."""
     items = [value]
     if grid:
         items = list(value) if isinstance(value, (list, tuple, np.ndarray)) else [None]
@@ -189,6 +190,31 @@ def trial_seeds(master: int, experiment: str, n_trials: int):
             derive_seed_np(master, experiment, trials, "walk"))
 
 
+def _surviving(law: MarkLaw, env_seeds: np.ndarray, experiment: str) -> np.ndarray:
+    """Condition the environments on survival, where the paper's limits
+    hold (W_inf > 0): redraw each environment seed whose environment dies,
+    in place, the k-th time from derive_seed(previous,
+    "<experiment>-resample", k, "env"), until it survives; each round tests
+    all dead trials in one batched call. Returns each trial's number of
+    redraws. Laws with minimum offspring >= 1 cannot die and redraw
+    nothing."""
+    rejected = np.zeros(env_seeds.size, dtype=np.int64)
+    dead = np.arange(env_seeds.size)
+    while dead.size:
+        dead = dead[~environment_survives(law, env_seeds[dead])]
+        rejected[dead] += 1
+        for t in dead:
+            e, k = int(env_seeds[t]), int(rejected[t])
+            env_seeds[t] = derive_seed(e, f"{experiment}-resample", k, "env")
+    return rejected
+
+
+def _grid_least(consts: Constants) -> int:
+    """Least grid point of a theorem: 2 at kappa = 2, where the scales hold
+    log n, which is 0 at n = 1."""
+    return 2 if consts.regime == "CRITICAL" else 1
+
+
 def w_hat_batch(law: MarkLaw, env_seeds) -> np.ndarray:
     """Additive martingale at depth W_DEPTH per environment, W_CHUNK at a
     time to bound the (environments x mean_offspring^depth) arrays."""
@@ -268,10 +294,11 @@ def theorem2_campaign(
     transform error over the lambda grid. Verdicts: distance at the
     largest n below tol, and no increase across the n grid."""
     _check("theorem2.n_trials", n_trials, least=2)
-    _check("theorem2.m_grid", m_grid, grid=True)
+    _check("theorem2.m_grid", m_grid, least=_grid_least(consts), grid=True)
     m_grid = sorted(int(m) for m in m_grid)
     scales = [consts.local_time_scale(n) for n in m_grid]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem2", n_trials)
+    _surviving(law, env_seeds, "theorem2")
     L = np.empty((n_trials, len(m_grid)), dtype=np.int64)
 
     def one(t: int) -> None:
@@ -320,11 +347,12 @@ def theorem1_campaign(
     Returns the rows, verdicts, distances, Z per grid point ("z") and the
     running sums ("T", partial where censored)."""
     _check("theorem1.n_trials", n_trials, least=2)
-    _check("theorem1.p_grid", p_grid, grid=True)
+    _check("theorem1.p_grid", p_grid, least=_grid_least(consts), grid=True)
     p_grid = sorted(int(p) for p in p_grid)
     dp = np.diff(p_grid, prepend=0)
     k = len(p_grid)
     env_seeds, _ = trial_seeds(master_seed, "theorem1", n_trials)
+    _surviving(law, env_seeds, "theorem1")
     w_k = w_hat_batch(law, env_seeds) ** consts.gamma
     b_max = consts.return_time_scale(p_grid[-1])
     cap = ((Z_BUDGET * w_k * b_max + p_grid[-1]) // 2).astype(np.int64)
@@ -391,12 +419,14 @@ def theorem3_campaign(
     first or last one is, the ratio is null and the verdict fails with a
     reason."""
     _check("theorem3.n_trials", n_trials, least=2)
-    _check("theorem3.n_grid", n_grid, grid=True)
+    _check("theorem3.n_grid", n_grid, least=_grid_least(consts), grid=True)
     _check("theorem3.budget", budget)
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem3", n_trials)
+    _surviving(law, env_seeds, "theorem3")
     half_c = consts.c_inf_bold / 2.0
+    scales = [consts.range_error_scale(n) for n in n_grid]
     sup_err = np.full((n_trials, len(n_grid)), np.inf)
     censored = np.zeros(n_trials, dtype=bool)
     p_all = np.arange(1, n_max + 1)
@@ -413,7 +443,7 @@ def theorem3_campaign(
         run_max = np.maximum.accumulate(err)
         for j, n in enumerate(n_grid):
             if got >= n:
-                sup_err[t, j] = run_max[n - 1] / consts.range_error_scale(n)
+                sup_err[t, j] = run_max[n - 1] / scales[j]
 
     _map_trials(one, n_trials, threads)
     n_censored = int(censored.sum())
@@ -474,15 +504,7 @@ def corollary_campaign(
     for n in n_grid:
         m_grid.extend((2 * n, 2 * n + 1))
     hits = np.zeros((n_walkers, len(n_grid)), dtype=np.int8)
-    rejected = np.zeros(n_walkers, dtype=np.int64)
-    # redraw each dead environment from the one before it until it survives
-    dead = np.arange(n_walkers)
-    while dead.size:
-        dead = dead[~environment_survives(law, env_seeds[dead])]
-        rejected[dead] += 1
-        for t in dead:
-            e, k = int(env_seeds[t]), int(rejected[t])
-            env_seeds[t] = derive_seed(e, "corollary-resample", k, "env")
+    rejected = _surviving(law, env_seeds, "corollary")
 
     def one(t: int) -> None:
         res = walk.simulate_time_grid(law, int(env_seeds[t]), int(walk_seeds[t]), m_grid)

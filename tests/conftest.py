@@ -1,12 +1,15 @@
-"""Shared fixtures: the compiled walk kernel, built once per test session.
+"""Shared fixtures: the compiled walk kernel, built once per test session and
+bound to `gwalk.kernel.run_walk`, so every walk of the tests runs on the
+kernel that the commands run.
 
 When the package already carries a built library, the fixtures use it.
-Otherwise (running from `PYTHONPATH=src` without building) the
-fixture compiles `src/gwalk/_walk.c` with the repo's own `setup.py` recipe,
-which uses sysconfig's CC and the flags in setup.py, into a temporary
-directory and binds it through `gwalk.kernel.load_kernel`, the loader the
-package itself uses. Only a missing C compiler skips the tests that need it;
-a compile error fails them.
+Otherwise (running from `PYTHONPATH=src` without building) `kernel_library`
+compiles `src/gwalk/_walk.c` with the repo's own `setup.py` recipe, which
+uses sysconfig's CC and the flags in setup.py, into a temporary directory,
+and the session binds it through `gwalk.kernel.load_kernel`, the loader the
+package itself uses. A compile error fails the tests. Without a C compiler
+nothing is bound: the tests that ask for `compiled_run_walk` skip, and a
+walk through `kernel.run_walk` stops with the package's build message.
 """
 
 import shutil
@@ -41,8 +44,19 @@ def kernel_library(tmp_path_factory):
     return tmp / "lib" / "gwalk" / kernel.LIBRARY.name
 
 
-@pytest.fixture(scope="session")
-def compiled_run_walk(kernel_library):
+@pytest.fixture(scope="session", autouse=True)
+def production_kernel(kernel_library):
+    """`kernel.run_walk` bound to the built library for the whole session,
+    before any test's monkeypatch, which therefore restores this binding;
+    None without a C compiler."""
     if kernel_library is None:
+        return None
+    kernel.run_walk = kernel.load_kernel(kernel_library)
+    return kernel.run_walk
+
+
+@pytest.fixture(scope="session")
+def compiled_run_walk(production_kernel):
+    if production_kernel is None:
         pytest.skip("no C compiler to build the walk kernel")
-    return kernel.load_kernel(kernel_library)
+    return production_kernel

@@ -2,17 +2,19 @@
 
 A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
-kernel (its ctypes calls release the GIL). Without a C compiler the runs use
-the package's own kernel. A theorem with no `constants` section estimates
-them on the route that estimate-constants takes, and only those its scales
-read; a constant that is not a finite number > 0 stops the command. Every
-verdict file is strict JSON (no NaN or Infinity), also when `theorem3`
-censors every trial.
-`corollary` also runs on a law whose environments can die, so that its
-survival resampling runs end to end. A subdiffusive command loads no scipy. Bad sizes and grids,
-bad `lemma-moments` settings, a tail with too few positive draws of B and
-config keys that no command reads stop the command with a message before it
-writes anything, and the accepted keys are pinned. estimate-constants writes
+kernel (its ctypes calls release the GIL). A theorem with no `constants`
+section estimates them on the route that estimate-constants takes, and only
+those its scales read; a constant that is not a finite number > 0 stops the
+command. Every verdict file is strict JSON (no NaN or Infinity), also when
+`theorem3` censors every trial.
+`corollary` and the three theorems also run on a law whose environments can
+die, so that their survival resampling runs end to end. A subdiffusive
+command loads no scipy. Without the built library, the commands that walk
+stop with the build message and the others run. Bad sizes and grids (grid
+point 1 at kappa = 2), bad `lemma-moments` settings, a tail with too few
+positive draws of B, a bad seed or thread count and config keys that no
+command reads stop the command with a message before it writes anything,
+and the accepted keys are pinned. estimate-constants writes
 the CIs of every constant and the Hill index's CI.
 """
 
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,11 +32,11 @@ from pathlib import Path
 import pytest
 
 import gwalk
-from gwalk import cli, kernel, limits
+from gwalk import cli, experiments, kernel, limits, walk
 from gwalk._rng import derive_seed
 from gwalk.env import environment_survives
 from gwalk.experiments import trial_seeds
-from gwalk.law import load_law
+from gwalk.law import load_law, solve_kappa
 
 CONSTANTS = {
     "C_inf": 0.10078720884476033,
@@ -56,12 +59,6 @@ TINY = {
     "forest-identities": {"n_trees": 30, "n_sums": 3000},
     "estimate-constants": ESTIMATE,
 }
-
-
-@pytest.fixture
-def walk_kernel(kernel_library, monkeypatch):
-    if kernel_library is not None:
-        monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
 
 
 def _run(tmp_path, command, threads, tag, section=None, constants=CONSTANTS, extra=None):
@@ -88,21 +85,26 @@ def _strict_json(data: bytes):
 
 
 @pytest.mark.parametrize("command", sorted(TINY))
-def test_cli_bytes_identical_across_reruns_and_threads(walk_kernel, tmp_path, command):
+def test_cli_bytes_identical_across_reruns_and_threads(tmp_path, command):
     first = _run(tmp_path, command, 1, "a")
     _strict_json(first[f"{command.replace('-', '_')}_verdicts.json"])
     assert _run(tmp_path, command, 1, "b") == first
     assert _run(tmp_path, command, 2, "c") == first
 
 
-def test_corollary_redraws_dead_environments(walk_kernel, tmp_path):
+# half the atoms childless, half with four children marked ln 2: about half
+# the environments die
+EXTINCTION = {"atoms": [{"p": 0.5, "marks": []},
+                        {"p": 0.5, "marks": [math.log(2.0)] * 4}]}
+
+
+def test_corollary_redraws_dead_environments(tmp_path):
     """On a law with extinction (half the nodes childless, half with four
     children marked ln 2), corollary redraws the environments that die,
     the k-th time from derive_seed(previous, "corollary-resample", k, "env"):
     n_rejected > 0 and equal to a walker-by-walker count, with the same
     bytes on a rerun and at threads=2."""
-    ext = {"atoms": [{"p": 0.5, "marks": []},
-                     {"p": 0.5, "marks": [math.log(2.0)] * 4}]}
+    ext = EXTINCTION
     first = _run(tmp_path, "corollary", 1, "a", extra={"law": ext})
     assert _run(tmp_path, "corollary", 1, "b", extra={"law": ext}) == first
     assert _run(tmp_path, "corollary", 2, "c", extra={"law": ext}) == first
@@ -117,7 +119,39 @@ def test_corollary_redraws_dead_environments(walk_kernel, tmp_path):
     assert v["n_rejected"] == want > 0
 
 
-def test_theorem_estimates_the_constants_it_is_not_given(walk_kernel, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["theorem1", "theorem2", "theorem3"])
+def test_theorems_condition_on_survival(tmp_path, monkeypatch, command):
+    """On the law with extinction, a theorem redraws the environments that
+    die, as corollary does, with the same bytes at threads=2: every trial's
+    environment has W > 0. A dead one has W = 0, so Z = 0, or Z = inf where
+    Z divides by W. theorem1 and theorem2 pass their environments to
+    w_hat_batch; theorem3 reads no W, so its walks' environments are
+    recorded."""
+    n = TINY[command]["n_trials"]
+    law = load_law(EXTINCTION)
+    assert not environment_survives(law, trial_seeds(5, command, n)[0]).all()
+    seeds, w_hat = [], experiments.w_hat_batch
+    if command == "theorem3":
+        sim = walk.simulate_excursion_grid
+
+        def recording(law, env_seed, *args):
+            seeds.append(env_seed)
+            return sim(law, env_seed, *args)
+
+        monkeypatch.setattr(walk, "simulate_excursion_grid", recording)
+    else:
+        def recording(law, env_seeds):
+            seeds.extend(env_seeds.tolist())
+            return w_hat(law, env_seeds)
+
+        monkeypatch.setattr(experiments, "w_hat_batch", recording)
+    first = _run(tmp_path, command, 1, "a", extra={"law": EXTINCTION})
+    assert _run(tmp_path, command, 2, "b", extra={"law": EXTINCTION}) == first
+    assert len(seeds) == 2 * n
+    assert (w_hat(law, seeds) > 0).all()
+
+
+def test_theorem_estimates_the_constants_it_is_not_given(tmp_path, monkeypatch):
     """With no constants section, theorem2 estimates the constants on the
     route of estimate-constants (same seed, same estimate_constants section):
     its files equal those of a run given the constants that command writes,
@@ -226,6 +260,28 @@ def test_bad_size_or_grid_stops_the_command(tmp_path, command, key, value, messa
     assert not (tmp_path / "bad").exists()
 
 
+# binary, i.i.d. marks -ln 2 w.p. 0.1 and ln 3 w.p. 0.9: kappa = 2
+CRITICAL = {"atoms": [{"p": pa * pb, "marks": [a, b]}
+                      for a, pa in ((-math.log(2.0), 0.1), (math.log(3.0), 0.9))
+                      for b, pb in ((-math.log(2.0), 0.1), (math.log(3.0), 0.9))]}
+
+
+@pytest.mark.parametrize("command, key, grid", [
+    ("theorem1", "p_grid", [1, 5]),
+    ("theorem2", "m_grid", [1, 100]),
+    ("theorem3", "n_grid", [1, 5]),
+])
+def test_grid_point_one_stops_a_critical_theorem(tmp_path, command, key, grid):
+    """At kappa = 2 the scales hold log n, which is 0 at n = 1: a grid point
+    of 1 stops the command, naming the key, before any file is written."""
+    assert experiments.Constants(solve_kappa(load_law(CRITICAL))).regime == "CRITICAL"
+    with pytest.raises(SystemExit, match=re.escape(
+            f"{command}.{key} must be a list of distinct integers >= 2, got {grid}")):
+        _run(tmp_path, command, 1, "bad", {**TINY[command], key: grid},
+             extra={"law": CRITICAL})
+    assert not (tmp_path / "bad").exists()
+
+
 def test_estimate_constants_writes_its_intervals(tmp_path):
     """constants.json holds the normal CIs of C_inf and bold c_inf, centred
     on the estimates, and the c_kappa CI; the plateau verdict carries the
@@ -265,7 +321,7 @@ def test_infinite_kappa_is_written_as_null(tmp_path):
     assert _strict_json((tmp_path / "b" / "constants.json").read_bytes())["kappa"] is None
 
 
-def test_forest_rows_come_from_the_batch_sums(walk_kernel, tmp_path):
+def test_forest_rows_come_from_the_batch_sums(tmp_path):
     """The moment rows and the mean_type1_once verdict read the same
     hypothesis_sums_batch draws, not the size-truncated typed forest."""
     files = _run(tmp_path, "forest-identities", 1, "a")
@@ -279,7 +335,7 @@ def test_forest_rows_come_from_the_batch_sums(walk_kernel, tmp_path):
     assert rows["b_mean"] <= rows["nu_tilde_mean"] <= rows["nu_mean"]
 
 
-def test_theorem3_writes_censored_medians_as_null(walk_kernel, tmp_path):
+def test_theorem3_writes_censored_medians_as_null(tmp_path):
     """At a budget that censors every trial, the medians and the ratio are
     null, not Infinity and NaN, and the verdict fails with a reason."""
     sec = {"n_trials": 20, "n_grid": [50, 200], "budget": 100}
@@ -306,14 +362,24 @@ def test_theorem3_writes_censored_medians_as_null(walk_kernel, tmp_path):
      "unknown config key theorem1.step_cap"),
     ("validate-law", {"theorem1": 5}, "config key 'theorem1' must be a JSON object"),
     ("validate-law", {"law": 5}, "config key 'law' must be a JSON object"),
+    ("validate-law", {"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ("theorem2", {"seed": "7"}, "seed must be an integer >= 0, got '7'"),
+    ("validate-law", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ("theorem2", {"threads": "2"}, "threads must be an integer >= 1, got '2'"),
+    ("theorem2", {"threads": 0}, "threads must be an integer >= 1, got 0"),
+    ("validate-law", {"threads": True}, "threads must be an integer >= 1, got True"),
 ], ids=["theorem1-extra0-theorem1.z_budget", "validate-law-extra1-theorem1.z_budget",
         "validate-law-extra2-'theorem_2'", "validate-law-extra3-constants.c_kapa",
         "forest-identities-extra4-forest_identities.n_tree",
         "theorem1-extra5-theorem1.step_cap", "validate-law-extra6-'theorem1'",
-        "validate-law-extra7-'law'"])
+        "validate-law-extra7-'law'", "validate-law-seed-float", "theorem2-seed-str",
+        "validate-law-seed-negative", "theorem2-threads-str", "theorem2-threads-0",
+        "validate-law-threads-bool"])
 def test_unknown_config_key_stops_the_command(tmp_path, command, extra, message):
-    """A key that no command reads, and a section or law that is not a JSON
-    object, stop the command with a message that names the key."""
+    """A key that no command reads, a section or law that is not a JSON
+    object, a seed that is not an integer >= 0 and a thread count that is
+    not an integer >= 1 stop the command with a message that names the
+    key."""
     cfg = {"law": {"family": "two_point", "p": 0.068}, "seed": 5,
            "constants": CONSTANTS, **extra}
     path = tmp_path / "cfg.json"
@@ -347,8 +413,7 @@ loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import gwalk.cli
 from gwalk import kernel, limits
 seen = {"import": loaded()}
-if sys.argv[1]:
-    kernel.run_walk = kernel.load_kernel(sys.argv[1])
+kernel.run_walk = kernel.load_kernel(sys.argv[1])
 seen["rc"] = gwalk.cli.main(["theorem2", "--config", sys.argv[2], "--out", sys.argv[3]])
 seen["theorem2"] = loaded()
 got = limits.ml_laplace(2.0, 1.0)
@@ -362,7 +427,9 @@ def test_subdiffusive_command_loads_no_scipy(kernel_library, tmp_path):
     """In a fresh interpreter, neither `import gwalk.cli` nor a theorem2 run
     on two_point p = 0.068 imports scipy: kappa comes from the package's own
     Brent port, and erfcx loads only at gamma = 2, where it keeps scipy's
-    bits."""
+    bits. The run walks on the session's library."""
+    if kernel_library is None:
+        pytest.skip("no C compiler to build the walk kernel")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"law": {"family": "two_point", "p": 0.068}, "seed": 5,
                                "constants": CONSTANTS, "theorem2": TINY["theorem2"]}))
@@ -370,9 +437,65 @@ def test_subdiffusive_command_loads_no_scipy(kernel_library, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_PATH, str(kernel_library or ""), str(cfg),
+        [sys.executable, "-c", COLD_PATH, str(kernel_library), str(cfg),
          str(tmp_path / "out")], capture_output=True, text=True, env=env, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == [] and seen["theorem2"] == []
     assert seen["rc"] in (0, 1)
     assert seen["erfcx"][0] == seen["erfcx"][1]
+
+
+PACKAGE_RUN = """
+import json, sys
+import gwalk.cli
+from gwalk import kernel
+cfg, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+seen = {"impl": kernel.KERNEL_IMPL,
+        "pykernel": sorted(m for m in sys.modules if "pykernel" in m)}
+for command in commands:
+    try:
+        seen[command] = gwalk.cli.main([command, "--config", cfg, "--out", out + command])
+    except SystemExit as exc:
+        seen[command] = str(exc)
+print(json.dumps(seen))
+"""
+
+WALKING = ["theorem2", "theorem3", "corollary", "lemma-moments"]
+
+
+@pytest.mark.parametrize("with_library", [False, True])
+def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_library):
+    """A package copy without the built library: the four commands that walk
+    stop, at threads=2 too, with a message naming the library and the build
+    command, and write no output directory; validate-law writes this
+    session's bytes. With the library beside kernel.py, theorem2 writes this
+    session's bytes. KERNEL_IMPL is "compiled" in both, and `import
+    gwalk.cli` loads no module named like the tests' Python kernel."""
+    if with_library and kernel_library is None:
+        pytest.skip("no C compiler to build the walk kernel")
+    pkg = tmp_path / "pkg" / "gwalk"
+    shutil.copytree(Path(kernel.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns(kernel.LIBRARY.name, "__pycache__"))
+    if with_library:
+        shutil.copy(kernel_library, pkg / kernel.LIBRARY.name)
+    commands = ["theorem2"] if with_library else [*WALKING, "validate-law"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "law": {"family": "two_point", "p": 0.068}, "seed": 5, "constants": CONSTANTS,
+        "threads": 1 if with_library else 2,
+        **{c.replace("-", "_"): TINY[c] for c in commands if TINY[c] is not None}}))
+    out = tmp_path / "out-"
+    proc = subprocess.run(
+        [sys.executable, "-c", PACKAGE_RUN, str(cfg), str(out), *commands],
+        env={**os.environ, "PYTHONPATH": str(pkg.parent)},
+        capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("impl") == "compiled" and seen.pop("pykernel") == []
+    for command, got in seen.items():
+        if command in WALKING and not with_library:
+            assert kernel.LIBRARY.name in got and "python setup.py build_ext --inplace" in got
+            assert not Path(f"{out}{command}").exists()
+        else:
+            assert got in (0, 1)
+            files = {f.name: f.read_bytes() for f in sorted(Path(f"{out}{command}").iterdir())}
+            assert files == _run(tmp_path, command, 1, "in-session")

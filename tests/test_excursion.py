@@ -25,12 +25,6 @@ SUB = make_two_point(0.068)
 CB = make_constant_bias(2.0)
 
 
-@pytest.fixture
-def walk_kernel(kernel_library, monkeypatch):
-    if kernel_library is not None:
-        monkeypatch.setattr(kernel, "run_walk", kernel.load_kernel(kernel_library))
-
-
 def _levels(levels, depth):
     """The first depth + 1 generations as one forest: (row, parent, gen, N),
     parent indexing the concatenation."""
@@ -296,7 +290,7 @@ def _kernel_T(env, p_grid, n):
     return T, cut
 
 
-def test_sampler_return_time_matches_kernel(walk_kernel):
+def test_sampler_return_time_matches_kernel():
     """On one fixed environment, T^p = 2 sum N - p of sampler rows at root
     count p against kernel walks to the p-th crossing: two-sample KS on T^p
     censored at a common cap (the ROADMAP Baseline check, at seed 12345 and
@@ -312,7 +306,7 @@ def test_sampler_return_time_matches_kernel(walk_kernel):
     assert sps.ks_2samp(Tk, Ts).pvalue > 0.01
 
 
-def test_return_time_increments_are_fresh_rows(walk_kernel):
+def test_return_time_increments_are_fresh_rows():
     """Additivity in law, the step theorem1 rests on: on a fixed environment
     the kernel's T^{p2} - T^{p1} is distributed as a fresh sampler row at
     root count p2 - p1."""

@@ -1,23 +1,21 @@
-"""Compiled and pure-Python kernels must agree bit for bit.
+"""The compiled kernel and the tests' Python reference must agree bit for bit.
 
-The plain-C kernel reimplements the walk loop; any drift in RNG consumption,
-tie-breaking, or bookkeeping order shows up here as a hard mismatch rather
-than a statistical one. `compiled_run_walk` (conftest.py) is the built
-library, compiled for the test session when the package carries none.
+`pykernel.run_walk` restates the walk loop of `_walk.c` in Python; any drift
+in RNG consumption, tie-breaking, or bookkeeping order shows up here as a
+hard mismatch rather than a statistical one. `compiled_run_walk`
+(conftest.py) is the built library, compiled for the test session when the
+package carries none.
 """
 
-import os
-import shutil
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from gwalk import _pykernel, kernel
+import pykernel
+from gwalk import kernel
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
 
@@ -40,7 +38,7 @@ def test_time_mode_parity(compiled_run_walk, law, seed):
     args = (law.tables(), seed, seed ^ 0xABCDEF, kernel.MODE_STEPS, 20000)
     snaps = [100, 5000, 20000]
     a = compiled_run_walk(*args, snaps, collect_tree=True)
-    b = _pykernel.run_walk(*args, snaps, collect_tree=True)
+    b = pykernel.run_walk(*args, snaps, collect_tree=True)
     _assert_same(a, b)
     assert a["m"] == 20000
 
@@ -49,7 +47,7 @@ def test_time_mode_parity(compiled_run_walk, law, seed):
 def test_crossing_mode_parity(compiled_run_walk, seed):
     args = (SUB.tables(), seed, 1000 + seed, kernel.MODE_CROSSINGS, 200)
     a = compiled_run_walk(*args, [10, 200], collect_tree=True)
-    b = _pykernel.run_walk(*args, [10, 200], collect_tree=True)
+    b = pykernel.run_walk(*args, [10, 200], collect_tree=True)
     _assert_same(a, b)
     assert a["L"] == 200
 
@@ -63,7 +61,7 @@ def test_bound_tables_follow_the_law(compiled_run_walk):
     for law_tables in (SUB.tables(), other.tables(), SUB.tables(), copy, other.tables()):
         args = (law_tables, 9, 10, kernel.MODE_STEPS, 3000)
         _assert_same(compiled_run_walk(*args, [3000], collect_tree=True),
-                     _pykernel.run_walk(*args, [3000], collect_tree=True))
+                     pykernel.run_walk(*args, [3000], collect_tree=True))
 
 
 def test_bound_tables_under_forced_thread_switches(compiled_run_walk):
@@ -72,7 +70,7 @@ def test_bound_tables_under_forced_thread_switches(compiled_run_walk):
     microsecond: a torn binding would pair one law with the other's
     pointers."""
     tables = [SUB.tables(), make_two_point(0.02).tables()]
-    want = [_pykernel.run_walk(t, 9, 10, kernel.MODE_STEPS, 300, [300]) for t in tables]
+    want = [pykernel.run_walk(t, 9, 10, kernel.MODE_STEPS, 300, [300]) for t in tables]
     failures = []
 
     def work(k):
@@ -101,7 +99,7 @@ def test_bound_tables_under_forced_thread_switches(compiled_run_walk):
 def test_budget_status_parity(compiled_run_walk):
     args = (SUB.tables(), 7, 8, kernel.MODE_CROSSINGS, 10**6)
     a = compiled_run_walk(*args, [10**6], budget=1000)
-    b = _pykernel.run_walk(*args, [10**6], budget=1000)
+    b = pykernel.run_walk(*args, [10**6], budget=1000)
     _assert_same(a, b)
     assert a["status"] == kernel.STATUS_BUDGET
     assert a["m"] == 1000
@@ -114,7 +112,7 @@ def test_explicit_mode_parity(compiled_run_walk):
         None, 0, 77, kernel.MODE_CROSSINGS, 500, [500], explicit=explicit,
         collect_tree=True,
     )
-    b = _pykernel.run_walk(
+    b = pykernel.run_walk(
         None, 0, 77, kernel.MODE_CROSSINGS, 500, [500], explicit=explicit,
         collect_tree=True,
     )
@@ -122,7 +120,7 @@ def test_explicit_mode_parity(compiled_run_walk):
     one_node = {"parent": [-1], "V": [0.0]}
     for chain in (oracles.build_chain([0.5, 0.5, -1.0]), one_node):
         a = compiled_run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
-        b = _pykernel.run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
+        b = pykernel.run_walk(None, 0, 3, kernel.MODE_STEPS, 4000, [], explicit=chain)
         _assert_same(a, b)
 
 
@@ -134,7 +132,7 @@ def test_tree_arrays_are_owned_int64_copies(request, impl, explicit):
     if impl == "compiled":
         run_walk = request.getfixturevalue("compiled_run_walk")
     else:
-        run_walk = _pykernel.run_walk
+        run_walk = pykernel.run_walk
     if explicit:
         env = enumerate_truncated(SUB, 42, 4)
         res = run_walk(None, 0, 77, kernel.MODE_STEPS, 2000, [2000], collect_tree=True,
@@ -159,7 +157,7 @@ def test_explicit_walk_ignores_potential_level(request, impl):
     if impl == "compiled":
         run_walk = request.getfixturevalue("compiled_run_walk")
     else:
-        run_walk = _pykernel.run_walk
+        run_walk = pykernel.run_walk
     parent = [-1] + [(i - 1) // 2 for i in range(1, 31)]  # binary, depth 4
     marks = np.random.default_rng(4).choice([-0.5, 0.25, 0.75], size=30)
     V = np.zeros(31)
@@ -179,21 +177,21 @@ def test_explicit_walk_ignores_potential_level(request, impl):
 @pytest.mark.parametrize(
     "parent, V, message",
     [
-        ([0, 0, 1], None, _pykernel.ERR_ROOT),
-        ([], None, _pykernel.ERR_ROOT),
-        ([-1, 0, 1, 0], None, _pykernel.ERR_CHILDREN),
-        ([-1, 0, 3, 0], None, _pykernel.ERR_PARENT),
-        ([-1, 0, -1], None, _pykernel.ERR_PARENT),
-        ([-1, 0, -2], None, _pykernel.ERR_PARENT),
-        ([-1, 1], None, _pykernel.ERR_PARENT),
-        ([-1, 0, 0], [0.0, 1.0], _pykernel.ERR_LENGTH),
+        ([0, 0, 1], None, kernel.ERR_ROOT),
+        ([], None, kernel.ERR_ROOT),
+        ([-1, 0, 1, 0], None, kernel.ERR_CHILDREN),
+        ([-1, 0, 3, 0], None, kernel.ERR_PARENT),
+        ([-1, 0, -1], None, kernel.ERR_PARENT),
+        ([-1, 0, -2], None, kernel.ERR_PARENT),
+        ([-1, 1], None, kernel.ERR_PARENT),
+        ([-1, 0, 0], [0.0, 1.0], kernel.ERR_LENGTH),
     ],
     ids=["root-not-first", "empty", "children-apart", "parent-ahead",
          "second-root", "negative-parent", "self-parent", "short-V"],
 )
 def test_explicit_tree_errors_parity(compiled_run_walk, parent, V, message):
     explicit = {"parent": parent, "V": [0.5] * len(parent) if V is None else V}
-    for run_walk in (compiled_run_walk, _pykernel.run_walk):
+    for run_walk in (compiled_run_walk, pykernel.run_walk):
         with pytest.raises(ValueError) as err:
             run_walk(None, 0, 1, kernel.MODE_STEPS, 100, [], explicit=explicit)
         assert str(err.value) == message
@@ -225,24 +223,3 @@ def test_lazy_tree_matches_eager_enumeration(compiled_run_walk):
     assert [atom[x] for x in grown] == [tree.atom_index(lazy_id[x]) for x in grown]
     assert np.array_equal(gen, np.array(tree.gen)[lazy_id])
     assert np.array_equal(V, np.array(tree.V)[lazy_id])
-
-
-@pytest.mark.parametrize("with_library", [False, True])
-def test_package_picks_library_or_warns_once(kernel_library, tmp_path, with_library):
-    """A package copy loads the library beside kernel.py; without one it
-    falls back to the Python kernel with a single warning naming the build."""
-    if with_library and kernel_library is None:
-        pytest.skip("no C compiler to build the walk kernel")
-    pkg = tmp_path / "gwalk"
-    shutil.copytree(Path(kernel.__file__).parent, pkg,
-                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
-    if with_library:
-        shutil.copy(kernel_library, pkg / kernel.LIBRARY.name)
-    out = subprocess.run(
-        [sys.executable, "-W", "always", "-c",
-         "import gwalk.kernel as k; print(k.KERNEL_IMPL)"],
-        env={**os.environ, "PYTHONPATH": str(tmp_path)},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == ("compiled" if with_library else "python")
-    assert out.stderr.count("build_ext --inplace") == (0 if with_library else 1)

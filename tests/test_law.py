@@ -191,7 +191,7 @@ def _config_law(name):
 
 
 def _explicit_tables(explicit):
-    from gwalk._pykernel import explicit_tree
+    from gwalk.kernel import explicit_tree
 
     return explicit_tree(explicit)[0]
 

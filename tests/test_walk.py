@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from gwalk import _pykernel, kernel
+import pykernel
+from gwalk import kernel
 from gwalk.env import enumerate_truncated
 from gwalk.law import make_constant_bias, make_two_point
 from gwalk.oracle import FiniteChain
@@ -135,7 +136,7 @@ def test_kernel_law_matches_return_prob_grid(request, impl):
     if impl == "compiled":
         run_walk = request.getfixturevalue("compiled_run_walk")
     else:
-        run_walk = _pykernel.run_walk
+        run_walk = pykernel.run_walk
     env = enumerate_truncated(SUB, 42, 3)
     explicit = {"parent": env["parent"], "V": env["V"]}
     steps = np.arange(1, 41)
