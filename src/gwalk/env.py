@@ -131,8 +131,10 @@ def size_biased_increment_law(law: MarkLaw):
 
 _MIN_TERMS = 512
 _REESTIMATE_EVERY = 64
-# rows of one block drawn and reduced at a time; bounds the scratch arrays
-_SLICE_ROWS = 2**12
+# rows of one block drawn and reduced at a time. The three scratch buffers
+# hold _SLICE_ROWS x _MIN_TERMS values each, 4 MB at 2**10 rows, which keeps
+# a slice in cache and bounds the scratch whatever n is
+_SLICE_ROWS = 2**10
 
 
 def discounted_sums_batch(
@@ -144,27 +146,51 @@ def discounted_sums_batch(
     below eps. The bound uses an empirical drift floor delta (half the
     running mean increment), re-estimated every 64 steps after the first
     512; at least 512 terms are always taken. D includes the j = 0 term
-    e^{-S_0} = 1. An active mask drops the finished paths. Each block is
-    drawn and reduced _SLICE_ROWS paths at a time: the generator fills rows
-    in order, so D does not depend on the slice, and the scratch arrays stay
-    at (_SLICE_ROWS x block) whatever n is.
+    e^{-S_0} = 1. An active mask drops the finished paths.
+
+    A uniform u draws the increment of the first value whose cumulative
+    probability exceeds u. Adjacent equal values of the increment law are
+    merged into runs, so that value is the value of run number
+    #{run-end thresholds <= u}, a threshold being the cumulative probability
+    at a run's last atom (the last run has none): a few compares per draw in
+    place of a binary search. Each block is drawn and reduced _SLICE_ROWS
+    paths at a time, through views of three buffers (uniforms, run indices,
+    partial sums) allocated once per call: the generator fills rows in
+    order, so D and the generator's state do not depend on the slice, and
+    the scratch stays at 3 x min(n, _SLICE_ROWS) x 512 values whatever n is.
     """
     vals, probs = size_biased_increment_law(law)
     cum = np.cumsum(probs)
-    cum[-1] = 1.0
+    ends = np.flatnonzero(vals[1:] != vals[:-1])
+    thresholds = cum[ends]
+    run_vals = vals[np.r_[ends, vals.size - 1]]
     S = np.zeros(n)
     D = np.ones(n)
+    size = min(n, _SLICE_ROWS) * _MIN_TERMS
+    u_buf = np.empty(size)
+    idx_buf = np.empty(size, dtype=np.intp)
+    c_buf = np.empty(size)
     active = np.arange(n)
     j = 0
     block = _MIN_TERMS
     while active.size:
         for lo in range(0, active.size, _SLICE_ROWS):
             rows = active[lo:lo + _SLICE_ROWS]
-            u = rng.random((rows.size, block))
-            inc = vals[np.searchsorted(cum, u, side="right")]
-            Sa = S[rows, None] + np.cumsum(inc, axis=1)
-            D[rows] += np.exp(-Sa).sum(axis=1)
-            S[rows] = Sa[:, -1]
+            m = rows.size * block
+            u, idx, c = (b[:m].reshape(rows.size, block) for b in (u_buf, idx_buf, c_buf))
+            rng.random(out=u)
+            idx.fill(0)
+            for t in thresholds:
+                idx += u >= t
+            # the indices are in range: "clip" only spares the copy of out
+            # that the default mode makes
+            np.take(run_vals, idx, out=c, mode="clip")
+            np.cumsum(c, axis=1, out=c)
+            c += S[rows, None]
+            S[rows] = c[:, -1]
+            np.negative(c, out=c)
+            np.exp(c, out=c)
+            D[rows] += c.sum(axis=1)
         j += block
         delta = np.maximum(1e-9, 0.5 * S[active] / j)
         bound = np.exp(-S[active]) / (1.0 - np.exp(-delta))

@@ -293,6 +293,7 @@ def theorem2_campaign(
     time L^m at every grid point; one distance per n is the worst absolute
     transform error over the lambda grid. Verdicts: distance at the
     largest n below tol, and no increase across the n grid."""
+    kernel.require_library()
     _check("theorem2.n_trials", n_trials, least=2)
     _check("theorem2.m_grid", m_grid, least=_grid_least(consts), grid=True)
     m_grid = sorted(int(m) for m in m_grid)
@@ -418,6 +419,7 @@ def theorem3_campaign(
     the first to the last n. A censored median is written as null; if the
     first or last one is, the ratio is null and the verdict fails with a
     reason."""
+    kernel.require_library()
     _check("theorem3.n_trials", n_trials, least=2)
     _check("theorem3.n_grid", n_grid, least=_grid_least(consts), grid=True)
     _check("theorem3.budget", budget)
@@ -496,6 +498,7 @@ def corollary_campaign(
     before any walk runs. With fewer than two grid points hit, the
     slope and its CI are null and the verdict fails with a reason naming
     the grid points without a hit."""
+    kernel.require_library()
     _check("corollary.n_walkers", n_walkers, least=2)
     _check("corollary.n_grid", n_grid, grid=True)
     n_grid = sorted(int(n) for n in n_grid)
@@ -594,6 +597,7 @@ def lemma_moments_campaign(
     `excursion.hypothesis_sums_batch` at p = m, on fresh environments.
     Bad sizes or regen levels stop the command (SystemExit) before it
     samples."""
+    kernel.require_library()
     for key, value in (("n_envs", n_envs), ("depth", depth), ("n_pairs", n_pairs),
                        ("n_frozen", n_frozen), ("n_excursions", n_excursions)):
         _check(f"lemma_moments.{key}", value)
@@ -752,13 +756,14 @@ def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **
     verdicts = []
     if fit is not None:
         rows = [{"m": int(m), "m_kappa_tail": float(v)} for m, v in fit["grid"]]
+        # null marks an unbounded Hill index or CI end: on few tail values,
+        # top values tied with the threshold have an infinite index
+        h = fit["hill"]
+        hill = [v if math.isfinite(v) else None for v in (h["alpha"], *h["ci"])]
         verdicts.append(
             stats.verdict_row(
                 "estimate_constants", "c_kappa_plateau", fit["c_kappa"], None,
-                not fit["no_plateau"], ci=fit["ci"], hill=fit["hill"]["alpha"],
-                # null marks an unbounded end: on few tail values, a resample
-                # of tied top values has an infinite Hill index
-                hill_ci=[v if math.isfinite(v) else None for v in fit["hill"]["ci"]],
+                not fit["no_plateau"], ci=fit["ci"], hill=hill[0], hill_ci=hill[1:],
             )
         )
     verdicts.append(

@@ -2,8 +2,9 @@
 
 setuptools builds `_walk.c` into the library `gwalk/_walk<EXT_SUFFIX>` beside
 this file (setup.py says how). It is the only walk the package runs. Without
-it, `run_walk` stops the command with a SystemExit that names the library and
-the build command; the commands that run no walk work without it.
+it, `run_walk` and `require_library` stop the command with a SystemExit that
+names the library and the build command; the commands that run no walk work
+without it.
 tests/pykernel.py is a pure-Python reference of the same walk, which the
 parity tests compare with the library bit for bit.
 
@@ -219,13 +220,21 @@ def load_kernel(path) -> callable:
     return run_walk
 
 
-if LIBRARY.is_file():
-    run_walk = load_kernel(LIBRARY)
-else:
-    def run_walk(*args, **kwargs):
-        """Stand-in for the library that is not built: stops the command."""
-        raise SystemExit(
-            f"the walk kernel library {LIBRARY} is not built; build it with "
-            "`python setup.py build_ext --inplace` in the source checkout, "
-            "or install the package"
-        )
+def _not_built(*args, **kwargs):
+    """Stand-in for the library that is not built: stops the command."""
+    raise SystemExit(
+        f"the walk kernel library {LIBRARY} is not built; build it with "
+        "`python setup.py build_ext --inplace` in the source checkout, "
+        "or install the package"
+    )
+
+
+run_walk = load_kernel(LIBRARY) if LIBRARY.is_file() else _not_built
+
+
+def require_library() -> None:
+    """Stop the command as `run_walk` would when the library is not built.
+    The walking campaigns call this first, so that a missing build costs
+    no constant estimate or survival draw before the message."""
+    if run_walk is _not_built:
+        _not_built()

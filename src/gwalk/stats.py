@@ -68,7 +68,8 @@ def hill_tail_index(samples, k: int, seed: int = 0) -> dict:
     """Hill estimate of the tail index from the top k order statistics.
 
     alpha_hat = k / sum_{i<k} (log X_(n-i) - log X_(n-k)). The CI
-    bootstraps the k log-spacings (deterministic resample seeds)."""
+    bootstraps the k log-spacings (deterministic resample seeds). Spacings
+    that are all 0, the top values tied with X_(n-k), give +inf."""
     x = np.asarray(samples, dtype=np.float64)
     x = x[np.isfinite(x)]
     if not 1 <= k < x.size:
@@ -78,13 +79,14 @@ def hill_tail_index(samples, k: int, seed: int = 0) -> dict:
     if top[0] <= 0:
         raise ValueError("tail samples must be positive")
     spacings = np.log(top[1:]) - math.log(top[0])
-    est = k / spacings.sum()
 
     def stat(s):
-        return s.size / s.sum()
+        # spacings all 0 (top values tied with the threshold): unbounded
+        total = s.sum()
+        return s.size / total if total > 0 else math.inf
 
     lo, hi = bootstrap_ci(spacings, stat, seed=derive_seed(seed, "hill", k, "ci"))
-    return {"alpha": float(est), "ci": (float(lo), float(hi)), "k": k}
+    return {"alpha": float(stat(spacings)), "ci": (lo, hi), "k": k}
 
 
 def loglog_slope(x, y, weights=None) -> dict:
@@ -123,16 +125,23 @@ def bootstrap_ci(
     """Percentile 95% bootstrap CI of stat over n_boot resamples.
 
     One generator, seeded with `seed`, draws the resamples in turn, so a
-    call's CI depends on its arguments alone. No caller sets n_boot, but
-    the benchmark tracer reads it by name as the resample count of a call."""
+    call's CI depends on its arguments alone. stat may return +inf: an end
+    whose interpolation reaches an infinite resample is +inf. No caller
+    sets n_boot, but the benchmark tracer reads it by name as the resample
+    count of a call."""
     x = np.asarray(samples)
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
     rng = np.random.default_rng(seed)
     vals = np.array([stat(x[rng.integers(0, n, size=n)]) for _ in range(n_boot)])
-    lo, hi = np.quantile(vals, [0.025, 0.975])
-    return float(lo), float(hi)
+    q = np.array([0.025, 0.975])
+    # the linear percentile at q interpolates the sorted values at indices
+    # floor(q (n_boot - 1)) and the next one; the infinite ones sort last
+    bounded = np.floor(q * (n_boot - 1)) + 1 < np.isfinite(vals).sum()
+    ends = np.full(2, math.inf)
+    ends[bounded] = np.quantile(vals, q[bounded])
+    return float(ends[0]), float(ends[1])
 
 
 def verdict_row(

@@ -126,6 +126,40 @@ def negative_multinomial_pmf(x, k: int, p_back: float, cells) -> float:
     return math.exp(log)
 
 
+def discounted_sums_searchsorted(law, n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """Reference for env.discounted_sums_batch, which must return the same
+    bytes and leave rng in the same state: the increment of each uniform by
+    a binary search of the cumulative size-biased law (mass p e^{-a} per
+    mark a of an atom of probability p), fresh arrays for every slice of
+    2**12 rows. The truncation rule is the library's: 512 terms first, then
+    blocks of 64 until the geometric tail bound drops below eps."""
+    vals = np.array([a for _, marks in law.atoms for a in marks])
+    probs = np.array([p * math.exp(-a) for p, marks in law.atoms for a in marks])
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    S = np.zeros(n)
+    D = np.ones(n)
+    active = np.arange(n)
+    j = 0
+    block = 512
+    while active.size:
+        for lo in range(0, active.size, 2**12):
+            rows = active[lo:lo + 2**12]
+            u = rng.random((rows.size, block))
+            inc = vals[np.searchsorted(cum, u, side="right")]
+            Sa = S[rows, None] + np.cumsum(inc, axis=1)
+            D[rows] += np.exp(-Sa).sum(axis=1)
+            S[rows] = Sa[:, -1]
+        j += block
+        delta = np.maximum(1e-9, 0.5 * S[active] / j)
+        bound = np.exp(-S[active]) / (1.0 - np.exp(-delta))
+        active = active[bound >= eps]
+        block = 64
+        if j > 10**7:
+            break
+    return D
+
+
 def build_chain(marks) -> dict:
     """Path graph root - x1 - ... - xk with V accumulating the given marks."""
     parent = [-1]

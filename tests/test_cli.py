@@ -448,10 +448,16 @@ def test_subdiffusive_command_loads_no_scipy(kernel_library, tmp_path):
 PACKAGE_RUN = """
 import json, sys
 import gwalk.cli
-from gwalk import kernel
+from gwalk import kernel, limits
 cfg, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
 seen = {"impl": kernel.KERNEL_IMPL,
-        "pykernel": sorted(m for m in sys.modules if "pykernel" in m)}
+        "pykernel": sorted(m for m in sys.modules if "pykernel" in m),
+        "estimated": []}
+estimate_constant = limits.estimate_constant
+def record(law, kappa, seed, name, **settings):
+    seen["estimated"].append(name)
+    return estimate_constant(law, kappa, seed, name, **settings)
+limits.estimate_constant = record
 for command in commands:
     try:
         seen[command] = gwalk.cli.main([command, "--config", cfg, "--out", out + command])
@@ -467,10 +473,11 @@ WALKING = ["theorem2", "theorem3", "corollary", "lemma-moments"]
 def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_library):
     """A package copy without the built library: the four commands that walk
     stop, at threads=2 too, with a message naming the library and the build
-    command, and write no output directory; validate-law writes this
-    session's bytes. With the library beside kernel.py, theorem2 writes this
-    session's bytes. KERNEL_IMPL is "compiled" in both, and `import
-    gwalk.cli` loads no module named like the tests' Python kernel."""
+    command, before they estimate a constant (the config gives none), and
+    write no output directory; validate-law writes this session's bytes.
+    With the library beside kernel.py, theorem2 writes this session's bytes.
+    KERNEL_IMPL is "compiled" in both, and `import gwalk.cli` loads no
+    module named like the tests' Python kernel."""
     if with_library and kernel_library is None:
         pytest.skip("no C compiler to build the walk kernel")
     pkg = tmp_path / "pkg" / "gwalk"
@@ -481,7 +488,8 @@ def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_li
     commands = ["theorem2"] if with_library else [*WALKING, "validate-law"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "law": {"family": "two_point", "p": 0.068}, "seed": 5, "constants": CONSTANTS,
+        "law": {"family": "two_point", "p": 0.068}, "seed": 5,
+        **({"constants": CONSTANTS} if with_library else {"estimate_constants": ESTIMATE}),
         "threads": 1 if with_library else 2,
         **{c.replace("-", "_"): TINY[c] for c in commands if TINY[c] is not None}}))
     out = tmp_path / "out-"
@@ -491,6 +499,7 @@ def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_li
         capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen.pop("impl") == "compiled" and seen.pop("pykernel") == []
+    assert seen.pop("estimated") == []
     for command, got in seen.items():
         if command in WALKING and not with_library:
             assert kernel.LIBRARY.name in got and "python setup.py build_ext --inplace" in got

@@ -1,6 +1,9 @@
 """Environment layer: keyed trees, martingales, size-biased walk sums."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from gwalk.env import (
     size_biased_increment_law,
 )
 from gwalk.law import (
+    load_law,
     make_constant_bias,
     make_mark_law,
     make_two_point,
@@ -27,6 +31,8 @@ from gwalk.law import (
     psi_prime,
 )
 from gwalk.oracle import hx_array
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SUB = make_two_point(0.068)
 DIFF = make_two_point(0.02)
@@ -251,17 +257,59 @@ def test_discounted_sums_constant_bias_exact():
     assert np.allclose(d, 2.0, atol=1e-9)
 
 
-def test_discounted_sums_do_not_depend_on_the_row_slice(monkeypatch):
-    """Blocks are drawn and reduced a slice of rows at a time; the generator
-    fills rows in order, so D and the generator's next draw are the same
-    bytes for a slice of 7 rows, the default slice and one slice for all."""
-    out = []
+def _seeded_law():
+    """Seven atoms of one to three marks, each mark one of three values,
+    calibrated by a shift: equal increments sit both next to each other and
+    apart in the increment law, so the runs merge some atoms, not all."""
+    rng = np.random.default_rng(2026)
+    marks = [-0.5, 0.7, 1.6]
+    atoms = [{"p": float(p), "marks": rng.choice(marks, size=rng.integers(1, 4)).tolist()}
+             for p in rng.dirichlet(np.ones(7))]
+    law = load_law({"atoms": atoms, "calibrate": True})
+    vals, _ = size_biased_increment_law(law)
+    runs = vals[np.r_[True, vals[1:] != vals[:-1]]]
+    assert vals.size > runs.size > np.unique(vals).size
+    return law
+
+
+SUMS_LAWS = {
+    **{path.stem: load_law(json.loads(path.read_text())["law"])
+       for path in sorted(CONFIGS.glob("*.json"))},
+    "two_point_0.005": make_two_point(0.005),
+    "seeded_7_atoms": _seeded_law(),
+}
+
+
+@pytest.mark.parametrize("n", [1, 37, 5000])
+@pytest.mark.parametrize("name", sorted(SUMS_LAWS))
+def test_discounted_sums_match_the_searchsorted_reference(monkeypatch, name, n):
+    """D and the generator's next draw are the reference's bytes, for a
+    slice of 7 rows, the default slice and one slice for all: the run
+    thresholds pick the increment a binary search of the cumulative law
+    picks, and the generator fills the rows in order."""
+    law = SUMS_LAWS[name]
+    rng = np.random.default_rng(3)
+    want = (oracles.discounted_sums_searchsorted(law, n, 1e-12, rng).tobytes(), rng.random())
     for rows in (7, env_mod._SLICE_ROWS, 2**30):
         monkeypatch.setattr(env_mod, "_SLICE_ROWS", rows)
         rng = np.random.default_rng(3)
-        d = discounted_sums_batch(SUB, 5000, 1e-6, rng)
-        out.append((d.tobytes(), rng.random()))
-    assert out[0] == out[1] == out[2]
+        d = discounted_sums_batch(law, n, 1e-12, rng)
+        assert (d.tobytes(), rng.random()) == want, rows
+
+
+def test_discounted_sums_scratch_stays_flat():
+    """The scratch of one call is three buffers of _SLICE_ROWS x 512 values
+    whatever n is: the traced peak of 20000 sums stays under four buffers'
+    bytes plus a few arrays of n values."""
+    n = 20000
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        discounted_sums_batch(SUB, n, 1e-12, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * env_mod._SLICE_ROWS * env_mod._MIN_TERMS * 8 + 8 * 8 * n
 
 
 def test_discounted_sums_batch_distribution():

@@ -64,6 +64,19 @@ def test_hill_recovers_pareto_index():
     assert out["k"] == 2000
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hill_of_tied_top_values_is_unbounded_without_warnings():
+    """Top values tied with the threshold have log-spacings 0 and an
+    infinite Hill index; a bootstrap end that interpolates toward an
+    infinite resample is infinite. Neither raises a numpy warning."""
+    out = hill_tail_index([1.0] * 3 + [2.0] * 6, k=5)
+    assert out["alpha"] == math.inf and out["ci"] == (math.inf, math.inf)
+    out = hill_tail_index([1.0] * 10 + [2.0] * 6 + [5.0], k=5)
+    assert out["alpha"] == pytest.approx(5 / math.log(2.5), rel=1e-15)
+    lo, hi = out["ci"]
+    assert math.isfinite(lo) and lo < out["alpha"] and hi == math.inf
+
+
 def test_hill_deterministic_and_errors():
     rng = np.random.default_rng(42)
     x = oracles.pareto_sample(rng, 1.2, 5000)
