@@ -6,7 +6,9 @@
  * or once per explicit tree by kernel.explicit_tree, which also checks the
  * tree), so the kernel does no floating-point arithmetic beyond turning a
  * hash into a uniform, and stores no potential, so it walks the same at every
- * depth. tests/pykernel.py is a Python reference with the same arena, the
+ * depth. Snapshots are four rows, tau, T, L, R: the raw step count, the
+ * excised clock, the e* visits and the range at each snapshot point.
+ * tests/pykernel.py is a Python reference with the same arena, the
  * same RNG stream and the same comparisons in the same order, and
  * tests/test_kernel_parity.py checks that equal seeds give bit-identical
  * output.
@@ -109,22 +111,21 @@ static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *a
     return GW_OK;
 }
 
-/* Record snapshot si; snap_out holds rows idx, tau, T, L, R of nsnap each. */
-static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t idx,
-                          int64_t m, int64_t t_ex, int64_t L, int64_t R)
+/* Record snapshot si; snap_out holds rows tau, T, L, R of nsnap each. */
+static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t m,
+                          int64_t t_ex, int64_t L, int64_t R)
 {
-    snap_out[si] = idx;
-    snap_out[nsnap + si] = m;
-    snap_out[2 * nsnap + si] = t_ex;
-    snap_out[3 * nsnap + si] = L;
-    snap_out[4 * nsnap + si] = R;
+    snap_out[si] = m;
+    snap_out[nsnap + si] = t_ex;
+    snap_out[2 * nsnap + si] = L;
+    snap_out[3 * nsnap + si] = R;
 }
 
 /* Run one walk. With n_explicit < 0 the tree grows lazily from the law tables
  * and env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
  * kernel.explicit_tree returns it: node i is atom i of the tables and has
  * exp_parent[i] and exp_child0[i]; atom_cum is then unused.
- * Snapshots go to the caller's 5 x nsnap buffer snap_out. On GW_OK, *st
+ * Snapshots go to the caller's 4 x nsnap buffer snap_out. On GW_OK, *st
  * holds the scalars and *arena_out the grown tree, which the caller releases
  * with gw_free; out of memory, *arena_out is NULL. */
 int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom_len,
@@ -167,7 +168,7 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
             pos = 0;
             if (mode == MODE_CROSSINGS) {
                 for (; si < nsnap && snaps[si] == L; si++)
-                    record(snap_out, nsnap, si, L, m, t_ex, L, R);
+                    record(snap_out, nsnap, si, m, t_ex, L, R);
                 if (L >= limit)
                     break;
             }
@@ -211,7 +212,7 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
 
         if (mode == MODE_STEPS) {
             for (; si < nsnap && snaps[si] == m; si++)
-                record(snap_out, nsnap, si, m, m, t_ex, L, R);
+                record(snap_out, nsnap, si, m, t_ex, L, R);
             if (m >= limit)
                 break;
         }

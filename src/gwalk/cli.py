@@ -15,6 +15,9 @@ parallelism width, output directory. Command-line flags override the
 matching config keys; a key that no command reads stops the command, and so
 do a seed that is not an integer >= 0 and a thread count that is not an
 integer >= 1.
+A coded error of the law, the limit laws or the forest sampler (LawError,
+LimitsError, StepBudgetExceeded) stops the command with one line that
+carries its code and message, before any file is written.
 Rerunning a command with the same config and seed writes byte-identical
 files (no timestamps, deterministic substream seeding, deterministic
 reduction order).
@@ -30,7 +33,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import experiments, law as law_mod, limits, stats
+from . import experiments, forest, law as law_mod, limits, stats
 
 __all__ = ["main"]
 
@@ -171,7 +174,13 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=str, default=None)
     args = parser.parse_args(argv)
     cfg = _load_config(args)
-    return _emit(cfg, args.command.replace("-", "_"), _call(args.command, cfg))
+    try:
+        out = _call(args.command, cfg)
+    except law_mod.LawError as err:  # its message starts with its code
+        raise SystemExit(str(err)) from err
+    except (limits.LimitsError, forest.StepBudgetExceeded) as err:
+        raise SystemExit(f"{err.code}: {err}") from err
+    return _emit(cfg, args.command.replace("-", "_"), out)
 
 
 if __name__ == "__main__":

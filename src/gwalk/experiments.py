@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import law as law_mod
 from ._rng import derive_seed, derive_seed_np
 from .env import enumerate_truncated, environment_survives, level_weights_batch
 from .law import MarkLaw, regime_of
-from .oracle import FiniteChain, lemma_mean_closed_form, lemma_second_closed_form
+from .oracle import FiniteChain
 
 __all__ = [
     "CONSTANT_NAMES",
@@ -79,6 +80,23 @@ def _check(key: str, value, least: int = 1, grid: bool = False) -> None:
     ):
         what = "a list of distinct integers" if grid else "an integer"
         raise SystemExit(f"{key} must be {what} >= {least}, got {value!r}")
+
+
+def _check_real(key: str, value, grid: bool = False) -> None:
+    """Stop the command, naming the config key, unless value is a finite
+    number > 0 or, with grid, a non-empty list of numbers in
+    [0, limits.ML_LAMBDA_MAX], the domain of the reference transforms."""
+    def real(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    if grid:
+        items = list(value) if isinstance(value, (list, tuple, np.ndarray)) else []
+        ok = bool(items) and all(real(v) and 0 <= v <= limits.ML_LAMBDA_MAX for v in items)
+        what = f"a non-empty list of numbers in [0, {limits.ML_LAMBDA_MAX}]"
+    else:
+        ok, what = real(value) and 0 < value < math.inf, "a finite number > 0"
+    if not ok:
+        raise SystemExit(f"{key} must be {what}, got {value!r}")
 
 
 def _positive(value, what: str):
@@ -216,13 +234,13 @@ def _grid_least(consts: Constants) -> int:
 
 
 def w_hat_batch(law: MarkLaw, env_seeds) -> np.ndarray:
-    """Additive martingale at depth W_DEPTH per environment, W_CHUNK at a
-    time to bound the (environments x mean_offspring^depth) arrays."""
+    """Additive martingale at depth W_DEPTH per environment (0 for one that
+    dies by then), W_CHUNK at a time to bound the (environments x
+    mean_offspring^depth) arrays."""
     seeds = np.asarray(env_seeds, dtype=np.uint64)
     out = np.empty(seeds.size)
     for i in range(0, seeds.size, W_CHUNK):
-        w, alive = level_weights_batch(law, seeds[i : i + W_CHUNK], W_DEPTH)
-        out[i : i + W_CHUNK] = np.where(alive, w, 0.0)
+        out[i : i + W_CHUNK] = level_weights_batch(law, seeds[i : i + W_CHUNK], W_DEPTH)[0]
     return out
 
 
@@ -296,6 +314,8 @@ def theorem2_campaign(
     kernel.require_library()
     _check("theorem2.n_trials", n_trials, least=2)
     _check("theorem2.m_grid", m_grid, least=_grid_least(consts), grid=True)
+    _check_real("theorem2.lambdas", lambdas, grid=True)
+    _check_real("theorem2.tol", tol)
     m_grid = sorted(int(m) for m in m_grid)
     scales = [consts.local_time_scale(n) for n in m_grid]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem2", n_trials)
@@ -314,7 +334,7 @@ def theorem2_campaign(
         "theorem2", z_by_n, consts.gamma, "SUP", lambdas, n_trials
     )
     verdicts = _laplace_verdicts("theorem2", "n", dists, tol, n_trials=n_trials)
-    return {"rows": rows, "verdicts": verdicts, "distances": dists, "z": z_by_n}
+    return {"rows": rows, "verdicts": verdicts}
 
 
 def theorem1_campaign(
@@ -345,10 +365,12 @@ def theorem1_campaign(
     There it is censored as +inf, which lowers each e^{-lambda Z} by less
     than e^{-lambda Z_BUDGET}: the transform's bias is at most
     n_censored e^{-lambda_min Z_BUDGET} / n_trials (censor_bias_bound).
-    Returns the rows, verdicts, distances, Z per grid point ("z") and the
-    running sums ("T", partial where censored)."""
+    Returns the rows, verdicts, Z per grid point ("z") and the running sums
+    ("T", partial where censored)."""
     _check("theorem1.n_trials", n_trials, least=2)
     _check("theorem1.p_grid", p_grid, least=_grid_least(consts), grid=True)
+    _check_real("theorem1.lambdas", lambdas, grid=True)
+    _check_real("theorem1.tol", tol)
     p_grid = sorted(int(p) for p in p_grid)
     dp = np.diff(p_grid, prepend=0)
     k = len(p_grid)
@@ -392,7 +414,7 @@ def theorem1_campaign(
         "theorem1", "p", dists, tol,
         n_trials=n_trials, n_censored=n_censored, censor_bias_bound=bias_bound,
     )
-    return {"rows": rows, "verdicts": verdicts, "distances": dists, "z": z_by_n, "T": T}
+    return {"rows": rows, "verdicts": verdicts, "z": z_by_n, "T": T}
 
 
 def theorem3_campaign(
@@ -423,6 +445,7 @@ def theorem3_campaign(
     _check("theorem3.n_trials", n_trials, least=2)
     _check("theorem3.n_grid", n_grid, least=_grid_least(consts), grid=True)
     _check("theorem3.budget", budget)
+    _check_real("theorem3.shrink", shrink)
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem3", n_trials)
@@ -473,7 +496,7 @@ def theorem3_campaign(
             **({} if ratio is not None else {"reason": f"median censored at n in {missing}"}),
         )
     ]
-    return {"rows": rows, "verdicts": verdicts, "medians": med, "sup_err": sup_err}
+    return {"rows": rows, "verdicts": verdicts}
 
 
 def corollary_campaign(
@@ -501,6 +524,7 @@ def corollary_campaign(
     kernel.require_library()
     _check("corollary.n_walkers", n_walkers, least=2)
     _check("corollary.n_grid", n_grid, grid=True)
+    _check_real("corollary.tol", tol)
     n_grid = sorted(int(n) for n in n_grid)
     env_seeds, walk_seeds = trial_seeds(master_seed, "corollary", n_walkers)
     m_grid = []
@@ -548,25 +572,35 @@ def corollary_campaign(
             n_walkers=n_walkers, n_rejected=n_rejected, **extra,
         )
     ]
-    return {"rows": rows, "verdicts": verdicts, "fit": fit, "p_hat": p_hat}
+    return {"rows": rows, "verdicts": verdicts, "fit": fit}
 
 
-def validate_law_campaign(law: MarkLaw) -> dict:
+def validate_law_campaign(law: MarkLaw, kappa: float) -> dict:
     """The law's assumption audit: psi on a grid, psi(1) = 0, psi'(1) < 0,
-    and kappa with its regime (`law.validate_law`). JSON has no infinity,
-    so an infinite kappa is written as null with a reason."""
-    rep = law_mod.validate_law(law)
-    rows = [{"t": float(t), "psi": float(v)} for t, v in zip(rep.psi_grid, rep.psi_values)]
-    psi1 = law_mod.psi_evaluate(law, 1.0)
-    infinite = rep.kappa == math.inf
+    and kappa (solved by the caller, which checks the first two on the way)
+    with its regime and, when diffusive, c0. Moment conditions beyond these
+    hold trivially for finite support and bounded offspring; a lattice law
+    is a warning only. JSON has no infinity, so an infinite kappa is written
+    as null with a reason."""
+    top = max(4.0, (kappa if math.isfinite(kappa) else 4.0) + 2)
+    grid = np.linspace(0.25, min(law_mod.KAPPA_T_MAX, top), 33)
+    rows = [{"t": float(t), "psi": float(v)}
+            for t, v in zip(grid, law_mod.psi_evaluate(law, grid))]
+    psi1, drift = law_mod.psi_evaluate(law, 1.0), law_mod.psi_prime(law, 1.0)
+    notes = ["moment conditions: trivially satisfied (finite support, bounded offspring)"]
+    lattice = law.is_lattice()
+    if lattice:
+        warnings.warn("law is lattice-supported; scaling constants may need care")
+        notes.append("lattice support detected (warning only)")
+    regime = regime_of(kappa)
+    infinite = kappa == math.inf
     verdicts = [
         stats.verdict_row("validate_law", "psi_at_1", psi1, 1e-9, abs(psi1) < 1e-9),
+        stats.verdict_row("validate_law", "negative_drift", drift, 0.0, drift < 0.0),
         stats.verdict_row(
-            "validate_law", "negative_drift", rep.psi_prime_1, 0.0, rep.psi_prime_1 < 0.0,
-        ),
-        stats.verdict_row(
-            "validate_law", "kappa", None if infinite else rep.kappa, None, True,
-            regime=rep.regime, lattice=rep.lattice, c0=rep.c0, notes=list(rep.notes),
+            "validate_law", "kappa", None if infinite else kappa, None, True,
+            regime=regime, lattice=lattice,
+            c0=law_mod._c0_finite_sum(law) if regime == "DIFFUSIVE" else None, notes=notes,
             **({"reason": "kappa is infinite"} if infinite else {}),
         ),
     ]
@@ -612,18 +646,12 @@ def lemma_moments_campaign(
         chain = FiniteChain(ex)
         means = chain.expected_edge_counts()
         for x in range(1, chain.n):
-            worst_mean = max(
-                worst_mean, abs(means[x] - lemma_mean_closed_form(ex["V"], x))
-            )
+            worst_mean = max(worst_mean, abs(means[x] - math.exp(-chain.V[x])))
         rng = np.random.default_rng(derive_seed(master_seed, "lemma-oracle", i, "pairs"))
         for x, y in rng.integers(1, chain.n, size=(n_pairs, 2)):
-            worst_second = max(
-                worst_second,
-                abs(
-                    chain.edge_second_moment(int(x), int(y))
-                    - lemma_second_closed_form(ex["parent"], ex["V"], int(x), int(y))
-                ),
-            )
+            x, y = int(x), int(y)
+            worst_second = max(worst_second, abs(chain.edge_second_moment(x, y)
+                                                 - chain.closed_second_moment(x, y)))
     verdicts.append(
         stats.verdict_row(
             "lemma_moments", "oracle_mean_abs_err", worst_mean, 1e-10,

@@ -39,7 +39,6 @@ __all__ = [
     "sample_typed_forest",
     "skeletonize",
     "finalize",
-    "transform",
     "check_tree_identities",
     "StepBudgetExceeded",
 ]
@@ -264,9 +263,6 @@ class FinalTree:
     def __len__(self) -> int:
         return len(self.parent)
 
-    def child_counts(self) -> np.ndarray:
-        return np.bincount(self.parent[1:], minlength=len(self))
-
     @property
     def root_offspring(self) -> int:
         """Number of depth-1 vertices."""
@@ -350,10 +346,6 @@ def finalize(s: SkeletonTree) -> FinalTree:
     deeper = t1_ids[t1_ids > 0]
     assert (ftype[fparent[deeper]] == 1).all()
     return FinalTree(parent=fparent, type1=ftype)
-
-
-def transform(t: TypedTree) -> FinalTree:
-    return finalize(skeletonize(t))
 
 
 def check_tree_identities(t: TypedTree) -> dict:

@@ -46,7 +46,9 @@ n_up[x]    moves x -> parent(x)
 Two stop modes: MODE_STEPS stops after `limit` raw steps, MODE_CROSSINGS
 stops at the forced return step of the `limit`-th e* visit. Snapshots are
 taken at caller-given sorted raw times (MODE_STEPS) or crossing indices
-(MODE_CROSSINGS).
+(MODE_CROSSINGS), as the rows tau, T, L, R (result keys snap_tau, ...): the
+values of m, t_ex, L and R there. The grid itself is the tau row in
+MODE_STEPS and the L row in MODE_CROSSINGS.
 
 Binding
 -------
@@ -185,7 +187,7 @@ def load_kernel(path) -> callable:
         ungrown node). MemoryError when the arena cannot grow."""
         nonlocal bound
         (snaps,) = _arrays([snaps], [np.int64])
-        snap_out = np.empty((5, len(snaps)), dtype=np.int64)
+        snap_out = np.empty((4, len(snaps)), dtype=np.int64)
         if explicit is None:
             n_explicit = -1
             tables, arrays, ptrs = bound
@@ -207,7 +209,7 @@ def load_kernel(path) -> callable:
             A = arena.contents
             out = {k: getattr(st, k) for k in ("status", "m", "t_ex", "L", "R", "pos")}
             out["nodes_grown"] = A.n
-            for row, name in enumerate(("idx", "tau", "T", "L", "R")):
+            for row, name in enumerate(("tau", "T", "L", "R")):
                 out["snap_" + name] = snap_out[row, : st.nsnap].copy()
             if collect_tree:
                 nodes = np.ctypeslib.as_array(A.node, shape=(A.n,))

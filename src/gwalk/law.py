@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +30,6 @@ __all__ = [
     "psi_prime",
     "solve_kappa",
     "regime_of",
-    "PotentialReport",
-    "validate_law",
     "make_two_point",
     "make_constant_bias",
     "load_law",
@@ -51,7 +49,8 @@ class LawError(ValueError):
     """Raised when a law violates a structural precondition.
 
     The ``code`` attribute carries a stable machine-readable tag:
-    NOT_NORMALIZED, SUBCRITICAL, ASSUMPTION_VIOLATION or NO_CONVERGENCE.
+    NOT_NORMALIZED, SUBCRITICAL, ASSUMPTION_VIOLATION, NO_CONVERGENCE or
+    MISSING_KEY.
     """
 
     def __init__(self, code: str, message: str):
@@ -129,10 +128,6 @@ class MarkLaw:
         return sum(p * len(m) for p, m in self.atoms)
 
     @property
-    def max_offspring(self) -> int:
-        return max(len(m) for p, m in self.atoms)
-
-    @property
     def has_negative_mark(self) -> bool:
         return any(a < 0 for _, m in self.atoms for a in m)
 
@@ -142,7 +137,7 @@ class MarkLaw:
         float gcd of the nonzero |marks| by Euclid with symmetric remainders,
         to within LATTICE_RTOL * max|mark|; since any finite set of floats is
         near a fine enough lattice, max|mark| / d may be at most
-        LATTICE_MAX_MULT. validate_law reports it as a warning only."""
+        LATTICE_MAX_MULT. validate-law reports it as a warning only."""
         marks = {abs(a) for _, m in self.atoms for a in m} - {0.0}
         if not marks:
             return True
@@ -340,50 +335,6 @@ def _c0_finite_sum(law: MarkLaw) -> float:
     return num / (1.0 - math.exp(psi_evaluate(law, 2.0)))
 
 
-@dataclass
-class PotentialReport:
-    """Assumption checks and regime classification for one law."""
-
-    kappa: float
-    psi_prime_1: float
-    regime: str
-    c0: float | None
-    psi_grid: np.ndarray = field(repr=False)
-    psi_values: np.ndarray = field(repr=False)
-    lattice: bool = False
-    notes: tuple[str, ...] = ()
-
-
-def validate_law(law: MarkLaw) -> PotentialReport:
-    """Full assumption audit: calibration, drift, kappa, regime, c0.
-
-    Moment conditions beyond these are automatic for finite-support laws with
-    bounded offspring and are reported as trivially satisfied.
-    """
-    _require_assumption1(law)
-    kappa = solve_kappa(law)
-    top = max(4.0, (kappa if math.isfinite(kappa) else 4.0) + 2)
-    grid = np.linspace(0.25, min(KAPPA_T_MAX, top), 33)
-    values = psi_evaluate(law, grid)
-    notes = ["moment conditions: trivially satisfied (finite support, bounded offspring)"]
-    lattice = law.is_lattice()
-    if lattice:
-        warnings.warn("law is lattice-supported; scaling constants may need care")
-        notes.append("lattice support detected (warning only)")
-    regime = regime_of(kappa)
-    c0 = _c0_finite_sum(law) if regime == "DIFFUSIVE" else None
-    return PotentialReport(
-        kappa=kappa,
-        psi_prime_1=psi_prime(law, 1.0),
-        regime=regime,
-        c0=c0,
-        psi_grid=grid,
-        psi_values=values,
-        lattice=lattice,
-        notes=tuple(notes),
-    )
-
-
 # ----------------------------------------------------------------------------
 # Desk families
 
@@ -427,6 +378,7 @@ def load_law(source) -> MarkLaw:
     {"family": "constant_bias", "lam": ..., "n": ...}, or
     {"atoms": [{"p": ..., "marks": [...]}, ...][, "calibrate": true]} where
     the calibrate flag shifts every mark by psi(1) to restore calibration.
+    A required key that is missing is a LawError MISSING_KEY naming it.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source) as fh:
@@ -436,13 +388,16 @@ def load_law(source) -> MarkLaw:
     else:
         doc = source
     fam = doc.get("family")
-    if fam == "two_point":
-        return make_two_point(doc["p"], doc.get("b"))
-    if fam == "constant_bias":
-        return make_constant_bias(doc["lam"], doc.get("n", 2))
-    if fam is not None:
-        raise LawError("NOT_NORMALIZED", f"unknown family {fam!r}")
-    atoms = [(a["p"], tuple(a["marks"])) for a in doc["atoms"]]
+    try:
+        if fam == "two_point":
+            return make_two_point(doc["p"], doc.get("b"))
+        if fam == "constant_bias":
+            return make_constant_bias(doc["lam"], doc.get("n", 2))
+        if fam is not None:
+            raise LawError("NOT_NORMALIZED", f"unknown family {fam!r}")
+        atoms = [(a["p"], tuple(a["marks"])) for a in doc["atoms"]]
+    except KeyError as err:
+        raise LawError("MISSING_KEY", f"the law spec has no key {err.args[0]!r}") from err
     if doc.get("calibrate"):
         atoms = _shift_calibrate(atoms)
     return make_mark_law(atoms)

@@ -201,8 +201,9 @@ def estimate_c_kappa(
     m_grid = np.unique(np.geomspace(lo, hi, num=12).astype(np.int64))
 
     n = b.size
-    tail = np.array([(b > m).sum() for m in m_grid], dtype=np.float64)
-    vals = m_grid.astype(float) ** kappa * tail / n
+    # draws above each grid point, and none above the last bin's open end
+    above = np.array([(b > m).sum() for m in m_grid] + [0], dtype=np.int64)
+    vals = m_grid.astype(float) ** kappa * above[:-1] / n
     half = vals[len(vals) // 2 :]
     est = float(np.median(half))
     spread = (half.max() - half.min()) / max(np.median(half), 1e-300)
@@ -214,8 +215,6 @@ def estimate_c_kappa(
         )
 
     # histogram bootstrap: bin counts between grid points are multinomial
-    edges = np.r_[m_grid, np.iinfo(np.int64).max]
-    above = np.array([(b > m).sum() for m in edges], dtype=np.int64)
     bins = np.r_[n - above[0], -np.diff(above)]
     brng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "boot"))
     counts = brng.multinomial(n, bins / n, size=_stats.N_BOOT)

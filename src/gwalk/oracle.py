@@ -19,13 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "FiniteChain",
-    "hx_array",
-    "lca",
-    "lemma_mean_closed_form",
-    "lemma_second_closed_form",
-]
+__all__ = ["FiniteChain", "hx_array"]
 
 
 def hx_array(parent: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -37,41 +31,6 @@ def hx_array(parent: np.ndarray, V: np.ndarray) -> np.ndarray:
     for i in range(1, n):
         H[i] = 1.0 + math.exp(-(V[i] - V[parent[i]])) * H[parent[i]]
     return H
-
-
-def lca(parent: np.ndarray, gen: np.ndarray, x: int, y: int) -> int:
-    while gen[x] > gen[y]:
-        x = parent[x]
-    while gen[y] > gen[x]:
-        y = parent[y]
-    while x != y:
-        x = parent[x]
-        y = parent[y]
-    return x
-
-
-def _gen_array(parent: np.ndarray) -> np.ndarray:
-    g = np.zeros(len(parent), dtype=np.int64)
-    for i in range(1, len(parent)):
-        g[i] = g[parent[i]] + 1
-    return g
-
-
-def lemma_mean_closed_form(V: np.ndarray, x: int) -> float:
-    return math.exp(-V[x])
-
-
-def lemma_second_closed_form(parent, V, x: int, y: int) -> float:
-    """Closed-form E[N_x N_y] per excursion (x, y nonroot tree nodes)."""
-    parent = np.asarray(parent)
-    V = np.asarray(V)
-    gen = _gen_array(parent)
-    H = hx_array(parent, V)
-    z = lca(parent, gen, x, y)
-    if z == x or z == y:
-        anc, desc = (x, y) if z == x else (y, x)
-        return math.exp(-V[desc]) * (2.0 * H[anc] - 1.0)
-    return 2.0 * H[z] * math.exp(V[z]) * math.exp(-V[x]) * math.exp(-V[y])
 
 
 class FiniteChain:
@@ -89,15 +48,15 @@ class FiniteChain:
         if n == 0 or self.parent[0] != -1:
             raise ValueError("root must be first with parent -1")
         self.n = n
-        self.gen = _gen_array(self.parent)
-        self.H = hx_array(self.parent, self.V)
-        w = np.exp(-self.V)
+        self.gen = np.zeros(n, dtype=np.int64)
         children: list[list[int]] = [[] for _ in range(n)]
         for i in range(1, n):
+            self.gen[i] = self.gen[self.parent[i]] + 1
             children[self.parent[i]].append(i)
-        self.children = children
+        self.H = hx_array(self.parent, self.V)
+        w = np.exp(-self.V)
         # Q: substochastic kernel on tree nodes (absorption at e*);
-        # up_prob[x]: mass sent from x to its parent (to e* when x is root)
+        # up[x]: mass sent from x to its parent (to e* when x is root)
         Q = np.zeros((n, n))
         up = np.zeros(n)
         for x in range(n):
@@ -108,7 +67,6 @@ class FiniteChain:
             if self.parent[x] >= 0:
                 Q[x, self.parent[x]] = up[x]
         self.Q = Q
-        self.up_prob = up
         self._Z = None
         rowsums = Q.sum(axis=1) + np.where(self.parent == -1, up, 0.0)
         assert np.all(np.abs(rowsums - 1.0) < 1e-13)
@@ -153,3 +111,19 @@ class FiniteChain:
         second = Z[0, uy] * qy * Z[y, ux] * qx
         diag = Z[0, ux] * qx if x == y else 0.0
         return first + second + diag
+
+    def closed_second_moment(self, x: int, y: int) -> float:
+        """E[N_x N_y] per excursion (x, y nonroot) by the closed forms of
+        the module docstring, with z the last common ancestor of x and y."""
+        z, u = x, y
+        while self.gen[z] > self.gen[u]:
+            z = self.parent[z]
+        while self.gen[u] > self.gen[z]:
+            u = self.parent[u]
+        while z != u:
+            z, u = self.parent[z], self.parent[u]
+        V, H = self.V, self.H
+        if z == x or z == y:
+            anc, desc = (x, y) if z == x else (y, x)
+            return math.exp(-V[desc]) * (2.0 * H[anc] - 1.0)
+        return 2.0 * H[z] * math.exp(V[z]) * math.exp(-V[x]) * math.exp(-V[y])

@@ -122,7 +122,7 @@ def lukasiewicz(forest: Sequence) -> LukasiewiczPath:
     sizes = np.empty(len(forest), dtype=np.int64)
     k1 = np.empty(len(forest), dtype=np.int64)
     for i, f in enumerate(forest):
-        cnt = f.child_counts()
+        cnt = np.bincount(f.parent[1:], minlength=len(f))
         mask = f.type1 == 1
         t1_children = np.zeros(len(f), dtype=np.int64)
         deeper = np.flatnonzero(mask)

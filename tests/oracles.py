@@ -217,7 +217,7 @@ def return_prob_grid(chain, times) -> np.ndarray:
     n = chain.n
     P = np.zeros((n + 1, n + 1))
     P[:n, :n] = chain.Q
-    P[0, n] = chain.up_prob[0]
+    P[0, n] = 1.0 - chain.Q[0].sum()  # the root's step up, to e*
     P[n, 0] = 1.0
     mu = np.zeros(n + 1)
     mu[0] = 1.0

@@ -38,7 +38,7 @@ def run_walk(
     """
     snaps = np.asarray(snaps, dtype=np.int64)
     nsnap = len(snaps)
-    snap = np.empty((5, nsnap), dtype=np.int64)  # rows idx, tau, T, L, R
+    snap = np.empty((4, nsnap), dtype=np.int64)  # rows tau, T, L, R
 
     if explicit is None:
         tables = law_tables
@@ -79,7 +79,7 @@ def run_walk(
             pos = 0
             if mode == MODE_CROSSINGS:
                 while si < nsnap and snaps[si] == L:
-                    snap[:, si] = (L, m, t_ex, L, R)
+                    snap[:, si] = (m, t_ex, L, R)
                     si += 1
                 if L >= limit:
                     break
@@ -130,14 +130,14 @@ def run_walk(
 
         if mode == MODE_STEPS:
             while si < nsnap and snaps[si] == m:
-                snap[:, si] = (m, m, t_ex, L, R)
+                snap[:, si] = (m, t_ex, L, R)
                 si += 1
             if m >= limit:
                 break
 
     out = {"status": status, "m": m, "t_ex": t_ex, "L": L, "R": R, "pos": pos,
            "nodes_grown": len(parent)}
-    for row, name in enumerate(("idx", "tau", "T", "L", "R")):
+    for row, name in enumerate(("tau", "T", "L", "R")):
         out["snap_" + name] = snap[row, :si].copy()
     if collect_tree:
         tree = {"parent": parent, "atom": atom, "ndown": n_down, "nup": n_up}

@@ -11,10 +11,12 @@ command. Every verdict file is strict JSON (no NaN or Infinity), also when
 die, so that their survival resampling runs end to end. A subdiffusive
 command loads no scipy. Without the built library, the commands that walk
 stop with the build message and the others run. Bad sizes and grids (grid
-point 1 at kappa = 2), bad `lemma-moments` settings, a tail with too few
-positive draws of B, a bad seed or thread count and config keys that no
-command reads stop the command with a message before it writes anything,
-and the accepted keys are pinned. estimate-constants writes
+point 1 at kappa = 2), bad lambdas, tol or shrink, bad `lemma-moments`
+settings, a tail with too few positive draws of B, a bad seed or thread
+count and config keys that no command reads stop the command with a message
+before it writes anything, and the accepted keys are pinned. A bad law spec
+and a coded error raised inside a command stop it with one line that
+carries the code. estimate-constants writes
 the CIs of every constant and the Hill index's CI.
 """
 
@@ -32,7 +34,7 @@ from pathlib import Path
 import pytest
 
 import gwalk
-from gwalk import cli, experiments, kernel, limits, walk
+from gwalk import cli, excursion, experiments, forest, kernel, limits, walk
 from gwalk._rng import derive_seed
 from gwalk.env import environment_survives
 from gwalk.experiments import trial_seeds
@@ -224,6 +226,8 @@ def test_lemma_moments_rejects_bad_regen_settings(tmp_path, bad, message):
 
 INT1, INT2 = " must be an integer >= 1", " must be an integer >= 2"
 GRID = " must be a list of distinct integers >= 1"
+LAMBDAS = " must be a non-empty list of numbers in [0, 30.0]"
+POSITIVE = " must be a finite number > 0"
 
 
 @pytest.mark.parametrize("command, key, value, message", [
@@ -244,13 +248,30 @@ GRID = " must be a list of distinct integers >= 1"
     ("theorem3", "theorem3.n_grid", [0, 5], GRID),
     ("theorem3", "theorem3.budget", True, INT1),
     ("lemma-moments", "lemma_moments.depth", 0, INT1),
+    ("theorem2", "theorem2.lambdas", [0.5, 40.0], LAMBDAS),
+    ("theorem2", "theorem2.lambdas", [-1.0], LAMBDAS),
+    ("theorem1", "theorem1.lambdas", ["x", 1.0], LAMBDAS),
+    ("theorem1", "theorem1.lambdas", [], LAMBDAS),
+    ("theorem1", "theorem1.tol", "big", POSITIVE),
+    ("theorem2", "theorem2.tol", float("nan"), POSITIVE),
+    ("theorem3", "theorem3.shrink", 0, POSITIVE),
+    ("corollary", "corollary.tol", -0.1, POSITIVE),
 ])
-def test_bad_size_or_grid_stops_the_command(tmp_path, command, key, value, message):
+def test_bad_size_or_grid_stops_the_command(tmp_path, monkeypatch, command, key, value,
+                                            message):
     """A size below 1, or below 2 where it feeds a standard error or a
-    median, a grid that is not distinct integers >= 1, and a c_kappa draw
-    with fewer than two positive B values (seed 4 draws B = (2, 0)) stop the
-    command with a message naming <section>.<key>, before any file is
-    written."""
+    median, a grid that is not distinct integers >= 1, lambdas that are not
+    a non-empty list of numbers in [0, ML_LAMBDA_MAX], a tol or shrink that
+    is not a finite number > 0, and a c_kappa draw with fewer than two
+    positive B values (seed 4 draws B = (2, 0)) stop the command with a
+    message naming <section>.<key>, before any walk, any sampled count tree
+    (but that draw of B) and any file."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before checking the config")
+
+    monkeypatch.setattr(kernel, "run_walk", refuse)
+    if command != "estimate-constants":
+        monkeypatch.setattr(excursion, "excursion_levels", refuse)
     section, name = key.split(".")
     sections = {command.replace("-", "_"): TINY[command], "estimate_constants": ESTIMATE}
     sections[section] = {**sections[section], name: value}
@@ -387,6 +408,43 @@ def test_unknown_config_key_stops_the_command(tmp_path, command, extra, message)
     with pytest.raises(SystemExit, match=message):
         cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("law, message", [
+    ({"family": "two_point"}, "MISSING_KEY: the law spec has no key 'p'"),
+    ({"atoms": [{"p": 1.0}]}, "MISSING_KEY: the law spec has no key 'marks'"),
+    ({"family": "two_point", "p": 0.3}, "ASSUMPTION_VIOLATION: p=0.3 too large to calibrate"),
+], ids=["no-p", "no-marks", "p-too-large"])
+@pytest.mark.parametrize("command", ["validate-law", "theorem2"])
+def test_bad_law_stops_the_command_in_one_line(tmp_path, command, law, message):
+    """A law spec with a missing key, or a law that the law layer refuses,
+    stops the command with one line carrying the LawError's code and
+    message, not a traceback, before any file is written."""
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, command, 1, "bad", extra={"law": law})
+    assert exc.value.code == message
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command, owner, name, error, message", [
+    ("theorem2", limits, "ml_laplace", limits.LimitsError("RANGE", "lambda out of range"),
+     "RANGE: lambda out of range"),
+    ("forest-identities", forest, "sample_typed_forest",
+     forest.StepBudgetExceeded("too many trees passed the budget"),
+     "STEP_BUDGET_EXCEEDED: too many trees passed the budget"),
+])
+def test_coded_error_stops_the_command_in_one_line(tmp_path, monkeypatch, command, owner,
+                                                   name, error, message):
+    """A LimitsError or StepBudgetExceeded raised inside a command stops it
+    with one line carrying the error's code and message."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, fail)
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, command, 1, "bad")
+    assert exc.value.code == message
+    assert not (tmp_path / "bad").exists()
 
 
 def test_config_surface_is_pinned():

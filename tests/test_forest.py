@@ -13,7 +13,6 @@ from gwalk.forest import (
     finalize,
     sample_typed_forest,
     skeletonize,
-    transform,
     typed_from_excursion,
     typed_tree,
 )
@@ -88,7 +87,7 @@ def test_finalize_matches_naive():
 
 def test_lukasiewicz_matches_naive():
     for t in _forest(60, seed=12):
-        f = transform(t)
+        f = finalize(skeletonize(t))
         path = lukasiewicz([f])
         v_steps, d_steps = oracles.lukasiewicz_steps_naive(f.parent, f.type1)
         assert np.array_equal(np.diff(path.v1), v_steps)
@@ -103,7 +102,7 @@ def test_tree_identities_on_sampled_trees():
 
 def test_path_identities_on_sampled_forest():
     trees = _forest(300, seed=14)
-    path = lukasiewicz([transform(t) for t in trees])
+    path = lukasiewicz([finalize(skeletonize(t)) for t in trees])
     assert path.n_trees == 300
     res = path.check_identities()
     assert res["first_passage"]
@@ -113,7 +112,7 @@ def test_path_identities_on_sampled_forest():
 
 
 def test_first_passage_trivial_forest():
-    one = transform(typed_tree([-1], [1]))
+    one = finalize(skeletonize(typed_tree([-1], [1])))
     assert len(one) == 1 and one.type1.tolist() == [1]
     path = lukasiewicz([one, one])
     assert path.v1.tolist() == [0, -1, -2]
@@ -130,7 +129,7 @@ def test_padding_block_structure():
     close its own block."""
     # root(b=1) with children: a(b=3, leaf) and b(b=1) with child c(b=2)
     t = typed_tree([-1, 0, 0, 2], [1, 3, 1, 2])
-    f = transform(t)
+    f = finalize(skeletonize(t))
     # skeleton: a is type 0 with b2 = beta_star(a) = 3, so its two pads
     # hang on the root; b is type 1 with b2 = beta_star(b) = 1 + 2 = 3, so its
     # two pads close b's own block; c is type 0 with b2 = 2, so its one pad
@@ -140,7 +139,7 @@ def test_padding_block_structure():
     assert len(f) == int(t.beta_star.sum()) == 13
     assert f.parent.tolist() == [-1, 0, 0, 0, 0, 4, 4, 4, 4, 0, 0, 0, 0]
     assert f.type1.tolist() == [1, 0, 0, 0, 1] + [0] * 8
-    counts = f.child_counts()
+    counts = np.bincount(f.parent[1:], minlength=len(f))
     assert counts[0] == f.root_offspring
     # every type-0 vertex is a leaf
     zero_ids = np.flatnonzero(f.type1 == 0)

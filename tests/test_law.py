@@ -18,8 +18,8 @@ from gwalk.law import (
     psi_prime,
     regime_of,
     solve_kappa,
-    validate_law,
 )
+from gwalk.experiments import validate_law_campaign
 
 with open("tests/expected/constants.json") as fh:
     EXPECTED = json.load(fh)
@@ -80,13 +80,17 @@ def test_regimes():
 
 
 def test_validate_law_report():
-    rep = validate_law(make_two_point(0.068))
-    assert rep.regime == "SUBDIFFUSIVE"
-    assert rep.psi_prime_1 < 0
-    assert rep.c0 is None
-    assert not rep.lattice and not any("lattice" in n for n in rep.notes)
-    rep2 = validate_law(make_two_point(0.02))
-    assert rep2.c0 is not None and rep2.c0 > 0
+    def report(law):
+        out = validate_law_campaign(law, solve_kappa(law))
+        return {v["statistic"]: v for v in out["verdicts"]}
+
+    rep = report(make_two_point(0.068))
+    kap = rep["kappa"]
+    assert kap["regime"] == "SUBDIFFUSIVE" and kap["c0"] is None
+    assert rep["negative_drift"]["value"] < 0 and rep["negative_drift"]["pass"]
+    assert not kap["lattice"] and not any("lattice" in n for n in kap["notes"])
+    c0 = report(make_two_point(0.02))["kappa"]["c0"]
+    assert c0 is not None and c0 > 0
 
 
 def test_uncalibrated_atoms_rejected():
@@ -94,7 +98,7 @@ def test_uncalibrated_atoms_rejected():
     # drift normalization check must reject the law
     law = make_mark_law([(1.0, (0.5, 0.5))])
     with pytest.raises(LawError) as err:
-        validate_law(law)
+        solve_kappa(law)
     assert err.value.code == "ASSUMPTION_VIOLATION"
 
 
@@ -143,7 +147,6 @@ def test_load_calibrate_flag():
 def test_mark_law_properties():
     law = make_two_point(0.068)
     assert math.isclose(law.mean_offspring, 2.0)
-    assert law.max_offspring == 2
     assert law.has_negative_mark
     cb = make_constant_bias(2.0)
     assert not cb.has_negative_mark

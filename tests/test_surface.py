@@ -2,7 +2,9 @@
 
 A deleted or renamed function must fail here, not silently drop a span from
 the benchmark's per-layer metrics (`bench/tracing.py` patches its targets by
-module and attribute name, and records a missing one only at run time).
+module and attribute name, and records a missing one only at run time). So
+must a function that still exists but that the commands no longer call
+through the name the tracer patches.
 """
 
 import importlib
@@ -43,3 +45,26 @@ def test_tracer_targets_exist():
     for mod, attr, _span in _tracing().TARGETS:
         assert hasattr(importlib.import_module(mod), attr), f"{mod}.{attr}"
     assert callable(getattr(importlib.import_module("gwalk.env").MarkedTree, "grow"))
+
+
+def test_tracer_targets_are_reached(tmp_path, monkeypatch, compiled_run_walk):
+    """The four commands of the benchmark's workloads and theorem1, at the
+    tiny sizes of test_cli, open every span of the tracer's TARGETS at least
+    once. `MarkedTree.grow` is a call counter, not a span, and is exempt.
+    Every attribute the tracer patches is restored afterwards."""
+    from test_cli import _run
+
+    tracing = _tracing()
+    env = importlib.import_module("gwalk.env")
+    for mod, attr, _span in tracing.TARGETS:
+        owner = importlib.import_module(mod)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    monkeypatch.setattr(env.MarkedTree, "grow", env.MarkedTree.grow)
+    tracer = tracing.Tracer()
+    tracer.install()
+    assert tracer.missing == []
+    for command in ("theorem1", "theorem2", "theorem3", "estimate-constants",
+                    "forest-identities"):
+        _run(tmp_path, command, 1, command)
+    seen = {s["name"] for s in tracer.spans}
+    assert [span for _, _, span in tracing.TARGETS if span not in seen] == []

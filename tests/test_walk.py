@@ -25,9 +25,10 @@ def test_kernel_conservation_and_clock_identity():
     # every step crosses exactly one edge, the e* -> e steps included
     assert nd.sum() + nu.sum() == res["m"]
     assert nd[0] == res["L"] == p
-    assert res["snap_idx"].tolist() == list(range(1, p + 1))
+    # a snapshot at every crossing j, where L = j
+    assert res["snap_L"].tolist() == list(range(1, p + 1))
     # T^j = tau^j - j at every crossing j
-    assert np.array_equal(res["snap_T"], res["snap_tau"] - res["snap_idx"])
+    assert np.array_equal(res["snap_T"], res["snap_tau"] - res["snap_L"])
     # the excised clock never counts forced e* -> e steps
     assert res["t_ex"] == res["m"] - res["L"]
 
@@ -40,11 +41,11 @@ def test_kernel_excised_clock_identity():
 
 def test_snapshot_marginals_rows():
     res = simulate_time_grid(SUB, 21, 22, [100, 400])
-    assert res["snap_idx"].tolist() == res["snap_tau"].tolist() == [100, 400]
+    assert res["snap_tau"].tolist() == [100, 400]
     assert res["snap_L"][1] >= res["snap_L"][0]  # L is nondecreasing
     assert res["snap_R"][1] >= res["snap_R"][0]  # R is nondecreasing
     res = simulate_excursion_grid(SUB, 21, 22, [5], 10**9)
-    assert res["snap_idx"].tolist() == res["snap_L"].tolist() == [5]
+    assert res["snap_L"].tolist() == [5]
     assert res["snap_T"][0] == res["snap_tau"][0] - 5  # T^p = tau^p - p
 
 
@@ -149,7 +150,8 @@ def test_kernel_law_matches_return_prob_grid(request, impl):
     chain = FiniteChain(explicit)
     want = oracles.return_prob_grid(chain, steps)
     assert chain.n == 15
-    assert math.isclose(want[0], chain.up_prob[0], rel_tol=1e-15)
+    # the first step leaves the root upward with the kernel's P(up)
+    assert math.isclose(want[0], kernel.explicit_tree(explicit)[0].p_up[0], rel_tol=1e-15)
     assert (arrivals[1::2] == 0).all()
     odd = want[0::2]
     z = (arrivals[0::2] - n * odd) / np.sqrt(n * odd * (1.0 - odd))
