@@ -10,15 +10,15 @@ Build and run a source checkout from its root:
     PYTHONPATH=src python -m gwalk.cli theorem2 --config configs/two_point_sub.json
 
 or install the package (`pip install .`), which builds the library too. The
-commands that run walks (`theorem2`, `theorem3`, `corollary`,
-`lemma-moments`) stop with a message naming the build command when the
-library is not built; the others run without it. The tests build the library
-for their session when the checkout has none.
+commands that run walks or read W (`theorem1`, `theorem2`, `theorem3`,
+`corollary`, `lemma-moments`) stop with a message naming the build command
+when the library is not built; the others run without it. The tests build
+the library for their session when the checkout has none.
 
 Keep -ffp-contract=off and add no -ffast-math or -march=native: the kernel
 must turn a hash into a uniform and compare it against the step tables
-exactly as the tests' Python reference `tests/pykernel.py` does, or
-bit-parity breaks.
+exactly as the tests' Python reference `tests/pykernel.py` does, and sum
+potentials exactly as the numpy reference of W does, or bit-parity breaks.
 """
 
 from setuptools import Extension, setup

@@ -1,10 +1,11 @@
-/* Plain-C walk kernel: the walk gwalk runs, bound by gwalk.kernel.
+/* Plain-C walk kernel: the walk gwalk runs, and the depth-first walker that
+ * lists a generation for W; both are bound by gwalk.kernel.
  *
  * The walk's contract (arena, dynamics, bookkeeping) is the docstring of
  * gwalk/kernel.py. A step reads only the current node's atom: the caller
  * passes the step tables (LawTables.p_up and step_cum, computed once per law,
  * or once per explicit tree by kernel.explicit_tree, which also checks the
- * tree), so the kernel does no floating-point arithmetic beyond turning a
+ * tree), so the walk does no floating-point arithmetic beyond turning a
  * hash into a uniform, and stores no potential, so it walks the same at every
  * depth. Snapshots are four rows, tau, T, L, R: the raw step count, the
  * excised clock, the e* visits and the range at each snapshot point.
@@ -12,15 +13,21 @@
  * same RNG stream and the same comparisons in the same order, and
  * tests/test_kernel_parity.py checks that equal seeds give bit-identical
  * output.
+ * gw_level lists the potentials V of one generation of a keyed environment.
+ * It adds marks root to leaf in the order of gwalk.env.next_level, and does
+ * no other floating-point arithmetic: e^{-V} stays in numpy, whose SIMD exp
+ * may differ from the C library's exp in the last place, so W keeps the bits
+ * of the numpy reference in tests/oracles.py (tests/test_env.py checks them).
+ * Both grow nodes through one atom_of and one child_key.
  * The file holds no Python API and no global mutable state: gwalk.kernel
  * calls gw_walk through ctypes, which releases the GIL, so trials on several
  * threads run in parallel. The arena is one array of 48-byte node records
  * (six 8-byte fields). gwalk.kernel restates gw_node, gw_arena, gw_stats and
- * the parameters of gw_walk by hand; tests/test_kernel_layout.py checks that
- * both sides name the same fields in the same order.
+ * the parameters of gw_walk and gw_level by hand; tests/test_kernel_layout.py
+ * checks that both sides name the same fields in the same order.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
- * -ffast-math or -march=native.
+ * -ffast-math or -march=native, and keep -ffp-contract=off.
  */
 
 #include <stdint.h>
@@ -92,21 +99,34 @@ static void set_node(gw_arena *A, int64_t i, int64_t parent, uint64_t key)
     A->node[i] = (gw_node){parent, -1, 0, 0, -1, key};
 }
 
+/* Offspring atom of a node key: the key's top 53 bits as a uniform on [0, 1)
+ * against the cumulative atom probabilities, whose last entry is 1.0. */
+static inline int64_t atom_of(uint64_t key, const double *atom_cum)
+{
+    double u = (double)(key >> 11) * TWO_NEG53;
+    int64_t a = 0;
+    while (u >= atom_cum[a])
+        a++;
+    return a;
+}
+
+/* Key of the j-th (0-based) child of the node with key k. */
+static inline uint64_t child_key(uint64_t k, int64_t j)
+{
+    return mix64(k ^ ((uint64_t)(j + 2) * GOLDEN));
+}
+
 /* Give ungrown node x its atom and children: its key alone decides both. */
 static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *atom_len)
 {
     uint64_t kx = A->node[x].key;
-    double u = (double)(kx >> 11) * TWO_NEG53;
-    int64_t a = 0, k, j;
-    while (u >= atom_cum[a])
-        a++;
-    k = atom_len[a];
+    int64_t a = atom_of(kx, atom_cum), k = atom_len[a], j;
     if (reserve(A, A->n + k))
         return GW_ENOMEM;
     A->node[x].atom = a;
     A->node[x].child0 = A->n;
     for (j = 0; j < k; j++)
-        set_node(A, A->n + j, x, mix64(kx ^ ((uint64_t)(j + 2) * GOLDEN)));
+        set_node(A, A->n + j, x, child_key(kx, j));
     A->n += k;
     return GW_OK;
 }
@@ -225,4 +245,58 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
 fail:
     gw_free(A);
     return err;
+}
+
+/* One node on the path of gw_level's depth-first search: its key, its V, its
+ * atom's marks and the index of its next child to visit. */
+typedef struct {
+    uint64_t key;
+    double V;
+    int64_t off, len, j;
+} gw_frame;
+
+/* Potentials V of generation `level` of the keyed environment env_seed, left
+ * to right: the order in which gwalk.env.next_level lists the generation.
+ * A child's V is its parent's V plus its mark, summed root to leaf from the
+ * root's 0.0. The search holds the path down to generation level - 1 and
+ * lists the children of each node there, so it computes no key of the
+ * generation itself. The first min(n, cap) values go to v_out. Returns n,
+ * the size of the generation, or -1 when out of memory for the path. */
+int64_t gw_level(const double *atom_cum, const int64_t *atom_off, const int64_t *atom_len,
+                 const double *marks, uint64_t env_seed, int64_t level, double *v_out,
+                 int64_t cap)
+{
+    gw_frame *path, *f;
+    int64_t n = 0, d = 0, a, j;
+    uint64_t key;
+
+    if (level == 0) {
+        if (cap > 0)
+            v_out[0] = 0.0;
+        return 1;
+    }
+    if (!(path = malloc((size_t)level * sizeof *path)))
+        return -1;
+    key = mix64(env_seed ^ ROOT_SALT);
+    a = atom_of(key, atom_cum);
+    path[0] = (gw_frame){key, 0.0, atom_off[a], atom_len[a], 0};
+    while (d >= 0) {
+        f = &path[d];
+        if (d == level - 1) {
+            if (n + f->len <= cap)
+                for (j = 0; j < f->len; j++)
+                    v_out[n + j] = f->V + marks[f->off + j];
+            n += f->len;
+            d--;
+        } else if (f->j == f->len) {
+            d--;
+        } else {
+            j = f->j++;
+            key = child_key(f->key, j);
+            a = atom_of(key, atom_cum);
+            path[++d] = (gw_frame){key, f->V + marks[f->off + j], atom_off[a], atom_len[a], 0};
+        }
+    }
+    free(path);
+    return n;
 }

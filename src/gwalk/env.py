@@ -3,9 +3,10 @@
 A node's 64-bit key alone determines its offspring atom (`atom_of`) and the
 keys of its children, so the environment is a pure function of its seed, the
 one the walk kernels grow. `next_level` grows one generation of a batch of
-environments; the level martingale W_l, survival and the truncated trees of
-the exact oracles all run on it. `MarkedTree` grows the same environment one
-node at a time, as a reference for the tests.
+environments; survival and the truncated trees of the exact oracles run on
+it. The level martingale W_l runs on the library's depth-first walker over
+the same keys. `MarkedTree` grows the same environment one node at a time,
+as a reference for the tests.
 
 Also houses the size-biased one-dimensional walk S: under the calibration
 psi(1) = 0 the increment law has density p_i * exp(-a) on each mark a of atom
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 
+from . import kernel
 from ._rng import MASK, TWO_NEG53, child_key, child_key_np, root_key, root_key_np
 from .law import LawTables, MarkLaw
 
@@ -202,26 +204,26 @@ def discounted_sums_batch(
 
 
 # ----------------------------------------------------------------------------
-# Callers of next_level: W_l, truncated trees, survival
+# W_l on the library's walker; truncated trees and survival on next_level
 
 
-def level_weights_batch(law: MarkLaw, env_seeds: np.ndarray, level: int):
-    """W_level for a batch of environments at once.
+def level_weights_batch(law: MarkLaw, env_seeds, level: int) -> np.ndarray:
+    """W_level = sum of e^{-V(x)} over generation `level`, per environment
+    seed (0.0 for an environment that dies by then).
 
-    Returns (W, alive) where alive marks environments whose level is
-    nonempty. Only the live generation is kept, but it grows like (number of
-    environments) * E[N]^level; chunk the seeds at the call site for deep
-    levels.
-    """
-    t = law.tables()
-    key = root_key_np(env_seeds)
-    n = key.size
-    row = np.arange(n)
-    V = np.zeros(n)
-    for _ in range(level):
-        row, _, key, V = next_level(t, row, key, V)
-    W = np.bincount(row, weights=np.exp(-V), minlength=n)
-    return W, np.bincount(row, minlength=n) > 0
+    The library's depth-first walker (`kernel.level_potentials`) lists each
+    generation, so memory is one generation of one environment. The leaves
+    are summed in order from 0.0, as `np.bincount` sums a row, and e^{-V}
+    is numpy's exp, so W has the bits of the breadth-first reference over
+    `next_level` (tests/oracles.py)."""
+    seeds = np.asarray(env_seeds, dtype=np.uint64).ravel()
+    W = np.zeros(seeds.size)
+    for i, V in enumerate(kernel.level_potentials(law.tables(), seeds, level)):
+        if V.size:
+            np.negative(V, out=V)
+            np.exp(V, out=V)
+            W[i] = np.cumsum(V, out=V)[-1]
+    return W
 
 
 def enumerate_truncated(law: MarkLaw, env_seed: int, depth: int) -> dict:

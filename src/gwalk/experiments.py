@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 W_DEPTH = 15  # additive-martingale depth used as the W_inf proxy
-W_CHUNK = 16  # environments per level_weights_batch call: bounds its memory
 # theorem1 cuts a trial only past normalized depth Z_BUDGET (see
 # theorem1_campaign), and samples its trials THEOREM1_CHUNK at a time
 Z_BUDGET = 14.0
@@ -235,13 +234,8 @@ def _grid_least(consts: Constants) -> int:
 
 def w_hat_batch(law: MarkLaw, env_seeds) -> np.ndarray:
     """Additive martingale at depth W_DEPTH per environment (0 for one that
-    dies by then), W_CHUNK at a time to bound the (environments x
-    mean_offspring^depth) arrays."""
-    seeds = np.asarray(env_seeds, dtype=np.uint64)
-    out = np.empty(seeds.size)
-    for i in range(0, seeds.size, W_CHUNK):
-        out[i : i + W_CHUNK] = level_weights_batch(law, seeds[i : i + W_CHUNK], W_DEPTH)[0]
-    return out
+    dies by then)."""
+    return level_weights_batch(law, env_seeds, W_DEPTH)
 
 
 def _laplace_rows(experiment, z_by_n, gamma, kind, lambdas, n_trials):
@@ -350,13 +344,14 @@ def theorem1_campaign(
 ) -> dict:
     """Return-time marginal test: T^p / (W^k b_p) against the passage law.
 
-    No walk is run: at tau^p the walk is its edge-count tree N, T^p =
-    2 sum_x N_x - p (root included), and counts add over excursions on a
-    fixed environment. Each trial draws one `excursion.excursion_levels` row
-    per increment of p_grid on its environment (root counts p_1, p_2 - p_1,
-    ...), and T^{p_j} is the running sum of 2 sum N - (p_j - p_{j-1}). Trials
-    run THEOREM1_CHUNK at a time, each chunk with its own rng, so memory is
-    the widest generation of a chunk.
+    No walk is run, but W (`w_hat_batch`) needs the library. At tau^p the
+    walk is its edge-count tree N, T^p = 2 sum_x N_x - p (root included),
+    and counts add over excursions on a fixed environment. Each trial draws
+    one `excursion.excursion_levels` row per increment of p_grid on its
+    environment (root counts p_1, p_2 - p_1, ...), and T^{p_j} is the
+    running sum of 2 sum N - (p_j - p_{j-1}). Trials run THEOREM1_CHUNK at
+    a time, each chunk with its own rng, so memory is the widest generation
+    of a chunk.
 
     Each row of a trial with W proxy w has the budget
     (Z_BUDGET w^k b_{p_max} + p_max) / 2 on its sum of N. A row past it has
@@ -367,6 +362,7 @@ def theorem1_campaign(
     n_censored e^{-lambda_min Z_BUDGET} / n_trials (censor_bias_bound).
     Returns the rows, verdicts, Z per grid point ("z") and the running sums
     ("T", partial where censored)."""
+    kernel.require_library()
     _check("theorem1.n_trials", n_trials, least=2)
     _check("theorem1.p_grid", p_grid, least=_grid_least(consts), grid=True)
     _check_real("theorem1.lambdas", lambdas, grid=True)

@@ -1,10 +1,12 @@
 """Walk kernel: the plain-C walk `_walk.c`, bound through ctypes.
 
 setuptools builds `_walk.c` into the library `gwalk/_walk<EXT_SUFFIX>` beside
-this file (setup.py says how). It is the only walk the package runs. Without
-it, `run_walk` and `require_library` stop the command with a SystemExit that
-names the library and the build command; the commands that run no walk work
-without it.
+this file (setup.py says how). It is the only walk the package runs, and its
+depth-first walker `level_potentials` lists the generation that W_l sums.
+Without it, `run_walk`, `level_potentials` and `require_library` stop the
+command with a SystemExit that names the library and the build command. The
+commands that need neither a walk nor W (`validate-law`, `forest-identities`,
+`estimate-constants`) work without it.
 tests/pykernel.py is a pure-Python reference of the same walk, which the
 parity tests compare with the library bit for bit.
 
@@ -28,7 +30,7 @@ marks A(x_i) = V(x_i) - V(x), that is on x's atom: P(up) = 1/(1 + s) with
 s = sum_i e^{-A(x_i)}. Each node stores its atom index, and a step compares
 one uniform against that atom's row of the step tables (`LawTables.p_up`
 and `step_cum`, computed once per law). No potential is stored, so the walk
-is the same at every depth, and the kernel does no floating-point arithmetic
+is the same at every depth, and the walk does no floating-point arithmetic
 beyond turning a hash into a uniform. An explicit tree is checked once by
 `explicit_tree` and turned into the same tables, one atom per node, so the
 library itself fails only when out of memory. The move from e* back to the
@@ -50,13 +52,23 @@ taken at caller-given sorted raw times (MODE_STEPS) or crossing indices
 values of m, t_ex, L and R there. The grid itself is the tau row in
 MODE_STEPS and the L row in MODE_CROSSINGS.
 
+Level potentials
+----------------
+`level_potentials` lists the potentials V of one generation of each keyed
+environment, depth first, in the order of `env.next_level`. Its only
+floating-point arithmetic is V(child) = V(parent) + mark, summed root to
+leaf as next_level sums it, so built with -ffp-contract=off it gives the
+same bits. `env.level_weights_batch` takes e^{-V} with numpy's exp, not in
+C: numpy's SIMD exp and the C library's exp may differ in the last place,
+and W keeps the bits of the numpy reference.
+
 Binding
 -------
 The library has no Python API; `load_kernel` binds it through ctypes, whose
 foreign calls release the GIL, so trials on several threads run in parallel.
-`_Node`, `_Arena`, `_Stats` and `_WALK_ARGTYPES` restate the C declarations
-by hand (a mismatch crashes the interpreter rather than raising);
-tests/test_kernel_layout.py checks them against `_walk.c`.
+`_Node`, `_Arena`, `_Stats`, `_WALK_ARGTYPES` and `_LEVEL_ARGTYPES` restate
+the C declarations by hand (a mismatch crashes the interpreter rather than
+raising); tests/test_kernel_layout.py checks them against `_walk.c`.
 """
 
 from __future__ import annotations
@@ -156,13 +168,18 @@ _WALK_ARGTYPES = [_P, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64, ctypes.c_
                   ctypes.POINTER(ctypes.POINTER(_Arena))]
 
 
-def load_kernel(path) -> callable:
-    """Bind the library at `path`; returns its `run_walk`."""
+# gw_level's parameters, in the order of its C declaration
+_LEVEL_ARGTYPES = [_P, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]
+
+
+def load_kernel(path):
+    """Bind the library at `path`; returns its (`run_walk`, `level_potentials`)."""
     lib = ctypes.CDLL(str(path))
-    walk, free = lib.gw_walk, lib.gw_free
-    walk.restype, free.restype = ctypes.c_int, None
+    walk, free, level_fn = lib.gw_walk, lib.gw_free, lib.gw_level
+    walk.restype, free.restype, level_fn.restype = ctypes.c_int, None, _INT64
     walk.argtypes = _WALK_ARGTYPES
     free.argtypes = [ctypes.POINTER(_Arena)]
+    level_fn.argtypes = _LEVEL_ARGTYPES
     # (law tables, their C arrays, pointers) of the last lazy walk: every
     # trial of a campaign passes the same tables object, so its pointers are
     # bound once. The slot holds the tables and the arrays, so the pointers
@@ -219,7 +236,30 @@ def load_kernel(path) -> callable:
         finally:
             free(arena)
 
-    return run_walk
+    def level_potentials(law_tables, env_seeds, level):
+        """Per environment seed in turn, the potentials V of its generation
+        `level` in the order of `env.next_level`, as a float64 view of one
+        buffer. The next seed overwrites the buffer, so the caller may too.
+        The buffer holds one generation and grows when a larger one comes.
+        MemoryError when the search cannot hold its path."""
+        arrays = _arrays([law_tables.cum, law_tables.off, law_tables.lens, law_tables.marks],
+                         [np.float64, np.int64, np.int64, np.float64])
+        ptrs = [a.ctypes.data for a in arrays]
+        level = int(level)
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        buf = np.empty(1024)
+        for seed in env_seeds:
+            seed = int(seed) & MASK
+            n = level_fn(*ptrs, seed, level, buf.ctypes.data, buf.size)
+            if n > buf.size:
+                buf = np.empty(max(n, 2 * buf.size))
+                n = level_fn(*ptrs, seed, level, buf.ctypes.data, buf.size)
+            if n < 0:
+                raise MemoryError("level walker ran out of memory for its path")
+            yield buf[:n]
+
+    return run_walk, level_potentials
 
 
 def _not_built(*args, **kwargs):
@@ -231,12 +271,13 @@ def _not_built(*args, **kwargs):
     )
 
 
-run_walk = load_kernel(LIBRARY) if LIBRARY.is_file() else _not_built
+run_walk, level_potentials = (load_kernel(LIBRARY) if LIBRARY.is_file()
+                              else (_not_built, _not_built))
 
 
 def require_library() -> None:
     """Stop the command as `run_walk` would when the library is not built.
-    The walking campaigns call this first, so that a missing build costs
-    no constant estimate or survival draw before the message."""
+    The campaigns that walk or read W call this first, so that a missing
+    build costs no constant estimate or survival draw before the message."""
     if run_walk is _not_built:
         _not_built()

@@ -1,6 +1,7 @@
 """Shared fixtures: the compiled walk kernel, built once per test session and
-bound to `gwalk.kernel.run_walk`, so every walk of the tests runs on the
-kernel that the commands run.
+bound to `gwalk.kernel.run_walk` and `gwalk.kernel.level_potentials`, so
+every walk and every W of the tests runs on the library that the commands
+run.
 
 When the package already carries a built library, the fixtures use it.
 Otherwise (running from `PYTHONPATH=src` without building) `kernel_library`
@@ -9,7 +10,7 @@ uses sysconfig's CC and the flags in setup.py, into a temporary directory,
 and the session binds it through `gwalk.kernel.load_kernel`, the loader the
 package itself uses. A compile error fails the tests. Without a C compiler
 nothing is bound: the tests that ask for `compiled_run_walk` skip, and a
-walk through `kernel.run_walk` stops with the package's build message.
+walk or a W through the kernel stops with the package's build message.
 """
 
 import shutil
@@ -46,12 +47,13 @@ def kernel_library(tmp_path_factory):
 
 @pytest.fixture(scope="session", autouse=True)
 def production_kernel(kernel_library):
-    """`kernel.run_walk` bound to the built library for the whole session,
-    before any test's monkeypatch, which therefore restores this binding;
-    None without a C compiler."""
+    """`kernel.run_walk` and `kernel.level_potentials` bound to the built
+    library for the whole session, before any test's monkeypatch, which
+    therefore restores this binding; returns run_walk, or None without a C
+    compiler."""
     if kernel_library is None:
         return None
-    kernel.run_walk = kernel.load_kernel(kernel_library)
+    kernel.run_walk, kernel.level_potentials = kernel.load_kernel(kernel_library)
     return kernel.run_walk
 
 

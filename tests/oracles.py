@@ -3,7 +3,7 @@
 Everything here recomputes library results from the definitions: slow
 loops, explicit recursion, arbitrary-precision arithmetic. Nothing in
 this module may import algorithmic code paths from gwalk beyond plain
-dataclass containers.
+dataclass containers and the key scheme of gwalk._rng.
 """
 
 import json
@@ -12,6 +12,8 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import stats as sps
+
+from gwalk._rng import TWO_NEG53, child_key_np, root_key_np
 
 
 def psi_mp(atoms, t, dps: int = 50):
@@ -158,6 +160,26 @@ def discounted_sums_searchsorted(law, n: int, eps: float, rng: np.random.Generat
         if j > 10**7:
             break
     return D
+
+
+def level_weights_bfs(law, env_seeds, level: int) -> np.ndarray:
+    """Reference for env.level_weights_batch, which must return the same
+    bytes: W_level per environment seed, breadth first over the whole batch.
+    Each generation lists per node its batch row, key and V, rows in order,
+    then parents, then siblings; a child's V is V[parent] + its mark. W is
+    np.bincount of numpy's exp(-V) by row (0.0 for a dead environment)."""
+    t = law.tables()
+    key = root_key_np(env_seeds)
+    n = key.size
+    row, V = np.arange(n), np.zeros(n)
+    for _ in range(level):
+        a = t.cum.searchsorted((key >> np.uint64(11)) * TWO_NEG53, side="right")
+        k = t.lens[a]
+        parent = np.repeat(np.arange(k.size), k)
+        j = np.arange(parent.size) - (np.cumsum(k) - k)[parent]
+        V = V[parent] + t.marks[t.off[a][parent] + j]
+        row, key = row[parent], child_key_np(key[parent], j)
+    return np.bincount(row, weights=np.exp(-V), minlength=n)
 
 
 def build_chain(marks) -> dict:

@@ -471,7 +471,7 @@ loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import gwalk.cli
 from gwalk import kernel, limits
 seen = {"import": loaded()}
-kernel.run_walk = kernel.load_kernel(sys.argv[1])
+kernel.run_walk, kernel.level_potentials = kernel.load_kernel(sys.argv[1])
 seen["rc"] = gwalk.cli.main(["theorem2", "--config", sys.argv[2], "--out", sys.argv[3]])
 seen["theorem2"] = loaded()
 got = limits.ml_laplace(2.0, 1.0)
@@ -506,16 +506,19 @@ def test_subdiffusive_command_loads_no_scipy(kernel_library, tmp_path):
 PACKAGE_RUN = """
 import json, sys
 import gwalk.cli
-from gwalk import kernel, limits
+from gwalk import experiments, kernel, limits
 cfg, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
 seen = {"impl": kernel.KERNEL_IMPL,
         "pykernel": sorted(m for m in sys.modules if "pykernel" in m),
-        "estimated": []}
-estimate_constant = limits.estimate_constant
+        "estimated": [], "survival": []}
+estimate_constant, surviving = limits.estimate_constant, experiments._surviving
 def record(law, kappa, seed, name, **settings):
     seen["estimated"].append(name)
     return estimate_constant(law, kappa, seed, name, **settings)
-limits.estimate_constant = record
+def record_survival(law, env_seeds, experiment):
+    seen["survival"].append(experiment)
+    return surviving(law, env_seeds, experiment)
+limits.estimate_constant, experiments._surviving = record, record_survival
 for command in commands:
     try:
         seen[command] = gwalk.cli.main([command, "--config", cfg, "--out", out + command])
@@ -524,15 +527,17 @@ for command in commands:
 print(json.dumps(seen))
 """
 
-WALKING = ["theorem2", "theorem3", "corollary", "lemma-moments"]
+# the commands that walk, and theorem1, which reads W through the library
+NEEDS_LIBRARY = ["theorem1", "theorem2", "theorem3", "corollary", "lemma-moments"]
 
 
 @pytest.mark.parametrize("with_library", [False, True])
 def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_library):
     """A package copy without the built library: the four commands that walk
-    stop, at threads=2 too, with a message naming the library and the build
-    command, before they estimate a constant (the config gives none), and
-    write no output directory; validate-law writes this session's bytes.
+    and theorem1, which reads W, stop, at threads=2 too, with a message
+    naming the library and the build command, before they estimate a
+    constant (the config gives none) or draw survival, and write no output
+    directory; validate-law writes this session's bytes.
     With the library beside kernel.py, theorem2 writes this session's bytes.
     KERNEL_IMPL is "compiled" in both, and `import gwalk.cli` loads no
     module named like the tests' Python kernel."""
@@ -543,7 +548,7 @@ def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_li
                     ignore=shutil.ignore_patterns(kernel.LIBRARY.name, "__pycache__"))
     if with_library:
         shutil.copy(kernel_library, pkg / kernel.LIBRARY.name)
-    commands = ["theorem2"] if with_library else [*WALKING, "validate-law"]
+    commands = ["theorem2"] if with_library else [*NEEDS_LIBRARY, "validate-law"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "law": {"family": "two_point", "p": 0.068}, "seed": 5,
@@ -558,8 +563,9 @@ def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_li
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen.pop("impl") == "compiled" and seen.pop("pykernel") == []
     assert seen.pop("estimated") == []
+    assert seen.pop("survival") == (["theorem2"] if with_library else [])
     for command, got in seen.items():
-        if command in WALKING and not with_library:
+        if command in NEEDS_LIBRARY and not with_library:
             assert kernel.LIBRARY.name in got and "python setup.py build_ext --inplace" in got
             assert not Path(f"{out}{command}").exists()
         else:

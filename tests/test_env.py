@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 import oracles
 from gwalk import env as env_mod
+from gwalk import kernel
 from gwalk._rng import child_key, child_key_np, derive_seed, root_key, root_key_np
 from gwalk.env import (
     SURVIVE_CAP,
@@ -171,14 +172,16 @@ def _level_weight(tree: dict, level: int) -> float:
 
 
 def test_additive_martingale_level_zero_and_extinct():
-    W, alive = level_weights_batch(SUB, np.array([1], dtype=np.uint64), 0)
-    assert W.tolist() == [1.0] and alive.tolist() == [True]
+    W = level_weights_batch(SUB, np.array([1], dtype=np.uint64), 0)
+    assert W.tolist() == [1.0]
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        level_weights_batch(SUB, np.array([1], dtype=np.uint64), -1)
     # an extinct seed under the extinction law
     dead = np.flatnonzero(~environment_survives(EXT, np.arange(200), depth=12))
     assert dead.size, "no extinct environment found in 200 seeds"
     seed = int(dead[0])
-    W, alive = level_weights_batch(EXT, np.array([seed], dtype=np.uint64), 12)
-    assert W.tolist() == [0.0] and alive.tolist() == [False]
+    W = level_weights_batch(EXT, np.array([seed], dtype=np.uint64), 12)
+    assert W.tobytes() == np.zeros(1).tobytes()
     assert not (enumerate_truncated(EXT, seed, 12)["gen"] == 12).any()
 
 
@@ -186,25 +189,80 @@ def test_level_weights_batch_matches_per_tree():
     seeds = np.array(
         [derive_seed(3, "batch-vs-tree", i, "env") for i in range(40)], dtype=np.uint64
     )
-    W, alive = level_weights_batch(SUB, seeds, 6)
-    assert alive.all()
+    W = level_weights_batch(SUB, seeds, 6)
+    assert (W > 0).all()
     for i, s in enumerate(seeds):
         want = _level_weight(enumerate_truncated(SUB, int(s), 6), 6)
         assert W[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_level_weights_batch_extinction_flags():
+    """W > 0 exactly where generation 8 is not empty: a dead environment has
+    W = 0.0."""
     seeds = np.array(
         [derive_seed(5, "batch-ext", i, "env") for i in range(200)], dtype=np.uint64
     )
-    W, alive = level_weights_batch(EXT, seeds, 8)
+    W = level_weights_batch(EXT, seeds, 8)
     n_dead = 0
     for i, s in enumerate(seeds):
         tree = enumerate_truncated(EXT, int(s), 8)
         assert W[i] == pytest.approx(_level_weight(tree, 8), abs=1e-12)
-        assert alive[i] == (tree["gen"] == 8).any()
-        n_dead += not alive[i]
+        assert (W[i] > 0) == (tree["gen"] == 8).any()
+        n_dead += not W[i] > 0
     assert 0 < n_dead < 200
+
+
+# the laws of the parity tests: two_point in both regimes and near the
+# critical point, a deterministic tree, extinction and ragged atoms
+W_LAWS = {
+    "two_point_0.068": SUB,
+    "two_point_0.05": make_two_point(0.05),
+    "two_point_0.02": DIFF,
+    "constant_bias_2": make_constant_bias(2.0),
+    "extinction": EXT,
+    "ragged": RAGGED,
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 6, 15])
+@pytest.mark.parametrize("name", list(W_LAWS))
+def test_level_weights_match_the_breadth_first_reference(name, level):
+    """The depth-first walker's W has the bytes of the breadth-first numpy
+    reference, dead environments (exactly 0.0) included."""
+    law = W_LAWS[name]
+    seeds = np.array([derive_seed(19, name, i, "env") for i in range(24)], dtype=np.uint64)
+    W = level_weights_batch(law, seeds, level)
+    assert W.tobytes() == oracles.level_weights_bfs(law, seeds, level).tobytes()
+    if name == "extinction" and level == 15:
+        assert (W == 0).any() and (W > 0).any()
+
+
+def test_level_weights_grow_the_buffer_mid_batch(monkeypatch):
+    """Seeds in increasing order of generation size, from generations that
+    fit the walker's first buffer to ones that outgrow it twice and more,
+    keep the reference's bytes. Each yielded V is a view of the buffer, so
+    the buffers' sizes show the growth."""
+    level = 18
+    seeds = np.array([derive_seed(23, "grow", i, "env") for i in range(40)], dtype=np.uint64)
+    t = RAGGED.tables()
+    row, key, V = np.arange(seeds.size), root_key_np(seeds), np.zeros(seeds.size)
+    for _ in range(level):
+        row, _, key, V = next_level(t, row, key, V)
+    sizes = np.bincount(row, minlength=seeds.size)
+    seeds = seeds[np.argsort(sizes, kind="stable")]
+    buffers, walker = [], kernel.level_potentials
+
+    def recording(tables, env_seeds, level):
+        for V in walker(tables, env_seeds, level):
+            buffers.append(V.base.size)
+            yield V
+
+    monkeypatch.setattr(kernel, "level_potentials", recording)
+    W = level_weights_batch(RAGGED, seeds, level)
+    assert W.tobytes() == oracles.level_weights_bfs(RAGGED, seeds, level).tobytes()
+    assert buffers == sorted(buffers) and len(set(buffers)) >= 3
+    assert (np.array(buffers) >= np.sort(sizes)).all()
+    assert sizes.min() < buffers[0] < sizes.max()
 
 
 def test_additive_martingale_mean_one():
@@ -212,7 +270,7 @@ def test_additive_martingale_mean_one():
     seeds = np.array(
         [derive_seed(11, "mart-mean", i, "env") for i in range(4000)], dtype=np.uint64
     )
-    W, _ = level_weights_batch(DIFF, seeds, 9)
+    W = level_weights_batch(DIFF, seeds, 9)
     se = W.std(ddof=1) / math.sqrt(W.size)
     assert abs(W.mean() - 1.0) < 4 * se
 
@@ -360,6 +418,5 @@ def test_enumerate_truncated_invariants():
 def test_enumerate_truncated_agrees_with_batch_weights():
     d = enumerate_truncated(SUB, 2718, 5)
     w_direct = np.exp(-d["V"][d["gen"] == 5]).sum()
-    W, alive = level_weights_batch(SUB, np.array([2718], dtype=np.uint64), 5)
-    assert alive[0]
+    W = level_weights_batch(SUB, np.array([2718], dtype=np.uint64), 5)
     assert W[0] == pytest.approx(w_direct, rel=1e-12)

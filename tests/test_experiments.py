@@ -59,8 +59,8 @@ def test_scales_off_critical():
 
 
 def test_w_hat_batch_bytes_do_not_depend_on_the_chunking():
-    """W for 40 environments in one call (three chunks) equals 40 one-seed
-    calls byte for byte."""
+    """W for 40 environments in one call, which reuses one walker buffer,
+    equals 40 one-seed calls byte for byte."""
     seeds = trial_seeds(20260814, "theorem1", 40)[0]
     law = make_two_point(0.068)
     one_call = w_hat_batch(law, seeds)

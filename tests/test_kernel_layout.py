@@ -45,16 +45,24 @@ def test_node_record_is_48_bytes():
     assert ctypes.sizeof(kernel._Node) == 48
 
 
-def test_walk_parameters_match_argtypes():
-    params = re.search(r"\bint gw_walk\((.*?)\)\s*\{", SOURCE, re.S).group(1)
+def _assert_parameters_match(restype: str, name: str, argtypes):
+    params = re.search(r"\b" + restype + " " + name + r"\((.*?)\)\s*\{", SOURCE, re.S).group(1)
     params = [" ".join(p.split()) for p in params.split(",")]
-    assert len(params) == len(kernel._WALK_ARGTYPES)
+    assert len(params) == len(argtypes)
     scalar = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "int": ctypes.c_int}
-    for p, argtype in zip(params, kernel._WALK_ARGTYPES):
+    for p, argtype in zip(params, argtypes):
         if "*" in p:
             assert argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer), p
         else:
             assert argtype is scalar[p.split()[0]], p
+
+
+def test_walk_parameters_match_argtypes():
+    _assert_parameters_match("int", "gw_walk", kernel._WALK_ARGTYPES)
+
+
+def test_level_parameters_match_argtypes():
+    _assert_parameters_match("int64_t", "gw_level", kernel._LEVEL_ARGTYPES)
 
 
 def test_walk_source_compiles_without_warnings():
