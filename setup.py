@@ -1,4 +1,4 @@
-"""Build script: compiles the plain-C walk kernel `src/gwalk/_walk.c`.
+"""Build script: compiles the plain-C kernel `src/gwalk/_walk.c`.
 
 The result is the shared library `gwalk/_walk<EXT_SUFFIX>`. It holds no
 Python API: `gwalk.kernel` loads it through ctypes. A failed compile fails
@@ -9,21 +9,33 @@ Build and run a source checkout from its root:
     python setup.py build_ext --inplace
     PYTHONPATH=src python -m gwalk.cli theorem2 --config configs/two_point_sub.json
 
-or install the package (`pip install .`), which builds the library too. The
-commands that run walks or read W (`theorem1`, `theorem2`, `theorem3`,
-`corollary`, `lemma-moments`) stop with a message naming the build command
-when the library is not built; the others run without it. The tests build
-the library for their session when the checkout has none.
+or install the package (`pip install .`), which builds the library too.
+Every command but `validate-law` walks, reads W or draws count trees in the
+library, and stops with a message naming the build command when it is not
+built. The tests build the library for their session when the checkout has
+none.
+
+The count-tree sampler draws through numpy's own gamma and Poisson, linked
+from the static `libnpyrandom.a` that numpy ships in `numpy/random/lib`
+(found without importing numpy). Its draws equal those of
+`Generator.standard_gamma` and `Generator.poisson` only when the numpy the
+library was built against is the numpy it runs with; rebuild after
+changing numpy.
 
 Keep -ffp-contract=off and add no -ffast-math or -march=native: the kernel
 must turn a hash into a uniform and compare it against the step tables
 exactly as the tests' Python reference `tests/pykernel.py` does, and sum
-potentials exactly as the numpy reference of W does, or bit-parity breaks.
+potentials and form Poisson rates exactly as the numpy references do, or
+bit-parity breaks.
 """
+
+from importlib.util import find_spec
+from pathlib import Path
 
 from setuptools import Extension, setup
 
 COMPILE_ARGS = ["-O3", "-std=c99", "-ffp-contract=off"]
+NUMPY_RANDOM_LIB = Path(find_spec("numpy").submodule_search_locations[0], "random", "lib")
 
 setup(
     ext_modules=[
@@ -31,6 +43,8 @@ setup(
             "gwalk._walk",
             ["src/gwalk/_walk.c"],
             extra_compile_args=COMPILE_ARGS,
+            library_dirs=[str(NUMPY_RANDOM_LIB)],
+            libraries=["npyrandom", "m"],
         )
     ]
 )

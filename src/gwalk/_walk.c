@@ -1,5 +1,6 @@
-/* Plain-C walk kernel: the walk gwalk runs, and the depth-first walker that
- * lists a generation for W; both are bound by gwalk.kernel.
+/* Plain-C kernel: the walk gwalk runs, the depth-first walker that lists a
+ * generation for W, and the sampler of edge-count trees; all three are bound
+ * by gwalk.kernel. Every command but validate-law needs this library.
  *
  * The walk's contract (arena, dynamics, bookkeeping) is the docstring of
  * gwalk/kernel.py. A step reads only the current node's atom: the caller
@@ -18,20 +19,28 @@
  * no other floating-point arithmetic: e^{-V} stays in numpy, whose SIMD exp
  * may differ from the C library's exp in the last place, so W keeps the bits
  * of the numpy reference in tests/oracles.py (tests/test_env.py checks them).
- * Both grow nodes through one atom_of and one child_key.
+ * gw_counts draws the edge-count trees of gwalk.excursion with numpy's own
+ * gamma and Poisson (numpy's static libnpyrandom.a, linked by setup.py) on
+ * the caller's numpy bit generator, in the order of the numpy reference
+ * tests/oracles.py's excursion_levels; tests/test_excursion.py checks the
+ * bytes and the generator's state after.
+ * All three grow nodes through one atom_of and one child_key.
  * The file holds no Python API and no global mutable state: gwalk.kernel
- * calls gw_walk through ctypes, which releases the GIL, so trials on several
+ * calls it through ctypes, which releases the GIL, so trials on several
  * threads run in parallel. The arena is one array of 48-byte node records
- * (six 8-byte fields). gwalk.kernel restates gw_node, gw_arena, gw_stats and
- * the parameters of gw_walk and gw_level by hand; tests/test_kernel_layout.py
- * checks that both sides name the same fields in the same order.
+ * (six 8-byte fields). gwalk.kernel restates gw_node, gw_arena, gw_stats,
+ * gw_count and the parameters of gw_walk, gw_level and gw_counts by hand;
+ * tests/test_kernel_layout.py checks that both sides name the same fields
+ * in the same order.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
  * -ffast-math or -march=native, and keep -ffp-contract=off.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* splitmix64, as in _rng.py (the reference for these constants) */
 #define GOLDEN 0x9E3779B97F4A7C15ULL
@@ -50,7 +59,7 @@ static inline uint64_t mix64(uint64_t x)
 
 enum { MODE_STEPS = 0, MODE_CROSSINGS = 1 };
 enum { STATUS_OK = 0, STATUS_BUDGET = 2 };
-enum { GW_OK = 0, GW_ENOMEM = 1 };
+enum { GW_OK = 0, GW_ENOMEM = 1, GW_ELAM = 2 };
 
 /* One node of the grown tree: six 8-byte fields (48 B). atom == -1 marks an
  * ungrown node; a grown node has atom_len[atom] children from child0 on. */
@@ -76,20 +85,31 @@ void gw_free(gw_arena *A)
     free(A);
 }
 
-/* Grow the node array to hold `want` nodes, doubling the capacity. A failed
- * realloc leaves the old block in place, so gw_free still frees it. */
+/* The block of *cap items of `size` bytes, grown to hold `want` items by
+ * doubling *cap (at least 1); NULL when out of memory, which leaves the old
+ * block in place for its owner to free. */
+static void *grow_block(void *block, int64_t *cap, int64_t want, size_t size)
+{
+    int64_t c = *cap;
+    void *p;
+    if (want <= c)
+        return block;
+    while (c < want)
+        c *= 2;
+    if (!(p = realloc(block, (size_t)c * size)))
+        return NULL;
+    *cap = c;
+    return p;
+}
+
+/* Grow the node array to hold `want` nodes; gw_free frees it even after a
+ * failure. */
 static int reserve(gw_arena *A, int64_t want)
 {
-    int64_t cap = A->cap;
-    gw_node *p;
-    if (want <= cap)
-        return GW_OK;
-    while (cap < want)
-        cap *= 2;
-    if (!(p = realloc(A->node, (size_t)cap * sizeof *p)))
+    gw_node *p = grow_block(A->node, &A->cap, want, sizeof *p);
+    if (!p)
         return GW_ENOMEM;
     A->node = p;
-    A->cap = cap;
     return GW_OK;
 }
 
@@ -299,4 +319,128 @@ int64_t gw_level(const double *atom_cum, const int64_t *atom_off, const int64_t 
     }
     free(path);
     return n;
+}
+
+/* numpy's bit generator (bitgen_t of numpy/random/bitgen.h), opaque here, and
+ * two of numpy's distributions, linked from its static libnpyrandom.a. They
+ * are declared by hand: numpy's distributions.h includes Python.h. */
+struct bitgen;
+double random_standard_gamma(struct bitgen *bitgen_state, double shape);
+int64_t random_poisson(struct bitgen *bitgen_state, double lam);
+
+/* One node of a count tree: its batch row, its parent's index in the node
+ * list (-1 at a root), its edge count N >= 1 and its environment key. */
+typedef struct {
+    int64_t row, parent, N;
+    uint64_t key;
+} gw_count;
+
+/* An expanded node of the current generation: its index, atom and gamma. */
+typedef struct {
+    int64_t i, atom;
+    double g;
+} gw_expand;
+
+void gw_free_counts(gw_count *node)
+{
+    free(node);
+}
+
+/* The edge-count trees of n_rows excursions, one generation of the whole
+ * batch at a time. Row r grows on the keyed environment env_seeds[r] from a
+ * root with N = root_counts[r]. Per generation, one gamma draw with shape N
+ * per expanded node, in node order, then one Poisson draw with rate
+ * g * rate[atom * width + s] per (expanded node, child slot s < width), in
+ * that order; the atoms x width table holds e^{-a_s}, 0 past the atom, and
+ * numpy's Poisson returns 0 at rate 0 without a draw. Each count k > 0
+ * appends a child with N = k, so a generation lists its children in draw
+ * order. A node is expanded when it is a root, or prune is 0, or N >= 2,
+ * and, with a budget, when its row's sum of N over the generations so far,
+ * this one included, is at most budget[r]. These are the draws of
+ * tests/oracles.py's excursion_levels, in the same order on the same bit
+ * generator.
+ * sums (3 x n_rows) receives per row, over the non-root nodes, the sum of N,
+ * the number of nodes and the number with N = 1. With tree_out NULL the
+ * node list holds two generations at a time. Otherwise, on GW_OK, *tree_out
+ * is the node list of all generations, roots first, *n_out nodes long, and
+ * the caller frees it with gw_free_counts. GW_ELAM when a generation has a
+ * Poisson rate numpy's Generator.poisson refuses (checked, as numpy checks
+ * it, after the generation's gammas and before its first Poisson draw);
+ * GW_ENOMEM when out of memory. */
+int gw_counts(const double *atom_cum, const double *rate, int64_t width,
+              struct bitgen *bitgen, const uint64_t *env_seeds, const int64_t *root_counts,
+              const int64_t *budget, int prune, int64_t n_rows, int64_t *sums,
+              gw_count **tree_out, int64_t *n_out)
+{
+    /* numpy's POISSON_LAM_MAX (numpy/random/_common.pyx) */
+    const double lam_max = (double)INT64_MAX - sqrt((double)INT64_MAX) * 10.0;
+    int64_t *sum_N = sums, *nodes = sums + n_rows, *ones = sums + 2 * n_rows;
+    int64_t cap = n_rows > 1024 ? n_rows : 1024, ex_cap = 1024, lo = 0, hi = n_rows;
+    int64_t n = n_rows, m, i, j, r, s, k;
+    gw_count *node = malloc((size_t)cap * sizeof *node), *p;
+    gw_expand *ex = malloc((size_t)ex_cap * sizeof *ex), *q;
+    const double *lam;
+    int root = 1, err = GW_ENOMEM;
+
+    memset(sums, 0, (size_t)(3 * n_rows) * sizeof *sums);
+    if (!node || !ex)
+        goto fail;
+    for (r = 0; r < n_rows; r++)
+        node[r] = (gw_count){r, -1, root_counts[r], mix64(env_seeds[r] ^ ROOT_SALT)};
+
+    while (lo < hi) {
+        if (!(q = grow_block(ex, &ex_cap, hi - lo, sizeof *ex)))
+            goto fail;
+        ex = q;
+        for (m = 0, i = lo; i < hi; i++) {
+            r = node[i].row;
+            if ((root || !prune || node[i].N >= 2)
+                && (!budget || root_counts[r] + sum_N[r] <= budget[r]))
+                ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum),
+                                      random_standard_gamma(bitgen, (double)node[i].N)};
+        }
+        for (j = 0; j < m; j++)
+            for (lam = rate + ex[j].atom * width, s = 0; s < width; s++)
+                if (!(ex[j].g * lam[s] <= lam_max)) {
+                    err = GW_ELAM;
+                    goto fail;
+                }
+        for (j = 0; j < m; j++) {
+            i = ex[j].i;
+            for (lam = rate + ex[j].atom * width, s = 0; s < width; s++) {
+                if (!(k = random_poisson(bitgen, ex[j].g * lam[s])))
+                    continue;
+                if (!(p = grow_block(node, &cap, n + 1, sizeof *node)))
+                    goto fail;
+                node = p;
+                r = node[i].row;
+                node[n++] = (gw_count){r, i, k, child_key(node[i].key, s)};
+                sum_N[r] += k;
+                nodes[r]++;
+                ones[r] += k == 1;
+            }
+        }
+        root = 0;
+        if (tree_out) {
+            lo = hi;
+        } else {
+            memmove(node, node + hi, (size_t)(n - hi) * sizeof *node);
+            n -= hi;
+        }
+        hi = n;
+    }
+
+    free(ex);
+    if (tree_out) {
+        *tree_out = node;
+        *n_out = n;
+    } else {
+        free(node);
+    }
+    return GW_OK;
+
+fail:
+    free(ex);
+    free(node);
+    return err;
 }

@@ -190,14 +190,27 @@ class Constants:
 def _map_trials(fn, n_trials: int, threads: int) -> None:
     """Run fn(t) for t in range(n_trials): independent tasks writing to
     disjoint preallocated slots, so the reduction order is the index order
-    no matter how completion interleaves."""
-    if threads <= 1:
-        for t in range(n_trials):
+    no matter how completion interleaves.
+
+    With threads > 1, that many workers each take the next index from one
+    shared range iterator until it runs out, so a worker that draws a long
+    trial leaves the rest to the others. The iterator is shared without a
+    lock: `next()` on a range iterator runs under the GIL, which is enough
+    on CPython up to 3.12 (a free-threaded build would need one). An
+    exception in fn stops its worker and is raised here after every worker
+    has finished."""
+    trials = iter(range(n_trials))
+
+    def drain() -> None:
+        for t in trials:
             fn(t)
+
+    if threads <= 1:
+        drain()
         return
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        for _ in ex.map(fn, range(n_trials)):
-            pass
+        for f in [ex.submit(drain) for _ in range(threads)]:
+            f.result()
 
 
 def trial_seeds(master: int, experiment: str, n_trials: int):
@@ -344,14 +357,14 @@ def theorem1_campaign(
 ) -> dict:
     """Return-time marginal test: T^p / (W^k b_p) against the passage law.
 
-    No walk is run, but W (`w_hat_batch`) needs the library. At tau^p the
-    walk is its edge-count tree N, T^p = 2 sum_x N_x - p (root included),
-    and counts add over excursions on a fixed environment. Each trial draws
-    one `excursion.excursion_levels` row per increment of p_grid on its
-    environment (root counts p_1, p_2 - p_1, ...), and T^{p_j} is the
-    running sum of 2 sum N - (p_j - p_{j-1}). Trials run THEOREM1_CHUNK at
-    a time, each chunk with its own rng, so memory is the widest generation
-    of a chunk.
+    No walk is run: W (`w_hat_batch`) and the count trees come from the
+    library. At tau^p the walk is its edge-count tree N, T^p = 2 sum_x N_x
+    - p (root included), and counts add over excursions on a fixed
+    environment. Each trial draws one `kernel.count_trees` row per increment
+    of p_grid on its environment (root counts p_1, p_2 - p_1, ...), and
+    T^{p_j} is the running sum of 2 sum N - (p_j - p_{j-1}). Trials run
+    THEOREM1_CHUNK at a time, each chunk with its own rng, so memory is two
+    generations of a chunk.
 
     Each row of a trial with W proxy w has the budget
     (Z_BUDGET w^k b_{p_max} + p_max) / 2 on its sum of N. A row past it has
@@ -377,17 +390,17 @@ def theorem1_campaign(
     cap = ((Z_BUDGET * w_k * b_max + p_grid[-1]) // 2).astype(np.int64)
     T = np.empty((n_trials, k), dtype=np.int64)
     over = np.empty((n_trials, k), dtype=bool)
+    tables = law.tables()
 
     def one(c: int) -> None:
         t = slice(c * THEOREM1_CHUNK, min((c + 1) * THEOREM1_CHUNK, n_trials))
         m = t.stop - t.start
         rng = np.random.default_rng(derive_seed(master_seed, "theorem1", c, "walk"))
         budget = np.repeat(cap[t], k)
-        total = np.zeros(m * k, dtype=np.int64)
-        for lv in excursion.excursion_levels(
-            law, np.repeat(env_seeds[t], k), np.tile(dp, m), rng, budget=budget
-        ):
-            np.add.at(total, lv.row, lv.N)
+        roots = np.tile(dp, m)
+        sums, _ = kernel.count_trees(tables, np.repeat(env_seeds[t], k), roots, rng,
+                                     budget=budget)
+        total = sums[0] + roots  # the sum of N, root included
         T[t] = np.cumsum((2 * total).reshape(m, k) - dp, axis=1)
         over[t] = (total > budget).reshape(m, k)
 
@@ -721,6 +734,7 @@ def forest_identities_campaign(
     """Per-tree exact identities of the excursion-forest transform on
     `n_trees` typed trees, and the moment rows of B, nu and nu_tilde with
     the mean_type1_once verdict (E[B] = 1) on `n_sums` batch draws."""
+    kernel.require_library()
     _check("forest_identities.n_trees", n_trees)
     _check("forest_identities.n_sums", n_sums, least=2)
     rng = np.random.default_rng(derive_seed(master_seed, "forest-identities", 0, "env"))
@@ -770,6 +784,7 @@ def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **
     infinite kappa as null) with the CIs, the c_kappa tail grid as rows and
     the plateau verdict. `settings` is the estimate_constants section, the
     keyword-only parameters of `limits.estimate_constant`."""
+    kernel.require_library()
     consts = Constants(kappa, law, master_seed, settings)
     for name in consts.names:
         getattr(consts, name)

@@ -1,12 +1,12 @@
-"""Walk kernel: the plain-C walk `_walk.c`, bound through ctypes.
+"""Walk kernel: the plain-C library `_walk.c`, bound through ctypes.
 
 setuptools builds `_walk.c` into the library `gwalk/_walk<EXT_SUFFIX>` beside
-this file (setup.py says how). It is the only walk the package runs, and its
-depth-first walker `level_potentials` lists the generation that W_l sums.
-Without it, `run_walk`, `level_potentials` and `require_library` stop the
-command with a SystemExit that names the library and the build command. The
-commands that need neither a walk nor W (`validate-law`, `forest-identities`,
-`estimate-constants`) work without it.
+this file (setup.py says how). It is the only walk the package runs, its
+depth-first walker `level_potentials` lists the generation that W_l sums, and
+`count_trees` is the package's one sampler of edge-count trees. Without it,
+`run_walk`, `level_potentials`, `count_trees` and `require_library` stop the
+command with a SystemExit that names the library and the build command.
+Every command but `validate-law` needs it.
 tests/pykernel.py is a pure-Python reference of the same walk, which the
 parity tests compare with the library bit for bit.
 
@@ -62,13 +62,24 @@ same bits. `env.level_weights_batch` takes e^{-V} with numpy's exp, not in
 C: numpy's SIMD exp and the C library's exp may differ in the last place,
 and W keeps the bits of the numpy reference.
 
+Count trees
+-----------
+`count_trees` draws the edge-count trees of `excursion` (its docstring has
+the law) one generation of a whole batch at a time, with numpy's own
+gamma and Poisson from numpy's static C library, on the caller's generator
+and in the order of the numpy reference tests/oracles.excursion_levels; it
+returns per-row sums, and the node list on request. Its Poisson rates
+g e^{-a_i} multiply numpy's exp of the marks (`_rate_table`) in C, one
+product each, so they have the reference's bits.
+
 Binding
 -------
 The library has no Python API; `load_kernel` binds it through ctypes, whose
 foreign calls release the GIL, so trials on several threads run in parallel.
-`_Node`, `_Arena`, `_Stats`, `_WALK_ARGTYPES` and `_LEVEL_ARGTYPES` restate
-the C declarations by hand (a mismatch crashes the interpreter rather than
-raising); tests/test_kernel_layout.py checks them against `_walk.c`.
+`_Node`, `_Arena`, `_Stats`, `_Count`, `_WALK_ARGTYPES`, `_LEVEL_ARGTYPES`
+and `_COUNTS_ARGTYPES` restate the C declarations by hand (a mismatch
+crashes the interpreter rather than raising); tests/test_kernel_layout.py
+checks them against `_walk.c`.
 """
 
 from __future__ import annotations
@@ -115,6 +126,10 @@ class _Arena(ctypes.Structure):
 
 class _Stats(ctypes.Structure):
     _fields_ = [(f, _INT64) for f in ("status", "m", "t_ex", "L", "R", "pos", "nsnap")]
+
+
+class _Count(ctypes.Structure):
+    _fields_ = [(f, _INT64) for f in ("row", "parent", "N")] + [("key", ctypes.c_uint64)]
 
 
 def explicit_tree(explicit):
@@ -171,15 +186,37 @@ _WALK_ARGTYPES = [_P, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64, ctypes.c_
 # gw_level's parameters, in the order of its C declaration
 _LEVEL_ARGTYPES = [_P, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]
 
+# gw_counts' parameters, in the order of its C declaration
+_COUNTS_ARGTYPES = [_P, _P, _INT64, _P, _P, _P, _P, ctypes.c_int, _INT64, _P,
+                    ctypes.POINTER(ctypes.POINTER(_Count)), ctypes.POINTER(_INT64)]
+
+# gw_counts' error code for a Poisson rate numpy refuses (GW_ELAM)
+_ELAM = 2
+
+
+def _rate_table(t: LawTables) -> np.ndarray:
+    """The (atoms x max children) table of e^{-a_i}, 0 past an atom's
+    children: child slot i's Poisson rate per unit of the gamma draw. The
+    exp is numpy's, as in the numpy reference."""
+    owner = np.repeat(np.arange(t.lens.size), t.lens)  # the atom of each mark
+    rate = np.zeros((t.lens.size, int(t.lens.max())))
+    rate[owner, np.arange(t.marks.size) - t.off[owner]] = np.exp(-t.marks)
+    return rate
+
 
 def load_kernel(path):
-    """Bind the library at `path`; returns its (`run_walk`, `level_potentials`)."""
+    """Bind the library at `path`; returns its (`run_walk`,
+    `level_potentials`, `count_trees`)."""
     lib = ctypes.CDLL(str(path))
     walk, free, level_fn = lib.gw_walk, lib.gw_free, lib.gw_level
+    counts_fn, free_counts = lib.gw_counts, lib.gw_free_counts
     walk.restype, free.restype, level_fn.restype = ctypes.c_int, None, _INT64
+    counts_fn.restype, free_counts.restype = ctypes.c_int, None
     walk.argtypes = _WALK_ARGTYPES
     free.argtypes = [ctypes.POINTER(_Arena)]
     level_fn.argtypes = _LEVEL_ARGTYPES
+    counts_fn.argtypes = _COUNTS_ARGTYPES
+    free_counts.argtypes = [ctypes.POINTER(_Count)]
     # (law tables, their C arrays, pointers) of the last lazy walk: every
     # trial of a campaign passes the same tables object, so its pointers are
     # bound once. The slot holds the tables and the arrays, so the pointers
@@ -259,7 +296,57 @@ def load_kernel(path):
                 raise MemoryError("level walker ran out of memory for its path")
             yield buf[:n]
 
-    return run_walk, level_potentials
+    def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=None,
+                    keep=False):
+        """Draw one edge-count tree per environment seed from rng.
+
+        Row r grows on the keyed environment of env_seeds[r] from a root
+        with N = root_counts[r] (a scalar applies to every row). With
+        prune, count-1 nodes below the root are not expanded. With a budget
+        (a scalar, or one value per row), a row stops growing after the
+        generation in which its sum of N, root included, passes its budget.
+        The draws are numpy's gamma and Poisson on rng's bit generator, made
+        while holding its lock, in the order of the numpy reference
+        tests/oracles.excursion_levels, so rng ends in the state the
+        reference leaves it in.
+
+        Returns (sums, tree). sums is a (3, rows) int64 array: per row, over
+        the non-root nodes, the sum of N, the number of nodes and the number
+        with N = 1. tree is None, or with keep a dict of the node arrays
+        row, parent, key and N, all generations in turn, roots first, parent
+        indexing the same arrays (-1 at a root). ValueError for a root count
+        below 1 or a Poisson rate numpy refuses ("lam value too large", as
+        Generator.poisson raises it); MemoryError when out of memory."""
+        seeds = np.ascontiguousarray(env_seeds, dtype=np.uint64).ravel()
+        n = seeds.size
+        roots = np.ascontiguousarray(np.broadcast_to(np.asarray(root_counts, dtype=np.int64), n))
+        if (roots < 1).any():
+            raise ValueError("root counts must be >= 1")
+        caps = None if budget is None else np.ascontiguousarray(
+            np.broadcast_to(np.asarray(budget, dtype=np.int64), n))
+        cum, rate = _arrays([law_tables.cum, _rate_table(law_tables)], [np.float64] * 2)
+        sums = np.empty((3, n), dtype=np.int64)
+        tree, size = ctypes.POINTER(_Count)(), _INT64()
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            err = counts_fn(cum.ctypes.data, rate.ctypes.data, rate.shape[1],
+                            bitgen.ctypes.bit_generator, seeds.ctypes.data, roots.ctypes.data,
+                            None if caps is None else caps.ctypes.data, int(bool(prune)), n,
+                            sums.ctypes.data, ctypes.byref(tree) if keep else None,
+                            ctypes.byref(size) if keep else None)
+        if err == _ELAM:
+            raise ValueError("lam value too large")
+        if err:
+            raise MemoryError("count-tree sampler ran out of memory")
+        if not keep:
+            return sums, None
+        try:
+            nodes = np.ctypeslib.as_array(tree, shape=(size.value,))
+            return sums, {f: np.array(nodes[f]) for f in ("row", "parent", "key", "N")}
+        finally:
+            free_counts(tree)
+
+    return run_walk, level_potentials, count_trees
 
 
 def _not_built(*args, **kwargs):
@@ -271,8 +358,8 @@ def _not_built(*args, **kwargs):
     )
 
 
-run_walk, level_potentials = (load_kernel(LIBRARY) if LIBRARY.is_file()
-                              else (_not_built, _not_built))
+run_walk, level_potentials, count_trees = (load_kernel(LIBRARY) if LIBRARY.is_file()
+                                           else (_not_built,) * 3)
 
 
 def require_library() -> None:

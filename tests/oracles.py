@@ -8,6 +8,7 @@ dataclass containers and the key scheme of gwalk._rng.
 
 import json
 import math
+from typing import Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -180,6 +181,62 @@ def level_weights_bfs(law, env_seeds, level: int) -> np.ndarray:
         V = V[parent] + t.marks[t.off[a][parent] + j]
         row, key = row[parent], child_key_np(key[parent], j)
     return np.bincount(row, weights=np.exp(-V), minlength=n)
+
+
+class Level(NamedTuple):
+    """One generation of an `excursion_levels` batch. Nodes are sorted by row
+    and, within a row, by parent; siblings follow their child index."""
+
+    row: np.ndarray  # batch row of each node
+    parent: np.ndarray  # index into the previous generation, -1 at the roots
+    key: np.ndarray  # environment key (uint64)
+    N: np.ndarray  # edge count, >= 1
+
+
+def excursion_levels(law, env_seeds, root_counts, rng, prune=False, budget=None) -> Iterator[Level]:
+    """Reference for the library's count-tree sampler (`kernel.count_trees`),
+    which must make the same draws from rng in the same order: the
+    generations of one excursion tree per row, roots first, drawn lazily (a
+    consumer that stops after generation d has drawn nothing deeper).
+
+    Row r grows on the keyed environment of env_seeds[r] with root count
+    root_counts[r] (a scalar applies to every row). Per generation, one
+    rng.standard_gamma call over the expanded nodes, then one rng.poisson
+    call over (expanded node, child slot) at rate g e^{-a_i}, 0 past the
+    node's atom, where numpy draws nothing; the children are the nonzero
+    counts in that order. With prune=True, count-1 nodes below the root are
+    not expanded. With a budget (a scalar, or one value per row), a row
+    stops growing once the sum of N over its nodes passes its budget."""
+    t = law.tables()
+    key = root_key_np(env_seeds)
+    n = key.size
+    N = np.broadcast_to(np.asarray(root_counts, dtype=np.int64), n).copy()
+    if (N < 1).any():
+        raise ValueError("root counts must be >= 1")
+    row = np.arange(n, dtype=np.int64)
+    parent = np.broadcast_to(np.int64(-1), n)
+    if budget is not None:
+        budget = np.broadcast_to(np.asarray(budget, dtype=np.int64), n)
+        total = np.zeros(n, dtype=np.int64)
+    owner = np.repeat(np.arange(t.lens.size), t.lens)  # the atom of each mark
+    rate = np.zeros((t.lens.size, int(t.lens.max())))
+    rate[owner, np.arange(t.marks.size) - t.off[owner]] = np.exp(-t.marks)
+    root = True
+    while row.size:
+        yield Level(row, parent, key, N)
+        ex = np.flatnonzero(N >= 2) if prune and not root else np.arange(row.size)
+        root = False
+        if budget is not None:
+            np.add.at(total, row, N)
+            ex = ex[total[row[ex]] <= budget[row[ex]]]
+        g = rng.standard_gamma(N[ex])
+        atom = t.cum.searchsorted((key[ex] >> np.uint64(11)) * TWO_NEG53, side="right")
+        kids = rng.poisson(g[:, None] * rate[atom])
+        par, j = np.nonzero(kids)
+        N = kids[par, j]
+        parent = ex[par]
+        row = row[parent]
+        key = child_key_np(key[parent], j)
 
 
 def build_chain(marks) -> dict:

@@ -9,8 +9,8 @@ command. Every verdict file is strict JSON (no NaN or Infinity), also when
 `theorem3` censors every trial.
 `corollary` and the three theorems also run on a law whose environments can
 die, so that their survival resampling runs end to end. A subdiffusive
-command loads no scipy. Without the built library, the commands that walk
-stop with the build message and the others run. Bad sizes and grids (grid
+command loads no scipy. Without the built library, every command but
+validate-law stops with the build message. Bad sizes and grids (grid
 point 1 at kappa = 2), bad lambdas, tol or shrink, bad `lemma-moments`
 settings, a tail with too few positive draws of B, a bad seed or thread
 count and config keys that no command reads stop the command with a message
@@ -34,7 +34,7 @@ from pathlib import Path
 import pytest
 
 import gwalk
-from gwalk import cli, excursion, experiments, forest, kernel, limits, walk
+from gwalk import cli, experiments, forest, kernel, limits, walk
 from gwalk._rng import derive_seed
 from gwalk.env import environment_survives
 from gwalk.experiments import trial_seeds
@@ -271,7 +271,7 @@ def test_bad_size_or_grid_stops_the_command(tmp_path, monkeypatch, command, key,
 
     monkeypatch.setattr(kernel, "run_walk", refuse)
     if command != "estimate-constants":
-        monkeypatch.setattr(excursion, "excursion_levels", refuse)
+        monkeypatch.setattr(kernel, "count_trees", refuse)
     section, name = key.split(".")
     sections = {command.replace("-", "_"): TINY[command], "estimate_constants": ESTIMATE}
     sections[section] = {**sections[section], name: value}
@@ -471,7 +471,7 @@ loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import gwalk.cli
 from gwalk import kernel, limits
 seen = {"import": loaded()}
-kernel.run_walk, kernel.level_potentials = kernel.load_kernel(sys.argv[1])
+kernel.run_walk, kernel.level_potentials, kernel.count_trees = kernel.load_kernel(sys.argv[1])
 seen["rc"] = gwalk.cli.main(["theorem2", "--config", sys.argv[2], "--out", sys.argv[3]])
 seen["theorem2"] = loaded()
 got = limits.ml_laplace(2.0, 1.0)
@@ -527,17 +527,19 @@ for command in commands:
 print(json.dumps(seen))
 """
 
-# the commands that walk, and theorem1, which reads W through the library
-NEEDS_LIBRARY = ["theorem1", "theorem2", "theorem3", "corollary", "lemma-moments"]
+# every command but validate-law: they walk, read W or draw count trees
+# through the library
+NEEDS_LIBRARY = ["theorem1", "theorem2", "theorem3", "corollary", "lemma-moments",
+                 "forest-identities", "estimate-constants"]
 
 
 @pytest.mark.parametrize("with_library", [False, True])
 def test_package_copy_with_and_without_library(kernel_library, tmp_path, with_library):
-    """A package copy without the built library: the four commands that walk
-    and theorem1, which reads W, stop, at threads=2 too, with a message
-    naming the library and the build command, before they estimate a
-    constant (the config gives none) or draw survival, and write no output
-    directory; validate-law writes this session's bytes.
+    """A package copy without the built library: every command but
+    validate-law stops, at threads=2 too, with a message naming the library
+    and the build command, before it estimates a constant (the config gives
+    none) or draws survival, and writes no output directory; validate-law
+    writes this session's bytes.
     With the library beside kernel.py, theorem2 writes this session's bytes.
     KERNEL_IMPL is "compiled" in both, and `import gwalk.cli` loads no
     module named like the tests' Python kernel."""

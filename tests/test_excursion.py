@@ -1,5 +1,10 @@
 """Excursion trees: the level-batched sampler, its pruning, its budget, the
-hypothesis sums, and the return times it encodes against kernel walks."""
+hypothesis sums, and the return times it encodes against kernel walks.
+
+The law, laziness, truncation and pruning are checked on the numpy
+reference `oracles.excursion_levels`, which the library's sampler matches
+byte for byte (tests/test_count_trees.py); the return times are checked on
+the library's sampler itself."""
 
 import math
 
@@ -10,16 +15,13 @@ from scipy import stats as sps
 from gwalk import excursion, kernel
 from gwalk._rng import child_key
 from gwalk.env import MarkedTree, enumerate_truncated
-from gwalk.excursion import (
-    excursion_levels,
-    hypothesis_sums_batch,
-    sample_excursion_tree,
-)
+from gwalk.excursion import hypothesis_sums_batch, sample_excursion_tree
 from gwalk.forest import StepBudgetExceeded, sample_typed_forest
 from gwalk.law import make_constant_bias, make_mark_law, make_two_point
 from gwalk.oracle import FiniteChain
 
 import oracles
+from oracles import excursion_levels
 
 SUB = make_two_point(0.068)
 CB = make_constant_bias(2.0)
@@ -109,8 +111,8 @@ def test_children_counts_follow_ragged_atoms():
 def test_children_counts_validation():
     rng = np.random.default_rng(0)
     for counts in (0, -1, [1, 0]):
-        with pytest.raises(ValueError):
-            next(excursion_levels(SUB, [1, 2], counts, rng))
+        with pytest.raises(ValueError, match="root counts must be >= 1"):
+            kernel.count_trees(SUB.tables(), [1, 2], counts, rng)
     with pytest.raises(ValueError):
         hypothesis_sums_batch(SUB, 10, rng, p=0)
 
@@ -266,11 +268,9 @@ def test_sampler_node_budget():
 def _sampler_T(env, p, n, cap, seed):
     """min(T^p, cap) of n sampler rows at root count p on one environment;
     the budget (cap + p + 1) // 2 makes a cut row's T^p exceed cap."""
-    total = np.zeros(n, dtype=np.int64)
-    for lv in excursion_levels(SUB, np.full(n, env, dtype=np.uint64), p,
-                               np.random.default_rng(seed), budget=(cap + p + 1) // 2):
-        np.add.at(total, lv.row, lv.N)
-    return np.minimum(2 * total - p, cap)
+    sums, _ = kernel.count_trees(SUB.tables(), np.full(n, env, dtype=np.uint64), p,
+                                 np.random.default_rng(seed), budget=(cap + p + 1) // 2)
+    return np.minimum(2 * sums[0] + p, cap)  # 2 (p + the non-root sum) - p
 
 
 def _kernel_T(env, p_grid, n):

@@ -1,9 +1,11 @@
 """Campaign normalizations (the regime decides the scales, through one
 function), theorem1: no walk, its censoring and bias bound, corollary
-with too few grid points hit, and the vectorised trial seeds."""
+with too few grid points hit, the vectorised trial seeds, and the trial
+pool's one shared index iterator."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -138,3 +140,25 @@ def test_trial_seeds_equal_per_trial_derive_seed(master, experiment, n):
     assert env.dtype == wlk.dtype == np.uint64
     assert env.tolist() == [derive_seed(master, experiment, t, "env") for t in range(n)]
     assert wlk.tolist() == [derive_seed(master, experiment, t, "walk") for t in range(n)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_map_trials_runs_each_trial_once(threads):
+    """The workers share one range iterator: with the interpreter switching
+    threads every microsecond and more workers than cores, every trial
+    still runs exactly once. An exception in a trial stops the call."""
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        experiments._map_trials(seen.append, 20000, threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(20000))
+
+    def fail(t):
+        if t == 7:
+            raise ValueError("trial 7")
+
+    with pytest.raises(ValueError, match="trial 7"):
+        experiments._map_trials(fail, 50, threads)

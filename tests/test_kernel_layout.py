@@ -36,7 +36,8 @@ def _struct(name: str):
 
 @pytest.mark.parametrize("struct, mirror", [("gw_node", kernel._Node),
                                             ("gw_arena", kernel._Arena),
-                                            ("gw_stats", kernel._Stats)])
+                                            ("gw_stats", kernel._Stats),
+                                            ("gw_count", kernel._Count)])
 def test_struct_fields_match(struct, mirror):
     assert [f for f, _ in mirror._fields_] == [name for _, name in _struct(struct)]
 
@@ -63,6 +64,10 @@ def test_walk_parameters_match_argtypes():
 
 def test_level_parameters_match_argtypes():
     _assert_parameters_match("int64_t", "gw_level", kernel._LEVEL_ARGTYPES)
+
+
+def test_counts_parameters_match_argtypes():
+    _assert_parameters_match("int", "gw_counts", kernel._COUNTS_ARGTYPES)
 
 
 def test_walk_source_compiles_without_warnings():
