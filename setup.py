@@ -22,6 +22,13 @@ from the static `libnpyrandom.a` that numpy ships in `numpy/random/lib`
 library was built against is the numpy it runs with; rebuild after
 changing numpy.
 
+On Linux the library is linked with `-Wl,--exclude-libs,ALL` (GNU ld and
+lld accept it), which keeps the symbols of the static libraries it links
+local: numpy's `random_*` functions stay inside, and the library exports
+only its own entry points `gw_walk`, `gw_level`, `gw_counts`, `gw_free` and
+`gw_free_counts`. Elsewhere numpy's symbols are exported too, and ctypes'
+local binding keeps them from clashing.
+
 Keep -ffp-contract=off and add no -ffast-math or -march=native: the kernel
 must turn a hash into a uniform and compare it against the step tables
 exactly as the tests' Python reference `tests/pykernel.py` does, and sum
@@ -29,6 +36,7 @@ potentials and form Poisson rates exactly as the numpy references do, or
 bit-parity breaks.
 """
 
+import sys
 from importlib.util import find_spec
 from pathlib import Path
 
@@ -36,6 +44,7 @@ from setuptools import Extension, setup
 
 COMPILE_ARGS = ["-O3", "-std=c99", "-ffp-contract=off"]
 NUMPY_RANDOM_LIB = Path(find_spec("numpy").submodule_search_locations[0], "random", "lib")
+LINK_ARGS = ["-Wl,--exclude-libs,ALL"] if sys.platform == "linux" else []
 
 setup(
     ext_modules=[
@@ -45,6 +54,7 @@ setup(
             extra_compile_args=COMPILE_ARGS,
             library_dirs=[str(NUMPY_RANDOM_LIB)],
             libraries=["npyrandom", "m"],
+            extra_link_args=LINK_ARGS,
         )
     ]
 )

@@ -22,7 +22,7 @@
  * gw_counts draws the edge-count trees of gwalk.excursion with numpy's own
  * gamma and Poisson (numpy's static libnpyrandom.a, linked by setup.py) on
  * the caller's numpy bit generator, in the order of the numpy reference
- * tests/oracles.py's excursion_levels; tests/test_excursion.py checks the
+ * tests/oracles.py's excursion_levels; tests/test_count_trees.py checks the
  * bytes and the generator's state after.
  * All three grow nodes through one atom_of and one child_key.
  * The file holds no Python API and no global mutable state: gwalk.kernel

@@ -729,11 +729,16 @@ def lemma_moments_campaign(
 
 
 def forest_identities_campaign(
-    law: MarkLaw, master_seed: int, *, n_trees: int = 10**4, n_sums: int = 10**5
+    law: MarkLaw, kappa: float, master_seed: int, *, n_trees: int = 10**4,
+    n_sums: int = 10**5
 ) -> dict:
     """Per-tree exact identities of the excursion-forest transform on
     `n_trees` typed trees, and the moment rows of B, nu and nu_tilde with
-    the mean_type1_once verdict (E[B] = 1) on `n_sums` batch draws."""
+    the mean_type1_once verdict (E[B] = 1) on `n_sums` batch draws.
+
+    sigma1_sq, the sample variance of B, and its fourth-moment standard
+    error sigma1_sq_se are null unless kappa > 4: B's tail index is kappa,
+    so below 4 the error, and below 2 the variance, is infinite."""
     kernel.require_library()
     _check("forest_identities.n_trees", n_trees)
     _check("forest_identities.n_sums", n_sums, least=2)
@@ -759,11 +764,13 @@ def forest_identities_campaign(
     moments = {}
     for name, key in (("b", "B"), ("nu", "nu"), ("nu_tilde", "nu_tilde")):
         moments[f"{name}_mean"], moments[f"{name}_se"] = stats.mean_se(sums[key])
-    b = sums["B"].astype(np.float64)
-    var_b = b.var(ddof=1)
-    m4 = np.square(np.square(b - b.mean())).mean()  # ** 4 is 5x slower
-    moments["sigma1_sq"] = float(var_b)
-    moments["sigma1_sq_se"] = float(math.sqrt(max(m4 - var_b**2, 0.0) / n_sums))
+    moments["sigma1_sq"] = moments["sigma1_sq_se"] = None
+    if kappa > 4:
+        b = sums["B"].astype(np.float64)
+        var_b = b.var(ddof=1)
+        m4 = np.square(np.square(b - b.mean())).mean()  # ** 4 is 5x slower
+        moments["sigma1_sq"] = float(var_b)
+        moments["sigma1_sq_se"] = float(math.sqrt(max(m4 - var_b**2, 0.0) / n_sums))
     b_mean, b_se = moments["b_mean"], moments["b_se"]
     verdicts.append(
         stats.verdict_row(

@@ -69,8 +69,9 @@ the law) one generation of a whole batch at a time, with numpy's own
 gamma and Poisson from numpy's static C library, on the caller's generator
 and in the order of the numpy reference tests/oracles.excursion_levels; it
 returns per-row sums, and the node list on request. Its Poisson rates
-g e^{-a_i} multiply numpy's exp of the marks (`_rate_table`) in C, one
-product each, so they have the reference's bits.
+g e^{-a_i} multiply the law's weights `LawTables.rate`, numpy's exp of the
+marks built with the step tables, in C, one product each, so they have the
+reference's bits.
 
 Binding
 -------
@@ -194,16 +195,6 @@ _COUNTS_ARGTYPES = [_P, _P, _INT64, _P, _P, _P, _P, ctypes.c_int, _INT64, _P,
 _ELAM = 2
 
 
-def _rate_table(t: LawTables) -> np.ndarray:
-    """The (atoms x max children) table of e^{-a_i}, 0 past an atom's
-    children: child slot i's Poisson rate per unit of the gamma draw. The
-    exp is numpy's, as in the numpy reference."""
-    owner = np.repeat(np.arange(t.lens.size), t.lens)  # the atom of each mark
-    rate = np.zeros((t.lens.size, int(t.lens.max())))
-    rate[owner, np.arange(t.marks.size) - t.off[owner]] = np.exp(-t.marks)
-    return rate
-
-
 def load_kernel(path):
     """Bind the library at `path`; returns its (`run_walk`,
     `level_potentials`, `count_trees`)."""
@@ -324,7 +315,7 @@ def load_kernel(path):
             raise ValueError("root counts must be >= 1")
         caps = None if budget is None else np.ascontiguousarray(
             np.broadcast_to(np.asarray(budget, dtype=np.int64), n))
-        cum, rate = _arrays([law_tables.cum, _rate_table(law_tables)], [np.float64] * 2)
+        cum, rate = _arrays([law_tables.cum, law_tables.rate], [np.float64] * 2)
         sums = np.empty((3, n), dtype=np.int64)
         tree, size = ctypes.POINTER(_Count)(), _INT64()
         bitgen = rng.bit_generator

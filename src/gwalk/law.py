@@ -67,6 +67,9 @@ class LawTables(NamedTuple):
     p_up      per atom: P(step to the parent) = 1 / (1 + s), s = sum_i e^{-a_i}
     step_cum  per mark: P(up) + P(child <= i), the thresholds the walk kernels
               compare their uniform against
+    rate      the (atoms x most children) table of the weights e^{-a_i},
+              0 past an atom's children: per unit of the gamma draw, the
+              Poisson rates with which `gw_counts` draws the children's counts
     """
 
     cum: np.ndarray | None
@@ -75,42 +78,36 @@ class LawTables(NamedTuple):
     marks: np.ndarray
     p_up: np.ndarray
     step_cum: np.ndarray
+    rate: np.ndarray
 
 
 def step_law(off, lens, marks):
-    """The walk's step law per atom: (p_up, step_cum) of LawTables.
+    """The walk's step law per atom and its weights: (p_up, step_cum, rate)
+    of LawTables.
 
     From x the walk steps to the parent with weight e^{-V(x)} and to child
     x_i with weight e^{-V(x_i)}; V(x) cancels, so the law depends only on
-    the marks a_i = V(x_i) - V(x) and no potential level is ever needed.
-    Vectorised over atoms, with every sum and running sum in the order of
-    numpy's per-atom `sum` and `cumsum`, so the tables are bit-identical to a
-    per-atom loop.
+    the weights e^{-a_i} of the marks a_i = V(x_i) - V(x) and no potential
+    level is ever needed. The atoms with k children are taken together: their
+    weights form one C-contiguous (atoms x k) array, whose row sums and row
+    running sums are numpy's per-atom `sum` and `cumsum`, so the tables are
+    bit-identical to a per-atom loop.
     """
     off = np.asarray(off, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    w = np.exp(-np.asarray(marks, dtype=np.float64))
-    atom = np.repeat(np.arange(len(lens)), lens)
-    j = np.arange(len(w)) - off[atom]  # position of each mark in its atom
-    by_pos = np.split(np.argsort(j, kind="stable"),
-                      np.cumsum(np.bincount(j, minlength=1))[:-1])
-
-    def running(x):
-        """Per mark, the sum of x over its atom's marks up to it, in order;
-        and per atom the total."""
-        acc = np.zeros(len(lens))
-        out = np.empty(len(x))
-        for i in by_pos:  # one mark per atom at each position
-            acc[atom[i]] += x[i]
-            out[i] = acc[atom[i]]
-        return acc, out
-
-    s, _ = running(w)  # numpy sums fewer than 8 terms in order,
-    for a in np.flatnonzero(lens >= 8):  # and 8 or more pairwise
-        s[a] = w[off[a] : off[a] + lens[a]].sum()
-    p_up = 1.0 / (1.0 + s)
-    _, cum = running(w / (1.0 + s[atom]))
-    return p_up, p_up[atom] + cum
+    marks = np.asarray(marks, dtype=np.float64)
+    p_up = np.ones(len(lens))  # a leaf steps up for sure
+    step_cum = np.empty(len(marks))
+    rate = np.zeros((len(lens), int(lens.max(initial=0))))
+    for k in set(lens.tolist()) - {0}:  # not np.unique: it imports numpy.ma
+        atoms = np.flatnonzero(lens == k)
+        at = off[atoms, None] + np.arange(k)  # the atoms' marks, one row each
+        w = np.exp(-marks[at])
+        s = w.sum(axis=1)
+        p_up[atoms] = 1.0 / (1.0 + s)
+        step_cum[at] = p_up[atoms, None] + np.cumsum(w / (1.0 + s[:, None]), axis=1)
+        rate[atoms, :k] = w
+    return p_up, step_cum, rate
 
 
 @dataclass(frozen=True)

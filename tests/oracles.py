@@ -276,15 +276,18 @@ def survives_naive(tree, depth: int, cap: int) -> bool:
 
 
 def step_law_loop(off, lens, marks):
-    """(p_up, step_cum) of the walk's step law, one atom at a time."""
+    """(p_up, step_cum, rate) of the walk's step law, one atom at a time:
+    rate holds each atom's weights e^{-a_i} in its row, 0 past them."""
     p_up = np.empty(len(lens))
     step_cum = np.empty(len(marks))
+    rate = np.zeros((len(lens), max(lens, default=0)))
     for a, (o, k) in enumerate(zip(off, lens)):
         wa = np.exp(-marks[o : o + k])
         s = wa.sum()
         p_up[a] = 1.0 / (1.0 + s)
         step_cum[o : o + k] = p_up[a] + np.cumsum(wa / (1.0 + s))
-    return p_up, step_cum
+        rate[a, :k] = wa
+    return p_up, step_cum, rate
 
 
 def return_prob_grid(chain, times) -> np.ndarray:

@@ -14,7 +14,8 @@ validate-law stops with the build message. Bad sizes and grids (grid
 point 1 at kappa = 2), bad lambdas, tol or shrink, bad `lemma-moments`
 settings, a tail with too few positive draws of B, a bad seed or thread
 count and config keys that no command reads stop the command with a message
-before it writes anything, and the accepted keys are pinned. A bad law spec
+before it writes anything, and the accepted keys are pinned; every shipped
+and benchmark config passes the key check and loads its law. A bad law spec
 and a coded error raised inside a command stop it with one line that
 carries the code. estimate-constants writes
 the CIs of every constant and the Hill index's CI.
@@ -344,16 +345,27 @@ def test_infinite_kappa_is_written_as_null(tmp_path):
 
 def test_forest_rows_come_from_the_batch_sums(tmp_path):
     """The moment rows and the mean_type1_once verdict read the same
-    hypothesis_sums_batch draws, not the size-truncated typed forest."""
-    files = _run(tmp_path, "forest-identities", 1, "a")
-    rows = {r["statistic"]: float(r["value"]) for r in
-            csv.DictReader(io.StringIO(files["forest_identities.csv"].decode()))}
-    assert list(rows) == ["b_mean", "b_se", "nu_mean", "nu_se", "nu_tilde_mean",
-                          "nu_tilde_se", "sigma1_sq", "sigma1_sq_se"]
-    (verdict,) = [v for v in json.loads(files["forest_identities_verdicts.json"])
-                  if v["statistic"] == "mean_type1_once"]
-    assert (rows["b_mean"], rows["b_se"]) == (verdict["value"], verdict["se"])
-    assert rows["b_mean"] <= rows["nu_tilde_mean"] <= rows["nu_mean"]
+    hypothesis_sums_batch draws, not the size-truncated typed forest. The
+    sigma1_sq rows are null (empty cells) at kappa = 1.59, where B has no
+    finite variance, and finite numbers at kappa = inf (constant_bias 2)."""
+    for tag, law, sigma_finite in (("a", None, False),
+                                   ("b", {"family": "constant_bias", "lam": 2.0}, True)):
+        files = _run(tmp_path, "forest-identities", 1, tag,
+                     extra=None if law is None else {"law": law})
+        cells = {r["statistic"]: r["value"] for r in
+                 csv.DictReader(io.StringIO(files["forest_identities.csv"].decode()))}
+        assert list(cells) == ["b_mean", "b_se", "nu_mean", "nu_se", "nu_tilde_mean",
+                               "nu_tilde_se", "sigma1_sq", "sigma1_sq_se"]
+        sigma = [cells.pop(k) for k in ("sigma1_sq", "sigma1_sq_se")]
+        if sigma_finite:
+            assert all(math.isfinite(float(v)) and float(v) >= 0 for v in sigma)
+        else:
+            assert sigma == ["", ""]
+        rows = {k: float(v) for k, v in cells.items()}
+        (verdict,) = [v for v in json.loads(files["forest_identities_verdicts.json"])
+                      if v["statistic"] == "mean_type1_once"]
+        assert (rows["b_mean"], rows["b_se"]) == (verdict["value"], verdict["se"])
+        assert rows["b_mean"] <= rows["nu_tilde_mean"] <= rows["nu_mean"]
 
 
 def test_theorem3_writes_censored_medians_as_null(tmp_path):
@@ -463,6 +475,21 @@ def test_config_surface_is_pinned():
         "estimate_constants": {"n_samples", "eps", "c_kappa_samples"},
     }
     assert sum(len(keys) for keys in cli._SECTIONS.values()) == 32
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted([*REPO.glob("configs/*.json"), *REPO.glob("bench/configs/*.json")])
+
+
+def test_shipped_and_benchmark_configs_load():
+    """Every shipped config and every benchmark config passes the key check
+    and carries a law that loads, so dropping a key a config uses fails
+    here and not first in a benchmark run."""
+    assert len(SHIPPED_CONFIGS) == 8
+    for path in SHIPPED_CONFIGS:
+        cfg = json.loads(path.read_text())
+        cli._check_keys(cfg)
+        load_law(cfg["law"])
 
 
 COLD_PATH = """

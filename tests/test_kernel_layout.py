@@ -1,12 +1,14 @@
 """The ctypes binding in `gwalk.kernel` against the C declarations in
 `_walk.c`, read as text: no library is loaded, so a mismatch fails here
 instead of crashing the interpreter inside a kernel call. `_walk.c` also
-compiles without a warning under -Wall -Wextra."""
+compiles without a warning under -Wall -Wextra, and on Linux the built
+library exports its five entry points and none of numpy's symbols."""
 
 import ctypes
 import re
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -79,3 +81,14 @@ def test_walk_source_compiles_without_warnings():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the link flag that hides numpy's symbols is Linux-only")
+def test_library_exports_only_its_entry_points(kernel_library):
+    if kernel_library is None:
+        pytest.skip("no C compiler to build the walk kernel")
+    lib = ctypes.CDLL(str(kernel_library))
+    for name in ("gw_walk", "gw_level", "gw_counts", "gw_free", "gw_free_counts"):
+        assert hasattr(lib, name), name
+    assert not hasattr(lib, "random_poisson")

@@ -200,9 +200,12 @@ def _explicit_tables(explicit):
 
 
 def test_step_law_matches_per_atom_loop():
-    """The vectorised step law is bit-identical to the per-atom loop on the
-    shipped laws, the laws the tests build, explicit trees (leaves are
-    atoms without marks) and ragged atoms of up to 40 marks."""
+    """The step law and the weight table are bit-identical to the per-atom
+    loop (rate: each atom's e^{-a_i} in its row, 0 past its children) on the
+    shipped laws, the laws the tests build, explicit trees (leaves are atoms
+    without marks) and ragged atoms of up to 40 marks. Atoms of 8 or more
+    marks, which numpy sums pairwise, come mixed with shorter ones: explicit
+    trees of a law with 2 or 9 children, and 10^4 atoms of 1 to 20 marks."""
     from gwalk.env import enumerate_truncated
 
     laws = [_config_law(name) for name in (
@@ -211,20 +214,22 @@ def test_step_law_matches_per_atom_loop():
     laws += [make_constant_bias(2.0), make_constant_bias(2.0, 3),
              make_mark_law([(0.5, ()), (0.5, (math.log(2.0),) * 4)]),
              make_mark_law([(1.0, (-math.log(0.9), -math.log(0.6)))])]
-    tables = [law.tables() for law in laws]
+    nine = make_mark_law([(0.5, tuple(0.37 * i - 1.1 for i in range(9))), (0.5, (0.7, 1.9))])
+    tables = [law.tables() for law in laws + [nine]]
     tables += [_explicit_tables(enumerate_truncated(make_two_point(0.068), s, 4))
                for s in (314, 2718)]
+    tables += [_explicit_tables(enumerate_truncated(nine, s, 3)) for s in (5, 6)]
     tables += [_explicit_tables(oracles.build_chain([0.5, -0.25, 1.0]))]
     rng = np.random.default_rng(12)
-    for _ in range(200):
-        lens = rng.integers(0, 40, size=rng.integers(1, 12))
+    shapes = [rng.integers(0, 40, size=rng.integers(1, 12)) for _ in range(200)]
+    for lens in shapes + [rng.integers(1, 21, size=10**4)]:
         off = np.cumsum(lens) - lens
         marks = rng.normal(scale=3.0, size=lens.sum())
         tables.append(law_mod.LawTables(None, off, lens, marks,
                                         *law_mod.step_law(off, lens, marks)))
     for t in tables:
         want = oracles.step_law_loop(t.off, t.lens, t.marks)
-        for got, ref in zip((t.p_up, t.step_cum), want):
+        for got, ref in zip((t.p_up, t.step_cum, t.rate), want):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 

@@ -1,4 +1,5 @@
-"""Walk layer: kernel grid runners, exact clocks, and the kernel's law."""
+"""Walk layer: kernel grid runners, exact clocks, the identity that joins
+the local time L^n and the return time T^p, and the kernel's law."""
 
 import math
 
@@ -9,7 +10,7 @@ import oracles
 import pykernel
 from gwalk import kernel
 from gwalk.env import enumerate_truncated
-from gwalk.law import make_constant_bias, make_two_point
+from gwalk.law import load_law, make_constant_bias, make_two_point
 from gwalk.oracle import FiniteChain
 from gwalk.walk import simulate_excursion_grid, simulate_time_grid
 
@@ -47,6 +48,34 @@ def test_snapshot_marginals_rows():
     res = simulate_excursion_grid(SUB, 21, 22, [5], 10**9)
     assert res["snap_L"].tolist() == [5]
     assert res["snap_T"][0] == res["snap_tau"][0] - 5  # T^p = tau^p - p
+
+
+# half the atoms childless, half with four children marked ln 2 (the
+# extinction law of test_cli.py): about half the environments die
+EXTINCTION = load_law({"atoms": [{"p": 0.5, "marks": []},
+                                 {"p": 0.5, "marks": [math.log(2.0)] * 4}]})
+
+
+@pytest.mark.parametrize("law", [SUB, EXTINCTION], ids=["two_point_sub", "extinction"])
+def test_local_time_and_return_time_are_one_process(law):
+    """L^n >= p <=> T^p <= n - p + 1 pathwise (Theorems 2 and 1): the p-th
+    arrival at e* is raw step tau^p - 1 = T^p + p - 1. On 50 environments x
+    3 walk seeds, a step walk snapshots L at every n <= 10^4 and a crossing
+    walk with the same seeds T at every p <= 30 it reaches within 10^6
+    steps; a p it does not reach has L^n < p at every n."""
+    n = np.arange(1, 10**4 + 1)
+    p = np.arange(1, 31)
+    budget = 10**6
+    for env in range(50):
+        for walk_seed in range(3):
+            L = kernel.run_walk(law.tables(), env, walk_seed, kernel.MODE_STEPS,
+                                n[-1], n)["snap_L"]
+            T = kernel.run_walk(law.tables(), env, walk_seed, kernel.MODE_CROSSINGS,
+                                p[-1], p, budget=budget)["snap_T"]
+            k = T.size
+            assert np.array_equal(L[None, :] >= p[:k, None],
+                                  T[:, None] <= n[None, :] - p[:k, None] + 1)
+            assert (L < p[k:, None]).all()
 
 
 def test_single_step_bookkeeping():
