@@ -10,30 +10,32 @@ Build and run a source checkout from its root:
     PYTHONPATH=src python -m gwalk.cli theorem2 --config configs/two_point_sub.json
 
 or install the package (`pip install .`), which builds the library too.
-Every command but `validate-law` walks, reads W or draws count trees in the
-library, and stops with a message naming the build command when it is not
-built. The tests build the library for their session when the checkout has
-none.
+Every command but `validate-law` walks, reads W, draws count trees or draws
+discounted sums in the library, and stops with a message naming the build
+command when it is not built. The tests build the library for their session
+when the checkout has none.
 
-The count-tree sampler draws through numpy's own gamma and Poisson, linked
-from the static `libnpyrandom.a` that numpy ships in `numpy/random/lib`
-(found without importing numpy). Its draws equal those of
-`Generator.standard_gamma` and `Generator.poisson` only when the numpy the
-library was built against is the numpy it runs with; rebuild after
-changing numpy.
+The count-tree sampler draws through numpy's own gamma and Poisson
+(`random_standard_gamma`, `random_poisson`), and the discounted sums through
+numpy's own uniform fill (`random_standard_uniform_fill`), linked from the
+static `libnpyrandom.a` that numpy ships in `numpy/random/lib` (found
+without importing numpy). Their draws equal those of
+`Generator.standard_gamma`, `Generator.poisson` and `Generator.random` only
+when the numpy the library was built against is the numpy it runs with;
+rebuild after changing numpy.
 
 On Linux the library is linked with `-Wl,--exclude-libs,ALL` (GNU ld and
 lld accept it), which keeps the symbols of the static libraries it links
 local: numpy's `random_*` functions stay inside, and the library exports
-only its own entry points `gw_walk`, `gw_level`, `gw_counts`, `gw_free` and
-`gw_free_counts`. Elsewhere numpy's symbols are exported too, and ctypes'
-local binding keeps them from clashing.
+only its own entry points `gw_walk`, `gw_level`, `gw_counts`, `gw_discount`,
+`gw_free` and `gw_free_counts`. Elsewhere numpy's symbols are exported too,
+and ctypes' local binding keeps them from clashing.
 
 Keep -ffp-contract=off and add no -ffast-math or -march=native: the kernel
 must turn a hash into a uniform and compare it against the step tables
 exactly as the tests' Python reference `tests/pykernel.py` does, and sum
-potentials and form Poisson rates exactly as the numpy references do, or
-bit-parity breaks.
+potentials, form Poisson rates and add spine increments exactly as the
+numpy references do, or bit-parity breaks.
 """
 
 import sys

@@ -1,6 +1,7 @@
 /* Plain-C kernel: the walk gwalk runs, the depth-first walker that lists a
- * generation for W, and the sampler of edge-count trees; all three are bound
- * by gwalk.kernel. Every command but validate-law needs this library.
+ * generation for W, the sampler of edge-count trees and the spine walk of
+ * the discounted sums; all four are bound by gwalk.kernel. Every command but
+ * validate-law needs this library.
  *
  * The walk's contract (arena, dynamics, bookkeeping) is the docstring of
  * gwalk/kernel.py. A step reads only the current node's atom: the caller
@@ -24,14 +25,23 @@
  * the caller's numpy bit generator, in the order of the numpy reference
  * tests/oracles.py's excursion_levels; tests/test_count_trees.py checks the
  * bytes and the generator's state after.
- * All three grow nodes through one atom_of and one child_key.
+ * gw_discount draws the next block of the size-biased spine walks S of
+ * gwalk.env.discounted_sums_batch on numpy's own uniforms (the fill behind
+ * Generator.random) and writes the exponents -S_j. The exp and the row sum
+ * of D stay in numpy, as e^{-V} does for W: numpy's SIMD exp may differ from
+ * the C library's exp in the last place, and numpy's row sum is pairwise, so
+ * D keeps the bits of tests/oracles.py's discounted_sums_searchsorted
+ * (tests/test_env.py checks them and the generator's state after).
+ * The three tree entry points grow nodes through one atom_of and one
+ * child_key; atom_of and gw_discount's increment lookup share one
+ * branch-free count, count_le.
  * The file holds no Python API and no global mutable state: gwalk.kernel
  * calls it through ctypes, which releases the GIL, so trials on several
  * threads run in parallel. The arena is one array of 48-byte node records
  * (six 8-byte fields). gwalk.kernel restates gw_node, gw_arena, gw_stats,
- * gw_count and the parameters of gw_walk, gw_level and gw_counts by hand;
- * tests/test_kernel_layout.py checks that both sides name the same fields
- * in the same order.
+ * gw_count and the parameters of gw_walk, gw_level, gw_counts and
+ * gw_discount by hand; tests/test_kernel_layout.py checks that both sides
+ * name the same fields in the same order.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
  * -ffast-math or -march=native, and keep -ffp-contract=off.
@@ -119,15 +129,22 @@ static void set_node(gw_arena *A, int64_t i, int64_t parent, uint64_t key)
     A->node[i] = (gw_node){parent, -1, 0, 0, -1, key};
 }
 
-/* Offspring atom of a node key: the key's top 53 bits as a uniform on [0, 1)
- * against the cumulative atom probabilities, whose last entry is 1.0. */
-static inline int64_t atom_of(uint64_t key, const double *atom_cum)
+/* The number of the n nondecreasing values cum[0..n) that are <= u, counted
+ * without a branch: the index of the first value above u. */
+static inline int64_t count_le(double u, const double *cum, int64_t n)
 {
-    double u = (double)(key >> 11) * TWO_NEG53;
-    int64_t a = 0;
-    while (u >= atom_cum[a])
-        a++;
-    return a;
+    int64_t c = 0, i;
+    for (i = 0; i < n; i++)
+        c += u >= cum[i];
+    return c;
+}
+
+/* Offspring atom of a node key: the key's top 53 bits as a uniform on [0, 1)
+ * against the n_atoms cumulative atom probabilities, whose last entry is
+ * 1.0. */
+static inline int64_t atom_of(uint64_t key, const double *atom_cum, int64_t n_atoms)
+{
+    return count_le((double)(key >> 11) * TWO_NEG53, atom_cum, n_atoms);
 }
 
 /* Key of the j-th (0-based) child of the node with key k. */
@@ -137,10 +154,11 @@ static inline uint64_t child_key(uint64_t k, int64_t j)
 }
 
 /* Give ungrown node x its atom and children: its key alone decides both. */
-static int grow(gw_arena *A, int64_t x, const double *atom_cum, const int64_t *atom_len)
+static int grow(gw_arena *A, int64_t x, const double *atom_cum, int64_t n_atoms,
+                const int64_t *atom_len)
 {
     uint64_t kx = A->node[x].key;
-    int64_t a = atom_of(kx, atom_cum), k = atom_len[a], j;
+    int64_t a = atom_of(kx, atom_cum, n_atoms), k = atom_len[a], j;
     if (reserve(A, A->n + k))
         return GW_ENOMEM;
     A->node[x].atom = a;
@@ -164,13 +182,13 @@ static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t 
 /* Run one walk. With n_explicit < 0 the tree grows lazily from the law tables
  * and env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
  * kernel.explicit_tree returns it: node i is atom i of the tables and has
- * exp_parent[i] and exp_child0[i]; atom_cum is then unused.
+ * exp_parent[i] and exp_child0[i]; atom_cum and n_atoms are then unused.
  * Snapshots go to the caller's 4 x nsnap buffer snap_out. On GW_OK, *st
  * holds the scalars and *arena_out the grown tree, which the caller releases
  * with gw_free; out of memory, *arena_out is NULL. */
-int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom_len,
-            const double *p_up, const double *step_cum, int64_t n_explicit,
-            const int64_t *exp_parent, const int64_t *exp_child0,
+int gw_walk(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
+            const int64_t *atom_len, const double *p_up, const double *step_cum,
+            int64_t n_explicit, const int64_t *exp_parent, const int64_t *exp_child0,
             uint64_t env_seed, uint64_t state, int mode, int64_t limit,
             const int64_t *snaps, int64_t nsnap, int64_t *snap_out, int64_t budget,
             gw_stats *st, gw_arena **arena_out)
@@ -214,7 +232,7 @@ int gw_walk(const double *atom_cum, const int64_t *atom_off, const int64_t *atom
             }
         } else {
             x = pos;
-            if (A->node[x].atom == -1 && (err = grow(A, x, atom_cum, atom_len)))
+            if (A->node[x].atom == -1 && (err = grow(A, x, atom_cum, n_atoms, atom_len)))
                 goto fail;
 
             nx = &A->node[x];
@@ -282,9 +300,9 @@ typedef struct {
  * lists the children of each node there, so it computes no key of the
  * generation itself. The first min(n, cap) values go to v_out. Returns n,
  * the size of the generation, or -1 when out of memory for the path. */
-int64_t gw_level(const double *atom_cum, const int64_t *atom_off, const int64_t *atom_len,
-                 const double *marks, uint64_t env_seed, int64_t level, double *v_out,
-                 int64_t cap)
+int64_t gw_level(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
+                 const int64_t *atom_len, const double *marks, uint64_t env_seed,
+                 int64_t level, double *v_out, int64_t cap)
 {
     gw_frame *path, *f;
     int64_t n = 0, d = 0, a, j;
@@ -298,7 +316,7 @@ int64_t gw_level(const double *atom_cum, const int64_t *atom_off, const int64_t 
     if (!(path = malloc((size_t)level * sizeof *path)))
         return -1;
     key = mix64(env_seed ^ ROOT_SALT);
-    a = atom_of(key, atom_cum);
+    a = atom_of(key, atom_cum, n_atoms);
     path[0] = (gw_frame){key, 0.0, atom_off[a], atom_len[a], 0};
     while (d >= 0) {
         f = &path[d];
@@ -313,7 +331,7 @@ int64_t gw_level(const double *atom_cum, const int64_t *atom_off, const int64_t 
         } else {
             j = f->j++;
             key = child_key(f->key, j);
-            a = atom_of(key, atom_cum);
+            a = atom_of(key, atom_cum, n_atoms);
             path[++d] = (gw_frame){key, f->V + marks[f->off + j], atom_off[a], atom_len[a], 0};
         }
     }
@@ -322,11 +340,13 @@ int64_t gw_level(const double *atom_cum, const int64_t *atom_off, const int64_t 
 }
 
 /* numpy's bit generator (bitgen_t of numpy/random/bitgen.h), opaque here, and
- * two of numpy's distributions, linked from its static libnpyrandom.a. They
- * are declared by hand: numpy's distributions.h includes Python.h. */
+ * three of numpy's distributions, linked from its static libnpyrandom.a. They
+ * are declared by hand: numpy's distributions.h includes Python.h. The count
+ * of the uniform fill is numpy's npy_intp, a pointer-sized signed integer. */
 struct bitgen;
 double random_standard_gamma(struct bitgen *bitgen_state, double shape);
 int64_t random_poisson(struct bitgen *bitgen_state, double lam);
+void random_standard_uniform_fill(struct bitgen *bitgen_state, intptr_t cnt, double *out);
 
 /* One node of a count tree: its batch row, its parent's index in the node
  * list (-1 at a root), its edge count N >= 1 and its environment key. */
@@ -367,7 +387,7 @@ void gw_free_counts(gw_count *node)
  * Poisson rate numpy's Generator.poisson refuses (checked, as numpy checks
  * it, after the generation's gammas and before its first Poisson draw);
  * GW_ENOMEM when out of memory. */
-int gw_counts(const double *atom_cum, const double *rate, int64_t width,
+int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64_t width,
               struct bitgen *bitgen, const uint64_t *env_seeds, const int64_t *root_counts,
               const int64_t *budget, int prune, int64_t n_rows, int64_t *sums,
               gw_count **tree_out, int64_t *n_out)
@@ -396,7 +416,7 @@ int gw_counts(const double *atom_cum, const double *rate, int64_t width,
             r = node[i].row;
             if ((root || !prune || node[i].N >= 2)
                 && (!budget || root_counts[r] + sum_N[r] <= budget[r]))
-                ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum),
+                ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum, n_atoms),
                                       random_standard_gamma(bitgen, (double)node[i].N)};
         }
         for (j = 0; j < m; j++)
@@ -443,4 +463,38 @@ fail:
     free(ex);
     free(node);
     return err;
+}
+
+/* The exponents -S_j of the next `block` terms of n_rows discounted sums,
+ * one path S of the size-biased spine walk per row. Row r is path
+ * rows[r], at S[rows[r]]; out (n_rows x block) receives its next block
+ * -(t_j + S), where t_j is the running sum of the block's increments, and
+ * S[rows[r]] becomes t_last + S. Each row is first filled with uniforms by
+ * numpy's random_standard_uniform_fill on the caller's bit generator, rows
+ * in order, as Generator.random(out=) fills the whole slice; a uniform u
+ * takes the value of run number count_le(u, thresholds, n_thresholds) of
+ * run_vals, a threshold being the cumulative probability at a run's last
+ * value. These are the sums of gwalk.env.discounted_sums_batch's numpy
+ * passes (draw, compare, take, cumsum, add, negate): the same operations in
+ * the same order, so the same bits; the exp and the row sum stay there. t
+ * starts at 0.0 where numpy's cumsum starts at the first increment, which
+ * can change only the sign of a zero t, and adding S, never -0.0, erases
+ * that sign. */
+void gw_discount(struct bitgen *bitgen, const double *thresholds, int64_t n_thresholds,
+                 const double *run_vals, const int64_t *rows, int64_t n_rows, int64_t block,
+                 double *S, double *out)
+{
+    int64_t r, j;
+    double s, t, *o;
+
+    for (r = 0; r < n_rows; r++) {
+        o = out + r * block;
+        random_standard_uniform_fill(bitgen, (intptr_t)block, o);
+        s = S[rows[r]];
+        for (t = 0.0, j = 0; j < block; j++) {
+            t += run_vals[count_le(o[j], thresholds, n_thresholds)];
+            o[j] = -(t + s);
+        }
+        S[rows[r]] = t + s;
+    }
 }

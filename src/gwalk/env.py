@@ -133,9 +133,9 @@ def size_biased_increment_law(law: MarkLaw):
 
 _MIN_TERMS = 512
 _REESTIMATE_EVERY = 64
-# rows of one block drawn and reduced at a time. The three scratch buffers
-# hold _SLICE_ROWS x _MIN_TERMS values each, 4 MB at 2**10 rows, which keeps
-# a slice in cache and bounds the scratch whatever n is
+# rows of one block drawn and reduced at a time. The scratch buffer holds
+# _SLICE_ROWS x _MIN_TERMS values, 4 MB at 2**10 rows, which keeps a slice in
+# cache and bounds the scratch whatever n is
 _SLICE_ROWS = 2**10
 
 
@@ -154,12 +154,16 @@ def discounted_sums_batch(
     probability exceeds u. Adjacent equal values of the increment law are
     merged into runs, so that value is the value of run number
     #{run-end thresholds <= u}, a threshold being the cumulative probability
-    at a run's last atom (the last run has none): a few compares per draw in
-    place of a binary search. Each block is drawn and reduced _SLICE_ROWS
-    paths at a time, through views of three buffers (uniforms, run indices,
-    partial sums) allocated once per call: the generator fills rows in
-    order, so D and the generator's state do not depend on the slice, and
-    the scratch stays at 3 x min(n, _SLICE_ROWS) x 512 values whatever n is.
+    at a run's last atom (the last run has none). Each block is drawn and
+    reduced _SLICE_ROWS paths at a time in one buffer allocated once per
+    call, so the scratch stays at min(n, _SLICE_ROWS) x 512 values whatever
+    n is. The library (`kernel.discount_exponents`) fills a slice with
+    numpy's uniforms on rng's bit generator, rows in order, so D and the
+    generator's state do not depend on the slice; it looks up each
+    increment, takes each row's running sum and writes the exponents -S_j.
+    numpy takes their exp and row sums: numpy's SIMD exp may differ from the
+    C library's in the last place, and the row sum is numpy's pairwise sum,
+    so D keeps the bits of the numpy reference (tests/oracles.py).
     """
     vals, probs = size_biased_increment_law(law)
     cum = np.cumsum(probs)
@@ -168,29 +172,15 @@ def discounted_sums_batch(
     run_vals = vals[np.r_[ends, vals.size - 1]]
     S = np.zeros(n)
     D = np.ones(n)
-    size = min(n, _SLICE_ROWS) * _MIN_TERMS
-    u_buf = np.empty(size)
-    idx_buf = np.empty(size, dtype=np.intp)
-    c_buf = np.empty(size)
+    buf = np.empty(min(n, _SLICE_ROWS) * _MIN_TERMS)
     active = np.arange(n)
     j = 0
     block = _MIN_TERMS
     while active.size:
         for lo in range(0, active.size, _SLICE_ROWS):
             rows = active[lo:lo + _SLICE_ROWS]
-            m = rows.size * block
-            u, idx, c = (b[:m].reshape(rows.size, block) for b in (u_buf, idx_buf, c_buf))
-            rng.random(out=u)
-            idx.fill(0)
-            for t in thresholds:
-                idx += u >= t
-            # the indices are in range: "clip" only spares the copy of out
-            # that the default mode makes
-            np.take(run_vals, idx, out=c, mode="clip")
-            np.cumsum(c, axis=1, out=c)
-            c += S[rows, None]
-            S[rows] = c[:, -1]
-            np.negative(c, out=c)
+            c = buf[:rows.size * block].reshape(rows.size, block)
+            kernel.discount_exponents(thresholds, run_vals, S, rows, c, rng)
             np.exp(c, out=c)
             D[rows] += c.sum(axis=1)
         j += block

@@ -481,7 +481,7 @@ def theorem3_campaign(
 
     _map_trials(one, n_trials, threads)
     n_censored = int(censored.sum())
-    med = np.median(sup_err, axis=0)
+    med = stats.median(sup_err, axis=0)
     # a column at least half censored has median inf, which JSON cannot carry
     known = [float(m) if np.isfinite(m) else None for m in med]
     rows = [

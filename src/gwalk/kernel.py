@@ -2,10 +2,11 @@
 
 setuptools builds `_walk.c` into the library `gwalk/_walk<EXT_SUFFIX>` beside
 this file (setup.py says how). It is the only walk the package runs, its
-depth-first walker `level_potentials` lists the generation that W_l sums, and
-`count_trees` is the package's one sampler of edge-count trees. Without it,
-`run_walk`, `level_potentials`, `count_trees` and `require_library` stop the
-command with a SystemExit that names the library and the build command.
+depth-first walker `level_potentials` lists the generation that W_l sums,
+`count_trees` is the package's one sampler of edge-count trees and
+`discount_exponents` draws the spine walks of the discounted sums. Without
+it, these four and `require_library` stop the command with a SystemExit
+that names the library and the build command.
 Every command but `validate-law` needs it.
 tests/pykernel.py is a pure-Python reference of the same walk, which the
 parity tests compare with the library bit for bit.
@@ -73,14 +74,24 @@ g e^{-a_i} multiply the law's weights `LawTables.rate`, numpy's exp of the
 marks built with the step tables, in C, one product each, so they have the
 reference's bits.
 
+Discounted sums
+---------------
+`discount_exponents` advances a slice of the spine walks S of
+`env.discounted_sums_batch` by one block on numpy's own uniforms (the fill
+behind `Generator.random`, on the caller's generator) and writes the
+exponents -S_j; the exp and the row sum of D stay in numpy, as e^{-V} does
+for W. Its increment lookup and the other three's atom lookup count the
+cumulative values at or below a uniform without a branch, so each entry
+point takes the number of atoms or runs.
+
 Binding
 -------
 The library has no Python API; `load_kernel` binds it through ctypes, whose
 foreign calls release the GIL, so trials on several threads run in parallel.
-`_Node`, `_Arena`, `_Stats`, `_Count`, `_WALK_ARGTYPES`, `_LEVEL_ARGTYPES`
-and `_COUNTS_ARGTYPES` restate the C declarations by hand (a mismatch
-crashes the interpreter rather than raising); tests/test_kernel_layout.py
-checks them against `_walk.c`.
+`_Node`, `_Arena`, `_Stats`, `_Count`, `_WALK_ARGTYPES`, `_LEVEL_ARGTYPES`,
+`_COUNTS_ARGTYPES` and `_DISCOUNT_ARGTYPES` restate the C declarations by
+hand (a mismatch crashes the interpreter rather than raising);
+tests/test_kernel_layout.py checks them against `_walk.c`.
 """
 
 from __future__ import annotations
@@ -179,17 +190,20 @@ def _arrays(values, dtypes):
 _DTYPES = [np.float64, np.int64, np.int64, np.float64, np.float64] + [np.int64] * 2
 
 # gw_walk's parameters, in the order of its C declaration
-_WALK_ARGTYPES = [_P, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64, ctypes.c_uint64,
-                  ctypes.c_int, _INT64, _P, _INT64, _P, _INT64, ctypes.POINTER(_Stats),
-                  ctypes.POINTER(ctypes.POINTER(_Arena))]
+_WALK_ARGTYPES = [_P, _INT64, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64,
+                  ctypes.c_uint64, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64,
+                  ctypes.POINTER(_Stats), ctypes.POINTER(ctypes.POINTER(_Arena))]
 
 
 # gw_level's parameters, in the order of its C declaration
-_LEVEL_ARGTYPES = [_P, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]
+_LEVEL_ARGTYPES = [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]
 
 # gw_counts' parameters, in the order of its C declaration
-_COUNTS_ARGTYPES = [_P, _P, _INT64, _P, _P, _P, _P, ctypes.c_int, _INT64, _P,
+_COUNTS_ARGTYPES = [_P, _INT64, _P, _INT64, _P, _P, _P, _P, ctypes.c_int, _INT64, _P,
                     ctypes.POINTER(ctypes.POINTER(_Count)), ctypes.POINTER(_INT64)]
+
+# gw_discount's parameters, in the order of its C declaration
+_DISCOUNT_ARGTYPES = [_P, _P, _INT64, _P, _P, _INT64, _INT64, _P, _P]
 
 # gw_counts' error code for a Poisson rate numpy refuses (GW_ELAM)
 _ELAM = 2
@@ -197,17 +211,18 @@ _ELAM = 2
 
 def load_kernel(path):
     """Bind the library at `path`; returns its (`run_walk`,
-    `level_potentials`, `count_trees`)."""
+    `level_potentials`, `count_trees`, `discount_exponents`)."""
     lib = ctypes.CDLL(str(path))
     walk, free, level_fn = lib.gw_walk, lib.gw_free, lib.gw_level
-    counts_fn, free_counts = lib.gw_counts, lib.gw_free_counts
+    counts_fn, free_counts, discount_fn = lib.gw_counts, lib.gw_free_counts, lib.gw_discount
     walk.restype, free.restype, level_fn.restype = ctypes.c_int, None, _INT64
-    counts_fn.restype, free_counts.restype = ctypes.c_int, None
+    counts_fn.restype, free_counts.restype, discount_fn.restype = ctypes.c_int, None, None
     walk.argtypes = _WALK_ARGTYPES
     free.argtypes = [ctypes.POINTER(_Arena)]
     level_fn.argtypes = _LEVEL_ARGTYPES
     counts_fn.argtypes = _COUNTS_ARGTYPES
     free_counts.argtypes = [ctypes.POINTER(_Count)]
+    discount_fn.argtypes = _DISCOUNT_ARGTYPES
     # (law tables, their C arrays, pointers) of the last lazy walk: every
     # trial of a campaign passes the same tables object, so its pointers are
     # bound once. The slot holds the tables and the arrays, so the pointers
@@ -217,7 +232,9 @@ def load_kernel(path):
 
     def pointers(t, tree):
         arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
-        return arrays, [None if a is None else a.ctypes.data for a in arrays]
+        ptrs = [None if a is None else a.ctypes.data for a in arrays]
+        ptrs.insert(1, 0 if t.cum is None else t.cum.size)  # the atom count
+        return arrays, ptrs
 
     def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
                  budget=10**10, collect_tree=False, explicit=None):
@@ -244,7 +261,7 @@ def load_kernel(path):
             n_explicit = len(tree[0])
             arrays, ptrs = pointers(t, tree)
         st, arena = _Stats(), ctypes.POINTER(_Arena)()
-        err = walk(*ptrs[:5], n_explicit, *ptrs[5:], int(env_seed) & MASK,
+        err = walk(*ptrs[:6], n_explicit, *ptrs[6:], int(env_seed) & MASK,
                    int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
                    len(snaps), snap_out.ctypes.data, int(budget), ctypes.byref(st),
                    ctypes.byref(arena))
@@ -273,6 +290,7 @@ def load_kernel(path):
         arrays = _arrays([law_tables.cum, law_tables.off, law_tables.lens, law_tables.marks],
                          [np.float64, np.int64, np.int64, np.float64])
         ptrs = [a.ctypes.data for a in arrays]
+        ptrs.insert(1, arrays[0].size)
         level = int(level)
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
@@ -320,7 +338,7 @@ def load_kernel(path):
         tree, size = ctypes.POINTER(_Count)(), _INT64()
         bitgen = rng.bit_generator
         with bitgen.lock:
-            err = counts_fn(cum.ctypes.data, rate.ctypes.data, rate.shape[1],
+            err = counts_fn(cum.ctypes.data, cum.size, rate.ctypes.data, rate.shape[1],
                             bitgen.ctypes.bit_generator, seeds.ctypes.data, roots.ctypes.data,
                             None if caps is None else caps.ctypes.data, int(bool(prune)), n,
                             sums.ctypes.data, ctypes.byref(tree) if keep else None,
@@ -337,7 +355,30 @@ def load_kernel(path):
         finally:
             free_counts(tree)
 
-    return run_walk, level_potentials, count_trees
+    def discount_exponents(thresholds, run_vals, S, rows, out, rng):
+        """The exponents -S_j of the next out.shape[1] terms of the
+        discounted sums of the paths `rows`, written to `out`, one row per
+        path, as `gw_discount` describes; S[rows] moves to the block's end.
+        The uniforms are numpy's, drawn from rng's bit generator while
+        holding its lock, rows in order, so rng ends where
+        rng.random(out=out) would leave it. The library writes S and out in
+        place: ValueError unless both are C-contiguous float64 arrays, out
+        of shape (len(rows), block), rows index S and there is one
+        threshold fewer than run values."""
+        thresholds, run_vals, rows = _arrays([thresholds, run_vals, rows],
+                                             [np.float64, np.float64, np.int64])
+        if not (all(a.dtype == np.float64 and a.flags.c_contiguous for a in (S, out))
+                and out.ndim == 2 and out.shape[0] == rows.size
+                and thresholds.size == run_vals.size - 1
+                and (rows.size == 0 or 0 <= rows.min() <= rows.max() < S.size)):
+            raise ValueError("discount_exponents: S, out, rows or the run tables do not fit")
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            discount_fn(bitgen.ctypes.bit_generator, thresholds.ctypes.data, thresholds.size,
+                        run_vals.ctypes.data, rows.ctypes.data, rows.size, out.shape[1],
+                        S.ctypes.data, out.ctypes.data)
+
+    return run_walk, level_potentials, count_trees, discount_exponents
 
 
 def _not_built(*args, **kwargs):
@@ -349,8 +390,8 @@ def _not_built(*args, **kwargs):
     )
 
 
-run_walk, level_potentials, count_trees = (load_kernel(LIBRARY) if LIBRARY.is_file()
-                                           else (_not_built,) * 3)
+run_walk, level_potentials, count_trees, discount_exponents = (
+    load_kernel(LIBRARY) if LIBRARY.is_file() else (_not_built,) * 4)
 
 
 def require_library() -> None:

@@ -152,7 +152,8 @@ def estimate_discounted_moments(
 
     D is the discounted sum of the size-biased spine walk. D >= 1, so 1/D
     and 1/D^2 are bounded and their sample means are asymptotically normal.
-    The sums are drawn SAMPLE_CHUNK paths per call of discounted_sums_batch;
+    The sums are drawn SAMPLE_CHUNK paths per call of discounted_sums_batch,
+    each call with its one scratch buffer of at most 2**10 x 512 values;
     that split fixes the order of the random draws, and so the estimates'
     bytes."""
     chunk = _excursion.SAMPLE_CHUNK
@@ -194,19 +195,20 @@ def estimate_c_kappa(
             "TOO_FEW", f"{pos.size} of {b.size} draws of B are positive; the tail needs two"
         )
     if pos.size > 10_000:
-        lo = max(int(np.quantile(pos, 0.995)), 2)
+        lo = max(int(_stats.quantile(pos, 0.995)), 2)
         hi = max(int(np.partition(b, -30)[-30]), 2 * lo)
     else:
         lo, hi = 2, max(int(b.max()), 8)
-    m_grid = np.unique(np.geomspace(lo, hi, num=12).astype(np.int64))
+    # a sorted set, not np.unique, which imports numpy.ma
+    m_grid = np.array(sorted(set(np.geomspace(lo, hi, num=12).astype(np.int64).tolist())))
 
     n = b.size
     # draws above each grid point, and none above the last bin's open end
     above = np.array([(b > m).sum() for m in m_grid] + [0], dtype=np.int64)
     vals = m_grid.astype(float) ** kappa * above[:-1] / n
     half = vals[len(vals) // 2 :]
-    est = float(np.median(half))
-    spread = (half.max() - half.min()) / max(np.median(half), 1e-300)
+    est = float(_stats.median(half))
+    spread = (half.max() - half.min()) / max(_stats.median(half), 1e-300)
     no_plateau = bool(spread > 0.5)
     if no_plateau:
         warnings.warn(
@@ -219,7 +221,7 @@ def estimate_c_kappa(
     brng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "boot"))
     counts = brng.multinomial(n, bins / n, size=_stats.N_BOOT)
     bvals = m_grid.astype(float) ** kappa * (n - np.cumsum(counts, axis=1)[:, :-1]) / n
-    ci = np.quantile(np.median(bvals[:, len(m_grid) // 2 :], axis=1), [0.025, 0.975])
+    ci = _stats.quantile(_stats.median(bvals[:, len(m_grid) // 2 :], axis=1), [0.025, 0.975])
 
     hill = _stats.hill_tail_index(pos.astype(float), k=min(2000, pos.size - 1), seed=seed)
     return {

@@ -9,7 +9,7 @@ command. Every verdict file is strict JSON (no NaN or Infinity), also when
 `theorem3` censors every trial.
 `corollary` and the three theorems also run on a law whose environments can
 die, so that their survival resampling runs end to end. A subdiffusive
-command loads no scipy. Without the built library, every command but
+command loads no scipy, and no command loads numpy.ma. Without the built library, every command but
 validate-law stops with the build message. Bad sizes and grids (grid
 point 1 at kappa = 2), bad lambdas, tol or shrink, bad `lemma-moments`
 settings, a tail with too few positive draws of B, a bad seed or thread
@@ -498,7 +498,8 @@ loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import gwalk.cli
 from gwalk import kernel, limits
 seen = {"import": loaded()}
-kernel.run_walk, kernel.level_potentials, kernel.count_trees = kernel.load_kernel(sys.argv[1])
+(kernel.run_walk, kernel.level_potentials, kernel.count_trees,
+ kernel.discount_exponents) = kernel.load_kernel(sys.argv[1])
 seen["rc"] = gwalk.cli.main(["theorem2", "--config", sys.argv[2], "--out", sys.argv[3]])
 seen["theorem2"] = loaded()
 got = limits.ml_laplace(2.0, 1.0)
@@ -528,6 +529,47 @@ def test_subdiffusive_command_loads_no_scipy(kernel_library, tmp_path):
     assert seen["import"] == [] and seen["theorem2"] == []
     assert seen["rc"] in (0, 1)
     assert seen["erfcx"][0] == seen["erfcx"][1]
+
+
+NO_MASKED_ARRAYS = """
+import json, sys
+import gwalk.cli
+from gwalk import kernel
+seen = {"import": "numpy.ma" in sys.modules}
+(kernel.run_walk, kernel.level_potentials, kernel.count_trees,
+ kernel.discount_exponents) = kernel.load_kernel(sys.argv[1])
+cfg, out, commands = sys.argv[2], sys.argv[3], sys.argv[4:]
+for command in commands:
+    rc = gwalk.cli.main([command, "--config", cfg, "--out", out + command])
+    seen[command] = [rc, "numpy.ma" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_no_numpy_ma(kernel_library, tmp_path):
+    """In a fresh interpreter, neither `import gwalk.cli` nor any of the
+    eight commands in turn at the TINY sizes imports numpy.ma: the package
+    takes its medians, quantiles and grids without np.median, np.quantile
+    and np.unique, whose first call imports it. The config freezes no
+    constant, so every theorem estimates its own on the estimate-constants
+    route."""
+    if kernel_library is None:
+        pytest.skip("no C compiler to build the walk kernel")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "law": {"family": "two_point", "p": 0.068}, "seed": 5,
+        "estimate_constants": ESTIMATE,
+        **{c.replace("-", "_"): TINY[c] for c in TINY if TINY[c] is not None}}))
+    src = str(Path(gwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(kernel_library), str(cfg),
+         str(tmp_path / "out-"), *TINY], capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("import") is False
+    assert seen == {command: [seen[command][0], False] for command in TINY}
+    assert all(rc in (0, 1) for rc, _ in seen.values())
 
 
 PACKAGE_RUN = """

@@ -330,11 +330,24 @@ def _seeded_law():
     return law
 
 
+def _linear_runs_law(runs=64):
+    """runs / 2 equal-probability atoms of two marks each, the marks
+    linearly spaced, calibrated by a shift: every adjacent pair of
+    increments differs, so a uniform meets runs - 1 thresholds."""
+    marks = np.linspace(-1.0, 2.0, runs).reshape(-1, 2)
+    law = load_law({"atoms": [{"p": 2.0 / runs, "marks": m.tolist()} for m in marks],
+                    "calibrate": True})
+    vals, _ = size_biased_increment_law(law)
+    assert (vals[1:] != vals[:-1]).sum() == runs - 1 >= 40
+    return law
+
+
 SUMS_LAWS = {
     **{path.stem: load_law(json.loads(path.read_text())["law"])
        for path in sorted(CONFIGS.glob("*.json"))},
     "two_point_0.005": make_two_point(0.005),
     "seeded_7_atoms": _seeded_law(),
+    "linear_64_runs": _linear_runs_law(),
 }
 
 
@@ -355,10 +368,32 @@ def test_discounted_sums_match_the_searchsorted_reference(monkeypatch, name, n):
         assert (d.tobytes(), rng.random()) == want, rows
 
 
+def test_discount_exponents_refuses_what_does_not_fit():
+    """The library writes S and out in place, so the binding refuses a
+    buffer of the wrong dtype, layout or shape, a row outside S and run
+    tables that do not pair up, before any draw."""
+    thr, vals = np.array([0.5]), np.array([-1.0, 1.0])
+    S, out, rows = np.zeros(4), np.empty((2, 8)), np.array([0, 3])
+    bad = [(thr, vals, S.astype(np.float32), rows, out),
+           (thr, vals, S, rows, np.empty((8, 2)).T),
+           (thr, vals, S, rows, np.empty((3, 8))),
+           (thr, vals, S, np.array([0, 4]), out),
+           (thr, vals, S, np.array([-1, 0]), out),
+           (thr, vals[:1], S, rows, out)]
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    for args in bad:
+        with pytest.raises(ValueError):
+            kernel.discount_exponents(*args, rng)
+    assert rng.bit_generator.state == state
+    kernel.discount_exponents(thr, vals, S, rows, out, rng)
+    assert (S[[1, 2]] == 0).all() and (S[rows] == -out[:, -1]).all()
+
+
 def test_discounted_sums_scratch_stays_flat():
-    """The scratch of one call is three buffers of _SLICE_ROWS x 512 values
-    whatever n is: the traced peak of 20000 sums stays under four buffers'
-    bytes plus a few arrays of n values."""
+    """The scratch of one call is one buffer of _SLICE_ROWS x 512 values
+    whatever n is: the traced peak of 20000 sums stays under that buffer's
+    bytes plus ten arrays of n values, well below a second buffer."""
     n = 20000
     rng = np.random.default_rng(5)
     tracemalloc.start()
@@ -367,7 +402,7 @@ def test_discounted_sums_scratch_stays_flat():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * env_mod._SLICE_ROWS * env_mod._MIN_TERMS * 8 + 8 * 8 * n
+    assert peak < env_mod._SLICE_ROWS * env_mod._MIN_TERMS * 8 + 10 * 8 * n
 
 
 def test_discounted_sums_batch_distribution():

@@ -2,7 +2,7 @@
 `_walk.c`, read as text: no library is loaded, so a mismatch fails here
 instead of crashing the interpreter inside a kernel call. `_walk.c` also
 compiles without a warning under -Wall -Wextra, and on Linux the built
-library exports its five entry points and none of numpy's symbols."""
+library exports its six entry points and none of numpy's symbols."""
 
 import ctypes
 import re
@@ -72,6 +72,10 @@ def test_counts_parameters_match_argtypes():
     _assert_parameters_match("int", "gw_counts", kernel._COUNTS_ARGTYPES)
 
 
+def test_discount_parameters_match_argtypes():
+    _assert_parameters_match("void", "gw_discount", kernel._DISCOUNT_ARGTYPES)
+
+
 def test_walk_source_compiles_without_warnings():
     cc = (sysconfig.get_config_var("CC") or "cc").split()
     if shutil.which(cc[0]) is None:
@@ -89,6 +93,8 @@ def test_library_exports_only_its_entry_points(kernel_library):
     if kernel_library is None:
         pytest.skip("no C compiler to build the walk kernel")
     lib = ctypes.CDLL(str(kernel_library))
-    for name in ("gw_walk", "gw_level", "gw_counts", "gw_free", "gw_free_counts"):
+    for name in ("gw_walk", "gw_level", "gw_counts", "gw_discount", "gw_free",
+                 "gw_free_counts"):
         assert hasattr(lib, name), name
-    assert not hasattr(lib, "random_poisson")
+    for name in ("random_poisson", "random_standard_uniform_fill"):
+        assert not hasattr(lib, name), name

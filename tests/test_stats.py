@@ -1,5 +1,5 @@
 """Statistics layer: transforms, mean and SE, tail index, regression,
-bootstrap, strict verdict JSON."""
+bootstrap, numpy's median and quantile bits, strict verdict JSON."""
 
 import json
 import math
@@ -14,6 +14,8 @@ from gwalk.stats import (
     hill_tail_index,
     loglog_slope,
     mean_se,
+    median,
+    quantile,
     verdict_row,
     write_verdicts,
 )
@@ -124,6 +126,38 @@ def test_bootstrap_ci_deterministic():
     assert lo < 0.0 < hi  # true mean inside at this n and seed
     with pytest.raises(ValueError):
         bootstrap_ci([], lambda s: s.mean())
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 399, 400])
+def test_median_and_quantile_are_numpys_bits(n):
+    """median and quantile equal np.median and np.quantile byte for byte:
+    odd and even n, heavy tails, integers, +inf values as bootstrap_ci's
+    resamples carry them and a NaN, q as a Python float, an array and the
+    bootstrap's two ends, and the median along either axis of a matrix."""
+    rng = np.random.default_rng(n)
+    for case in range(40):
+        x = rng.standard_cauchy(n) if case % 2 else rng.normal(size=n)
+        if case % 4 == 1:
+            x[rng.random(n) < 0.3] = np.inf
+        if case % 8 == 3:
+            x[rng.integers(n)] = np.nan
+        if case % 8 == 5:
+            x = rng.integers(0, 30, size=n)
+        for q in (float(rng.random()), 0.995, 0.5, 0.0, 1.0, rng.random(3),
+                  np.array([0.025, 0.975]), np.array([])):
+            with np.errstate(invalid="ignore"):
+                assert _same(quantile(x, q), np.quantile(x, q)), (case, q)
+        assert _same(median(x), np.median(x)), case
+        m = rng.standard_cauchy((n, 1 + case % 5))
+        m[rng.random(m.shape) < 0.2] = np.inf
+        m[0, 0] = np.nan if case % 8 == 7 else m[0, 0]
+        for axis in (0, 1):
+            assert _same(median(m, axis=axis), np.median(m, axis=axis)), (case, axis)
 
 
 def test_verdict_row_and_json_roundtrip(tmp_path):
