@@ -368,6 +368,40 @@ def test_discounted_sums_match_the_searchsorted_reference(monkeypatch, name, n):
         assert (d.tobytes(), rng.random()) == want, rows
 
 
+def _run_tables(name):
+    """(thresholds, run values) of a SUMS_LAWS law, as discounted_sums_batch
+    builds them; "ties" puts 16 thresholds exactly on uniforms that the
+    generator seeded 3 draws first."""
+    if name == "ties":
+        thr = np.sort(np.random.default_rng(3).random((2, 64))[:, ::8].ravel())
+        return thr, np.arange(thr.size + 1.0)
+    vals, probs = size_biased_increment_law(SUMS_LAWS[name])
+    ends = np.flatnonzero(vals[1:] != vals[:-1])
+    return np.cumsum(probs)[ends], vals[np.r_[ends, vals.size - 1]]
+
+
+@pytest.mark.parametrize("name", ["two_point_sub", "seeded_7_atoms", "linear_64_runs", "ties"])
+def test_discount_exponents_match_the_numpy_passes(name):
+    """One block of the library's spine walks from a nonzero S equals, byte
+    for byte, numpy's draw, binary-search lookup (a uniform on a threshold
+    takes the run above it), row cumsum, add S and negate, and leaves the
+    generator where rng.random(out=) does: past the first block e^{-S_j}
+    falls below D's last place, so only S shows the order of the sums."""
+    thr, run_vals = _run_tables(name)
+    S0 = np.random.default_rng(1).normal(0.0, 300.0, 50)
+    rows = np.random.default_rng(2).permutation(50)[:30]
+    for block in (64, 512):
+        rng = np.random.default_rng(3)
+        c = np.cumsum(run_vals[thr.searchsorted(rng.random((rows.size, block)), side="right")],
+                      axis=1) + S0[rows, None]
+        want_S = S0.copy()
+        want_S[rows] = c[:, -1]
+        want = ((-c).tobytes(), want_S.tobytes(), rng.random())
+        rng, S, out = np.random.default_rng(3), S0.copy(), np.empty((rows.size, block))
+        kernel.discount_exponents(thr, run_vals, S, rows, out, rng)
+        assert (out.tobytes(), S.tobytes(), rng.random()) == want, block
+
+
 def test_discount_exponents_refuses_what_does_not_fit():
     """The library writes S and out in place, so the binding refuses a
     buffer of the wrong dtype, layout or shape, a row outside S and run
