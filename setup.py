@@ -27,9 +27,16 @@ rebuild after changing numpy.
 On Linux the library is linked with `-Wl,--exclude-libs,ALL` (GNU ld and
 lld accept it), which keeps the symbols of the static libraries it links
 local: numpy's `random_*` functions stay inside, and the library exports
-only its own entry points `gw_walk`, `gw_level`, `gw_counts`, `gw_discount`,
-`gw_free` and `gw_free_counts`. Elsewhere numpy's symbols are exported too,
-and ctypes' local binding keeps them from clashing.
+only its own entry points `gw_walk`, `gw_walks`, `gw_level`, `gw_counts`,
+`gw_discount`, `gw_free` and `gw_free_counts`. Elsewhere numpy's symbols are
+exported too, and ctypes' local binding keeps them from clashing.
+
+`-g0` comes last among the compile flags, so it overrides the `-g` that
+sysconfig's CFLAGS add: nothing reads the library's debug information, and
+leaving it out cuts gcc's CPU time on `_walk.c` from about 0.43 to 0.35 s
+(median of 7, gcc 12.2, 2-vCPU VM). It does not change the code: the
+`.text` sections of objects built with `-g` and with `-g -g0` are
+byte-identical.
 
 Keep -ffp-contract=off and add no -ffast-math or -march=native: the kernel
 must turn a hash into a uniform and compare it against the step tables
@@ -44,7 +51,7 @@ from pathlib import Path
 
 from setuptools import Extension, setup
 
-COMPILE_ARGS = ["-O3", "-std=c99", "-ffp-contract=off"]
+COMPILE_ARGS = ["-O3", "-std=c99", "-ffp-contract=off", "-g0"]
 NUMPY_RANDOM_LIB = Path(find_spec("numpy").submodule_search_locations[0], "random", "lib")
 LINK_ARGS = ["-Wl,--exclude-libs,ALL"] if sys.platform == "linux" else []
 

@@ -1,16 +1,21 @@
-/* Plain-C kernel: the walk gwalk runs, the depth-first walker that lists a
- * generation for W, the sampler of edge-count trees and the spine walk of
- * the discounted sums; all four are bound by gwalk.kernel. Every command but
+/* Plain-C kernel: the walk gwalk runs, one trial (gw_walk) or a batch of
+ * trials (gw_walks), the depth-first walker that lists a generation for W,
+ * the sampler of edge-count trees and the spine walk of the discounted
+ * sums; all five entry points are bound by gwalk.kernel. Every command but
  * validate-law needs this library.
  *
  * The walk's contract (arena, dynamics, bookkeeping) is the docstring of
- * gwalk/kernel.py. A step reads only the current node's atom: the caller
- * passes the step tables (LawTables.p_up and step_cum, computed once per law,
- * or once per explicit tree by kernel.explicit_tree, which also checks the
- * tree), so the walk does no floating-point arithmetic beyond turning a
- * hash into a uniform, and stores no potential, so it walks the same at every
- * depth. Snapshots are four rows, tau, T, L, R: the raw step count, the
- * excised clock, the e* visits and the range at each snapshot point.
+ * gwalk/kernel.py. Both walk entry points run the one walk loop, walk_one:
+ * gw_walk on a new arena, on a lazy or an explicit tree, and gw_walks on one
+ * reused arena per call, for the lazy trials it claims from a counter that
+ * several concurrent calls share. A step reads only the current node's
+ * atom: the caller passes the step tables (LawTables.p_up and step_cum,
+ * computed once per law, or once per explicit tree by kernel.explicit_tree,
+ * which also checks the tree), so the walk does no floating-point
+ * arithmetic beyond turning a hash into a uniform, and stores no potential,
+ * so it walks the same at every depth. Snapshots are four rows, tau, T, L,
+ * R: the raw step count, the excised clock, the e* visits and the range at
+ * each snapshot point.
  * tests/pykernel.py is a Python reference with the same arena, the
  * same RNG stream and the same comparisons in the same order, and
  * tests/test_kernel_parity.py checks that equal seeds give bit-identical
@@ -32,16 +37,18 @@
  * the C library's exp in the last place, and numpy's row sum is pairwise, so
  * D keeps the bits of tests/oracles.py's discounted_sums_searchsorted
  * (tests/test_env.py checks them and the generator's state after).
- * The three tree entry points grow nodes through one atom_of and one
+ * The four tree entry points grow nodes through one atom_of and one
  * child_key; atom_of and gw_discount's increment lookup share one
  * branch-free count, count_le.
  * The file holds no Python API and no global mutable state: gwalk.kernel
- * calls it through ctypes, which releases the GIL, so trials on several
- * threads run in parallel. The arena is one array of 48-byte node records
- * (six 8-byte fields). gwalk.kernel restates gw_node, gw_arena, gw_stats,
- * gw_count and the parameters of gw_walk, gw_level, gw_counts and
- * gw_discount by hand; tests/test_kernel_layout.py checks that both sides
- * name the same fields in the same order.
+ * calls it through ctypes, which releases the GIL, so calls on several
+ * threads run in parallel; the only state they share is gw_walks' trial
+ * counter, which the caller owns and they advance atomically. The arena is
+ * one array of 48-byte node records (six 8-byte fields). gwalk.kernel
+ * restates gw_node, gw_arena, gw_stats, gw_count and the parameters of
+ * gw_walk, gw_walks, gw_level, gw_counts and gw_discount by hand;
+ * tests/test_kernel_layout.py checks that both sides name the same fields
+ * in the same order.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
  * -ffast-math or -march=native, and keep -ffp-contract=off.
@@ -179,33 +186,30 @@ static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t 
     snap_out[3 * nsnap + si] = R;
 }
 
-/* Run one walk. With n_explicit < 0 the tree grows lazily from the law tables
+/* The walk loop of gw_walk and gw_walks: run one walk on arena A, which
+ * holds any number of nodes from an earlier walk (A->n is reset) and has
+ * cap >= 1. With n_explicit < 0 the tree grows lazily from the law tables
  * and env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
  * kernel.explicit_tree returns it: node i is atom i of the tables and has
  * exp_parent[i] and exp_child0[i]; atom_cum and n_atoms are then unused.
  * Snapshots go to the caller's 4 x nsnap buffer snap_out. On GW_OK, *st
- * holds the scalars and *arena_out the grown tree, which the caller releases
- * with gw_free; out of memory, *arena_out is NULL. */
-int gw_walk(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
-            const int64_t *atom_len, const double *p_up, const double *step_cum,
-            int64_t n_explicit, const int64_t *exp_parent, const int64_t *exp_child0,
-            uint64_t env_seed, uint64_t state, int mode, int64_t limit,
-            const int64_t *snaps, int64_t nsnap, int64_t *snap_out, int64_t budget,
-            gw_stats *st, gw_arena **arena_out)
+ * holds the scalars and A the grown tree; GW_ENOMEM when the arena cannot
+ * grow, which leaves A for its owner to free. */
+static int walk_one(gw_arena *A, const double *atom_cum, int64_t n_atoms,
+                    const int64_t *atom_off, const int64_t *atom_len, const double *p_up,
+                    const double *step_cum, int64_t n_explicit, const int64_t *exp_parent,
+                    const int64_t *exp_child0, uint64_t env_seed, uint64_t state, int mode,
+                    int64_t limit, const int64_t *snaps, int64_t nsnap, int64_t *snap_out,
+                    int64_t budget, gw_stats *st)
 {
-    gw_arena *A = calloc(1, sizeof *A);
     gw_node *nx;
     int64_t pos = 0, m = 0, t_ex = 0, L = 0, R = 1, si = 0, x, k, a, j, dest, c, last;
     int status = STATUS_OK, err;
     double u;
 
-    *arena_out = NULL;
-    if (!A)
-        return GW_ENOMEM;
     /* at least 1024 slots, so the array exists even for a one-node tree */
-    A->cap = 1;
     if ((err = reserve(A, n_explicit > 1024 ? n_explicit : 1024)))
-        goto fail;
+        return err;
     if (n_explicit >= 0) {
         for (A->n = n_explicit, x = 0; x < n_explicit; x++)
             A->node[x] = (gw_node){exp_parent[x], exp_child0[x], 0, 0, x, 0};
@@ -233,7 +237,7 @@ int gw_walk(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
         } else {
             x = pos;
             if (A->node[x].atom == -1 && (err = grow(A, x, atom_cum, n_atoms, atom_len)))
-                goto fail;
+                return err;
 
             nx = &A->node[x];
             a = nx->atom;
@@ -277,11 +281,63 @@ int gw_walk(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
     }
 
     *st = (gw_stats){status, m, t_ex, L, R, pos, si};
+    return GW_OK;
+}
+
+/* Run one walk (walk_one) on a new arena. On GW_OK, *st holds the scalars
+ * and *arena_out the grown tree, which the caller releases with gw_free;
+ * out of memory, *arena_out is NULL. */
+int gw_walk(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
+            const int64_t *atom_len, const double *p_up, const double *step_cum,
+            int64_t n_explicit, const int64_t *exp_parent, const int64_t *exp_child0,
+            uint64_t env_seed, uint64_t state, int mode, int64_t limit,
+            const int64_t *snaps, int64_t nsnap, int64_t *snap_out, int64_t budget,
+            gw_stats *st, gw_arena **arena_out)
+{
+    gw_arena *A = calloc(1, sizeof *A);
+    int err;
+
+    *arena_out = NULL;
+    if (!A)
+        return GW_ENOMEM;
+    A->cap = 1;
+    if ((err = walk_one(A, atom_cum, n_atoms, atom_off, atom_len, p_up, step_cum, n_explicit,
+                        exp_parent, exp_child0, env_seed, state, mode, limit, snaps, nsnap,
+                        snap_out, budget, st))) {
+        gw_free(A);
+        return err;
+    }
     *arena_out = A;
     return GW_OK;
+}
 
-fail:
-    gw_free(A);
+/* The lazy walks of trials 0..n_trials-1, trial t on env_seeds[t] with walk
+ * seed walk_seeds[t]. Several calls may run at once on one counter *next:
+ * each claims the next trial with an atomic fetch-and-add until none is
+ * left, so a call that draws a long trial leaves the rest to the others.
+ * Trial t writes only its own slots: st[t], nodes[t] (the nodes grown) and
+ * the 4 x nsnap rows at snap_out + 4 * nsnap * t, so the output does not
+ * depend on how many calls share the trials. A call reuses one arena for
+ * all its trials and frees it before it returns. GW_ENOMEM when the arena
+ * cannot grow: that call stops, and its trial's slots are not written. */
+int gw_walks(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
+             const int64_t *atom_len, const double *p_up, const double *step_cum,
+             const uint64_t *env_seeds, const uint64_t *walk_seeds, int64_t n_trials,
+             int64_t *next, int mode, int64_t limit, const int64_t *snaps, int64_t nsnap,
+             int64_t *snap_out, int64_t budget, gw_stats *st, int64_t *nodes)
+{
+    gw_arena A = {0, 1, NULL};
+    int64_t t;
+    int err = GW_OK;
+
+    while ((t = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < n_trials) {
+        if ((err = walk_one(&A, atom_cum, n_atoms, atom_off, atom_len, p_up, step_cum, -1,
+                            NULL, NULL, env_seeds[t], walk_seeds[t], mode, limit, snaps,
+                            nsnap, snap_out + 4 * nsnap * t, budget, &st[t])))
+            break;
+        nodes[t] = A.n;
+    }
+    free(A.node);
     return err;
 }
 

@@ -190,7 +190,9 @@ class Constants:
 def _map_trials(fn, n_trials: int, threads: int) -> None:
     """Run fn(t) for t in range(n_trials): independent tasks writing to
     disjoint preallocated slots, so the reduction order is the index order
-    no matter how completion interleaves.
+    no matter how completion interleaves. Only theorem1's chunks of count
+    trees run through it; the walking campaigns hand their whole batch to
+    `kernel.run_walks`, whose threads share a counter in C.
 
     With threads > 1, that many workers each take the next index from one
     shared range iterator until it runs out, so a worker that draws a long
@@ -327,13 +329,7 @@ def theorem2_campaign(
     scales = [consts.local_time_scale(n) for n in m_grid]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem2", n_trials)
     _surviving(law, env_seeds, "theorem2")
-    L = np.empty((n_trials, len(m_grid)), dtype=np.int64)
-
-    def one(t: int) -> None:
-        res = walk.simulate_time_grid(law, int(env_seeds[t]), int(walk_seeds[t]), m_grid)
-        L[t] = res["snap_L"]
-
-    _map_trials(one, n_trials, threads)
+    L = walk.simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads)["snap_L"]
     w = w_hat_batch(law, env_seeds)
 
     z_by_n = {n: w * L[:, j] / scales[j] for j, n in enumerate(m_grid)}
@@ -445,7 +441,10 @@ def theorem3_campaign(
     absorbs the censored fraction, which stays well under half at the
     default budget). The budget is memory-bound: the walk's arena costs
     about 11 bytes per step (0.23 nodes grown per step, a 48-byte record
-    each), so the default 3e7 steps hold about 0.33 GB per running trial.
+    each), and each thread reuses one arena for all its trials, so at the
+    default 3e7 steps it holds up to about 0.33 GB per thread. The
+    snapshots of every trial at every crossing take 32 n_trials max(n_grid)
+    bytes (about 51 MB at the defaults).
     Verdict: the median shrinks by at least the factor `shrink` going from
     the first to the last n. A censored median is written as null; if the
     first or last one is, the ratio is null and the verdict fails with a
@@ -461,26 +460,19 @@ def theorem3_campaign(
     _surviving(law, env_seeds, "theorem3")
     half_c = consts.c_inf_bold / 2.0
     scales = [consts.range_error_scale(n) for n in n_grid]
-    sup_err = np.full((n_trials, len(n_grid)), np.inf)
-    censored = np.zeros(n_trials, dtype=bool)
-    p_all = np.arange(1, n_max + 1)
-
-    def one(t: int) -> None:
-        res = walk.simulate_excursion_grid(
-            law, int(env_seeds[t]), int(walk_seeds[t]), p_all, budget
-        )
-        censored[t] = res["status"] == kernel.STATUS_BUDGET
-        got = res["snap_T"].size
-        if got == 0:
-            return
-        err = np.abs(res["snap_R"] - half_c * res["snap_T"])
-        run_max = np.maximum.accumulate(err)
-        for j, n in enumerate(n_grid):
-            if got >= n:
-                sup_err[t, j] = run_max[n - 1] / scales[j]
-
-    _map_trials(one, n_trials, threads)
-    n_censored = int(censored.sum())
+    res = walk.simulate_excursion_grid(
+        law, env_seeds, walk_seeds, np.arange(1, n_max + 1), budget, threads
+    )
+    # |R - (c_inf/2) T| and its running maximum over the crossings, in one
+    # array; a trial's row is valid up to its nsnap
+    run_max = half_c * res["snap_T"]
+    np.abs(np.subtract(res["snap_R"], run_max, out=run_max), out=run_max)
+    np.maximum.accumulate(run_max, axis=1, out=run_max)
+    sup_err = np.column_stack([
+        np.where(res["nsnap"] >= n, run_max[:, n - 1] / scales[j], np.inf)
+        for j, n in enumerate(n_grid)
+    ])
+    n_censored = int((res["status"] == kernel.STATUS_BUDGET).sum())
     med = stats.median(sup_err, axis=0)
     # a column at least half censored has median inf, which JSON cannot carry
     known = [float(m) if np.isfinite(m) else None for m in med]
@@ -539,16 +531,10 @@ def corollary_campaign(
     m_grid = []
     for n in n_grid:
         m_grid.extend((2 * n, 2 * n + 1))
-    hits = np.zeros((n_walkers, len(n_grid)), dtype=np.int8)
     rejected = _surviving(law, env_seeds, "corollary")
-
-    def one(t: int) -> None:
-        res = walk.simulate_time_grid(law, int(env_seeds[t]), int(walk_seeds[t]), m_grid)
-        L = res["snap_L"]
-        hits[t] = L[1::2] - L[0::2]
-
-    _map_trials(one, n_walkers, threads)
-    counts = hits.sum(axis=0, dtype=np.int64)
+    L = walk.simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads)["snap_L"]
+    # a walker's arrivals at time 2n+1: 0 or 1
+    counts = (L[:, 1::2] - L[:, 0::2]).sum(axis=0)
     n_rejected = int(rejected.sum())
     p_hat = counts / n_walkers
     keep = counts > 0

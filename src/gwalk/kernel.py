@@ -1,11 +1,12 @@
 """Walk kernel: the plain-C library `_walk.c`, bound through ctypes.
 
 setuptools builds `_walk.c` into the library `gwalk/_walk<EXT_SUFFIX>` beside
-this file (setup.py says how). It is the only walk the package runs, its
+this file (setup.py says how). It is the only walk the package runs, one
+walk at a time (`run_walk`) or a batch of trials (`run_walks`), its
 depth-first walker `level_potentials` lists the generation that W_l sums,
 `count_trees` is the package's one sampler of edge-count trees and
 `discount_exponents` draws the spine walks of the discounted sums. Without
-it, these four and `require_library` stop the command with a SystemExit
+it, these five and `require_library` stop the command with a SystemExit
 that names the library and the build command.
 Every command but `validate-law` needs it.
 tests/pykernel.py is a pure-Python reference of the same walk, which the
@@ -80,22 +81,29 @@ Discounted sums
 `env.discounted_sums_batch` by one block on numpy's own uniforms (the fill
 behind `Generator.random`, on the caller's generator) and writes the
 exponents -S_j; the exp and the row sum of D stay in numpy, as e^{-V} does
-for W. Its increment lookup and the other three's atom lookup count the
+for W. Its increment lookup and the other bindings' atom lookup count the
 cumulative values at or below a uniform without a branch, so each entry
 point takes the number of atoms or runs.
 
 Binding
 -------
 The library has no Python API; `load_kernel` binds it through ctypes, whose
-foreign calls release the GIL, so trials on several threads run in parallel.
-`_Node`, `_Arena`, `_Stats`, `_Count`, `_WALK_ARGTYPES`, `_LEVEL_ARGTYPES`,
-`_COUNTS_ARGTYPES` and `_DISCOUNT_ARGTYPES` restate the C declarations by
-hand (a mismatch crashes the interpreter rather than raising);
-tests/test_kernel_layout.py checks them against `_walk.c`.
+foreign calls release the GIL, so calls on several threads run in parallel.
+The campaigns walk through `run_walks`: one `gw_walks` call per thread (the
+calling thread makes one), all claiming the batch's trials one at a time
+from one counter in C, each with one arena reused across its trials. So a batch costs one Python call per
+thread rather than one per walk, and a thread that draws a long,
+heavy-tailed trial leaves the rest to the others. `run_walk`, one `gw_walk`
+call per walk, serves explicit trees, `collect_tree` and the tests.
+`_Node`, `_Arena`, `_Stats`, `_Count`, `_WALK_ARGTYPES`, `_WALKS_ARGTYPES`,
+`_LEVEL_ARGTYPES`, `_COUNTS_ARGTYPES` and `_DISCOUNT_ARGTYPES` restate the C
+declarations by hand (a mismatch crashes the interpreter rather than
+raising); tests/test_kernel_layout.py checks them against `_walk.c`.
 """
 
 from __future__ import annotations
 
+import _thread
 import ctypes
 import sysconfig
 from pathlib import Path
@@ -195,6 +203,10 @@ _WALK_ARGTYPES = [_P, _INT64, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64,
                   ctypes.POINTER(_Stats), ctypes.POINTER(ctypes.POINTER(_Arena))]
 
 
+# gw_walks' parameters, in the order of its C declaration
+_WALKS_ARGTYPES = [_P, _INT64, _P, _P, _P, _P, _P, _P, _INT64, _P, ctypes.c_int, _INT64, _P,
+                   _INT64, _P, _INT64, _P, _P]
+
 # gw_level's parameters, in the order of its C declaration
 _LEVEL_ARGTYPES = [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]
 
@@ -210,27 +222,25 @@ _ELAM = 2
 
 
 def load_kernel(path):
-    """Bind the library at `path`; returns its (`run_walk`,
+    """Bind the library at `path`; returns its (`run_walk`, `run_walks`,
     `level_potentials`, `count_trees`, `discount_exponents`)."""
     lib = ctypes.CDLL(str(path))
-    walk, free, level_fn = lib.gw_walk, lib.gw_free, lib.gw_level
+    walk, walks, free, level_fn = lib.gw_walk, lib.gw_walks, lib.gw_free, lib.gw_level
     counts_fn, free_counts, discount_fn = lib.gw_counts, lib.gw_free_counts, lib.gw_discount
-    walk.restype, free.restype, level_fn.restype = ctypes.c_int, None, _INT64
-    counts_fn.restype, free_counts.restype, discount_fn.restype = ctypes.c_int, None, None
+    walk.restype, walks.restype, free.restype = ctypes.c_int, ctypes.c_int, None
+    level_fn.restype, counts_fn.restype = _INT64, ctypes.c_int
+    free_counts.restype, discount_fn.restype = None, None
     walk.argtypes = _WALK_ARGTYPES
+    walks.argtypes = _WALKS_ARGTYPES
     free.argtypes = [ctypes.POINTER(_Arena)]
     level_fn.argtypes = _LEVEL_ARGTYPES
     counts_fn.argtypes = _COUNTS_ARGTYPES
     free_counts.argtypes = [ctypes.POINTER(_Count)]
     discount_fn.argtypes = _DISCOUNT_ARGTYPES
-    # (law tables, their C arrays, pointers) of the last lazy walk: every
-    # trial of a campaign passes the same tables object, so its pointers are
-    # bound once. The slot holds the tables and the arrays, so the pointers
-    # stay valid, and is replaced as one tuple, so a pool thread never reads
-    # a torn entry; two threads that miss at once both bind, harmlessly.
-    bound = (None, None, None)
 
-    def pointers(t, tree):
+    def pointers(t, tree=(None, None)):
+        """The C arrays of step tables t and an explicit tree, which the
+        caller holds while the library reads them, and their pointers."""
         arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
         ptrs = [None if a is None else a.ctypes.data for a in arrays]
         ptrs.insert(1, 0 if t.cum is None else t.cum.size)  # the atom count
@@ -247,19 +257,13 @@ def load_kernel(path):
         collect_tree the result also holds the arena's tree_parent,
         tree_atom, tree_ndown and tree_nup arrays (tree_atom is -1 at an
         ungrown node). MemoryError when the arena cannot grow."""
-        nonlocal bound
         (snaps,) = _arrays([snaps], [np.int64])
         snap_out = np.empty((4, len(snaps)), dtype=np.int64)
         if explicit is None:
-            n_explicit = -1
-            tables, arrays, ptrs = bound
-            if tables is not law_tables:
-                arrays, ptrs = pointers(law_tables, [None] * 2)
-                bound = (law_tables, arrays, ptrs)
+            n_explicit, (arrays, ptrs) = -1, pointers(law_tables)
         else:
             t, *tree = explicit_tree(explicit)
-            n_explicit = len(tree[0])
-            arrays, ptrs = pointers(t, tree)
+            n_explicit, (arrays, ptrs) = len(tree[0]), pointers(t, tree)
         st, arena = _Stats(), ctypes.POINTER(_Arena)()
         err = walk(*ptrs[:6], n_explicit, *ptrs[6:], int(env_seed) & MASK,
                    int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
@@ -280,6 +284,42 @@ def load_kernel(path):
             return out
         finally:
             free(arena)
+
+    def run_walks(law_tables, env_seeds, walk_seeds, mode, limit, snaps, budget=10**10,
+                  threads=1):
+        """Run the lazy walks of trials 0..n-1, trial t on env_seeds[t] with
+        walk seed walk_seeds[t], each as run_walk(law_tables, env_seeds[t],
+        walk_seeds[t], mode, limit, snaps, budget) would, in `threads`
+        concurrent calls of gw_walks (no more than there are trials) that
+        share its trial counter. Returns a
+        dict of arrays with a leading trial axis: status, m, t_ex, L, R,
+        pos, nodes_grown and nsnap (the snapshots taken) of shape (n,), and
+        snap_tau, snap_T, snap_L and snap_R of shape (n, len(snaps)), views
+        of one (n, 4, len(snaps)) buffer; a trial's snapshots past its
+        nsnap read 0. Every trial writes only its own slots, so the result
+        does not depend on `threads`. ValueError unless there is one walk
+        seed per environment seed; MemoryError when an arena cannot grow."""
+        env_seeds, walk_seeds = (np.ascontiguousarray(np.asarray(s, dtype=np.uint64).ravel())
+                                 for s in (env_seeds, walk_seeds))
+        n = env_seeds.size
+        if walk_seeds.size != n:
+            raise ValueError(f"run_walks: {n} environment seeds, {walk_seeds.size} walk seeds")
+        (snaps,) = _arrays([snaps], [np.int64])
+        arrays, ptrs = pointers(law_tables)
+        snap_out = np.zeros((n, 4, len(snaps)), dtype=np.int64)
+        st = np.empty((n, len(_Stats._fields_)), dtype=np.int64)
+        nodes = np.empty(n, dtype=np.int64)
+        counter = np.zeros(1, dtype=np.int64)
+        args = (*ptrs[:6], env_seeds.ctypes.data, walk_seeds.ctypes.data, n,
+                counter.ctypes.data, int(mode), int(limit), snaps.ctypes.data, len(snaps),
+                snap_out.ctypes.data, int(budget), st.ctypes.data, nodes.ctypes.data)
+        if any(_concurrent_calls(walks, args, max(1, min(int(threads), n)))):
+            raise MemoryError("walk kernel ran out of memory for its arena")
+        out = {f: st[:, i] for i, (f, _) in enumerate(_Stats._fields_)}
+        out["nodes_grown"] = nodes
+        for row, name in enumerate(("tau", "T", "L", "R")):
+            out["snap_" + name] = snap_out[:, row]
+        return out
 
     def level_potentials(law_tables, env_seeds, level):
         """Per environment seed in turn, the potentials V of its generation
@@ -378,7 +418,43 @@ def load_kernel(path):
                         run_vals.ctypes.data, rows.ctypes.data, rows.size, out.shape[1],
                         S.ctypes.data, out.ctypes.data)
 
-    return run_walk, level_potentials, count_trees, discount_exponents
+    return run_walk, run_walks, level_potentials, count_trees, discount_exponents
+
+
+def _concurrent_calls(fn, args, calls: int) -> list:
+    """The results of `calls` calls fn(*args) made at once. The calling
+    thread makes the first; each other call runs on a thread started with
+    `_thread`, which, unlike `threading.Thread.start`, does not wait until
+    the new thread runs: on a 2-vCPU VM that wait let the new thread take
+    the caller's CPU for 0.3 to 2 ms, as long as a small batch's walks.
+    Returns once every call has returned (they write into the caller's
+    buffers), and raises on the calling thread an exception that a call
+    raised."""
+    results: list = [None] * calls
+    running = []
+
+    def helper(i, lock):
+        try:
+            results[i] = fn(*args)
+        except BaseException as exc:  # raised on the calling thread below
+            results[i] = exc
+        finally:
+            lock.release()
+
+    try:
+        for i in range(1, calls):
+            lock = _thread.allocate_lock()
+            lock.acquire()
+            _thread.start_new_thread(helper, (i, lock))
+            running.append(lock)
+        results[0] = fn(*args)
+    finally:
+        for lock in running:
+            lock.acquire()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
 
 
 def _not_built(*args, **kwargs):
@@ -390,8 +466,8 @@ def _not_built(*args, **kwargs):
     )
 
 
-run_walk, level_potentials, count_trees, discount_exponents = (
-    load_kernel(LIBRARY) if LIBRARY.is_file() else (_not_built,) * 4)
+run_walk, run_walks, level_potentials, count_trees, discount_exponents = (
+    load_kernel(LIBRARY) if LIBRARY.is_file() else (_not_built,) * 5)
 
 
 def require_library() -> None:

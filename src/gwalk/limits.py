@@ -155,16 +155,19 @@ def estimate_discounted_moments(
     The sums are drawn SAMPLE_CHUNK paths per call of discounted_sums_batch,
     each call with its one scratch buffer of at most 2**10 x 512 values;
     that split fixes the order of the random draws, and so the estimates'
-    bytes."""
+    bytes. Each chunk's D goes into one array of n_samples values, which
+    then holds 1/D and then 1/D^2, in place, so memory holds at most two
+    arrays of n_samples values (the second is the standard error's
+    scratch)."""
     chunk = _excursion.SAMPLE_CHUNK
-    parts = [
-        discounted_sums_batch(law, min(chunk, n_samples - i), eps, rng)
-        for i in range(0, n_samples, chunk)
-    ]
-    inv = 1.0 / np.concatenate(parts)
+    inv = np.empty(n_samples)
+    for i in range(0, n_samples, chunk):
+        inv[i:i + chunk] = discounted_sums_batch(law, min(chunk, n_samples - i), eps, rng)
+    np.divide(1.0, inv, out=inv)
+    bold = _stats.mean_se(inv)
+    np.square(inv, out=inv)
     out = {}
-    for name, x in (("C_inf", inv**2), ("c_inf_bold", inv)):
-        mean, se = _stats.mean_se(x)
+    for name, (mean, se) in (("C_inf", _stats.mean_se(inv)), ("c_inf_bold", bold)):
         out[name], out[f"{name}_ci"] = mean, (mean - _stats.Z95 * se, mean + _stats.Z95 * se)
     return out
 

@@ -1,8 +1,9 @@
 """Shared fixtures: the compiled walk kernel, built once per test session and
-bound to `gwalk.kernel.run_walk`, `gwalk.kernel.level_potentials`,
-`gwalk.kernel.count_trees` and `gwalk.kernel.discount_exponents`, so every
-walk, every W, every count tree and every discounted sum of the tests runs
-on the library that the commands run.
+bound to `gwalk.kernel.run_walk`, `gwalk.kernel.run_walks`,
+`gwalk.kernel.level_potentials`, `gwalk.kernel.count_trees` and
+`gwalk.kernel.discount_exponents`, so every walk, every W, every count tree
+and every discounted sum of the tests runs on the library that the commands
+run.
 
 When the package already carries a built library, the fixtures use it.
 Otherwise (running from `PYTHONPATH=src` without building) `kernel_library`
@@ -48,13 +49,14 @@ def kernel_library(tmp_path_factory):
 
 @pytest.fixture(scope="session", autouse=True)
 def production_kernel(kernel_library):
-    """`kernel.run_walk`, `kernel.level_potentials`, `kernel.count_trees` and
-    `kernel.discount_exponents` bound to the built library for the whole
-    session, before any test's monkeypatch, which therefore restores this
-    binding; returns run_walk, or None without a C compiler."""
+    """`kernel.run_walk`, `kernel.run_walks`, `kernel.level_potentials`,
+    `kernel.count_trees` and `kernel.discount_exponents` bound to the built
+    library for the whole session, before any test's monkeypatch, which
+    therefore restores this binding; returns run_walk, or None without a C
+    compiler."""
     if kernel_library is None:
         return None
-    (kernel.run_walk, kernel.level_potentials, kernel.count_trees,
+    (kernel.run_walk, kernel.run_walks, kernel.level_potentials, kernel.count_trees,
      kernel.discount_exponents) = kernel.load_kernel(kernel_library)
     return kernel.run_walk
 

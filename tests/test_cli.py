@@ -2,10 +2,11 @@
 
 A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
-kernel (its ctypes calls release the GIL). A theorem with no `constants`
-section estimates them on the route that estimate-constants takes, and only
-those its scales read; a constant that is not a finite number > 0 stops the
-command. Every verdict file is strict JSON (no NaN or Infinity), also when
+kernel (its ctypes calls release the GIL); the benchmark's two walk configs
+do so at their own sizes. A theorem with no `constants` section estimates
+them on the route that estimate-constants takes, and only those its scales
+read; a constant that is not a finite number > 0 stops the command. Every
+verdict file is strict JSON (no NaN or Infinity), also when
 `theorem3` censors every trial.
 `corollary` and the three theorems also run on a law whose environments can
 die, so that their survival resampling runs end to end. A subdiffusive
@@ -129,7 +130,7 @@ def test_theorems_condition_on_survival(tmp_path, monkeypatch, command):
     environment has W > 0. A dead one has W = 0, so Z = 0, or Z = inf where
     Z divides by W. theorem1 and theorem2 pass their environments to
     w_hat_batch; theorem3 reads no W, so its walks' environments are
-    recorded."""
+    recorded from the batched runner."""
     n = TINY[command]["n_trials"]
     law = load_law(EXTINCTION)
     assert not environment_survives(law, trial_seeds(5, command, n)[0]).all()
@@ -137,9 +138,9 @@ def test_theorems_condition_on_survival(tmp_path, monkeypatch, command):
     if command == "theorem3":
         sim = walk.simulate_excursion_grid
 
-        def recording(law, env_seed, *args):
-            seeds.append(env_seed)
-            return sim(law, env_seed, *args)
+        def recording(law, env_seeds, *args):
+            seeds.extend(env_seeds.tolist())
+            return sim(law, env_seeds, *args)
 
         monkeypatch.setattr(walk, "simulate_excursion_grid", recording)
     else:
@@ -271,6 +272,7 @@ def test_bad_size_or_grid_stops_the_command(tmp_path, monkeypatch, command, key,
         raise AssertionError("sampled before checking the config")
 
     monkeypatch.setattr(kernel, "run_walk", refuse)
+    monkeypatch.setattr(kernel, "run_walks", refuse)
     if command != "estimate-constants":
         monkeypatch.setattr(kernel, "count_trees", refuse)
     section, name = key.split(".")
@@ -492,13 +494,30 @@ def test_shipped_and_benchmark_configs_load():
         load_law(cfg["law"])
 
 
+@pytest.mark.parametrize("command, config", [("theorem3", "walk-range.json"),
+                                             ("theorem2", "walk-steps.json")])
+def test_walk_benchmark_configs_same_bytes_at_one_and_two_threads(tmp_path, command, config):
+    """The benchmark's walk workloads at their own sizes write the same
+    bytes at threads=1 and threads=2: at threads=2 two library calls share
+    the batch's trials and each trial writes only its own slots. No timing
+    is asserted."""
+    files = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        rc = cli.main([command, "--config", str(REPO / "bench" / "configs" / config),
+                       "--out", str(out), "--threads", str(threads)])
+        assert rc in (0, 1)
+        files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(files[0]) == 2 and files[1] == files[0]
+
+
 COLD_PATH = """
 import json, math, sys
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import gwalk.cli
 from gwalk import kernel, limits
 seen = {"import": loaded()}
-(kernel.run_walk, kernel.level_potentials, kernel.count_trees,
+(kernel.run_walk, kernel.run_walks, kernel.level_potentials, kernel.count_trees,
  kernel.discount_exponents) = kernel.load_kernel(sys.argv[1])
 seen["rc"] = gwalk.cli.main(["theorem2", "--config", sys.argv[2], "--out", sys.argv[3]])
 seen["theorem2"] = loaded()
@@ -536,7 +555,7 @@ import json, sys
 import gwalk.cli
 from gwalk import kernel
 seen = {"import": "numpy.ma" in sys.modules}
-(kernel.run_walk, kernel.level_potentials, kernel.count_trees,
+(kernel.run_walk, kernel.run_walks, kernel.level_potentials, kernel.count_trees,
  kernel.discount_exponents) = kernel.load_kernel(sys.argv[1])
 cfg, out, commands = sys.argv[2], sys.argv[3], sys.argv[4:]
 for command in commands:

@@ -107,6 +107,7 @@ def test_theorem1_runs_no_walk(monkeypatch):
         raise AssertionError("theorem1 called the walk kernel")
 
     monkeypatch.setattr(kernel, "run_walk", refuse)
+    monkeypatch.setattr(kernel, "run_walks", refuse)
     law, p_grid, n = make_two_point(0.068), (21, 50), 128
     out = theorem1_campaign(law, SUB_CONSTS, 3, 2, n_trials=n, p_grid=p_grid)
     v = out["verdicts"][0]

@@ -2,7 +2,8 @@
 `_walk.c`, read as text: no library is loaded, so a mismatch fails here
 instead of crashing the interpreter inside a kernel call. `_walk.c` also
 compiles without a warning under -Wall -Wextra, and on Linux the built
-library exports its six entry points and none of numpy's symbols."""
+library exports its seven entry points, none of its static functions
+and none of numpy's symbols."""
 
 import ctypes
 import re
@@ -64,6 +65,10 @@ def test_walk_parameters_match_argtypes():
     _assert_parameters_match("int", "gw_walk", kernel._WALK_ARGTYPES)
 
 
+def test_walks_parameters_match_argtypes():
+    _assert_parameters_match("int", "gw_walks", kernel._WALKS_ARGTYPES)
+
+
 def test_level_parameters_match_argtypes():
     _assert_parameters_match("int64_t", "gw_level", kernel._LEVEL_ARGTYPES)
 
@@ -93,8 +98,8 @@ def test_library_exports_only_its_entry_points(kernel_library):
     if kernel_library is None:
         pytest.skip("no C compiler to build the walk kernel")
     lib = ctypes.CDLL(str(kernel_library))
-    for name in ("gw_walk", "gw_level", "gw_counts", "gw_discount", "gw_free",
+    for name in ("gw_walk", "gw_walks", "gw_level", "gw_counts", "gw_discount", "gw_free",
                  "gw_free_counts"):
         assert hasattr(lib, name), name
-    for name in ("random_poisson", "random_standard_uniform_fill"):
+    for name in ("walk_one", "random_poisson", "random_standard_uniform_fill"):
         assert not hasattr(lib, name), name

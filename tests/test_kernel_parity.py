@@ -7,8 +7,10 @@ hard mismatch rather than a statistical one. `compiled_run_walk`
 package carries none.
 """
 
+import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import oracles
 import pykernel
 from gwalk import kernel
 from gwalk.env import MarkedTree, enumerate_truncated
-from gwalk.law import make_constant_bias, make_two_point
+from gwalk.law import load_law, make_constant_bias, make_two_point
 
 SUB = make_two_point(0.068)
 
@@ -53,9 +55,9 @@ def test_crossing_mode_parity(compiled_run_walk, seed):
 
 
 def test_bound_tables_follow_the_law(compiled_run_walk):
-    """The binding keeps the pointers of the last lazy walk's tables: walks
-    that alternate between laws, or pass equal tables in a new object, read
-    each call's own tables."""
+    """Walks that alternate between laws, or pass equal tables in a new
+    object, read each call's own tables: run_walk binds the tables per call
+    and keeps no pointer from one call to the next."""
     other = make_two_point(0.02)
     copy = type(SUB.tables())(*(np.array(a) for a in SUB.tables()))
     for law_tables in (SUB.tables(), other.tables(), SUB.tables(), copy, other.tables()):
@@ -65,9 +67,9 @@ def test_bound_tables_follow_the_law(compiled_run_walk):
 
 
 def test_bound_tables_under_forced_thread_switches(compiled_run_walk):
-    """Threads that alternate two laws through one binding each read their
-    own call's tables while the interpreter switches threads every
-    microsecond: a torn binding would pair one law with the other's
+    """Threads that alternate two laws through run_walk each read their own
+    call's tables while the interpreter switches threads every microsecond:
+    a binding shared between calls would pair one law with the other's
     pointers."""
     tables = [SUB.tables(), make_two_point(0.02).tables()]
     want = [pykernel.run_walk(t, 9, 10, kernel.MODE_STEPS, 300, [300]) for t in tables]
@@ -94,6 +96,81 @@ def test_bound_tables_under_forced_thread_switches(compiled_run_walk):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not failures, failures[:3]
+
+
+# half the atoms childless, half with four children marked ln 2: about half
+# the environments die, and a walk on one that dies is a finite-tree walk
+EXTINCTION = load_law({"atoms": [{"p": 0.5, "marks": []},
+                                 {"p": 0.5, "marks": [math.log(2.0)] * 4}]})
+STATS = ("status", "m", "t_ex", "L", "R", "pos", "nodes_grown")
+SNAPS = ("snap_tau", "snap_T", "snap_L", "snap_R")
+
+
+@pytest.mark.parametrize("law", [SUB, EXTINCTION], ids=["two_point_sub", "extinction"])
+@pytest.mark.parametrize("mode, limit, snaps, budget", [
+    (kernel.MODE_STEPS, 3000, [1, 2, 500, 3000], 10**10),
+    (kernel.MODE_STEPS, 3000, [1, 2, 500, 3000], 1000),
+    (kernel.MODE_CROSSINGS, 40, list(range(1, 41)), 3000),
+], ids=["steps", "steps-budget", "crossings-budget"])
+@pytest.mark.parametrize("n", [0, 1, 24])
+def test_run_walks_equals_run_walk_per_trial(compiled_run_walk, law, mode, limit, snaps,
+                                             budget, n):
+    """Trial t of one batched call equals run_walk on (env_seeds[t],
+    walk_seeds[t]) byte for byte, censored trials included, at threads 1, 2
+    and more calls than trials (and than cores) sharing the C counter with
+    the interpreter switching threads every microsecond; a trial run twice
+    or skipped would break it. Snapshots past a trial's nsnap read 0."""
+    env = np.arange(n, dtype=np.uint64) * 7919 + 3
+    wlk = np.arange(n, dtype=np.uint64) + 2**63
+    want = [compiled_run_walk(law.tables(), e, w, mode, limit, snaps, budget=budget)
+            for e, w in zip(env.tolist(), wlk.tolist())]
+    if n > 1:  # the budget cuts every step walk short of limit, and some crossing walks
+        censored = {w["status"] == kernel.STATUS_BUDGET for w in want}
+        assert censored == ({False} if budget == 10**10 else
+                            {True} if mode == kernel.MODE_STEPS else {False, True})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, n + 5):
+            got = kernel.run_walks(law.tables(), env, wlk, mode, limit, snaps, budget,
+                                   threads)
+            assert sorted(got) == sorted([*STATS, *SNAPS, "nsnap"])
+            assert all(got[k].shape == (n,) for k in (*STATS, "nsnap"))
+            assert all(got[k].shape == (n, len(snaps)) for k in SNAPS)
+            for t, w in enumerate(want):
+                assert [int(got[k][t]) for k in STATS] == [w[k] for k in STATS], (threads, t)
+                k = int(got["nsnap"][t])
+                assert k == w["snap_tau"].size
+                for name in SNAPS:
+                    assert got[name][t, :k].tolist() == w[name].tolist(), (threads, t)
+                    assert not got[name][t, k:].any()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_calls_wait_for_every_call_and_raise_its_error():
+    """Every call has returned when _concurrent_calls returns, also when one
+    of them raised; the caller sees that exception."""
+    finished = []
+
+    def call(fail):
+        time.sleep(0.05)
+        finished.append(threading.get_ident())
+        if fail and len(finished) == 2:
+            raise OSError("second call")
+        return len(finished)
+
+    assert sorted(kernel._concurrent_calls(call, (False,), 3)) == [1, 2, 3]
+    assert len(set(finished)) == 3
+    finished.clear()
+    with pytest.raises(OSError, match="second call"):
+        kernel._concurrent_calls(call, (True,), 3)
+    assert len(finished) == 3
+
+
+def test_run_walks_needs_one_walk_seed_per_environment():
+    with pytest.raises(ValueError, match="3 environment seeds, 2 walk seeds"):
+        kernel.run_walks(SUB.tables(), [1, 2, 3], [4, 5], kernel.MODE_STEPS, 10, [10])
 
 
 def test_budget_status_parity(compiled_run_walk):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -172,6 +173,25 @@ def test_discounted_moment_cis_agree_with_the_bootstrap(monkeypatch):
         assert est[name] - lo == pytest.approx(hi - est[name], rel=1e-9)
         b_lo, b_hi = bootstrap_ci(inv, stat, seed=37)
         assert hi - lo == pytest.approx(b_hi - b_lo, rel=0.15)
+
+
+def test_discounted_moments_hold_two_arrays_of_n(monkeypatch):
+    """Over many chunks, the traced peak of the moments of n sums stays under
+    two arrays of n values (1/D, then 1/D^2, and the standard error's
+    scratch) plus the peak of one chunk's draw: holding the chunks, their
+    concatenation, 1/D and 1/D^2 at once would take four arrays."""
+    n, chunk = 50_000, 100
+    monkeypatch.setattr("gwalk.excursion.SAMPLE_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        discounted_sums_batch(SUB, chunk, 1e-12, np.random.default_rng(7))
+        _, one_chunk = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        estimate_discounted_moments(SUB, n, 1e-12, np.random.default_rng(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n + one_chunk
 
 
 def test_estimate_constant_c0_is_the_exact_sum():

@@ -48,9 +48,12 @@ def test_tracer_targets_exist():
 
 
 def test_tracer_targets_are_reached(tmp_path, monkeypatch, compiled_run_walk):
-    """The four commands of the benchmark's workloads and theorem1, at the
-    tiny sizes of test_cli, open every span of the tracer's TARGETS at least
-    once. `MarkedTree.grow` is a call counter, not a span, and is exempt.
+    """The four commands of the benchmark's workloads, theorem1 and
+    lemma-moments, at the tiny sizes of test_cli, open every span of the
+    tracer's TARGETS at least once: lemma-moments is the command that still
+    calls `kernel.run_walk`, the one-walk binding, as the other walking
+    commands hand their trials to `kernel.run_walks`. `MarkedTree.grow` is a
+    call counter, not a span, and is exempt.
     Every attribute the tracer patches is restored afterwards."""
     from test_cli import _run
 
@@ -64,7 +67,7 @@ def test_tracer_targets_are_reached(tmp_path, monkeypatch, compiled_run_walk):
     tracer.install()
     assert tracer.missing == []
     for command in ("theorem1", "theorem2", "theorem3", "estimate-constants",
-                    "forest-identities"):
+                    "forest-identities", "lemma-moments"):
         _run(tmp_path, command, 1, command)
     seen = {s["name"] for s in tracer.spans}
     assert [span for _, _, span in tracing.TARGETS if span not in seen] == []

@@ -35,19 +35,19 @@ def test_kernel_conservation_and_clock_identity():
 
 
 def test_kernel_excised_clock_identity():
-    res = simulate_time_grid(SUB, 5, 6, [20000])
-    pending = 1 if res["pos"] == -1 else 0
-    assert res["t_ex"] == res["m"] - res["L"] + pending
+    res = simulate_time_grid(SUB, [5, 7, 9], [6, 8, 10], [20000])
+    pending = res["pos"] == -1
+    assert (res["t_ex"] == res["m"] - res["L"] + pending).all()
 
 
 def test_snapshot_marginals_rows():
-    res = simulate_time_grid(SUB, 21, 22, [100, 400])
-    assert res["snap_tau"].tolist() == [100, 400]
-    assert res["snap_L"][1] >= res["snap_L"][0]  # L is nondecreasing
-    assert res["snap_R"][1] >= res["snap_R"][0]  # R is nondecreasing
-    res = simulate_excursion_grid(SUB, 21, 22, [5], 10**9)
-    assert res["snap_L"].tolist() == [5]
-    assert res["snap_T"][0] == res["snap_tau"][0] - 5  # T^p = tau^p - p
+    res = simulate_time_grid(SUB, [21], [22], [400, 100])
+    assert res["snap_tau"].tolist() == [[100, 400]]  # the grid is sorted
+    assert res["snap_L"][0, 1] >= res["snap_L"][0, 0]  # L is nondecreasing
+    assert res["snap_R"][0, 1] >= res["snap_R"][0, 0]  # R is nondecreasing
+    res = simulate_excursion_grid(SUB, [21], [22], [5], 10**9)
+    assert res["snap_L"].tolist() == [[5]]
+    assert res["snap_T"][0, 0] == res["snap_tau"][0, 0] - 5  # T^p = tau^p - p
 
 
 # half the atoms childless, half with four children marked ln 2 (the
@@ -118,10 +118,10 @@ def test_constant_bias_range_grows_at_quarter_rate(compiled_run_walk):
 
 
 def test_excursion_budget_censoring():
-    res = simulate_excursion_grid(SUB, 1, 2, [1, 10**7], 500)
-    assert res["status"] == kernel.STATUS_BUDGET
-    assert res["m"] == 500
-    assert len(res["snap_tau"]) <= 1  # deep grid point never reached
+    res = simulate_excursion_grid(SUB, [1], [2], [1, 10**7], 500)
+    assert res["status"][0] == kernel.STATUS_BUDGET
+    assert res["m"][0] == 500
+    assert res["nsnap"][0] <= 1  # deep grid point never reached
 
 
 def test_explicit_tree_walk():
