@@ -27,9 +27,9 @@ rebuild after changing numpy.
 On Linux the library is linked with `-Wl,--exclude-libs,ALL` (GNU ld and
 lld accept it), which keeps the symbols of the static libraries it links
 local: numpy's `random_*` functions stay inside, and the library exports
-only its own entry points `gw_walk`, `gw_walks`, `gw_level`, `gw_counts`,
-`gw_discount`, `gw_free` and `gw_free_counts`. Elsewhere numpy's symbols are
-exported too, and ctypes' local binding keeps them from clashing.
+only its own entry points, the functions that `gwalk.kernel._ENTRY_POINTS`
+binds. Elsewhere numpy's symbols are exported too, and ctypes' local
+binding keeps them from clashing.
 
 `-g0` comes last among the compile flags, so it overrides the `-g` that
 sysconfig's CFLAGS add: nothing reads the library's debug information, and

@@ -1,54 +1,34 @@
 /* Plain-C kernel: the walk gwalk runs, one trial (gw_walk) or a batch of
- * trials (gw_walks), the depth-first walker that lists a generation for W,
- * the sampler of edge-count trees and the spine walk of the discounted
- * sums; all five entry points are bound by gwalk.kernel. Every command but
- * validate-law needs this library.
+ * trials (gw_walks), the depth-first walker that lists a generation for W
+ * (gw_level), the sampler of edge-count trees (gw_counts) and the spine walk
+ * of the discounted sums (gw_discount). Every command but validate-law
+ * needs this library. The comment above each entry point says what it
+ * computes; the docstring of gwalk/kernel.py holds the walk's contract
+ * (arena, dynamics, bookkeeping) and why each entry point keeps the bits of
+ * its reference.
  *
- * The walk's contract (arena, dynamics, bookkeeping) is the docstring of
- * gwalk/kernel.py. Both walk entry points run the one walk loop, walk_one:
- * gw_walk on a new arena, on a lazy or an explicit tree, and gw_walks on one
- * reused arena per call, for the lazy trials it claims from a counter that
- * several concurrent calls share. A step reads only the current node's
- * atom: the caller passes the step tables (LawTables.p_up and step_cum,
- * computed once per law, or once per explicit tree by kernel.explicit_tree,
- * which also checks the tree), so the walk does no floating-point
- * arithmetic beyond turning a hash into a uniform, and stores no potential,
- * so it walks the same at every depth. Snapshots are four rows, tau, T, L,
- * R: the raw step count, the excised clock, the e* visits and the range at
- * each snapshot point.
- * tests/pykernel.py is a Python reference with the same arena, the
- * same RNG stream and the same comparisons in the same order, and
- * tests/test_kernel_parity.py checks that equal seeds give bit-identical
- * output.
- * gw_level lists the potentials V of one generation of a keyed environment.
- * It adds marks root to leaf in the order of gwalk.env.next_level, and does
- * no other floating-point arithmetic: e^{-V} stays in numpy, whose SIMD exp
- * may differ from the C library's exp in the last place, so W keeps the bits
- * of the numpy reference in tests/oracles.py (tests/test_env.py checks them).
- * gw_counts draws the edge-count trees of gwalk.excursion with numpy's own
- * gamma and Poisson (numpy's static libnpyrandom.a, linked by setup.py) on
- * the caller's numpy bit generator, in the order of the numpy reference
- * tests/oracles.py's excursion_levels; tests/test_count_trees.py checks the
- * bytes and the generator's state after.
- * gw_discount draws the next block of the size-biased spine walks S of
- * gwalk.env.discounted_sums_batch on numpy's own uniforms (the fill behind
- * Generator.random) and writes the exponents -S_j. The exp and the row sum
- * of D stay in numpy, as e^{-V} does for W: numpy's SIMD exp may differ from
- * the C library's exp in the last place, and numpy's row sum is pairwise, so
- * D keeps the bits of tests/oracles.py's discounted_sums_searchsorted
- * (tests/test_env.py checks them and the generator's state after).
- * The four tree entry points grow nodes through one atom_of and one
- * child_key; atom_of and gw_discount's increment lookup share one
- * branch-free count, count_le.
+ * Both walk entry points run the one walk loop, walk_one: gw_walk on a new
+ * arena, on a lazy or an explicit tree, and gw_walks on one reused arena per
+ * call, for the lazy trials it claims from a counter that several
+ * concurrent calls share. The four tree entry points grow nodes through one
+ * atom_of and one child_key; atom_of and gw_discount's increment lookup
+ * share one branch-free count, count_le. gw_counts and gw_discount draw
+ * with numpy's own gamma, Poisson and uniform fill (numpy's static
+ * libnpyrandom.a, linked by setup.py) on the caller's bit generator.
+ * The references, checked bit for bit: tests/pykernel.py, with the same
+ * arena, RNG stream and comparisons in the same order, for the walk
+ * (tests/test_kernel_parity.py); the numpy references in tests/oracles.py
+ * for gw_level and gw_discount (tests/test_env.py) and for gw_counts
+ * (tests/test_count_trees.py), with the generator's state after.
+ *
  * The file holds no Python API and no global mutable state: gwalk.kernel
  * calls it through ctypes, which releases the GIL, so calls on several
  * threads run in parallel; the only state they share is gw_walks' trial
- * counter, which the caller owns and they advance atomically. The arena is
- * one array of 48-byte node records (six 8-byte fields). gwalk.kernel
- * restates gw_node, gw_arena, gw_stats, gw_count and the parameters of
- * gw_walk, gw_walks, gw_level, gw_counts and gw_discount by hand;
- * tests/test_kernel_layout.py checks that both sides name the same fields
- * in the same order.
+ * counter, which the caller owns and they advance atomically. gwalk.kernel
+ * restates gw_node, gw_arena, gw_stats and gw_count by hand, and the return
+ * and parameter types of every function defined here without `static` in
+ * one table, _ENTRY_POINTS; tests/test_kernel_layout.py checks both against
+ * this file.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
  * -ffast-math or -march=native, and keep -ffp-contract=off.

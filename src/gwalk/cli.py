@@ -90,15 +90,10 @@ def _load_config(args) -> dict:
             cfg = json.load(fh)
         _check_keys(cfg)
         cfg["_dir"] = str(Path(args.config).resolve().parent)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    if args.out is not None:
-        cfg["out"] = args.out
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("threads", 1)
-    cfg.setdefault("out", "gwalk-out")
+    for key, default in (("seed", 0), ("threads", 1), ("out", "gwalk-out")):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+        cfg.setdefault(key, default)
     experiments._check("seed", cfg["seed"], least=0)
     experiments._check("threads", cfg["threads"])
     return cfg
@@ -165,13 +160,11 @@ def main(argv=None) -> int:
         prog="gwalk",
         description="biased-walk-on-tree scaling-limit experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", type=str, default=None)
+    parser.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--out", type=str, default=None)
     args = parser.parse_args(argv)
     cfg = _load_config(args)
     try:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -194,25 +193,20 @@ def _map_trials(fn, n_trials: int, threads: int) -> None:
     trees run through it; the walking campaigns hand their whole batch to
     `kernel.run_walks`, whose threads share a counter in C.
 
-    With threads > 1, that many workers each take the next index from one
-    shared range iterator until it runs out, so a worker that draws a long
-    trial leaves the rest to the others. The iterator is shared without a
-    lock: `next()` on a range iterator runs under the GIL, which is enough
-    on CPython up to 3.12 (a free-threaded build would need one). An
-    exception in fn stops its worker and is raised here after every worker
-    has finished."""
+    `kernel._concurrent_calls` makes min(threads, n_trials) calls of one
+    draining loop at once, each taking the next index from one shared range
+    iterator until it runs out, so a call that draws a long trial leaves the
+    rest to the others. The iterator is shared without a lock: `next()` on
+    a range iterator runs under the GIL, which is enough on CPython up to
+    3.12 (a free-threaded build would need one). An exception in fn stops
+    its call and is raised here after every call has returned."""
     trials = iter(range(n_trials))
 
     def drain() -> None:
         for t in trials:
             fn(t)
 
-    if threads <= 1:
-        drain()
-        return
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for f in [ex.submit(drain) for _ in range(threads)]:
-            f.result()
+    kernel._concurrent_calls(drain, (), max(1, min(threads, n_trials)))
 
 
 def trial_seeds(master: int, experiment: str, n_trials: int):

@@ -80,25 +80,28 @@ Discounted sums
 `discount_exponents` advances a slice of the spine walks S of
 `env.discounted_sums_batch` by one block on numpy's own uniforms (the fill
 behind `Generator.random`, on the caller's generator) and writes the
-exponents -S_j; the exp and the row sum of D stay in numpy, as e^{-V} does
-for W. Its increment lookup and the other bindings' atom lookup count the
+exponents -S_j; the exp and the (pairwise) row sum of D stay in numpy, as
+e^{-V} does for W. Its increment lookup and the other bindings' atom lookup count the
 cumulative values at or below a uniform without a branch, so each entry
 point takes the number of atoms or runs.
 
 Binding
 -------
-The library has no Python API; `load_kernel` binds it through ctypes, whose
-foreign calls release the GIL, so calls on several threads run in parallel.
-The campaigns walk through `run_walks`: one `gw_walks` call per thread (the
-calling thread makes one), all claiming the batch's trials one at a time
-from one counter in C, each with one arena reused across its trials. So a batch costs one Python call per
-thread rather than one per walk, and a thread that draws a long,
-heavy-tailed trial leaves the rest to the others. `run_walk`, one `gw_walk`
-call per walk, serves explicit trees, `collect_tree` and the tests.
-`_Node`, `_Arena`, `_Stats`, `_Count`, `_WALK_ARGTYPES`, `_WALKS_ARGTYPES`,
-`_LEVEL_ARGTYPES`, `_COUNTS_ARGTYPES` and `_DISCOUNT_ARGTYPES` restate the C
-declarations by hand (a mismatch crashes the interpreter rather than
-raising); tests/test_kernel_layout.py checks them against `_walk.c`.
+`load_kernel` binds the library through ctypes from one table,
+`_ENTRY_POINTS`, of each exported function's return and parameter types;
+importing this module binds the built library beside it. The five bindings
+are module functions that reach it through `require_library`. `_Node`,
+`_Arena`, `_Stats`, `_Count` and `_ENTRY_POINTS` restate the C declarations
+by hand (a mismatch crashes the interpreter rather than raising);
+tests/test_kernel_layout.py checks them against `_walk.c`.
+ctypes' foreign calls release the GIL, so the campaigns walk through
+`run_walks`: one `gw_walks` call per thread, all claiming the batch's trials
+one at a time from one counter in C, each with one arena reused across its
+trials. So a batch costs one Python call per thread, and a thread that
+draws a long, heavy-tailed trial leaves the rest to the others. `run_walk`,
+one `gw_walk` call per walk, serves explicit trees, `collect_tree` and the
+tests. `_concurrent_calls`, which makes those calls at once, is the
+package's one thread runner (`experiments._map_trials` runs on it too).
 """
 
 from __future__ import annotations
@@ -194,231 +197,249 @@ def _arrays(values, dtypes):
             for v, d in zip(values, dtypes)]
 
 
-# dtypes of gw_walk's array arguments: the step tables, then the explicit tree
-_DTYPES = [np.float64, np.int64, np.int64, np.float64, np.float64] + [np.int64] * 2
-
-# gw_walk's parameters, in the order of its C declaration
-_WALK_ARGTYPES = [_P, _INT64, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64,
-                  ctypes.c_uint64, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64,
-                  ctypes.POINTER(_Stats), ctypes.POINTER(ctypes.POINTER(_Arena))]
-
-
-# gw_walks' parameters, in the order of its C declaration
-_WALKS_ARGTYPES = [_P, _INT64, _P, _P, _P, _P, _P, _P, _INT64, _P, ctypes.c_int, _INT64, _P,
-                   _INT64, _P, _INT64, _P, _P]
-
-# gw_level's parameters, in the order of its C declaration
-_LEVEL_ARGTYPES = [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]
-
-# gw_counts' parameters, in the order of its C declaration
-_COUNTS_ARGTYPES = [_P, _INT64, _P, _INT64, _P, _P, _P, _P, ctypes.c_int, _INT64, _P,
-                    ctypes.POINTER(ctypes.POINTER(_Count)), ctypes.POINTER(_INT64)]
-
-# gw_discount's parameters, in the order of its C declaration
-_DISCOUNT_ARGTYPES = [_P, _P, _INT64, _P, _P, _INT64, _INT64, _P, _P]
+# every function that `_walk.c` exports: (restype, argtypes), the parameters
+# in the order of its C declaration
+_ENTRY_POINTS = {
+    "gw_walk": (ctypes.c_int, [_P, _INT64, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64,
+                               ctypes.c_uint64, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64,
+                               _P, ctypes.POINTER(ctypes.POINTER(_Arena))]),
+    "gw_walks": (ctypes.c_int, [_P, _INT64, _P, _P, _P, _P, _P, _P, _INT64, _P, ctypes.c_int,
+                                _INT64, _P, _INT64, _P, _INT64, _P, _P]),
+    "gw_free": (None, [ctypes.POINTER(_Arena)]),
+    "gw_level": (_INT64, [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]),
+    "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, _P, _P, _P, _P, ctypes.c_int, _INT64,
+                                 _P, ctypes.POINTER(ctypes.POINTER(_Count)),
+                                 ctypes.POINTER(_INT64)]),
+    "gw_free_counts": (None, [ctypes.POINTER(_Count)]),
+    "gw_discount": (None, [_P, _P, _INT64, _P, _P, _INT64, _INT64, _P, _P]),
+}
 
 # gw_counts' error code for a Poisson rate numpy refuses (GW_ELAM)
 _ELAM = 2
 
+_lib = None  # the bound library, set by load_kernel
 
-def load_kernel(path):
-    """Bind the library at `path`; returns its (`run_walk`, `run_walks`,
-    `level_potentials`, `count_trees`, `discount_exponents`)."""
+
+def load_kernel(path) -> None:
+    """Bind the library at `path`, each entry point as `_ENTRY_POINTS`
+    declares it, as the one library that the bindings below call."""
+    global _lib
     lib = ctypes.CDLL(str(path))
-    walk, walks, free, level_fn = lib.gw_walk, lib.gw_walks, lib.gw_free, lib.gw_level
-    counts_fn, free_counts, discount_fn = lib.gw_counts, lib.gw_free_counts, lib.gw_discount
-    walk.restype, walks.restype, free.restype = ctypes.c_int, ctypes.c_int, None
-    level_fn.restype, counts_fn.restype = _INT64, ctypes.c_int
-    free_counts.restype, discount_fn.restype = None, None
-    walk.argtypes = _WALK_ARGTYPES
-    walks.argtypes = _WALKS_ARGTYPES
-    free.argtypes = [ctypes.POINTER(_Arena)]
-    level_fn.argtypes = _LEVEL_ARGTYPES
-    counts_fn.argtypes = _COUNTS_ARGTYPES
-    free_counts.argtypes = [ctypes.POINTER(_Count)]
-    discount_fn.argtypes = _DISCOUNT_ARGTYPES
+    for name, (restype, argtypes) in _ENTRY_POINTS.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    _lib = lib
 
-    def pointers(t, tree=(None, None)):
-        """The C arrays of step tables t and an explicit tree, which the
-        caller holds while the library reads them, and their pointers."""
-        arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
-        ptrs = [None if a is None else a.ctypes.data for a in arrays]
-        ptrs.insert(1, 0 if t.cum is None else t.cum.size)  # the atom count
-        return arrays, ptrs
 
-    def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
-                 budget=10**10, collect_tree=False, explicit=None):
-        """Run one walk; returns a dict of scalars and numpy arrays.
+def require_library():
+    """The bound library, or a stop naming it and the build command. The
+    campaigns that need it call this first, so that a missing build costs
+    no constant estimate or survival draw before the message."""
+    if _lib is None:
+        raise SystemExit(
+            f"the walk kernel library {LIBRARY} is not built; build it with "
+            "`python setup.py build_ext --inplace` in the source checkout, "
+            "or install the package"
+        )
+    return _lib
 
-        law_tables: the LawTables of MarkLaw.tables, or None when `explicit`
-        supplies a prebuilt finite tree as a dict with keys parent, V
-        (checked and converted by explicit_tree). The walk stops early, with
-        status STATUS_BUDGET, once it has taken `budget` steps. With
-        collect_tree the result also holds the arena's tree_parent,
-        tree_atom, tree_ndown and tree_nup arrays (tree_atom is -1 at an
-        ungrown node). MemoryError when the arena cannot grow."""
-        (snaps,) = _arrays([snaps], [np.int64])
-        snap_out = np.empty((4, len(snaps)), dtype=np.int64)
-        if explicit is None:
-            n_explicit, (arrays, ptrs) = -1, pointers(law_tables)
-        else:
-            t, *tree = explicit_tree(explicit)
-            n_explicit, (arrays, ptrs) = len(tree[0]), pointers(t, tree)
-        st, arena = _Stats(), ctypes.POINTER(_Arena)()
-        err = walk(*ptrs[:6], n_explicit, *ptrs[6:], int(env_seed) & MASK,
-                   int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
-                   len(snaps), snap_out.ctypes.data, int(budget), ctypes.byref(st),
-                   ctypes.byref(arena))
-        if err:
-            raise MemoryError("walk kernel ran out of memory for its arena")
-        try:
-            A = arena.contents
-            out = {k: getattr(st, k) for k in ("status", "m", "t_ex", "L", "R", "pos")}
-            out["nodes_grown"] = A.n
-            for row, name in enumerate(("tau", "T", "L", "R")):
-                out["snap_" + name] = snap_out[row, : st.nsnap].copy()
-            if collect_tree:
-                nodes = np.ctypeslib.as_array(A.node, shape=(A.n,))
-                for key, field in _TREE.items():
-                    out["tree_" + key] = np.array(nodes[field], dtype=np.int64)
-            return out
-        finally:
-            free(arena)
 
-    def run_walks(law_tables, env_seeds, walk_seeds, mode, limit, snaps, budget=10**10,
-                  threads=1):
-        """Run the lazy walks of trials 0..n-1, trial t on env_seeds[t] with
-        walk seed walk_seeds[t], each as run_walk(law_tables, env_seeds[t],
-        walk_seeds[t], mode, limit, snaps, budget) would, in `threads`
-        concurrent calls of gw_walks (no more than there are trials) that
-        share its trial counter. Returns a
-        dict of arrays with a leading trial axis: status, m, t_ex, L, R,
-        pos, nodes_grown and nsnap (the snapshots taken) of shape (n,), and
-        snap_tau, snap_T, snap_L and snap_R of shape (n, len(snaps)), views
-        of one (n, 4, len(snaps)) buffer; a trial's snapshots past its
-        nsnap read 0. Every trial writes only its own slots, so the result
-        does not depend on `threads`. ValueError unless there is one walk
-        seed per environment seed; MemoryError when an arena cannot grow."""
-        env_seeds, walk_seeds = (np.ascontiguousarray(np.asarray(s, dtype=np.uint64).ravel())
-                                 for s in (env_seeds, walk_seeds))
-        n = env_seeds.size
-        if walk_seeds.size != n:
-            raise ValueError(f"run_walks: {n} environment seeds, {walk_seeds.size} walk seeds")
-        (snaps,) = _arrays([snaps], [np.int64])
-        arrays, ptrs = pointers(law_tables)
-        snap_out = np.zeros((n, 4, len(snaps)), dtype=np.int64)
-        st = np.empty((n, len(_Stats._fields_)), dtype=np.int64)
-        nodes = np.empty(n, dtype=np.int64)
-        counter = np.zeros(1, dtype=np.int64)
-        args = (*ptrs[:6], env_seeds.ctypes.data, walk_seeds.ctypes.data, n,
-                counter.ctypes.data, int(mode), int(limit), snaps.ctypes.data, len(snaps),
-                snap_out.ctypes.data, int(budget), st.ctypes.data, nodes.ctypes.data)
-        if any(_concurrent_calls(walks, args, max(1, min(int(threads), n)))):
-            raise MemoryError("walk kernel ran out of memory for its arena")
-        out = {f: st[:, i] for i, (f, _) in enumerate(_Stats._fields_)}
-        out["nodes_grown"] = nodes
-        for row, name in enumerate(("tau", "T", "L", "R")):
-            out["snap_" + name] = snap_out[:, row]
+# dtypes of gw_walk's array arguments: the step tables, then the explicit tree
+_DTYPES = [np.float64, np.int64, np.int64, np.float64, np.float64] + [np.int64] * 2
+
+
+def _pointers(t, tree=(None, None)):
+    """The C arrays of step tables t and an explicit tree, which the caller
+    holds while the library reads them, and their pointers."""
+    arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
+    ptrs = [None if a is None else a.ctypes.data for a in arrays]
+    ptrs.insert(1, 0 if t.cum is None else t.cum.size)  # the atom count
+    return arrays, ptrs
+
+
+def _result(stats, nodes_grown, snap_out):
+    """A walk's result: the gw_stats fields (status, m, t_ex, L, R, pos,
+    nsnap) from `stats`, nodes_grown, and snap_tau, snap_T, snap_L and
+    snap_R from the rows of `snap_out` (..., 4, snapshots)."""
+    out = {f: v for (f, _), v in zip(_Stats._fields_, stats)}
+    out["nodes_grown"] = nodes_grown
+    for row, name in enumerate(("tau", "T", "L", "R")):
+        out["snap_" + name] = snap_out[..., row, :]
+    return out
+
+
+def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
+             budget=10**10, collect_tree=False, explicit=None):
+    """Run one walk; returns a dict of scalars and numpy arrays (`_result`),
+    snap_* holding the nsnap snapshots taken.
+
+    law_tables: the LawTables of MarkLaw.tables, or None when `explicit`
+    supplies a prebuilt finite tree as a dict with keys parent, V (checked
+    and converted by explicit_tree). The walk stops early, with status
+    STATUS_BUDGET, once it has taken `budget` steps. With collect_tree the
+    result also holds the arena's tree_parent, tree_atom, tree_ndown and
+    tree_nup arrays (tree_atom is -1 at an ungrown node). MemoryError when
+    the arena cannot grow."""
+    lib = require_library()
+    (snaps,) = _arrays([snaps], [np.int64])
+    snap_out = np.empty((4, len(snaps)), dtype=np.int64)
+    if explicit is None:
+        n_explicit, (arrays, ptrs) = -1, _pointers(law_tables)
+    else:
+        t, *tree = explicit_tree(explicit)
+        n_explicit, (arrays, ptrs) = len(tree[0]), _pointers(t, tree)
+    st, arena = np.empty(len(_Stats._fields_), dtype=np.int64), ctypes.POINTER(_Arena)()
+    err = lib.gw_walk(*ptrs[:6], n_explicit, *ptrs[6:], int(env_seed) & MASK,
+                      int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
+                      len(snaps), snap_out.ctypes.data, int(budget), st.ctypes.data,
+                      ctypes.byref(arena))
+    if err:
+        raise MemoryError("walk kernel ran out of memory for its arena")
+    try:
+        A = arena.contents
+        st = st.tolist()
+        out = _result(st, A.n, snap_out[:, : st[-1]])  # nsnap, gw_stats' last field
+        if collect_tree:
+            nodes = np.ctypeslib.as_array(A.node, shape=(A.n,))
+            for key, field in _TREE.items():
+                out["tree_" + key] = np.array(nodes[field], dtype=np.int64)
         return out
+    finally:
+        lib.gw_free(arena)
 
-    def level_potentials(law_tables, env_seeds, level):
-        """Per environment seed in turn, the potentials V of its generation
-        `level` in the order of `env.next_level`, as a float64 view of one
-        buffer. The next seed overwrites the buffer, so the caller may too.
-        The buffer holds one generation and grows when a larger one comes.
-        MemoryError when the search cannot hold its path."""
-        arrays = _arrays([law_tables.cum, law_tables.off, law_tables.lens, law_tables.marks],
-                         [np.float64, np.int64, np.int64, np.float64])
-        ptrs = [a.ctypes.data for a in arrays]
-        ptrs.insert(1, arrays[0].size)
-        level = int(level)
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        buf = np.empty(1024)
-        for seed in env_seeds:
-            seed = int(seed) & MASK
-            n = level_fn(*ptrs, seed, level, buf.ctypes.data, buf.size)
-            if n > buf.size:
-                buf = np.empty(max(n, 2 * buf.size))
-                n = level_fn(*ptrs, seed, level, buf.ctypes.data, buf.size)
-            if n < 0:
-                raise MemoryError("level walker ran out of memory for its path")
-            yield buf[:n]
 
-    def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=None,
-                    keep=False):
-        """Draw one edge-count tree per environment seed from rng.
+def run_walks(law_tables, env_seeds, walk_seeds, mode, limit, snaps, budget=10**10,
+              threads=1):
+    """Run the lazy walks of trials 0..n-1, trial t on env_seeds[t] with
+    walk seed walk_seeds[t], each as run_walk(law_tables, env_seeds[t],
+    walk_seeds[t], mode, limit, snaps, budget) would, in `threads`
+    concurrent calls of gw_walks (no more than there are trials) that share
+    its trial counter. Returns run_walk's dict of arrays with a leading
+    trial axis: status, m, t_ex, L, R, pos, nsnap and nodes_grown of shape
+    (n,), and snap_tau, snap_T, snap_L and snap_R of shape (n, len(snaps)),
+    views of one (n, 4, len(snaps)) buffer; a trial's snapshots past its
+    nsnap read 0. Every trial writes only its own slots, so the result does
+    not depend on `threads`. ValueError unless there is one walk seed per
+    environment seed; MemoryError when an arena cannot grow."""
+    lib = require_library()
+    env_seeds, walk_seeds = (np.ascontiguousarray(np.asarray(s, dtype=np.uint64).ravel())
+                             for s in (env_seeds, walk_seeds))
+    n = env_seeds.size
+    if walk_seeds.size != n:
+        raise ValueError(f"run_walks: {n} environment seeds, {walk_seeds.size} walk seeds")
+    (snaps,) = _arrays([snaps], [np.int64])
+    arrays, ptrs = _pointers(law_tables)
+    snap_out = np.zeros((n, 4, len(snaps)), dtype=np.int64)
+    st = np.empty((n, len(_Stats._fields_)), dtype=np.int64)
+    nodes = np.empty(n, dtype=np.int64)
+    counter = np.zeros(1, dtype=np.int64)
+    args = (*ptrs[:6], env_seeds.ctypes.data, walk_seeds.ctypes.data, n,
+            counter.ctypes.data, int(mode), int(limit), snaps.ctypes.data, len(snaps),
+            snap_out.ctypes.data, int(budget), st.ctypes.data, nodes.ctypes.data)
+    if any(_concurrent_calls(lib.gw_walks, args, max(1, min(int(threads), n)))):
+        raise MemoryError("walk kernel ran out of memory for its arena")
+    return _result(st.T, nodes, snap_out)
 
-        Row r grows on the keyed environment of env_seeds[r] from a root
-        with N = root_counts[r] (a scalar applies to every row). With
-        prune, count-1 nodes below the root are not expanded. With a budget
-        (a scalar, or one value per row), a row stops growing after the
-        generation in which its sum of N, root included, passes its budget.
-        The draws are numpy's gamma and Poisson on rng's bit generator, made
-        while holding its lock, in the order of the numpy reference
-        tests/oracles.excursion_levels, so rng ends in the state the
-        reference leaves it in.
 
-        Returns (sums, tree). sums is a (3, rows) int64 array: per row, over
-        the non-root nodes, the sum of N, the number of nodes and the number
-        with N = 1. tree is None, or with keep a dict of the node arrays
-        row, parent, key and N, all generations in turn, roots first, parent
-        indexing the same arrays (-1 at a root). ValueError for a root count
-        below 1 or a Poisson rate numpy refuses ("lam value too large", as
-        Generator.poisson raises it); MemoryError when out of memory."""
-        seeds = np.ascontiguousarray(env_seeds, dtype=np.uint64).ravel()
-        n = seeds.size
-        roots = np.ascontiguousarray(np.broadcast_to(np.asarray(root_counts, dtype=np.int64), n))
-        if (roots < 1).any():
-            raise ValueError("root counts must be >= 1")
-        caps = None if budget is None else np.ascontiguousarray(
-            np.broadcast_to(np.asarray(budget, dtype=np.int64), n))
-        cum, rate = _arrays([law_tables.cum, law_tables.rate], [np.float64] * 2)
-        sums = np.empty((3, n), dtype=np.int64)
-        tree, size = ctypes.POINTER(_Count)(), _INT64()
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            err = counts_fn(cum.ctypes.data, cum.size, rate.ctypes.data, rate.shape[1],
+def level_potentials(law_tables, env_seeds, level):
+    """Per environment seed in turn, the potentials V of its generation
+    `level` in the order of `env.next_level`, as a float64 view of one
+    buffer. The next seed overwrites the buffer, so the caller may too.
+    The buffer holds one generation and grows when a larger one comes.
+    MemoryError when the search cannot hold its path."""
+    lib = require_library()
+    arrays = _arrays([law_tables.cum, law_tables.off, law_tables.lens, law_tables.marks],
+                     [np.float64, np.int64, np.int64, np.float64])
+    ptrs = [a.ctypes.data for a in arrays]
+    ptrs.insert(1, arrays[0].size)
+    level = int(level)
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    buf = np.empty(1024)
+    for seed in env_seeds:
+        seed = int(seed) & MASK
+        n = lib.gw_level(*ptrs, seed, level, buf.ctypes.data, buf.size)
+        if n > buf.size:
+            buf = np.empty(max(n, 2 * buf.size))
+            n = lib.gw_level(*ptrs, seed, level, buf.ctypes.data, buf.size)
+        if n < 0:
+            raise MemoryError("level walker ran out of memory for its path")
+        yield buf[:n]
+
+
+def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=None,
+                keep=False):
+    """Draw one edge-count tree per environment seed from rng.
+
+    Row r grows on the keyed environment of env_seeds[r] from a root with
+    N = root_counts[r] (a scalar applies to every row). With prune, count-1
+    nodes below the root are not expanded. With a budget (a scalar, or one
+    value per row), a row stops growing after the generation in which its
+    sum of N, root included, passes its budget. The draws are numpy's gamma
+    and Poisson on rng's bit generator, made while holding its lock, in the
+    order of the numpy reference tests/oracles.excursion_levels, so rng
+    ends in the state the reference leaves it in.
+
+    Returns (sums, tree). sums is a (3, rows) int64 array: per row, over
+    the non-root nodes, the sum of N, the number of nodes and the number
+    with N = 1. tree is None, or with keep a dict of the node arrays row,
+    parent, key and N, all generations in turn, roots first, parent
+    indexing the same arrays (-1 at a root). ValueError for a root count
+    below 1 or a Poisson rate numpy refuses ("lam value too large", as
+    Generator.poisson raises it); MemoryError when out of memory."""
+    lib = require_library()
+    seeds = np.ascontiguousarray(env_seeds, dtype=np.uint64).ravel()
+    n = seeds.size
+    roots = np.ascontiguousarray(np.broadcast_to(np.asarray(root_counts, dtype=np.int64), n))
+    if (roots < 1).any():
+        raise ValueError("root counts must be >= 1")
+    caps = None if budget is None else np.ascontiguousarray(
+        np.broadcast_to(np.asarray(budget, dtype=np.int64), n))
+    cum, rate = _arrays([law_tables.cum, law_tables.rate], [np.float64] * 2)
+    sums = np.empty((3, n), dtype=np.int64)
+    tree, size = ctypes.POINTER(_Count)(), _INT64()
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        err = lib.gw_counts(cum.ctypes.data, cum.size, rate.ctypes.data, rate.shape[1],
                             bitgen.ctypes.bit_generator, seeds.ctypes.data, roots.ctypes.data,
                             None if caps is None else caps.ctypes.data, int(bool(prune)), n,
                             sums.ctypes.data, ctypes.byref(tree) if keep else None,
                             ctypes.byref(size) if keep else None)
-        if err == _ELAM:
-            raise ValueError("lam value too large")
-        if err:
-            raise MemoryError("count-tree sampler ran out of memory")
-        if not keep:
-            return sums, None
-        try:
-            nodes = np.ctypeslib.as_array(tree, shape=(size.value,))
-            return sums, {f: np.array(nodes[f]) for f in ("row", "parent", "key", "N")}
-        finally:
-            free_counts(tree)
+    if err == _ELAM:
+        raise ValueError("lam value too large")
+    if err:
+        raise MemoryError("count-tree sampler ran out of memory")
+    if not keep:
+        return sums, None
+    try:
+        nodes = np.ctypeslib.as_array(tree, shape=(size.value,))
+        return sums, {f: np.array(nodes[f]) for f in ("row", "parent", "key", "N")}
+    finally:
+        lib.gw_free_counts(tree)
 
-    def discount_exponents(thresholds, run_vals, S, rows, out, rng):
-        """The exponents -S_j of the next out.shape[1] terms of the
-        discounted sums of the paths `rows`, written to `out`, one row per
-        path, as `gw_discount` describes; S[rows] moves to the block's end.
-        The uniforms are numpy's, drawn from rng's bit generator while
-        holding its lock, rows in order, so rng ends where
-        rng.random(out=out) would leave it. The library writes S and out in
-        place: ValueError unless both are C-contiguous float64 arrays, out
-        of shape (len(rows), block), rows index S and there is one
-        threshold fewer than run values."""
-        thresholds, run_vals, rows = _arrays([thresholds, run_vals, rows],
-                                             [np.float64, np.float64, np.int64])
-        if not (all(a.dtype == np.float64 and a.flags.c_contiguous for a in (S, out))
-                and out.ndim == 2 and out.shape[0] == rows.size
-                and thresholds.size == run_vals.size - 1
-                and (rows.size == 0 or 0 <= rows.min() <= rows.max() < S.size)):
-            raise ValueError("discount_exponents: S, out, rows or the run tables do not fit")
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            discount_fn(bitgen.ctypes.bit_generator, thresholds.ctypes.data, thresholds.size,
+
+def discount_exponents(thresholds, run_vals, S, rows, out, rng):
+    """The exponents -S_j of the next out.shape[1] terms of the discounted
+    sums of the paths `rows`, written to `out`, one row per path, as
+    `gw_discount` describes; S[rows] moves to the block's end. The uniforms
+    are numpy's, drawn from rng's bit generator while holding its lock,
+    rows in order, so rng ends where rng.random(out=out) would leave it.
+    The library writes S and out in place: ValueError unless both are
+    C-contiguous float64 arrays, out of shape (len(rows), block), rows
+    index S and there is one threshold fewer than run values."""
+    lib = require_library()
+    thresholds, run_vals, rows = _arrays([thresholds, run_vals, rows],
+                                         [np.float64, np.float64, np.int64])
+    if not (all(a.dtype == np.float64 and a.flags.c_contiguous for a in (S, out))
+            and out.ndim == 2 and out.shape[0] == rows.size
+            and thresholds.size == run_vals.size - 1
+            and (rows.size == 0 or 0 <= rows.min() <= rows.max() < S.size)):
+        raise ValueError("discount_exponents: S, out, rows or the run tables do not fit")
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        lib.gw_discount(bitgen.ctypes.bit_generator, thresholds.ctypes.data, thresholds.size,
                         run_vals.ctypes.data, rows.ctypes.data, rows.size, out.shape[1],
                         S.ctypes.data, out.ctypes.data)
-
-    return run_walk, run_walks, level_potentials, count_trees, discount_exponents
 
 
 def _concurrent_calls(fn, args, calls: int) -> list:
@@ -457,22 +478,5 @@ def _concurrent_calls(fn, args, calls: int) -> list:
     return results
 
 
-def _not_built(*args, **kwargs):
-    """Stand-in for the library that is not built: stops the command."""
-    raise SystemExit(
-        f"the walk kernel library {LIBRARY} is not built; build it with "
-        "`python setup.py build_ext --inplace` in the source checkout, "
-        "or install the package"
-    )
-
-
-run_walk, run_walks, level_potentials, count_trees, discount_exponents = (
-    load_kernel(LIBRARY) if LIBRARY.is_file() else (_not_built,) * 5)
-
-
-def require_library() -> None:
-    """Stop the command as `run_walk` would when the library is not built.
-    The campaigns that walk or read W call this first, so that a missing
-    build costs no constant estimate or survival draw before the message."""
-    if run_walk is _not_built:
-        _not_built()
+if LIBRARY.is_file():
+    load_kernel(LIBRARY)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,8 +50,9 @@ class LawError(ValueError):
     """Raised when a law violates a structural precondition.
 
     The ``code`` attribute carries a stable machine-readable tag:
-    NOT_NORMALIZED, SUBCRITICAL, ASSUMPTION_VIOLATION, NO_CONVERGENCE or
-    MISSING_KEY.
+    NOT_NORMALIZED, SUBCRITICAL, ASSUMPTION_VIOLATION, NO_CONVERGENCE,
+    MISSING_KEY or MALFORMED (a spec or atom that is not an object, or marks
+    that are not a list of finite numbers).
     """
 
     def __init__(self, code: str, message: str):
@@ -170,14 +172,21 @@ class MarkLaw:
         return got
 
 
+def _finite(x) -> bool:
+    """True for a finite real number, bools excluded."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def make_mark_law(atoms) -> MarkLaw:
     """Validate and freeze a list of (probability, marks) atoms."""
     if not atoms:
         raise LawError("NOT_NORMALIZED", "no atoms")
     norm = []
     for p, marks in atoms:
-        if p <= 0:
-            raise LawError("NOT_NORMALIZED", f"non-positive atom probability {p}")
+        if not (_finite(p) and p > 0):
+            raise LawError("NOT_NORMALIZED", f"p={p!r} is not a finite number > 0")
+        if not (isinstance(marks, (list, tuple)) and all(_finite(a) for a in marks)):
+            raise LawError("MALFORMED", f"marks={marks!r} is not a list of finite numbers")
         norm.append((float(p), tuple(float(a) for a in marks)))
     total = sum(p for p, _ in norm)
     if abs(total - 1.0) > PROB_TOL:
@@ -342,6 +351,8 @@ def make_two_point(p: float, b: float | None = None) -> MarkLaw:
     When b is omitted it is set by the calibration 2(p e + (1-p)e^{-b}) = 1,
     which requires p < 1/(2e).
     """
+    if not (_finite(p) and 0 < p < 1):
+        raise LawError("ASSUMPTION_VIOLATION", f"p={p!r} is not a number in (0, 1)")
     if b is None:
         x = (0.5 - p * math.e) / (1.0 - p)
         if x <= 0:
@@ -359,6 +370,10 @@ def make_two_point(p: float, b: float | None = None) -> MarkLaw:
 
 def make_constant_bias(lam: float, n: int = 2) -> MarkLaw:
     """Deterministic n-ary tree with constant mark log(lam)."""
+    if not (_finite(lam) and lam > 0):
+        raise LawError("ASSUMPTION_VIOLATION", f"lam={lam!r} is not a finite number > 0")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise LawError("ASSUMPTION_VIOLATION", f"n={n!r} is not an integer")
     return make_mark_law([(1.0, (math.log(lam),) * n)])
 
 
@@ -384,6 +399,8 @@ def load_law(source) -> MarkLaw:
         doc = json.load(source)
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise LawError("MALFORMED", f"law spec {doc!r} is not a JSON object")
     fam = doc.get("family")
     try:
         if fam == "two_point":
@@ -392,7 +409,10 @@ def load_law(source) -> MarkLaw:
             return make_constant_bias(doc["lam"], doc.get("n", 2))
         if fam is not None:
             raise LawError("NOT_NORMALIZED", f"unknown family {fam!r}")
-        atoms = [(a["p"], tuple(a["marks"])) for a in doc["atoms"]]
+        atoms = doc["atoms"]
+        if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
+            raise LawError("MALFORMED", f"atoms={atoms!r} is not a list of JSON objects")
+        atoms = [(a["p"], a["marks"]) for a in atoms]
     except KeyError as err:
         raise LawError("MISSING_KEY", f"the law spec has no key {err.args[0]!r}") from err
     if doc.get("calibrate"):

@@ -1,18 +1,16 @@
 """Shared fixtures: the compiled walk kernel, built once per test session and
-bound to `gwalk.kernel.run_walk`, `gwalk.kernel.run_walks`,
-`gwalk.kernel.level_potentials`, `gwalk.kernel.count_trees` and
-`gwalk.kernel.discount_exponents`, so every walk, every W, every count tree
-and every discounted sum of the tests runs on the library that the commands
-run.
+bound as `gwalk.kernel`'s one library, so every walk, every W, every count
+tree and every discounted sum of the tests runs on the library that the
+commands run.
 
 When the package already carries a built library, the fixtures use it.
 Otherwise (running from `PYTHONPATH=src` without building) `kernel_library`
-compiles `src/gwalk/_walk.c` with the repo's own `setup.py` recipe, which
-uses sysconfig's CC and the flags in setup.py, into a temporary directory,
-and the session binds it through `gwalk.kernel.load_kernel`, the loader the
-package itself uses. A compile error fails the tests. Without a C compiler
-nothing is bound: the tests that ask for `compiled_run_walk` skip, and a
-walk or a W through the kernel stops with the package's build message.
+compiles `src/gwalk/_walk.c` with the repo's own `setup.py` recipe into a
+temporary directory, and the session binds it with the package's own
+loader, `gwalk.kernel.load_kernel`. A compile error fails the tests.
+Without a C compiler nothing is bound: the tests that ask for
+`compiled_run_walk` skip, and a walk or a W through the kernel stops with
+the package's build message.
 """
 
 import shutil
@@ -49,16 +47,11 @@ def kernel_library(tmp_path_factory):
 
 @pytest.fixture(scope="session", autouse=True)
 def production_kernel(kernel_library):
-    """`kernel.run_walk`, `kernel.run_walks`, `kernel.level_potentials`,
-    `kernel.count_trees` and `kernel.discount_exponents` bound to the built
-    library for the whole session, before any test's monkeypatch, which
-    therefore restores this binding; returns run_walk, or None without a C
-    compiler."""
-    if kernel_library is None:
-        return None
-    (kernel.run_walk, kernel.run_walks, kernel.level_potentials, kernel.count_trees,
-     kernel.discount_exponents) = kernel.load_kernel(kernel_library)
-    return kernel.run_walk
+    """The built library bound through `kernel.load_kernel` for the whole
+    session; returns `kernel.run_walk`, or None without a C compiler."""
+    if kernel_library is not None:
+        kernel.load_kernel(kernel_library)
+        return kernel.run_walk
 
 
 @pytest.fixture(scope="session")

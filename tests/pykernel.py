@@ -136,7 +136,7 @@ def run_walk(
                 break
 
     out = {"status": status, "m": m, "t_ex": t_ex, "L": L, "R": R, "pos": pos,
-           "nodes_grown": len(parent)}
+           "nsnap": si, "nodes_grown": len(parent)}
     for row, name in enumerate(("tau", "T", "L", "R")):
         out["snap_" + name] = snap[row, :si].copy()
     if collect_tree:

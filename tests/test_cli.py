@@ -2,24 +2,23 @@
 
 A rerun with the same config and seed must write byte-identical files, and so
 must a run at threads=2, whose trials run at the same time on the compiled
-kernel (its ctypes calls release the GIL); the benchmark's two walk configs
-do so at their own sizes. A theorem with no `constants` section estimates
-them on the route that estimate-constants takes, and only those its scales
-read; a constant that is not a finite number > 0 stops the command. Every
-verdict file is strict JSON (no NaN or Infinity), also when
-`theorem3` censors every trial.
+kernel (its ctypes calls release the GIL); the benchmark's two walk configs do
+so at their own sizes. A theorem with no `constants` section estimates them on
+the route that estimate-constants takes, and only those its scales read; a
+constant that is not a finite number > 0 stops the command. Every verdict file
+is strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
 `corollary` and the three theorems also run on a law whose environments can
-die, so that their survival resampling runs end to end. A subdiffusive
-command loads no scipy, and no command loads numpy.ma. Without the built library, every command but
-validate-law stops with the build message. Bad sizes and grids (grid
-point 1 at kappa = 2), bad lambdas, tol or shrink, bad `lemma-moments`
-settings, a tail with too few positive draws of B, a bad seed or thread
-count and config keys that no command reads stop the command with a message
-before it writes anything, and the accepted keys are pinned; every shipped
-and benchmark config passes the key check and loads its law. A bad law spec
-and a coded error raised inside a command stop it with one line that
-carries the code. estimate-constants writes
-the CIs of every constant and the Hill index's CI.
+die, so that their survival resampling runs end to end. A subdiffusive command
+loads no scipy, and no command loads numpy.ma or concurrent.futures. Without
+the built library, every command but validate-law stops with the build
+message. Bad sizes and grids (grid point 1 at kappa = 2), bad lambdas, tol or
+shrink, bad `lemma-moments` settings, a tail with too few positive draws of B,
+a bad seed or thread count and config keys that no command reads stop the
+command with a message before it writes anything, and the accepted keys are
+pinned; every shipped and benchmark config passes the key check and loads its
+law. A bad law spec and a coded error raised inside a command stop it with one
+line that carries the code. estimate-constants writes the CIs of every
+constant and the Hill index's CI.
 """
 
 import csv
@@ -428,14 +427,29 @@ def test_unknown_config_key_stops_the_command(tmp_path, command, extra, message)
     ({"family": "two_point"}, "MISSING_KEY: the law spec has no key 'p'"),
     ({"atoms": [{"p": 1.0}]}, "MISSING_KEY: the law spec has no key 'marks'"),
     ({"family": "two_point", "p": 0.3}, "ASSUMPTION_VIOLATION: p=0.3 too large to calibrate"),
-], ids=["no-p", "no-marks", "p-too-large"])
+    ([], "MALFORMED: law spec [] is not a JSON object"),
+    (3, "MALFORMED: law spec 3 is not a JSON object"),
+    ({"atoms": [1]}, "MALFORMED: atoms=[1] is not a list of JSON objects"),
+    ({"atoms": [{"p": 1, "marks": 3}]}, "MALFORMED: marks=3 is not a list of finite numbers"),
+    ({"atoms": [{"p": 1, "marks": [1, math.inf]}]},
+     "MALFORMED: marks=[1, inf] is not a list of finite numbers"),
+    ({"atoms": [{"p": "x", "marks": []}]}, "NOT_NORMALIZED: p='x' is not a finite number > 0"),
+    ({"atoms": [{"p": math.nan, "marks": []}]}, "NOT_NORMALIZED: p=nan is not a finite number > 0"),
+    ({"family": "constant_bias", "lam": -1},
+     "ASSUMPTION_VIOLATION: lam=-1 is not a finite number > 0"),
+    ({"family": "two_point", "p": 1}, "ASSUMPTION_VIOLATION: p=1 is not a number in (0, 1)"),
+], ids=["no-p", "no-marks", "p-too-large", "spec-list", "spec-number", "atom-number",
+        "marks-number", "marks-inf", "p-str", "p-nan", "lam-negative", "p-one"])
 @pytest.mark.parametrize("command", ["validate-law", "theorem2"])
 def test_bad_law_stops_the_command_in_one_line(tmp_path, command, law, message):
-    """A law spec with a missing key, or a law that the law layer refuses,
-    stops the command with one line carrying the LawError's code and
-    message, not a traceback, before any file is written."""
+    """A law file with a missing key, a spec, atom or marks of the wrong
+    type, a probability that is not a finite number > 0 or a family
+    parameter outside its domain stops the command with one line carrying
+    the LawError's code and message, not a traceback, before any file is
+    written."""
+    (tmp_path / "law.json").write_text(json.dumps(law))
     with pytest.raises(SystemExit) as exc:
-        _run(tmp_path, command, 1, "bad", extra={"law": law})
+        _run(tmp_path, command, 1, "bad", extra={"law": str(tmp_path / "law.json")})
     assert exc.value.code == message
     assert not (tmp_path / "bad").exists()
 
@@ -517,8 +531,7 @@ loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import gwalk.cli
 from gwalk import kernel, limits
 seen = {"import": loaded()}
-(kernel.run_walk, kernel.run_walks, kernel.level_potentials, kernel.count_trees,
- kernel.discount_exponents) = kernel.load_kernel(sys.argv[1])
+kernel.load_kernel(sys.argv[1])
 seen["rc"] = gwalk.cli.main(["theorem2", "--config", sys.argv[2], "--out", sys.argv[3]])
 seen["theorem2"] = loaded()
 got = limits.ml_laplace(2.0, 1.0)
@@ -554,24 +567,25 @@ NO_MASKED_ARRAYS = """
 import json, sys
 import gwalk.cli
 from gwalk import kernel
-seen = {"import": "numpy.ma" in sys.modules}
-(kernel.run_walk, kernel.run_walks, kernel.level_potentials, kernel.count_trees,
- kernel.discount_exponents) = kernel.load_kernel(sys.argv[1])
+loaded = lambda: [m in sys.modules for m in ("numpy.ma", "concurrent.futures")]
+seen = {"import": loaded()}
+kernel.load_kernel(sys.argv[1])
 cfg, out, commands = sys.argv[2], sys.argv[3], sys.argv[4:]
 for command in commands:
     rc = gwalk.cli.main([command, "--config", cfg, "--out", out + command])
-    seen[command] = [rc, "numpy.ma" in sys.modules]
+    seen[command] = [rc, loaded()]
 print(json.dumps(seen))
 """
 
 
 def test_commands_load_no_numpy_ma(kernel_library, tmp_path):
     """In a fresh interpreter, neither `import gwalk.cli` nor any of the
-    eight commands in turn at the TINY sizes imports numpy.ma: the package
-    takes its medians, quantiles and grids without np.median, np.quantile
-    and np.unique, whose first call imports it. The config freezes no
-    constant, so every theorem estimates its own on the estimate-constants
-    route."""
+    eight commands in turn at the TINY sizes imports numpy.ma or
+    concurrent.futures: the package takes its medians, quantiles and grids
+    without np.median, np.quantile and np.unique, whose first call imports
+    numpy.ma, and starts its threads with `kernel._concurrent_calls`. The
+    config freezes no constant, so every theorem estimates its own on the
+    estimate-constants route."""
     if kernel_library is None:
         pytest.skip("no C compiler to build the walk kernel")
     cfg = tmp_path / "cfg.json"
@@ -586,8 +600,8 @@ def test_commands_load_no_numpy_ma(kernel_library, tmp_path):
         [sys.executable, "-c", NO_MASKED_ARRAYS, str(kernel_library), str(cfg),
          str(tmp_path / "out-"), *TINY], capture_output=True, text=True, env=env, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen.pop("import") is False
-    assert seen == {command: [seen[command][0], False] for command in TINY}
+    assert seen.pop("import") == [False, False]
+    assert seen == {command: [seen[command][0], [False, False]] for command in TINY}
     assert all(rc in (0, 1) for rc, _ in seen.values())
 
 

@@ -2,8 +2,8 @@
 `_walk.c`, read as text: no library is loaded, so a mismatch fails here
 instead of crashing the interpreter inside a kernel call. `_walk.c` also
 compiles without a warning under -Wall -Wextra, and on Linux the built
-library exports its seven entry points, none of its static functions
-and none of numpy's symbols."""
+library exports the functions of `kernel._ENTRY_POINTS`, which are those it
+defines without `static`, and none of numpy's symbols."""
 
 import ctypes
 import re
@@ -49,36 +49,29 @@ def test_node_record_is_48_bytes():
     assert ctypes.sizeof(kernel._Node) == 48
 
 
-def _assert_parameters_match(restype: str, name: str, argtypes):
-    params = re.search(r"\b" + restype + " " + name + r"\((.*?)\)\s*\{", SOURCE, re.S).group(1)
+# name -> (return type, parameters) of each function `_walk.c` defines without `static`
+EXPORTED = {name: (restype, params) for restype, name, params in re.findall(
+    r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)\s*\{", SOURCE, re.M)}
+
+SCALAR = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "int": ctypes.c_int, "void": None}
+
+
+def test_entry_points_are_the_exported_functions():
+    assert set(EXPORTED) == set(kernel._ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", list(kernel._ENTRY_POINTS))
+def test_entry_point_types_match_the_declaration(name):
+    restype, argtypes = kernel._ENTRY_POINTS[name]
+    c_restype, params = EXPORTED[name]
+    assert restype is SCALAR[c_restype]
     params = [" ".join(p.split()) for p in params.split(",")]
     assert len(params) == len(argtypes)
-    scalar = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "int": ctypes.c_int}
     for p, argtype in zip(params, argtypes):
         if "*" in p:
             assert argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer), p
         else:
-            assert argtype is scalar[p.split()[0]], p
-
-
-def test_walk_parameters_match_argtypes():
-    _assert_parameters_match("int", "gw_walk", kernel._WALK_ARGTYPES)
-
-
-def test_walks_parameters_match_argtypes():
-    _assert_parameters_match("int", "gw_walks", kernel._WALKS_ARGTYPES)
-
-
-def test_level_parameters_match_argtypes():
-    _assert_parameters_match("int64_t", "gw_level", kernel._LEVEL_ARGTYPES)
-
-
-def test_counts_parameters_match_argtypes():
-    _assert_parameters_match("int", "gw_counts", kernel._COUNTS_ARGTYPES)
-
-
-def test_discount_parameters_match_argtypes():
-    _assert_parameters_match("void", "gw_discount", kernel._DISCOUNT_ARGTYPES)
+            assert argtype is SCALAR[p.split()[0]], p
 
 
 def test_walk_source_compiles_without_warnings():
@@ -98,8 +91,7 @@ def test_library_exports_only_its_entry_points(kernel_library):
     if kernel_library is None:
         pytest.skip("no C compiler to build the walk kernel")
     lib = ctypes.CDLL(str(kernel_library))
-    for name in ("gw_walk", "gw_walks", "gw_level", "gw_counts", "gw_discount", "gw_free",
-                 "gw_free_counts"):
+    for name in kernel._ENTRY_POINTS:
         assert hasattr(lib, name), name
     for name in ("walk_one", "random_poisson", "random_standard_uniform_fill"):
         assert not hasattr(lib, name), name
