@@ -15,14 +15,18 @@ discounted sums in the library, and stops with a message naming the build
 command when it is not built. The tests build the library for their session
 when the checkout has none.
 
-The count-tree sampler draws through numpy's own gamma and Poisson
-(`random_standard_gamma`, `random_poisson`), and the discounted sums through
-numpy's own uniform fill (`random_standard_uniform_fill`), linked from the
+Every draw of the package runs in the library, on its own PCG64 generator
+(`gwalk.kernel.PCG64`), through numpy's own distributions, linked from the
 static `libnpyrandom.a` that numpy ships in `numpy/random/lib` (found
-without importing numpy). Their draws equal those of
-`Generator.standard_gamma`, `Generator.poisson` and `Generator.random` only
-when the numpy the library was built against is the numpy it runs with;
-rebuild after changing numpy.
+without importing numpy): the count trees' gamma and Poisson
+(`random_standard_gamma`, `random_poisson`), the discounted sums' uniforms
+(`random_standard_uniform_fill`), and the bounded integers and multinomial
+rows of the rest (`random_bounded_uint64_fill`, `random_multinomial`). The
+generator's streams, numpy's SeedSequence and PCG64, are computed by the
+package itself and equal numpy's on any numpy version, since numpy keeps
+them fixed. The distributions' draws equal those of the numpy Generator
+seeded alike only when the numpy the library was built against is the
+numpy it runs with; rebuild after changing numpy.
 
 On Linux the library is linked with `-Wl,--exclude-libs,ALL` (GNU ld and
 lld accept it), which keeps the symbols of the static libraries it links

@@ -6,7 +6,8 @@ with a vectorised twin: ``mix64_np``, ``root_key_np``, ``child_key_np``,
 ``derive_seed_np``).
 The plain-C kernel ``_walk.c`` keeps its own copy of exactly these integer
 operations, which is what makes it and the tests' Python reference
-(tests/pykernel.py) produce bit-identical output for the same seeds.
+(tests/pykernel.py) produce bit-identical output for the same seeds, and of
+``PCG64_MULT``, the multiplier of its PCG64 generator.
 
 Substream discipline
 --------------------
@@ -19,6 +20,16 @@ quenched tree.
 
 Experiment seeds use :func:`derive_seed`, chaining the same mixer over
 (master seed, experiment label, trial index, role).
+
+Generator seeding
+-----------------
+Every other draw (gamma, Poisson, uniform, bounded integer, multinomial)
+comes from the library's PCG64 generator (`kernel.PCG64`), whose stream is
+numpy's: :func:`pcg64_seed` is numpy's ``SeedSequence(seed)`` followed by
+its PCG64 seeding, in plain-int arithmetic, so ``kernel.PCG64(seed)``
+starts in the state of ``np.random.default_rng(seed)`` and no command
+imports ``numpy.random``. PCG64 is O'Neill's 128-bit LCG with the XSL-RR
+output (HMC-CS-2014-0905); numpy keeps both streams fixed across versions.
 """
 
 from __future__ import annotations
@@ -108,3 +119,63 @@ def derive_seed_np(master: int, experiment: str, trials, role: str) -> np.ndarra
     with np.errstate(over="ignore"):
         x = mix64_np(np.uint64(x) ^ t * np.uint64(GOLDEN))
     return mix64_np(x ^ np.uint64(_label_hash(role)))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): 32-bit hash constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+
+# the LCG multiplier of PCG64 (PCG_DEFAULT_MULTIPLIER_128)
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seed: int, n_words: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(n_words, np.uint32)``."""
+    if seed < 0:
+        raise ValueError(f"a seed must be a non-negative integer, got {seed}")
+    entropy = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = (h * _MULT_A) & _MASK32
+        v = (v * h) & _MASK32
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, h = [], _INIT_B
+    for i in range(n_words):
+        v = pool[i % _POOL] ^ h
+        h = (h * _MULT_B) & _MASK32
+        v = (v * h) & _MASK32
+        out.append(v ^ (v >> 16))
+    return out
+
+
+def pcg64_seed(seed: int) -> tuple[int, int]:
+    """The 128-bit (state, inc) of ``np.random.default_rng(seed)``'s PCG64:
+    the four 64-bit words of ``SeedSequence(seed).generate_state(4,
+    np.uint64)`` (each two 32-bit words, low first) give the initial state
+    and sequence; PCG's srandom steps the LCG from state 0, adds the
+    initial state and steps again. ValueError for a negative seed, as
+    numpy raises it."""
+    w = _seed_words(int(seed), 8)
+    s0, s1, i0, i1 = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
+    inc = (((i0 << 64 | i1) << 1) | 1) & _MASK128
+    return ((inc + (s0 << 64 | s1)) * PCG64_MULT + inc) & _MASK128, inc

@@ -1,40 +1,50 @@
 /* Plain-C kernel: the walk gwalk runs, one trial (gw_walk) or a batch of
  * trials (gw_walks), the depth-first walker that lists a generation for W
- * (gw_level), the sampler of edge-count trees (gw_counts) and the spine walk
- * of the discounted sums (gw_discount). Every command but validate-law
- * needs this library. The comment above each entry point says what it
- * computes; the docstring of gwalk/kernel.py holds the walk's contract
- * (arena, dynamics, bookkeeping) and why each entry point keeps the bits of
- * its reference.
+ * (gw_level), the sampler of edge-count trees (gw_counts), the spine walk
+ * of the discounted sums (gw_discount), and the bounded integers
+ * (gw_integers) and multinomial rows (gw_multinomial) of the package's
+ * other draws. Every command but validate-law needs this library. The
+ * comment above each entry point says what it computes; the docstring of
+ * gwalk/kernel.py holds the walk's contract (arena, dynamics, bookkeeping)
+ * and why each entry point keeps the bits of its reference.
  *
  * Both walk entry points run the one walk loop, walk_one: gw_walk on a new
  * arena, on a lazy or an explicit tree, and gw_walks on one reused arena per
  * call, for the lazy trials it claims from a counter that several
  * concurrent calls share. The four tree entry points grow nodes through one
  * atom_of and one child_key; atom_of and gw_discount's increment lookup
- * share one branch-free count, count_le. gw_counts and gw_discount draw
- * with numpy's own gamma, Poisson and uniform fill (numpy's static
- * libnpyrandom.a, linked by setup.py) on the caller's bit generator.
+ * share one branch-free count, count_le. The four drawing entry points
+ * (gw_counts, gw_discount, gw_integers, gw_multinomial) draw on the
+ * caller's generator, a gw_pcg64: numpy's PCG64 (next64, next32,
+ * next_double) over a state the caller owns, which each call wraps in
+ * numpy's bit generator interface on its stack. numpy's own gamma,
+ * Poisson, uniform fill, bounded integers and multinomial (its static
+ * libnpyrandom.a, linked by setup.py) then draw what a numpy Generator
+ * seeded alike draws.
  * The references, checked bit for bit: tests/pykernel.py, with the same
  * arena, RNG stream and comparisons in the same order, for the walk
  * (tests/test_kernel_parity.py); the numpy references in tests/oracles.py
  * for gw_level and gw_discount (tests/test_env.py) and for gw_counts
- * (tests/test_count_trees.py), with the generator's state after.
+ * (tests/test_count_trees.py); np.random.default_rng for the generator,
+ * gw_integers and gw_multinomial (tests/test_generator.py). Every drawing
+ * entry point is checked with the generator's state after.
  *
  * The file holds no Python API and no global mutable state: gwalk.kernel
  * calls it through ctypes, which releases the GIL, so calls on several
  * threads run in parallel; the only state they share is gw_walks' trial
- * counter, which the caller owns and they advance atomically. gwalk.kernel
- * restates gw_node, gw_arena, gw_stats and gw_count by hand, and the return
- * and parameter types of every function defined here without `static` in
- * one table, _ENTRY_POINTS; tests/test_kernel_layout.py checks both against
- * this file.
+ * counter, which the caller owns and they advance atomically, and a
+ * generator, around whose draws gwalk.kernel.PCG64 holds a lock.
+ * gwalk.kernel restates gw_node, gw_arena, gw_stats, gw_count and gw_pcg64
+ * by hand, and the return and parameter types of every function defined
+ * here without `static` in one table, _ENTRY_POINTS;
+ * tests/test_kernel_layout.py checks both against this file.
  *
  * Build with `python setup.py build_ext --inplace`. Do not compile with
  * -ffast-math or -march=native, and keep -ffp-contract=off.
  */
 
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -375,14 +385,115 @@ int64_t gw_level(const double *atom_cum, int64_t n_atoms, const int64_t *atom_of
     return n;
 }
 
-/* numpy's bit generator (bitgen_t of numpy/random/bitgen.h), opaque here, and
- * three of numpy's distributions, linked from its static libnpyrandom.a. They
- * are declared by hand: numpy's distributions.h includes Python.h. The count
- * of the uniform fill is numpy's npy_intp, a pointer-sized signed integer. */
-struct bitgen;
+/* The library's generator: numpy's PCG64, its 128-bit LCG state and
+ * increment as high and low words, and the buffer of numpy's next_uint32
+ * (has_uint32 and uinteger), which carries the unused half of a 64-bit draw
+ * across calls. gwalk.kernel.PCG64 owns it and seeds it as
+ * np.random.default_rng does (gwalk._rng.pcg64_seed). */
+typedef struct {
+    uint64_t state_hi, state_lo, inc_hi, inc_lo;
+    int64_t has_uint32;
+    uint64_t uinteger;
+} gw_pcg64;
+
+/* PCG_DEFAULT_MULTIPLIER_128, as _rng.py's PCG64_MULT */
+#define PCG64_MULT (((__uint128_t)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+/* numpy's pcg64_next64: step the LCG, then the XSL-RR output of the new
+ * state. */
+static uint64_t next64(void *st)
+{
+    gw_pcg64 *gen = st;
+    __uint128_t s = ((__uint128_t)gen->state_hi << 64) | gen->state_lo;
+    uint64_t x;
+    unsigned r;
+
+    s = s * PCG64_MULT + (((__uint128_t)gen->inc_hi << 64) | gen->inc_lo);
+    gen->state_hi = (uint64_t)(s >> 64);
+    gen->state_lo = (uint64_t)s;
+    x = gen->state_hi ^ gen->state_lo;
+    r = (unsigned)(gen->state_hi >> 58);
+    return (x >> r) | (x << ((64 - r) & 63));
+}
+
+/* numpy's pcg64_next32: the low half of a 64-bit draw, then its high half. */
+static uint32_t next32(void *st)
+{
+    gw_pcg64 *gen = st;
+    uint64_t x;
+
+    if (gen->has_uint32) {
+        gen->has_uint32 = 0;
+        return (uint32_t)gen->uinteger;
+    }
+    x = next64(gen);
+    gen->has_uint32 = 1;
+    gen->uinteger = x >> 32;
+    return (uint32_t)x;
+}
+
+static double next_double(void *st)
+{
+    return (double)(next64(st) >> 11) * TWO_NEG53;
+}
+
+/* numpy's bit generator interface (bitgen_t of numpy/random/bitgen.h) and
+ * five of numpy's distributions, linked from its static libnpyrandom.a. They
+ * are declared by hand, as is binomial_t, the binomial's cache that
+ * random_multinomial writes: numpy's distributions.h includes Python.h.
+ * numpy's npy_intp is a pointer-sized signed integer. */
+struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+};
+
+typedef struct {
+    int has_binomial;
+    double psave;
+    int64_t nsave;
+    double r, q, fm;
+    int64_t m;
+    double p1, xm, xl, xr, c, laml, lamr, p2, p3, p4;
+} binomial_t;
+
 double random_standard_gamma(struct bitgen *bitgen_state, double shape);
 int64_t random_poisson(struct bitgen *bitgen_state, double lam);
 void random_standard_uniform_fill(struct bitgen *bitgen_state, intptr_t cnt, double *out);
+void random_bounded_uint64_fill(struct bitgen *bitgen_state, uint64_t off, uint64_t rng,
+                                intptr_t cnt, bool use_masked, uint64_t *out);
+void random_multinomial(struct bitgen *bitgen_state, int64_t n, int64_t *mnix, double *pix,
+                        intptr_t d, binomial_t *binomial);
+
+/* numpy's bit generator over the caller's generator gen */
+#define BITGEN(gen) ((struct bitgen){(gen), next64, next32, next_double, next64})
+
+/* n draws on [off, off + range] (range 2^64 - 1: every uint64), as
+ * Generator.integers draws them: numpy's fill with Lemire's rejection
+ * (use_masked false), which for a range below 2^32 draws 32 bits at a time. */
+void gw_integers(gw_pcg64 *gen, uint64_t off, uint64_t range, int64_t n, uint64_t *out)
+{
+    struct bitgen bg = BITGEN(gen);
+    random_bounded_uint64_fill(&bg, off, range, (intptr_t)n, false, out);
+}
+
+/* n_rows multinomial draws of n trials over the d probabilities pvals, as
+ * Generator.multinomial(n, pvals, size=n_rows) draws them: row by row into
+ * the zeroed n_rows x d array out. numpy's binomial cache holds values
+ * computed from (n, p) alone, so one zeroed cache per call draws what the
+ * Generator's long-lived one does. */
+void gw_multinomial(gw_pcg64 *gen, int64_t n, double *pvals, int64_t d, int64_t n_rows,
+                    int64_t *out)
+{
+    struct bitgen bg = BITGEN(gen);
+    binomial_t cache = {0};
+    int64_t r;
+
+    for (r = 0; r < n_rows; r++)
+        random_multinomial(&bg, n, out + r * d, pvals, (intptr_t)d, &cache);
+}
 
 /* One node of a count tree: its batch row, its parent's index in the node
  * list (-1 at a root), its edge count N >= 1 and its environment key. */
@@ -413,8 +524,8 @@ void gw_free_counts(gw_count *node)
  * order. A node is expanded when it is a root, or prune is 0, or N >= 2,
  * and, with a budget, when its row's sum of N over the generations so far,
  * this one included, is at most budget[r]. These are the draws of
- * tests/oracles.py's excursion_levels, in the same order on the same bit
- * generator.
+ * tests/oracles.py's excursion_levels, in the same order, so a generator
+ * gen seeded as the reference's numpy Generator ends where that one does.
  * sums (3 x n_rows) receives per row, over the non-root nodes, the sum of N,
  * the number of nodes and the number with N = 1. With tree_out NULL the
  * node list holds two generations at a time. Otherwise, on GW_OK, *tree_out
@@ -424,7 +535,7 @@ void gw_free_counts(gw_count *node)
  * it, after the generation's gammas and before its first Poisson draw);
  * GW_ENOMEM when out of memory. */
 int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64_t width,
-              struct bitgen *bitgen, const uint64_t *env_seeds, const int64_t *root_counts,
+              gw_pcg64 *gen, const uint64_t *env_seeds, const int64_t *root_counts,
               const int64_t *budget, int prune, int64_t n_rows, int64_t *sums,
               gw_count **tree_out, int64_t *n_out)
 {
@@ -436,6 +547,7 @@ int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64
     gw_count *node = malloc((size_t)cap * sizeof *node), *p;
     gw_expand *ex = malloc((size_t)ex_cap * sizeof *ex), *q;
     const double *lam;
+    struct bitgen bg = BITGEN(gen);
     int root = 1, err = GW_ENOMEM;
 
     memset(sums, 0, (size_t)(3 * n_rows) * sizeof *sums);
@@ -453,7 +565,7 @@ int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64
             if ((root || !prune || node[i].N >= 2)
                 && (!budget || root_counts[r] + sum_N[r] <= budget[r]))
                 ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum, n_atoms),
-                                      random_standard_gamma(bitgen, (double)node[i].N)};
+                                      random_standard_gamma(&bg, (double)node[i].N)};
         }
         for (j = 0; j < m; j++)
             for (lam = rate + ex[j].atom * width, s = 0; s < width; s++)
@@ -464,7 +576,7 @@ int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64
         for (j = 0; j < m; j++) {
             i = ex[j].i;
             for (lam = rate + ex[j].atom * width, s = 0; s < width; s++) {
-                if (!(k = random_poisson(bitgen, ex[j].g * lam[s])))
+                if (!(k = random_poisson(&bg, ex[j].g * lam[s])))
                     continue;
                 if (!(p = grow_block(node, &cap, n + 1, sizeof *node)))
                     goto fail;
@@ -506,7 +618,7 @@ fail:
  * rows[r], at S[rows[r]]; out (n_rows x block) receives its next block
  * -(t_j + S), where t_j is the running sum of the block's increments, and
  * S[rows[r]] becomes t_last + S. Each row is first filled with uniforms by
- * numpy's random_standard_uniform_fill on the caller's bit generator, rows
+ * numpy's random_standard_uniform_fill on the caller's generator gen, rows
  * in order, as Generator.random(out=) fills the whole slice; a uniform u
  * takes the value of run number count_le(u, thresholds, n_thresholds) of
  * run_vals, a threshold being the cumulative probability at a run's last
@@ -516,16 +628,17 @@ fail:
  * starts at 0.0 where numpy's cumsum starts at the first increment, which
  * can change only the sign of a zero t, and adding S, never -0.0, erases
  * that sign. */
-void gw_discount(struct bitgen *bitgen, const double *thresholds, int64_t n_thresholds,
+void gw_discount(gw_pcg64 *gen, const double *thresholds, int64_t n_thresholds,
                  const double *run_vals, const int64_t *rows, int64_t n_rows, int64_t block,
                  double *S, double *out)
 {
+    struct bitgen bg = BITGEN(gen);
     int64_t r, j;
     double s, t, *o;
 
     for (r = 0; r < n_rows; r++) {
         o = out + r * block;
-        random_standard_uniform_fill(bitgen, (intptr_t)block, o);
+        random_standard_uniform_fill(&bg, (intptr_t)block, o);
         s = S[rows[r]];
         for (t = 0.0, j = 0; j < block; j++) {
             t += run_vals[count_le(o[j], thresholds, n_thresholds)];

@@ -86,8 +86,14 @@ def _check_keys(cfg) -> None:
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise SystemExit(f"cannot read the config file {args.config}: "
+                             f"{getattr(err, 'strerror', None) or err}") from err
+        if not isinstance(cfg, dict):
+            raise SystemExit(f"the config file {args.config} does not hold a JSON object")
         _check_keys(cfg)
         cfg["_dir"] = str(Path(args.config).resolve().parent)
     for key, default in (("seed", 0), ("threads", 1), ("out", "gwalk-out")):

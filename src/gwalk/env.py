@@ -140,7 +140,7 @@ _SLICE_ROWS = 2**10
 
 
 def discounted_sums_batch(
-    law: MarkLaw, n: int, eps: float, rng: np.random.Generator
+    law: MarkLaw, n: int, eps: float, rng: kernel.PCG64
 ) -> np.ndarray:
     """n independent discounted sums D = sum_{j>=0} e^{-S_j}, vectorized.
 
@@ -158,7 +158,7 @@ def discounted_sums_batch(
     reduced _SLICE_ROWS paths at a time in one buffer allocated once per
     call, so the scratch stays at min(n, _SLICE_ROWS) x 512 values whatever
     n is. The library (`kernel.discount_exponents`) fills a slice with
-    numpy's uniforms on rng's bit generator, rows in order, so D and the
+    numpy's uniforms on rng, a `kernel.PCG64`, rows in order, so D and the
     generator's state do not depend on the slice; it looks up each
     increment, takes each row's running sum and writes the exponents -S_j.
     numpy takes their exp and row sums: numpy's SIMD exp may differ from the

@@ -85,7 +85,7 @@ def sample_excursion_tree(
     law: MarkLaw,
     env_seeds,
     p,
-    rng: np.random.Generator,
+    rng: kernel.PCG64,
     budget=None,
 ) -> ExcursionBatch:
     """(Visited set, counts) at tau^p on every environment of env_seeds,
@@ -107,7 +107,7 @@ def sample_excursion_tree(
 
 
 def hypothesis_sums_batch(
-    law: MarkLaw, n_samples: int, rng: np.random.Generator, p: int = 1
+    law: MarkLaw, n_samples: int, rng: kernel.PCG64, p: int = 1
 ):
     """Per-sample sums over the pruned excursion tree at tau^p, on a fresh
     environment per sample (the annealed law):
@@ -125,7 +125,7 @@ def hypothesis_sums_batch(
     sums = np.empty((3, n_samples), dtype=np.int64)
     for i in range(0, n_samples, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, n_samples - i)
-        seeds = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        seeds = rng.integers(0, 2**64, np.empty(n, dtype=np.uint64))
         sums[:, i : i + n] = kernel.count_trees(t, seeds, p, rng, prune=True)[0]
     nu, nu_t, B = sums
     return {"B": B, "nu": nu, "nu_tilde": nu_t}

@@ -385,7 +385,7 @@ def theorem1_campaign(
     def one(c: int) -> None:
         t = slice(c * THEOREM1_CHUNK, min((c + 1) * THEOREM1_CHUNK, n_trials))
         m = t.stop - t.start
-        rng = np.random.default_rng(derive_seed(master_seed, "theorem1", c, "walk"))
+        rng = kernel.PCG64(derive_seed(master_seed, "theorem1", c, "walk"))
         budget = np.repeat(cap[t], k)
         roots = np.tile(dp, m)
         sums, _ = kernel.count_trees(tables, np.repeat(env_seeds[t], k), roots, rng,
@@ -636,8 +636,8 @@ def lemma_moments_campaign(
         means = chain.expected_edge_counts()
         for x in range(1, chain.n):
             worst_mean = max(worst_mean, abs(means[x] - math.exp(-chain.V[x])))
-        rng = np.random.default_rng(derive_seed(master_seed, "lemma-oracle", i, "pairs"))
-        for x, y in rng.integers(1, chain.n, size=(n_pairs, 2)):
+        rng = kernel.PCG64(derive_seed(master_seed, "lemma-oracle", i, "pairs"))
+        for x, y in rng.integers(1, chain.n, np.empty((n_pairs, 2), dtype=np.int64)):
             x, y = int(x), int(y)
             worst_second = max(worst_second, abs(chain.edge_second_moment(x, y)
                                                  - chain.closed_second_moment(x, y)))
@@ -694,7 +694,7 @@ def lemma_moments_campaign(
     )
 
     for m in regen_levels:
-        rng = np.random.default_rng(derive_seed(master_seed, f"regen-m{m}", 0, "walk"))
+        rng = kernel.PCG64(derive_seed(master_seed, f"regen-m{m}", 0, "walk"))
         counts = excursion.hypothesis_sums_batch(law, n_regen_samples, rng, p=m)["B"]
         mean = counts.mean()
         se = counts.std(ddof=1) / n_regen_samples**0.5
@@ -722,7 +722,7 @@ def forest_identities_campaign(
     kernel.require_library()
     _check("forest_identities.n_trees", n_trees)
     _check("forest_identities.n_sums", n_sums, least=2)
-    rng = np.random.default_rng(derive_seed(master_seed, "forest-identities", 0, "env"))
+    rng = kernel.PCG64(derive_seed(master_seed, "forest-identities", 0, "env"))
     trees = forest.sample_typed_forest(law, n_trees, rng)
     fails: dict[str, int] = {}
     for t in trees:
@@ -739,7 +739,7 @@ def forest_identities_campaign(
     # the moment sums ride the batched sampler, which is exact in law: the
     # typed-forest sample above is size-truncated (redraws past the node
     # budget), which biases the means of the heavy-tailed sums downward
-    rng2 = np.random.default_rng(derive_seed(master_seed, "forest-identities", 0, "sums"))
+    rng2 = kernel.PCG64(derive_seed(master_seed, "forest-identities", 0, "sums"))
     sums = excursion.hypothesis_sums_batch(law, n_sums, rng2)
     moments = {}
     for name, key in (("b", "B"), ("nu", "nu"), ("nu_tilde", "nu_tilde")):

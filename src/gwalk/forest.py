@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import ExcursionBatch, sample_excursion_tree
+from .kernel import PCG64
 from .law import MarkLaw
 
 __all__ = [
@@ -156,7 +157,7 @@ class StepBudgetExceeded(RuntimeError):
 def sample_typed_forest(
     law: MarkLaw,
     n_trees: int,
-    rng: np.random.Generator,
+    rng: PCG64,
     budget: int = 10**6,
     max_resample: int = 200,
 ) -> list[TypedTree]:
@@ -172,7 +173,7 @@ def sample_typed_forest(
     todo = np.arange(n_trees)
     redrawn = 0
     while todo.size:
-        seeds = rng.integers(0, 2**64, size=todo.size, dtype=np.uint64)
+        seeds = rng.integers(0, 2**64, np.empty(todo.size, dtype=np.uint64))
         batch = sample_excursion_tree(law, seeds, 1, rng, budget=budget)
         for i, t in zip(todo[~batch.over], typed_from_excursion(batch)):
             out[i] = t

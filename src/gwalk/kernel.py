@@ -4,9 +4,10 @@ setuptools builds `_walk.c` into the library `gwalk/_walk<EXT_SUFFIX>` beside
 this file (setup.py says how). It is the only walk the package runs, one
 walk at a time (`run_walk`) or a batch of trials (`run_walks`), its
 depth-first walker `level_potentials` lists the generation that W_l sums,
-`count_trees` is the package's one sampler of edge-count trees and
-`discount_exponents` draws the spine walks of the discounted sums. Without
-it, these five and `require_library` stop the command with a SystemExit
+`count_trees` is the package's one sampler of edge-count trees,
+`discount_exponents` draws the spine walks of the discounted sums and
+`PCG64` is the package's one random generator. Without it, these five,
+PCG64's draws and `require_library` stop the command with a SystemExit
 that names the library and the build command.
 Every command but `validate-law` needs it.
 tests/pykernel.py is a pure-Python reference of the same walk, which the
@@ -85,15 +86,28 @@ e^{-V} does for W. Its increment lookup and the other bindings' atom lookup coun
 cumulative values at or below a uniform without a branch, so each entry
 point takes the number of atoms or runs.
 
+Generator
+---------
+`PCG64` is numpy's PCG64 generator, seeded as np.random.default_rng seeds
+it (`_rng.pcg64_seed`, numpy's SeedSequence in plain ints); its state is a
+`gw_pcg64` record that the library advances. The count trees, the
+discounted sums, `PCG64.integers` and `PCG64.multinomial` draw on it with
+numpy's own distribution functions, so each draw, and the state after it,
+is that of the numpy Generator seeded alike (tests/test_generator.py), and
+no command imports numpy.random: its extension modules and `secrets` cost
+a fresh interpreter about 10 ms and 5.5 MB of RSS (2-vCPU VM).
+
 Binding
 -------
 `load_kernel` binds the library through ctypes from one table,
 `_ENTRY_POINTS`, of each exported function's return and parameter types;
 importing this module binds the built library beside it. The five bindings
 are module functions that reach it through `require_library`. `_Node`,
-`_Arena`, `_Stats`, `_Count` and `_ENTRY_POINTS` restate the C declarations
-by hand (a mismatch crashes the interpreter rather than raising);
-tests/test_kernel_layout.py checks them against `_walk.c`.
+`_Arena`, `_Stats`, `_Count`, `_PCG64` and `_ENTRY_POINTS` restate the C
+declarations by hand (a mismatch crashes the interpreter rather than
+raising); tests/test_kernel_layout.py checks them against `_walk.c`. The
+library's node arrays are read as numpy views of ctypes arrays
+(`_records`), which, unlike numpy.ctypeslib, costs no import.
 ctypes' foreign calls release the GIL, so the campaigns walk through
 `run_walks`: one `gw_walks` call per thread, all claiming the batch's trials
 one at a time from one counter in C, each with one arena reused across its
@@ -108,12 +122,12 @@ from __future__ import annotations
 
 import _thread
 import ctypes
-import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
 
-from ._rng import MASK
+from ._rng import MASK, pcg64_seed
 from .law import LawTables, step_law
 
 MODE_STEPS = 0
@@ -124,7 +138,10 @@ STATUS_BUDGET = 2
 
 KERNEL_IMPL = "compiled"
 
-LIBRARY = Path(__file__).with_name("_walk" + sysconfig.get_config_var("EXT_SUFFIX"))
+# the interpreter's own extension suffix, sysconfig's EXT_SUFFIX, which
+# setuptools names the library with; sysconfig itself would cost an import
+# of 1.8 ms and 128 KB
+LIBRARY = Path(__file__).with_name("_walk" + EXTENSION_SUFFIXES[0])
 
 # messages of the ValueError run_walk raises for a malformed explicit tree
 ERR_ROOT = "explicit tree must list the root first"
@@ -153,6 +170,14 @@ class _Stats(ctypes.Structure):
 
 class _Count(ctypes.Structure):
     _fields_ = [(f, _INT64) for f in ("row", "parent", "N")] + [("key", ctypes.c_uint64)]
+
+
+class _PCG64(ctypes.Structure):
+    _fields_ = ([(f, ctypes.c_uint64) for f in ("state_hi", "state_lo", "inc_hi", "inc_lo")]
+                + [("has_uint32", _INT64), ("uinteger", ctypes.c_uint64)])
+
+
+_RNG = ctypes.POINTER(_PCG64)
 
 
 def explicit_tree(explicit):
@@ -192,6 +217,12 @@ def explicit_tree(explicit):
     return tables, parent, child0
 
 
+def _records(ptr, n):
+    """The n structs from the ctypes pointer `ptr` on, as a numpy record
+    array that shares their memory."""
+    return np.asarray(ctypes.cast(ptr, ctypes.POINTER(ptr._type_ * n)).contents)
+
+
 def _arrays(values, dtypes):
     return [None if v is None else np.ascontiguousarray(v, dtype=d)
             for v, d in zip(values, dtypes)]
@@ -207,11 +238,13 @@ _ENTRY_POINTS = {
                                 _INT64, _P, _INT64, _P, _INT64, _P, _P]),
     "gw_free": (None, [ctypes.POINTER(_Arena)]),
     "gw_level": (_INT64, [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]),
-    "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, _P, _P, _P, _P, ctypes.c_int, _INT64,
-                                 _P, ctypes.POINTER(ctypes.POINTER(_Count)),
+    "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, _RNG, _P, _P, _P, ctypes.c_int,
+                                 _INT64, _P, ctypes.POINTER(ctypes.POINTER(_Count)),
                                  ctypes.POINTER(_INT64)]),
     "gw_free_counts": (None, [ctypes.POINTER(_Count)]),
-    "gw_discount": (None, [_P, _P, _INT64, _P, _P, _INT64, _INT64, _P, _P]),
+    "gw_discount": (None, [_RNG, _P, _INT64, _P, _P, _INT64, _INT64, _P, _P]),
+    "gw_integers": (None, [_RNG, ctypes.c_uint64, ctypes.c_uint64, _INT64, _P]),
+    "gw_multinomial": (None, [_RNG, _INT64, _P, _INT64, _INT64, _P]),
 }
 
 # gw_counts' error code for a Poisson rate numpy refuses (GW_ELAM)
@@ -300,7 +333,7 @@ def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
         st = st.tolist()
         out = _result(st, A.n, snap_out[:, : st[-1]])  # nsnap, gw_stats' last field
         if collect_tree:
-            nodes = np.ctypeslib.as_array(A.node, shape=(A.n,))
+            nodes = _records(A.node, A.n)
             for key, field in _TREE.items():
                 out["tree_" + key] = np.array(nodes[field], dtype=np.int64)
         return out
@@ -369,16 +402,16 @@ def level_potentials(law_tables, env_seeds, level):
 
 def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=None,
                 keep=False):
-    """Draw one edge-count tree per environment seed from rng.
+    """Draw one edge-count tree per environment seed from rng, a `PCG64`.
 
     Row r grows on the keyed environment of env_seeds[r] from a root with
     N = root_counts[r] (a scalar applies to every row). With prune, count-1
     nodes below the root are not expanded. With a budget (a scalar, or one
     value per row), a row stops growing after the generation in which its
     sum of N, root included, passes its budget. The draws are numpy's gamma
-    and Poisson on rng's bit generator, made while holding its lock, in the
-    order of the numpy reference tests/oracles.excursion_levels, so rng
-    ends in the state the reference leaves it in.
+    and Poisson on rng, made while holding its lock, in the order of the
+    numpy reference tests/oracles.excursion_levels, so rng ends in the
+    state the reference leaves a numpy Generator seeded alike in.
 
     Returns (sums, tree). sums is a (3, rows) int64 array: per row, over
     the non-root nodes, the sum of N, the number of nodes and the number
@@ -398,10 +431,9 @@ def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=Non
     cum, rate = _arrays([law_tables.cum, law_tables.rate], [np.float64] * 2)
     sums = np.empty((3, n), dtype=np.int64)
     tree, size = ctypes.POINTER(_Count)(), _INT64()
-    bitgen = rng.bit_generator
-    with bitgen.lock:
+    with rng._lock:
         err = lib.gw_counts(cum.ctypes.data, cum.size, rate.ctypes.data, rate.shape[1],
-                            bitgen.ctypes.bit_generator, seeds.ctypes.data, roots.ctypes.data,
+                            rng._state, seeds.ctypes.data, roots.ctypes.data,
                             None if caps is None else caps.ctypes.data, int(bool(prune)), n,
                             sums.ctypes.data, ctypes.byref(tree) if keep else None,
                             ctypes.byref(size) if keep else None)
@@ -412,7 +444,7 @@ def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=Non
     if not keep:
         return sums, None
     try:
-        nodes = np.ctypeslib.as_array(tree, shape=(size.value,))
+        nodes = _records(tree, size.value)
         return sums, {f: np.array(nodes[f]) for f in ("row", "parent", "key", "N")}
     finally:
         lib.gw_free_counts(tree)
@@ -422,8 +454,9 @@ def discount_exponents(thresholds, run_vals, S, rows, out, rng):
     """The exponents -S_j of the next out.shape[1] terms of the discounted
     sums of the paths `rows`, written to `out`, one row per path, as
     `gw_discount` describes; S[rows] moves to the block's end. The uniforms
-    are numpy's, drawn from rng's bit generator while holding its lock,
-    rows in order, so rng ends where rng.random(out=out) would leave it.
+    are numpy's, drawn from rng (a `PCG64`) while holding its lock, rows in
+    order, so rng ends where Generator.random(out=out) would leave a numpy
+    Generator seeded alike.
     The library writes S and out in place: ValueError unless both are
     C-contiguous float64 arrays, out of shape (len(rows), block), rows
     index S and there is one threshold fewer than run values."""
@@ -435,11 +468,57 @@ def discount_exponents(thresholds, run_vals, S, rows, out, rng):
             and thresholds.size == run_vals.size - 1
             and (rows.size == 0 or 0 <= rows.min() <= rows.max() < S.size)):
         raise ValueError("discount_exponents: S, out, rows or the run tables do not fit")
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        lib.gw_discount(bitgen.ctypes.bit_generator, thresholds.ctypes.data, thresholds.size,
+    with rng._lock:
+        lib.gw_discount(rng._state, thresholds.ctypes.data, thresholds.size,
                         run_vals.ctypes.data, rows.ctypes.data, rows.size, out.shape[1],
                         S.ctypes.data, out.ctypes.data)
+
+
+class PCG64:
+    """The library's random generator, seeded with a non-negative integer.
+
+    It is numpy's PCG64 in the state np.random.default_rng(seed) starts in
+    (`_rng.pcg64_seed`), and every draw is numpy's own distribution code on
+    the same stream, so its draws and its state after them are those of
+    that numpy Generator, bit for bit. `count_trees` and
+    `discount_exponents` draw through it in the library, as do `integers`
+    and `multinomial`. A draw holds the generator's lock, so threads may
+    share one, but then the draws' order follows the threads'."""
+
+    def __init__(self, seed):
+        state, inc = pcg64_seed(seed)
+        self._state = _PCG64(state >> 64, state & MASK, inc >> 64, inc & MASK, 0, 0)
+        self._lock = _thread.allocate_lock()
+
+    def integers(self, low, high, out):
+        """Fill the C-contiguous int64 or uint64 array `out` with draws on
+        [low, high), and return it: Generator.integers(low, high,
+        out.shape, out.dtype)'s values. ValueError unless low < high,
+        both within out's dtype (high one past its largest value)."""
+        low, high = int(low), int(high)
+        bound = 1 << (64 if out.dtype == np.uint64 else 63)
+        if not (out.dtype in (np.int64, np.uint64) and out.flags.c_contiguous
+                and bound - (1 << 64) <= low < high <= bound):
+            raise ValueError(f"integers: no {out.dtype} draws on [{low}, {high})")
+        with self._lock:
+            require_library().gw_integers(self._state, low & MASK, high - low - 1, out.size,
+                                          out.ctypes.data)
+        return out
+
+    def multinomial(self, n, pvals, size):
+        """Generator.multinomial(n, pvals, size)'s (size, len(pvals)) int64
+        array. ValueError for n < 0 or pvals that are not probabilities
+        (numpy's checks; numpy sums pvals[:-1] compensated, this plainly)."""
+        pvals = np.ascontiguousarray(pvals, dtype=np.float64).ravel()
+        if not (n >= 0 and pvals.size and ((pvals >= 0) & (pvals <= 1)).all()
+                and pvals[:-1].sum() <= 1.0 + 1e-12):
+            raise ValueError("multinomial: n must be >= 0 and pvals probabilities "
+                             "with sum(pvals[:-1]) <= 1")
+        out = np.zeros((size, pvals.size), dtype=np.int64)
+        with self._lock:
+            require_library().gw_multinomial(self._state, int(n), pvals.ctypes.data, pvals.size,
+                                             size, out.ctypes.data)
+        return out
 
 
 def _concurrent_calls(fn, args, calls: int) -> list:

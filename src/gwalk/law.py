@@ -51,8 +51,9 @@ class LawError(ValueError):
 
     The ``code`` attribute carries a stable machine-readable tag:
     NOT_NORMALIZED, SUBCRITICAL, ASSUMPTION_VIOLATION, NO_CONVERGENCE,
-    MISSING_KEY or MALFORMED (a spec or atom that is not an object, or marks
-    that are not a list of finite numbers).
+    MISSING_KEY or MALFORMED (a law file that cannot be read or is not
+    JSON, a spec or atom that is not an object, or marks that are not a
+    list of finite numbers).
     """
 
     def __init__(self, code: str, message: str):
@@ -390,11 +391,17 @@ def load_law(source) -> MarkLaw:
     {"family": "constant_bias", "lam": ..., "n": ...}, or
     {"atoms": [{"p": ..., "marks": [...]}, ...][, "calibrate": true]} where
     the calibrate flag shifts every mark by psi(1) to restore calibration.
-    A required key that is missing is a LawError MISSING_KEY naming it.
+    A required key that is missing is a LawError MISSING_KEY naming it, and
+    a file that cannot be read or is not JSON a LawError MALFORMED naming
+    the file.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            doc = json.load(fh)
+        try:
+            with open(source) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise LawError("MALFORMED", f"cannot read the law file {source}: "
+                                        f"{getattr(err, 'strerror', None) or err}") from err
     elif hasattr(source, "read"):
         doc = json.load(source)
     else:

@@ -29,6 +29,7 @@ import warnings
 import numpy as np
 
 from . import excursion as _excursion
+from . import kernel
 from . import law as _law
 from . import stats as _stats
 from ._rng import derive_seed
@@ -144,7 +145,7 @@ def hit_laplace(gamma: float, alpha: float, lam: float) -> float:
 
 
 def estimate_discounted_moments(
-    law: _law.MarkLaw, n_samples: int, eps: float, rng: np.random.Generator
+    law: _law.MarkLaw, n_samples: int, eps: float, rng: kernel.PCG64
 ) -> dict:
     """MC estimates of C_inf = E[D^-2] and bold c_inf = E[D^-1], with their
     normal 95% CIs, mean +- Z95 SE, under the keys C_inf_ci and
@@ -190,7 +191,7 @@ def estimate_c_kappa(
     cross-check of the tail index, with its bootstrap CI, on the top 2000
     positive values rides along. Fewer than two positive B values leave no
     tail to read: LimitsError TOO_FEW."""
-    rng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "env"))
+    rng = kernel.PCG64(derive_seed(seed, "c-kappa", 0, "env"))
     b = _excursion.hypothesis_sums_batch(law, n_samples, rng)["B"]
     pos = b[b > 0]
     if pos.size < 2:
@@ -221,8 +222,8 @@ def estimate_c_kappa(
 
     # histogram bootstrap: bin counts between grid points are multinomial
     bins = np.r_[n - above[0], -np.diff(above)]
-    brng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "boot"))
-    counts = brng.multinomial(n, bins / n, size=_stats.N_BOOT)
+    brng = kernel.PCG64(derive_seed(seed, "c-kappa", 0, "boot"))
+    counts = brng.multinomial(n, bins / n, _stats.N_BOOT)
     bvals = m_grid.astype(float) ** kappa * (n - np.cumsum(counts, axis=1)[:, :-1]) / n
     ci = _stats.quantile(_stats.median(bvals[:, len(m_grid) // 2 :], axis=1), [0.025, 0.975])
 
@@ -257,5 +258,5 @@ def estimate_constant(
     if name == "c_kappa":
         fit = estimate_c_kappa(law, kappa, n_samples=c_kappa_samples, seed=seed)
         return {"c_kappa": fit["c_kappa"], "c_kappa_ci": fit["ci"], "c_kappa_fit": fit}
-    rng = np.random.default_rng(derive_seed(seed, "estimate-constants", 0, "env"))
+    rng = kernel.PCG64(derive_seed(seed, "estimate-constants", 0, "env"))
     return estimate_discounted_moments(law, n_samples, eps, rng)

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import kernel
 from ._rng import derive_seed
 
 __all__ = [
@@ -170,17 +171,18 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile 95% bootstrap CI of stat over n_boot resamples.
 
-    One generator, seeded with `seed`, draws the resamples in turn, so a
-    call's CI depends on its arguments alone. stat may return +inf: an end
-    whose interpolation reaches an infinite resample is +inf. No caller
-    sets n_boot, but the benchmark tracer reads it by name as the resample
-    count of a call."""
+    One generator (`kernel.PCG64`), seeded with `seed`, draws the resamples
+    in turn, each into one reused buffer of n indices, so a call's CI
+    depends on its arguments alone. stat may return +inf: an end whose
+    interpolation reaches an infinite resample is +inf. No caller sets
+    n_boot, but the benchmark tracer reads it by name as the resample count
+    of a call."""
     x = np.asarray(samples)
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
-    rng = np.random.default_rng(seed)
-    vals = np.array([stat(x[rng.integers(0, n, size=n)]) for _ in range(n_boot)])
+    rng, idx = kernel.PCG64(seed), np.empty(n, dtype=np.int64)
+    vals = np.array([stat(x[rng.integers(0, n, idx)]) for _ in range(n_boot)])
     q = np.array([0.025, 0.975])
     # the linear percentile at q interpolates the sorted values at indices
     # floor(q (n_boot - 1)) and the next one; the infinite ones sort last

@@ -129,6 +129,16 @@ def negative_multinomial_pmf(x, k: int, p_back: float, cells) -> float:
     return math.exp(log)
 
 
+def numpy_state(rng) -> dict:
+    """The state of the library's generator (a `gwalk.kernel.PCG64`) in the
+    form of numpy's `bit_generator.state`: to compare with a numpy
+    Generator's, or to set one to it."""
+    s = rng._state
+    return {"bit_generator": "PCG64",
+            "state": {"state": s.state_hi << 64 | s.state_lo, "inc": s.inc_hi << 64 | s.inc_lo},
+            "has_uint32": s.has_uint32, "uinteger": s.uinteger}
+
+
 def discounted_sums_searchsorted(law, n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
     """Reference for env.discounted_sums_batch, which must return the same
     bytes and leave rng in the same state: the increment of each uniform by

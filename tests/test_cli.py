@@ -9,7 +9,8 @@ constant that is not a finite number > 0 stops the command. Every verdict file
 is strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
 `corollary` and the three theorems also run on a law whose environments can
 die, so that their survival resampling runs end to end. A subdiffusive command
-loads no scipy, and no command loads numpy.ma or concurrent.futures. Without
+loads no scipy, and no command loads numpy.ma, concurrent.futures,
+numpy.random, numpy.ctypeslib or secrets. Without
 the built library, every command but validate-law stops with the build
 message. Bad sizes and grids (grid point 1 at kappa = 2), bad lambdas, tol or
 shrink, bad `lemma-moments` settings, a tail with too few positive draws of B,
@@ -17,7 +18,8 @@ a bad seed or thread count and config keys that no command reads stop the
 command with a message before it writes anything, and the accepted keys are
 pinned; every shipped and benchmark config passes the key check and loads its
 law. A bad law spec and a coded error raised inside a command stop it with one
-line that carries the code. estimate-constants writes the CIs of every
+line that carries the code, and a config or law file that is missing or not
+JSON with one line that names it. estimate-constants writes the CIs of every
 constant and the Hill index's CI.
 """
 
@@ -454,6 +456,31 @@ def test_bad_law_stops_the_command_in_one_line(tmp_path, command, law, message):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("where, text, message", [
+    ("config", None, "cannot read the config file {path}: No such file or directory"),
+    ("config", '{"seed": ', "cannot read the config file {path}: "
+     "Expecting value: line 1 column 10 (char 9)"),
+    ("config", "[]", "the config file {path} does not hold a JSON object"),
+    ("law", None, "MALFORMED: cannot read the law file {path}: No such file or directory"),
+    ("law", '{"p": ', "MALFORMED: cannot read the law file {path}: "
+     "Expecting value: line 1 column 7 (char 6)"),
+], ids=["config-missing", "config-not-json", "config-list", "law-missing", "law-not-json"])
+def test_unreadable_file_stops_the_command_in_one_line(tmp_path, where, text, message):
+    """A config or law file that does not exist or is not JSON, or a config
+    that is not a JSON object, stops the command with one line naming the
+    file, not a traceback, before any file is written."""
+    path = tmp_path / f"{where}-file.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        if where == "config":
+            cli.main(["validate-law", "--config", str(path), "--out", str(tmp_path / "bad")])
+        else:
+            _run(tmp_path, "validate-law", 1, "bad", extra={"law": str(path)})
+    assert exc.value.code == message.format(path=path)
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("command, owner, name, error, message", [
     ("theorem2", limits, "ml_laplace", limits.LimitsError("RANGE", "lambda out of range"),
      "RANGE: lambda out of range"),
@@ -563,11 +590,14 @@ def test_subdiffusive_command_loads_no_scipy(kernel_library, tmp_path):
     assert seen["erfcx"][0] == seen["erfcx"][1]
 
 
+# modules that neither `import gwalk.cli` nor any command may load
+UNLOADED = ("numpy.ma", "concurrent.futures", "numpy.random", "numpy.ctypeslib", "secrets")
+
 NO_MASKED_ARRAYS = """
 import json, sys
 import gwalk.cli
 from gwalk import kernel
-loaded = lambda: [m in sys.modules for m in ("numpy.ma", "concurrent.futures")]
+loaded = lambda: [m for m in %r if m in sys.modules]
 seen = {"import": loaded()}
 kernel.load_kernel(sys.argv[1])
 cfg, out, commands = sys.argv[2], sys.argv[3], sys.argv[4:]
@@ -575,17 +605,19 @@ for command in commands:
     rc = gwalk.cli.main([command, "--config", cfg, "--out", out + command])
     seen[command] = [rc, loaded()]
 print(json.dumps(seen))
-"""
+""" % (UNLOADED,)
 
 
 def test_commands_load_no_numpy_ma(kernel_library, tmp_path):
     """In a fresh interpreter, neither `import gwalk.cli` nor any of the
-    eight commands in turn at the TINY sizes imports numpy.ma or
-    concurrent.futures: the package takes its medians, quantiles and grids
-    without np.median, np.quantile and np.unique, whose first call imports
-    numpy.ma, and starts its threads with `kernel._concurrent_calls`. The
-    config freezes no constant, so every theorem estimates its own on the
-    estimate-constants route."""
+    eight commands in turn at the TINY sizes imports a module of UNLOADED:
+    the package takes its medians, quantiles and grids without np.median,
+    np.quantile and np.unique, whose first call imports numpy.ma, starts its
+    threads with `kernel._concurrent_calls`, draws on the library's own
+    generator, not numpy.random's (which loads secrets), and reads the
+    library's arrays without numpy.ctypeslib. The config freezes no
+    constant, so every theorem estimates its own on the estimate-constants
+    route."""
     if kernel_library is None:
         pytest.skip("no C compiler to build the walk kernel")
     cfg = tmp_path / "cfg.json"
@@ -600,8 +632,8 @@ def test_commands_load_no_numpy_ma(kernel_library, tmp_path):
         [sys.executable, "-c", NO_MASKED_ARRAYS, str(kernel_library), str(cfg),
          str(tmp_path / "out-"), *TINY], capture_output=True, text=True, env=env, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen.pop("import") == [False, False]
-    assert seen == {command: [seen[command][0], [False, False]] for command in TINY}
+    assert seen.pop("import") == []
+    assert seen == {command: [seen[command][0], []] for command in TINY}
     assert all(rc in (0, 1) for rc, _ in seen.values())
 
 

@@ -3,7 +3,9 @@ reference `oracles.excursion_levels`, byte for byte: per-row sums, node
 lists and the generator's state after, over the shipped laws and ragged
 atoms, with and without pruning, budgets and per-row root counts; and the
 three callers (`hypothesis_sums_batch`, `sample_excursion_tree`, a
-`theorem1` chunk) leave their generators where the reference does."""
+`theorem1` chunk) leave their generators where the reference does. The
+library draws on its own generator, `kernel.PCG64`, and the reference on
+numpy's, both seeded from the same integer."""
 
 import json
 import math
@@ -70,9 +72,8 @@ def _reference(law, seeds, roots, rng, prune, budget):
     return sums, tree
 
 
-def _assert_same_generator(a, b):
-    assert a.bit_generator.state == b.bit_generator.state
-    assert a.random(1).tobytes() == b.random(1).tobytes()
+def _assert_same_generator(rng, ref):
+    assert oracles.numpy_state(rng) == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
@@ -84,7 +85,7 @@ def test_count_trees_match_reference(name, setting):
     seeds = np.random.default_rng(7).integers(0, 2**64, size=n, dtype=np.uint64)
     want, want_tree = _reference(law, seeds, roots, np.random.default_rng(11), prune, budget)
     for keep in (False, True):
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        rng, ref = kernel.PCG64(11), np.random.default_rng(11)
         _reference(law, seeds, roots, ref, prune, budget)
         sums, tree = kernel.count_trees(law.tables(), seeds, roots, rng, prune=prune,
                                         budget=budget, keep=keep)
@@ -103,7 +104,7 @@ def test_count_trees_buffers_grow():
     1024 expanded nodes) in one generation and in the whole node list."""
     law = LAWS["two_point_sub"]
     seeds = np.random.default_rng(7).integers(0, 2**64, size=3000, dtype=np.uint64)
-    _, tree = kernel.count_trees(law.tables(), seeds, 2, np.random.default_rng(11),
+    _, tree = kernel.count_trees(law.tables(), seeds, 2, kernel.PCG64(11),
                                  prune=True, budget=40, keep=True)
     gen_sizes = np.bincount(_depth(tree["parent"]))
     assert gen_sizes[1] > 1024 and tree["N"].size > 2 * 3000
@@ -122,7 +123,7 @@ def test_too_large_poisson_rate_raises_as_numpy():
     generation's gamma draws, as the reference's rng.poisson does."""
     law = make_mark_law([(1.0, (-3.0, 0.0))])  # rate e^3 at slot 0
     seeds, roots = np.array([5, 6], dtype=np.uint64), [10**18, 1]
-    ref, rng = np.random.default_rng(3), np.random.default_rng(3)
+    ref, rng = np.random.default_rng(3), kernel.PCG64(3)
     with pytest.raises(ValueError) as want:
         list(oracles.excursion_levels(law, seeds, roots, ref))
     with pytest.raises(ValueError) as got:
@@ -136,7 +137,7 @@ def test_hypothesis_sums_match_reference(monkeypatch):
     and the generator ends where the reference leaves it."""
     monkeypatch.setattr("gwalk.excursion.SAMPLE_CHUNK", 700)
     law, n, p = LAWS["two_point_sub"], 1500, 2
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    rng, ref = kernel.PCG64(4), np.random.default_rng(4)
     out = hypothesis_sums_batch(law, n, rng, p=p)
     want = []
     for i in range(0, n, 700):
@@ -153,7 +154,7 @@ def test_sample_excursion_tree_matches_reference():
     reference grows them; the generator ends where the reference leaves it."""
     law, budget = LAWS["two_point_sub"], 60
     seeds = np.arange(40, dtype=np.uint64)
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    rng, ref = kernel.PCG64(9), np.random.default_rng(9)
     t = sample_excursion_tree(law, seeds, 5, rng, budget=budget)
     _, tree = _reference(law, seeds, 5, ref, False, budget)
     total = np.bincount(tree["row"], weights=tree["N"], minlength=seeds.size)
@@ -175,11 +176,11 @@ def test_theorem1_chunks_match_reference(monkeypatch):
 
     def checked(t, seeds, roots, rng, prune=False, budget=None, keep=False):
         ref = np.random.default_rng()
-        ref.bit_generator.state = rng.bit_generator.state
+        ref.bit_generator.state = oracles.numpy_state(rng)
         out = count_trees(t, seeds, roots, rng, prune=prune, budget=budget, keep=keep)
         want, _ = _reference(LAWS["two_point_sub"], seeds, roots, ref, prune, budget)
         calls.append(out[0].tobytes() == want.tobytes()
-                     and rng.bit_generator.state == ref.bit_generator.state)
+                     and oracles.numpy_state(rng) == ref.bit_generator.state)
         return out
 
     monkeypatch.setattr(kernel, "count_trees", checked)

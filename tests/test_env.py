@@ -310,8 +310,7 @@ def test_s_walk_increment_frequencies():
 def test_discounted_sums_constant_bias_exact():
     # S is the deterministic ramp j*log(2), so D = sum 2^{-j} = 2 exactly
     law = make_constant_bias(2.0)
-    rng = np.random.default_rng(1)
-    d = discounted_sums_batch(law, 64, 1e-10, rng)
+    d = discounted_sums_batch(law, 64, 1e-10, kernel.PCG64(1))
     assert np.allclose(d, 2.0, atol=1e-9)
 
 
@@ -354,18 +353,20 @@ SUMS_LAWS = {
 @pytest.mark.parametrize("n", [1, 37, 5000])
 @pytest.mark.parametrize("name", sorted(SUMS_LAWS))
 def test_discounted_sums_match_the_searchsorted_reference(monkeypatch, name, n):
-    """D and the generator's next draw are the reference's bytes, for a
-    slice of 7 rows, the default slice and one slice for all: the run
-    thresholds pick the increment a binary search of the cumulative law
-    picks, and the generator fills the rows in order."""
+    """D and the generator's end state are the reference's, for a slice of
+    7 rows, the default slice and one slice for all: the run thresholds
+    pick the increment a binary search of the cumulative law picks, and the
+    generator fills the rows in order. The library's generator and the
+    reference's numpy one start from the same seed."""
     law = SUMS_LAWS[name]
     rng = np.random.default_rng(3)
-    want = (oracles.discounted_sums_searchsorted(law, n, 1e-12, rng).tobytes(), rng.random())
+    want = (oracles.discounted_sums_searchsorted(law, n, 1e-12, rng).tobytes(),
+            rng.bit_generator.state)
     for rows in (7, env_mod._SLICE_ROWS, 2**30):
         monkeypatch.setattr(env_mod, "_SLICE_ROWS", rows)
-        rng = np.random.default_rng(3)
+        rng = kernel.PCG64(3)
         d = discounted_sums_batch(law, n, 1e-12, rng)
-        assert (d.tobytes(), rng.random()) == want, rows
+        assert (d.tobytes(), oracles.numpy_state(rng)) == want, rows
 
 
 def _run_tables(name):
@@ -385,7 +386,8 @@ def test_discount_exponents_match_the_numpy_passes(name):
     """One block of the library's spine walks from a nonzero S equals, byte
     for byte, numpy's draw, binary-search lookup (a uniform on a threshold
     takes the run above it), row cumsum, add S and negate, and leaves the
-    generator where rng.random(out=) does: past the first block e^{-S_j}
+    generator, seeded as numpy's, where rng.random(out=) leaves numpy's:
+    past the first block e^{-S_j}
     falls below D's last place, so only S shows the order of the sums."""
     thr, run_vals = _run_tables(name)
     S0 = np.random.default_rng(1).normal(0.0, 300.0, 50)
@@ -396,10 +398,10 @@ def test_discount_exponents_match_the_numpy_passes(name):
                       axis=1) + S0[rows, None]
         want_S = S0.copy()
         want_S[rows] = c[:, -1]
-        want = ((-c).tobytes(), want_S.tobytes(), rng.random())
-        rng, S, out = np.random.default_rng(3), S0.copy(), np.empty((rows.size, block))
+        want = ((-c).tobytes(), want_S.tobytes(), rng.bit_generator.state)
+        rng, S, out = kernel.PCG64(3), S0.copy(), np.empty((rows.size, block))
         kernel.discount_exponents(thr, run_vals, S, rows, out, rng)
-        assert (out.tobytes(), S.tobytes(), rng.random()) == want, block
+        assert (out.tobytes(), S.tobytes(), oracles.numpy_state(rng)) == want, block
 
 
 def test_discount_exponents_refuses_what_does_not_fit():
@@ -414,12 +416,12 @@ def test_discount_exponents_refuses_what_does_not_fit():
            (thr, vals, S, np.array([0, 4]), out),
            (thr, vals, S, np.array([-1, 0]), out),
            (thr, vals[:1], S, rows, out)]
-    rng = np.random.default_rng(9)
-    state = rng.bit_generator.state
+    rng = kernel.PCG64(9)
+    state = oracles.numpy_state(rng)
     for args in bad:
         with pytest.raises(ValueError):
             kernel.discount_exponents(*args, rng)
-    assert rng.bit_generator.state == state
+    assert oracles.numpy_state(rng) == state
     kernel.discount_exponents(thr, vals, S, rows, out, rng)
     assert (S[[1, 2]] == 0).all() and (S[rows] == -out[:, -1]).all()
 
@@ -429,7 +431,7 @@ def test_discounted_sums_scratch_stays_flat():
     whatever n is: the traced peak of 20000 sums stays under that buffer's
     bytes plus ten arrays of n values, well below a second buffer."""
     n = 20000
-    rng = np.random.default_rng(5)
+    rng = kernel.PCG64(5)
     tracemalloc.start()
     try:
         discounted_sums_batch(SUB, n, 1e-12, rng)
@@ -443,8 +445,7 @@ def test_discounted_sums_batch_distribution():
     """E[D] = sum_j E[e^{-S_1}]^j = 1 / (1 - e^{psi(2)}) when psi(2) < 0;
     this law has kappa near 4.5, so D has finite variance."""
     law = make_two_point(0.005)
-    rng = np.random.default_rng(77)
-    d = discounted_sums_batch(law, 20000, 1e-9, rng)
+    d = discounted_sums_batch(law, 20000, 1e-9, kernel.PCG64(77))
     assert (d >= 1.0).all()
     want = 1.0 / (1.0 - math.exp(psi_evaluate(law, 2.0)))
     se = d.std(ddof=1) / math.sqrt(d.size)

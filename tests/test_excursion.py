@@ -109,7 +109,7 @@ def test_children_counts_follow_ragged_atoms():
 
 
 def test_children_counts_validation():
-    rng = np.random.default_rng(0)
+    rng = kernel.PCG64(0)
     for counts in (0, -1, [1, 0]):
         with pytest.raises(ValueError, match="root counts must be >= 1"):
             kernel.count_trees(SUB.tables(), [1, 2], counts, rng)
@@ -120,7 +120,7 @@ def test_children_counts_validation():
 def test_excursion_tree_invariants():
     """Each sampled node is a distinct node of its row's keyed environment,
     reached from its parent's node, as MarkedTree grows it."""
-    rng = np.random.default_rng(11)
+    rng = kernel.PCG64(11)
     seeds = np.array([13, 14, 15, 16], dtype=np.uint64)
     t = sample_excursion_tree(SUB, seeds, 5, rng, budget=60)
     n = len(t)
@@ -200,7 +200,7 @@ def test_hypothesis_sums_exact_moments_constant_bias():
     """E[B] = 1 for any admissible law, and E[B] = p after p excursions; on
     the lambda = 2 tree the variance has the closed form
     2 c0^2 / C_inf = 8."""
-    rng = np.random.default_rng(8)
+    rng = kernel.PCG64(8)
     out = hypothesis_sums_batch(CB, 10**6, rng)
     B = out["B"].astype(np.float64)
     se = B.std(ddof=1) / math.sqrt(B.size)
@@ -221,8 +221,8 @@ def test_hypothesis_sums_run_in_chunks(monkeypatch):
     trees from the one rng in turn: a call equals the concatenation of
     one-chunk calls on the same generator."""
     monkeypatch.setattr(excursion, "SAMPLE_CHUNK", 100)
-    whole = hypothesis_sums_batch(SUB, 250, np.random.default_rng(4), p=2)
-    rng = np.random.default_rng(4)
+    whole = hypothesis_sums_batch(SUB, 250, kernel.PCG64(4), p=2)
+    rng = kernel.PCG64(4)
     parts = [hypothesis_sums_batch(SUB, n, rng, p=2) for n in (100, 100, 50)]
     for key, x in whole.items():
         assert np.array_equal(x, np.concatenate([part[key] for part in parts]))
@@ -233,7 +233,7 @@ def test_hypothesis_sums_match_per_tree_sampler():
     oracles.hypothesis_check's g1 = 1 reduction over whole typed trees. The
     typed trees are size-truncated at the node budget, a small bias on the
     lambda = 2 tree."""
-    rng = np.random.default_rng(9)
+    rng = kernel.PCG64(9)
     rep = oracles.hypothesis_check(sample_typed_forest(CB, 1000, rng, budget=4 * 10**4))
     out = hypothesis_sums_batch(CB, 20000, rng)
     for name, key in (("b", "B"), ("nu_tilde", "nu_tilde")):
@@ -254,7 +254,7 @@ def test_sampler_node_budget():
         assert len(cut) == min(np.searchsorted(sums, b, side="right") + 1, len(full))
         for x, y in zip(cut, full):
             assert np.array_equal(x.key, y.key) and np.array_equal(x.N, y.N)
-        t = sample_excursion_tree(SUB, [44], 500, np.random.default_rng(3), budget=b)
+        t = sample_excursion_tree(SUB, [44], 500, kernel.PCG64(3), budget=b)
         assert t.over.tolist() == [bool(sums[-1] > b)]
         assert len(t) == (0 if sums[-1] > b else sum(lv.N.size for lv in full))
     both = list(excursion_levels(SUB, [44, 44], 500, np.random.default_rng(3),
@@ -262,14 +262,14 @@ def test_sampler_node_budget():
     assert [lv.row.tolist() for lv in both[1:]] == [[1] * lv.N.size for lv in full[1:]]
     assert all(np.array_equal(x.N[x.row == 1], y.N) for x, y in zip(both, full))
     with pytest.raises(StepBudgetExceeded):
-        sample_typed_forest(SUB, 50, np.random.default_rng(3), budget=1, max_resample=3)
+        sample_typed_forest(SUB, 50, kernel.PCG64(3), budget=1, max_resample=3)
 
 
 def _sampler_T(env, p, n, cap, seed):
     """min(T^p, cap) of n sampler rows at root count p on one environment;
     the budget (cap + p + 1) // 2 makes a cut row's T^p exceed cap."""
     sums, _ = kernel.count_trees(SUB.tables(), np.full(n, env, dtype=np.uint64), p,
-                                 np.random.default_rng(seed), budget=(cap + p + 1) // 2)
+                                 kernel.PCG64(seed), budget=(cap + p + 1) // 2)
     return np.minimum(2 * sums[0] + p, cap)  # 2 (p + the non-root sum) - p
 
 

@@ -6,6 +6,7 @@ pool's one shared index iterator."""
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -163,3 +164,13 @@ def test_map_trials_runs_each_trial_once(threads):
 
     with pytest.raises(ValueError, match="trial 7"):
         experiments._map_trials(fail, 50, threads)
+
+
+def test_map_trials_runs_its_calls_at_once():
+    """At threads=2 both trials run at the same time: each waits on one
+    two-party barrier, which opens only once both have reached it, so a
+    runner that made one call at a time would break it (a timeout of 20 s,
+    which only a stalled machine reaches)."""
+    barrier = threading.Barrier(2, timeout=20)
+    experiments._map_trials(lambda t: barrier.wait(), 2, 2)
+    assert barrier.n_waiting == 0 and not barrier.broken

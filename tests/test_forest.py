@@ -17,14 +17,14 @@ from gwalk.forest import (
     typed_tree,
 )
 from gwalk.excursion import sample_excursion_tree
+from gwalk.kernel import PCG64
 from gwalk.law import make_two_point
 
 SUB = make_two_point(0.068)
 
 
 def _forest(n_trees, seed=0, law=SUB):
-    rng = np.random.default_rng(seed)
-    return sample_typed_forest(law, n_trees, rng, budget=400_000)
+    return sample_typed_forest(law, n_trees, PCG64(seed), budget=400_000)
 
 
 def test_typed_tree_canonicalizes_bfs_input():
@@ -175,7 +175,7 @@ def test_forest_sampling_deterministic():
 def test_forest_redraws_trees_past_the_budget():
     """Trees whose sum of N passes the budget are redrawn on fresh
     environments; each kept tree is the typed image of its excursion tree."""
-    rng = np.random.default_rng(17)
+    rng = PCG64(17)
     trees = sample_typed_forest(SUB, 200, rng, budget=12, max_resample=10**4)
     assert len(trees) == 200
     assert max(int(t.beta.sum()) for t in trees) <= 12 < sum(len(t) for t in trees)

@@ -40,7 +40,8 @@ def _struct(name: str):
 @pytest.mark.parametrize("struct, mirror", [("gw_node", kernel._Node),
                                             ("gw_arena", kernel._Arena),
                                             ("gw_stats", kernel._Stats),
-                                            ("gw_count", kernel._Count)])
+                                            ("gw_count", kernel._Count),
+                                            ("gw_pcg64", kernel._PCG64)])
 def test_struct_fields_match(struct, mirror):
     assert [f for f, _ in mirror._fields_] == [name for _, name in _struct(struct)]
 
@@ -93,5 +94,6 @@ def test_library_exports_only_its_entry_points(kernel_library):
     lib = ctypes.CDLL(str(kernel_library))
     for name in kernel._ENTRY_POINTS:
         assert hasattr(lib, name), name
-    for name in ("walk_one", "random_poisson", "random_standard_uniform_fill"):
+    for name in ("walk_one", "next64", "random_poisson", "random_standard_uniform_fill",
+                 "random_multinomial"):
         assert not hasattr(lib, name), name

@@ -13,6 +13,7 @@ import oracles
 from gwalk import law as law_mod
 from gwalk import limits
 from gwalk.env import discounted_sums_batch
+from gwalk.kernel import PCG64
 from gwalk.law import make_constant_bias, make_two_point
 from gwalk.limits import (
     ML_LAMBDA_MAX,
@@ -144,8 +145,7 @@ def test_stable_path_hit_matches_transform():
 def test_discounted_moments_constant_bias_exact():
     """D = 2 almost surely, so C_inf = 1/4 and bold c_inf = 1/2 exactly."""
     law = make_constant_bias(2.0)
-    rng = np.random.default_rng(35)
-    est = estimate_discounted_moments(law, 150_000, 1e-10, rng)
+    est = estimate_discounted_moments(law, 150_000, 1e-10, PCG64(35))
     assert est["c_inf_bold"] == pytest.approx(0.5, abs=1e-9)
     assert est["C_inf"] == pytest.approx(0.25, abs=1e-9)
     lo, hi = est["C_inf_ci"]
@@ -165,7 +165,7 @@ def test_discounted_moment_cis_agree_with_the_bootstrap(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(limits, "discounted_sums_batch", record)
-    est = estimate_discounted_moments(SUB, 20_000, 1e-12, np.random.default_rng(36))
+    est = estimate_discounted_moments(SUB, 20_000, 1e-12, PCG64(36))
     inv = 1.0 / np.concatenate(drawn)
     assert inv.size == 20_000
     for name, stat in (("C_inf", lambda s: (s**2).mean()), ("c_inf_bold", lambda s: s.mean())):
@@ -184,10 +184,10 @@ def test_discounted_moments_hold_two_arrays_of_n(monkeypatch):
     monkeypatch.setattr("gwalk.excursion.SAMPLE_CHUNK", chunk)
     tracemalloc.start()
     try:
-        discounted_sums_batch(SUB, chunk, 1e-12, np.random.default_rng(7))
+        discounted_sums_batch(SUB, chunk, 1e-12, PCG64(7))
         _, one_chunk = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        estimate_discounted_moments(SUB, n, 1e-12, np.random.default_rng(7))
+        estimate_discounted_moments(SUB, n, 1e-12, PCG64(7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
