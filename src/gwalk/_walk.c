@@ -1,5 +1,5 @@
-/* Plain-C kernel: the walk gwalk runs, one trial (gw_walk) or a batch of
- * trials (gw_walks), the depth-first walker that lists a generation for W
+/* Plain-C kernel: the walk gwalk runs, one trial or a batch of trials
+ * (gw_walks), the depth-first walker that lists a generation for W
  * (gw_level), the sampler of edge-count trees (gw_counts), the spine walk
  * of the discounted sums (gw_discount), and the bounded integers
  * (gw_integers) and multinomial rows (gw_multinomial) of the package's
@@ -8,10 +8,9 @@
  * gwalk/kernel.py holds the walk's contract (arena, dynamics, bookkeeping)
  * and why each entry point keeps the bits of its reference.
  *
- * Both walk entry points run the one walk loop, walk_one: gw_walk on a new
- * arena, on a lazy or an explicit tree, and gw_walks on one reused arena per
- * call, for the lazy trials it claims from a counter that several
- * concurrent calls share. The four tree entry points grow nodes through one
+ * gw_walks runs the walk loop, walk_one, on a lazy or an explicit tree, for
+ * the trials it claims from a counter that several concurrent calls share,
+ * on one arena per call. The four tree entry points grow nodes through one
  * atom_of and one child_key; atom_of and gw_discount's increment lookup
  * share one branch-free count, count_le. The four drawing entry points
  * (gw_counts, gw_discount, gw_integers, gw_multinomial) draw on the
@@ -176,10 +175,10 @@ static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t 
     snap_out[3 * nsnap + si] = R;
 }
 
-/* The walk loop of gw_walk and gw_walks: run one walk on arena A, which
- * holds any number of nodes from an earlier walk (A->n is reset) and has
- * cap >= 1. With n_explicit < 0 the tree grows lazily from the law tables
- * and env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
+/* The walk loop of gw_walks: run one walk on arena A, which holds any
+ * number of nodes from an earlier walk (A->n is reset) and has cap >= 1.
+ * With n_explicit < 0 the tree grows lazily from the law tables and
+ * env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
  * kernel.explicit_tree returns it: node i is atom i of the tables and has
  * exp_parent[i] and exp_child0[i]; atom_cum and n_atoms are then unused.
  * Snapshots go to the caller's 4 x nsnap buffer snap_out. On GW_OK, *st
@@ -274,60 +273,48 @@ static int walk_one(gw_arena *A, const double *atom_cum, int64_t n_atoms,
     return GW_OK;
 }
 
-/* Run one walk (walk_one) on a new arena. On GW_OK, *st holds the scalars
- * and *arena_out the grown tree, which the caller releases with gw_free;
- * out of memory, *arena_out is NULL. */
-int gw_walk(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
-            const int64_t *atom_len, const double *p_up, const double *step_cum,
-            int64_t n_explicit, const int64_t *exp_parent, const int64_t *exp_child0,
-            uint64_t env_seed, uint64_t state, int mode, int64_t limit,
-            const int64_t *snaps, int64_t nsnap, int64_t *snap_out, int64_t budget,
-            gw_stats *st, gw_arena **arena_out)
-{
-    gw_arena *A = calloc(1, sizeof *A);
-    int err;
-
-    *arena_out = NULL;
-    if (!A)
-        return GW_ENOMEM;
-    A->cap = 1;
-    if ((err = walk_one(A, atom_cum, n_atoms, atom_off, atom_len, p_up, step_cum, n_explicit,
-                        exp_parent, exp_child0, env_seed, state, mode, limit, snaps, nsnap,
-                        snap_out, budget, st))) {
-        gw_free(A);
-        return err;
-    }
-    *arena_out = A;
-    return GW_OK;
-}
-
-/* The lazy walks of trials 0..n_trials-1, trial t on env_seeds[t] with walk
- * seed walk_seeds[t]. Several calls may run at once on one counter *next:
- * each claims the next trial with an atomic fetch-and-add until none is
- * left, so a call that draws a long trial leaves the rest to the others.
- * Trial t writes only its own slots: st[t], nodes[t] (the nodes grown) and
- * the 4 x nsnap rows at snap_out + 4 * nsnap * t, so the output does not
- * depend on how many calls share the trials. A call reuses one arena for
- * all its trials and frees it before it returns. GW_ENOMEM when the arena
- * cannot grow: that call stops, and its trial's slots are not written. */
+/* The walks of trials 0..n_trials-1, trial t with walk seed walk_seeds[t]
+ * on the lazy tree of env_seeds[t] or, with n_explicit >= 0, on the explicit
+ * tree (walk_one). Several calls may run at once on one counter *next: each
+ * claims the next trial with an atomic fetch-and-add until none is left, so
+ * a call that draws a long trial leaves the rest to the others. Trial t
+ * writes only its own slots: st[t], nodes[t] (the nodes grown) and the
+ * 4 x nsnap rows at snap_out + 4 * nsnap * t, so the output does not depend
+ * on how many calls share the trials. A call reuses one arena for all its
+ * trials. With arena_out NULL it frees the arena before it returns;
+ * otherwise, on GW_OK, *arena_out is the arena, holding the tree of the
+ * call's last trial, which the caller releases with gw_free. GW_ENOMEM when
+ * the arena cannot grow: that call stops, its trial's slots are not
+ * written, and *arena_out is NULL. */
 int gw_walks(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
              const int64_t *atom_len, const double *p_up, const double *step_cum,
+             int64_t n_explicit, const int64_t *exp_parent, const int64_t *exp_child0,
              const uint64_t *env_seeds, const uint64_t *walk_seeds, int64_t n_trials,
              int64_t *next, int mode, int64_t limit, const int64_t *snaps, int64_t nsnap,
-             int64_t *snap_out, int64_t budget, gw_stats *st, int64_t *nodes)
+             int64_t *snap_out, int64_t budget, gw_stats *st, int64_t *nodes,
+             gw_arena **arena_out)
 {
-    gw_arena A = {0, 1, NULL};
+    gw_arena *A = calloc(1, sizeof *A);
     int64_t t;
     int err = GW_OK;
 
+    if (arena_out)
+        *arena_out = NULL;
+    if (!A)
+        return GW_ENOMEM;
+    A->cap = 1;
     while ((t = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < n_trials) {
-        if ((err = walk_one(&A, atom_cum, n_atoms, atom_off, atom_len, p_up, step_cum, -1,
-                            NULL, NULL, env_seeds[t], walk_seeds[t], mode, limit, snaps,
-                            nsnap, snap_out + 4 * nsnap * t, budget, &st[t])))
+        if ((err = walk_one(A, atom_cum, n_atoms, atom_off, atom_len, p_up, step_cum,
+                            n_explicit, exp_parent, exp_child0, env_seeds[t], walk_seeds[t],
+                            mode, limit, snaps, nsnap, snap_out + 4 * nsnap * t, budget,
+                            &st[t])))
             break;
-        nodes[t] = A.n;
+        nodes[t] = A->n;
     }
-    free(A.node);
+    if (arena_out && !err)
+        *arena_out = A;
+    else
+        gw_free(A);
     return err;
 }
 

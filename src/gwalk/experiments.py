@@ -117,10 +117,11 @@ class Constants:
     constants, as estimate-constants writes them; `estimates` gathers the
     reports, CIs included. A constant, given or computed, that is not a
     finite number > 0 stops the command (a given one before any trial), as
-    do an n_samples or c_kappa_samples in `settings` below 2 (at once) and
-    an estimator's LimitsError, such as a B draw with too few positive
-    values. Reads that compute are not locked: campaigns read the scales
-    on the calling thread only."""
+    do an n_samples or c_kappa_samples in `settings` below 2 and an eps
+    that is not a finite number > 0 (at once), and an estimator's
+    LimitsError, such as a B draw with too few positive values. Reads that
+    compute are not locked: campaigns read the scales on the calling thread
+    only."""
 
     def __init__(self, kappa: float, law: MarkLaw | None = None, seed: int = 0,
                  settings: dict | None = None, **given):
@@ -135,6 +136,8 @@ class Constants:
         for key in ("n_samples", "c_kappa_samples"):
             if key in self._settings:
                 _check(f"estimate_constants.{key}", self._settings[key], least=2)
+        if "eps" in self._settings:
+            _check_real("estimate_constants.eps", self._settings["eps"])
         for name, value in given.items():
             if name not in CONSTANT_NAMES:
                 raise TypeError(f"Constants() got an unexpected keyword argument {name!r}")
@@ -618,8 +621,11 @@ def lemma_moments_campaign(
     twice equals m, within 4 SE. These are the count-1 non-root nodes of
     the pruned excursion tree at tau^m, so the route reads the B column of
     `excursion.hypothesis_sums_batch` at p = m, on fresh environments.
-    Bad sizes or regen levels stop the command (SystemExit) before it
-    samples."""
+    An environment truncated to the root alone, on a law whose environments
+    can die, has no edge to check: both routes skip it, their verdicts then
+    count the skipped ones in n_root_only, and a route that skips every
+    environment fails. Bad sizes or regen levels stop the command
+    (SystemExit) before it samples."""
     kernel.require_library()
     for key, value in (("n_envs", n_envs), ("depth", depth), ("n_pairs", n_pairs),
                        ("n_frozen", n_frozen), ("n_excursions", n_excursions)):
@@ -630,8 +636,12 @@ def lemma_moments_campaign(
     verdicts = []
 
     worst_mean = worst_second = 0.0
+    skipped = 0
     for i in range(n_envs):
         ex = enumerate_truncated(law, derive_seed(master_seed, "lemma-oracle", i, "env"), depth)
+        if len(ex["parent"]) == 1:
+            skipped += 1
+            continue
         chain = FiniteChain(ex)
         means = chain.expected_edge_counts()
         for x in range(1, chain.n):
@@ -641,34 +651,32 @@ def lemma_moments_campaign(
             x, y = int(x), int(y)
             worst_second = max(worst_second, abs(chain.edge_second_moment(x, y)
                                                  - chain.closed_second_moment(x, y)))
+    extra = {"n_root_only": skipped} if skipped else {}
     verdicts.append(
         stats.verdict_row(
             "lemma_moments", "oracle_mean_abs_err", worst_mean, 1e-10,
-            worst_mean < 1e-10, n_envs=n_envs, depth=depth,
+            worst_mean < 1e-10 and skipped < n_envs, n_envs=n_envs, depth=depth, **extra,
         )
     )
     verdicts.append(
         stats.verdict_row(
             "lemma_moments", "oracle_second_abs_err", worst_second, 1e-10,
-            worst_second < 1e-10, n_envs=n_envs, n_pairs=n_pairs,
+            worst_second < 1e-10 and skipped < n_envs, n_envs=n_envs, n_pairs=n_pairs, **extra,
         )
     )
 
     worst_z = 0.0
+    skipped = 0
     for i in range(n_frozen):
         ex = enumerate_truncated(law, derive_seed(master_seed, "lemma-mc", i, "env"), depth)
+        if len(ex["parent"]) == 1:
+            skipped += 1
+            continue
         chain = FiniteChain(ex)
         means = chain.expected_edge_counts()
-        res = kernel.run_walk(
-            law.tables(),
-            0,
-            derive_seed(master_seed, "lemma-mc", i, "walk"),
-            kernel.MODE_CROSSINGS,
-            n_excursions,
-            np.array([n_excursions], dtype=np.int64),
-            collect_tree=True,
-            explicit={"parent": ex["parent"], "V": ex["V"]},
-        )
+        res = kernel.run_walk(None, 0, derive_seed(master_seed, "lemma-mc", i, "walk"),
+                              kernel.MODE_CROSSINGS, n_excursions, [n_excursions],
+                              explicit={"parent": ex["parent"], "V": ex["V"]})
         nd = res["tree_ndown"][: chain.n]
         for x in range(1, chain.n):
             var = chain.edge_second_moment(x, x) - means[x] ** 2
@@ -686,10 +694,11 @@ def lemma_moments_campaign(
                     "z": z,
                 }
             )
+    extra = {"n_root_only": skipped} if skipped else {}
     verdicts.append(
         stats.verdict_row(
-            "lemma_moments", "mc_worst_z", worst_z, 4.0, worst_z < 4.0,
-            n_frozen=n_frozen, n_excursions=n_excursions,
+            "lemma_moments", "mc_worst_z", worst_z, 4.0, worst_z < 4.0 and skipped < n_frozen,
+            n_frozen=n_frozen, n_excursions=n_excursions, **extra,
         )
     )
 

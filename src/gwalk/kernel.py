@@ -2,7 +2,7 @@
 
 setuptools builds `_walk.c` into the library `gwalk/_walk<EXT_SUFFIX>` beside
 this file (setup.py says how). It is the only walk the package runs, one
-walk at a time (`run_walk`) or a batch of trials (`run_walks`), its
+walk with its tree (`run_walk`) or a batch of trials (`run_walks`), its
 depth-first walker `level_potentials` lists the generation that W_l sums,
 `count_trees` is the package's one sampler of edge-count trees,
 `discount_exponents` draws the spine walks of the discounted sums and
@@ -113,9 +113,10 @@ ctypes' foreign calls release the GIL, so the campaigns walk through
 one at a time from one counter in C, each with one arena reused across its
 trials. So a batch costs one Python call per thread, and a thread that
 draws a long, heavy-tailed trial leaves the rest to the others. `run_walk`,
-one `gw_walk` call per walk, serves explicit trees, `collect_tree` and the
-tests. `_concurrent_calls`, which makes those calls at once, is the
-package's one thread runner (`experiments._map_trials` runs on it too).
+one trial in one `gw_walks` call that hands back its arena and so its tree,
+serves explicit trees and the tests. `_walk_calls` builds both bindings'
+calls, and `_concurrent_calls`, which makes them at once, is the package's
+one thread runner (`experiments._map_trials` runs on it too).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ ERR_CHILDREN = "children must be consecutive"
 ERR_PARENT = "explicit tree parent index outside [0, i)"
 ERR_LENGTH = "explicit tree needs one V per node"
 
-# node fields returned under collect_tree: output key -> gw_node field
+# the tree run_walk returns: output key (after "tree_") -> gw_node field
 _TREE = {"parent": "parent", "atom": "atom", "ndown": "n_down", "nup": "n_up"}
 
 _P, _INT64 = ctypes.c_void_p, ctypes.c_int64
@@ -231,11 +232,9 @@ def _arrays(values, dtypes):
 # every function that `_walk.c` exports: (restype, argtypes), the parameters
 # in the order of its C declaration
 _ENTRY_POINTS = {
-    "gw_walk": (ctypes.c_int, [_P, _INT64, _P, _P, _P, _P, _INT64, _P, _P, ctypes.c_uint64,
-                               ctypes.c_uint64, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64,
-                               _P, ctypes.POINTER(ctypes.POINTER(_Arena))]),
-    "gw_walks": (ctypes.c_int, [_P, _INT64, _P, _P, _P, _P, _P, _P, _INT64, _P, ctypes.c_int,
-                                _INT64, _P, _INT64, _P, _INT64, _P, _P]),
+    "gw_walks": (ctypes.c_int, [_P, _INT64, _P, _P, _P, _P, _INT64, _P, _P, _P, _P, _INT64,
+                                _P, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64, _P, _P,
+                                ctypes.POINTER(ctypes.POINTER(_Arena))]),
     "gw_free": (None, [ctypes.POINTER(_Arena)]),
     "gw_level": (_INT64, [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]),
     "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, _RNG, _P, _P, _P, ctypes.c_int,
@@ -277,16 +276,17 @@ def require_library():
     return _lib
 
 
-# dtypes of gw_walk's array arguments: the step tables, then the explicit tree
+# dtypes of gw_walks' array arguments: the step tables, then the explicit tree
 _DTYPES = [np.float64, np.int64, np.int64, np.float64, np.float64] + [np.int64] * 2
 
 
-def _pointers(t, tree=(None, None)):
+def _pointers(t, parent=None, child0=None):
     """The C arrays of step tables t and an explicit tree, which the caller
-    holds while the library reads them, and their pointers."""
-    arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, *tree], _DTYPES)
+    holds while the library reads them, and gw_walks' first nine arguments."""
+    arrays = _arrays([t.cum, t.off, t.lens, t.p_up, t.step_cum, parent, child0], _DTYPES)
     ptrs = [None if a is None else a.ctypes.data for a in arrays]
     ptrs.insert(1, 0 if t.cum is None else t.cum.size)  # the atom count
+    ptrs.insert(6, -1 if parent is None else len(parent))  # n_explicit
     return arrays, ptrs
 
 
@@ -301,41 +301,54 @@ def _result(stats, nodes_grown, snap_out):
     return out
 
 
-def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps,
-             budget=10**10, collect_tree=False, explicit=None):
+def _walk_calls(law_tables, explicit, env_seeds, walk_seeds, mode, limit, snaps, budget,
+                calls, arena=None):
+    """The stats (n, 7), nodes grown (n,) and snapshots (n, 4, len(snaps))
+    of `calls` concurrent gw_walks calls on trials 0..n-1 (uint64 seed
+    arrays), on the lazy trees of law_tables or on the explicit tree. With
+    `arena`, a NULL POINTER(_Arena), the one call hands back its arena."""
+    lib = require_library()
+    n = env_seeds.size
+    (snaps,) = _arrays([snaps], [np.int64])
+    tables = (law_tables,) if explicit is None else explicit_tree(explicit)
+    arrays, ptrs = _pointers(*tables)
+    snap_out = np.zeros((n, 4, len(snaps)), dtype=np.int64)
+    st = np.empty((n, len(_Stats._fields_)), dtype=np.int64)
+    nodes = np.empty(n, dtype=np.int64)
+    counter = np.zeros(1, dtype=np.int64)
+    args = (*ptrs, env_seeds.ctypes.data, walk_seeds.ctypes.data, n, counter.ctypes.data,
+            int(mode), int(limit), snaps.ctypes.data, len(snaps), snap_out.ctypes.data,
+            int(budget), st.ctypes.data, nodes.ctypes.data,
+            None if arena is None else ctypes.byref(arena))
+    if any(_concurrent_calls(lib.gw_walks, args, calls)):
+        raise MemoryError("walk kernel ran out of memory for its arena")
+    return st, nodes, snap_out
+
+
+def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps, budget=10**10,
+             explicit=None):
     """Run one walk; returns a dict of scalars and numpy arrays (`_result`),
-    snap_* holding the nsnap snapshots taken.
+    snap_* holding the nsnap snapshots taken, and the walk's tree:
+    tree_parent, tree_atom, tree_ndown and tree_nup, one entry per node
+    (tree_atom is -1 at an ungrown node).
 
     law_tables: the LawTables of MarkLaw.tables, or None when `explicit`
     supplies a prebuilt finite tree as a dict with keys parent, V (checked
     and converted by explicit_tree). The walk stops early, with status
-    STATUS_BUDGET, once it has taken `budget` steps. With collect_tree the
-    result also holds the arena's tree_parent, tree_atom, tree_ndown and
-    tree_nup arrays (tree_atom is -1 at an ungrown node). MemoryError when
-    the arena cannot grow."""
+    STATUS_BUDGET, once it has taken `budget` steps. MemoryError when the
+    arena cannot grow."""
     lib = require_library()
-    (snaps,) = _arrays([snaps], [np.int64])
-    snap_out = np.empty((4, len(snaps)), dtype=np.int64)
-    if explicit is None:
-        n_explicit, (arrays, ptrs) = -1, _pointers(law_tables)
-    else:
-        t, *tree = explicit_tree(explicit)
-        n_explicit, (arrays, ptrs) = len(tree[0]), _pointers(t, tree)
-    st, arena = np.empty(len(_Stats._fields_), dtype=np.int64), ctypes.POINTER(_Arena)()
-    err = lib.gw_walk(*ptrs[:6], n_explicit, *ptrs[6:], int(env_seed) & MASK,
-                      int(walker_seed) & MASK, int(mode), int(limit), snaps.ctypes.data,
-                      len(snaps), snap_out.ctypes.data, int(budget), st.ctypes.data,
-                      ctypes.byref(arena))
-    if err:
-        raise MemoryError("walk kernel ran out of memory for its arena")
+    seeds = [np.array([int(s) & MASK], dtype=np.uint64) for s in (env_seed, walker_seed)]
+    arena = ctypes.POINTER(_Arena)()
     try:
+        st, _, snap_out = _walk_calls(law_tables, explicit, *seeds, mode, limit, snaps, budget,
+                                      1, arena)
         A = arena.contents
-        st = st.tolist()
-        out = _result(st, A.n, snap_out[:, : st[-1]])  # nsnap, gw_stats' last field
-        if collect_tree:
-            nodes = _records(A.node, A.n)
-            for key, field in _TREE.items():
-                out["tree_" + key] = np.array(nodes[field], dtype=np.int64)
+        st = st[0].tolist()
+        out = _result(st, A.n, snap_out[0, :, : st[-1]])  # nsnap, gw_stats' last field
+        nodes = _records(A.node, A.n)
+        for key, field in _TREE.items():
+            out["tree_" + key] = np.array(nodes[field], dtype=np.int64)
         return out
     finally:
         lib.gw_free(arena)
@@ -347,30 +360,20 @@ def run_walks(law_tables, env_seeds, walk_seeds, mode, limit, snaps, budget=10**
     walk seed walk_seeds[t], each as run_walk(law_tables, env_seeds[t],
     walk_seeds[t], mode, limit, snaps, budget) would, in `threads`
     concurrent calls of gw_walks (no more than there are trials) that share
-    its trial counter. Returns run_walk's dict of arrays with a leading
+    its trial counter. Returns run_walk's dict, tree aside, with a leading
     trial axis: status, m, t_ex, L, R, pos, nsnap and nodes_grown of shape
     (n,), and snap_tau, snap_T, snap_L and snap_R of shape (n, len(snaps)),
     views of one (n, 4, len(snaps)) buffer; a trial's snapshots past its
     nsnap read 0. Every trial writes only its own slots, so the result does
     not depend on `threads`. ValueError unless there is one walk seed per
     environment seed; MemoryError when an arena cannot grow."""
-    lib = require_library()
     env_seeds, walk_seeds = (np.ascontiguousarray(np.asarray(s, dtype=np.uint64).ravel())
                              for s in (env_seeds, walk_seeds))
     n = env_seeds.size
     if walk_seeds.size != n:
         raise ValueError(f"run_walks: {n} environment seeds, {walk_seeds.size} walk seeds")
-    (snaps,) = _arrays([snaps], [np.int64])
-    arrays, ptrs = _pointers(law_tables)
-    snap_out = np.zeros((n, 4, len(snaps)), dtype=np.int64)
-    st = np.empty((n, len(_Stats._fields_)), dtype=np.int64)
-    nodes = np.empty(n, dtype=np.int64)
-    counter = np.zeros(1, dtype=np.int64)
-    args = (*ptrs[:6], env_seeds.ctypes.data, walk_seeds.ctypes.data, n,
-            counter.ctypes.data, int(mode), int(limit), snaps.ctypes.data, len(snaps),
-            snap_out.ctypes.data, int(budget), st.ctypes.data, nodes.ctypes.data)
-    if any(_concurrent_calls(lib.gw_walks, args, max(1, min(int(threads), n)))):
-        raise MemoryError("walk kernel ran out of memory for its arena")
+    st, nodes, snap_out = _walk_calls(law_tables, None, env_seeds, walk_seeds, mode, limit,
+                                      snaps, budget, max(1, min(int(threads), n)))
     return _result(st.T, nodes, snap_out)
 
 

@@ -2,7 +2,8 @@
 
 `gwalk.kernel` documents the walk's contract and binds the compiled kernel
 `_walk.c`; this `run_walk` has the same signature and gives bit-identical
-output for equal seeds, and tests/test_kernel_parity.py compares the two. It
+output for equal seeds, the walk's tree included, and
+tests/test_kernel_parity.py compares the two. It
 checks an explicit tree with the package's own `kernel.explicit_tree`. Keep
 every arithmetic operation in the hot loop in the same order as `_walk.c`.
 """
@@ -24,17 +25,16 @@ def run_walk(
     limit: int,
     snaps,
     budget: int = 10**10,
-    collect_tree: bool = False,
     explicit=None,
 ):
-    """Run one walk; returns a dict of scalars and numpy arrays.
+    """Run one walk; returns a dict of scalars and numpy arrays, the walk's
+    tree among them: tree_parent, tree_atom, tree_ndown and tree_nup, one
+    entry per node (tree_atom is -1 at an ungrown node).
 
     law_tables: the LawTables of MarkLaw.tables, or None when `explicit`
     supplies a prebuilt finite tree as a dict with keys parent, V (checked
     and converted by explicit_tree). The walk stops early, with status
-    STATUS_BUDGET, once it has taken `budget` steps. With collect_tree the
-    result also holds the arena's tree_parent, tree_atom, tree_ndown and
-    tree_nup arrays (tree_atom is -1 at an ungrown node).
+    STATUS_BUDGET, once it has taken `budget` steps.
     """
     snaps = np.asarray(snaps, dtype=np.int64)
     nsnap = len(snaps)
@@ -139,8 +139,7 @@ def run_walk(
            "nsnap": si, "nodes_grown": len(parent)}
     for row, name in enumerate(("tau", "T", "L", "R")):
         out["snap_" + name] = snap[row, :si].copy()
-    if collect_tree:
-        tree = {"parent": parent, "atom": atom, "ndown": n_down, "nup": n_up}
-        for name, values in tree.items():
-            out["tree_" + name] = np.array(values, dtype=np.int64)
+    tree = {"parent": parent, "atom": atom, "ndown": n_down, "nup": n_up}
+    for name, values in tree.items():
+        out["tree_" + name] = np.array(values, dtype=np.int64)
     return out

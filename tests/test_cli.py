@@ -8,19 +8,20 @@ the route that estimate-constants takes, and only those its scales read; a
 constant that is not a finite number > 0 stops the command. Every verdict file
 is strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
 `corollary` and the three theorems also run on a law whose environments can
-die, so that their survival resampling runs end to end. A subdiffusive command
-loads no scipy, and no command loads numpy.ma, concurrent.futures,
-numpy.random, numpy.ctypeslib or secrets. Without
+die, so that their survival resampling runs end to end, and so does
+`lemma-moments`, which skips an environment truncated to the root alone. A
+subdiffusive command loads no scipy, and no command loads numpy.ma,
+concurrent.futures, numpy.random, numpy.ctypeslib or secrets. Without
 the built library, every command but validate-law stops with the build
-message. Bad sizes and grids (grid point 1 at kappa = 2), bad lambdas, tol or
-shrink, bad `lemma-moments` settings, a tail with too few positive draws of B,
-a bad seed or thread count and config keys that no command reads stop the
-command with a message before it writes anything, and the accepted keys are
-pinned; every shipped and benchmark config passes the key check and loads its
-law. A bad law spec and a coded error raised inside a command stop it with one
-line that carries the code, and a config or law file that is missing or not
-JSON with one line that names it. estimate-constants writes the CIs of every
-constant and the Hill index's CI.
+message. Bad sizes and grids (grid point 1 at kappa = 2), bad lambdas, tol,
+shrink or eps, bad `lemma-moments` settings, a tail with too few positive
+draws of B, a bad seed or thread count and config keys that no command
+reads stop the command with a message before it writes anything, and the
+accepted keys are pinned; every shipped and benchmark config passes the key
+check and loads its law. A bad law spec and a coded error raised inside a
+command stop it with one line that carries the code, and a config or law
+file that is missing or not JSON with one line that names it.
+estimate-constants writes the CIs of every constant and the Hill index's CI.
 """
 
 import csv
@@ -39,7 +40,7 @@ import pytest
 import gwalk
 from gwalk import cli, experiments, forest, kernel, limits, walk
 from gwalk._rng import derive_seed
-from gwalk.env import environment_survives
+from gwalk.env import enumerate_truncated, environment_survives
 from gwalk.experiments import trial_seeds
 from gwalk.law import load_law, solve_kappa
 
@@ -156,6 +157,36 @@ def test_theorems_condition_on_survival(tmp_path, monkeypatch, command):
     assert (w_hat(law, seeds) > 0).all()
 
 
+def test_lemma_moments_skips_root_only_environments(tmp_path):
+    """On the law with extinction, an environment truncated to the root
+    alone has no edge: lemma-moments skips it in the oracle and the MC
+    route, counts it in those verdicts' n_root_only, and writes the same
+    bytes at threads=2. A route that skips every environment fails."""
+    law = load_law(EXTINCTION)
+
+    def root_only(seed, route, n):
+        return sum(len(enumerate_truncated(law, derive_seed(seed, route, i, "env"), 3)["parent"])
+                   == 1 for i in range(n))
+
+    section = {**TINY["lemma-moments"], "n_envs": 6, "n_frozen": 6}
+    first = _run(tmp_path, "lemma-moments", 1, "a", section, extra={"law": EXTINCTION})
+    assert _run(tmp_path, "lemma-moments", 2, "b", section, extra={"law": EXTINCTION}) == first
+    want = {"oracle_mean_abs_err": root_only(5, "lemma-oracle", 6),
+            "oracle_second_abs_err": root_only(5, "lemma-oracle", 6),
+            "mc_worst_z": root_only(5, "lemma-mc", 6)}
+    assert 0 < min(want.values()) and max(want.values()) < 6
+    got = {v["statistic"]: v.get("n_root_only", 0)
+           for v in _strict_json(first["lemma_moments_verdicts.json"])}
+    assert {k: got[k] for k in want} == want
+    seed = next(s for s in range(100)
+                if root_only(s, "lemma-oracle", 1) and root_only(s, "lemma-mc", 1))
+    out = experiments.lemma_moments_campaign(law, seed, **{**section, "n_envs": 1, "n_frozen": 1})
+    for v in out["verdicts"]:
+        if v["statistic"] in want:
+            assert v["n_root_only"] == 1 and not v["pass"], v["statistic"]
+    assert out["rows"] == []
+
+
 def test_theorem_estimates_the_constants_it_is_not_given(tmp_path, monkeypatch):
     """With no constants section, theorem2 estimates the constants on the
     route of estimate-constants (same seed, same estimate_constants section):
@@ -259,13 +290,16 @@ POSITIVE = " must be a finite number > 0"
     ("theorem2", "theorem2.tol", float("nan"), POSITIVE),
     ("theorem3", "theorem3.shrink", 0, POSITIVE),
     ("corollary", "corollary.tol", -0.1, POSITIVE),
+    ("estimate-constants", "estimate_constants.eps", 0, POSITIVE),
+    ("estimate-constants", "estimate_constants.eps", -1, POSITIVE),
+    ("theorem2", "estimate_constants.eps", "x", POSITIVE),
 ])
 def test_bad_size_or_grid_stops_the_command(tmp_path, monkeypatch, command, key, value,
                                             message):
     """A size below 1, or below 2 where it feeds a standard error or a
     median, a grid that is not distinct integers >= 1, lambdas that are not
-    a non-empty list of numbers in [0, ML_LAMBDA_MAX], a tol or shrink that
-    is not a finite number > 0, and a c_kappa draw with fewer than two
+    a non-empty list of numbers in [0, ML_LAMBDA_MAX], a tol, shrink or
+    discounted-sum cut eps that is not a finite number > 0, and a c_kappa draw with fewer than two
     positive B values (seed 4 draws B = (2, 0)) stop the command with a
     message naming <section>.<key>, before any walk, any sampled count tree
     (but that draw of B) and any file."""

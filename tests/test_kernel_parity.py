@@ -39,8 +39,8 @@ def _assert_same(a, b):
 def test_time_mode_parity(compiled_run_walk, law, seed):
     args = (law.tables(), seed, seed ^ 0xABCDEF, kernel.MODE_STEPS, 20000)
     snaps = [100, 5000, 20000]
-    a = compiled_run_walk(*args, snaps, collect_tree=True)
-    b = pykernel.run_walk(*args, snaps, collect_tree=True)
+    a = compiled_run_walk(*args, snaps)
+    b = pykernel.run_walk(*args, snaps)
     _assert_same(a, b)
     assert a["m"] == 20000
 
@@ -48,8 +48,8 @@ def test_time_mode_parity(compiled_run_walk, law, seed):
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_crossing_mode_parity(compiled_run_walk, seed):
     args = (SUB.tables(), seed, 1000 + seed, kernel.MODE_CROSSINGS, 200)
-    a = compiled_run_walk(*args, [10, 200], collect_tree=True)
-    b = pykernel.run_walk(*args, [10, 200], collect_tree=True)
+    a = compiled_run_walk(*args, [10, 200])
+    b = pykernel.run_walk(*args, [10, 200])
     _assert_same(a, b)
     assert a["L"] == 200
 
@@ -62,8 +62,7 @@ def test_bound_tables_follow_the_law(compiled_run_walk):
     copy = type(SUB.tables())(*(np.array(a) for a in SUB.tables()))
     for law_tables in (SUB.tables(), other.tables(), SUB.tables(), copy, other.tables()):
         args = (law_tables, 9, 10, kernel.MODE_STEPS, 3000)
-        _assert_same(compiled_run_walk(*args, [3000], collect_tree=True),
-                     pykernel.run_walk(*args, [3000], collect_tree=True))
+        _assert_same(compiled_run_walk(*args, [3000]), pykernel.run_walk(*args, [3000]))
 
 
 def test_bound_tables_under_forced_thread_switches(compiled_run_walk):
@@ -184,14 +183,8 @@ def test_budget_status_parity(compiled_run_walk):
 def test_explicit_mode_parity(compiled_run_walk):
     env = enumerate_truncated(SUB, 42, 4)
     explicit = {"parent": env["parent"], "V": env["V"]}
-    a = compiled_run_walk(
-        None, 0, 77, kernel.MODE_CROSSINGS, 500, [500], explicit=explicit,
-        collect_tree=True,
-    )
-    b = pykernel.run_walk(
-        None, 0, 77, kernel.MODE_CROSSINGS, 500, [500], explicit=explicit,
-        collect_tree=True,
-    )
+    a = compiled_run_walk(None, 0, 77, kernel.MODE_CROSSINGS, 500, [500], explicit=explicit)
+    b = pykernel.run_walk(None, 0, 77, kernel.MODE_CROSSINGS, 500, [500], explicit=explicit)
     _assert_same(a, b)
     one_node = {"parent": [-1], "V": [0.0]}
     for chain in (oracles.build_chain([0.5, 0.5, -1.0]), one_node):
@@ -211,11 +204,10 @@ def test_tree_arrays_are_owned_int64_copies(request, impl, explicit):
         run_walk = pykernel.run_walk
     if explicit:
         env = enumerate_truncated(SUB, 42, 4)
-        res = run_walk(None, 0, 77, kernel.MODE_STEPS, 2000, [2000], collect_tree=True,
+        res = run_walk(None, 0, 77, kernel.MODE_STEPS, 2000, [2000],
                        explicit={"parent": env["parent"], "V": env["V"]})
     else:
-        res = run_walk(SUB.tables(), 9, 10, kernel.MODE_STEPS, 2000, [2000],
-                       collect_tree=True)
+        res = run_walk(SUB.tables(), 9, 10, kernel.MODE_STEPS, 2000, [2000])
     names = sorted(k for k in res if k.startswith("tree_"))
     assert names == ["tree_atom", "tree_ndown", "tree_nup", "tree_parent"]
     for name in names:
@@ -242,7 +234,7 @@ def test_explicit_walk_ignores_potential_level(request, impl):
 
     def walk(shift):
         return run_walk(None, 0, 5, kernel.MODE_STEPS, 20000, [100, 20000],
-                        collect_tree=True, explicit={"parent": parent, "V": V + shift})
+                        explicit={"parent": parent, "V": V + shift})
 
     base = walk(0.0)
     assert base["L"] > 0 and (base["tree_ndown"] > 0).all()
@@ -278,9 +270,7 @@ def test_lazy_tree_matches_eager_enumeration(compiled_run_walk):
     the same child-index path of a MarkedTree grown on the same seed: the
     same atom, the same generation (the length of its parent chain) and,
     rebuilt from the marks, the same V to the last bit."""
-    res = compiled_run_walk(
-        SUB.tables(), 2024, 1, kernel.MODE_STEPS, 5000, [], collect_tree=True
-    )
+    res = compiled_run_walk(SUB.tables(), 2024, 1, kernel.MODE_STEPS, 5000, [])
     tree, t = MarkedTree(SUB, 2024), SUB.tables()
     parent, atom = res["tree_parent"], res["tree_atom"]
     n = len(parent)

@@ -20,8 +20,7 @@ CB = make_constant_bias(2.0)
 
 def test_kernel_conservation_and_clock_identity():
     p = 200
-    res = kernel.run_walk(SUB.tables(), 77, 88, kernel.MODE_CROSSINGS, p,
-                          np.arange(1, p + 1), collect_tree=True)
+    res = kernel.run_walk(SUB.tables(), 77, 88, kernel.MODE_CROSSINGS, p, np.arange(1, p + 1))
     nd, nu = res["tree_ndown"], res["tree_nup"]
     # every step crosses exactly one edge, the e* -> e steps included
     assert nd.sum() + nu.sum() == res["m"]
@@ -83,12 +82,8 @@ def test_single_step_bookkeeping():
     first move (up to e*, or down to a child of the root) are exercised."""
     seen = set()
     for walk_seed in range(20):
-        one = kernel.run_walk(
-            CB.tables(), 0, walk_seed, kernel.MODE_STEPS, 1, [1], collect_tree=True
-        )
-        two = kernel.run_walk(
-            CB.tables(), 0, walk_seed, kernel.MODE_STEPS, 2, [1, 2], collect_tree=True
-        )
+        one = kernel.run_walk(CB.tables(), 0, walk_seed, kernel.MODE_STEPS, 1, [1])
+        two = kernel.run_walk(CB.tables(), 0, walk_seed, kernel.MODE_STEPS, 2, [1, 2])
         assert (one["m"], one["t_ex"]) == (1, 1)
         assert one["tree_ndown"].sum() + one["tree_nup"].sum() == 1
         # the longer run extends the shorter one step for step
@@ -127,16 +122,7 @@ def test_excursion_budget_censoring():
 def test_explicit_tree_walk():
     """Kernel accepts a prebuilt finite chain and conserves steps on it."""
     chain = oracles.build_chain([0.3, -0.2])
-    res = kernel.run_walk(
-        None,
-        0,
-        909,
-        kernel.MODE_CROSSINGS,
-        100,
-        [100],
-        explicit=chain,
-        collect_tree=True,
-    )
+    res = kernel.run_walk(None, 0, 909, kernel.MODE_CROSSINGS, 100, [100], explicit=chain)
     assert res["status"] == kernel.STATUS_OK
     assert res["L"] == 100
     assert res["nodes_grown"] == 3
