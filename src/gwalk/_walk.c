@@ -482,14 +482,16 @@ void gw_multinomial(gw_pcg64 *gen, int64_t n, double *pvals, int64_t d, int64_t 
         random_multinomial(&bg, n, out + r * d, pvals, (intptr_t)d, &cache);
 }
 
-/* One node of a count tree: its batch row, its parent's index in the node
- * list (-1 at a root), its edge count N >= 1 and its environment key. */
+/* One node of a count tree below the roots: its batch row, its parent's
+ * index (a root is its row's number, a listed node n_rows plus its place in
+ * the list), its edge count N >= 1 and its environment key. */
 typedef struct {
     int64_t row, parent, N;
     uint64_t key;
 } gw_count;
 
-/* An expanded node of the current generation: its index, atom and gamma. */
+/* An expanded node of the current generation: its index (a root's row, or
+ * its place in the node list), atom and gamma. */
 typedef struct {
     int64_t i, atom;
     double g;
@@ -507,53 +509,51 @@ void gw_free_counts(gw_count *node)
  * g * rate[atom * width + s] per (expanded node, child slot s < width), in
  * that order; the atoms x width table holds e^{-a_s}, 0 past the atom, and
  * numpy's Poisson returns 0 at rate 0 without a draw. Each count k > 0
- * appends a child with N = k, so a generation lists its children in draw
+ * makes a child with N = k, so a generation lists its children in draw
  * order. A node is expanded when it is a root, or prune is 0, or N >= 2,
  * and, with a budget, when its row's sum of N over the generations so far,
  * this one included, is at most budget[r]. These are the draws of
  * tests/oracles.py's excursion_levels, in the same order, so a generator
  * gen seeded as the reference's numpy Generator ends where that one does.
- * sums (3 x n_rows) receives per row, over the non-root nodes, the sum of N,
- * the number of nodes and the number with N = 1. With tree_out NULL the
- * node list holds two generations at a time. Otherwise, on GW_OK, *tree_out
- * is the node list of all generations, roots first, *n_out nodes long, and
- * the caller frees it with gw_free_counts. GW_ELAM when a generation has a
- * Poisson rate numpy's Generator.poisson refuses (checked, as numpy checks
- * it, after the generation's gammas and before its first Poisson draw);
- * GW_ENOMEM when out of memory. */
+ * sums receives per row, over the non-root nodes, the sum of N, the number
+ * of nodes and the number with N = 1, in three rows of n_rows values that
+ * start `stride` values apart. The roots are never stored: each one's key
+ * and N follow from env_seeds[r] and root_counts[r]. With tree_out NULL
+ * the node list holds two generations at a time, and with prune a count-1
+ * child, which is never expanded, is counted in sums and not listed.
+ * Otherwise, on GW_OK, *tree_out is the node list of every generation
+ * below the roots, *n_out nodes long, and the caller frees it with
+ * gw_free_counts. GW_ELAM when a generation has a Poisson rate numpy's
+ * Generator.poisson refuses (checked, as numpy checks it, after the
+ * generation's gammas and before its first Poisson draw); GW_ENOMEM when
+ * out of memory. */
 int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64_t width,
               gw_pcg64 *gen, const uint64_t *env_seeds, const int64_t *root_counts,
-              const int64_t *budget, int prune, int64_t n_rows, int64_t *sums,
+              const int64_t *budget, int prune, int64_t n_rows, int64_t *sums, int64_t stride,
               gw_count **tree_out, int64_t *n_out)
 {
     /* numpy's POISSON_LAM_MAX (numpy/random/_common.pyx) */
     const double lam_max = (double)INT64_MAX - sqrt((double)INT64_MAX) * 10.0;
-    int64_t *sum_N = sums, *nodes = sums + n_rows, *ones = sums + 2 * n_rows;
-    int64_t cap = n_rows > 1024 ? n_rows : 1024, ex_cap = 1024, lo = 0, hi = n_rows;
-    int64_t n = n_rows, m, i, j, r, s, k;
+    int64_t *sum_N = sums, *nodes = sums + stride, *ones = sums + 2 * stride;
+    int64_t cap = 1024, ex_cap = 1024, lo = 0, hi = 0, n = 0, m = 0, i, j, r, s, k, up;
     gw_count *node = malloc((size_t)cap * sizeof *node), *p;
     gw_expand *ex = malloc((size_t)ex_cap * sizeof *ex), *q;
     const double *lam;
     struct bitgen bg = BITGEN(gen);
+    uint64_t key;
     int root = 1, err = GW_ENOMEM;
 
-    memset(sums, 0, (size_t)(3 * n_rows) * sizeof *sums);
-    if (!node || !ex)
+    for (j = 0; j < 3; j++)
+        memset(sums + j * stride, 0, (size_t)n_rows * sizeof *sums);
+    if (!node || !(q = grow_block(ex, &ex_cap, n_rows, sizeof *ex)))
         goto fail;
+    ex = q;
     for (r = 0; r < n_rows; r++)
-        node[r] = (gw_count){r, -1, root_counts[r], mix64(env_seeds[r] ^ ROOT_SALT)};
+        if (!budget || root_counts[r] <= budget[r])
+            ex[m++] = (gw_expand){r, atom_of(mix64(env_seeds[r] ^ ROOT_SALT), atom_cum, n_atoms),
+                                  random_standard_gamma(&bg, (double)root_counts[r])};
 
-    while (lo < hi) {
-        if (!(q = grow_block(ex, &ex_cap, hi - lo, sizeof *ex)))
-            goto fail;
-        ex = q;
-        for (m = 0, i = lo; i < hi; i++) {
-            r = node[i].row;
-            if ((root || !prune || node[i].N >= 2)
-                && (!budget || root_counts[r] + sum_N[r] <= budget[r]))
-                ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum, n_atoms),
-                                      random_standard_gamma(&bg, (double)node[i].N)};
-        }
+    for (;;) {
         for (j = 0; j < m; j++)
             for (lam = rate + ex[j].atom * width, s = 0; s < width; s++)
                 if (!(ex[j].g * lam[s] <= lam_max)) {
@@ -562,17 +562,27 @@ int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64
                 }
         for (j = 0; j < m; j++) {
             i = ex[j].i;
+            if (root) {
+                r = i;
+                up = i;
+                key = mix64(env_seeds[r] ^ ROOT_SALT);
+            } else {
+                r = node[i].row;
+                up = n_rows + i;
+                key = node[i].key;
+            }
             for (lam = rate + ex[j].atom * width, s = 0; s < width; s++) {
                 if (!(k = random_poisson(&bg, ex[j].g * lam[s])))
+                    continue;
+                sum_N[r] += k;
+                nodes[r]++;
+                ones[r] += k == 1;
+                if (k == 1 && prune && !tree_out)
                     continue;
                 if (!(p = grow_block(node, &cap, n + 1, sizeof *node)))
                     goto fail;
                 node = p;
-                r = node[i].row;
-                node[n++] = (gw_count){r, i, k, child_key(node[i].key, s)};
-                sum_N[r] += k;
-                nodes[r]++;
-                ones[r] += k == 1;
+                node[n++] = (gw_count){r, up, k, child_key(key, s)};
             }
         }
         root = 0;
@@ -583,6 +593,17 @@ int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64
             n -= hi;
         }
         hi = n;
+        if (lo == hi)
+            break;
+        if (!(q = grow_block(ex, &ex_cap, hi - lo, sizeof *ex)))
+            goto fail;
+        ex = q;
+        for (m = 0, i = lo; i < hi; i++) {
+            r = node[i].row;
+            if ((!prune || node[i].N >= 2) && (!budget || root_counts[r] + sum_N[r] <= budget[r]))
+                ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum, n_atoms),
+                                      random_standard_gamma(&bg, (double)node[i].N)};
+        }
     }
 
     free(ex);

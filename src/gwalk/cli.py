@@ -134,23 +134,24 @@ def _call(command, cfg) -> dict:
     return fn(*(ctx[n] for n in names), **cfg.get(command.replace("-", "_"), {}))
 
 
-def _write_csv(path, rows) -> None:
+def _write_csv(path, fields, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 
 
 def _emit(cfg, name, out) -> int:
     """Write the command's files and print one line per verdict; 1 when a
-    verdict failed."""
+    verdict failed. `<name>.csv` is always written: with no rows it holds
+    the header of the command's `fields`."""
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     if "constants" in out:
         text = json.dumps(out["constants"], indent=2, sort_keys=True, allow_nan=False)
         (outdir / "constants.json").write_text(text + "\n")
-    if out["rows"]:
-        _write_csv(outdir / f"{name}.csv", out["rows"])
+    rows = out["rows"]
+    _write_csv(outdir / f"{name}.csv", out.get("fields") or list(rows[0]), rows)
     stats.write_verdicts(out["verdicts"], outdir / f"{name}_verdicts.json")
     failed = 0
     for v in out["verdicts"]:

@@ -13,9 +13,12 @@ trials (1/(1+s) is the walk's P(up), `LawTables.p_up`), split among the
 children in proportion to e^{-a_i}.
 
 The one sampler is the library's `kernel.count_trees` (`gw_counts` in
-`_walk.c`), which this module and `theorem1` call. It carries (row, parent,
-key, N) per node for a batch of (environment seed, root count) rows, one
-generation at a time, so memory holds two generations of one chunk. A node's
+`_walk.c`), which this module and `theorem1` call. It grows a batch of
+(environment seed, root count) rows one generation at a time and stores
+(row, parent, key, N) per node below the roots. Unless the whole trees are
+asked for (`sample_excursion_tree`), it holds two generations of one chunk
+at a time, and with pruning only the nodes with N >= 2 among them: a count-1
+child is counted in the sums and never stored. A node's
 atom comes from its key, and the keys of the roots and of the children from
 the root and child keys of `_rng`, exactly as `env.next_level` and the walk
 kernel grow the keyed environment, so a row is quenched on its seed's
@@ -118,14 +121,16 @@ def hypothesis_sums_batch(
         nu_t   number of non-root nodes.
 
     The samples run SAMPLE_CHUNK at a time, each chunk drawing its
-    environment seeds from rng and then its trees, so memory holds two
-    generations of one chunk. Returns dict of arrays, each of length
-    n_samples."""
+    environment seeds from rng and then its trees, whose sums the library
+    writes straight into one (3, n_samples) array. So memory holds that
+    array, one chunk's seeds and root counts, and the library's two
+    generations of one chunk's nodes with N >= 2. Returns dict of views of
+    that array, each of length n_samples."""
     t = law.tables()
     sums = np.empty((3, n_samples), dtype=np.int64)
     for i in range(0, n_samples, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, n_samples - i)
         seeds = rng.integers(0, 2**64, np.empty(n, dtype=np.uint64))
-        sums[:, i : i + n] = kernel.count_trees(t, seeds, p, rng, prune=True)[0]
+        kernel.count_trees(t, seeds, p, rng, prune=True, out=sums[:, i : i + n])
     nu, nu_t, B = sums
     return {"B": B, "nu": nu, "nu_tilde": nu_t}

@@ -9,10 +9,12 @@ the plug-in constants and computes each one not given on its first read,
 with the `estimate_constants` section as its settings.
 
 Every campaign returns CSV-ready rows and verdict dicts (plus the
-constants.json payload for estimate-constants). The Monte Carlo campaigns
-run independent (environment, walk) trials with substream seeds derived
-from one master seed, on environments conditioned on survival, and reduce
-in trial order. The normalizations are regime-aware: kappa in (1,2) targets
+constants.json payload for estimate-constants). A campaign whose rows can be
+empty (lemma-moments, estimate-constants) also returns their keys as
+`fields`, so that its CSV file has a header even then. The Monte Carlo
+campaigns run independent (environment, walk) trials with substream seeds
+derived from one master seed, on environments conditioned on survival, and
+reduce in trial order. The normalizations are regime-aware: kappa in (1,2) targets
 the spectrally negative stable reference laws, kappa = 2 the Brownian laws
 with the sqrt(n log n) correction, kappa > 2 the Brownian laws with the
 two-child correlation constant.
@@ -632,6 +634,7 @@ def lemma_moments_campaign(
         _check(f"lemma_moments.{key}", value)
     _check("lemma_moments.regen_levels", regen_levels, grid=True)
     _check("lemma_moments.n_regen_samples", n_regen_samples, least=2)
+    fields = ("env", "node", "mc_mean", "oracle_mean", "se", "z")
     rows = []
     verdicts = []
 
@@ -684,16 +687,7 @@ def lemma_moments_campaign(
             z = abs(nd[x] / n_excursions - means[x]) / se
             if z > worst_z:
                 worst_z = z
-            rows.append(
-                {
-                    "env": i,
-                    "node": x,
-                    "mc_mean": nd[x] / n_excursions,
-                    "oracle_mean": means[x],
-                    "se": se,
-                    "z": z,
-                }
-            )
+            rows.append(dict(zip(fields, (i, x, nd[x] / n_excursions, means[x], se, z))))
     extra = {"n_root_only": skipped} if skipped else {}
     verdicts.append(
         stats.verdict_row(
@@ -714,7 +708,7 @@ def lemma_moments_campaign(
                 z < 4.0, se=float(se), z=float(z), n_samples=n_regen_samples,
             )
         )
-    return {"rows": rows, "verdicts": verdicts}
+    return {"rows": rows, "fields": fields, "verdicts": verdicts}
 
 
 def forest_identities_campaign(
@@ -787,10 +781,11 @@ def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **
     est = dict(consts.estimates)
     fit = est.pop("c_kappa_fit", None)
     payload = {"kappa": None if kappa == math.inf else kappa, **est}
+    fields = ("m", "m_kappa_tail")
     rows = []
     verdicts = []
     if fit is not None:
-        rows = [{"m": int(m), "m_kappa_tail": float(v)} for m, v in fit["grid"]]
+        rows = [dict(zip(fields, (int(m), float(v)))) for m, v in fit["grid"]]
         # null marks an unbounded Hill index or CI end: on few tail values,
         # top values tied with the threshold have an infinite index
         h = fit["hill"]
@@ -806,4 +801,4 @@ def estimate_constants_campaign(law: MarkLaw, kappa: float, master_seed: int, **
             "estimate_constants", "written", None, None, True, keys=sorted(payload),
         )
     )
-    return {"rows": rows, "verdicts": verdicts, "constants": payload}
+    return {"rows": rows, "fields": fields, "verdicts": verdicts, "constants": payload}

@@ -70,11 +70,15 @@ Count trees
 `count_trees` draws the edge-count trees of `excursion` (its docstring has
 the law) one generation of a whole batch at a time, with numpy's own
 gamma and Poisson from numpy's static C library, on the caller's generator
-and in the order of the numpy reference tests/oracles.excursion_levels; it
-returns per-row sums, and the node list on request. Its Poisson rates
-g e^{-a_i} multiply the law's weights `LawTables.rate`, numpy's exp of the
-marks built with the step tables, in C, one product each, so they have the
-reference's bits.
+and in the order of the numpy reference tests/oracles.excursion_levels; the
+library writes per-row sums into the caller's array (column slices too), and
+lists the nodes below the roots on request, to which `count_trees` prepends
+the roots. Without that list the library stores no root and, when pruning,
+no count-1 child, which is never expanded, so it holds at most two
+generations of the nodes it expands. Its Poisson rates g e^{-a_i} multiply
+the law's weights `LawTables.rate`, numpy's exp of the marks built with the
+step tables (an explicit tree has none), in C, one product each, so they
+have the reference's bits.
 
 Discounted sums
 ---------------
@@ -128,7 +132,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import MASK, pcg64_seed
+from ._rng import MASK, pcg64_seed, root_key_np
 from .law import LawTables, step_law
 
 MODE_STEPS = 0
@@ -188,9 +192,9 @@ def explicit_tree(explicit):
     [0, i), the children of every node at consecutive indices and one V per
     node. Raises ValueError with one of the ERR_* messages otherwise.
     Returns (tables, parent, child0): LawTables with one atom per node,
-    whose marks are the differences V(child) - V(node) (cum is None, as no
-    node is grown), and per node the lists of parent and first child (-1
-    for a leaf).
+    whose marks are the differences V(child) - V(node) (cum and rate are
+    None, as no node is grown and no count tree drawn), and per node the
+    lists of parent and first child (-1 for a leaf).
     """
     parent = [int(v) for v in explicit["parent"]]
     V = np.asarray(explicit["V"], dtype=np.float64)
@@ -214,7 +218,7 @@ def explicit_tree(explicit):
     # the non-root nodes grouped by parent, in node order: atom x's children
     kids = 1 + np.argsort(parent[1:], kind="stable")
     marks = V[kids] - V[np.array(parent)[kids]]
-    tables = LawTables(None, off, lens, marks, *step_law(off, lens, marks))
+    tables = LawTables(None, off, lens, marks, *step_law(off, lens, marks, rates=False))
     return tables, parent, child0
 
 
@@ -238,7 +242,7 @@ _ENTRY_POINTS = {
     "gw_free": (None, [ctypes.POINTER(_Arena)]),
     "gw_level": (_INT64, [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]),
     "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, _RNG, _P, _P, _P, ctypes.c_int,
-                                 _INT64, _P, ctypes.POINTER(ctypes.POINTER(_Count)),
+                                 _INT64, _P, _INT64, ctypes.POINTER(ctypes.POINTER(_Count)),
                                  ctypes.POINTER(_INT64)]),
     "gw_free_counts": (None, [ctypes.POINTER(_Count)]),
     "gw_discount": (None, [_RNG, _P, _INT64, _P, _P, _INT64, _INT64, _P, _P]),
@@ -404,7 +408,7 @@ def level_potentials(law_tables, env_seeds, level):
 
 
 def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=None,
-                keep=False):
+                keep=False, out=None):
     """Draw one edge-count tree per environment seed from rng, a `PCG64`.
 
     Row r grows on the keyed environment of env_seeds[r] from a root with
@@ -418,37 +422,51 @@ def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=Non
 
     Returns (sums, tree). sums is a (3, rows) int64 array: per row, over
     the non-root nodes, the sum of N, the number of nodes and the number
-    with N = 1. tree is None, or with keep a dict of the node arrays row,
-    parent, key and N, all generations in turn, roots first, parent
-    indexing the same arrays (-1 at a root). ValueError for a root count
-    below 1 or a Poisson rate numpy refuses ("lam value too large", as
+    with N = 1. The library writes it into `out` when given: a writeable
+    (3, rows) int64 array whose rows are C-contiguous, such as a column
+    slice of a larger array. tree is None, or with keep a dict of the node
+    arrays row, parent, key and N, all generations in turn, parent indexing
+    the same arrays (-1 at a root). The library lists no root, so this
+    function puts the roots first: rows 0..rows-1, their keys from the
+    seeds and N the root counts. ValueError, before any draw, for an `out`
+    of the wrong dtype, shape or row layout or a root count below 1, and
+    for a Poisson rate numpy refuses ("lam value too large", as
     Generator.poisson raises it); MemoryError when out of memory."""
     lib = require_library()
     seeds = np.ascontiguousarray(env_seeds, dtype=np.uint64).ravel()
     n = seeds.size
+    if out is None:
+        out = np.empty((3, n), dtype=np.int64)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64 and out.shape == (3, n)
+              and out.flags.writeable and out.strides[1] == 8
+              and out.strides[0] % 8 == 0 and out.strides[0] >= 8 * n):
+        raise ValueError(f"count_trees: out must be a writeable (3, {n}) int64 array "
+                         "with C-contiguous rows")
     roots = np.ascontiguousarray(np.broadcast_to(np.asarray(root_counts, dtype=np.int64), n))
-    if (roots < 1).any():
+    if n and roots.min() < 1:
         raise ValueError("root counts must be >= 1")
     caps = None if budget is None else np.ascontiguousarray(
         np.broadcast_to(np.asarray(budget, dtype=np.int64), n))
     cum, rate = _arrays([law_tables.cum, law_tables.rate], [np.float64] * 2)
-    sums = np.empty((3, n), dtype=np.int64)
     tree, size = ctypes.POINTER(_Count)(), _INT64()
     with rng._lock:
         err = lib.gw_counts(cum.ctypes.data, cum.size, rate.ctypes.data, rate.shape[1],
                             rng._state, seeds.ctypes.data, roots.ctypes.data,
                             None if caps is None else caps.ctypes.data, int(bool(prune)), n,
-                            sums.ctypes.data, ctypes.byref(tree) if keep else None,
+                            out.ctypes.data, out.strides[0] // 8,
+                            ctypes.byref(tree) if keep else None,
                             ctypes.byref(size) if keep else None)
     if err == _ELAM:
         raise ValueError("lam value too large")
     if err:
         raise MemoryError("count-tree sampler ran out of memory")
     if not keep:
-        return sums, None
+        return out, None
     try:
         nodes = _records(tree, size.value)
-        return sums, {f: np.array(nodes[f]) for f in ("row", "parent", "key", "N")}
+        head = {"row": np.arange(n, dtype=np.int64), "parent": np.full(n, -1, dtype=np.int64),
+                "key": root_key_np(seeds), "N": roots}
+        return out, {f: np.concatenate([h, nodes[f]]) for f, h in head.items()}
     finally:
         lib.gw_free_counts(tree)
 

@@ -72,7 +72,8 @@ class LawTables(NamedTuple):
               compare their uniform against
     rate      the (atoms x most children) table of the weights e^{-a_i},
               0 past an atom's children: per unit of the gamma draw, the
-              Poisson rates with which `gw_counts` draws the children's counts
+              Poisson rates with which `gw_counts` draws the children's counts;
+              None for an explicit tree, which no count tree grows on
     """
 
     cum: np.ndarray | None
@@ -81,12 +82,12 @@ class LawTables(NamedTuple):
     marks: np.ndarray
     p_up: np.ndarray
     step_cum: np.ndarray
-    rate: np.ndarray
+    rate: np.ndarray | None
 
 
-def step_law(off, lens, marks):
+def step_law(off, lens, marks, rates=True):
     """The walk's step law per atom and its weights: (p_up, step_cum, rate)
-    of LawTables.
+    of LawTables, rate None unless `rates`.
 
     From x the walk steps to the parent with weight e^{-V(x)} and to child
     x_i with weight e^{-V(x_i)}; V(x) cancels, so the law depends only on
@@ -101,7 +102,7 @@ def step_law(off, lens, marks):
     marks = np.asarray(marks, dtype=np.float64)
     p_up = np.ones(len(lens))  # a leaf steps up for sure
     step_cum = np.empty(len(marks))
-    rate = np.zeros((len(lens), int(lens.max(initial=0))))
+    rate = np.zeros((len(lens), int(lens.max(initial=0)))) if rates else None
     for k in set(lens.tolist()) - {0}:  # not np.unique: it imports numpy.ma
         atoms = np.flatnonzero(lens == k)
         at = off[atoms, None] + np.arange(k)  # the atoms' marks, one row each
@@ -109,7 +110,8 @@ def step_law(off, lens, marks):
         s = w.sum(axis=1)
         p_up[atoms] = 1.0 / (1.0 + s)
         step_cum[at] = p_up[atoms, None] + np.cumsum(w / (1.0 + s[:, None]), axis=1)
-        rate[atoms, :k] = w
+        if rates:
+            rate[atoms, :k] = w
     return p_up, step_cum, rate
 
 

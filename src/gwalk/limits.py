@@ -154,7 +154,8 @@ def estimate_discounted_moments(
     D is the discounted sum of the size-biased spine walk. D >= 1, so 1/D
     and 1/D^2 are bounded and their sample means are asymptotically normal.
     The sums are drawn SAMPLE_CHUNK paths per call of discounted_sums_batch,
-    each call with its one scratch buffer of at most 2**10 x 512 values;
+    each call with its one scratch buffer of at most env._SLICE_ROWS x 512
+    values (1 MB);
     that split fixes the order of the random draws, and so the estimates'
     bytes. Each chunk's D goes into one array of n_samples values, which
     then holds 1/D and then 1/D^2, in place, so memory holds at most two

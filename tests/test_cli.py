@@ -9,7 +9,8 @@ constant that is not a finite number > 0 stops the command. Every verdict file
 is strict JSON (no NaN or Infinity), also when `theorem3` censors every trial.
 `corollary` and the three theorems also run on a law whose environments can
 die, so that their survival resampling runs end to end, and so does
-`lemma-moments`, which skips an environment truncated to the root alone. A
+`lemma-moments`, which skips an environment truncated to the root alone; a
+command that returns no rows still writes its CSV, the header alone. A
 subdiffusive command loads no scipy, and no command loads numpy.ma,
 concurrent.futures, numpy.random, numpy.ctypeslib or secrets. Without
 the built library, every command but validate-law stops with the build
@@ -185,6 +186,22 @@ def test_lemma_moments_skips_root_only_environments(tmp_path):
         if v["statistic"] in want:
             assert v["n_root_only"] == 1 and not v["pass"], v["statistic"]
     assert out["rows"] == []
+
+
+def test_a_command_without_rows_writes_the_csv_header(tmp_path):
+    """A command that returns no rows still writes `<command>.csv`, holding
+    the header of the rows it would carry: lemma-moments whose one frozen
+    environment is the root alone (seed 4 on the law with extinction), which
+    fails, and estimate-constants on a diffusive law, which fits no tail."""
+    section = {**TINY["lemma-moments"], "n_envs": 1, "n_frozen": 1}
+    path = tmp_path / "lemma.json"
+    path.write_text(json.dumps({"law": EXTINCTION, "seed": 4, "lemma_moments": section}))
+    assert cli.main(["lemma-moments", "--config", str(path), "--out", str(tmp_path / "a")]) == 1
+    assert (tmp_path / "a" / "lemma_moments.csv").read_bytes() == (
+        b"env,node,mc_mean,oracle_mean,se,z\r\n")
+    files = _run(tmp_path, "estimate-constants", 1, "b",
+                 extra={"law": {"family": "two_point", "p": 0.005}})
+    assert files["estimate_constants.csv"] == b"m,m_kappa_tail\r\n"
 
 
 def test_theorem_estimates_the_constants_it_is_not_given(tmp_path, monkeypatch):

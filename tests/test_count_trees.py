@@ -5,16 +5,19 @@ atoms, with and without pruning, budgets and per-row root counts; and the
 three callers (`hypothesis_sums_batch`, `sample_excursion_tree`, a
 `theorem1` chunk) leave their generators where the reference does. The
 library draws on its own generator, `kernel.PCG64`, and the reference on
-numpy's, both seeded from the same integer."""
+numpy's, both seeded from the same integer. count_trees writes its sums
+into a caller's column slice and refuses one that does not fit before any
+draw, so hypothesis_sums_batch holds one copy of its sums."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gwalk import experiments, kernel
+from gwalk import excursion, experiments, kernel
 from gwalk.excursion import hypothesis_sums_batch, sample_excursion_tree
 from gwalk.law import load_law, make_constant_bias, make_mark_law, solve_kappa
 
@@ -147,6 +150,73 @@ def test_hypothesis_sums_match_reference(monkeypatch):
     for key, x in (("B", B), ("nu", nu), ("nu_tilde", nu_t)):
         assert out[key].tobytes() == x.tobytes()
     _assert_same_generator(rng, ref)
+
+
+def _bad_out(kind, n):
+    wide = np.zeros((3, 2 * n), dtype=np.int64)
+    frozen = np.zeros((3, n), dtype=np.int64)
+    frozen.flags.writeable = False
+    return {
+        "dtype": np.zeros((3, n), dtype=np.int32),
+        "shape": np.zeros((3, n + 1), dtype=np.int64),
+        "transposed": np.zeros((n, 3), dtype=np.int64).T,
+        "strided-columns": wide[:, ::2],
+        "overlapping-rows": np.lib.stride_tricks.as_strided(wide, (3, n), (8 * (n - 1), 8)),
+        "read-only": frozen,
+        "list": [[0] * n] * 3,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["dtype", "shape", "transposed", "strided-columns",
+                                  "overlapping-rows", "read-only", "list"])
+def test_count_trees_refuses_an_out_that_does_not_fit(kind):
+    """An `out` of the wrong dtype, shape or row layout raises ValueError
+    before any draw: the generator's state is unchanged."""
+    n = 50
+    rng = kernel.PCG64(3)
+    before = oracles.numpy_state(rng)
+    with pytest.raises(ValueError, match="out must be"):
+        kernel.count_trees(LAWS["two_point_sub"].tables(), np.arange(n, dtype=np.uint64), 1,
+                           rng, prune=True, out=_bad_out(kind, n))
+    assert oracles.numpy_state(rng) == before
+
+
+def test_count_trees_write_into_a_column_slice():
+    """With `out` a column slice of a wider array, the sums land in those
+    columns only, with the bytes and generator state of a call without it."""
+    law, n = LAWS["two_point_sub"], 300
+    seeds = np.arange(n, dtype=np.uint64)
+    want, _ = kernel.count_trees(law.tables(), seeds, 2, kernel.PCG64(8), prune=True)
+    wide = np.full((3, n + 20), -7, dtype=np.int64)
+    rng = kernel.PCG64(8)
+    got, _ = kernel.count_trees(law.tables(), seeds, 2, rng, prune=True, out=wide[:, 10:-10])
+    assert np.shares_memory(got, wide) and wide[:, 10:-10].tobytes() == want.tobytes()
+    assert (wide[:, :10] == -7).all() and (wide[:, -10:] == -7).all()
+    ref = kernel.PCG64(8)
+    kernel.count_trees(law.tables(), seeds, 2, ref, prune=True)
+    assert oracles.numpy_state(rng) == oracles.numpy_state(ref)
+
+
+@pytest.mark.parametrize("chunk", [None, 4000])
+def test_hypothesis_sums_hold_one_copy(monkeypatch, chunk):
+    """The traced peak of hypothesis_sums_batch stays under one (3, n) int64
+    result, one chunk's seeds and root counts and 16 KB, at one chunk and at
+    several: each chunk's sums are written straight into the result, and no
+    second copy of them is made."""
+    n = 20000
+    if chunk is not None:
+        monkeypatch.setattr(excursion, "SAMPLE_CHUNK", chunk)
+    c = min(n, excursion.SAMPLE_CHUNK)
+    law = LAWS["two_point_sub"]
+    law.tables()  # built and cached before tracing
+    rng = kernel.PCG64(5)
+    tracemalloc.start()
+    try:
+        hypothesis_sums_batch(law, n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (3 * n + 2 * c) + 16 * 1024
 
 
 def test_sample_excursion_tree_matches_reference():

@@ -205,7 +205,9 @@ def test_step_law_matches_per_atom_loop():
     shipped laws, the laws the tests build, explicit trees (leaves are atoms
     without marks) and ragged atoms of up to 40 marks. Atoms of 8 or more
     marks, which numpy sums pairwise, come mixed with shorter ones: explicit
-    trees of a law with 2 or 9 children, and 10^4 atoms of 1 to 20 marks."""
+    trees of a law with 2 or 9 children, and 10^4 atoms of 1 to 20 marks.
+    An explicit tree's tables carry no weight table, as no count tree grows
+    on it; its weights are checked as step_law computes them."""
     from gwalk.env import enumerate_truncated
 
     laws = [_config_law(name) for name in (
@@ -216,10 +218,13 @@ def test_step_law_matches_per_atom_loop():
              make_mark_law([(1.0, (-math.log(0.9), -math.log(0.6)))])]
     nine = make_mark_law([(0.5, tuple(0.37 * i - 1.1 for i in range(9))), (0.5, (0.7, 1.9))])
     tables = [law.tables() for law in laws + [nine]]
-    tables += [_explicit_tables(enumerate_truncated(make_two_point(0.068), s, 4))
-               for s in (314, 2718)]
-    tables += [_explicit_tables(enumerate_truncated(nine, s, 3)) for s in (5, 6)]
-    tables += [_explicit_tables(oracles.build_chain([0.5, -0.25, 1.0]))]
+    explicit = [_explicit_tables(enumerate_truncated(make_two_point(0.068), s, 4))
+                for s in (314, 2718)]
+    explicit += [_explicit_tables(enumerate_truncated(nine, s, 3)) for s in (5, 6)]
+    explicit += [_explicit_tables(oracles.build_chain([0.5, -0.25, 1.0]))]
+    assert all(t.rate is None for t in explicit)
+    # an explicit tree's weights, as step_law computes them for a law
+    tables += [t._replace(rate=law_mod.step_law(t.off, t.lens, t.marks)[2]) for t in explicit]
     rng = np.random.default_rng(12)
     shapes = [rng.integers(0, 40, size=rng.integers(1, 12)) for _ in range(200)]
     for lens in shapes + [rng.integers(1, 21, size=10**4)]:
