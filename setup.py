@@ -15,13 +15,14 @@ discounted sums in the library, and stops with a message naming the build
 command when it is not built. The tests build the library for their session
 when the checkout has none.
 
-Every draw of the package runs in the library, on its own PCG64 generator
-(`gwalk.kernel.PCG64`), through numpy's own distributions, linked from the
-static `libnpyrandom.a` that numpy ships in `numpy/random/lib` (found
-without importing numpy): the count trees' gamma and Poisson
-(`random_standard_gamma`, `random_poisson`), the discounted sums' uniforms
-(`random_standard_uniform_fill`), and the bounded integers and multinomial
-rows of the rest (`random_bounded_uint64_fill`, `random_multinomial`). The
+Every draw of the package runs in the library, on its own PCG64 generators
+(`gwalk.kernel.PCG64`, and one per count-tree row), through numpy's own
+distributions, linked from the static `libnpyrandom.a` that numpy ships in
+`numpy/random/lib` (found without importing numpy): the count trees' gamma
+and Poisson (`random_standard_gamma`, `random_poisson`), the discounted
+sums' uniforms (`random_standard_uniform_fill`), and the bounded integers
+and multinomial rows of the rest (`random_bounded_uint64_fill`,
+`random_multinomial`). The
 generator's streams, numpy's SeedSequence and PCG64, are computed by the
 package itself and equal numpy's on any numpy version, since numpy keeps
 them fixed. The distributions' draws equal those of the numpy Generator

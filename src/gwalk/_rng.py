@@ -7,7 +7,8 @@ with a vectorised twin: ``mix64_np``, ``root_key_np``, ``child_key_np``,
 The plain-C kernel ``_walk.c`` keeps its own copy of exactly these integer
 operations, which is what makes it and the tests' Python reference
 (tests/pykernel.py) produce bit-identical output for the same seeds, and of
-``PCG64_MULT``, the multiplier of its PCG64 generator.
+``PCG64_MULT``, the multiplier of its PCG64 generator, and the ``STREAM_*``
+constants of its count-tree rows.
 
 Substream discipline
 --------------------
@@ -30,6 +31,14 @@ its PCG64 seeding, in plain-int arithmetic, so ``kernel.PCG64(seed)``
 starts in the state of ``np.random.default_rng(seed)`` and no command
 imports ``numpy.random``. PCG64 is O'Neill's 128-bit LCG with the XSL-RR
 output (HMC-CS-2014-0905); numpy keeps both streams fixed across versions.
+
+A count-tree row draws on a PCG64 stream of its own, seeded from the row's
+64-bit walk seed ``w`` without a SeedSequence: the state is
+``mix64(w ^ STREAM_SALT_HI) << 64 | mix64(w ^ STREAM_SALT_LO)`` and the
+increment the fixed odd ``STREAM_INC``. So a row's draws depend on its own
+seeds alone, not on the rows drawn with it (Salmon et al., *Parallel random
+numbers: as easy as 1, 2, 3*, SC 2011), and seeding a row costs two
+``mix64``.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ GOLDEN = 0x9E3779B97F4A7C15
 ROOT_SALT = 0xD1B54A32D192ED03
 
 TWO_NEG53 = 1.0 / (1 << 53)  # (z >> 11) * TWO_NEG53 is uniform on [0, 1)
+
+# the PCG64 stream of a count-tree row (see Generator seeding)
+STREAM_SALT_HI = 0x2545F4914F6CDD1D
+STREAM_SALT_LO = 0xA0761D6478BD642F
+STREAM_INC = 0x5851F42D4C957F2D14057B7EF767814F
 
 
 def mix64(x: int) -> int:

@@ -13,26 +13,27 @@
  * on one arena per call. The four tree entry points grow nodes through one
  * atom_of and one child_key; atom_of and gw_discount's increment lookup
  * share one branch-free count, count_le. The four drawing entry points
- * (gw_counts, gw_discount, gw_integers, gw_multinomial) draw on the
- * caller's generator, a gw_pcg64: numpy's PCG64 (next64, next32,
- * next_double) over a state the caller owns, which each call wraps in
- * numpy's bit generator interface on its stack. numpy's own gamma,
- * Poisson, uniform fill, bounded integers and multinomial (its static
- * libnpyrandom.a, linked by setup.py) then draw what a numpy Generator
- * seeded alike draws.
+ * draw on a gw_pcg64: numpy's PCG64 (next64, next32, next_double), wrapped
+ * in numpy's bit generator interface on the call's stack. gw_discount,
+ * gw_integers and gw_multinomial draw on the caller's generator; gw_counts
+ * seeds one per row from the row's walk seed. numpy's own gamma, Poisson,
+ * uniform fill, bounded integers and multinomial (its static
+ * libnpyrandom.a, linked by setup.py) then draw what a numpy Generator in
+ * the same state draws.
  * The references, checked bit for bit: tests/pykernel.py, with the same
  * arena, RNG stream and comparisons in the same order, for the walk
  * (tests/test_kernel_parity.py); the numpy references in tests/oracles.py
  * for gw_level and gw_discount (tests/test_env.py) and for gw_counts
- * (tests/test_count_trees.py); np.random.default_rng for the generator,
- * gw_integers and gw_multinomial (tests/test_generator.py). Every drawing
- * entry point is checked with the generator's state after.
+ * (tests/test_count_trees.py, row by row); np.random.default_rng for the
+ * generator, gw_integers and gw_multinomial (tests/test_generator.py).
+ * Every drawing entry point is checked with the generator's state after.
  *
  * The file holds no Python API and no global mutable state: gwalk.kernel
  * calls it through ctypes, which releases the GIL, so calls on several
  * threads run in parallel; the only state they share is gw_walks' trial
  * counter, which the caller owns and they advance atomically, and a
- * generator, around whose draws gwalk.kernel.PCG64 holds a lock.
+ * caller's generator, around whose draws gwalk.kernel.PCG64 holds a lock.
+ * gw_counts shares none: its rows' generators live on its stack.
  * gwalk.kernel restates gw_node, gw_arena, gw_stats, gw_count and gw_pcg64
  * by hand, and the return and parameter types of every function defined
  * here without `static` in one table, _ENTRY_POINTS;
@@ -51,6 +52,12 @@
 /* splitmix64, as in _rng.py (the reference for these constants) */
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define ROOT_SALT 0xD1B54A32D192ED03ULL
+/* the PCG64 stream of a count-tree row (gw_counts), as _rng.py's
+ * STREAM_SALT_HI, STREAM_SALT_LO and STREAM_INC */
+#define STREAM_SALT_HI 0x2545F4914F6CDD1DULL
+#define STREAM_SALT_LO 0xA0761D6478BD642FULL
+#define STREAM_INC_HI 0x5851F42D4C957F2DULL
+#define STREAM_INC_LO 0x14057B7EF767814FULL
 #define TWO_NEG53 (1.0 / 9007199254740992.0)
 
 static inline uint64_t mix64(uint64_t x)
@@ -482,16 +489,16 @@ void gw_multinomial(gw_pcg64 *gen, int64_t n, double *pvals, int64_t d, int64_t 
         random_multinomial(&bg, n, out + r * d, pvals, (intptr_t)d, &cache);
 }
 
-/* One node of a count tree below the roots: its batch row, its parent's
- * index (a root is its row's number, a listed node n_rows plus its place in
- * the list), its edge count N >= 1 and its environment key. */
+/* One node of a count tree: its batch row, its parent's place among its
+ * row's nodes (-1 at the root), its edge count N >= 1 and its environment
+ * key. */
 typedef struct {
     int64_t row, parent, N;
     uint64_t key;
 } gw_count;
 
-/* An expanded node of the current generation: its index (a root's row, or
- * its place in the node list), atom and gamma. */
+/* An expanded node of the current generation: its index in the node list,
+ * atom and gamma. */
 typedef struct {
     int64_t i, atom;
     double g;
@@ -502,108 +509,117 @@ void gw_free_counts(gw_count *node)
     free(node);
 }
 
-/* The edge-count trees of n_rows excursions, one generation of the whole
- * batch at a time. Row r grows on the keyed environment env_seeds[r] from a
- * root with N = root_counts[r]. Per generation, one gamma draw with shape N
- * per expanded node, in node order, then one Poisson draw with rate
+/* The edge-count trees of n_rows excursions, one row after another, each
+ * on its own generator: row r draws on numpy's PCG64 in the state
+ * (mix64(w ^ STREAM_SALT_HI), mix64(w ^ STREAM_SALT_LO)) as high and low
+ * words, with the increment STREAM_INC, for its walk seed w. It grows on
+ * the keyed environment of its environment seed from a root with N its
+ * root count. Row r's walk seed, environment seed, root count and budget
+ * are walk_seeds[r * walk_stride], env_seeds[r * env_stride],
+ * root_counts[r * root_stride] and budget[r * budget_stride] (stride 0:
+ * one value for every row). Per generation of the row, one gamma draw with
+ * shape N per expanded node, in node order, then one Poisson draw with rate
  * g * rate[atom * width + s] per (expanded node, child slot s < width), in
  * that order; the atoms x width table holds e^{-a_s}, 0 past the atom, and
  * numpy's Poisson returns 0 at rate 0 without a draw. Each count k > 0
  * makes a child with N = k, so a generation lists its children in draw
- * order. A node is expanded when it is a root, or prune is 0, or N >= 2,
+ * order. A node is expanded when it is the root, or prune is 0, or N >= 2,
  * and, with a budget, when its row's sum of N over the generations so far,
- * this one included, is at most budget[r]. These are the draws of
- * tests/oracles.py's excursion_levels, in the same order, so a generator
- * gen seeded as the reference's numpy Generator ends where that one does.
+ * this one and the root included, is at most the row's budget. These are
+ * the draws of tests/oracles.py's excursion_levels on one row and that
+ * row's generator, in the same order, so a row depends on its own seeds,
+ * root count and budget alone, and a budget only cuts it.
  * sums receives per row, over the non-root nodes, the sum of N, the number
  * of nodes and the number with N = 1, in three rows of n_rows values that
- * start `stride` values apart. The roots are never stored: each one's key
- * and N follow from env_seeds[r] and root_counts[r]. With tree_out NULL
- * the node list holds two generations at a time, and with prune a count-1
- * child, which is never expanded, is counted in sums and not listed.
- * Otherwise, on GW_OK, *tree_out is the node list of every generation
- * below the roots, *n_out nodes long, and the caller frees it with
- * gw_free_counts. GW_ELAM when a generation has a Poisson rate numpy's
+ * start `stride` values apart. With tree_out NULL the node list holds two
+ * generations of one row at a time, and with prune a count-1 child, which
+ * is never expanded, is counted in sums and not listed. Otherwise, on
+ * GW_OK, *tree_out is the node list of every row in turn, each row's root
+ * and then its generations, *n_out nodes long, and the caller frees it
+ * with gw_free_counts. With ends, ends[r] receives row r's generator after
+ * its last draw. GW_ELAM when a generation has a Poisson rate numpy's
  * Generator.poisson refuses (checked, as numpy checks it, after the
- * generation's gammas and before its first Poisson draw); GW_ENOMEM when
- * out of memory. */
+ * generation's gammas and before its first Poisson draw; ends then holds
+ * that row's generator there); GW_ENOMEM when out of memory. */
 int gw_counts(const double *atom_cum, int64_t n_atoms, const double *rate, int64_t width,
-              gw_pcg64 *gen, const uint64_t *env_seeds, const int64_t *root_counts,
-              const int64_t *budget, int prune, int64_t n_rows, int64_t *sums, int64_t stride,
-              gw_count **tree_out, int64_t *n_out)
+              const uint64_t *env_seeds, int64_t env_stride, const uint64_t *walk_seeds,
+              int64_t walk_stride, const int64_t *root_counts, int64_t root_stride,
+              const int64_t *budget, int64_t budget_stride, int prune, int64_t n_rows,
+              int64_t *sums, int64_t stride, gw_count **tree_out, int64_t *n_out,
+              gw_pcg64 *ends)
 {
     /* numpy's POISSON_LAM_MAX (numpy/random/_common.pyx) */
     const double lam_max = (double)INT64_MAX - sqrt((double)INT64_MAX) * 10.0;
-    int64_t *sum_N = sums, *nodes = sums + stride, *ones = sums + 2 * stride;
-    int64_t cap = 1024, ex_cap = 1024, lo = 0, hi = 0, n = 0, m = 0, i, j, r, s, k, up;
+    int64_t cap = 1024, ex_cap = 1024, n = 0, base, lo, hi, m, i, j, r, s, k, total, nodes, ones;
     gw_count *node = malloc((size_t)cap * sizeof *node), *p;
     gw_expand *ex = malloc((size_t)ex_cap * sizeof *ex), *q;
     const double *lam;
-    struct bitgen bg = BITGEN(gen);
-    uint64_t key;
-    int root = 1, err = GW_ENOMEM;
+    gw_pcg64 gen;
+    struct bitgen bg = BITGEN(&gen);
+    uint64_t w, key;
+    int err = GW_ENOMEM;
 
-    for (j = 0; j < 3; j++)
-        memset(sums + j * stride, 0, (size_t)n_rows * sizeof *sums);
-    if (!node || !(q = grow_block(ex, &ex_cap, n_rows, sizeof *ex)))
+    if (!node || !ex)
         goto fail;
-    ex = q;
-    for (r = 0; r < n_rows; r++)
-        if (!budget || root_counts[r] <= budget[r])
-            ex[m++] = (gw_expand){r, atom_of(mix64(env_seeds[r] ^ ROOT_SALT), atom_cum, n_atoms),
-                                  random_standard_gamma(&bg, (double)root_counts[r])};
-
-    for (;;) {
-        for (j = 0; j < m; j++)
-            for (lam = rate + ex[j].atom * width, s = 0; s < width; s++)
-                if (!(ex[j].g * lam[s] <= lam_max)) {
-                    err = GW_ELAM;
-                    goto fail;
-                }
-        for (j = 0; j < m; j++) {
-            i = ex[j].i;
-            if (root) {
-                r = i;
-                up = i;
-                key = mix64(env_seeds[r] ^ ROOT_SALT);
-            } else {
-                r = node[i].row;
-                up = n_rows + i;
-                key = node[i].key;
-            }
-            for (lam = rate + ex[j].atom * width, s = 0; s < width; s++) {
-                if (!(k = random_poisson(&bg, ex[j].g * lam[s])))
-                    continue;
-                sum_N[r] += k;
-                nodes[r]++;
-                ones[r] += k == 1;
-                if (k == 1 && prune && !tree_out)
-                    continue;
-                if (!(p = grow_block(node, &cap, n + 1, sizeof *node)))
-                    goto fail;
-                node = p;
-                node[n++] = (gw_count){r, up, k, child_key(key, s)};
-            }
-        }
-        root = 0;
-        if (tree_out) {
-            lo = hi;
-        } else {
-            memmove(node, node + hi, (size_t)(n - hi) * sizeof *node);
-            n -= hi;
-        }
-        hi = n;
-        if (lo == hi)
-            break;
-        if (!(q = grow_block(ex, &ex_cap, hi - lo, sizeof *ex)))
+    for (r = 0; r < n_rows; r++) {
+        w = walk_seeds[r * walk_stride];
+        gen = (gw_pcg64){mix64(w ^ STREAM_SALT_HI), mix64(w ^ STREAM_SALT_LO), STREAM_INC_HI,
+                         STREAM_INC_LO, 0, 0};
+        base = tree_out ? n : 0;
+        if (!(p = grow_block(node, &cap, base + 1, sizeof *node)))
             goto fail;
-        ex = q;
-        for (m = 0, i = lo; i < hi; i++) {
-            r = node[i].row;
-            if ((!prune || node[i].N >= 2) && (!budget || root_counts[r] + sum_N[r] <= budget[r]))
-                ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum, n_atoms),
-                                      random_standard_gamma(&bg, (double)node[i].N)};
+        node = p;
+        total = root_counts[r * root_stride];
+        node[base] = (gw_count){r, -1, total, mix64(env_seeds[r * env_stride] ^ ROOT_SALT)};
+        n = hi = base + 1;
+        lo = base;
+        nodes = ones = 0;
+        while (lo < hi && (!budget || total <= budget[r * budget_stride])) {
+            if (!(q = grow_block(ex, &ex_cap, hi - lo, sizeof *ex)))
+                goto fail;
+            ex = q;
+            for (m = 0, i = lo; i < hi; i++)
+                if (i == base || !prune || node[i].N >= 2)
+                    ex[m++] = (gw_expand){i, atom_of(node[i].key, atom_cum, n_atoms),
+                                          random_standard_gamma(&bg, (double)node[i].N)};
+            for (j = 0; j < m; j++)
+                for (lam = rate + ex[j].atom * width, s = 0; s < width; s++)
+                    if (!(ex[j].g * lam[s] <= lam_max)) {
+                        if (ends)
+                            ends[r] = gen;
+                        err = GW_ELAM;
+                        goto fail;
+                    }
+            for (j = 0; j < m; j++) {
+                i = ex[j].i;
+                key = node[i].key;
+                for (lam = rate + ex[j].atom * width, s = 0; s < width; s++) {
+                    if (!(k = random_poisson(&bg, ex[j].g * lam[s])))
+                        continue;
+                    total += k;
+                    nodes++;
+                    ones += k == 1;
+                    if (k == 1 && prune && !tree_out)
+                        continue;
+                    if (!(p = grow_block(node, &cap, n + 1, sizeof *node)))
+                        goto fail;
+                    node = p;
+                    node[n++] = (gw_count){r, i - base, k, child_key(key, s)};
+                }
+            }
+            if (!tree_out) {
+                memmove(node, node + hi, (size_t)(n - hi) * sizeof *node);
+                n -= hi;
+                hi = 0;
+            }
+            lo = hi;
+            hi = n;
         }
+        sums[r] = total - root_counts[r * root_stride];
+        sums[stride + r] = nodes;
+        sums[2 * stride + r] = ones;
+        if (ends)
+            ends[r] = gen;
     }
 
     free(ex);

@@ -1,5 +1,5 @@
-"""Excursion trees sampled directly from their branching law, one generation
-of a whole batch at a time, and the moment sums behind the forest hypotheses.
+"""Excursion trees sampled directly from their branching law, one tree at a
+time on its own generator, and the moment sums behind the forest hypotheses.
 
 The walk up to tau^p (the p-th return to e*) visits a random subtree;
 attaching to every visited node x its edge local time N_x turns the pair
@@ -13,12 +13,13 @@ trials (1/(1+s) is the walk's P(up), `LawTables.p_up`), split among the
 children in proportion to e^{-a_i}.
 
 The one sampler is the library's `kernel.count_trees` (`gw_counts` in
-`_walk.c`), which this module and `theorem1` call. It grows a batch of
-(environment seed, root count) rows one generation at a time and stores
-(row, parent, key, N) per node below the roots. Unless the whole trees are
-asked for (`sample_excursion_tree`), it holds two generations of one chunk
-at a time, and with pruning only the nodes with N >= 2 among them: a count-1
-child is counted in the sums and never stored. A node's
+`_walk.c`), which this module and `theorem1` call. A row is an
+(environment seed, walk seed, root count): the library grows it one
+generation at a time on the PCG64 stream of its walk seed, then the next
+row, and stores (row, parent, key, N) per node. Unless the whole trees are
+asked for (`sample_excursion_tree`), it holds two generations of one row
+at a time, and with pruning only the nodes with N >= 2 among them: a
+count-1 child is counted in the sums and never stored. A node's
 atom comes from its key, and the keys of the roots and of the children from
 the root and child keys of `_rng`, exactly as `env.next_level` and the walk
 kernel grow the keyed environment, so a row is quenched on its seed's
@@ -26,10 +27,11 @@ environment. Every environment node occurs at most once in a tree, so fresh
 seeds per row give the annealed law. Counts at depth <= d depend only on
 their ancestors: stopping after generation d samples the tree truncated at
 depth d exactly. The draws are numpy's own gamma and Poisson, linked from
-numpy's C library and made on the caller's generator in the order of the
-numpy reference `tests/oracles.excursion_levels`: per generation one gamma
-per expanded node, then one Poisson per (node, child slot). So the library
-returns the reference's bytes and leaves the generator in the same state.
+numpy's C library and made in the order of the numpy reference
+`tests/oracles.excursion_levels` on the row alone and the row's generator:
+per generation one gamma per expanded node, then one Poisson per (node,
+child slot). So each row has the reference's bytes, and a row's bytes do
+not depend on how many rows are drawn with it.
 
 By tau^p every edge has been crossed as often up as down, so
 tau^p = 2 sum_x N_x over the tree, root included (N_root = p), and the
@@ -61,18 +63,21 @@ __all__ = [
     "SAMPLE_CHUNK",
 ]
 
-# samples per batch of the annealed samplers (here and in
+# samples per batch of the annealed samplers (here, in forest and in
 # limits.estimate_discounted_moments): memory holds one batch's scratch
 SAMPLE_CHUNK = 2**17
+# rows per seed slice of hypothesis_sums_batch, at most: 64 KB of seed pairs
+SEED_SLICE = 2**12
 
 
 @dataclass
 class ExcursionBatch:
     """The complete trees of one `sample_excursion_tree` call.
 
-    Node arrays in generation order (roots first), sorted by row within a
-    generation; parent indexes the same arrays (-1 at a root). Rows whose
-    tree passed the budget are flagged in `over` and hold no nodes."""
+    Node arrays row after row, each row's root and then its generations in
+    turn; parent is the place of a node's parent among its row's nodes (-1
+    at the root). Rows whose tree passed the budget are flagged in `over`
+    and hold no nodes."""
 
     row: np.ndarray
     parent: np.ndarray
@@ -84,29 +89,21 @@ class ExcursionBatch:
         return len(self.row)
 
 
-def sample_excursion_tree(
-    law: MarkLaw,
-    env_seeds,
-    p,
-    rng: kernel.PCG64,
-    budget=None,
-) -> ExcursionBatch:
+def sample_excursion_tree(law: MarkLaw, env_seeds, walk_seeds, p, budget=None) -> ExcursionBatch:
     """(Visited set, counts) at tau^p on every environment of env_seeds,
-    no walk involved: the whole trees of `kernel.count_trees`. A tree whose
-    sum of N passes the budget is cut and dropped; its row is flagged in
-    `over`, so the batch holds complete trees only."""
-    sums, tree = kernel.count_trees(law.tables(), env_seeds, p, rng, budget=budget, keep=True)
-    row, parent, key, N = tree["row"], tree["parent"], tree["key"], tree["N"]
-    if budget is None:
-        over = np.zeros(sums.shape[1], dtype=bool)
-    else:
+    row r drawn on the stream of walk_seeds[r], no walk involved: the whole
+    trees of `kernel.count_trees`. A tree whose sum of N passes the budget
+    is cut and dropped; its row is flagged in `over`, so the batch holds
+    complete trees only."""
+    sums, tree = kernel.count_trees(law.tables(), env_seeds, walk_seeds, p, budget=budget,
+                                    keep=True)
+    over = np.zeros(sums.shape[1], dtype=bool)
+    if budget is not None:
         over = sums[0] + np.asarray(p) > np.asarray(budget)  # the sum of N, root included
-    keep = ~over[row]
-    if not keep.all():
-        new = np.cumsum(keep) - 1
-        parent = np.where(parent >= 0, new[parent], -1)
-        row, parent, key, N = (x[keep] for x in (row, parent, key, N))
-    return ExcursionBatch(row, parent, key, N, over)
+        if over.any():
+            keep = ~over[tree["row"]]  # whole rows, so parents keep their places
+            tree = {f: x[keep] for f, x in tree.items()}
+    return ExcursionBatch(**tree, over=over)
 
 
 def hypothesis_sums_batch(
@@ -120,17 +117,19 @@ def hypothesis_sums_batch(
         nu     sum of N over the non-root nodes,
         nu_t   number of non-root nodes.
 
-    The samples run SAMPLE_CHUNK at a time, each chunk drawing its
-    environment seeds from rng and then its trees, whose sums the library
-    writes straight into one (3, n_samples) array. So memory holds that
-    array, one chunk's seeds and root counts, and the library's two
-    generations of one chunk's nodes with N >= 2. Returns dict of views of
-    that array, each of length n_samples."""
+    Sample i draws on the (environment, walk) seed pair made of rng's
+    draws 2i and 2i + 1. The pairs are drawn min(SAMPLE_CHUNK, SEED_SLICE)
+    samples at a time, into one reused slice, and the library writes each
+    slice's sums straight into one (3, n_samples) array. So memory holds
+    that array, one slice of seed pairs and the library's two generations
+    of one row, and the bytes do not depend on the slice size. Returns dict
+    of views of that array, each of length n_samples."""
     t = law.tables()
     sums = np.empty((3, n_samples), dtype=np.int64)
-    for i in range(0, n_samples, SAMPLE_CHUNK):
-        n = min(SAMPLE_CHUNK, n_samples - i)
-        seeds = rng.integers(0, 2**64, np.empty(n, dtype=np.uint64))
-        kernel.count_trees(t, seeds, p, rng, prune=True, out=sums[:, i : i + n])
+    seeds = np.empty((max(1, min(SAMPLE_CHUNK, SEED_SLICE, n_samples)), 2), dtype=np.uint64)
+    for i in range(0, n_samples, len(seeds)):
+        pairs = rng.integers(0, 2**64, seeds[: n_samples - i])
+        kernel.count_trees(t, pairs[:, 0], pairs[:, 1], p, prune=True,
+                           out=sums[:, i : i + len(pairs)])
     nu, nu_t, B = sums
     return {"B": B, "nu": nu, "nu_tilde": nu_t}

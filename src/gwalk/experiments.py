@@ -30,7 +30,7 @@ import numpy as np
 
 from . import excursion, forest, kernel, limits, stats, walk
 from . import law as law_mod
-from ._rng import derive_seed, derive_seed_np
+from ._rng import child_key_np, derive_seed, derive_seed_np
 from .env import enumerate_truncated, environment_survives, level_weights_batch
 from .law import MarkLaw, regime_of
 from .oracle import FiniteChain
@@ -357,9 +357,11 @@ def theorem1_campaign(
     - p (root included), and counts add over excursions on a fixed
     environment. Each trial draws one `kernel.count_trees` row per increment
     of p_grid on its environment (root counts p_1, p_2 - p_1, ...), and
-    T^{p_j} is the running sum of 2 sum N - (p_j - p_{j-1}). Trials run
-    THEOREM1_CHUNK at a time, each chunk with its own rng, so memory is two
-    generations of a chunk.
+    T^{p_j} is the running sum of 2 sum N - (p_j - p_{j-1}). Row j of
+    trial t draws on the stream of child_key(walk seed of t, j), so a
+    trial's draws depend on its seeds alone, not on THEOREM1_CHUNK, the
+    threads or the other trials. Trials run THEOREM1_CHUNK to a library
+    call, which holds two generations of one row at a time.
 
     Each row of a trial with W proxy w has the budget
     (Z_BUDGET w^k b_{p_max} + p_max) / 2 on its sum of N. A row past it has
@@ -378,7 +380,7 @@ def theorem1_campaign(
     p_grid = sorted(int(p) for p in p_grid)
     dp = np.diff(p_grid, prepend=0)
     k = len(p_grid)
-    env_seeds, _ = trial_seeds(master_seed, "theorem1", n_trials)
+    env_seeds, walk_seeds = trial_seeds(master_seed, "theorem1", n_trials)
     _surviving(law, env_seeds, "theorem1")
     w_k = w_hat_batch(law, env_seeds) ** consts.gamma
     b_max = consts.return_time_scale(p_grid[-1])
@@ -390,11 +392,11 @@ def theorem1_campaign(
     def one(c: int) -> None:
         t = slice(c * THEOREM1_CHUNK, min((c + 1) * THEOREM1_CHUNK, n_trials))
         m = t.stop - t.start
-        rng = kernel.PCG64(derive_seed(master_seed, "theorem1", c, "walk"))
         budget = np.repeat(cap[t], k)
         roots = np.tile(dp, m)
-        sums, _ = kernel.count_trees(tables, np.repeat(env_seeds[t], k), roots, rng,
-                                     budget=budget)
+        sums, _ = kernel.count_trees(tables, np.repeat(env_seeds[t], k),
+                                     child_key_np(walk_seeds[t, None], np.arange(k)).ravel(),
+                                     roots, budget=budget)
         total = sums[0] + roots  # the sum of N, root included
         T[t] = np.cumsum((2 * total).reshape(m, k) - dp, axis=1)
         over[t] = (total > budget).reshape(m, k)

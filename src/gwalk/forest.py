@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import excursion
 from .excursion import ExcursionBatch, sample_excursion_tree
 from .kernel import PCG64
 from .law import MarkLaw
@@ -133,19 +134,14 @@ def typed_tree(parent, beta) -> TypedTree:
 def typed_from_excursion(batch: ExcursionBatch) -> list[TypedTree]:
     """The trees of an excursion batch sampled at root count 1, as typed
     source trees in row order (rows over the budget hold no tree)."""
-    roots = batch.parent < 0
+    roots = np.flatnonzero(batch.parent < 0)
     if (batch.N[roots] != 1).any():
         raise ValueError(
             "forest source trees need root count 1; sample at p = 1"
         )
-    # per row, its nodes in generation order; local ids by position in the row
-    order = np.argsort(batch.row, kind="stable")
-    bounds = np.r_[np.flatnonzero(roots[order]), order.size]
-    local = np.empty(order.size, dtype=np.int64)
-    local[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
-    parent = np.where(roots, -1, local[batch.parent])[order]
-    N = batch.N[order]
-    return [typed_tree(parent[s:e], N[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+    # a row's nodes run from its root to the next root, parents by place
+    bounds = np.r_[roots, batch.parent.size]
+    return [typed_tree(batch.parent[s:e], batch.N[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -162,22 +158,30 @@ def sample_typed_forest(
     max_resample: int = 200,
 ) -> list[TypedTree]:
     """n_trees independent single-excursion trees, fresh environment each,
-    sampled as one batch.
+    sampled SAMPLE_CHUNK trees at a time.
 
-    A tree whose sum of N (beta) passes the budget is redrawn with a fresh
-    seed, so the returned sample is size-truncated; fine for exact-identity
-    checks, which hold tree by tree, but do not feed it to tail estimators.
-    At the default budget none of 20,000 trees drawn on two_point_sub was
-    redrawn (a large tree there holds one node per about 4 units of N)."""
+    Each attempt at a tree draws an (environment, walk) seed pair from rng:
+    first one per tree in order, then, round after round, one per tree
+    still to be drawn, again in order. So the trees do not depend on
+    SAMPLE_CHUNK. A tree whose sum of N (beta) passes the budget is redrawn
+    in the next round, so the returned sample is size-truncated; fine for
+    exact-identity checks, which hold tree by tree, but do not feed it to
+    tail estimators. At the default budget none of 20,000 trees drawn on
+    two_point_sub was redrawn (a large tree there holds one node per about
+    4 units of N)."""
     out: list[TypedTree | None] = [None] * n_trees
     todo = np.arange(n_trees)
     redrawn = 0
     while todo.size:
-        seeds = rng.integers(0, 2**64, np.empty(todo.size, dtype=np.uint64))
-        batch = sample_excursion_tree(law, seeds, 1, rng, budget=budget)
-        for i, t in zip(todo[~batch.over], typed_from_excursion(batch)):
-            out[i] = t
-        todo = todo[batch.over]
+        over = []
+        for lo in range(0, todo.size, excursion.SAMPLE_CHUNK):
+            rows = todo[lo : lo + excursion.SAMPLE_CHUNK]
+            seeds = rng.integers(0, 2**64, np.empty((rows.size, 2), dtype=np.uint64))
+            batch = sample_excursion_tree(law, seeds[:, 0], seeds[:, 1], 1, budget=budget)
+            for i, t in zip(rows[~batch.over], typed_from_excursion(batch)):
+                out[i] = t
+            over.append(rows[batch.over])
+        todo = np.concatenate(over)
         redrawn += todo.size
         if redrawn > max_resample:
             raise StepBudgetExceeded(

@@ -68,14 +68,17 @@ and W keeps the bits of the numpy reference.
 Count trees
 -----------
 `count_trees` draws the edge-count trees of `excursion` (its docstring has
-the law) one generation of a whole batch at a time, with numpy's own
-gamma and Poisson from numpy's static C library, on the caller's generator
-and in the order of the numpy reference tests/oracles.excursion_levels; the
-library writes per-row sums into the caller's array (column slices too), and
-lists the nodes below the roots on request, to which `count_trees` prepends
-the roots. Without that list the library stores no root and, when pruning,
-no count-1 child, which is never expanded, so it holds at most two
-generations of the nodes it expands. Its Poisson rates g e^{-a_i} multiply
+the law) one row after another, one generation of the row at a time, with
+numpy's own gamma and Poisson from numpy's static C library. Each row draws
+on a PCG64 stream of its own, seeded in C from the row's walk seed (`_rng`'s
+STREAM constants), in the order of the numpy reference
+tests/oracles.excursion_levels on that row alone. So no generator is shared
+and no lock held, and a row's bytes depend on its seeds, root count and
+budget only. The library reads each per-row input at a stride (0 for a
+scalar), writes per-row sums into the caller's array (column slices too),
+and lists every row's nodes on request, root first. Without that list it
+holds two generations of one row and, when pruning, stores no count-1
+child, which is never expanded. Its Poisson rates g e^{-a_i} multiply
 the law's weights `LawTables.rate`, numpy's exp of the marks built with the
 step tables (an explicit tree has none), in C, one product each, so they
 have the reference's bits.
@@ -94,10 +97,10 @@ Generator
 ---------
 `PCG64` is numpy's PCG64 generator, seeded as np.random.default_rng seeds
 it (`_rng.pcg64_seed`, numpy's SeedSequence in plain ints); its state is a
-`gw_pcg64` record that the library advances. The count trees, the
-discounted sums, `PCG64.integers` and `PCG64.multinomial` draw on it with
-numpy's own distribution functions, so each draw, and the state after it,
-is that of the numpy Generator seeded alike (tests/test_generator.py), and
+`gw_pcg64` record that the library advances. The discounted sums,
+`PCG64.integers` and `PCG64.multinomial` draw on it with numpy's own
+distribution functions, so each draw, and the state after it, is that of
+the numpy Generator seeded alike (tests/test_generator.py), and
 no command imports numpy.random: its extension modules and `secrets` cost
 a fresh interpreter about 10 ms and 5.5 MB of RSS (2-vCPU VM).
 
@@ -132,7 +135,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import MASK, pcg64_seed, root_key_np
+from ._rng import MASK, pcg64_seed
 from .law import LawTables, step_law
 
 MODE_STEPS = 0
@@ -241,9 +244,9 @@ _ENTRY_POINTS = {
                                 ctypes.POINTER(ctypes.POINTER(_Arena))]),
     "gw_free": (None, [ctypes.POINTER(_Arena)]),
     "gw_level": (_INT64, [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]),
-    "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, _RNG, _P, _P, _P, ctypes.c_int,
+    "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, *[_P, _INT64] * 4, ctypes.c_int,
                                  _INT64, _P, _INT64, ctypes.POINTER(ctypes.POINTER(_Count)),
-                                 ctypes.POINTER(_INT64)]),
+                                 ctypes.POINTER(_INT64), _RNG]),
     "gw_free_counts": (None, [ctypes.POINTER(_Count)]),
     "gw_discount": (None, [_RNG, _P, _INT64, _P, _P, _INT64, _INT64, _P, _P]),
     "gw_integers": (None, [_RNG, ctypes.c_uint64, ctypes.c_uint64, _INT64, _P]),
@@ -407,34 +410,56 @@ def level_potentials(law_tables, env_seeds, level):
         yield buf[:n]
 
 
-def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=None,
-                keep=False, out=None):
-    """Draw one edge-count tree per environment seed from rng, a `PCG64`.
+def _per_row(x, dtype, n):
+    """x as an array the library reads at r * stride for row r, and that
+    stride in values: 0 for a scalar, else the stride of one value per row
+    (a copy when the stride is not a whole number of values); (None, 0) for
+    None. ValueError for any other shape."""
+    if x is None:
+        return None, 0
+    a = np.asarray(x, dtype=dtype)
+    if a.ndim == 0:
+        return a.reshape(1), 0
+    if a.shape != (n,):
+        raise ValueError(f"count_trees: need a scalar or one value per row ({n}), "
+                         f"got shape {a.shape}")
+    if a.strides[0] % a.itemsize:
+        a = np.ascontiguousarray(a)
+    return a, a.strides[0] // a.itemsize
+
+
+def count_trees(law_tables, env_seeds, walk_seeds, root_counts, prune=False, budget=None,
+                keep=False, out=None, ends=None):
+    """Draw one edge-count tree per environment seed, each row on its own
+    generator, seeded from its walk seed.
 
     Row r grows on the keyed environment of env_seeds[r] from a root with
-    N = root_counts[r] (a scalar applies to every row). With prune, count-1
-    nodes below the root are not expanded. With a budget (a scalar, or one
-    value per row), a row stops growing after the generation in which its
+    N = root_counts[r], drawing on the PCG64 stream of walk_seeds[r]
+    (`_rng`'s STREAM constants). walk_seeds, root_counts and budget are
+    each a scalar, which applies to every row, or one value per row (any
+    stride). With prune, count-1 nodes below the root are not expanded.
+    With a budget, a row stops growing after the generation in which its
     sum of N, root included, passes its budget. The draws are numpy's gamma
-    and Poisson on rng, made while holding its lock, in the order of the
-    numpy reference tests/oracles.excursion_levels, so rng ends in the
-    state the reference leaves a numpy Generator seeded alike in.
+    and Poisson, in the order of the numpy reference
+    tests/oracles.excursion_levels on the row alone. So a row depends on
+    its seeds, root count and budget only, never on the other rows, and a
+    larger budget draws a cut row's tree again and grows it further.
 
     Returns (sums, tree). sums is a (3, rows) int64 array: per row, over
     the non-root nodes, the sum of N, the number of nodes and the number
     with N = 1. The library writes it into `out` when given: a writeable
     (3, rows) int64 array whose rows are C-contiguous, such as a column
     slice of a larger array. tree is None, or with keep a dict of the node
-    arrays row, parent, key and N, all generations in turn, parent indexing
-    the same arrays (-1 at a root). The library lists no root, so this
-    function puts the roots first: rows 0..rows-1, their keys from the
-    seeds and N the root counts. ValueError, before any draw, for an `out`
-    of the wrong dtype, shape or row layout or a root count below 1, and
-    for a Poisson rate numpy refuses ("lam value too large", as
+    arrays row, parent, key and N, row after row, each row's root and then
+    its generations in turn; parent is the place of the node's parent among
+    its row's nodes (-1 at the root). With `ends`, a ctypes array of rows
+    `_PCG64` records, ends[r] receives row r's generator after its draws.
+    ValueError, before any draw, for an `out` or `ends` that does not fit,
+    a per-row argument of another length or a root count below 1, and for
+    a Poisson rate numpy refuses ("lam value too large", as
     Generator.poisson raises it); MemoryError when out of memory."""
     lib = require_library()
-    seeds = np.ascontiguousarray(env_seeds, dtype=np.uint64).ravel()
-    n = seeds.size
+    n = np.size(env_seeds)
     if out is None:
         out = np.empty((3, n), dtype=np.int64)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.int64 and out.shape == (3, n)
@@ -442,20 +467,22 @@ def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=Non
               and out.strides[0] % 8 == 0 and out.strides[0] >= 8 * n):
         raise ValueError(f"count_trees: out must be a writeable (3, {n}) int64 array "
                          "with C-contiguous rows")
-    roots = np.ascontiguousarray(np.broadcast_to(np.asarray(root_counts, dtype=np.int64), n))
-    if n and roots.min() < 1:
+    if ends is not None and not (isinstance(ends, ctypes.Array) and ends._type_ is _PCG64
+                                 and len(ends) == n):
+        raise ValueError(f"count_trees: ends must be a ctypes array of {n} _PCG64")
+    rows = [_per_row(x, dtype, n) for x, dtype in
+            ((env_seeds, np.uint64), (walk_seeds, np.uint64), (root_counts, np.int64),
+             (budget, np.int64))]
+    if n and rows[2][0].min() < 1:
         raise ValueError("root counts must be >= 1")
-    caps = None if budget is None else np.ascontiguousarray(
-        np.broadcast_to(np.asarray(budget, dtype=np.int64), n))
     cum, rate = _arrays([law_tables.cum, law_tables.rate], [np.float64] * 2)
     tree, size = ctypes.POINTER(_Count)(), _INT64()
-    with rng._lock:
-        err = lib.gw_counts(cum.ctypes.data, cum.size, rate.ctypes.data, rate.shape[1],
-                            rng._state, seeds.ctypes.data, roots.ctypes.data,
-                            None if caps is None else caps.ctypes.data, int(bool(prune)), n,
-                            out.ctypes.data, out.strides[0] // 8,
-                            ctypes.byref(tree) if keep else None,
-                            ctypes.byref(size) if keep else None)
+    err = lib.gw_counts(cum.ctypes.data, cum.size, rate.ctypes.data, rate.shape[1],
+                        *(x for a, stride in rows
+                          for x in (None if a is None else a.ctypes.data, stride)),
+                        int(bool(prune)), n, out.ctypes.data, out.strides[0] // 8,
+                        ctypes.byref(tree) if keep else None,
+                        ctypes.byref(size) if keep else None, ends)
     if err == _ELAM:
         raise ValueError("lam value too large")
     if err:
@@ -464,9 +491,7 @@ def count_trees(law_tables, env_seeds, root_counts, rng, prune=False, budget=Non
         return out, None
     try:
         nodes = _records(tree, size.value)
-        head = {"row": np.arange(n, dtype=np.int64), "parent": np.full(n, -1, dtype=np.int64),
-                "key": root_key_np(seeds), "N": roots}
-        return out, {f: np.concatenate([h, nodes[f]]) for f, h in head.items()}
+        return out, {f: np.array(nodes[f]) for f in ("row", "parent", "key", "N")}
     finally:
         lib.gw_free_counts(tree)
 
@@ -501,10 +526,10 @@ class PCG64:
     It is numpy's PCG64 in the state np.random.default_rng(seed) starts in
     (`_rng.pcg64_seed`), and every draw is numpy's own distribution code on
     the same stream, so its draws and its state after them are those of
-    that numpy Generator, bit for bit. `count_trees` and
-    `discount_exponents` draw through it in the library, as do `integers`
-    and `multinomial`. A draw holds the generator's lock, so threads may
-    share one, but then the draws' order follows the threads'."""
+    that numpy Generator, bit for bit. `discount_exponents` draws through
+    it in the library, as do `integers` and `multinomial`. A draw holds the
+    generator's lock, so threads may share one, but then the draws' order
+    follows the threads'."""
 
     def __init__(self, seed):
         state, inc = pcg64_seed(seed)

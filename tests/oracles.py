@@ -14,7 +14,8 @@ import mpmath as mp
 import numpy as np
 from scipy import stats as sps
 
-from gwalk._rng import TWO_NEG53, child_key_np, root_key_np
+from gwalk._rng import (MASK, STREAM_INC, STREAM_SALT_HI, STREAM_SALT_LO, TWO_NEG53,
+                        child_key_np, mix64, root_key_np)
 
 
 def psi_mp(atoms, t, dps: int = 50):
@@ -130,13 +131,28 @@ def negative_multinomial_pmf(x, k: int, p_back: float, cells) -> float:
 
 
 def numpy_state(rng) -> dict:
-    """The state of the library's generator (a `gwalk.kernel.PCG64`) in the
-    form of numpy's `bit_generator.state`: to compare with a numpy
-    Generator's, or to set one to it."""
-    s = rng._state
+    """The state of the library's generator (a `gwalk.kernel.PCG64`, or one
+    of its `_PCG64` records) in the form of numpy's `bit_generator.state`:
+    to compare with a numpy Generator's, or to set one to it."""
+    s = getattr(rng, "_state", rng)
     return {"bit_generator": "PCG64",
             "state": {"state": s.state_hi << 64 | s.state_lo, "inc": s.inc_hi << 64 | s.inc_lo},
             "has_uint32": s.has_uint32, "uinteger": s.uinteger}
+
+
+def row_generator(walk_seed) -> np.random.Generator:
+    """The numpy Generator of the count-tree row with this walk seed: a
+    PCG64 whose state is the row's (state, inc), from the STREAM constants
+    of gwalk._rng. On it, `excursion_levels` of that row alone makes the
+    library's draws."""
+    w = int(walk_seed) & MASK
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": mix64(w ^ STREAM_SALT_HI) << 64 | mix64(w ^ STREAM_SALT_LO),
+                  "inc": STREAM_INC},
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def discounted_sums_searchsorted(law, n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
@@ -205,7 +221,8 @@ class Level(NamedTuple):
 
 def excursion_levels(law, env_seeds, root_counts, rng, prune=False, budget=None) -> Iterator[Level]:
     """Reference for the library's count-tree sampler (`kernel.count_trees`),
-    which must make the same draws from rng in the same order: the
+    which draws each row as this function draws that row alone on the row's
+    generator (`row_generator` of its walk seed), in the same order: the
     generations of one excursion tree per row, roots first, drawn lazily (a
     consumer that stops after generation d has drawn nothing deeper).
 

@@ -317,7 +317,7 @@ def test_bad_size_or_grid_stops_the_command(tmp_path, monkeypatch, command, key,
     median, a grid that is not distinct integers >= 1, lambdas that are not
     a non-empty list of numbers in [0, ML_LAMBDA_MAX], a tol, shrink or
     discounted-sum cut eps that is not a finite number > 0, and a c_kappa draw with fewer than two
-    positive B values (seed 4 draws B = (2, 0)) stop the command with a
+    positive B values (seed 4 draws B = (0, 2)) stop the command with a
     message naming <section>.<key>, before any walk, any sampled count tree
     (but that draw of B) and any file."""
     def refuse(*args, **kwargs):
@@ -374,10 +374,10 @@ def test_estimate_constants_writes_its_intervals(tmp_path):
     assert plateau["ci"] == est["c_kappa_ci"]
     h_lo, h_hi = plateau["hill_ci"]
     assert h_lo < plateau["hill"] < h_hi
-    # 20 draws of B at seed 3 leave a few tail values, some of them tied:
+    # 20 draws of B at seed 1 leave a few tail values, some of them tied:
     # the Hill CI's upper end is unbounded and is written as null
     files = _run(tmp_path, "estimate-constants", 1, "b", {**ESTIMATE, "c_kappa_samples": 20},
-                 extra={"seed": 3})
+                 extra={"seed": 1})
     (plateau, _) = _strict_json(files["estimate_constants_verdicts.json"])
     assert plateau["value"] > 0 and plateau["hill_ci"][0] < plateau["hill"]
     assert plateau["hill_ci"][1] is None

@@ -1,14 +1,17 @@
 """The library's count-tree sampler (`kernel.count_trees`) against the numpy
-reference `oracles.excursion_levels`, byte for byte: per-row sums, node
-lists and the generator's state after, over the shipped laws and ragged
-atoms, with and without pruning, budgets and per-row root counts; and the
-three callers (`hypothesis_sums_batch`, `sample_excursion_tree`, a
-`theorem1` chunk) leave their generators where the reference does. The
-library draws on its own generator, `kernel.PCG64`, and the reference on
-numpy's, both seeded from the same integer. count_trees writes its sums
-into a caller's column slice and refuses one that does not fit before any
-draw, so hypothesis_sums_batch holds one copy of its sums."""
+reference `oracles.excursion_levels`, byte for byte and row by row, each
+row on its own generator (`oracles.row_generator` of its walk seed):
+per-row sums, node lists and the generator's state after the row, over the
+shipped laws and ragged atoms, with and without pruning, budgets and
+per-row root counts; and the rows of the three callers
+(`hypothesis_sums_batch`, `sample_excursion_tree`, `theorem1`). Since a row
+draws on its own stream, the callers' bytes do not depend on SAMPLE_CHUNK,
+THEOREM1_CHUNK or the threads, and a larger budget leaves a row within the
+smaller one unchanged. count_trees writes its sums into a caller's column
+slice and refuses one that does not fit before any draw, so
+hypothesis_sums_batch holds one copy of its sums and one slice of seeds."""
 
+import ctypes
 import json
 import math
 import tracemalloc
@@ -18,7 +21,9 @@ import numpy as np
 import pytest
 
 from gwalk import excursion, experiments, kernel
+from gwalk._rng import child_key
 from gwalk.excursion import hypothesis_sums_batch, sample_excursion_tree
+from gwalk.forest import sample_typed_forest
 from gwalk.law import load_law, make_constant_bias, make_mark_law, solve_kappa
 
 import oracles
@@ -53,47 +58,66 @@ def _per_row(x, n):
     return x if np.ndim(x) == 0 else np.resize(np.asarray(x, dtype=np.int64), n)
 
 
-def _reference(law, seeds, roots, rng, prune, budget):
-    """(sums, node arrays) of the numpy reference, as count_trees returns
-    them with keep."""
-    levels = list(oracles.excursion_levels(law, seeds, roots, rng, prune=prune,
-                                           budget=budget))
-    sizes = np.array([lv.row.size for lv in levels])
-    start = np.cumsum(sizes) - sizes
-    tree = {
-        "row": np.concatenate([lv.row for lv in levels]),
-        "parent": np.concatenate([levels[0].parent]
-                                 + [lv.parent + start[g] for g, lv in enumerate(levels[1:])]),
-        "key": np.concatenate([lv.key for lv in levels]),
-        "N": np.concatenate([lv.N for lv in levels]),
-    }
-    sums = np.zeros((3, seeds.size), dtype=np.int64)
-    for lv in levels[1:]:
-        np.add.at(sums[0], lv.row, lv.N)
-        np.add.at(sums[1], lv.row, 1)
-        np.add.at(sums[2], lv.row[lv.N == 1], 1)
-    return sums, tree
+def _seeds(n, seed=7):
+    """(environment seeds, walk seeds) of n rows, as strided columns of one
+    (n, 2) array."""
+    pairs = np.random.default_rng(seed).integers(0, 2**64, size=(n, 2), dtype=np.uint64)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _reference(law, env_seeds, walk_seeds, roots, prune, budget):
+    """(sums, node arrays, end states) of the numpy reference, row by row,
+    each row on `oracles.row_generator` of its walk seed: what count_trees
+    returns with keep and writes to `ends`."""
+    n = env_seeds.size
+    roots = np.broadcast_to(roots, n)
+    budget = np.broadcast_to(None if budget is None else budget, n)
+    sums = np.zeros((3, n), dtype=np.int64)
+    parts, ends = [], []
+    for r in range(n):
+        rng = oracles.row_generator(walk_seeds[r])
+        levels = list(oracles.excursion_levels(law, env_seeds[r : r + 1], roots[r], rng,
+                                               prune=prune, budget=budget[r]))
+        sizes = np.array([lv.N.size for lv in levels])
+        start = np.cumsum(sizes) - sizes
+        parts.append({
+            "row": np.full(sizes.sum(), r, dtype=np.int64),
+            "parent": np.concatenate([levels[0].parent]
+                                     + [lv.parent + start[g] for g, lv in enumerate(levels[1:])]),
+            "key": np.concatenate([lv.key for lv in levels]),
+            "N": np.concatenate([lv.N for lv in levels]),
+        })
+        N = parts[-1]["N"][1:]
+        sums[:, r] = N.sum(), N.size, (N == 1).sum()
+        ends.append(rng.bit_generator.state)
+    tree = {f: np.concatenate([part[f] for part in parts]) for f in parts[0]} if n else {}
+    return sums, tree, ends
 
 
 def _assert_same_generator(rng, ref):
     assert oracles.numpy_state(rng) == ref.bit_generator.state
 
 
+def _end_states(ends):
+    return [oracles.numpy_state(e) for e in ends]
+
+
 @pytest.mark.parametrize("setting", SETTINGS)
 @pytest.mark.parametrize("name", LAWS)
 def test_count_trees_match_reference(name, setting):
+    """Every row equals the reference on that row's own generator: sums,
+    nodes and the generator's state after the row."""
     law = LAWS[name]
     n, roots, prune, budget = SETTINGS[setting]
     roots, budget = _per_row(roots, n), None if budget is None else _per_row(budget, n)
-    seeds = np.random.default_rng(7).integers(0, 2**64, size=n, dtype=np.uint64)
-    want, want_tree = _reference(law, seeds, roots, np.random.default_rng(11), prune, budget)
+    env, walk = _seeds(n)
+    want, want_tree, want_ends = _reference(law, env, walk, roots, prune, budget)
     for keep in (False, True):
-        rng, ref = kernel.PCG64(11), np.random.default_rng(11)
-        _reference(law, seeds, roots, ref, prune, budget)
-        sums, tree = kernel.count_trees(law.tables(), seeds, roots, rng, prune=prune,
-                                        budget=budget, keep=keep)
+        ends = (kernel._PCG64 * n)()
+        sums, tree = kernel.count_trees(law.tables(), env, walk, roots, prune=prune,
+                                        budget=budget, keep=keep, ends=ends)
         assert sums.tobytes() == want.tobytes()
-        _assert_same_generator(rng, ref)
+        assert _end_states(ends) == want_ends
         if keep:
             assert tree.keys() == want_tree.keys()
             for f, x in want_tree.items():
@@ -103,14 +127,23 @@ def test_count_trees_match_reference(name, setting):
 
 
 def test_count_trees_buffers_grow():
-    """The settings above outgrow the library's first buffers (1024 nodes,
-    1024 expanded nodes) in one generation and in the whole node list."""
-    law = LAWS["two_point_sub"]
-    seeds = np.random.default_rng(7).integers(0, 2**64, size=3000, dtype=np.uint64)
-    _, tree = kernel.count_trees(law.tables(), seeds, 2, kernel.PCG64(11),
-                                 prune=True, budget=40, keep=True)
-    gen_sizes = np.bincount(_depth(tree["parent"]))
-    assert gen_sizes[1] > 1024 and tree["N"].size > 2 * 3000
+    """A row outgrows the library's first buffers (1024 nodes, 1024
+    expanded nodes) in one generation, and every row is still the
+    reference's, with and without the node list."""
+    law = LAWS["constant_bias_2"]
+    env, walk = _seeds(3)
+    roots = [10000, 1, 2]
+    want, want_tree, want_ends = _reference(law, env, walk, roots, True, 10**6)
+    first = want_tree["row"] == 0
+    depth = _depth(want_tree["parent"][first])
+    assert np.bincount(depth[want_tree["N"][first] >= 2]).max() > 1024
+    for keep in (False, True):
+        ends = (kernel._PCG64 * 3)()
+        sums, tree = kernel.count_trees(law.tables(), env, walk, roots, prune=True,
+                                        budget=10**6, keep=keep, ends=ends)
+        assert sums.tobytes() == want.tobytes() and _end_states(ends) == want_ends
+        for f, x in want_tree.items() if keep else ():
+            assert tree[f].tobytes() == x.tobytes(), f
 
 
 def _depth(parent):
@@ -123,33 +156,68 @@ def _depth(parent):
 
 def test_too_large_poisson_rate_raises_as_numpy():
     """A rate past numpy's Poisson limit raises numpy's ValueError, after the
-    generation's gamma draws, as the reference's rng.poisson does."""
+    generation's gamma draws, as the reference's rng.poisson does; the
+    failing row's generator is left where the reference leaves it."""
     law = make_mark_law([(1.0, (-3.0, 0.0))])  # rate e^3 at slot 0
-    seeds, roots = np.array([5, 6], dtype=np.uint64), [10**18, 1]
-    ref, rng = np.random.default_rng(3), kernel.PCG64(3)
+    env, walk = np.array([5, 6], dtype=np.uint64), np.array([8, 9], dtype=np.uint64)
+    roots = [10**18, 1]
+    ref = oracles.row_generator(walk[0])
     with pytest.raises(ValueError) as want:
-        list(oracles.excursion_levels(law, seeds, roots, ref))
+        list(oracles.excursion_levels(law, env[:1], roots[0], ref))
+    ends = (kernel._PCG64 * 2)()
     with pytest.raises(ValueError) as got:
-        kernel.count_trees(law.tables(), seeds, roots, rng)
+        kernel.count_trees(law.tables(), env, walk, roots, ends=ends)
     assert str(got.value) == str(want.value) == "lam value too large"
-    _assert_same_generator(rng, ref)
+    assert oracles.numpy_state(ends[0]) == ref.bit_generator.state
 
 
 def test_hypothesis_sums_match_reference(monkeypatch):
-    """B, nu and nu_tilde equal the reference's reductions, chunk by chunk,
-    and the generator ends where the reference leaves it."""
+    """B, nu and nu_tilde equal the reference's reductions row by row, sample
+    i on the seed pair of draws 2i and 2i + 1, and the seed generator ends
+    where numpy's leaves it after 2n draws."""
     monkeypatch.setattr("gwalk.excursion.SAMPLE_CHUNK", 700)
     law, n, p = LAWS["two_point_sub"], 1500, 2
     rng, ref = kernel.PCG64(4), np.random.default_rng(4)
     out = hypothesis_sums_batch(law, n, rng, p=p)
-    want = []
-    for i in range(0, n, 700):
-        seeds = ref.integers(0, 2**64, size=min(700, n - i), dtype=np.uint64)
-        want.append(_reference(law, seeds, p, ref, True, None)[0])
-    nu, nu_t, B = np.concatenate(want, axis=1)
+    pairs = ref.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
+    nu, nu_t, B = _reference(law, pairs[:, 0], pairs[:, 1], p, True, None)[0]
     for key, x in (("B", B), ("nu", nu), ("nu_tilde", nu_t)):
         assert out[key].tobytes() == x.tobytes()
     _assert_same_generator(rng, ref)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**17])
+def test_samplers_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    """hypothesis_sums_batch and sample_typed_forest write the same bytes
+    for any SAMPLE_CHUNK: a row's draws are its own, and its seeds are
+    drawn in the same order; the typed forest's redraws (budget 12) too."""
+    law = LAWS["two_point_sub"]
+    want_sums = hypothesis_sums_batch(law, 300, kernel.PCG64(6), p=2)
+    want_trees = sample_typed_forest(law, 60, kernel.PCG64(6), budget=12, max_resample=10**4)
+    monkeypatch.setattr("gwalk.excursion.SAMPLE_CHUNK", chunk)
+    sums = hypothesis_sums_batch(law, 300, kernel.PCG64(6), p=2)
+    trees = sample_typed_forest(law, 60, kernel.PCG64(6), budget=12, max_resample=10**4)
+    for key, x in want_sums.items():
+        assert sums[key].tobytes() == x.tobytes()
+    assert len(trees) == len(want_trees) == 60
+    for t, u in zip(trees, want_trees):
+        assert t.parent.tobytes() == u.parent.tobytes() and t.beta.tobytes() == u.beta.tobytes()
+
+
+def test_a_larger_budget_leaves_uncensored_rows_unchanged():
+    """A row within budget b draws the same tree at budget 4b, and a row
+    cut at b is a prefix of its tree at 4b: a budget only cuts a row."""
+    law, b = LAWS["two_point_sub"], 40
+    env, walk = _seeds(2000)
+    small, cut = kernel.count_trees(law.tables(), env, walk, 2, budget=b, keep=True)
+    large, full = kernel.count_trees(law.tables(), env, walk, 2, budget=4 * b, keep=True)
+    within = small[0] + 2 <= b
+    assert 0 < within.sum() < within.size
+    assert small[:, within].tobytes() == large[:, within].tobytes()
+    for r in range(env.size):
+        for f in ("parent", "key", "N"):
+            x, y = cut[f][cut["row"] == r], full[f][full["row"] == r]
+            assert y[: x.size].tobytes() == x.tobytes()
 
 
 def _bad_out(kind, n):
@@ -171,42 +239,52 @@ def _bad_out(kind, n):
                                   "overlapping-rows", "read-only", "list"])
 def test_count_trees_refuses_an_out_that_does_not_fit(kind):
     """An `out` of the wrong dtype, shape or row layout raises ValueError
-    before any draw: the generator's state is unchanged."""
+    before any draw: no row's generator is written."""
     n = 50
-    rng = kernel.PCG64(3)
-    before = oracles.numpy_state(rng)
+    ends = (kernel._PCG64 * n)()
     with pytest.raises(ValueError, match="out must be"):
-        kernel.count_trees(LAWS["two_point_sub"].tables(), np.arange(n, dtype=np.uint64), 1,
-                           rng, prune=True, out=_bad_out(kind, n))
-    assert oracles.numpy_state(rng) == before
+        kernel.count_trees(LAWS["two_point_sub"].tables(), *_seeds(n), 1, prune=True,
+                           out=_bad_out(kind, n), ends=ends)
+    assert bytes(ends) == bytes(ctypes.sizeof(ends))
+
+
+@pytest.mark.parametrize("arg", ["walk_seeds", "root_counts", "budget", "ends"])
+def test_count_trees_refuse_per_row_arguments_that_do_not_fit(arg):
+    """A per-row argument of another length, or `ends` that is not one
+    `_PCG64` per row, raises ValueError before any draw."""
+    n = 50
+    env, walk = _seeds(n)
+    ends = (kernel._PCG64 * n)()
+    args = {"walk_seeds": walk, "root_counts": 1, "budget": None, "ends": ends}
+    args[arg] = (kernel._PCG64 * (n - 1))() if arg == "ends" else np.ones(n - 1, dtype=np.int64)
+    with pytest.raises(ValueError, match="one value per row|ends must be"):
+        kernel.count_trees(LAWS["two_point_sub"].tables(), env, **args)
+    assert bytes(ends) == bytes(ctypes.sizeof(ends))
 
 
 def test_count_trees_write_into_a_column_slice():
     """With `out` a column slice of a wider array, the sums land in those
-    columns only, with the bytes and generator state of a call without it."""
+    columns only, with the bytes of a call without it."""
     law, n = LAWS["two_point_sub"], 300
-    seeds = np.arange(n, dtype=np.uint64)
-    want, _ = kernel.count_trees(law.tables(), seeds, 2, kernel.PCG64(8), prune=True)
+    env, walk = _seeds(n)
+    want, _ = kernel.count_trees(law.tables(), env, walk, 2, prune=True)
     wide = np.full((3, n + 20), -7, dtype=np.int64)
-    rng = kernel.PCG64(8)
-    got, _ = kernel.count_trees(law.tables(), seeds, 2, rng, prune=True, out=wide[:, 10:-10])
+    got, _ = kernel.count_trees(law.tables(), env, walk, 2, prune=True, out=wide[:, 10:-10])
     assert np.shares_memory(got, wide) and wide[:, 10:-10].tobytes() == want.tobytes()
     assert (wide[:, :10] == -7).all() and (wide[:, -10:] == -7).all()
-    ref = kernel.PCG64(8)
-    kernel.count_trees(law.tables(), seeds, 2, ref, prune=True)
-    assert oracles.numpy_state(rng) == oracles.numpy_state(ref)
 
 
 @pytest.mark.parametrize("chunk", [None, 4000])
 def test_hypothesis_sums_hold_one_copy(monkeypatch, chunk):
     """The traced peak of hypothesis_sums_batch stays under one (3, n) int64
-    result, one chunk's seeds and root counts and 16 KB, at one chunk and at
-    several: each chunk's sums are written straight into the result, and no
-    second copy of them is made."""
+    result, one slice of seed pairs and 16 KB, at the default chunk and at a
+    smaller one: each slice's sums are written straight into the result, no
+    second copy of them is made, and a scalar root count is passed as one
+    value."""
     n = 20000
     if chunk is not None:
         monkeypatch.setattr(excursion, "SAMPLE_CHUNK", chunk)
-    c = min(n, excursion.SAMPLE_CHUNK)
+    c = min(n, excursion.SAMPLE_CHUNK, excursion.SEED_SLICE)
     law = LAWS["two_point_sub"]
     law.tables()  # built and cached before tracing
     rng = kernel.PCG64(5)
@@ -220,41 +298,54 @@ def test_hypothesis_sums_hold_one_copy(monkeypatch, chunk):
 
 
 def test_sample_excursion_tree_matches_reference():
-    """The whole trees of the rows within budget, renumbered, as the
-    reference grows them; the generator ends where the reference leaves it."""
-    law, budget = LAWS["two_point_sub"], 60
-    seeds = np.arange(40, dtype=np.uint64)
-    rng, ref = kernel.PCG64(9), np.random.default_rng(9)
-    t = sample_excursion_tree(law, seeds, 5, rng, budget=budget)
-    _, tree = _reference(law, seeds, 5, ref, False, budget)
-    total = np.bincount(tree["row"], weights=tree["N"], minlength=seeds.size)
-    assert t.over.tolist() == (total > budget).tolist() and 0 < t.over.sum() < seeds.size
+    """The whole trees of the rows within budget, each row as the reference
+    grows it on the row's generator, with the rows over budget dropped."""
+    law, budget, n = LAWS["two_point_sub"], 60, 40
+    env, walk = _seeds(n, 9)
+    t = sample_excursion_tree(law, env, walk, 5, budget=budget)
+    _, tree, _ = _reference(law, env, walk, 5, False, budget)
+    total = np.bincount(tree["row"], weights=tree["N"], minlength=n)
+    assert t.over.tolist() == (total > budget).tolist() and 0 < t.over.sum() < n
     keep = ~t.over[tree["row"]]
-    new = np.cumsum(keep) - 1
-    assert t.parent.tolist() == [-1 if q < 0 else int(new[q]) for q in tree["parent"][keep]]
-    for f in ("row", "key", "N"):
+    for f in ("row", "parent", "key", "N"):
         assert getattr(t, f).tobytes() == tree[f][keep].tobytes()
-    _assert_same_generator(rng, ref)
 
 
 def test_theorem1_chunks_match_reference(monkeypatch):
-    """Every count-tree call of theorem1 (one per chunk of trials, threads 2)
-    returns the reference's sums from the same generator state and leaves
-    the generator where the reference does."""
+    """Every row of every count-tree call of theorem1 (threads 2) equals the
+    reference on its own generator, whose walk seed is the child key j of
+    its trial's walk seed."""
     calls = []
     count_trees = kernel.count_trees
+    law = LAWS["two_point_sub"]
 
-    def checked(t, seeds, roots, rng, prune=False, budget=None, keep=False):
-        ref = np.random.default_rng()
-        ref.bit_generator.state = oracles.numpy_state(rng)
-        out = count_trees(t, seeds, roots, rng, prune=prune, budget=budget, keep=keep)
-        want, _ = _reference(LAWS["two_point_sub"], seeds, roots, ref, prune, budget)
-        calls.append(out[0].tobytes() == want.tobytes()
-                     and oracles.numpy_state(rng) == ref.bit_generator.state)
-        return out
+    def checked(t, env, walk, roots, prune=False, budget=None, keep=False, out=None):
+        got = count_trees(t, env, walk, roots, prune=prune, budget=budget, keep=keep, out=out)
+        calls.append((env, walk, roots, prune, budget, got[0].copy()))
+        return got
 
     monkeypatch.setattr(kernel, "count_trees", checked)
-    consts = experiments.Constants(solve_kappa(LAWS["two_point_sub"]), **CONSTANTS)
-    experiments.theorem1_campaign(LAWS["two_point_sub"], consts, 5, 2, n_trials=70,
-                                  p_grid=(5, 20))
-    assert calls == [True] * math.ceil(70 / experiments.THEOREM1_CHUNK)
+    consts = experiments.Constants(solve_kappa(law), **CONSTANTS)
+    experiments.theorem1_campaign(law, consts, 5, 2, n_trials=70, p_grid=(5, 20))
+    assert len(calls) == math.ceil(70 / experiments.THEOREM1_CHUNK)
+    _, walk = experiments.trial_seeds(5, "theorem1", 70)
+    rows = sorted(int(w) for c in calls for w in c[1])
+    assert rows == sorted(child_key(int(w), j) for w in walk for j in range(2))
+    for env, walk, roots, prune, budget, sums in calls:
+        assert sums.tobytes() == _reference(law, env, walk, roots, prune, budget)[0].tobytes()
+
+
+def test_theorem1_does_not_depend_on_chunks_or_threads(monkeypatch):
+    """theorem1 writes the same rows, verdicts, Z and T for THEOREM1_CHUNK
+    in {1, 7, 32} at threads 1 and 2."""
+    law = LAWS["two_point_sub"]
+    consts = experiments.Constants(solve_kappa(law), **CONSTANTS)
+    runs = set()
+    for chunk in (1, 7, 32):
+        monkeypatch.setattr(experiments, "THEOREM1_CHUNK", chunk)
+        for threads in (1, 2):
+            out = experiments.theorem1_campaign(law, consts, 5, threads, n_trials=40,
+                                                p_grid=(5, 20))
+            runs.add((repr(out["rows"]), repr(out["verdicts"]), out["T"].tobytes(),
+                      tuple(z.tobytes() for z in out["z"].values())))
+    assert len(runs) == 1

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats as sps
 
 from gwalk import excursion, kernel
-from gwalk._rng import child_key
+from gwalk._rng import child_key, derive_seed_np
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import hypothesis_sums_batch, sample_excursion_tree
 from gwalk.forest import StepBudgetExceeded, sample_typed_forest
@@ -109,20 +109,18 @@ def test_children_counts_follow_ragged_atoms():
 
 
 def test_children_counts_validation():
-    rng = kernel.PCG64(0)
     for counts in (0, -1, [1, 0]):
         with pytest.raises(ValueError, match="root counts must be >= 1"):
-            kernel.count_trees(SUB.tables(), [1, 2], counts, rng)
+            kernel.count_trees(SUB.tables(), [1, 2], [3, 4], counts)
     with pytest.raises(ValueError):
-        hypothesis_sums_batch(SUB, 10, rng, p=0)
+        hypothesis_sums_batch(SUB, 10, kernel.PCG64(0), p=0)
 
 
 def test_excursion_tree_invariants():
     """Each sampled node is a distinct node of its row's keyed environment,
     reached from its parent's node, as MarkedTree grows it."""
-    rng = kernel.PCG64(11)
     seeds = np.array([13, 14, 15, 16], dtype=np.uint64)
-    t = sample_excursion_tree(SUB, seeds, 5, rng, budget=60)
+    t = sample_excursion_tree(SUB, seeds, seeds + 11, 5, budget=60)
     n = len(t)
     assert n == t.row.size == t.parent.size == t.key.size == t.N.size
     roots = np.flatnonzero(t.parent < 0)
@@ -134,7 +132,9 @@ def test_excursion_tree_invariants():
         env, pa = envs[t.row[x]], t.parent[x]
         if pa < 0:
             assert int(t.key[x]) == env.key[0]
+            start = x
             continue
+        pa += start  # the parent's place among its row's nodes
         assert pa < x and t.row[x] == t.row[pa] and t.N[x] >= 1
         kids = [c for c in env.grow(env_id[pa]) if env.key[c] == int(t.key[x])]
         assert len(kids) == 1
@@ -245,19 +245,22 @@ def test_hypothesis_sums_match_per_tree_sampler():
 def test_sampler_node_budget():
     """The budget bounds a row's sum of N, root included (tau^p / 2): the row
     stops growing after the generation that passes it, so what it yields is
-    a prefix of its uncut tree. Budgets broadcast per row like root counts."""
-    full = list(excursion_levels(SUB, [44], 500, np.random.default_rng(3)))
+    a prefix of its uncut tree, as the library draws it on the row's own
+    generator. Budgets broadcast per row like root counts."""
+    full = list(excursion_levels(SUB, [44], 500, oracles.row_generator(3)))
     sums = np.cumsum([lv.N.sum() for lv in full])
     assert len(full) > 10
     for b in (499, 500, int(sums[3]), int(sums[-1]) - 1, int(sums[-1])):
-        cut = list(excursion_levels(SUB, [44], 500, np.random.default_rng(3), budget=b))
+        cut = list(excursion_levels(SUB, [44], 500, oracles.row_generator(3), budget=b))
         assert len(cut) == min(np.searchsorted(sums, b, side="right") + 1, len(full))
         for x, y in zip(cut, full):
             assert np.array_equal(x.key, y.key) and np.array_equal(x.N, y.N)
-        t = sample_excursion_tree(SUB, [44], 500, kernel.PCG64(3), budget=b)
+        t = sample_excursion_tree(SUB, [44], [3], 500, budget=b)
         assert t.over.tolist() == [bool(sums[-1] > b)]
         assert len(t) == (0 if sums[-1] > b else sum(lv.N.size for lv in full))
-    both = list(excursion_levels(SUB, [44, 44], 500, np.random.default_rng(3),
+        if len(t):
+            assert t.N.tobytes() == np.concatenate([lv.N for lv in full]).tobytes()
+    both = list(excursion_levels(SUB, [44, 44], 500, oracles.row_generator(3),
                                  budget=[499, int(sums[-1])]))
     assert [lv.row.tolist() for lv in both[1:]] == [[1] * lv.N.size for lv in full[1:]]
     assert all(np.array_equal(x.N[x.row == 1], y.N) for x, y in zip(both, full))
@@ -266,10 +269,12 @@ def test_sampler_node_budget():
 
 
 def _sampler_T(env, p, n, cap, seed):
-    """min(T^p, cap) of n sampler rows at root count p on one environment;
-    the budget (cap + p + 1) // 2 makes a cut row's T^p exceed cap."""
-    sums, _ = kernel.count_trees(SUB.tables(), np.full(n, env, dtype=np.uint64), p,
-                                 kernel.PCG64(seed), budget=(cap + p + 1) // 2)
+    """min(T^p, cap) of n sampler rows at root count p on one environment,
+    walk seeds derive_seed(seed, "sampler", i, "walk"); the budget
+    (cap + p + 1) // 2 makes a cut row's T^p exceed cap."""
+    sums, _ = kernel.count_trees(SUB.tables(), np.full(n, env, dtype=np.uint64),
+                                 derive_seed_np(seed, "sampler", np.arange(n), "walk"), p,
+                                 budget=(cap + p + 1) // 2)
     return np.minimum(2 * sums[0] + p, cap)  # 2 (p + the non-root sum) - p
 
 

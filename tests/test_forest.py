@@ -182,7 +182,7 @@ def test_forest_redraws_trees_past_the_budget():
     for t in trees:
         oracles.validate_typed_tree(t)
     seeds = np.arange(50, dtype=np.uint64)
-    batch = sample_excursion_tree(SUB, seeds, 1, rng, budget=12)
+    batch = sample_excursion_tree(SUB, seeds, seeds + 50, 1, budget=12)
     assert batch.over.any()
     typed = typed_from_excursion(batch)
     assert len(typed) == int((~batch.over).sum())
@@ -191,4 +191,4 @@ def test_forest_redraws_trees_past_the_budget():
     assert [int(t.beta.sum()) for t in typed] == np.bincount(
         batch.row, weights=batch.N, minlength=50)[~batch.over].astype(int).tolist()
     with pytest.raises(ValueError):
-        typed_from_excursion(sample_excursion_tree(SUB, [1], 2, rng))
+        typed_from_excursion(sample_excursion_tree(SUB, [1], [2], 2))

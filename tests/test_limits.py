@@ -235,6 +235,6 @@ def test_c_kappa_ci_deterministic_per_seed():
     for out in (a, c):
         lo, hi = out["ci"]
         assert lo < out["c_kappa"] < hi
-    with pytest.raises(LimitsError) as err:  # seed 4 draws B = (2, 0)
+    with pytest.raises(LimitsError) as err:  # seed 4 draws B = (0, 2)
         estimate_c_kappa(SUB, kappa, n_samples=2, seed=4)
     assert err.value.code == "TOO_FEW"
