@@ -172,14 +172,23 @@ static int grow(gw_arena *A, int64_t x, const double *atom_cum, int64_t n_atoms,
     return GW_OK;
 }
 
-/* Record snapshot si; snap_out holds rows tau, T, L, R of nsnap each. */
-static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t m,
-                          int64_t t_ex, int64_t L, int64_t R)
+/* Record snapshot si: snap_out holds, of the rows tau, T, L, R, those whose
+ * bit (1, 2, 4, 8) is set in rows, in that order, nsnap values each. Not
+ * inlined: in the walk loop its tests of rows are loop-invariant, and gcc
+ * -O3 copies the loop per outcome (2 KB more code, about 60 ms more compile
+ * time), while a snapshot is rare enough that the call costs nothing. */
+static __attribute__((noinline)) void record(int64_t *snap_out, int64_t nsnap, int rows,
+                                             int64_t si, int64_t m, int64_t t_ex, int64_t L,
+                                             int64_t R)
 {
-    snap_out[si] = m;
-    snap_out[nsnap + si] = t_ex;
-    snap_out[2 * nsnap + si] = L;
-    snap_out[3 * nsnap + si] = R;
+    const int64_t v[4] = {m, t_ex, L, R};
+    int r;
+
+    for (r = 0; r < 4; r++)
+        if (rows >> r & 1) {
+            snap_out[si] = v[r];
+            snap_out += nsnap;
+        }
 }
 
 /* The walk loop of gw_walks: run one walk on arena A, which holds any
@@ -188,15 +197,16 @@ static inline void record(int64_t *snap_out, int64_t nsnap, int64_t si, int64_t 
  * env_seed. Otherwise it is the explicit tree of n_explicit nodes, as
  * kernel.explicit_tree returns it: node i is atom i of the tables and has
  * exp_parent[i] and exp_child0[i]; atom_cum and n_atoms are then unused.
- * Snapshots go to the caller's 4 x nsnap buffer snap_out. On GW_OK, *st
+ * Snapshots go to the caller's buffer snap_out of the snapshot rows that
+ * snap_rows selects (record), nsnap values each. On GW_OK, *st
  * holds the scalars and A the grown tree; GW_ENOMEM when the arena cannot
  * grow, which leaves A for its owner to free. */
 static int walk_one(gw_arena *A, const double *atom_cum, int64_t n_atoms,
                     const int64_t *atom_off, const int64_t *atom_len, const double *p_up,
                     const double *step_cum, int64_t n_explicit, const int64_t *exp_parent,
                     const int64_t *exp_child0, uint64_t env_seed, uint64_t state, int mode,
-                    int64_t limit, const int64_t *snaps, int64_t nsnap, int64_t *snap_out,
-                    int64_t budget, gw_stats *st)
+                    int64_t limit, const int64_t *snaps, int64_t nsnap, int snap_rows,
+                    int64_t *snap_out, int64_t budget, gw_stats *st)
 {
     gw_node *nx;
     int64_t pos = 0, m = 0, t_ex = 0, L = 0, R = 1, si = 0, x, k, a, j, dest, c, last;
@@ -226,7 +236,7 @@ static int walk_one(gw_arena *A, const double *atom_cum, int64_t n_atoms,
             pos = 0;
             if (mode == MODE_CROSSINGS) {
                 for (; si < nsnap && snaps[si] == L; si++)
-                    record(snap_out, nsnap, si, m, t_ex, L, R);
+                    record(snap_out, nsnap, snap_rows, si, m, t_ex, L, R);
                 if (L >= limit)
                     break;
             }
@@ -270,7 +280,7 @@ static int walk_one(gw_arena *A, const double *atom_cum, int64_t n_atoms,
 
         if (mode == MODE_STEPS) {
             for (; si < nsnap && snaps[si] == m; si++)
-                record(snap_out, nsnap, si, m, t_ex, L, R);
+                record(snap_out, nsnap, snap_rows, si, m, t_ex, L, R);
             if (m >= limit)
                 break;
         }
@@ -285,8 +295,10 @@ static int walk_one(gw_arena *A, const double *atom_cum, int64_t n_atoms,
  * tree (walk_one). Several calls may run at once on one counter *next: each
  * claims the next trial with an atomic fetch-and-add until none is left, so
  * a call that draws a long trial leaves the rest to the others. Trial t
- * writes only its own slots: st[t], nodes[t] (the nodes grown) and the
- * 4 x nsnap rows at snap_out + 4 * nsnap * t, so the output does not depend
+ * writes only its own slots: st[t], nodes[t] (the nodes grown) and its
+ * snapshot rows at snap_out + k * nsnap * t: the k of the rows tau, T, L, R
+ * whose bits (1, 2, 4, 8) snap_rows sets, in that order, nsnap values each
+ * (record), so the output does not depend
  * on how many calls share the trials. A call reuses one arena for all its
  * trials. With arena_out NULL it frees the arena before it returns;
  * otherwise, on GW_OK, *arena_out is the arena, holding the tree of the
@@ -298,11 +310,11 @@ int gw_walks(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
              int64_t n_explicit, const int64_t *exp_parent, const int64_t *exp_child0,
              const uint64_t *env_seeds, const uint64_t *walk_seeds, int64_t n_trials,
              int64_t *next, int mode, int64_t limit, const int64_t *snaps, int64_t nsnap,
-             int64_t *snap_out, int64_t budget, gw_stats *st, int64_t *nodes,
+             int snap_rows, int64_t *snap_out, int64_t budget, gw_stats *st, int64_t *nodes,
              gw_arena **arena_out)
 {
     gw_arena *A = calloc(1, sizeof *A);
-    int64_t t;
+    int64_t t, stride = nsnap * __builtin_popcount(snap_rows & 15);
     int err = GW_OK;
 
     if (arena_out)
@@ -313,8 +325,8 @@ int gw_walks(const double *atom_cum, int64_t n_atoms, const int64_t *atom_off,
     while ((t = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < n_trials) {
         if ((err = walk_one(A, atom_cum, n_atoms, atom_off, atom_len, p_up, step_cum,
                             n_explicit, exp_parent, exp_child0, env_seeds[t], walk_seeds[t],
-                            mode, limit, snaps, nsnap, snap_out + 4 * nsnap * t, budget,
-                            &st[t])))
+                            mode, limit, snaps, nsnap, snap_rows, snap_out + stride * t,
+                            budget, &st[t])))
             break;
         nodes[t] = A->n;
     }

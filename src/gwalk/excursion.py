@@ -45,6 +45,13 @@ count-1 non-root nodes, and these are also the first-generation type-1
 vertices of the forest transform, so the pruned tree carries every
 hypothesis sum while staying small even where the full excursion tree has
 infinite expected size.
+
+`hypothesis_sums_batch` reduces the pruned trees' sums slice by slice as
+the library writes them: to exact integer power sums, the number of
+positive B and, on request, the largest B values (`HypothesisSums`). So
+its callers, the forest and regeneration moments and the c_kappa tail,
+hold one slice and that tail whatever the number of draws, and no array
+of them.
 """
 
 from __future__ import annotations
@@ -60,11 +67,14 @@ __all__ = [
     "ExcursionBatch",
     "sample_excursion_tree",
     "hypothesis_sums_batch",
+    "HypothesisSums",
     "SAMPLE_CHUNK",
 ]
 
-# samples per batch of the annealed samplers (here, in forest and in
-# limits.estimate_discounted_moments): memory holds one batch's scratch
+# samples per batch of the annealed samplers (`sample_typed_forest` and
+# limits.estimate_discounted_moments; hypothesis_sums_batch's slices are at
+# most this and SEED_SLICE): memory holds one batch's scratch, and no output
+# depends on it
 SAMPLE_CHUNK = 2**17
 # rows per seed slice of hypothesis_sums_batch, at most: 64 KB of seed pairs
 SEED_SLICE = 2**12
@@ -106,30 +116,92 @@ def sample_excursion_tree(law: MarkLaw, env_seeds, walk_seeds, p, budget=None) -
     return ExcursionBatch(**tree, over=over)
 
 
+@dataclass
+class HypothesisSums:
+    """What `hypothesis_sums_batch` keeps of its n draws: per sum, the
+    exact integer power sums (Python ints, so none overflows), sum x and
+    sum x^2 for nu and nu_tilde and sum B^1 to sum B^4 for B; the number
+    of positive B; and the `tail` largest positive B, ascending (all of
+    them when there are fewer)."""
+
+    n: int
+    powers: dict
+    positive: int
+    top: np.ndarray
+
+
+def _power_sums(x, k):
+    """[sum x, ..., sum x^k] of the nonnegative int64 values x, exact: in
+    int64 when no partial sum can pass 2^63, else in Python ints."""
+    if x.size and int(x.max()) ** k * x.size >= 2**63:
+        v = x[x > 0].tolist()
+        return [sum(a**j for a in v) for j in range(1, k + 1)]
+    out = [int(x.sum()), int(x @ x)]
+    if k > 2:
+        x2 = x * x
+        out += [int(x2 @ x), int(x2 @ x2)]
+    return out
+
+
+class _Top:
+    """The k >= 1 largest positive values of the slices fed to `add`. It
+    holds at most 2k values and a slice: past 2k it keeps the k largest,
+    and from then on takes only values above the smallest of them."""
+
+    def __init__(self, k):
+        self.k, self.parts, self.held, self.floor = k, [np.empty(0, dtype=np.int64)], 0, 0
+
+    def add(self, x):
+        new = x[x > self.floor]
+        self.parts.append(new)
+        self.held += new.size
+        if self.held > 2 * self.k:
+            self._cut()
+
+    def _cut(self):
+        x = np.concatenate(self.parts)
+        if x.size > self.k:
+            x = np.partition(x, x.size - self.k)[x.size - self.k :]
+            self.floor = x[0]
+        self.parts, self.held = [x], x.size
+
+    def values(self):
+        self._cut()
+        return np.sort(self.parts[0])
+
+
 def hypothesis_sums_batch(
-    law: MarkLaw, n_samples: int, rng: kernel.PCG64, p: int = 1
-):
-    """Per-sample sums over the pruned excursion tree at tau^p, on a fresh
-    environment per sample (the annealed law):
+    law: MarkLaw, n_samples: int, rng: kernel.PCG64, p: int = 1, tail: int = 0
+) -> HypothesisSums:
+    """The sums over the pruned excursion tree at tau^p, on a fresh
+    environment per sample (the annealed law), reduced to a
+    `HypothesisSums` as they are drawn:
 
         B      number of count-1 non-root nodes: the level-0 regeneration
                count, and at p = 1 the first-generation type-1 count,
         nu     sum of N over the non-root nodes,
-        nu_t   number of non-root nodes.
+        nu_t   number of non-root nodes (key "nu_tilde").
 
     Sample i draws on the (environment, walk) seed pair made of rng's
     draws 2i and 2i + 1. The pairs are drawn min(SAMPLE_CHUNK, SEED_SLICE)
     samples at a time, into one reused slice, and the library writes each
-    slice's sums straight into one (3, n_samples) array. So memory holds
-    that array, one slice of seed pairs and the library's two generations
-    of one row, and the bytes do not depend on the slice size. Returns dict
-    of views of that array, each of length n_samples."""
+    slice's sums into one reused (3, slice) array, which is reduced before
+    the next slice is drawn. So memory holds one slice and at most 2 tail
+    + one slice of B values, whatever n_samples is, and since every sum is
+    exact, the summary does not depend on the slice size."""
     t = law.tables()
-    sums = np.empty((3, n_samples), dtype=np.int64)
     seeds = np.empty((max(1, min(SAMPLE_CHUNK, SEED_SLICE, n_samples)), 2), dtype=np.uint64)
+    sums = np.empty((3, len(seeds)), dtype=np.int64)
+    powers = {"nu": [0, 0], "nu_tilde": [0, 0], "B": [0] * 4}
+    positive, top = 0, _Top(int(tail)) if tail else None
     for i in range(0, n_samples, len(seeds)):
         pairs = rng.integers(0, 2**64, seeds[: n_samples - i])
-        kernel.count_trees(t, pairs[:, 0], pairs[:, 1], p, prune=True,
-                           out=sums[:, i : i + len(pairs)])
-    nu, nu_t, B = sums
-    return {"B": B, "nu": nu, "nu_tilde": nu_t}
+        part, _ = kernel.count_trees(t, pairs[:, 0], pairs[:, 1], p, prune=True,
+                                     out=sums[:, : len(pairs)])
+        for acc, x in zip(powers.values(), part):
+            acc[:] = map(sum, zip(acc, _power_sums(x, len(acc))))
+        positive += int(np.count_nonzero(part[2]))
+        if top is not None:
+            top.add(part[2])
+    return HypothesisSums(n_samples, {k: tuple(v) for k, v in powers.items()}, positive,
+                          top.values() if top is not None else np.empty(0, dtype=np.int64))

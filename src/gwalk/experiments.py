@@ -328,7 +328,7 @@ def theorem2_campaign(
     scales = [consts.local_time_scale(n) for n in m_grid]
     env_seeds, walk_seeds = trial_seeds(master_seed, "theorem2", n_trials)
     _surviving(law, env_seeds, "theorem2")
-    L = walk.simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads)["snap_L"]
+    L = walk.simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads, ("L",))["snap_L"]
     w = w_hat_batch(law, env_seeds)
 
     z_by_n = {n: w * L[:, j] / scales[j] for j, n in enumerate(m_grid)}
@@ -443,9 +443,10 @@ def theorem3_campaign(
     default budget). The budget is memory-bound: the walk's arena costs
     about 11 bytes per step (0.23 nodes grown per step, a 48-byte record
     each), and each thread reuses one arena for all its trials, so at the
-    default 3e7 steps it holds up to about 0.33 GB per thread. The
-    snapshots of every trial at every crossing take 32 n_trials max(n_grid)
-    bytes (about 51 MB at the defaults).
+    default 3e7 steps it holds up to about 0.33 GB per thread. The T and R
+    snapshots of every trial at every crossing, the only rows the walks
+    record here, take 16 n_trials max(n_grid) bytes (about 26 MB at the
+    defaults).
     Verdict: the median shrinks by at least the factor `shrink` going from
     the first to the last n. A censored median is written as null; if the
     first or last one is, the ratio is null and the verdict fails with a
@@ -462,7 +463,7 @@ def theorem3_campaign(
     half_c = consts.c_inf_bold / 2.0
     scales = [consts.range_error_scale(n) for n in n_grid]
     res = walk.simulate_excursion_grid(
-        law, env_seeds, walk_seeds, np.arange(1, n_max + 1), budget, threads
+        law, env_seeds, walk_seeds, np.arange(1, n_max + 1), budget, threads, ("T", "R")
     )
     # |R - (c_inf/2) T| and its running maximum over the crossings, in one
     # array; a trial's row is valid up to its nsnap
@@ -533,7 +534,7 @@ def corollary_campaign(
     for n in n_grid:
         m_grid.extend((2 * n, 2 * n + 1))
     rejected = _surviving(law, env_seeds, "corollary")
-    L = walk.simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads)["snap_L"]
+    L = walk.simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads, ("L",))["snap_L"]
     # a walker's arrivals at time 2n+1: 0 or 1
     counts = (L[:, 1::2] - L[:, 0::2]).sum(axis=0)
     n_rejected = int(rejected.sum())
@@ -623,8 +624,9 @@ def lemma_moments_campaign(
     Regeneration route: after m excursions, the mean number of once-visited
     vertices whose ancestors strictly below the root were visited at least
     twice equals m, within 4 SE. These are the count-1 non-root nodes of
-    the pruned excursion tree at tau^m, so the route reads the B column of
-    `excursion.hypothesis_sums_batch` at p = m, on fresh environments.
+    the pruned excursion tree at tau^m, so the route takes the mean and SE
+    from the exact sums of B and B^2 of `excursion.hypothesis_sums_batch`
+    at p = m, on fresh environments.
     An environment truncated to the root alone, on a law whose environments
     can die, has no edge to check: both routes skip it, their verdicts then
     count the skipped ones in n_root_only, and a route that skips every
@@ -700,9 +702,8 @@ def lemma_moments_campaign(
 
     for m in regen_levels:
         rng = kernel.PCG64(derive_seed(master_seed, f"regen-m{m}", 0, "walk"))
-        counts = excursion.hypothesis_sums_batch(law, n_regen_samples, rng, p=m)["B"]
-        mean = counts.mean()
-        se = counts.std(ddof=1) / n_regen_samples**0.5
+        sums = excursion.hypothesis_sums_batch(law, n_regen_samples, rng, p=m)
+        mean, se = stats.sums_mean_se(sums.n, *sums.powers["B"][:2])
         z = abs(mean - m) / se
         verdicts.append(
             stats.verdict_row(
@@ -721,9 +722,12 @@ def forest_identities_campaign(
     `n_trees` typed trees, and the moment rows of B, nu and nu_tilde with
     the mean_type1_once verdict (E[B] = 1) on `n_sums` batch draws.
 
+    The moments come from the exact power sums of the batch
+    (`excursion.HypothesisSums`), so no array of the n_sums draws is held.
     sigma1_sq, the sample variance of B, and its fourth-moment standard
-    error sigma1_sq_se are null unless kappa > 4: B's tail index is kappa,
-    so below 4 the error, and below 2 the variance, is infinite."""
+    error sigma1_sq_se, from the sums of B^1 to B^4, are null unless
+    kappa > 4: B's tail index is kappa, so below 4 the error, and below 2
+    the variance, is infinite."""
     kernel.require_library()
     _check("forest_identities.n_trees", n_trees)
     _check("forest_identities.n_sums", n_sums, least=2)
@@ -748,14 +752,12 @@ def forest_identities_campaign(
     sums = excursion.hypothesis_sums_batch(law, n_sums, rng2)
     moments = {}
     for name, key in (("b", "B"), ("nu", "nu"), ("nu_tilde", "nu_tilde")):
-        moments[f"{name}_mean"], moments[f"{name}_se"] = stats.mean_se(sums[key])
+        moments[f"{name}_mean"], moments[f"{name}_se"] = stats.sums_mean_se(
+            sums.n, *sums.powers[key][:2])
     moments["sigma1_sq"] = moments["sigma1_sq_se"] = None
     if kappa > 4:
-        b = sums["B"].astype(np.float64)
-        var_b = b.var(ddof=1)
-        m4 = np.square(np.square(b - b.mean())).mean()  # ** 4 is 5x slower
-        moments["sigma1_sq"] = float(var_b)
-        moments["sigma1_sq_se"] = float(math.sqrt(max(m4 - var_b**2, 0.0) / n_sums))
+        moments["sigma1_sq"], moments["sigma1_sq_se"] = stats.sums_variance_se(
+            sums.n, *sums.powers["B"])
     b_mean, b_se = moments["b_mean"], moments["b_se"]
     verdicts.append(
         stats.verdict_row(

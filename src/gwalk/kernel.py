@@ -53,7 +53,8 @@ stops at the forced return step of the `limit`-th e* visit. Snapshots are
 taken at caller-given sorted raw times (MODE_STEPS) or crossing indices
 (MODE_CROSSINGS), as the rows tau, T, L, R (result keys snap_tau, ...): the
 values of m, t_ex, L and R there. The grid itself is the tau row in
-MODE_STEPS and the L row in MODE_CROSSINGS.
+MODE_STEPS and the L row in MODE_CROSSINGS. `run_walks` records only the
+rows its caller names (`SNAP_ROWS`), `run_walk` all four.
 
 Level potentials
 ----------------
@@ -157,6 +158,10 @@ ERR_CHILDREN = "children must be consecutive"
 ERR_PARENT = "explicit tree parent index outside [0, i)"
 ERR_LENGTH = "explicit tree needs one V per node"
 
+# the snapshot rows a walk can record, in gw_walks' order: the values of m,
+# t_ex, L and R at each snapshot (result keys snap_tau, snap_T, ...)
+SNAP_ROWS = ("tau", "T", "L", "R")
+
 # the tree run_walk returns: output key (after "tree_") -> gw_node field
 _TREE = {"parent": "parent", "atom": "atom", "ndown": "n_down", "nup": "n_up"}
 
@@ -240,8 +245,8 @@ def _arrays(values, dtypes):
 # in the order of its C declaration
 _ENTRY_POINTS = {
     "gw_walks": (ctypes.c_int, [_P, _INT64, _P, _P, _P, _P, _INT64, _P, _P, _P, _P, _INT64,
-                                _P, ctypes.c_int, _INT64, _P, _INT64, _P, _INT64, _P, _P,
-                                ctypes.POINTER(ctypes.POINTER(_Arena))]),
+                                _P, ctypes.c_int, _INT64, _P, _INT64, ctypes.c_int, _P, _INT64,
+                                _P, _P, ctypes.POINTER(ctypes.POINTER(_Arena))]),
     "gw_free": (None, [ctypes.POINTER(_Arena)]),
     "gw_level": (_INT64, [_P, _INT64, _P, _P, _P, ctypes.c_uint64, _INT64, _P, _INT64]),
     "gw_counts": (ctypes.c_int, [_P, _INT64, _P, _INT64, *[_P, _INT64] * 4, ctypes.c_int,
@@ -297,34 +302,46 @@ def _pointers(t, parent=None, child0=None):
     return arrays, ptrs
 
 
-def _result(stats, nodes_grown, snap_out):
+def _result(stats, nodes_grown, snap_out, rows=SNAP_ROWS):
     """A walk's result: the gw_stats fields (status, m, t_ex, L, R, pos,
-    nsnap) from `stats`, nodes_grown, and snap_tau, snap_T, snap_L and
-    snap_R from the rows of `snap_out` (..., 4, snapshots)."""
+    nsnap) from `stats`, nodes_grown, and "snap_" + row for each of the
+    snapshot rows `rows` from the rows of `snap_out` (..., len(rows),
+    snapshots)."""
     out = {f: v for (f, _), v in zip(_Stats._fields_, stats)}
     out["nodes_grown"] = nodes_grown
-    for row, name in enumerate(("tau", "T", "L", "R")):
-        out["snap_" + name] = snap_out[..., row, :]
+    for i, name in enumerate(rows):
+        out["snap_" + name] = snap_out[..., i, :]
     return out
 
 
+def _snap_rows(rows):
+    """The snapshot rows `rows` in SNAP_ROWS order; ValueError for a name
+    not in SNAP_ROWS."""
+    if not set(rows) <= set(SNAP_ROWS):
+        raise ValueError(f"snapshot rows must be among {SNAP_ROWS}, got {tuple(rows)}")
+    return tuple(r for r in SNAP_ROWS if r in rows)
+
+
 def _walk_calls(law_tables, explicit, env_seeds, walk_seeds, mode, limit, snaps, budget,
-                calls, arena=None):
-    """The stats (n, 7), nodes grown (n,) and snapshots (n, 4, len(snaps))
-    of `calls` concurrent gw_walks calls on trials 0..n-1 (uint64 seed
-    arrays), on the lazy trees of law_tables or on the explicit tree. With
-    `arena`, a NULL POINTER(_Arena), the one call hands back its arena."""
+                calls, arena=None, rows=SNAP_ROWS):
+    """The stats (n, 7), nodes grown (n,) and snapshots (n, len(rows),
+    len(snaps)) of `calls` concurrent gw_walks calls on trials 0..n-1
+    (uint64 seed arrays), on the lazy trees of law_tables or on the
+    explicit tree, recording the snapshot rows `rows` (in SNAP_ROWS order).
+    With `arena`, a NULL POINTER(_Arena), the one call hands back its
+    arena."""
     lib = require_library()
     n = env_seeds.size
     (snaps,) = _arrays([snaps], [np.int64])
     tables = (law_tables,) if explicit is None else explicit_tree(explicit)
     arrays, ptrs = _pointers(*tables)
-    snap_out = np.zeros((n, 4, len(snaps)), dtype=np.int64)
+    mask = sum(1 << SNAP_ROWS.index(r) for r in rows)
+    snap_out = np.zeros((n, len(rows), len(snaps)), dtype=np.int64)
     st = np.empty((n, len(_Stats._fields_)), dtype=np.int64)
     nodes = np.empty(n, dtype=np.int64)
     counter = np.zeros(1, dtype=np.int64)
     args = (*ptrs, env_seeds.ctypes.data, walk_seeds.ctypes.data, n, counter.ctypes.data,
-            int(mode), int(limit), snaps.ctypes.data, len(snaps), snap_out.ctypes.data,
+            int(mode), int(limit), snaps.ctypes.data, len(snaps), mask, snap_out.ctypes.data,
             int(budget), st.ctypes.data, nodes.ctypes.data,
             None if arena is None else ctypes.byref(arena))
     if any(_concurrent_calls(lib.gw_walks, args, calls)):
@@ -362,26 +379,30 @@ def run_walk(law_tables, env_seed, walker_seed, mode, limit, snaps, budget=10**1
 
 
 def run_walks(law_tables, env_seeds, walk_seeds, mode, limit, snaps, budget=10**10,
-              threads=1):
+              threads=1, snap_rows=SNAP_ROWS):
     """Run the lazy walks of trials 0..n-1, trial t on env_seeds[t] with
     walk seed walk_seeds[t], each as run_walk(law_tables, env_seeds[t],
     walk_seeds[t], mode, limit, snaps, budget) would, in `threads`
     concurrent calls of gw_walks (no more than there are trials) that share
     its trial counter. Returns run_walk's dict, tree aside, with a leading
     trial axis: status, m, t_ex, L, R, pos, nsnap and nodes_grown of shape
-    (n,), and snap_tau, snap_T, snap_L and snap_R of shape (n, len(snaps)),
-    views of one (n, 4, len(snaps)) buffer; a trial's snapshots past its
-    nsnap read 0. Every trial writes only its own slots, so the result does
-    not depend on `threads`. ValueError unless there is one walk seed per
-    environment seed; MemoryError when an arena cannot grow."""
+    (n,), and "snap_" + row of shape (n, len(snaps)) for each of the
+    snapshot rows `snap_rows` (names of SNAP_ROWS; all four by default),
+    views of one (n, rows, len(snaps)) buffer, so the library writes, and
+    memory holds, only the rows a caller reads; a trial's snapshots past
+    its nsnap read 0. Every trial writes only its own slots, so the result
+    does not depend on `threads`. ValueError unless there is one walk seed
+    per environment seed, or for an unknown snapshot row; MemoryError when
+    an arena cannot grow."""
     env_seeds, walk_seeds = (np.ascontiguousarray(np.asarray(s, dtype=np.uint64).ravel())
                              for s in (env_seeds, walk_seeds))
     n = env_seeds.size
     if walk_seeds.size != n:
         raise ValueError(f"run_walks: {n} environment seeds, {walk_seeds.size} walk seeds")
+    rows = _snap_rows(snap_rows)
     st, nodes, snap_out = _walk_calls(law_tables, None, env_seeds, walk_seeds, mode, limit,
-                                      snaps, budget, max(1, min(int(threads), n)))
-    return _result(st.T, nodes, snap_out)
+                                      snaps, budget, max(1, min(int(threads), n)), rows=rows)
+    return _result(st.T, nodes, snap_out, rows)
 
 
 def level_potentials(law_tables, env_seeds, level):

@@ -191,25 +191,34 @@ def estimate_c_kappa(
     generator seeded derive_seed(seed, "c-kappa", 0, "boot"). A Hill
     cross-check of the tail index, with its bootstrap CI, on the top 2000
     positive values rides along. Fewer than two positive B values leave no
-    tail to read: LimitsError TOO_FEW."""
+    tail to read: LimitsError TOO_FEW.
+
+    The draws are reduced as they are made (`hypothesis_sums_batch`), and
+    only the K = max(10^4, ceil(n / 200) + 2) largest positive B are kept,
+    so memory holds one seed slice and at most 2K values, whatever n is.
+    K is enough: with more than 10^4 positive values the 0.995 quantile of
+    the P positive values reads the two at places floor(0.995 (P - 1)) and
+    the next, at most ceil(P / 200) + 2 from the top; every grid point is
+    at or above that quantile, so every draw counted above one is kept;
+    the 30th largest and Hill's top 2,001 are among them; and with at most
+    10^4 positive values all of them are kept. So the estimate has the
+    bits of the same estimator on all n draws."""
     rng = kernel.PCG64(derive_seed(seed, "c-kappa", 0, "env"))
-    b = _excursion.hypothesis_sums_batch(law, n_samples, rng)["B"]
-    pos = b[b > 0]
-    if pos.size < 2:
-        raise LimitsError(
-            "TOO_FEW", f"{pos.size} of {b.size} draws of B are positive; the tail needs two"
-        )
-    if pos.size > 10_000:
-        lo = max(int(_stats.quantile(pos, 0.995)), 2)
-        hi = max(int(np.partition(b, -30)[-30]), 2 * lo)
+    n = n_samples
+    sums = _excursion.hypothesis_sums_batch(law, n, rng, tail=max(10_000, -(-n // 200) + 2))
+    top, n_pos = sums.top, sums.positive
+    if n_pos < 2:
+        raise LimitsError("TOO_FEW", f"{n_pos} of {n} draws of B are positive; the tail needs two")
+    if n_pos > 10_000:
+        lo = max(int(_stats.top_quantile(top, n_pos, 0.995)), 2)
+        hi = max(int(top[-30]), 2 * lo)
     else:
-        lo, hi = 2, max(int(b.max()), 8)
+        lo, hi = 2, max(int(top[-1]), 8)
     # a sorted set, not np.unique, which imports numpy.ma
     m_grid = np.array(sorted(set(np.geomspace(lo, hi, num=12).astype(np.int64).tolist())))
 
-    n = b.size
     # draws above each grid point, and none above the last bin's open end
-    above = np.array([(b > m).sum() for m in m_grid] + [0], dtype=np.int64)
+    above = np.r_[top.size - np.searchsorted(top, m_grid, side="right"), 0]
     vals = m_grid.astype(float) ** kappa * above[:-1] / n
     half = vals[len(vals) // 2 :]
     est = float(_stats.median(half))
@@ -228,7 +237,7 @@ def estimate_c_kappa(
     bvals = m_grid.astype(float) ** kappa * (n - np.cumsum(counts, axis=1)[:, :-1]) / n
     ci = _stats.quantile(_stats.median(bvals[:, len(m_grid) // 2 :], axis=1), [0.025, 0.975])
 
-    hill = _stats.hill_tail_index(pos.astype(float), k=min(2000, pos.size - 1), seed=seed)
+    hill = _stats.hill_tail_index(top.astype(float), k=min(2000, n_pos - 1), seed=seed)
     return {
         "c_kappa": est,
         "ci": (float(ci[0]), float(ci[1])),

@@ -2,13 +2,16 @@
 
 Empirical Laplace tables with per-point standard errors, the sample mean
 with its standard error (`mean_se`; a normal 95% CI is mean +- Z95 se),
+also from exact integer power sums with the variance and its error
+(`sums_mean_se`, `sums_variance_se`),
 Hill tail-index estimation, log-log slope regression, percentile bootstrap
 confidence intervals drawn from one seeded generator per call, and
 JSON-compatible verdict rows, written as strict JSON.
 
 `median` and `quantile` return the bits of `np.median` and `np.quantile`
 (default linear method) without calling them: both import `numpy.ma` on
-their first call, about 18 ms of a command's time.
+their first call, about 18 ms of a command's time. `top_quantile` gives
+quantile's bits from the largest values alone.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ from ._rng import derive_seed
 __all__ = [
     "empirical_laplace",
     "mean_se",
+    "sums_mean_se",
+    "sums_variance_se",
     "hill_tail_index",
     "loglog_slope",
     "bootstrap_ci",
     "median",
     "quantile",
+    "top_quantile",
     "verdict_row",
     "write_verdicts",
 ]
@@ -44,6 +50,30 @@ def mean_se(samples) -> tuple[float, float]:
     if x.size < 2:
         raise ValueError("a standard error needs at least two samples")
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+
+
+def sums_mean_se(n: int, s1: int, s2: int) -> tuple[float, float]:
+    """mean_se of n integers from their exact sums s1 = sum x and
+    s2 = sum x^2 (Python ints): s1 / n, which is numpy's mean while every
+    partial sum is below 2^53, and sqrt(var) / sqrt(n), the variance
+    (n s2 - s1^2) / (n (n - 1)) rounded once, where numpy's two-pass
+    variance may differ in the last digits."""
+    if n < 2:
+        raise ValueError("a standard error needs at least two samples")
+    return s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * (n - 1))) / math.sqrt(n)
+
+
+def sums_variance_se(n: int, s1: int, s2: int, s3: int, s4: int) -> tuple[float, float]:
+    """The sample variance (ddof 1) of n integers and its fourth-moment
+    standard error sqrt(max(m4 - var^2, 0) / n), m4 the central fourth
+    moment (ddof 0), from the exact sums s_k = sum x^k (Python ints), each
+    rounded once."""
+    if n < 2:
+        raise ValueError("a variance needs at least two samples")
+    d = n * s2 - s1 * s1  # n (n - 1) var
+    m4 = n**3 * s4 - 4 * n * n * s1 * s3 + 6 * n * s1 * s1 * s2 - 3 * s1**4  # n^4 m4
+    excess = m4 * (n - 1) ** 2 - d * d * n * n  # n^4 (n - 1)^2 (m4 - var^2)
+    return d / (n * (n - 1)), math.sqrt(max(excess, 0) / (n**5 * (n - 1) ** 2))
 
 
 def empirical_laplace(samples, lambdas) -> list[dict]:
@@ -143,24 +173,42 @@ def median(x, axis=None):
     return _select(x, axis, mid + [-1], lambda part: np.mean(part[mid], axis=0))
 
 
-def quantile(x, q):
-    """np.quantile(x, q) with its default linear method, bit for bit: at the
-    virtual index (n - 1) q, the values a and b at its floor and the next
-    place (both the last place from n - 1 on) joined by numpy's lerp,
-    a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5, where g is the index
-    less the floor."""
-    n = np.size(x)
+def _linear(n, q):
+    """The places lo and hi, among n sorted values, that np.quantile's
+    default linear method reads at q, and its lerp of the values a and b
+    there: at the virtual index (n - 1) q, its floor and the next place
+    (both the last place, -1, from n - 1 on), joined as a + (b - a) g, or
+    b - (b - a)(1 - g) when g >= 0.5, where g is the index less the floor."""
     at = (n - 1) * np.asarray(q, dtype=np.float64)
     top = at >= n - 1
     lo = np.where(top, -1, np.floor(at)).astype(np.intp)
     hi = np.where(top, -1, lo + 1)
     g = at - lo
 
-    def lerp(part):
-        a, b = part[lo], part[hi]
+    def lerp(a, b):
         return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)[()]
 
-    return _select(x, None, sorted({0, -1, *lo.ravel().tolist(), *hi.ravel().tolist()}), lerp)
+    return lo, hi, lerp
+
+
+def quantile(x, q):
+    """np.quantile(x, q) with its default linear method, bit for bit
+    (`_linear`)."""
+    lo, hi, lerp = _linear(np.size(x), q)
+    return _select(x, None, sorted({0, -1, *lo.ravel().tolist(), *hi.ravel().tolist()}),
+                   lambda part: lerp(part[lo], part[hi]))
+
+
+def top_quantile(top, n: int, q):
+    """quantile(x, q), bit for bit, for x of n values of which `top` holds
+    the largest, ascending, from the places that quantile reads: ValueError
+    when one of them lies below top."""
+    lo, hi, lerp = _linear(n, q)
+    off = n - len(top)
+    if not len(top) or ((lo >= 0) & (lo < off)).any():
+        raise ValueError("the quantile reads a value below the top values")
+    lo, hi = (np.where(r < 0, r, r - off) for r in (lo, hi))
+    return lerp(top[lo], top[hi])
 
 
 def bootstrap_ci(

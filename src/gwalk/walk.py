@@ -29,21 +29,22 @@ def _grid(points) -> np.ndarray:
     return np.asarray(sorted(int(p) for p in points), dtype=np.int64)
 
 
-def simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads: int = 1):
+def simulate_time_grid(law, env_seeds, walk_seeds, m_grid, threads: int = 1,
+                       snap_rows=kernel.SNAP_ROWS):
     """Run trial t on (env_seeds[t], walk_seeds[t]) to max(m_grid) steps,
-    snapshotting (m, L, R, T) at each grid point.
+    snapshotting the rows snap_rows of (m, T, L, R) at each grid point.
 
     Returns the `kernel.run_walks` result, one row per trial."""
     grid = _grid(m_grid)
     return kernel.run_walks(law.tables(), env_seeds, walk_seeds, kernel.MODE_STEPS,
-                            int(grid[-1]), grid, threads=threads)
+                            int(grid[-1]), grid, threads=threads, snap_rows=snap_rows)
 
 
 def simulate_excursion_grid(law, env_seeds, walk_seeds, p_grid, budget: int,
-                            threads: int = 1):
+                            threads: int = 1, snap_rows=kernel.SNAP_ROWS):
     """Run trial t on (env_seeds[t], walk_seeds[t]) to the max(p_grid)-th
-    crossing of (e*, e), snapshotting (p, tau^p, T^p, R at tau^p) at each
-    grid point.
+    crossing of (e*, e), snapshotting the rows snap_rows of (tau^p, T^p,
+    p, R at tau^p) at each grid point.
 
     Null recurrence makes tau^p heavy-tailed, so a walk stops after `budget`
     steps: its row then has status STATUS_BUDGET and only the nsnap
@@ -51,4 +52,5 @@ def simulate_excursion_grid(law, env_seeds, walk_seeds, p_grid, budget: int,
     censored."""
     grid = _grid(p_grid)
     return kernel.run_walks(law.tables(), env_seeds, walk_seeds, kernel.MODE_CROSSINGS,
-                            int(grid[-1]), grid, budget=budget, threads=threads)
+                            int(grid[-1]), grid, budget=budget, threads=threads,
+                            snap_rows=snap_rows)

@@ -8,6 +8,7 @@ dataclass containers and the key scheme of gwalk._rng.
 
 import json
 import math
+import warnings
 from typing import Iterator, NamedTuple
 
 import mpmath as mp
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import stats as sps
 
 from gwalk._rng import (MASK, STREAM_INC, STREAM_SALT_HI, STREAM_SALT_LO, TWO_NEG53,
-                        child_key_np, mix64, root_key_np)
+                        child_key_np, derive_seed, mix64_np, root_key_np)
 
 
 def psi_mp(atoms, t, dps: int = 50):
@@ -140,19 +141,41 @@ def numpy_state(rng) -> dict:
             "has_uint32": s.has_uint32, "uinteger": s.uinteger}
 
 
+def _stream_states(walk_seeds) -> list:
+    """The numpy `bit_generator.state` of the count-tree row of each walk
+    seed: a PCG64 whose state is the row's (state, inc), from the STREAM
+    constants of gwalk._rng, all rows in one vectorized pass."""
+    w = np.asarray(walk_seeds, dtype=np.uint64).ravel()
+    hi, lo = (mix64_np(w ^ np.uint64(salt)).tolist() for salt in (STREAM_SALT_HI, STREAM_SALT_LO))
+    return [{"bit_generator": "PCG64", "state": {"state": h << 64 | g, "inc": STREAM_INC},
+             "has_uint32": 0, "uinteger": 0} for h, g in zip(hi, lo)]
+
+
 def row_generator(walk_seed) -> np.random.Generator:
-    """The numpy Generator of the count-tree row with this walk seed: a
-    PCG64 whose state is the row's (state, inc), from the STREAM constants
-    of gwalk._rng. On it, `excursion_levels` of that row alone makes the
-    library's draws."""
-    w = int(walk_seed) & MASK
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": mix64(w ^ STREAM_SALT_HI) << 64 | mix64(w ^ STREAM_SALT_LO),
-                  "inc": STREAM_INC},
-        "has_uint32": 0, "uinteger": 0}
+    """The numpy Generator of the count-tree row with this walk seed. On it,
+    `excursion_levels` of that row alone makes the library's draws."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = _stream_states([int(walk_seed) & MASK])[0]
     return rng
+
+
+class RowStreams:
+    """The generators of many count-tree rows, one per walk seed, as one
+    numpy Generator whose state is swapped in per row: `draw(r, fn)` runs
+    fn on row r's generator and keeps the state it leaves, also when fn
+    raises. `states[r]` is then what `row_generator` of that seed would be
+    in after the same draws."""
+
+    def __init__(self, walk_seeds):
+        self.states = _stream_states(walk_seeds)
+        self._gen = np.random.Generator(np.random.PCG64(0))
+
+    def draw(self, r, fn):
+        self._gen.bit_generator.state = self.states[r]
+        try:
+            return fn(self._gen)
+        finally:
+            self.states[r] = self._gen.bit_generator.state
 
 
 def discounted_sums_searchsorted(law, n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
@@ -224,7 +247,9 @@ def excursion_levels(law, env_seeds, root_counts, rng, prune=False, budget=None)
     which draws each row as this function draws that row alone on the row's
     generator (`row_generator` of its walk seed), in the same order: the
     generations of one excursion tree per row, roots first, drawn lazily (a
-    consumer that stops after generation d has drawn nothing deeper).
+    consumer that stops after generation d has drawn nothing deeper). rng
+    is one Generator for the whole batch, or a `RowStreams` of one
+    generator per row, on which each row makes the draws it makes alone.
 
     Row r grows on the keyed environment of env_seeds[r] with root count
     root_counts[r] (a scalar applies to every row). Per generation, one
@@ -256,14 +281,36 @@ def excursion_levels(law, env_seeds, root_counts, rng, prune=False, budget=None)
         if budget is not None:
             np.add.at(total, row, N)
             ex = ex[total[row[ex]] <= budget[row[ex]]]
-        g = rng.standard_gamma(N[ex])
         atom = t.cum.searchsorted((key[ex] >> np.uint64(11)) * TWO_NEG53, side="right")
-        kids = rng.poisson(g[:, None] * rate[atom])
+        if isinstance(rng, RowStreams):
+            # the expanded nodes are in row order: each row's run on its stream
+            rows, counts, lam = row[ex], N[ex], rate[atom]
+            cut = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), ex.size]
+            kids = np.concatenate([np.empty((0, rate.shape[1]), dtype=np.int64)] + [
+                rng.draw(rows[a], lambda gen, a=a, b=b: _generation(gen, counts[a:b], lam[a:b]))
+                for a, b in zip(cut[:-1], cut[1:]) if a < b])
+        else:
+            g = rng.standard_gamma(N[ex])
+            kids = rng.poisson(g[:, None] * rate[atom])
         par, j = np.nonzero(kids)
         N = kids[par, j]
         parent = ex[par]
         row = row[parent]
         key = child_key_np(key[parent], j)
+
+
+def _generation(gen, counts, lam):
+    """One row's draws of one generation on its generator: a gamma per
+    expanded node, then a Poisson per (node, child slot) at rate g times
+    lam, as gen.poisson(gen.standard_gamma(counts)[:, None] * lam) makes
+    them. A few nodes draw one value per call, which numpy draws alike (a
+    zero rate draws nothing either way) at a tenth of an array call's
+    overhead."""
+    if counts.size > 4:
+        return gen.poisson(gen.standard_gamma(counts)[:, None] * lam)
+    g = [gen.standard_gamma(float(c)) for c in counts]
+    return np.array([[gen.poisson(x * r) for r in rates] for x, rates in zip(g, lam)],
+                    dtype=np.int64).reshape(lam.shape)
 
 
 def build_chain(marks) -> dict:
@@ -513,6 +560,80 @@ def hypothesis_check(trees) -> dict:
         "nu_tilde_se": float(nut.std(ddof=1) / math.sqrt(n)),
         "sigma1_sq": float(var_b),
         "sigma1_sq_se": float(math.sqrt(max(m4 - var_b**2, 0.0) / n)),
+    }
+
+
+def hypothesis_summary(nu, nu_tilde, B, tail: int) -> dict:
+    """The fields of `gwalk.excursion.HypothesisSums` from whole arrays of
+    the three sums, one Python int at a time: n, the power sums (nu and
+    nu_tilde to the square, B to the fourth power), the number of positive
+    B and the `tail` largest positive B, ascending, as bytes."""
+    pos = np.sort(B[B > 0])
+    powers = {key: tuple(sum(int(v) ** j for v in x) for j in range(1, k + 1))
+              for key, x, k in (("nu", nu, 2), ("nu_tilde", nu_tilde, 2), ("B", B, 4))}
+    return {"n": B.size, "powers": powers, "positive": pos.size,
+            "top": pos[pos.size - min(tail, pos.size):].tobytes()}
+
+
+def summary_fields(s) -> dict:
+    """The fields of a `HypothesisSums` in the form of `hypothesis_summary`."""
+    return {"n": s.n, "powers": s.powers, "positive": s.positive, "top": s.top.tobytes()}
+
+
+def c_kappa_full(b, kappa: float, seed: int, n_boot: int = 400) -> dict:
+    """Reference for `gwalk.limits.estimate_c_kappa` on the whole array b of
+    its draws of B: the tail-plateau estimator as it reads every draw, with
+    numpy's own quantile, median and partition, and numpy Generators for
+    the histogram bootstrap and the Hill bootstrap, seeded as the library
+    seeds its generators. ValueError with the library's message for fewer
+    than two positive values."""
+    pos = b[b > 0]
+    if pos.size < 2:
+        raise ValueError(f"{pos.size} of {b.size} draws of B are positive; the tail needs two")
+    if pos.size > 10_000:
+        lo = max(int(np.quantile(pos, 0.995)), 2)
+        hi = max(int(np.partition(b, -30)[-30]), 2 * lo)
+    else:
+        lo, hi = 2, max(int(b.max()), 8)
+    m_grid = np.unique(np.geomspace(lo, hi, num=12).astype(np.int64))
+    n = b.size
+    above = np.array([(b > m).sum() for m in m_grid] + [0], dtype=np.int64)
+    vals = m_grid.astype(float) ** kappa * above[:-1] / n
+    half = vals[len(vals) // 2:]
+    spread = (half.max() - half.min()) / max(np.median(half), 1e-300)
+    if spread > 0.5:
+        warnings.warn(f"NO_PLATEAU: tail grid varies by {spread:.0%} on its top half",
+                      RuntimeWarning)
+    bins = np.r_[n - above[0], -np.diff(above)]
+    brng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "boot"))
+    counts = brng.multinomial(n, bins / n, n_boot)
+    bvals = m_grid.astype(float) ** kappa * (n - np.cumsum(counts, axis=1)[:, :-1]) / n
+    ci = np.quantile(np.median(bvals[:, len(m_grid) // 2:], axis=1), [0.025, 0.975])
+
+    # Hill on the top k + 1 positive values, its CI a percentile bootstrap
+    # of the k log-spacings; an end that reads an infinite resample is inf
+    k = min(2000, pos.size - 1)
+    top = np.sort(pos.astype(float))[-(k + 1):]
+    spacings = np.log(top[1:]) - math.log(top[0])
+
+    def alpha(s):
+        return s.size / s.sum() if s.sum() > 0 else math.inf
+
+    hrng = np.random.default_rng(derive_seed(seed, "hill", k, "ci"))
+    boot = np.array([alpha(spacings[hrng.integers(0, k, size=k, dtype=np.int64)])
+                     for _ in range(n_boot)])
+    ends = []
+    for q in (0.025, 0.975):
+        at = math.floor(q * (n_boot - 1))
+        finite = np.sort(boot)[at + 1] < math.inf
+        ends.append(float(np.quantile(boot, q)) if finite else math.inf)
+    return {
+        "c_kappa": float(np.median(half)),
+        "ci": (float(ci[0]), float(ci[1])),
+        "grid": [(int(m), float(v)) for m, v in zip(m_grid, vals)],
+        "no_plateau": bool(spread > 0.5),
+        "hill": {"alpha": float(alpha(spacings)), "ci": tuple(ends), "k": k},
+        "n_samples": int(n),
     }
 
 

@@ -9,7 +9,8 @@ draws on its own stream, the callers' bytes do not depend on SAMPLE_CHUNK,
 THEOREM1_CHUNK or the threads, and a larger budget leaves a row within the
 smaller one unchanged. count_trees writes its sums into a caller's column
 slice and refuses one that does not fit before any draw, so
-hypothesis_sums_batch holds one copy of its sums and one slice of seeds."""
+hypothesis_sums_batch holds one slice of sums and seeds, which it reduces
+to exact power sums and a tail before it draws the next."""
 
 import ctypes
 import json
@@ -66,32 +67,63 @@ def _seeds(n, seed=7):
 
 
 def _reference(law, env_seeds, walk_seeds, roots, prune, budget):
-    """(sums, node arrays, end states) of the numpy reference, row by row,
-    each row on `oracles.row_generator` of its walk seed: what count_trees
-    returns with keep and writes to `ends`."""
+    """(sums, node arrays, end states) of the numpy reference, each row on
+    its own generator (`oracles.RowStreams` of the walk seeds): what
+    count_trees returns with keep and writes to `ends`. The reference grows
+    the rows generation by generation; each row's nodes are then gathered,
+    root first and generation by generation, with parents as places among
+    the row's nodes."""
     n = env_seeds.size
-    roots = np.broadcast_to(roots, n)
-    budget = np.broadcast_to(None if budget is None else budget, n)
+    streams = oracles.RowStreams(walk_seeds)
+    if not n:
+        return np.zeros((3, 0), dtype=np.int64), {}, []
+    levels = list(oracles.excursion_levels(law, env_seeds, roots, streams, prune=prune,
+                                           budget=budget))
+    sizes = np.array([lv.N.size for lv in levels])
+    start = np.cumsum(sizes) - sizes
+    row, key, N = (np.concatenate([getattr(lv, f) for lv in levels]) for f in ("row", "key", "N"))
+    parent = np.concatenate([levels[0].parent]
+                            + [lv.parent + start[g] for g, lv in enumerate(levels[1:])])
+    order = np.argsort(row, kind="stable")  # generation order within each row
+    place = np.empty(row.size, dtype=np.int64)
+    place[order] = np.arange(row.size) - np.searchsorted(row[order], row[order])
+    parent = np.where(parent < 0, -1, place[np.maximum(parent, 0)])
+    tree = {"row": row[order], "parent": parent[order], "key": key[order], "N": N[order]}
+    below = np.arange(row.size) >= sizes[0]  # the non-root nodes
     sums = np.zeros((3, n), dtype=np.int64)
-    parts, ends = [], []
+    for i, x in enumerate((N[below], 1, N[below] == 1)):
+        np.add.at(sums[i], row[below], x)
+    return sums, tree, streams.states
+
+
+@pytest.mark.parametrize("name, setting", [("constant_bias_2", "full-budget"),
+                                           ("ragged", "pruned-roots")])
+def test_row_streams_draw_each_row_as_alone(name, setting):
+    """The reference on RowStreams (every row on its own generator, drawn
+    a generation at a time across the rows, a few nodes one value per call)
+    gives each row the generations and the end state of the reference on
+    that row alone on its `row_generator`, whose draws are numpy's array
+    calls throughout."""
+    law = LAWS[name]
+    _, roots, prune, budget = SETTINGS[setting]
+    n = 150
+    roots = np.broadcast_to(_per_row(roots, n), n)
+    budget = None if budget is None else np.broadcast_to(_per_row(budget, n), n)
+    env, walk = _seeds(n)
+    streams = oracles.RowStreams(walk)
+    levels = list(oracles.excursion_levels(law, env, roots, streams, prune=prune, budget=budget))
+    assert max(np.bincount(lv.row[lv.N >= 2]).max(initial=0) for lv in levels) > 4
     for r in range(n):
-        rng = oracles.row_generator(walk_seeds[r])
-        levels = list(oracles.excursion_levels(law, env_seeds[r : r + 1], roots[r], rng,
-                                               prune=prune, budget=budget[r]))
-        sizes = np.array([lv.N.size for lv in levels])
-        start = np.cumsum(sizes) - sizes
-        parts.append({
-            "row": np.full(sizes.sum(), r, dtype=np.int64),
-            "parent": np.concatenate([levels[0].parent]
-                                     + [lv.parent + start[g] for g, lv in enumerate(levels[1:])]),
-            "key": np.concatenate([lv.key for lv in levels]),
-            "N": np.concatenate([lv.N for lv in levels]),
-        })
-        N = parts[-1]["N"][1:]
-        sums[:, r] = N.sum(), N.size, (N == 1).sum()
-        ends.append(rng.bit_generator.state)
-    tree = {f: np.concatenate([part[f] for part in parts]) for f in parts[0]} if n else {}
-    return sums, tree, ends
+        rng = oracles.row_generator(walk[r])
+        alone = list(oracles.excursion_levels(law, env[r:r + 1], roots[r], rng, prune=prune,
+                                              budget=None if budget is None else budget[r]))
+        mine = [lv for lv in levels if (lv.row == r).any()]
+        assert len(mine) == len(alone)
+        for lv, one in zip(mine, alone):
+            at = lv.row == r
+            assert lv.key[at].tobytes() == one.key.tobytes()
+            assert lv.N[at].tobytes() == one.N.tobytes()
+        assert streams.states[r] == rng.bit_generator.state
 
 
 def _assert_same_generator(rng, ref):
@@ -172,33 +204,36 @@ def test_too_large_poisson_rate_raises_as_numpy():
 
 
 def test_hypothesis_sums_match_reference(monkeypatch):
-    """B, nu and nu_tilde equal the reference's reductions row by row, sample
-    i on the seed pair of draws 2i and 2i + 1, and the seed generator ends
-    where numpy's leaves it after 2n draws."""
+    """The summary equals one built from the reference's sums row by row,
+    sample i on the seed pair of draws 2i and 2i + 1: the power sums, the
+    positive count and the tail, over three slices, with the tail buffer
+    cut; and the seed generator ends where numpy's leaves it after 2n
+    draws."""
     monkeypatch.setattr("gwalk.excursion.SAMPLE_CHUNK", 700)
-    law, n, p = LAWS["two_point_sub"], 1500, 2
+    law, n, p, tail = LAWS["two_point_sub"], 1500, 2, 50
     rng, ref = kernel.PCG64(4), np.random.default_rng(4)
-    out = hypothesis_sums_batch(law, n, rng, p=p)
+    out = hypothesis_sums_batch(law, n, rng, p=p, tail=tail)
     pairs = ref.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
     nu, nu_t, B = _reference(law, pairs[:, 0], pairs[:, 1], p, True, None)[0]
-    for key, x in (("B", B), ("nu", nu), ("nu_tilde", nu_t)):
-        assert out[key].tobytes() == x.tobytes()
+    assert (B > 0).sum() > 2 * tail
+    assert oracles.summary_fields(out) == oracles.hypothesis_summary(nu, nu_t, B, tail)
     _assert_same_generator(rng, ref)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2**17])
 def test_samplers_do_not_depend_on_the_chunk(monkeypatch, chunk):
-    """hypothesis_sums_batch and sample_typed_forest write the same bytes
-    for any SAMPLE_CHUNK: a row's draws are its own, and its seeds are
-    drawn in the same order; the typed forest's redraws (budget 12) too."""
+    """hypothesis_sums_batch's summary and sample_typed_forest's trees have
+    the same bytes for any SAMPLE_CHUNK: a row's draws are its own, its
+    seeds are drawn in the same order and the sums are exact; the typed
+    forest's redraws (budget 12) too."""
     law = LAWS["two_point_sub"]
-    want_sums = hypothesis_sums_batch(law, 300, kernel.PCG64(6), p=2)
+    want_sums = hypothesis_sums_batch(law, 300, kernel.PCG64(6), p=2, tail=20)
     want_trees = sample_typed_forest(law, 60, kernel.PCG64(6), budget=12, max_resample=10**4)
     monkeypatch.setattr("gwalk.excursion.SAMPLE_CHUNK", chunk)
-    sums = hypothesis_sums_batch(law, 300, kernel.PCG64(6), p=2)
+    sums = hypothesis_sums_batch(law, 300, kernel.PCG64(6), p=2, tail=20)
     trees = sample_typed_forest(law, 60, kernel.PCG64(6), budget=12, max_resample=10**4)
-    for key, x in want_sums.items():
-        assert sums[key].tobytes() == x.tobytes()
+    assert oracles.summary_fields(sums) == oracles.summary_fields(want_sums)
+    assert sums.top.dtype == want_sums.top.dtype == np.int64 and sums.top.size == 20
     assert len(trees) == len(want_trees) == 60
     for t, u in zip(trees, want_trees):
         assert t.parent.tobytes() == u.parent.tobytes() and t.beta.tobytes() == u.beta.tobytes()
@@ -276,25 +311,36 @@ def test_count_trees_write_into_a_column_slice():
 
 @pytest.mark.parametrize("chunk", [None, 4000])
 def test_hypothesis_sums_hold_one_copy(monkeypatch, chunk):
-    """The traced peak of hypothesis_sums_batch stays under one (3, n) int64
-    result, one slice of seed pairs and 16 KB, at the default chunk and at a
-    smaller one: each slice's sums are written straight into the result, no
-    second copy of them is made, and a scalar root count is passed as one
-    value."""
-    n = 20000
+    """The traced peak of hypothesis_sums_batch with a tail of K values is
+    flat in n: at 8n it is within one slice (its seed pairs and sums, 5
+    values a row) plus K values of the peak at n, at the default chunk and
+    at a smaller one. Each slice is reduced before the next is drawn, so no
+    array of n values is made."""
+    n, K = 20000, 1000
     if chunk is not None:
         monkeypatch.setattr(excursion, "SAMPLE_CHUNK", chunk)
     c = min(n, excursion.SAMPLE_CHUNK, excursion.SEED_SLICE)
     law = LAWS["two_point_sub"]
     law.tables()  # built and cached before tracing
-    rng = kernel.PCG64(5)
-    tracemalloc.start()
-    try:
-        hypothesis_sums_batch(law, n, rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (3 * n + 2 * c) + 16 * 1024
+    peaks = []
+    for m in (n, 8 * n):
+        rng = kernel.PCG64(5)
+        tracemalloc.start()
+        try:
+            hypothesis_sums_batch(law, m, rng, tail=K)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 8 * (5 * c + K)
+
+
+def test_power_sums_are_exact_past_int64():
+    """A slice whose fourth powers would pass 2^63 in int64 is summed in
+    Python ints: the sums equal the exact ones."""
+    x = np.array([3 * 10**9, 0, 5, 7 * 10**8, 2**40], dtype=np.int64)
+    want = [sum(int(v) ** j for v in x) for j in range(1, 5)]
+    assert excursion._power_sums(x, 4) == want and want[3] > 2**150
+    assert excursion._power_sums(x[1:3], 4) == [5, 25, 125, 625]
 
 
 def test_sample_excursion_tree_matches_reference():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from gwalk import excursion, kernel
+from gwalk import excursion, kernel, stats
 from gwalk._rng import child_key, derive_seed_np
 from gwalk.env import MarkedTree, enumerate_truncated
 from gwalk.excursion import hypothesis_sums_batch, sample_excursion_tree
@@ -199,33 +199,41 @@ def test_prune_level_preserves_regen_law():
 def test_hypothesis_sums_exact_moments_constant_bias():
     """E[B] = 1 for any admissible law, and E[B] = p after p excursions; on
     the lambda = 2 tree the variance has the closed form
-    2 c0^2 / C_inf = 8."""
+    2 c0^2 / C_inf = 8. The means, variances and their errors come from
+    the summary's exact power sums; the pointwise order of the three sums
+    is checked on the library's rows for the same seed pairs."""
     rng = kernel.PCG64(8)
     out = hypothesis_sums_batch(CB, 10**6, rng)
-    B = out["B"].astype(np.float64)
-    se = B.std(ddof=1) / math.sqrt(B.size)
-    assert abs(B.mean() - 1.0) < 4 * se
-    v = B.var(ddof=1)
-    m4 = ((B - B.mean()) ** 4).mean()
-    se_v = math.sqrt(max(m4 - v**2, 0.0) / B.size)
+    mean, se = stats.sums_mean_se(out.n, *out.powers["B"][:2])
+    assert abs(mean - 1.0) < 4 * se
+    v, se_v = stats.sums_variance_se(out.n, *out.powers["B"])
     assert abs(v - 8.0) < 4 * se_v
     # pointwise structure: B counts a subset of the support, nu dominates
-    assert (out["B"] <= out["nu_tilde"]).all()
-    assert (out["nu_tilde"] <= out["nu"]).all()
-    B5 = hypothesis_sums_batch(CB, 10**5, rng, p=5)["B"].astype(np.float64)
-    assert abs(B5.mean() - 5.0) < 4 * B5.std(ddof=1) / math.sqrt(B5.size)
+    seeds, pairs = kernel.PCG64(8), np.empty((10**5, 2), dtype=np.uint64)
+    for _ in range(10):
+        seeds.integers(0, 2**64, pairs)
+        nu, nu_t, B = kernel.count_trees(CB.tables(), pairs[:, 0], pairs[:, 1], 1, prune=True)[0]
+        assert (B <= nu_t).all() and (nu_t <= nu).all()
+    B5 = hypothesis_sums_batch(CB, 10**5, rng, p=5)
+    mean5, se5 = stats.sums_mean_se(B5.n, *B5.powers["B"][:2])
+    assert abs(mean5 - 5.0) < 4 * se5
 
 
 def test_hypothesis_sums_run_in_chunks(monkeypatch):
     """Samples run SAMPLE_CHUNK at a time, each chunk drawing its seeds and
-    trees from the one rng in turn: a call equals the concatenation of
-    one-chunk calls on the same generator."""
+    trees from the one rng in turn: a call's summary is that of one-chunk
+    calls on the same generator taken together, the power sums and
+    positive counts added and the tails merged."""
     monkeypatch.setattr(excursion, "SAMPLE_CHUNK", 100)
-    whole = hypothesis_sums_batch(SUB, 250, kernel.PCG64(4), p=2)
+    whole = hypothesis_sums_batch(SUB, 250, kernel.PCG64(4), p=2, tail=30)
     rng = kernel.PCG64(4)
-    parts = [hypothesis_sums_batch(SUB, n, rng, p=2) for n in (100, 100, 50)]
-    for key, x in whole.items():
-        assert np.array_equal(x, np.concatenate([part[key] for part in parts]))
+    parts = [hypothesis_sums_batch(SUB, n, rng, p=2, tail=30) for n in (100, 100, 50)]
+    assert whole.n == sum(part.n for part in parts) == 250
+    for key, x in whole.powers.items():
+        assert x == tuple(map(sum, zip(*(part.powers[key] for part in parts))))
+    assert whole.positive == sum(part.positive for part in parts) > 30
+    merged = np.sort(np.concatenate([part.top for part in parts]))[-30:]
+    assert whole.top.tobytes() == merged.tobytes()
 
 
 def test_hypothesis_sums_match_per_tree_sampler():
@@ -237,9 +245,9 @@ def test_hypothesis_sums_match_per_tree_sampler():
     rep = oracles.hypothesis_check(sample_typed_forest(CB, 1000, rng, budget=4 * 10**4))
     out = hypothesis_sums_batch(CB, 20000, rng)
     for name, key in (("b", "B"), ("nu_tilde", "nu_tilde")):
-        x = out[key].astype(np.float64)
-        se = math.sqrt(rep[f"{name}_se"] ** 2 + x.var(ddof=1) / x.size)
-        assert abs(rep[f"{name}_mean"] - x.mean()) < 4 * se
+        mean, se_x = stats.sums_mean_se(out.n, *out.powers[key][:2])
+        se = math.sqrt(rep[f"{name}_se"] ** 2 + se_x**2)
+        assert abs(rep[f"{name}_mean"] - mean) < 4 * se
 
 
 def test_sampler_node_budget():

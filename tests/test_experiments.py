@@ -22,7 +22,7 @@ from gwalk.experiments import (
     trial_seeds,
     w_hat_batch,
 )
-from gwalk.law import make_two_point, regime_of, solve_kappa
+from gwalk.law import make_constant_bias, make_two_point, regime_of, solve_kappa
 
 PLUG_IN = {"C_inf": 0.1, "c_inf_bold": 0.2, "c_kappa": 1.5}
 
@@ -174,3 +174,27 @@ def test_map_trials_runs_its_calls_at_once():
     barrier = threading.Barrier(2, timeout=20)
     experiments._map_trials(lambda t: barrier.wait(), 2, 2)
     assert barrier.n_waiting == 0 and not barrier.broken
+
+
+def test_forest_moments_agree_with_numpy_on_the_raw_sums():
+    """At kappa > 4 (constant bias 2, where kappa is infinite) the moment
+    rows of forest-identities come from the exact power sums of its draws;
+    numpy on the arrays of the same draws gives the means bit for bit, and
+    the standard errors, sigma1_sq and sigma1_sq_se within 1e-12 relative."""
+    law, n, seed = make_constant_bias(2.0), 20_000, 3
+    assert solve_kappa(law) > 4
+    out = experiments.forest_identities_campaign(law, solve_kappa(law), seed, n_trees=5,
+                                                 n_sums=n)
+    rows = {r["statistic"]: r["value"] for r in out["rows"]}
+    rng = kernel.PCG64(derive_seed(seed, "forest-identities", 0, "sums"))
+    pairs = rng.integers(0, 2**64, np.empty((n, 2), dtype=np.uint64))
+    sums = kernel.count_trees(law.tables(), pairs[:, 0], pairs[:, 1], 1, prune=True)[0]
+    nu, nu_t, B = sums.astype(np.float64)
+    for name, x in (("b", B), ("nu", nu), ("nu_tilde", nu_t)):
+        assert rows[f"{name}_mean"] == x.mean()
+        assert rows[f"{name}_se"] == pytest.approx(x.std(ddof=1) / math.sqrt(n), rel=1e-12)
+    var = B.var(ddof=1)
+    m4 = ((B - B.mean()) ** 4).mean()
+    assert rows["sigma1_sq"] == pytest.approx(var, rel=1e-12)
+    assert rows["sigma1_sq_se"] == pytest.approx(math.sqrt(max(m4 - var**2, 0.0) / n),
+                                                 rel=1e-12)

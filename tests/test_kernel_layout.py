@@ -57,6 +57,15 @@ EXPORTED = {name: (restype, params) for restype, name, params in re.findall(
 SCALAR = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "int": ctypes.c_int, "void": None}
 
 
+def test_snapshot_rows_match_the_record_order():
+    """kernel.SNAP_ROWS names the values that `record` in `_walk.c` writes,
+    in its order, the bit of row i being 1 << i: tau is m, T is t_ex."""
+    values = re.search(r"const int64_t v\[4\] = \{([^}]*)\};", SOURCE).group(1)
+    names = {"tau": "m", "T": "t_ex", "L": "L", "R": "R"}
+    assert [names[r] for r in kernel.SNAP_ROWS] == [v.strip() for v in values.split(",")]
+    assert "rows >> r & 1" in SOURCE
+
+
 def test_entry_points_are_the_exported_functions():
     assert set(EXPORTED) == set(kernel._ENTRY_POINTS)
 

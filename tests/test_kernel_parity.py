@@ -146,6 +146,29 @@ def test_run_walks_equals_run_walk_per_trial(compiled_run_walk, law, mode, limit
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("mode, limit, snaps, budget", [
+    (kernel.MODE_STEPS, 3000, [1, 2, 500, 3000], 1000),
+    (kernel.MODE_CROSSINGS, 40, list(range(1, 41)), 3000),
+], ids=["steps-budget", "crossings-budget"])
+def test_run_walks_write_only_the_rows_asked_for(mode, limit, snaps, budget):
+    """With snap_rows, run_walks returns those snapshot rows only, in any
+    order asked, each with the bytes of the four-row run, in a buffer of
+    those rows alone, and the same stats; an unknown row raises ValueError."""
+    env = np.arange(24, dtype=np.uint64) * 7919 + 3
+    wlk = np.arange(24, dtype=np.uint64) + 2**63
+    full = kernel.run_walks(SUB.tables(), env, wlk, mode, limit, snaps, budget, 2)
+    for rows in (("L",), ("T", "R"), ("R", "tau"), kernel.SNAP_ROWS):
+        got = kernel.run_walks(SUB.tables(), env, wlk, mode, limit, snaps, budget, 2,
+                               snap_rows=rows)
+        names = ["snap_" + r for r in rows]
+        assert sorted(got) == sorted([*STATS, *names])
+        assert got[names[0]].base.shape == (24, len(rows), len(snaps))
+        for k in [*STATS, *names]:
+            assert got[k].tobytes() == full[k].tobytes(), (rows, k)
+    with pytest.raises(ValueError, match="snapshot rows must be among"):
+        kernel.run_walks(SUB.tables(), env, wlk, mode, limit, snaps, budget, snap_rows=("x",))
+
+
 def test_concurrent_calls_wait_for_every_call_and_raise_its_error():
     """Every call has returned when _concurrent_calls returns, also when one
     of them raised; the caller sees that exception."""

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import oracles
+from gwalk import kernel
 from gwalk import law as law_mod
 from gwalk import limits
+from gwalk._rng import derive_seed
 from gwalk.env import discounted_sums_batch
 from gwalk.kernel import PCG64
 from gwalk.law import make_constant_bias, make_two_point
@@ -221,6 +223,37 @@ def test_estimate_c_kappa_report():
     assert flagged == out["no_plateau"]
     h_lo, h_hi = out["hill"]["ci"]
     assert h_lo < out["hill"]["alpha"] < h_hi
+
+
+@pytest.mark.parametrize("n, seed, case", [(20_000, 0, "few"), (200_000, 6, "many"),
+                                           (40_000, 0, "tie"), (2, 4, "too-few")])
+def test_c_kappa_equals_the_full_array_estimator(n, seed, case):
+    """estimate_c_kappa keeps only the largest draws of B, and gives the
+    bits, the warning and the TOO_FEW message of the same estimator on every
+    draw (`oracles.c_kappa_full`): at most 10^4 positive values, all kept;
+    more than 2 x 10^4, which the tail buffer cuts; a tie between the two
+    values that the 0.995 quantile reads; and fewer than two."""
+    kappa = law_mod.solve_kappa(SUB)
+    rng = np.random.default_rng(derive_seed(seed, "c-kappa", 0, "env"))
+    pairs = rng.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
+    b = kernel.count_trees(SUB.tables(), pairs[:, 0], pairs[:, 1], 1, prune=True)[0][2]
+    pos = np.sort(b[b > 0])
+    at = math.floor((pos.size - 1) * 0.995)
+    assert {"few": 2 <= pos.size <= 10_000, "too-few": pos.size < 2,
+            "many": pos.size > 20_000 and pos[at] != pos[at + 1],
+            "tie": pos.size > 10_000 and pos[at] == pos[at + 1]}[case]
+    runs = []
+    for fit in (lambda: estimate_c_kappa(SUB, kappa, n_samples=n, seed=seed),
+                lambda: oracles.c_kappa_full(b, kappa, seed)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                runs.append(repr(fit()))
+            except ValueError as err:  # LimitsError is a ValueError
+                runs.append(str(err))
+        runs[-1] += repr([str(w.message) for w in caught])
+    assert runs[0] == runs[1]
+    assert ("the tail needs two" in runs[0]) == (case == "too-few")
 
 
 def test_c_kappa_ci_deterministic_per_seed():

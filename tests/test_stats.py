@@ -16,6 +16,7 @@ from gwalk.stats import (
     mean_se,
     median,
     quantile,
+    top_quantile,
     verdict_row,
     write_verdicts,
 )
@@ -158,6 +159,20 @@ def test_median_and_quantile_are_numpys_bits(n):
         m[0, 0] = np.nan if case % 8 == 7 else m[0, 0]
         for axis in (0, 1):
             assert _same(median(m, axis=axis), np.median(m, axis=axis)), (case, axis)
+
+
+@pytest.mark.parametrize("n", [3, 400, 20001])
+def test_top_quantile_is_quantile_on_the_top_values(n):
+    """top_quantile on the largest values of n, ascending, has quantile's
+    bits on all n, with ties and without, and refuses to read below them."""
+    rng = np.random.default_rng(n)
+    for x in (rng.integers(0, 30, size=n), rng.integers(0, 10**6, size=n)):
+        top = np.sort(x)[n - min(n, 3 + n // 100):]
+        for q in (0.995, 1.0, np.array([0.995, 1.0])):
+            assert _same(top_quantile(top, n, q), quantile(x, q)), q
+        if top.size < n:
+            with pytest.raises(ValueError, match="below the top values"):
+                top_quantile(top, n, 0.5)
 
 
 def test_verdict_row_and_json_roundtrip(tmp_path):
